@@ -69,10 +69,10 @@ CHECK_FLOOR = 0.8
 #: may move it — so this floor cannot be ratcheted down silently.
 BASELINE_FLOOR = 0.75
 
-#: Absolute ops/s floors for the codec-path headline cells (measured
-#: with ``codec="compact"``); chosen ~0.6x of the recorded numbers so a
-#: noisy CI box does not flake, while a real hot-path regression (say,
-#: the codec silently falling back to pickle) still trips them.
+#: Absolute ops/s floors for the codec-path headline cells; chosen
+#: ~0.6x of the recorded numbers so a noisy CI box does not flake, while
+#: a real hot-path regression (say, the codec silently falling back to
+#: pickle) still trips them.
 ABS_FLOORS = {
     "space_write_take_ops_per_s": 120_000.0,
     "durable_commits_group_per_s": 60_000.0,
@@ -138,10 +138,10 @@ def _time(fn: Callable[[], int], rounds: int) -> float:
 
 # ---------------------------------------------------------------- workloads --
 
-def space_write_take(n: int = 2000, codec: str = "pickle") -> int:
+def space_write_take(n: int = 2000) -> int:
     """Write+take cycles through the space (in-process, no network)."""
     runtime = SimulatedRuntime()
-    space = JavaSpace(runtime, codec=codec)
+    space = JavaSpace(runtime)
 
     def body():
         for i in range(n):
@@ -265,7 +265,7 @@ def contention_wakeups_per_write(writes: int = 200, takers: int = 16) -> float:
 
 def _strip_job_framework(runtime, workers: int, strips: int,
                          prefetch: int, seed_batch: int, drain_batch: int,
-                         trace: bool, codec: str):
+                         trace: bool):
     """The raytrace-shaped 600x600 strip job on a small testbed."""
     from repro.core.application import Application, ClassLoadProfile, Task
     from repro.core.framework import AdaptiveClusterFramework, FrameworkConfig
@@ -318,13 +318,12 @@ def _strip_job_framework(runtime, workers: int, strips: int,
             master_seed_batch=seed_batch,
             master_drain_batch=drain_batch,
             trace=trace,
-            codec=codec,
         ),
     )
     return cluster, framework
 
 
-def e2e_job_wire_cost(codec: str = "compact", strips: int = 24,
+def e2e_job_wire_cost(strips: int = 24,
                       workers: int = 4) -> dict[str, float]:
     """Simulated-network traffic of one warm pipelined job: deterministic.
 
@@ -340,7 +339,7 @@ def e2e_job_wire_cost(codec: str = "compact", strips: int = 24,
     def body(runtime):
         cluster, framework = _strip_job_framework(
             runtime, workers=workers, strips=strips, prefetch=6,
-            seed_batch=strips, drain_batch=strips, trace=False, codec=codec)
+            seed_batch=strips, drain_batch=strips, trace=False)
         framework.start()
         framework.start_all_workers()
         warmup = framework.master.run()
@@ -378,8 +377,7 @@ def doctor_phase_cells(strips: int = 24, workers: int = 4) -> dict[str, float]:
     def body(runtime):
         cluster, framework = _strip_job_framework(
             runtime, workers=workers, strips=strips, prefetch=6,
-            seed_batch=strips, drain_batch=strips, trace=True,
-            codec="compact")
+            seed_batch=strips, drain_batch=strips, trace=True)
         framework.start()
         framework.start_all_workers()
         warmup = framework.master.run()
@@ -403,8 +401,7 @@ def doctor_phase_cells(strips: int = 24, workers: int = 4) -> dict[str, float]:
 def e2e_job_rate(prefetch: int = 1, seed_batch: int = 1,
                  drain_batch: int = 1, workers: int = 4,
                  strips: int = 24, rounds: int = 1,
-                 trace: bool = False, codec: str = "pickle",
-                 analyze: bool = False) -> float:
+                 trace: bool = False, analyze: bool = False) -> float:
     """Best-of-``rounds`` tasks/second for one full master–worker job.
 
     Raytrace-shaped (paper §5.1.2): a 600×600 image plane split into
@@ -426,8 +423,7 @@ def e2e_job_rate(prefetch: int = 1, seed_batch: int = 1,
     def body(runtime):
         cluster, framework = _strip_job_framework(
             runtime, workers=workers, strips=strips, prefetch=prefetch,
-            seed_batch=seed_batch, drain_batch=drain_batch, trace=trace,
-            codec=codec)
+            seed_batch=seed_batch, drain_batch=drain_batch, trace=trace)
         framework.start()
         framework.start_all_workers()
         warmup = framework.master.run()
@@ -537,8 +533,7 @@ def contention_overload(smoke: bool = False) -> dict[str, float]:
 
 
 def durable_commit_rate(fsync_policy: str, n: int = 400,
-                        group_size: int = 64,
-                        codec: str = "pickle") -> int:
+                        group_size: int = 64) -> int:
     """Commit records through a file-backed WAL under one fsync policy.
 
     ``always`` pays one fsync per commit; ``group`` amortizes one fsync
@@ -550,8 +545,7 @@ def durable_commit_rate(fsync_policy: str, n: int = 400,
     with tempfile.TemporaryDirectory() as tmp:
         store = FileWalStore(os.path.join(tmp, "wal"),
                              fsync_policy=fsync_policy,
-                             group_size=group_size,
-                             codec=codec)
+                             group_size=group_size)
         wal = WriteAheadLog(store)
         payload = b"x" * 100
         for i in range(n):
@@ -566,13 +560,8 @@ def durable_commit_rate(fsync_policy: str, n: int = 400,
 def run(rounds: int, smoke: bool) -> dict[str, float]:
     scale = 10 if smoke else 1
     results = {
-        # Headline space/durable cells run the compact codec (the
-        # configuration the perf work targets); the _pickle cells keep
-        # the reference codec honest and measurable side by side.
         "space_write_take_ops_per_s": _time(
-            lambda: space_write_take(2000 // scale, codec="compact"), rounds),
-        "space_write_take_pickle_ops_per_s": _time(
-            lambda: space_write_take(2000 // scale, codec="pickle"), rounds),
+            lambda: space_write_take(2000 // scale), rounds),
         "space_selectivity_ops_per_s": _time(
             lambda: space_selectivity(1000 // scale, 100 // scale), rounds),
         "kernel_events_per_s": _time(
@@ -592,11 +581,7 @@ def run(rounds: int, smoke: bool) -> dict[str, float]:
         "durable_commits_always_per_s": _time(
             lambda: durable_commit_rate("always", 400 // scale), rounds),
         "durable_commits_group_per_s": _time(
-            lambda: durable_commit_rate("group", 400 // scale,
-                                        codec="compact"), rounds),
-        "durable_commits_group_pickle_per_s": _time(
-            lambda: durable_commit_rate("group", 400 // scale,
-                                        codec="pickle"), rounds),
+            lambda: durable_commit_rate("group", 400 // scale), rounds),
         # Deterministic virtual-time numbers: one run regardless of
         # --rounds (re-running replays the identical simulation).
         "e2e_sharded_1shard_tasks_per_s": e2e_sharded_rate(1, smoke),

@@ -27,7 +27,7 @@ from repro.core.netmgmt import RULEBASE_PORT, NetworkManagementModule
 from repro.core.signals import ThresholdPolicy
 from repro.core.worker import WorkerHost
 from repro.errors import ConfigurationError, MasterCrashedError
-from repro.telemetry import Telemetry
+from repro.telemetry import FlightRecorder, SloWatchdog, Telemetry
 from repro.jini.discovery import DiscoveryClient
 from repro.jini.join import JoinManager, LookupClient
 from repro.jini.lookup import LookupService, ServiceItem
@@ -36,9 +36,19 @@ from repro.node.cluster import Cluster
 from repro.runtime.base import Runtime
 from repro.tuplespace.durable import DurableSpace, HotStandby
 from repro.tuplespace.entry import Entry
-from repro.tuplespace.failover import JiniSpaceLocator, SpaceSupervisor
+from repro.tuplespace.failover import (
+    HEARTBEAT_MS,
+    MAX_MISSES,
+    JiniSpaceLocator,
+    SpaceSupervisor,
+)
 from repro.tuplespace.lease import FOREVER
-from repro.tuplespace.proxy import SpaceProxy, SpaceServer
+from repro.tuplespace.proxy import (
+    AdmissionConfig,
+    RecoveryPolicy,
+    SpaceProxy,
+    SpaceServer,
+)
 from repro.tuplespace.sharding import HashRing, ShardRouter
 from repro.tuplespace.space import JavaSpace
 from repro.tuplespace.transaction import TransactionManager
@@ -53,6 +63,11 @@ LOOKUP_PORT = 4162
 #: module … runs on an 800 MHz … PC with 256 MB RAM."
 JINI_FOOTPRINT_MB = 48
 SPACE_FOOTPRINT_MB = 64
+
+#: A master that reaches the space over RPC retries once per supervisor
+#: heartbeat; this many attempts outlast a failover (promotion takes
+#: ``MAX_MISSES`` heartbeats plus the lease wait).
+_MASTER_SPACE_RETRIES = 8 * MAX_MISSES
 
 
 @dataclass(frozen=True)
@@ -75,8 +90,6 @@ class FrameworkConfig:
     straggler_timeout_ms: float = 5_000.0   # quiet period before replication
 
     # -- robustness / self-healing (see DESIGN.md "Fault model & recovery") --
-    self_healing: bool = True               # reconnecting worker proxies
-    reconnect_max_retries: int = 8          # consecutive failures before giving up
     reconnect_base_ms: float = 50.0         # backoff: base of the exponential
     reconnect_max_ms: float = 2_000.0       # backoff cap
     rpc_timeout_ms: Optional[float] = 10_000.0  # space RPC reply deadline
@@ -86,10 +99,7 @@ class FrameworkConfig:
 
     # -- durability / failover (see DESIGN.md "Recovery model") -------------
     durable_space: bool = False             # WAL + snapshots behind the space
-    wal_snapshot_every: Optional[int] = 64  # commit batches between snapshots
     hot_standby: bool = False               # replica + supervisor + promotion
-    failover_heartbeat_ms: float = 250.0    # supervisor probe period
-    failover_max_misses: int = 3            # missed probes before promotion
     sync_replication: bool = True           # gate acks on standby confirmation
     repl_ack_timeout_ms: float = 500.0      # then drop the client unanswered
     master_checkpoint_ms: Optional[float] = None  # master checkpoint period
@@ -103,14 +113,6 @@ class FrameworkConfig:
     master_seed_batch: int = 1              # tasks per seeding write_all
     master_drain_batch: int = 1             # results per drain round trip
     wal_fsync_policy: str = "always"        # durability barrier: always|group|os
-    wal_group_size: int = 64                # group-commit size watermark
-    wal_group_ms: Optional[float] = None    # group-commit time watermark
-    #: Entry/WAL frame encoding: ``"pickle"`` (general, the determinism
-    #: reference) or ``"compact"`` (schema-registered zero-copy frames;
-    #: see DESIGN.md §13).  Applies to the space, every proxy, and the
-    #: WAL; persisted logs replay under either setting (mixed-frame
-    #: decode).
-    codec: str = "pickle"
 
     # -- sharding (see DESIGN.md §10 "Sharded space") ------------------------
     #: Number of tuple-space partitions.  1 = the classic single space.
@@ -125,9 +127,6 @@ class FrameworkConfig:
     #: ``shards=1`` (a served shard, reached via RPC) so scaling sweeps
     #: compare like-for-like.
     shard_placement: str = "master"
-    #: Wildcard scatter-gather camp quantum: how long a client blocks on
-    #: one shard before rescanning the others (see ShardRouter).
-    scatter_block_ms: float = 250.0
 
     # -- telemetry (see DESIGN.md "Observability") ---------------------------
     #: Record per-task span trees (virtual-time under simulation).  Trace
@@ -137,18 +136,9 @@ class FrameworkConfig:
     trace: bool = False
     #: Period for mirroring registry instruments into the ``Metrics``
     #: series via the kernel's ``on_advance`` hook (``None`` = off).
+    #: Setting it also arms the SLO watchdog's default rule pack, which
+    #: rides the snapshot frames.
     metrics_snapshot_ms: Optional[float] = None
-    #: SLO watchdog rules (strings in the :class:`repro.telemetry.slo`
-    #: grammar or :class:`SloRule` objects).  ``None`` = the default rule
-    #: pack; ``()`` disables the watchdog.  Rules only evaluate when
-    #: ``metrics_snapshot_ms`` is set (they ride snapshot frames).
-    slo_rules: Optional[tuple] = None
-    #: Always-on black-box flight recorder: bounded rings of recent
-    #: spans/events that freeze into postmortem bundles on promotion or
-    #: checker failure.  O(1) per record; disable only for microbenches.
-    flight_recorder: bool = True
-    flight_span_capacity: int = 256         # recent spans kept per process
-    flight_event_capacity: int = 512        # recent metrics events kept
 
     # -- consistency checking (see DESIGN.md §11) ----------------------------
     #: Record a per-entry operation history (writes/takes/reads with
@@ -167,21 +157,13 @@ class FrameworkConfig:
     #: tenant → fair-share weight for the space's deficit-round-robin
     #: task dispatch.  ``None`` keeps plain FIFO takes.
     tenant_shares: Optional[dict[str, float]] = None
-    #: Weight for tenants not named in ``tenant_shares``.
-    tenant_default_share: float = 1.0
     #: Enable server-side admission control (quotas, rate limits,
     #: watermark shedding) on every space server.  The deployment's own
     #: master then reaches the space over RPC even in the classic
     #: single-space shape, so its writes are metered like everyone
     #: else's.
     admission: bool = False
-    admission_max_in_flight: Optional[int] = None   # per-tenant backlog cap
-    admission_write_rate_per_s: Optional[float] = None  # token-bucket refill
-    admission_write_burst: float = 16.0             # token-bucket capacity
     admission_soft_watermark: Optional[int] = None  # shed low priority above
-    admission_hard_watermark: Optional[int] = None  # shed everything above
-    admission_shed_below_priority: int = 1          # soft-shed cutoff
-    admission_retry_after_ms: float = 100.0         # rejection retry hint
     admission_quotas: Optional[dict[str, int]] = None   # per-tenant overrides
     admission_rates: Optional[dict[str, float]] = None
     #: Priority preemption: a governor that Pauses workers hoarding
@@ -226,9 +208,6 @@ class AdaptiveClusterFramework:
         if self.config.shards < 1:
             raise ConfigurationError(
                 f"shards must be >= 1: {self.config.shards}")
-        if self.config.codec not in ("pickle", "compact"):
-            raise ConfigurationError(
-                f"codec must be 'pickle' or 'compact': {self.config.codec!r}")
         if self.config.shard_placement not in ("master", "spread", "dedicated"):
             raise ConfigurationError(
                 f"shard_placement must be 'master', 'spread' or "
@@ -237,15 +216,6 @@ class AdaptiveClusterFramework:
                 and not cluster.space_hosts):
             raise ConfigurationError(
                 "shard_placement='dedicated' needs cluster.add_space_hosts()")
-        if (self.config.admission_soft_watermark is not None
-                and self.config.admission_hard_watermark is not None
-                and self.config.admission_soft_watermark
-                > self.config.admission_hard_watermark):
-            raise ConfigurationError(
-                f"admission_soft_watermark "
-                f"({self.config.admission_soft_watermark}) must not exceed "
-                f"admission_hard_watermark "
-                f"({self.config.admission_hard_watermark})")
         #: True when the space is partitioned behind a ShardRouter.  The
         #: classic single in-process space (shards=1, placement "master")
         #: keeps the exact legacy wiring; "spread"/"dedicated" force the
@@ -369,20 +339,12 @@ class AdaptiveClusterFramework:
         self.task_latency = self.registry.histogram("task.latency_ms")
         #: SLO watchdog (built in :meth:`start` when snapshots are on).
         self.watchdog: Optional[Any] = None
-        #: Black-box flight recorder: observes metrics events and (when
-        #: tracing) spans through passive hooks, dumps postmortem
-        #: bundles on standby promotion or checker failure.
-        self.flight: Optional[Any] = None
-        if self.config.flight_recorder:
-            from repro.telemetry import FlightRecorder
-
-            self.flight = FlightRecorder(
-                runtime,
-                span_capacity=self.config.flight_span_capacity,
-                event_capacity=self.config.flight_event_capacity,
-            )
-            self.flight.attach(metrics=self.metrics, tracer=self.tracer,
-                               registry=self.registry, history=self.history)
+        #: Always-on black-box flight recorder: observes metrics events
+        #: and (when tracing) spans through passive hooks, dumps
+        #: postmortem bundles on standby promotion or checker failure.
+        self.flight = FlightRecorder(runtime)
+        self.flight.attach(metrics=self.metrics, tracer=self.tracer,
+                           registry=self.registry, history=self.history)
         self.master = self._build_master()
         self.worker_hosts: list[WorkerHost] = []
         self._started = False
@@ -390,15 +352,9 @@ class AdaptiveClusterFramework:
     def _make_space(self, name: str) -> JavaSpace:
         config = self.config
         if config.durable_space or config.hot_standby:
-            return DurableSpace(
-                self.runtime, name=name,
-                snapshot_every=config.wal_snapshot_every,
-                fsync_policy=config.wal_fsync_policy,
-                group_size=config.wal_group_size,
-                group_commit_ms=config.wal_group_ms,
-                codec=config.codec,
-            )
-        return JavaSpace(self.runtime, name=name, codec=config.codec)
+            return DurableSpace(self.runtime, name=name,
+                                fsync_policy=config.wal_fsync_policy)
+        return JavaSpace(self.runtime, name=name)
 
     def _space_locator(self, host: str,
                        shard: Optional[int] = None) -> JiniSpaceLocator:
@@ -429,8 +385,6 @@ class AdaptiveClusterFramework:
             self.cluster.network, host, list(self.shard_addresses),
             ring=self.ring, recovery=recovery, rng=rng,
             metrics=self.metrics, locators=locators, tracer=self.tracer,
-            scatter_block_ms=self.config.scatter_block_ms,
-            codec=self.config.codec,
         )
 
     def _build_master(self) -> Master:
@@ -457,36 +411,29 @@ class AdaptiveClusterFramework:
             # Unlike the in-process space, shards are reached over RPC, so
             # the master must ride out shard crashes/restarts like any
             # other client — enable its retry guard unconditionally.
-            retry_ms = config.failover_heartbeat_ms
-        elif config.hot_standby:
-            if self._master_proxy is not None:
-                self._master_proxy.close()
-            self._master_proxy = SpaceProxy(
-                self.cluster.network, self.cluster.master.hostname,
-                self.space_address, metrics=self.metrics,
-                locator=self._space_locator(self.cluster.master.hostname),
-                tracer=self.tracer, codec=config.codec,
-            )
-            space = self._master_proxy
-            retry_ms = config.failover_heartbeat_ms
-        elif config.admission:
-            # Admission control is enforced server-side; an in-process
-            # master would bypass it entirely.  Route the master through
-            # a (loopback) proxy so its seeding writes are metered like
-            # every other tenant's.
+            retry_ms = HEARTBEAT_MS
+        elif config.hot_standby or config.admission:
+            # With a standby, a locator-equipped proxy lets a failover
+            # redirect the master like any worker.  Admission control is
+            # enforced server-side, so an in-process master would bypass
+            # it: the (loopback) proxy gets its seeding writes metered
+            # like every other tenant's.
             if self._master_proxy is not None:
                 self._master_proxy.close()
             self._master_proxy = SpaceProxy(
                 self.cluster.network, self.cluster.master.hostname,
                 self.space_address, metrics=self.metrics, tracer=self.tracer,
-                codec=config.codec,
+                locator=(self._space_locator(self.cluster.master.hostname)
+                         if config.hot_standby else None),
             )
             space = self._master_proxy
+            if config.hot_standby:
+                retry_ms = HEARTBEAT_MS
         if config.admission and retry_ms is None:
             # AdmissionError is a pre-dispatch rejection, so the master's
             # guard may re-issue the op verbatim after the server's
             # retry-after hint; this floor keeps the guard's loop alive.
-            retry_ms = config.admission_retry_after_ms
+            retry_ms = AdmissionConfig.retry_after_ms
         if self.history is not None:
             from repro.verify import RecordingSpace
 
@@ -501,7 +448,7 @@ class AdaptiveClusterFramework:
             checkpoint_ms=config.master_checkpoint_ms,
             checkpoint_lease_ms=config.checkpoint_lease_ms,
             space_retry_ms=retry_ms,
-            space_max_retries=max(20, 8 * config.failover_max_misses),
+            space_max_retries=_MASTER_SPACE_RETRIES,
             seed_batch=config.master_seed_batch,
             drain_batch=config.master_drain_batch,
             tracer=self.tracer,
@@ -543,7 +490,6 @@ class AdaptiveClusterFramework:
                 metrics=self.metrics, tracer=self.tracer,
                 locator=(self._space_locator(host)
                          if config.hot_standby else None),
-                codec=config.codec,
             )
         self._tenant_proxies.append(space)
         if self.history is not None:
@@ -552,9 +498,9 @@ class AdaptiveClusterFramework:
             space = RecordingSpace(space, self.history,
                                    client=f"master:{tenant}")
         if self.sharded or config.hot_standby:
-            retry_ms: Optional[float] = config.failover_heartbeat_ms
+            retry_ms: Optional[float] = HEARTBEAT_MS
         elif config.admission:
-            retry_ms = config.admission_retry_after_ms
+            retry_ms = AdmissionConfig.retry_after_ms
         else:
             retry_ms = None
         master = Master(
@@ -565,7 +511,7 @@ class AdaptiveClusterFramework:
             dead_letter_poll_ms=config.dead_letter_poll_ms,
             give_up_after_ms=config.give_up_after_ms,
             space_retry_ms=retry_ms,
-            space_max_retries=max(20, 8 * config.failover_max_misses),
+            space_max_retries=_MASTER_SPACE_RETRIES,
             seed_batch=config.master_seed_batch,
             drain_batch=config.master_drain_batch,
             tracer=self.tracer,
@@ -618,8 +564,7 @@ class AdaptiveClusterFramework:
                 # can promote a rival: enable the fence check and grant the
                 # primary lease the supervisor's probes will keep renewing.
                 server.fencing = True
-                server.grant_lease(
-                    config.failover_heartbeat_ms * config.failover_max_misses)
+                server.grant_lease(HEARTBEAT_MS * MAX_MISSES)
                 # With a standby that may be promoted, an ack the standby
                 # never saw is a future lost write — gate on its
                 # confirmation (drop the client unanswered on timeout).
@@ -637,23 +582,13 @@ class AdaptiveClusterFramework:
         # read-through telemetry for tenants the config names.
         if config.tenant_shares is not None:
             for i, space in enumerate(self.spaces):
-                space.configure_fair_share(
-                    config.tenant_shares,
-                    default_share=config.tenant_default_share)
+                space.configure_fair_share(config.tenant_shares)
                 labels = {"shard": str(i)} if self.sharded else {}
                 self.registry.expose_dict("space.fair", space.fair_stats,
                                           **labels)
         if config.admission:
-            from repro.tuplespace.proxy import AdmissionConfig
-
             admission_config = AdmissionConfig(
-                max_in_flight=config.admission_max_in_flight,
-                write_rate_per_s=config.admission_write_rate_per_s,
-                write_burst=config.admission_write_burst,
                 queue_soft_watermark=config.admission_soft_watermark,
-                queue_hard_watermark=config.admission_hard_watermark,
-                shed_below_priority=config.admission_shed_below_priority,
-                retry_after_ms=config.admission_retry_after_ms,
                 quotas=config.admission_quotas,
                 rates=config.admission_rates,
             )
@@ -755,11 +690,9 @@ class AdaptiveClusterFramework:
                     primary_address=self.shard_addresses[i],
                     address=self.shard_standby_addresses[i],
                     name=f"space-standby:{self.app.app_id}{suffix}",
-                    snapshot_every=config.wal_snapshot_every,
                     metrics=self.metrics,
                     sync_replication=config.sync_replication,
                     repl_ack_timeout_ms=config.repl_ack_timeout_ms,
-                    codec=config.codec,
                 )
                 standby.start()
                 self.standbys.append(standby)
@@ -769,8 +702,6 @@ class AdaptiveClusterFramework:
                     primary_address=self.shard_addresses[i],
                     registrar=Address(master_host, LOOKUP_PORT + offset),
                     service_item=self._joins[i].item,
-                    heartbeat_ms=config.failover_heartbeat_ms,
-                    max_misses=config.failover_max_misses,
                     old_registration_id=self._joins[i].registration_id,
                     metrics=self.metrics,
                 )
@@ -814,32 +745,18 @@ class AdaptiveClusterFramework:
                 self.metrics, interval_ms=config.metrics_snapshot_ms)
             # SLO watchdog rides the snapshot frames: same on_advance
             # hook, zero scheduled events, deterministic firing times.
-            rules = (config.slo_rules if config.slo_rules is not None
-                     else None)
-            if rules is None:
-                from repro.telemetry import DEFAULT_RULES as rules
-            if rules and self.telemetry.snapshotter is not None:
-                from repro.telemetry import SloWatchdog
-
-                self.watchdog = SloWatchdog(
-                    self.registry, rules=rules, metrics=self.metrics,
-                    tracer=self.tracer)
-                self.watchdog.attach(self.telemetry.snapshotter)
-                if self.flight is not None:
-                    self.flight.watchdog = self.watchdog
+            self.watchdog = SloWatchdog(
+                self.registry, metrics=self.metrics, tracer=self.tracer)
+            self.watchdog.attach(self.telemetry.snapshotter)
+            self.flight.watchdog = self.watchdog
 
         # Worker hosts on every worker node.
         netmgmt_address = self.netmgmt.address if self.netmgmt else None
-        recovery = None
-        if config.self_healing:
-            from repro.tuplespace.proxy import RecoveryPolicy
-
-            recovery = RecoveryPolicy(
-                max_retries=config.reconnect_max_retries,
-                base_backoff_ms=config.reconnect_base_ms,
-                max_backoff_ms=config.reconnect_max_ms,
-                call_timeout_ms=config.rpc_timeout_ms,
-            )
+        recovery = RecoveryPolicy(
+            base_backoff_ms=config.reconnect_base_ms,
+            max_backoff_ms=config.reconnect_max_ms,
+            call_timeout_ms=config.rpc_timeout_ms,
+        )
         space_wrapper = None
         if self.history is not None:
             from repro.verify import RecordingSpace
@@ -881,7 +798,6 @@ class AdaptiveClusterFramework:
                 locator=locator,
                 recovery_rng=recovery_rng,
                 space_factory=space_factory,
-                codec=config.codec,
             )
             host.space_wrapper = space_wrapper
             host.start()

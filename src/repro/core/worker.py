@@ -73,7 +73,6 @@ class WorkerHost:
         prefetch: int = 1,
         tracer: Any = None,
         space_factory: Optional[Callable[[], Any]] = None,
-        codec: str = "pickle",
     ) -> None:
         self.runtime = runtime
         self.node = node
@@ -97,8 +96,6 @@ class WorkerHost:
         # Self-healing: reconnect/backoff policy (None = legacy fail-stop).
         self.recovery = recovery
         self._recovery_rng = recovery_rng
-        #: Wire codec for this worker's space proxy (see SpaceProxy).
-        self.codec = codec
         # Finite task-transaction lease: a worker that stalls mid-task has
         # its take rolled back server-side after this long (None = forever).
         self.task_txn_lease_ms = task_txn_lease_ms
@@ -348,7 +345,6 @@ class WorkerHost:
                 self.network, self.node.hostname, self.space_address,
                 recovery=self.recovery, rng=self._recovery_rng,
                 metrics=self.metrics, locator=self.locator, tracer=tracer,
-                codec=self.codec,
             )
         if self.space_wrapper is not None:
             proxy = self.space_wrapper(proxy, self.node.hostname)

@@ -18,6 +18,7 @@ from typing import Any, Optional, Sequence
 from repro.core.application import Application, ClassLoadProfile, Task
 from repro.core.framework import AdaptiveClusterFramework, FrameworkConfig
 from repro.core.master import MasterReport
+from repro.errors import ConfigurationError
 from repro.experiments.harness import run_simulation
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.node.cluster import testbed_small
@@ -186,7 +187,7 @@ def chaos_experiment(
     prefetch: int = 1,
     trace: bool = False,
     shards: int = 1,
-    codec: str = "pickle",
+    codec: str = "compact",
 ) -> ChaosResult:
     """Run the acceptance scenario; fully replayable from ``seed``.
 
@@ -203,6 +204,9 @@ def chaos_experiment(
     travel in the entries either way, so the virtual timeline — and hence
     the replayable recovery trace — is identical with it on or off.
     """
+    if codec != "compact":  # keyword kept for benchmarks/suite/adapter.py
+        raise ConfigurationError(
+            f"unknown codec {codec!r}; expected 'compact'")
 
     def body(runtime: SimulatedRuntime) -> ChaosResult:
         streams = RandomStreams(seed)
@@ -226,7 +230,6 @@ def chaos_experiment(
                 trace=trace,
                 shards=max(1, shards),
                 record_history=True,
-                codec=codec,
             ),
         )
         framework.start()
@@ -237,8 +240,7 @@ def chaos_experiment(
             campaign = (FaultPlan.generate(streams.stream("fault-plan"),
                                            hostnames)
                         if random_plan else default_chaos_plan(hostnames))
-        if framework.flight is not None:
-            framework.flight.fault_plan = campaign.to_dict()
+        framework.flight.fault_plan = campaign.to_dict()
         injector = FaultInjector.for_framework(
             framework, campaign, rng=streams.stream("chaos-net"))
         injector.arm()
@@ -249,14 +251,13 @@ def chaos_experiment(
         if framework.history is not None:
             history_report = check_history(framework.history,
                                            framework.final_contents())
-        if framework.flight is not None:
-            # Gate failures freeze the black box: the bundle names the
-            # campaign and holds the trace/metrics/history tail around
-            # the violation, so a red CI cell ships its own evidence.
-            if history_report is not None and not history_report.ok:
-                framework.flight.dump("checker-violation")
-            if report.solution != app.expected_solution():
-                framework.flight.dump("wrong-solution")
+        # Gate failures freeze the black box: the bundle names the
+        # campaign and holds the trace/metrics/history tail around
+        # the violation, so a red CI cell ships its own evidence.
+        if history_report is not None and not history_report.ok:
+            framework.flight.dump("checker-violation")
+        if report.solution != app.expected_solution():
+            framework.flight.dump("wrong-solution")
         events = [
             (t, name, tuple(sorted(payload.items())))
             for t, name, payload in framework.metrics.events
@@ -379,7 +380,7 @@ class CoordinationChaosResult:
 
 #: Nemesis fault kinds accepted by :func:`coordination_chaos_plan`, with
 #: default durations.  Partition and pause outlive the primary lease
-#: (``failover_heartbeat_ms * failover_max_misses`` = 750 ms by default)
+#: (``failover.HEARTBEAT_MS * failover.MAX_MISSES`` = 750 ms)
 #: so a mid-fault failover — and hence fencing — actually happens.
 NEMESIS_FAULTS = {
     "partition": (FaultKind.PARTITION, 2_000.0),
@@ -430,7 +431,7 @@ def coordination_chaos_experiment(
     prefetch: int = 1,
     trace: bool = False,
     shards: int = 1,
-    codec: str = "pickle",
+    codec: str = "compact",
 ) -> CoordinationChaosResult:
     """Kill the space primary and/or the master mid-run; the job must
     still complete every task exactly-once.  Replayable from ``seed``.
@@ -442,6 +443,9 @@ def coordination_chaos_experiment(
     ``shards`` > 1 partitions the space; ``"kill-shard:<i>"`` faults then
     crash one shard's primary and that shard's supervisor promotes its
     hot standby while the other shards keep serving."""
+    if codec != "compact":  # keyword kept for benchmarks/suite/adapter.py
+        raise ConfigurationError(
+            f"unknown codec {codec!r}; expected 'compact'")
     faults = tuple(faults)
 
     def body(runtime: SimulatedRuntime) -> CoordinationChaosResult:
@@ -476,14 +480,12 @@ def coordination_chaos_experiment(
                 # fencing has nothing to bite on.
                 shard_placement="spread" if shards > 1 else "master",
                 record_history=True,
-                codec=codec,
             ),
         )
         framework.start()
         framework.start_all_workers()
         campaign = coordination_chaos_plan(faults)
-        if framework.flight is not None:
-            framework.flight.fault_plan = campaign.to_dict()
+        framework.flight.fault_plan = campaign.to_dict()
         injector = FaultInjector.for_framework(
             framework, campaign, rng=streams.stream("chaos-net"))
         injector.arm()
@@ -494,12 +496,11 @@ def coordination_chaos_experiment(
         if framework.history is not None:
             history_report = check_history(framework.history,
                                            framework.final_contents())
-        if framework.flight is not None:
-            if history_report is not None and not history_report.ok:
-                framework.flight.dump("checker-violation")
-            if not (report.complete
-                    and report.solution == app.expected_solution()):
-                framework.flight.dump("wrong-solution")
+        if history_report is not None and not history_report.ok:
+            framework.flight.dump("checker-violation")
+        if not (report.complete
+                and report.solution == app.expected_solution()):
+            framework.flight.dump("wrong-solution")
         events = [
             (t, name, tuple(sorted(payload.items())))
             for t, name, payload in framework.metrics.events
@@ -704,7 +705,6 @@ def contention_chaos_experiment(
     shards: int = 1,
     preemption_poll_ms: float = 500.0,
     fault_plan: Optional[FaultPlan] = None,
-    codec: str = "pickle",
 ) -> ContentionResult:
     """``tenants`` masters share one deployment; one floods 10x its quota.
 
@@ -765,7 +765,6 @@ def contention_chaos_experiment(
                 preemption=True,
                 preemption_poll_ms=preemption_poll_ms,
                 preemption_priority_cutoff=1,
-                codec=codec,
             ),
         )
         framework.start()
@@ -775,8 +774,7 @@ def contention_chaos_experiment(
             # Nemesis faults (worker crash / pause) compose with the
             # tenancy layer: preemption's release-and-requeue must stay
             # exactly-once even while victims of the plan lose leases.
-            if framework.flight is not None:
-                framework.flight.fault_plan = fault_plan.to_dict()
+            framework.flight.fault_plan = fault_plan.to_dict()
             injector = FaultInjector.for_framework(
                 framework, fault_plan, rng=streams.stream("chaos-net"))
             injector.arm()
@@ -828,16 +826,15 @@ def contention_chaos_experiment(
         if framework.history is not None:
             history_report = check_history(framework.history,
                                            framework.final_contents())
-        if framework.flight is not None:
-            if history_report is not None and not history_report.ok:
-                framework.flight.dump("checker-violation")
-            for name, want in expected.items():
-                if name == AGGRESSOR:
-                    continue
-                rep = reports.get(name)
-                if rep is None or not rep.complete or rep.solution != want:
-                    framework.flight.dump("wrong-solution")
-                    break
+        if history_report is not None and not history_report.ok:
+            framework.flight.dump("checker-violation")
+        for name, want in expected.items():
+            if name == AGGRESSOR:
+                continue
+            rep = reports.get(name)
+            if rep is None or not rep.complete or rep.solution != want:
+                framework.flight.dump("wrong-solution")
+                break
         events = [
             (t, name, tuple(sorted(payload.items())))
             for t, name, payload in framework.metrics.events

@@ -34,7 +34,13 @@ from repro.tuplespace.lease import FOREVER
 from repro.tuplespace.proxy import SpaceServer
 from repro.tuplespace.transaction import TransactionManager
 
-__all__ = ["JiniSpaceLocator", "SpaceSupervisor"]
+__all__ = ["JiniSpaceLocator", "SpaceSupervisor", "HEARTBEAT_MS", "MAX_MISSES"]
+
+#: Supervisor probe period, and the consecutive missed probes that
+#: trigger promotion.  The deployment sizes the primary's first lease and
+#: paces its masters' space retries by the same two figures.
+HEARTBEAT_MS = 250.0
+MAX_MISSES = 3
 
 
 class JiniSpaceLocator:
@@ -99,9 +105,9 @@ class SpaceSupervisor:
         primary_address: Address,
         registrar: Address,
         service_item: ServiceItem,
-        heartbeat_ms: float = 250.0,
+        heartbeat_ms: float = HEARTBEAT_MS,
         probe_timeout_ms: Optional[float] = None,
-        max_misses: int = 3,
+        max_misses: int = MAX_MISSES,
         old_registration_id: Optional[int] = None,
         metrics: Any = None,
     ) -> None:
@@ -352,7 +358,6 @@ class SpaceSupervisor:
             metrics=self.metrics,
             sync_replication=self.standby.sync_replication,
             repl_ack_timeout_ms=self.standby.repl_ack_timeout_ms,
-            codec=self.standby.space.codec,
         )
         rejoined.start()
         self._spawned_standbys.append(rejoined)

@@ -30,9 +30,9 @@ from repro.runtime.base import Runtime
 from repro.tuplespace.entry import Entry
 from repro.tuplespace.events import RemoteEvent
 from repro.tuplespace.lease import FOREVER
-from repro.tuplespace.space import CODECS, JavaSpace
+from repro.tuplespace.space import JavaSpace
 from repro.tuplespace.transaction import Transaction, TransactionManager
-from repro.util.codec import decode_any, encode_entry
+from repro.util.codec import decode_any, encode_entry, peek_class
 
 __all__ = ["SpaceServer", "SpaceProxy", "ProxyBatch", "RemoteTransaction",
            "RecoveryPolicy", "AdmissionConfig", "AdmissionController"]
@@ -168,24 +168,24 @@ class AdmissionController:
         The whole operation is judged before any of it executes, so a
         mixed ``write_all`` is all-or-nothing.
         """
-        # Pre-encoded writes (codec="compact" proxies) ship frames, not
-        # instances; admission decodes them — the controlled-class check
-        # needs the tenant field, and compact decode is cheap.
         if op == "write":
-            data = args.get("entry_data")
-            entries = ([decode_any(data)] if data is not None
-                       else [args["entry"]])
+            frames = [args["entry_data"]]
         elif op == "write_all":
-            datas = args.get("entries_data")
-            entries = ([decode_any(d) for d in datas] if datas is not None
-                       else args["entries"])
+            frames = args["entries_data"]
         else:
             return
         if args.get("requeue"):
             return
         config = self.config
         controlled: dict[str, list[Entry]] = {}
-        for entry in entries:
+        for frame in frames:
+            # The controlled-class test reads the frame header only; the
+            # tenant field needs a decode, paid for controlled classes
+            # (and pickle-fallback frames, which have no header to peek).
+            cls = peek_class(frame)
+            if cls is not None and cls.__name__ not in config.class_names:
+                continue
+            entry = decode_any(frame)
             if type(entry).__name__ not in config.class_names:
                 continue
             tenant = getattr(entry, "tenant", None)
@@ -648,29 +648,17 @@ class SpaceServer:
     # -- per-op handlers, bound through the _DISPATCH table ---------------------
 
     def _op_write(self, args, txn, transactions, conn) -> Any:
-        data = args.get("entry_data")
-        if data is not None:
-            # Zero-copy path: the client already encoded the entry; the
-            # space stores those bytes verbatim.
-            lease = self.space.write_encoded(data, txn=txn,
-                                             lease_ms=args["lease_ms"])
-        else:
-            lease = self.space.write(args["entry"], txn=txn,
-                                     lease_ms=args["lease_ms"])
+        lease = self.space.write_encoded(args["entry_data"], txn=txn,
+                                         lease_ms=args["lease_ms"])
         return {"remaining_ms": lease.remaining_ms()}
 
     def _op_read(self, args, txn, transactions, conn) -> Any:
-        if args.get("raw"):
-            return self.space.read_encoded(args["template"], txn=txn,
-                                           timeout_ms=args["timeout_ms"])
-        return self.space.read(args["template"], txn=txn, timeout_ms=args["timeout_ms"])
+        return self.space.read_encoded(args["template"], txn=txn,
+                                       timeout_ms=args["timeout_ms"])
 
     def _op_take(self, args, txn, transactions, conn) -> Any:
-        if args.get("raw"):
-            # The stored frame ships as-is; the client decodes once.
-            return self.space.take_encoded(args["template"], txn=txn,
-                                           timeout_ms=args["timeout_ms"])
-        return self.space.take(args["template"], txn=txn, timeout_ms=args["timeout_ms"])
+        return self.space.take_encoded(args["template"], txn=txn,
+                                       timeout_ms=args["timeout_ms"])
 
     def _op_count(self, args, txn, transactions, conn) -> Any:
         return self.space.count(args["template"], txn=txn)
@@ -683,22 +671,12 @@ class SpaceServer:
                                timeout_ms=args["timeout_ms"]) is not None
 
     def _op_write_all(self, args, txn, transactions, conn) -> Any:
-        datas = args.get("entries_data")
-        if datas is not None:
-            leases = self.space.write_all_encoded(datas, txn=txn,
-                                                  lease_ms=args["lease_ms"])
-        else:
-            leases = self.space.write_all(args["entries"], txn=txn,
-                                          lease_ms=args["lease_ms"])
+        leases = self.space.write_all_encoded(args["entries_data"], txn=txn,
+                                              lease_ms=args["lease_ms"])
         return {"count": len(leases)}
 
     def _op_take_multiple(self, args, txn, transactions, conn) -> Any:
-        if args.get("raw"):
-            return self.space.take_multiple_encoded(
-                args["template"], args["max_entries"], txn=txn,
-                timeout_ms=args["timeout_ms"],
-            )
-        return self.space.take_multiple(
+        return self.space.take_multiple_encoded(
             args["template"], args["max_entries"], txn=txn,
             timeout_ms=args["timeout_ms"],
         )
@@ -957,6 +935,67 @@ _DISPATCH: dict[str, Callable[..., Any]] = {
 }
 
 
+# -- client wire forms --------------------------------------------------------
+#
+# One helper per entry-carrying op, shared by :class:`SpaceProxy` (the
+# immediate call) and :class:`ProxyBatch` (the queued sub-op).  Entries
+# are encoded once here, stored verbatim by the space and shipped back as
+# the stored frame for one decode here; templates always travel as live
+# objects — the server matches on their fields.
+
+
+def _frame(entry: Entry) -> bytes:
+    if not isinstance(entry, Entry):
+        raise SpaceError(f"not an Entry: {type(entry).__name__}")
+    return encode_entry(entry)
+
+
+def _write_args(entry: Entry, txn: Optional["RemoteTransaction"],
+                lease_ms: float, requeue: bool) -> dict[str, Any]:
+    args = {"entry_data": _frame(entry), "lease_ms": lease_ms,
+            "txn_id": txn.txn_id if txn else None}
+    if requeue:
+        # Worker re-queue of already-admitted tasks: exempt from
+        # admission control (shedding it would break exactly-once).
+        args["requeue"] = True
+    return args
+
+
+def _write_all_args(entries: list[Entry], txn: Optional["RemoteTransaction"],
+                    lease_ms: float, requeue: bool) -> dict[str, Any]:
+    args = {"entries_data": [_frame(entry) for entry in entries],
+            "lease_ms": lease_ms, "txn_id": txn.txn_id if txn else None}
+    if requeue:
+        args["requeue"] = True
+    return args
+
+
+def _match_args(template: Entry, txn: Optional["RemoteTransaction"],
+                timeout_ms: Optional[float]) -> dict[str, Any]:
+    """``read`` and ``take`` share one request shape."""
+    # ``raw`` is no longer read by the server (replies are always
+    # frames); it stays on the wire so request bytes — run_micro's exact
+    # wire-cost cells — are unchanged.
+    return {"template": template, "timeout_ms": timeout_ms,
+            "txn_id": txn.txn_id if txn else None, "raw": True}
+
+
+def _take_multiple_args(template: Entry, max_entries: int,
+                        txn: Optional["RemoteTransaction"],
+                        timeout_ms: Optional[float]) -> dict[str, Any]:
+    return {"template": template, "max_entries": max_entries,
+            "timeout_ms": timeout_ms,
+            "txn_id": txn.txn_id if txn else None, "raw": True}
+
+
+def _decode_one(frame: Optional[bytes]) -> Optional[Entry]:
+    return decode_any(frame) if frame is not None else None
+
+
+def _decode_many(frames: list[bytes]) -> list[Entry]:
+    return [decode_any(frame) for frame in frames]
+
+
 class RemoteTransaction:
     """Client-side handle on a server transaction."""
 
@@ -1006,87 +1045,52 @@ class ProxyBatch:
         self._proxy = proxy
         self._ops: list[tuple[str, dict[str, Any]]] = []
         self._post: list[tuple[int, Callable[[Any], None]]] = []
-        #: Sub-op index → reply shape on the zero-copy wire path:
-        #: "one" (a single raw frame or None) or "many" (a frame list).
-        self._decode: dict[int, str] = {}
+        #: Sub-op index → decoder for a reply that carries entry frames.
+        self._decode: dict[int, Callable[[Any], Any]] = {}
 
     def __len__(self) -> int:
         return len(self._ops)
 
     def _add(self, op: str, args: dict[str, Any],
-             post: Optional[Callable[[Any], None]] = None) -> int:
+             post: Optional[Callable[[Any], None]] = None,
+             decode: Optional[Callable[[Any], Any]] = None) -> int:
+        index = len(self._ops)
         self._ops.append((op, args))
         if post is not None:
-            self._post.append((len(self._ops) - 1, post))
-        return len(self._ops) - 1
+            self._post.append((index, post))
+        if decode is not None:
+            self._decode[index] = decode
+        return index
 
     # -- the batchable operation set ----------------------------------------
 
     def write(self, entry: Entry, txn: Optional["RemoteTransaction"] = None,
               lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        if self._proxy._compact:
-            if not isinstance(entry, Entry):
-                raise SpaceError(f"not an Entry: {type(entry).__name__}")
-            args = {"entry_data": encode_entry(entry), "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        else:
-            args = {"entry": entry, "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        if requeue:
-            args["requeue"] = True
-        return self._add("write", args)
+        return self._add("write", _write_args(entry, txn, lease_ms, requeue))
 
     def write_all(self, entries: list[Entry],
                   txn: Optional["RemoteTransaction"] = None,
                   lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        if self._proxy._compact:
-            for entry in entries:
-                if not isinstance(entry, Entry):
-                    raise SpaceError(f"not an Entry: {type(entry).__name__}")
-            args = {"entries_data": [encode_entry(e) for e in entries],
-                    "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        else:
-            args = {"entries": entries, "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        if requeue:
-            args["requeue"] = True
-        return self._add("write_all", args)
+        return self._add("write_all",
+                         _write_all_args(entries, txn, lease_ms, requeue))
 
     def read(self, template: Entry, txn: Optional["RemoteTransaction"] = None,
              timeout_ms: Optional[float] = 0.0) -> int:
-        args = {"template": template, "timeout_ms": timeout_ms,
-                "txn_id": txn.txn_id if txn else None}
-        if self._proxy._compact:
-            args["raw"] = True
-            index = self._add("read", args)
-            self._decode[index] = "one"
-            return index
-        return self._add("read", args)
+        return self._add("read", _match_args(template, txn, timeout_ms),
+                         decode=_decode_one)
 
     def take(self, template: Entry, txn: Optional["RemoteTransaction"] = None,
              timeout_ms: Optional[float] = 0.0) -> int:
-        args = {"template": template, "timeout_ms": timeout_ms,
-                "txn_id": txn.txn_id if txn else None}
-        if self._proxy._compact:
-            args["raw"] = True
-            index = self._add("take", args)
-            self._decode[index] = "one"
-            return index
-        return self._add("take", args)
+        return self._add("take", _match_args(template, txn, timeout_ms),
+                         decode=_decode_one)
 
     def take_multiple(self, template: Entry, max_entries: int,
                       txn: Optional["RemoteTransaction"] = None,
                       timeout_ms: Optional[float] = 0.0) -> int:
-        args = {"template": template, "max_entries": max_entries,
-                "timeout_ms": timeout_ms,
-                "txn_id": txn.txn_id if txn else None}
-        if self._proxy._compact:
-            args["raw"] = True
-            index = self._add("take_multiple", args)
-            self._decode[index] = "many"
-            return index
-        return self._add("take_multiple", args)
+        return self._add(
+            "take_multiple",
+            _take_multiple_args(template, max_entries, txn, timeout_ms),
+            decode=_decode_many)
 
     def count(self, template: Entry) -> int:
         return self._add("count", {"template": template, "txn_id": None})
@@ -1135,12 +1139,8 @@ class ProxyBatch:
             if not reply.get("ok"):
                 _raise_remote(reply, op)
             value = reply.get("value")
-            shape = decode.get(i)
-            if shape == "one":
-                value = decode_any(value) if value is not None else None
-            elif shape == "many":
-                value = [decode_any(v) for v in value]
-            results.append(value)
+            decoder = decode.get(i)
+            results.append(decoder(value) if decoder is not None else value)
         return results
 
 
@@ -1168,21 +1168,10 @@ class SpaceProxy:
         metrics: Any = None,
         locator: Optional[Callable[[], Optional[Address]]] = None,
         tracer: Any = None,
-        codec: str = "pickle",
     ) -> None:
-        if codec not in CODECS:
-            raise SpaceError(f"unknown codec {codec!r}; expected one of {CODECS}")
         self.network = network
         self.host = host
         self.server_address = server_address
-        #: ``"compact"`` turns on the zero-copy wire path: entries are
-        #: encoded once client-side (``entry_data``/``entries_data``
-        #: request fields), and take/read replies ship the server's
-        #: stored frames (``raw`` flag) for a single decode here.
-        #: Templates always travel as live objects — the server matches
-        #: on their fields.
-        self.codec = codec
-        self._compact = codec == "compact"
         self.recovery = recovery
         self._rng = rng
         self._metrics = metrics
@@ -1276,19 +1265,31 @@ class SpaceProxy:
             self._conn.close()
             self._conn = None
 
-    def _call_once(self, op: str, args: dict[str, Any]) -> Any:
+    def _exchange(self, op: str, args: dict[str, Any],
+                  waits: list[tuple[str, dict[str, Any]]]) -> Any:
+        """One request/reply: send → epoch stamp → wait budget → receive.
+
+        ``waits`` are the (op, args) pairs the server executes for this
+        request — the op itself, or a batch's sub-ops in order.
+        """
         conn = self._connection()
         request: dict[str, Any] = {"op": op, "args": args}
         if self.epoch is not None:
             request["epoch"] = self.epoch
         conn.send(request)
         timeout_ms = self.recovery.call_timeout_ms if self.recovery else None
-        if timeout_ms is not None and op in _BLOCKING_OPS:
-            # The RPC budget covers transport + dispatch; the op's own wait
-            # budget is spent server-side on purpose and must be added, not
-            # mistaken for a dead connection.
-            wait = args.get("timeout_ms")
-            timeout_ms = None if wait is None else timeout_ms + wait
+        if timeout_ms is not None:
+            # The RPC budget covers transport + dispatch; an op's own wait
+            # budget is spent server-side on purpose (sequentially, for a
+            # batch's sub-ops) and must be added, not mistaken for a dead
+            # connection.
+            for sub_op, sub_args in waits:
+                if sub_op in _BLOCKING_OPS:
+                    wait = sub_args.get("timeout_ms")
+                    if wait is None:
+                        timeout_ms = None
+                        break
+                    timeout_ms += wait
         reply = conn.receive(timeout_ms=timeout_ms)
         if reply is None:
             self._drop_connection()
@@ -1297,17 +1298,25 @@ class SpaceProxy:
             return reply.get("value")
         _raise_remote(reply, op)
 
+    def _call_once(self, op: str, args: dict[str, Any]) -> Any:
+        return self._exchange(op, args, [(op, args)])
+
     def _call(self, op: str, args: dict[str, Any]) -> Any:
-        retriable = self.recovery is not None and op in _IDEMPOTENT_OPS
+        return self._guarded(
+            op, lambda: self._call_once(op, args),
+            self.recovery is not None and op in _IDEMPOTENT_OPS)
+
+    def _guarded(self, label: str, attempt_fn: Callable[[], Any],
+                 retriable: bool, **notes: Any) -> Any:
+        """Run one RPC under the recovery loop, as an ``rpc.<label>`` span
+        (annotated with ``notes``) when tracing."""
         tracer = self._tracer
         if tracer is None or not tracer.enabled:
-            return self._call_with_recovery(
-                op, lambda: self._call_once(op, args), retriable)
-        span = self._rpc_span(f"rpc.{op}", tracer)
+            return self._call_with_recovery(label, attempt_fn, retriable)
+        span = self._rpc_span(f"rpc.{label}", tracer)
+        span.annotate(**notes)
         with span:
-            value = self._call_with_recovery(
-                op, lambda: self._call_once(op, args), retriable)
-        return value
+            return self._call_with_recovery(label, attempt_fn, retriable)
 
     def _rpc_span(self, name: str, tracer: Any):
         """Open an RPC span under the caller's ambient span (if any)."""
@@ -1385,49 +1394,19 @@ class SpaceProxy:
         return ProxyBatch(self)
 
     def _batch_once(self, ops: list[tuple[str, dict[str, Any]]]) -> list[dict]:
-        conn = self._connection()
-        request: dict[str, Any] = {
-            "op": "batch",
-            "args": {"ops": [{"op": o, "args": a} for o, a in ops]}}
-        if self.epoch is not None:
-            request["epoch"] = self.epoch
-        conn.send(request)
-        timeout_ms = self.recovery.call_timeout_ms if self.recovery else None
-        if timeout_ms is not None:
-            # Sub-ops execute sequentially server-side, so the reply
-            # deadline must cover the *sum* of their wait budgets on top
-            # of the single RPC budget (same rule as _call_once, summed).
-            for op, args in ops:
-                if op in _BLOCKING_OPS:
-                    wait = args.get("timeout_ms")
-                    if wait is None:
-                        timeout_ms = None
-                        break
-                    timeout_ms += wait
-        reply = conn.receive(timeout_ms=timeout_ms)
-        if reply is None:
-            self._drop_connection()
-            raise ConnectionClosedError("space rpc 'batch' timed out")
-        if reply.get("ok"):
-            return reply["value"]["replies"]
-        _raise_remote(reply, "batch")
+        wire = {"ops": [{"op": o, "args": a} for o, a in ops]}
+        return self._exchange("batch", wire, ops)["replies"]
 
     def _call_batch(self, ops: list[tuple[str, dict[str, Any]]]) -> list[dict]:
         # A batch is transparently retriable only if *every* sub-op is —
         # one non-idempotent passenger (write/take/commit) makes a blind
         # re-issue unsafe, exactly as for a lone call.
-        retriable = (self.recovery is not None
-                     and all(op in _IDEMPOTENT_OPS for op, _ in ops))
-        tracer = self._tracer
-        if tracer is None or not tracer.enabled:
-            return self._call_with_recovery(
-                "batch", lambda: self._batch_once(ops), retriable)
-        span = self._rpc_span("rpc.batch", tracer)
-        span.annotate(ops=[op for op, _ in ops])
-        with span:
-            value = self._call_with_recovery(
-                "batch", lambda: self._batch_once(ops), retriable)
-        return value
+        names = [op for op, _ in ops]
+        return self._guarded(
+            "batch", lambda: self._batch_once(ops),
+            self.recovery is not None
+            and all(op in _IDEMPOTENT_OPS for op in names),
+            ops=names)
 
     def close(self) -> None:
         if self._conn is not None:
@@ -1442,39 +1421,17 @@ class SpaceProxy:
     def write(self, entry: Entry, txn: Optional[RemoteTransaction] = None,
               lease_ms: float = FOREVER,
               requeue: bool = False) -> dict[str, Any]:
-        if self._compact:
-            if not isinstance(entry, Entry):
-                raise SpaceError(f"not an Entry: {type(entry).__name__}")
-            args = {"entry_data": encode_entry(entry), "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        else:
-            args = {"entry": entry, "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        if requeue:
-            # Worker re-queue of already-admitted tasks: exempt from
-            # admission control (shedding it would break exactly-once).
-            args["requeue"] = True
-        return self._call("write", args)
+        return self._call("write", _write_args(entry, txn, lease_ms, requeue))
 
     def read(self, template: Entry, txn: Optional[RemoteTransaction] = None,
              timeout_ms: Optional[float] = None) -> Optional[Entry]:
-        args = {"template": template, "timeout_ms": timeout_ms,
-                "txn_id": txn.txn_id if txn else None}
-        if self._compact:
-            args["raw"] = True
-            value = self._call("read", args)
-            return decode_any(value) if value is not None else None
-        return self._call("read", args)
+        return _decode_one(
+            self._call("read", _match_args(template, txn, timeout_ms)))
 
     def take(self, template: Entry, txn: Optional[RemoteTransaction] = None,
              timeout_ms: Optional[float] = None) -> Optional[Entry]:
-        args = {"template": template, "timeout_ms": timeout_ms,
-                "txn_id": txn.txn_id if txn else None}
-        if self._compact:
-            args["raw"] = True
-            value = self._call("take", args)
-            return decode_any(value) if value is not None else None
-        return self._call("take", args)
+        return _decode_one(
+            self._call("take", _match_args(template, txn, timeout_ms)))
 
     def read_if_exists(self, template: Entry, txn: Optional[RemoteTransaction] = None):
         return self.read(template, txn, timeout_ms=0.0)
@@ -1497,31 +1454,16 @@ class SpaceProxy:
     def write_all(self, entries: list[Entry],
                   txn: Optional[RemoteTransaction] = None,
                   lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        if self._compact:
-            for entry in entries:
-                if not isinstance(entry, Entry):
-                    raise SpaceError(f"not an Entry: {type(entry).__name__}")
-            args = {"entries_data": [encode_entry(e) for e in entries],
-                    "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        else:
-            args = {"entries": entries, "lease_ms": lease_ms,
-                    "txn_id": txn.txn_id if txn else None}
-        if requeue:
-            args["requeue"] = True
-        reply = self._call("write_all", args)
+        reply = self._call("write_all",
+                           _write_all_args(entries, txn, lease_ms, requeue))
         return reply["count"]
 
     def take_multiple(self, template: Entry, max_entries: int,
                       txn: Optional[RemoteTransaction] = None,
                       timeout_ms: Optional[float] = None) -> list[Entry]:
-        args = {"template": template, "max_entries": max_entries,
-                "timeout_ms": timeout_ms,
-                "txn_id": txn.txn_id if txn else None}
-        if self._compact:
-            args["raw"] = True
-            return [decode_any(v) for v in self._call("take_multiple", args)]
-        return self._call("take_multiple", args)
+        return _decode_many(self._call(
+            "take_multiple",
+            _take_multiple_args(template, max_entries, txn, timeout_ms)))
 
     def contents(self, template: Entry,
                  txn: Optional[RemoteTransaction] = None) -> list[Entry]:
@@ -1536,7 +1478,7 @@ class SpaceProxy:
 
     def ping(self) -> bool:
         reply = self._call("ping", {})
-        return bool(reply) and (reply == "pong" or bool(reply.get("pong")))
+        return bool(reply) and bool(reply.get("pong"))
 
     # -- notify ---------------------------------------------------------------------
 

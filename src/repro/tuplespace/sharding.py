@@ -470,7 +470,6 @@ class ShardRouter:
         locators: Optional[list[Optional[Callable[[], Optional[Address]]]]] = None,
         tracer: Any = None,
         scatter_block_ms: float = 250.0,
-        codec: str = "pickle",
     ) -> None:
         if not addresses:
             raise ValueError("ShardRouter needs at least one shard address")
@@ -483,7 +482,6 @@ class ShardRouter:
         self.host = host
         self.runtime = network.runtime
         self.scatter_block_ms = scatter_block_ms
-        self.codec = codec
         #: For "scatter" envelope spans around wildcard fan-outs (the
         #: doctor intersects them with rpc.* spans to cost fan-out time).
         self.tracer = tracer
@@ -491,7 +489,7 @@ class ShardRouter:
             SpaceProxy(network, host, address, recovery=recovery, rng=rng,
                        metrics=metrics,
                        locator=locators[i] if locators else None,
-                       tracer=tracer, codec=codec)
+                       tracer=tracer)
             for i, address in enumerate(addresses)
         ]
         #: Dedicated camp connections (lazily built): a camp is a blocking
@@ -500,8 +498,7 @@ class ShardRouter:
         #: socket with the fan-out RPCs (or with a lingering camper from
         #: an earlier round — hence the busy mask).
         self._camp_proxy_args = dict(recovery=recovery, rng=rng,
-                                     metrics=metrics, tracer=tracer,
-                                     codec=codec)
+                                     metrics=metrics, tracer=tracer)
         self._camp_addresses = list(addresses)
         self._camp_locators = locators
         self._camp_proxies: Optional[list[SpaceProxy]] = None

@@ -17,8 +17,8 @@ per call and free when every lease is FOREVER.
 
 Isolation: entries are serialized at ``write`` and a private snapshot is
 deserialized *lazily* the first time field matching needs it — a
-class-only template (the master/worker hot path) never pays the second
-pickle pass at all.  Callers still never share mutable state through the
+class-only template (the master/worker hot path) never pays the decode
+pass at all.  Callers still never share mutable state through the
 space: every ``read``/``take`` returns a fresh copy deserialized from the
 stored bytes, the behaviour of the real JavaSpaces proxy.
 """
@@ -37,15 +37,8 @@ from repro.tuplespace.events import EventRegistration, RemoteEvent
 from repro.tuplespace.lease import FOREVER, Lease
 from repro.tuplespace.transaction import Transaction
 from repro.util.codec import decode_any, encode_entry, peek_class
-from repro.util.serialization import serialize
 
-__all__ = ["JavaSpace", "CODECS"]
-
-#: Supported entry codecs.  ``pickle`` is the determinism reference;
-#: ``compact`` is the fast positional codec (see ``repro.util.codec``).
-#: Decoding always accepts both frame kinds, so the knob only picks what
-#: *new* bytes look like.
-CODECS = ("pickle", "compact")
+__all__ = ["JavaSpace"]
 
 
 #: Stat keys, in exposition order.  Each maps to a plain ``_stat_<key>``
@@ -103,7 +96,7 @@ class _Stored:
 
     def __init__(self, entry_id: int, cls: type, data: bytes, lease: Lease) -> None:
         self.entry_id = entry_id
-        self.cls = cls                # entry class (pickle preserves identity)
+        self.cls = cls                # entry class
         self.data = data              # serialized form returned to clients
         self.lease = lease
         self.state = _AVAILABLE
@@ -175,6 +168,27 @@ class _TxnOps:
         self.reads: list[int] = []
 
 
+def _own_frame(entry: Entry) -> tuple[type, bytes, Optional[Entry]]:
+    """``(class, frame, instance)`` for an entry written in-process."""
+    if not isinstance(entry, Entry):
+        raise SpaceError(f"not an Entry: {type(entry).__name__}")
+    return type(entry), encode_entry(entry), entry   # enforces serializability
+
+
+def _wire_frame(data: bytes) -> tuple[type, bytes, Optional[Entry]]:
+    """``(class, frame, instance or None)`` for a frame a client encoded:
+    the class comes from a compact frame's header; only a pickle-fallback
+    frame is decoded to learn it."""
+    entry: Optional[Entry] = None
+    cls = peek_class(data)
+    if cls is None:
+        entry = decode_any(data)
+        cls = type(entry)
+    if not (isinstance(cls, type) and issubclass(cls, Entry)):
+        raise SpaceError(f"not an Entry: {cls.__name__}")
+    return cls, data, entry
+
+
 class JavaSpace:
     """A shared, associative, transactional object repository."""
 
@@ -183,16 +197,7 @@ class JavaSpace:
     #: base space never pays for the hook.
     journaling = False
 
-    def __init__(self, runtime: Runtime, name: str = "JavaSpaces",
-                 codec: str = "pickle") -> None:
-        if codec not in CODECS:
-            raise SpaceError(f"unknown codec {codec!r}; expected one of {CODECS}")
-        self.codec = codec
-        self._serialize = encode_entry if codec == "compact" else serialize
-        # Decoding dispatches on the frame's first byte, so a space always
-        # reads bytes written under either codec (WAL replay across a
-        # codec switch, mixed-codec clients).
-        self._deserialize = decode_any
+    def __init__(self, runtime: Runtime, name: str = "JavaSpaces") -> None:
         self.runtime = runtime
         self.name = name
         self._lock = runtime.lock()
@@ -266,23 +271,8 @@ class JavaSpace:
         Under a transaction the entry stays invisible to other transactions
         until commit.
         """
-        if not isinstance(entry, Entry):
-            raise SpaceError(f"not an Entry: {type(entry).__name__}")
-        data = self._serialize(entry)           # enforces serializability
-        with self._lock:
-            stored = self._store(type(entry), data, lease_ms, entry)
-            if txn is not None:
-                txn._enlist(self)
-                stored.state = _PENDING_WRITE
-                stored.owner_txn = txn
-                self._ops(txn).writes.append(stored.entry_id)
-            else:
-                self._entry_became_visible(stored)
-                if self.journaling:
-                    self._journal_ops([
-                        ("write", stored.entry_id, data, stored.lease.expiration_ms)
-                    ])
-            return stored.lease
+        return self._write_frames([_own_frame(entry)], txn, lease_ms,
+                                  keep_snapshot=False)[0]
 
     def write_encoded(
         self,
@@ -298,29 +288,50 @@ class JavaSpace:
         frame header; pickle frames decode once for the class and keep
         the instance as the matching snapshot).
         """
-        entry: Optional[Entry] = None
-        cls = peek_class(data)
-        if cls is None:
-            entry = decode_any(data)
-            cls = type(entry)
-        if not (isinstance(cls, type) and issubclass(cls, Entry)):
-            raise SpaceError(f"not an Entry: {cls.__name__}")
+        return self._write_frames([_wire_frame(data)], txn, lease_ms,
+                                  keep_snapshot=True)[0]
+
+    def _write_frames(
+        self,
+        frames: list[tuple[type, bytes, Optional[Entry]]],
+        txn: Optional[Transaction],
+        lease_ms: float,
+        keep_snapshot: bool,
+    ) -> list[Lease]:
+        """Store ``(class, frame, instance or None)`` triples under one
+        lock hold and one journal record.
+
+        The instance spares index maintenance a decode.  A writer's live
+        object is never kept beyond that (the matching snapshot must stay
+        private); ``keep_snapshot`` marks instances the space decoded
+        itself, which may serve as the snapshot.
+        """
         with self._lock:
-            stored = self._store(cls, data, lease_ms, entry)
-            if entry is not None:
-                stored._snapshot = entry
+            ops = None
             if txn is not None:
                 txn._enlist(self)
-                stored.state = _PENDING_WRITE
-                stored.owner_txn = txn
-                self._ops(txn).writes.append(stored.entry_id)
-            else:
-                self._entry_became_visible(stored)
-                if self.journaling:
-                    self._journal_ops([
-                        ("write", stored.entry_id, data, stored.lease.expiration_ms)
-                    ])
-            return stored.lease
+                ops = self._ops(txn)
+            leases: list[Lease] = []
+            journal: list[tuple] = []
+            for cls, data, entry in frames:
+                stored = self._store(cls, data, lease_ms, entry)
+                if keep_snapshot and entry is not None:
+                    stored._snapshot = entry
+                leases.append(stored.lease)
+                if ops is not None:
+                    stored.state = _PENDING_WRITE
+                    stored.owner_txn = txn
+                    ops.writes.append(stored.entry_id)
+                else:
+                    self._entry_became_visible(stored)
+                    if self.journaling:
+                        journal.append(
+                            ("write", stored.entry_id, data,
+                             stored.lease.expiration_ms)
+                        )
+            if journal:
+                self._journal_ops(journal)
+            return leases
 
     def _store(self, cls: type, data: bytes, lease_ms: float,
                entry: Optional[Entry] = None) -> _Stored:
@@ -430,7 +441,7 @@ class JavaSpace:
 
     def snapshot(self, template: Entry) -> Entry:
         """Pre-serialized template (here: an isolated copy)."""
-        return self._deserialize(self._serialize(template))
+        return decode_any(encode_entry(template))
 
     # -- batch operations (JavaSpaces05-style extensions) ---------------------
 
@@ -449,34 +460,8 @@ class JavaSpace:
         first notify).  Under a transaction the batch commits or rolls
         back atomically.
         """
-        for entry in entries:
-            if not isinstance(entry, Entry):
-                raise SpaceError(f"not an Entry: {type(entry).__name__}")
-        serialized = [self._serialize(entry) for entry in entries]
-        with self._lock:
-            ops = None
-            if txn is not None:
-                txn._enlist(self)
-                ops = self._ops(txn)
-            leases: list[Lease] = []
-            journal: list[tuple] = []
-            for entry, data in zip(entries, serialized):
-                stored = self._store(type(entry), data, lease_ms, entry)
-                leases.append(stored.lease)
-                if ops is not None:
-                    stored.state = _PENDING_WRITE
-                    stored.owner_txn = txn
-                    ops.writes.append(stored.entry_id)
-                else:
-                    self._entry_became_visible(stored)
-                    if self.journaling:
-                        journal.append(
-                            ("write", stored.entry_id, data,
-                             stored.lease.expiration_ms)
-                        )
-            if journal:
-                self._journal_ops(journal)
-            return leases
+        return self._write_frames([_own_frame(entry) for entry in entries],
+                                  txn, lease_ms, keep_snapshot=False)
 
     def write_all_encoded(
         self,
@@ -485,42 +470,8 @@ class JavaSpace:
         lease_ms: float = FOREVER,
     ) -> list[Lease]:
         """Batch form of :meth:`write_encoded` (one monitor pass)."""
-        resolved: list[tuple[type, bytes, Optional[Entry]]] = []
-        for data in datas:
-            entry: Optional[Entry] = None
-            cls = peek_class(data)
-            if cls is None:
-                entry = decode_any(data)
-                cls = type(entry)
-            if not (isinstance(cls, type) and issubclass(cls, Entry)):
-                raise SpaceError(f"not an Entry: {cls.__name__}")
-            resolved.append((cls, data, entry))
-        with self._lock:
-            ops = None
-            if txn is not None:
-                txn._enlist(self)
-                ops = self._ops(txn)
-            leases: list[Lease] = []
-            journal: list[tuple] = []
-            for cls, data, entry in resolved:
-                stored = self._store(cls, data, lease_ms, entry)
-                if entry is not None:
-                    stored._snapshot = entry
-                leases.append(stored.lease)
-                if ops is not None:
-                    stored.state = _PENDING_WRITE
-                    stored.owner_txn = txn
-                    ops.writes.append(stored.entry_id)
-                else:
-                    self._entry_became_visible(stored)
-                    if self.journaling:
-                        journal.append(
-                            ("write", stored.entry_id, data,
-                             stored.lease.expiration_ms)
-                        )
-            if journal:
-                self._journal_ops(journal)
-            return leases
+        return self._write_frames([_wire_frame(data) for data in datas],
+                                  txn, lease_ms, keep_snapshot=True)
 
     def take_multiple(
         self,
@@ -549,7 +500,7 @@ class JavaSpace:
         iterator; does not lock or remove anything)."""
         with self._lock:
             self._reap_expired()
-            return [self._deserialize(stored.data)
+            return [decode_any(stored.data)
                     for stored in self._iter_matching(template, txn)]
 
     def _acquire_batch(
@@ -647,7 +598,7 @@ class JavaSpace:
             # Zero-copy reply path: the stored bytes ship as-is and the
             # far side decodes once.  Isolation holds — bytes are immutable.
             return stored.data
-        return self._deserialize(stored.data)
+        return decode_any(stored.data)
 
     # ----------------------------------------------------------------- notify --
 

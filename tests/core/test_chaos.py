@@ -13,7 +13,11 @@ import os
 
 import pytest
 
-from repro.experiments.chaos import chaos_experiment, default_chaos_plan
+from repro.experiments.chaos import (
+    chaos_experiment,
+    default_chaos_plan,
+    verify_chaos_determinism,
+)
 
 SEEDS = [1, 2, 3]
 _env_seed = os.environ.get("CHAOS_SEED")
@@ -53,6 +57,12 @@ def test_same_seed_replays_identical_trace():
     assert first.trace == second.trace
     assert first.report.solution == second.report.solution
     assert first.report.dead_letters == second.report.dead_letters
+
+
+def test_pipelined_campaign_is_seed_deterministic():
+    # Faults land mid-batch on the pipelined data path; the replay must
+    # still be identical.
+    assert verify_chaos_determinism(seed=23, prefetch=4)
 
 
 def test_random_plans_differ_across_seeds_but_replay_within_one():

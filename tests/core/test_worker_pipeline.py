@@ -8,6 +8,8 @@ either computed or put back where another worker can take it.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.codeserver import CODE_SERVER_PORT, CodeServer
@@ -19,6 +21,7 @@ from repro.core.worker import WorkerHost
 from repro.net import Address, Network
 from repro.node.machine import FAST_PC, Node
 from repro.tuplespace import JavaSpace, SpaceServer
+from repro.verify import HistoryRecorder, RecordingSpace
 from tests.core.toyapp import SumOfSquares
 
 SPACE_ADDR = Address("master", 4155)
@@ -138,18 +141,14 @@ def test_prefetch_takes_tasks_in_multi_entry_batches(rt, env):
     net, space, app, make_host = env
 
     def batch_sizes(prefetch):
+        # Observed at the worker's own space client (the history-recording
+        # seam), so the sizes hold however the server fetches a batch.
         host = make_host(prefetch=prefetch)
         host.running = True
-        sizes = []
-        original = space.take_multiple
-
-        def spy(*a, **kw):
-            taken = original(*a, **kw)
-            if taken:
-                sizes.append(len(taken))
-            return taken
-
-        space.take_multiple = spy
+        history = HistoryRecorder(rt)
+        host.space_wrapper = (
+            lambda client, hostname:
+            RecordingSpace(client, history, client=hostname))
 
         def body():
             fill_tasks(space, app, 12)
@@ -158,12 +157,13 @@ def test_prefetch_takes_tasks_in_multi_entry_batches(rt, env):
             host.stop()
             return space.count(ResultEntry())
 
-        results = drive(rt, body)
-        space.take_multiple = original
-        assert results >= 12
-        return sizes
+        assert drive(rt, body) >= 12
+        # The entries of one take_multiple share its invocation instant.
+        sizes = Counter(op.invoked_ms for op in history.ops
+                        if op.op == "take" and op.entry_class == "TaskEntry")
+        return list(sizes.values())
 
-    assert batch_sizes(1) == []          # prefetch=1 keeps the single-take path
+    assert set(batch_sizes(1)) == {1}    # prefetch=1 keeps the single-take path
     pipelined = batch_sizes(4)
     assert pipelined and max(pipelined) > 1
     assert sum(pipelined) == 12          # batches cover the job exactly once

