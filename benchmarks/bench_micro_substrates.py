@@ -157,10 +157,12 @@ def test_micro_process_handoff_rate(benchmark):
         kernel = SimKernel()
 
         def proc():
-            for _ in range(500):
+            for _ in range(250):
                 kernel.sleep(1.0)
 
-        kernel.spawn(proc, name="pinger")
+        # Same period: every wake switches to the other process's thread.
+        kernel.spawn(proc, name="ping")
+        kernel.spawn(proc, name="pong")
         kernel.run()
         kernel.shutdown()
 

@@ -69,13 +69,19 @@ CHECK_FLOOR = 0.8
 #: may move it — so this floor cannot be ratcheted down silently.
 BASELINE_FLOOR = 0.75
 
-#: Absolute ops/s floors for the codec-path headline cells; chosen
-#: ~0.6x of the recorded numbers so a noisy CI box does not flake, while
-#: a real hot-path regression (say, the codec silently falling back to
-#: pickle) still trips them.
+#: Absolute ops/s floors for the headline cells, so a real hot-path
+#: regression trips them whatever BENCH_micro.json says: the codec
+#: silently falling back to pickle, or the sim kernel going back to a
+#: two-switch handoff or a thread per spawn.  The recording box drifts
+#: ~1.7x between phases that last minutes; pinned to one CPU the two
+#: process cells read 125k / 56k per s in a slow phase (210k / 86k in a
+#: fast one) where the kernel-thread design gave 67k / 10k (104k / 14k).
+#: Their floors sit at ~0.55x of the slow-phase numbers.
 ABS_FLOORS = {
     "space_write_take_ops_per_s": 120_000.0,
     "durable_commits_group_per_s": 60_000.0,
+    "process_handoffs_per_s": 70_000.0,
+    "process_spawns_per_s": 30_000.0,
 }
 
 #: Per-metric overrides for BASELINE_FLOOR.  The e2e wall-clock cells
@@ -191,15 +197,43 @@ def kernel_event_rate(n: int = 20000) -> int:
 
 
 def process_handoff_rate(n: int = 2000) -> int:
-    """Thread-backed process context switches."""
+    """Thread-backed process context switches: two processes ping-pong.
+
+    Both sleep the same period, so every wake hands the baton to the
+    *other* process's thread.  (A lone sleeper wakes itself without any
+    OS switch and would measure the event loop, not a handoff.)
+    """
     kernel = SimKernel()
 
     def proc():
-        for _ in range(n):
+        for _ in range(n // 2):
             kernel.sleep(1.0)
 
-    kernel.spawn(proc, name="pinger")
+    kernel.spawn(proc, name="ping")
+    kernel.spawn(proc, name="pong")
     kernel.run()
+    kernel.shutdown()
+    return n
+
+
+def process_spawn_rate(n: int = 2000) -> int:
+    """Spawn -> first slice -> finish of trivial processes, one at a time.
+
+    The parent sleeps between spawns, so each child lives and dies alone:
+    the cost of a short-lived process (a scatter leg, a connection
+    handler), not of a thousand coexisting ones.
+    """
+    kernel = SimKernel()
+    finished = []
+
+    def parent():
+        for i in range(n):
+            kernel.spawn(lambda i=i: finished.append(i), name="child")
+            kernel.sleep(1.0)
+
+    kernel.spawn(parent, name="parent")
+    kernel.run()
+    assert len(finished) == n
     kernel.shutdown()
     return n
 
@@ -568,6 +602,8 @@ def run(rounds: int, smoke: bool) -> dict[str, float]:
             lambda: kernel_event_rate(20000 // scale), rounds),
         "process_handoffs_per_s": _time(
             lambda: process_handoff_rate(2000 // scale), rounds),
+        "process_spawns_per_s": _time(
+            lambda: process_spawn_rate(2000 // scale), rounds),
         "contention_write_take_ops_per_s": _time(
             lambda: contention_write_take(500 // scale), rounds),
         "contention_wakeups_per_write": contention_wakeups_per_write(
@@ -609,7 +645,7 @@ def check_against(committed: dict[str, Any],
     (CHECK_FLOOR, catches a regression landing now), baseline-relative
     (BASELINE_FLOOR, catches a regression that already shipped its own
     lowered committed reference — the ratchet-down loophole), and the
-    absolute ABS_FLOORS for the codec headline cells.  The deterministic
+    absolute ABS_FLOORS for the codec and sim-kernel headline cells.  The deterministic
     wire-cost cells are gated by a *ceiling* (WIRE_CEIL): lower is
     better and the numbers are exact, so growth means a structural
     payload regression, never noise.
@@ -647,7 +683,7 @@ def check_against(committed: dict[str, Any],
         if measured is not None and measured < floor:
             failures.append(
                 f"{key}: {measured:.1f} below the absolute floor "
-                f"{floor:.0f} ops/s (compact-codec hot path)")
+                f"{floor:.0f} ops/s (hot-path headline cell)")
     for key in WIRE_CELLS:
         reference = committed.get(key)
         measured = current.get(key)

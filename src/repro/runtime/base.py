@@ -6,6 +6,7 @@ bindings agree with the paper's plots.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
@@ -74,6 +75,13 @@ class Runtime(ABC):
 
     @abstractmethod
     def condition(self, lock: Optional[Lock] = None) -> Condition: ...
+
+    def context(self) -> object:
+        """The calling execution context: the weak key for ambient
+        per-process state (the tracer's active-span stack).  The OS thread
+        here (the object: idents are reused); the simulated binding
+        answers with the simulated process."""
+        return threading.current_thread()
 
     # -- conveniences shared by both bindings --------------------------------
 

@@ -64,6 +64,12 @@ class SimulatedRuntime(Runtime):
     def call_later(self, delay_ms: float, action: Callable[[], None]) -> CancelHandle:
         return _SimCancelHandle(self.kernel.call_later(delay_ms, action))
 
+    def context(self) -> object:
+        """The current simulated process (the kernel inside timer actions):
+        OS threads are shared — a parked process's thread runs timer
+        actions, a carrier thread runs one process after another."""
+        return self.kernel._current or self.kernel
+
     def lock(self) -> Lock:
         return SimLock(self.kernel)
 

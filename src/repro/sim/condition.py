@@ -19,9 +19,10 @@ from repro.sim.kernel import SimKernel, SimProcess
 
 __all__ = ["SimLock", "SimCondition"]
 
-#: Owner sentinel for code running on the kernel thread (timer callbacks).
-#: Such code is atomic with respect to all processes, so holding a lock
-#: there is always safe.
+#: Owner sentinel for code running outside any process (timer callbacks,
+#: which the dispatch loop runs with ``kernel._current = None``).  Such
+#: code is atomic with respect to all processes, so holding a lock there
+#: is always safe.
 _KERNEL_THREAD = object()
 
 
@@ -128,12 +129,14 @@ class SimCondition:
 
             handle = kernel.call_later(max(0.0, timeout), _timeout)
 
-        # Monitor semantics: release while blocked, reacquire on wake.
+        # Monitor semantics: release while blocked, reacquire on wake.  The
+        # release must precede the park: this thread may run timer actions
+        # inline while parked, and they take locks as the kernel.
         depth = self._lock._depth
         for _ in range(depth):
             self._lock.release()
         try:
-            proc._block()
+            kernel._park(proc)
         finally:
             for _ in range(depth):
                 self._lock.acquire()
@@ -151,8 +154,7 @@ class SimCondition:
                 continue
             waiter.woken = True
             waiter.notified = True
-            proc = waiter.proc
-            kernel.call_later(0.0, lambda p=proc: kernel._wake(p))
+            kernel.call_later(0.0, waiter.proc._kernel_wake)
             woken += 1
 
     def notify_all(self) -> None:

@@ -2,14 +2,25 @@
 
 Design
 ------
-Each simulated process is a real OS thread, but the kernel enforces that at
-most one process thread runs at a time.  A process runs until it blocks
-(``sleep`` / condition ``wait``) or finishes; it then hands control back to
-the kernel thread, which pops the next event off a ``(time, seq)``-ordered
-heap and resumes the corresponding process.  Because control only transfers
-at explicit blocking points, code between blocking points is atomic with
-respect to other simulated processes — no data races, deterministic
-schedules.
+Each simulated process runs on a real OS thread, but exactly one thread
+holds the *baton* (the right to run) at a time.  A process runs until it
+blocks (``sleep`` / condition ``wait``) or finishes; **that same thread**
+then drains the event queue itself: it pops events in ``(time, FIFO)``
+order, runs plain timer actions inline (with ``_current = None``, so they
+look exactly like the old kernel-thread callbacks), and on a wake event
+either simply returns (the woken process is itself: no OS switch) or
+releases the successor's baton lock and parks on its own (one OS switch).
+Because control only transfers at explicit blocking points, code between
+blocking points is atomic with respect to other simulated processes — no
+data races, deterministic schedules.  When the loop must stop (queue dry,
+``until`` passed, ``max_events``, an action raised, a process failed,
+shutdown) the baton goes home to the thread inside ``run``/
+``run_until_idle``, which raises whatever there is to raise.
+
+Processes are bound to kernel-scoped *carrier* threads.  A finishing
+process returns its carrier to the idle list before it dispatches, so
+``spawn`` starts a thread only when every carrier is busy and a
+same-instant spawn reuses the finishing thread without any switch.
 
 The scheduler is a calendar queue: a min-heap of *distinct* timestamps plus
 a FIFO deque per timestamp.  Simulated workloads reuse timestamps heavily
@@ -18,8 +29,7 @@ operation is paid once per distinct time while every individual event is an
 O(1) deque append/popleft.  FIFO bucket order reproduces exactly the old
 ``(time, seq)`` total order, so schedules stay deterministic.  Process
 failures are reported through an O(1) flag (``_failed``) set by the failing
-process itself, so the per-event fail-fast check never walks the process
-table.
+process itself, so fail-fast never walks the process table.
 
 Time is measured in **milliseconds** of virtual time (matching the paper's
 plots).
@@ -27,9 +37,9 @@ plots).
 Shutdown
 --------
 ``shutdown()`` resumes every still-blocked process with :class:`SimKilled`
-(a ``BaseException``) so worker loops unwind their stacks and the OS
-threads exit.  Experiments always call ``shutdown()`` (or use the kernel as
-a context manager) so pytest never leaks threads.
+(a ``BaseException``) so worker loops unwind their stacks, then releases
+and joins every carrier thread.  Experiments always call ``shutdown()`` (or
+use the kernel as a context manager) so pytest never leaks threads.
 """
 
 from __future__ import annotations
@@ -64,20 +74,18 @@ class EventHandle:
 
 
 class SimProcess:
-    """A simulated process backed by a real thread.
+    """A simulated process: a function plus the carrier thread it runs on.
 
-    The thread alternates between running (after the kernel releases
-    ``_resume``) and blocked (after releasing ``_yielded`` and acquiring
-    ``_resume`` again).  The handoff uses raw locks as binary semaphores
-    rather than :class:`threading.Event`: ``Event.wait`` allocates a
-    fresh waiter lock per call (it sits on a ``Condition``), so the
-    lock-pair protocol saves two allocations and two condition dances per
-    context switch — the dominant cost of ``process_handoffs_per_s``.
-    Strict alternation (kernel releases ``_resume`` exactly once per
-    ``_yielded`` acquisition) keeps each lock toggling safely.
+    ``_baton`` is its carrier's lock, used as a binary semaphore: the
+    thread parks by acquiring it and whoever dispatches the process's wake
+    event releases it.  Raw locks rather than :class:`threading.Event`,
+    whose ``wait`` allocates a fresh waiter lock per call.  Strict
+    alternation (one release per park; only the baton holder releases)
+    keeps each lock toggling safely.
     """
 
-    def __init__(self, kernel: "SimKernel", fn: Callable[[], Any], name: str) -> None:
+    def __init__(self, kernel: "SimKernel", fn: Callable[[], Any], name: str,
+                 baton: threading.Lock) -> None:
         self.kernel = kernel
         self.name = name
         self.finished = False
@@ -85,32 +93,22 @@ class SimProcess:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self.error_tb: str = ""
-        self._fn = fn
-        self._resume = threading.Lock()
-        self._resume.acquire()      # starts "unsignalled"
-        self._yielded = threading.Lock()
-        self._yielded.acquire()     # starts "unsignalled"
+        self._fn: Optional[Callable[[], Any]] = fn
+        self._baton = baton
         # Reusable wake action: a process has at most one pending sleep,
         # so one handle per process replaces a lambda + EventHandle
         # allocation on every sleep() (the scheduler's hottest path).
         self._wake_handle = EventHandle(self._kernel_wake)
-        self._thread = threading.Thread(target=self._run, name=f"sim:{name}", daemon=True)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _start_thread(self) -> None:
-        self._thread.start()
 
     def _kernel_wake(self) -> None:
         self.kernel._wake(self)
 
     def _run(self) -> None:
-        # Wait for the kernel to schedule our first slice.
-        self._resume.acquire()
+        """Body of the process, on its carrier thread."""
         try:
             if self.killed:
                 raise SimKilled()
-            self.result = self._fn()
+            self.result = self._fn()  # type: ignore[misc]
         except SimKilled:
             pass
         except BaseException as exc:  # noqa: BLE001 - recorded and re-raised by run()
@@ -119,27 +117,56 @@ class SimProcess:
             self.kernel._failed.append(self)
         finally:
             self.finished = True
-            self.kernel._current = None
-            self._yielded.release()
+            self._fn = None     # a closure may pin arbitrarily large results
 
-    # -- called from inside the process thread ------------------------------
 
-    def _block(self) -> None:
-        """Hand control to the kernel; return when the kernel resumes us."""
-        self._yielded.release()
-        self._resume.acquire()
-        if self.killed:
-            raise SimKilled()
+class _Carrier:
+    """Kernel-scoped OS thread that runs one process after another."""
 
-    # -- called from the kernel thread --------------------------------------
+    def __init__(self, kernel: "SimKernel") -> None:
+        self.kernel = kernel
+        self.proc: Optional[SimProcess] = None
+        self.baton = threading.Lock()
+        self.baton.acquire()        # starts "unsignalled"
+        self.thread = threading.Thread(
+            target=self._loop, name=f"sim-carrier-{len(kernel._carriers)}",
+            daemon=True)
+        self.thread.start()
 
-    def _resume_and_wait(self) -> None:
-        """Let the process run one slice; block the kernel until it yields."""
-        self._resume.release()
-        self._yielded.acquire()
+    def _loop(self) -> None:
+        kernel, baton = self.kernel, self.baton
+        baton.acquire()             # first tenant's first slice
+        while (proc := self.proc) is not None:      # None: shutdown
+            proc._run()
+            # Retire before dispatching, so an action run below that
+            # spawns at this instant rebinds this very thread: no switch.
+            self.proc = None
+            del kernel.processes[proc]
+            kernel._idle.append(self)
+            kernel._dispatch(baton)
 
-    def join_native(self, timeout: float = 5.0) -> None:
-        self._thread.join(timeout)
+
+class _Home(threading.Event):
+    """Where the baton rests while nothing is simulated: the caller of
+    ``run*()``/``shutdown()`` parks here.  Speaks the baton-lock protocol
+    but is level-triggered, so a park cut short by ``KeyboardInterrupt``
+    can be repeated: the baton is home again before the interrupt
+    propagates, and nobody tears down around a still-running process.
+    """
+
+    def __init__(self, kernel: "SimKernel") -> None:
+        super().__init__()
+        self.kernel = kernel
+
+    release = threading.Event.set
+
+    def acquire(self) -> None:
+        try:
+            self.wait()
+        except BaseException:
+            self.kernel._shutdown = True    # carriers stop at their next block
+            self.wait()
+            raise
 
 
 class SimKernel:
@@ -150,10 +177,20 @@ class SimKernel:
         # A time is in ``_times`` iff its bucket exists in ``_buckets``.
         self._times: list[float] = []
         self._buckets: dict[float, deque[EventHandle]] = {}
+        self._bucket: Optional[deque[EventHandle]] = None   # being drained
         self._now = 0.0
         self._current: Optional[SimProcess] = None
-        self.processes: list[SimProcess] = []
-        self._failed: list[SimProcess] = []  # set by the failing process
+        self._next: Optional[SimProcess] = None     # set by _wake
+        #: Live (unfinished) processes, in spawn order.
+        self.processes: dict[SimProcess, None] = {}
+        self._failed: deque[SimProcess] = deque()   # set by the failing process
+        self._carriers: list[_Carrier] = []
+        self._idle: list[_Carrier] = []
+        self._home = _Home(self)
+        # The running run*() call's limits, shared by every dispatching thread.
+        self._until: Optional[float] = None
+        self._budget = self._max_events = 0
+        self._error: Optional[BaseException] = None    # raised by an action
         self._running = False
         self._shutdown = False
         #: Optional observer called once per distinct virtual time, right
@@ -180,7 +217,7 @@ class SimKernel:
     # -- scheduling -------------------------------------------------------------
 
     def call_later(self, delay_ms: float, action: Callable[[], None]) -> EventHandle:
-        """Schedule ``action`` to run on the kernel thread after ``delay_ms``."""
+        """Schedule ``action`` to run, outside any process, after ``delay_ms``."""
         if delay_ms < 0:
             raise SimulationError(f"negative delay: {delay_ms}")
         handle = EventHandle(action)
@@ -196,10 +233,16 @@ class SimKernel:
         """Create a process; it starts at the current virtual time."""
         if self._shutdown:
             raise SimulationError("kernel already shut down")
-        proc = SimProcess(self, fn, name)
-        self.processes.append(proc)
-        proc._start_thread()
-        self.call_later(0.0, lambda: self._wake(proc))
+        if self._idle:
+            carrier = self._idle.pop()
+        else:
+            carrier = _Carrier(self)
+            self._carriers.append(carrier)
+        carrier.proc = proc = SimProcess(self, fn, name, carrier.baton)
+        self.processes[proc] = None
+        # Through call_later, not the reusable sleep handle: the start is
+        # an event like any other to whoever counts events at that boundary.
+        self.call_later(0.0, proc._kernel_wake)
         return proc
 
     # -- process-side primitives -------------------------------------------------
@@ -222,17 +265,113 @@ class SimKernel:
             self._buckets[time_ms] = bucket = deque()
             heapq.heappush(self._times, time_ms)
         bucket.append(proc._wake_handle)
-        proc._block()
+        self._park(proc)
+
+    def _park(self, proc: SimProcess) -> None:
+        """Block the calling process ``proc`` until an event wakes it."""
+        if not proc.killed:     # unwinding under shutdown: never park again
+            self._dispatch(proc._baton)
+        if proc.killed:
+            raise SimKilled()
 
     def _wake(self, proc: SimProcess) -> None:
-        """Kernel-thread action: run one slice of ``proc``."""
-        if proc.finished:
-            return
-        self._current = proc
-        proc._resume_and_wait()
-        self._current = None
+        """Tail call of an event action: ``proc`` runs next.
+
+        Only records the successor; the dispatch loop switches to it as
+        soon as the action returns.
+        """
+        if not proc.finished:
+            self._next = proc
+
+    # -- dispatch ----------------------------------------------------------------
+
+    def _drain(self) -> Optional[SimProcess]:
+        """Run events in ``(time, FIFO)`` order until one wakes a process.
+
+        Returns that process, or ``None`` when the queue is dry, the next
+        event lies beyond ``until``, a process failed or shutdown began.
+        """
+        if self._failed or self._shutdown:
+            return None
+        times = self._times
+        buckets = self._buckets
+        bucket = self._bucket       # a bucket left half-drained by a switch
+        while True:
+            if bucket is None:
+                if not times:
+                    return None
+                time_ms = times[0]
+                if self._until is not None and time_ms > self._until:
+                    return None
+                # Actions may append same-time events mid-drain; the inner
+                # loop picks them up in FIFO order.  Later times open new
+                # buckets, so this bucket stays the queue minimum until dry.
+                self._bucket = bucket = buckets[time_ms]
+                self._now = time_ms
+                if self.on_advance is not None:
+                    self.on_advance(time_ms)
+            while bucket:
+                event = bucket.popleft()
+                if event.cancelled:
+                    continue
+                self._budget -= 1
+                if self._budget < 0:
+                    raise SimulationError(
+                        f"exceeded max_events={self._max_events}")
+                event.action()
+                proc = self._next
+                if proc is not None:
+                    self._next = None
+                    return proc
+            del buckets[heapq.heappop(times)]
+            self._bucket = bucket = None
+
+    def _dispatch(self, baton: threading.Lock) -> None:
+        """Give up the calling thread's turn; return when it is next.
+
+        Called by whichever thread blocks (a process in ``sleep``/``wait``,
+        a carrier whose process finished, the caller of ``run*``), holding
+        the baton.  Drains the queue right here, then passes the baton to
+        the woken process — or home, on every loop exit — and parks.
+        """
+        self._current = proc = None
+        try:
+            proc = self._drain()
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run*()
+            self._error = exc
+        if proc is None:
+            self._bucket = None     # a later run*() re-announces the time
+            target = self._home
+        else:
+            self._current = proc
+            target = proc._baton
+        if target is not baton:
+            target.release()
+            baton.acquire()
 
     # -- main loop --------------------------------------------------------------
+
+    def _drive(self, until: Optional[float], max_events: int) -> None:
+        if self._running:
+            raise SimulationError("run() is not reentrant")
+        self._running = True
+        self._until = until
+        self._budget = self._max_events = max_events
+        self._home.clear()
+        try:
+            self._dispatch(self._home)
+            if self._error is not None:
+                error, self._error = self._error, None
+                raise error
+            while self._failed:
+                proc = self._failed.popleft()
+                if proc.error is not None:
+                    error, proc.error = proc.error, None
+                    raise SimulationError(
+                        f"process {proc.name!r} failed: {error!r}\n{proc.error_tb}"
+                    ) from error
+        finally:
+            self._running = False
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Process events in order until the queue drains or ``until`` is passed.
@@ -241,49 +380,15 @@ class SimKernel:
         by any process (fail fast), and :class:`DeadlockError` if processes
         remain blocked with an empty queue — unless the kernel was shut down.
         """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        try:
-            times = self._times
-            buckets = self._buckets
-            pop_time = heapq.heappop
-            failed = self._failed
-            events = 0
-            while times:
-                time_ms = times[0]
-                if until is not None and time_ms > until:
-                    break
-                # Actions may append same-time events mid-drain; the inner
-                # loop picks them up in FIFO order.  Later times open new
-                # buckets, so this bucket stays the queue minimum until dry.
-                bucket = buckets[time_ms]
-                self._now = time_ms
-                if self.on_advance is not None:
-                    self.on_advance(time_ms)
-                while bucket:
-                    event = bucket.popleft()
-                    if event.cancelled:
-                        continue
-                    events += 1
-                    if events > max_events:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    event.action()
-                    if failed:
-                        self._raise_process_error()
-                pop_time(times)
-                del buckets[time_ms]
-            if until is not None:
-                self._now = max(self._now, until)
-            if not times and not self._shutdown:
-                blocked = [p.name for p in self.processes if not p.finished]
-                if blocked and until is None:
-                    raise DeadlockError(
-                        f"no pending events but processes are blocked: {blocked}"
-                    )
-            return self._now
-        finally:
-            self._running = False
+        self._drive(until, max_events)
+        if until is not None:
+            self._now = max(self._now, until)
+        elif self.processes and not self._shutdown:
+            blocked = [p.name for p in self.processes]
+            raise DeadlockError(
+                f"no pending events but processes are blocked: {blocked}"
+            )
+        return self._now
 
     def run_until_idle(self, max_events: int = 50_000_000) -> float:
         """Run until no events remain, tolerating still-blocked processes.
@@ -291,52 +396,25 @@ class SimKernel:
         Useful for experiments whose server loops wait forever by design.
         ``max_events`` guards against runaway event storms, as in ``run``.
         """
-        times = self._times
-        buckets = self._buckets
-        pop_time = heapq.heappop
-        failed = self._failed
-        events = 0
-        while times:
-            time_ms = times[0]
-            bucket = buckets[time_ms]
-            self._now = time_ms
-            if self.on_advance is not None:
-                self.on_advance(time_ms)
-            while bucket:
-                event = bucket.popleft()
-                if event.cancelled:
-                    continue
-                events += 1
-                if events > max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-                event.action()
-                if failed:
-                    self._raise_process_error()
-            pop_time(times)
-            del buckets[time_ms]
+        self._drive(None, max_events)
         return self._now
-
-    def _raise_process_error(self) -> None:
-        while self._failed:
-            proc = self._failed.pop(0)
-            if proc.error is None:
-                continue
-            err = proc.error
-            proc.error = None
-            raise SimulationError(
-                f"process {proc.name!r} failed: {err!r}\n{proc.error_tb}"
-            ) from err
 
     # -- teardown ----------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Kill all blocked processes and join their native threads."""
+        """Kill all blocked processes, then release and join every carrier."""
         self._shutdown = True
-        for proc in self.processes:
-            if not proc.finished:
-                proc.killed = True
-                proc._resume_and_wait()
-        for proc in self.processes:
-            proc.join_native()
+        for proc in list(self.processes):
+            proc.killed = True
+            self._current = proc
+            self._home.clear()
+            proc._baton.release()   # unwinds, retires, hands the baton home
+            self._home.acquire()
+        carriers, self._carriers = self._carriers, []
+        for carrier in carriers:
+            carrier.baton.release()
+        for carrier in carriers:
+            carrier.thread.join(5.0)
+        self._idle.clear()
         self._times.clear()
         self._buckets.clear()

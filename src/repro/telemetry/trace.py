@@ -28,7 +28,7 @@ trace microseconds, one Chrome "thread" per simulated process.
 from __future__ import annotations
 
 import json
-import threading
+import weakref
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = ["Span", "Tracer", "NULL_SPAN"]
@@ -130,7 +130,7 @@ NULL_SPAN = _NullSpan()
 
 
 class _Activation:
-    """Context manager pushing a span onto the tracer's thread-local stack."""
+    """Context manager pushing a span onto the caller's active-span stack."""
 
     __slots__ = ("_tracer", "_span")
 
@@ -166,7 +166,13 @@ class Tracer:
         #: fires when tracing is enabled, so it cannot affect timelines.
         self.sink: Optional[Callable[[Span], None]] = None
         self._next_id = 0
-        self._tls = threading.local()
+        # Active-span stacks keyed by ``runtime.context()`` — the simulated
+        # process, not the OS thread: a parked process's thread also runs
+        # timer actions, and carrier threads run many processes in turn.
+        # An entry exists only while its stack is non-empty; weak keys, so
+        # a context that dies mid-``activate`` takes its stack with it.
+        self._stacks: weakref.WeakKeyDictionary[Any, list[Span]] = (
+            weakref.WeakKeyDictionary())
 
     # -- clock / context -----------------------------------------------------
 
@@ -174,18 +180,19 @@ class Tracer:
         return self.runtime.now()
 
     def _push(self, span: Span) -> None:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        stack.append(span)
+        self._stacks.setdefault(self.runtime.context(), []).append(span)
 
     def _pop(self) -> None:
-        self._tls.stack.pop()
+        context = self.runtime.context()
+        stack = self._stacks[context]
+        stack.pop()
+        if not stack:
+            del self._stacks[context]
 
     @property
     def current(self) -> Optional[Span]:
-        """The innermost active span on this thread, if any."""
-        stack = getattr(self._tls, "stack", None)
+        """The innermost active span of the calling process, if any."""
+        stack = self._stacks.get(self.runtime.context())
         return stack[-1] if stack else None
 
     def activate(self, span: Optional[Span]) -> _Activation:

@@ -8,12 +8,16 @@ of the virtual timeline when tracing is toggled.
 
 from __future__ import annotations
 
+import gc
 import json
+import threading
 
 from repro.core.framework import AdaptiveClusterFramework, FrameworkConfig
 from repro.experiments.harness import run_simulation
 from repro.node.cluster import testbed_small
+from repro.runtime import ThreadedRuntime
 from repro.sim.rng import RandomStreams
+from repro.telemetry.trace import Tracer
 from tests.core.toyapp import SumOfSquares
 
 
@@ -160,3 +164,82 @@ def test_tracing_does_not_perturb_virtual_time():
     assert report_on.planning_ms == report_off.planning_ms
     assert report_on.aggregation_ms == report_off.aggregation_ms
     assert report_on.solution == report_off.solution
+
+
+# -- ambient span follows the simulated process, not the OS thread -------------
+
+
+def test_timer_action_does_not_see_the_parked_process_span(rt):
+    """A sleeping process's own thread runs the timer action inline."""
+    tracer = Tracer(rt, enabled=True)
+    seen = []
+
+    def proc():
+        span = tracer.start("compute", "app/1")
+        with tracer.activate(span):
+            rt.call_later(5.0, lambda: seen.append(tracer.current))
+            rt.sleep(10.0)      # the only thread there is: runs the timer
+            seen.append(tracer.current)
+
+    rt.spawn(proc)
+    rt.run()
+    assert seen[0] is None
+    assert seen[1] is not None and seen[1].name == "compute"
+
+
+def test_next_tenant_of_a_carrier_starts_with_an_empty_span_stack(rt):
+    """A process that dies with a span still active must not hand it to
+    whichever process runs next on the same OS thread."""
+    tracer = Tracer(rt, enabled=True)
+    threads, seen = [], []
+
+    def leaky():
+        threads.append(threading.get_ident())
+        tracer.activate(tracer.start("leaked", "app/1")).__enter__()
+
+    def tenant():
+        threads.append(threading.get_ident())
+        seen.append(tracer.current)
+
+    rt.spawn(leaky)
+    rt.run()
+    rt.spawn(tenant)
+    rt.run()
+    assert threads[0] == threads[1]         # same carrier thread
+    assert seen == [None]
+
+
+def test_threaded_runtime_keeps_span_stacks_per_thread():
+    runtime = ThreadedRuntime()
+    tracer = Tracer(runtime, enabled=True)
+    seen = []
+    with tracer.activate(tracer.start("main", "t/1")):
+        worker = threading.Thread(target=lambda: seen.append(tracer.current))
+        worker.start()
+        worker.join(5.0)
+        assert not worker.is_alive()
+        assert tracer.current.name == "main"
+    assert seen == [None] and tracer.current is None
+
+
+def test_thread_that_dies_mid_activate_takes_its_span_stack_with_it():
+    """The OS may hand a dead thread's ident to the next one started; the
+    stack is keyed by the thread object, so nothing is inherited or kept."""
+    tracer = Tracer(ThreadedRuntime(), enabled=True)
+    seen = []
+
+    def leaky():
+        tracer.activate(tracer.start("leaked", "t/1")).__enter__()
+
+    def heir():
+        seen.append(tracer.current)
+
+    for body in (leaky, heir):
+        worker = threading.Thread(target=body)
+        worker.start()
+        worker.join(5.0)
+        assert not worker.is_alive()
+    del worker
+    gc.collect()
+    assert seen == [None]
+    assert not tracer._stacks
