@@ -90,6 +90,10 @@ class MasterCheckpointEntry(Entry):
     task/result/dead-letter entry visible — are re-seeded.  Written under
     a short lease so an abandoned run's checkpoint ages out of the space
     instead of leaking.
+
+    Routed on ``app_id``: every checkpoint of one application lives on
+    one shard, so the per-period write-new + retire-old pair is a single
+    batch RPC there and resume's "find the newest" is a keyed read.
     """
 
     def __init__(
@@ -111,6 +115,9 @@ class MasterCheckpointEntry(Entry):
         self.outstanding = outstanding
         self.duplicates = duplicates
         self.replicas = replicas
+
+    def shard_key(self) -> Optional[str]:
+        return self.app_id
 
 
 class DeadLetterEntry(Entry):

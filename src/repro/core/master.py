@@ -383,6 +383,7 @@ class Master:
         replicas: dict[int, int] = {}
         last_progress = self.runtime.now()
         last_checkpoint = self.runtime.now()
+        last_dead_scan = self.runtime.now()
         while len(results) + len(dead) < len(tasks):
             if self._cancelled:
                 break
@@ -394,6 +395,10 @@ class Master:
                 last_checkpoint = self.runtime.now()
             wait_ms = (self.straggler_timeout_ms if self.eager_scheduling
                        else self.dead_letter_poll_ms)
+            # The checkpoint cadence shortens the drain wait below; it
+            # must not also turn every wake-up into a dead-letter scan
+            # (on a sharded space: one round trip per shard, each time).
+            dead_scan_ms = min(wait_ms, self.dead_letter_poll_ms)
             if self.checkpoint_ms is not None:
                 wait_ms = min(wait_ms, self.checkpoint_ms)
             entries = self._drain_results(template, wait_ms, ckpt)
@@ -406,9 +411,15 @@ class Master:
                 # No result: look for quarantined tasks (their result will
                 # never come), then consider straggler replication / giving
                 # up with a partial solution.
-                if self._drain_dead_letters(dead, results):
-                    last_progress = self.runtime.now()
-                    continue
+                # (Without checkpoints an empty drain always waited the
+                # full period: scan, exactly as before there was a gate.)
+                now = self.runtime.now()
+                if self.checkpoint_ms is None or \
+                        now - last_dead_scan >= dead_scan_ms:
+                    last_dead_scan = now
+                    if self._drain_dead_letters(dead, results):
+                        last_progress = self.runtime.now()
+                        continue
                 now = self.runtime.now()
                 if self.eager_scheduling and \
                         now - last_progress >= self.straggler_timeout_ms:

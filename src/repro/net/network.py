@@ -134,6 +134,12 @@ class StreamSocket:
         self._expected_seq = 0     # next sequence to release to the queue
         self._reorder: dict[int, Optional[bytes]] = {}
 
+    @property
+    def eof(self) -> bool:
+        """True once the peer's close has arrived (or this side closed):
+        nothing more will ever be received."""
+        return self._queue.closed
+
     def send(self, payload: Any) -> None:
         if self.closed:
             raise ConnectionClosedError("socket closed")

@@ -27,7 +27,7 @@ from repro.errors import (
 from repro.jini.join import LookupClient
 from repro.jini.lookup import ServiceItem
 from repro.net.address import Address
-from repro.net.network import Network
+from repro.net.network import Network, StreamSocket
 from repro.runtime.base import Runtime
 from repro.tuplespace.durable import HotStandby
 from repro.tuplespace.lease import FOREVER
@@ -137,6 +137,10 @@ class SpaceSupervisor:
         #: Standbys this supervisor spawned itself (demoted primaries
         #: rejoining the replication chain); stopped with the supervisor.
         self._spawned_standbys: list[HotStandby] = []
+        #: The heartbeat's standing connection to the primary, kept
+        #: while probes succeed (one server-side handler per primary,
+        #: not one accept + spawn + close per heartbeat).
+        self._probe_conn: Optional[StreamSocket] = None
 
     @property
     def lease_ms(self) -> float:
@@ -168,8 +172,14 @@ class SpaceSupervisor:
 
     def stop(self) -> None:
         self._running = False
+        self._drop_probe_conn()
         for standby in self._spawned_standbys:
             standby.stop()
+
+    def _drop_probe_conn(self) -> None:
+        if self._probe_conn is not None:
+            self._probe_conn.close()
+            self._probe_conn = None
 
     # -- watchdog ------------------------------------------------------------
 
@@ -228,27 +238,53 @@ class SpaceSupervisor:
         the request may arrive and renew the lease even though the reply
         never comes back, and promotion must assume exactly that.
         """
-        try:
-            conn = self.network.connect(self.host, self.primary_address)
-        except ConnectionRefusedError_:
-            if (self.network.is_partitioned(self.host,
-                                            self.primary_address.host)
-                    or self.network.is_partitioned(self.primary_address.host,
-                                                   self.host)):
+        status = self._ping()
+        if status not in ("ok", "fenced"):
+            # Never reuse a connection a probe failed on: a late reply
+            # would be read as the next probe's answer.
+            self._drop_probe_conn()
+        return status
+
+    def _ping(self) -> str:
+        primary = self.primary_address
+        if self.network.is_partitioned(self.host, primary.host):
+            return "lost"  # the dial itself would be refused
+        for _ in range(2):
+            conn = self._probe_conn
+            reused = conn is not None and not conn.closed and not conn.eof
+            if not reused:
+                # First probe, or the primary hung up since the last one
+                # (a crash closes its connections): dial in this tick,
+                # so a dead primary is still a refused connect.
+                self._drop_probe_conn()
+                try:
+                    conn = self.network.connect(self.host, primary)
+                except ConnectionRefusedError_:
+                    if self.network.is_partitioned(primary.host, self.host):
+                        return "lost"
+                    return "dead"
+                except NetworkError:
+                    return "lost"
+                self._probe_conn = conn
+            try:
+                valid_until = self.runtime.now() + self.lease_ms
+                conn.send({"op": "ping", "args": {"renew_lease": True,
+                                                  "valid_until": valid_until}})
+                # On the wire: the primary may honour it even if we
+                # never hear back.
+                if (self._lease_valid_until is None
+                        or valid_until > self._lease_valid_until):
+                    self._lease_valid_until = valid_until
+                reply = conn.receive(timeout_ms=self.probe_timeout_ms)
+            except ConnectionClosedError:
+                if reused:
+                    # Hung up under this very probe (its EOF was still
+                    # in flight): redial now, as a fresh probe would.
+                    self._drop_probe_conn()
+                    continue
                 return "lost"
-            return "dead"
-        except NetworkError:
-            return "lost"
-        try:
-            valid_until = self.runtime.now() + self.lease_ms
-            conn.send({"op": "ping", "args": {"renew_lease": True,
-                                              "valid_until": valid_until}})
-            # On the wire: the primary may honour it even if we never
-            # hear back.
-            if (self._lease_valid_until is None
-                    or valid_until > self._lease_valid_until):
-                self._lease_valid_until = valid_until
-            reply = conn.receive(timeout_ms=self.probe_timeout_ms)
+            except NetworkError:
+                return "lost"
             if not reply or not reply.get("ok"):
                 return "lost"
             value = reply.get("value")
@@ -256,10 +292,7 @@ class SpaceSupervisor:
                                             or value.get("superseded")):
                 return "fenced"
             return "ok"
-        except (ConnectionClosedError, NetworkError):
-            return "lost"
-        finally:
-            conn.close()
+        return "lost"
 
     def _failover(self, wait_lease: bool = True) -> None:
         """The promotion sequence: wait out any lease the unreachable
@@ -284,6 +317,7 @@ class SpaceSupervisor:
                 return
         self.failed_over = True
         self.failovers += 1
+        self._drop_probe_conn()
         old_primary = self.primary_address
         self.server = self.standby.promote(
             TransactionManager(self.runtime, metrics=self.metrics)

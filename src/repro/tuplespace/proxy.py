@@ -28,7 +28,7 @@ from repro.net.address import Address
 from repro.net.network import Network, StreamSocket
 from repro.runtime.base import Runtime
 from repro.tuplespace.entry import Entry
-from repro.tuplespace.events import RemoteEvent
+from repro.tuplespace.events import EventRegistration, RemoteEvent
 from repro.tuplespace.lease import FOREVER
 from repro.tuplespace.space import JavaSpace
 from repro.tuplespace.transaction import Transaction, TransactionManager
@@ -290,12 +290,13 @@ class AdmissionController:
 
 
 #: Operations safe to re-issue blindly after a reconnect: they either do
-#: not mutate the space or (``txn_create``) create fresh state.  A retried
-#: ``take``/``write`` could consume or duplicate an entry whose first
-#: attempt actually landed, so those surface the disconnect to the caller,
-#: whose transaction was aborted server-side anyway.
+#: not mutate the space or (``txn_create``, ``notify``) create state that
+#: died with the dropped connection.  A retried ``take``/``write`` could
+#: consume or duplicate an entry whose first attempt actually landed, so
+#: those surface the disconnect to the caller, whose transaction was
+#: aborted server-side anyway.
 _IDEMPOTENT_OPS = frozenset({"read", "exists", "count", "contents", "ping",
-                             "txn_create"})
+                             "txn_create", "notify"})
 
 #: Operations whose ``timeout_ms`` arg is a *server-side wait budget*: the
 #: client's reply deadline must cover it on top of the RPC budget, or a
@@ -310,6 +311,9 @@ _REMOTE_ERROR_TYPES: dict[str, type] = {
     "TransactionError": TransactionError,
     "FencedError": FencedError,
     "AdmissionError": AdmissionError,
+    # ``notify`` dials back to the client's event port; a server that
+    # cannot reach it reports a connection failure, not a space error.
+    "ConnectionRefusedError_": ConnectionRefusedError_,
 }
 
 
@@ -380,8 +384,15 @@ class SpaceServer:
         self._listener = None
         self._running = False
         self._conn_ids = itertools.count(1)
-        self._connections: set[StreamSocket] = set()
-        self._event_channels: dict[Address, StreamSocket] = {}
+        #: Live client connections, in accept order (a dict, not a set:
+        #: crash/drain close them in this order, and the order in which
+        #: clients see the hang-up must replay).
+        self._connections: dict[StreamSocket, None] = {}
+        #: Request connection → (event channel, notify registrations made
+        #: over it).  Like transactions, registrations live exactly as
+        #: long as the connection that asked for them.
+        self._subscriptions: dict[
+            StreamSocket, tuple[StreamSocket, list[EventRegistration]]] = {}
         self.restarts = 0
         #: Epoch fencing (off by default; failover-managed servers enable
         #: it).  When on, a request whose stamped epoch is *behind* this
@@ -501,7 +512,7 @@ class SpaceServer:
                 return
             if conn is None:
                 continue
-            self._connections.add(conn)
+            self._connections[conn] = None
             conn_id = next(self._conn_ids)
             self.runtime.spawn(
                 lambda c=conn: self._serve(c), name=f"space-conn-{conn_id}"
@@ -552,7 +563,7 @@ class SpaceServer:
         except ConnectionClosedError:
             pass
         finally:
-            self._connections.discard(conn)
+            self._connections.pop(conn, None)
             if conn in self._feed_acks:
                 with self._repl_cond:
                     self._feed_acks.pop(conn, None)
@@ -560,6 +571,12 @@ class SpaceServer:
             for txn in transactions.values():
                 if txn.state == "active":
                     txn.abort()
+            subscription = self._subscriptions.pop(conn, None)
+            if subscription is not None:
+                channel, registrations = subscription
+                for registration in registrations:
+                    registration.lease.cancel()
+                channel.close()
             conn.close()
 
     # -- replication acknowledgements -------------------------------------------
@@ -573,16 +590,22 @@ class SpaceServer:
     def _await_repl_ack(self, lsn: int) -> bool:
         """Block until every attached feed has confirmed ``lsn``.
 
-        True when confirmed (or no feed is attached — with no standby to
-        promote there is nothing a lost ack could diverge from, and
-        gating would deadlock a freshly promoted primary whose deposed
-        predecessor has not rejoined yet); False on timeout.
+        True when confirmed, or when no feed is attached to begin with
+        (with no standby to promote there is nothing a lost ack could
+        diverge from, and gating would deadlock a freshly promoted
+        primary whose deposed predecessor has not rejoined yet); False
+        on timeout.  A feed that hangs up *during* the wait is not
+        consent: the standby is re-bootstrapping (its next feed will
+        confirm) or being promoted (nobody will, and the replica that
+        now serves does not hold this record).
         """
         with self._repl_cond:
+            acks = self._feed_acks
+            if not acks:
+                return True
             return self.runtime.wait_for(
                 self._repl_cond,
-                lambda: (not self._feed_acks
-                         or min(self._feed_acks.values()) >= lsn),
+                lambda: bool(acks) and min(acks.values()) >= lsn,
                 timeout_ms=self.repl_ack_timeout_ms,
             )
 
@@ -664,9 +687,8 @@ class SpaceServer:
         return self.space.count(args["template"], txn=txn)
 
     def _op_exists(self, args, txn, transactions, conn) -> Any:
-        # A blocking read whose reply is one bit: scatter-gather clients
-        # camp on shards with this, so waiting for a fat entry to appear
-        # somewhere does not drag the entry itself over the wire.
+        # A blocking read whose reply is one bit: waiting for a fat entry
+        # to appear does not drag the entry itself over the wire.
         return self.space.read(args["template"], txn=txn,
                                timeout_ms=args["timeout_ms"]) is not None
 
@@ -893,23 +915,45 @@ class SpaceServer:
         return _STREAMING
 
     def _register_notify(self, args: dict[str, Any], conn: StreamSocket) -> int:
-        """Forward matching events to the client's event channel."""
-        target = Address(args["host"], args["event_port"])
-        channel = self._event_channels.get(target)
-        if channel is None or channel.closed:
-            channel = self.network.connect(self.address.host, target)
-            self._event_channels[target] = channel
+        """Forward matching events to the client's event channel.
+
+        The channel is dialled on the connection's first registration
+        and shared by its later ones; both end with the connection (see
+        :meth:`_serve`), so a client that reconnects — to this server or
+        to a promoted standby — registers afresh and nothing leaks.
+
+        Events are coalesced per kernel tick: a burst that becomes
+        visible at one virtual instant (a ``write_all``, a transaction
+        commit) is one message per registration carrying the burst's
+        newest sequence number, so the gap tells the listener how many
+        it stands for.
+        """
+        subscription = self._subscriptions.get(conn)
+        if subscription is None:
+            channel = self.network.connect(
+                self.address.host, Address(args["host"], args["event_port"]))
+            subscription = self._subscriptions[conn] = (channel, [])
+        channel, registrations = subscription
+        newest: list[RemoteEvent] = []  # the unsent burst's latest event
+
+        def flush() -> None:
+            event = newest.pop()
+            try:
+                channel.send({"registration_id": event.registration_id,
+                              "sequence": event.sequence,
+                              "source": event.source})
+            except (ConnectionClosedError, NetworkError):
+                pass  # client gone; the connection's teardown cancels us
 
         def listener(event: RemoteEvent) -> None:
-            try:
-                channel.send(
-                    {"registration_id": event.registration_id, "sequence": event.sequence,
-                     "source": event.source}
-                )
-            except ConnectionClosedError:
-                pass
+            if newest:
+                newest[0] = event
+            else:
+                newest.append(event)
+                self.runtime.call_later(0.0, flush)
 
         reg = self.space.notify(args["template"], listener, lease_ms=args["lease_ms"])
+        registrations.append(reg)
         return reg.registration_id
 
 
@@ -1185,7 +1229,11 @@ class SpaceProxy:
         #: promoted standby instead of hammering the dead primary address.
         self._locator = locator
         self._conn: Optional[StreamSocket] = None
+        #: Event side of ``notify``: the listening socket the server dials
+        #: back to, the channel it opened, and the handlers per
+        #: registration id — all scoped to the current connection.
         self._event_listener = None
+        self._event_channel: Optional[StreamSocket] = None
         self._event_handlers: dict[int, Callable[[RemoteEvent], Any]] = {}
         self._failed = False
         self._connects = 0
@@ -1208,9 +1256,7 @@ class SpaceProxy:
         connection drops so the server aborts this client's transactions
         (fault-injection hook used by crash experiments)."""
         self._failed = True
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        self._drop_connection()
 
     def _connection(self) -> StreamSocket:
         if self._failed:
@@ -1260,10 +1306,19 @@ class SpaceProxy:
 
     def _drop_connection(self) -> None:
         """Discard the current connection so a late reply from a dead RPC
-        can never be mistaken for the next call's answer."""
+        can never be mistaken for the next call's answer.  Its notify
+        registrations go with it (the server cancels them when the
+        connection drops), so the event side is torn down too."""
         if self._conn is not None:
             self._conn.close()
             self._conn = None
+        self._event_handlers.clear()
+        if self._event_listener is not None:
+            self._event_listener.close()
+            self._event_listener = None
+        if self._event_channel is not None:
+            self._event_channel.close()
+            self._event_channel = None
 
     def _exchange(self, op: str, args: dict[str, Any],
                   waits: list[tuple[str, dict[str, Any]]]) -> Any:
@@ -1272,11 +1327,18 @@ class SpaceProxy:
         ``waits`` are the (op, args) pairs the server executes for this
         request — the op itself, or a batch's sub-ops in order.
         """
+        return self._await_reply(self._send_request(op, args), op, waits)
+
+    def _send_request(self, op: str, args: dict[str, Any]) -> StreamSocket:
         conn = self._connection()
         request: dict[str, Any] = {"op": op, "args": args}
         if self.epoch is not None:
             request["epoch"] = self.epoch
         conn.send(request)
+        return conn
+
+    def _await_reply(self, conn: StreamSocket, op: str,
+                     waits: list[tuple[str, dict[str, Any]]]) -> Any:
         timeout_ms = self.recovery.call_timeout_ms if self.recovery else None
         if timeout_ms is not None:
             # The RPC budget covers transport + dispatch; an op's own wait
@@ -1409,12 +1471,7 @@ class SpaceProxy:
             ops=names)
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-        if self._event_listener is not None:
-            self._event_listener.close()
-            self._event_listener = None
+        self._drop_connection()
 
     # -- JavaSpace API ----------------------------------------------------------------
 
@@ -1465,6 +1522,43 @@ class SpaceProxy:
             "take_multiple",
             _take_multiple_args(template, max_entries, txn, timeout_ms)))
 
+    def begin_take_multiple(self, template: Entry,
+                            max_entries: int) -> Callable[[], list[Entry]]:
+        """Split-phase, non-blocking, untransacted ``take_multiple``: the
+        request goes out now; the returned function waits for the reply.
+
+        A scatter begins one on every shard's proxy before collecting
+        any, so N round trips — and N replies streaming off N hosts —
+        overlap without a helper process per shard.  One request per
+        connection at a time, as ever: collect before the next call on
+        this proxy.  No transparent retry (a take is not idempotent); a
+        connection-level failure surfaces from whichever half hit it
+        and, as in the recovery loop, leaves no connection behind.
+        """
+        args = _take_multiple_args(template, max_entries, None, 0.0)
+        lost = (ConnectionClosedError, ConnectionRefusedError_, FencedError)
+        try:
+            conn = self._send_request("take_multiple", args)
+        except lost:
+            self._drop_connection()
+            raise
+        tracer = self._tracer
+        span = (self._rpc_span("rpc.take_multiple", tracer)
+                if tracer is not None and tracer.enabled else None)
+
+        def collect() -> list[Entry]:
+            try:
+                return _decode_many(self._await_reply(
+                    conn, "take_multiple", [("take_multiple", args)]))
+            except lost:
+                self._drop_connection()
+                raise
+            finally:
+                if span is not None:
+                    span.end()
+
+        return collect
+
     def contents(self, template: Entry,
                  txn: Optional[RemoteTransaction] = None) -> list[Entry]:
         return self._call(
@@ -1489,27 +1583,50 @@ class SpaceProxy:
         lease_ms: float = FOREVER,
         runtime: Optional[Runtime] = None,
     ) -> int:
-        """Register for remote events; spawns a local event-pump process."""
+        """Register for remote events; spawns a local event-pump process.
+
+        A registration lives as long as the connection it was made on —
+        check :meth:`listening` and register again after a reconnect.
+        """
         if runtime is None:
             raise SpaceError("notify over a proxy needs the runtime to pump events")
-        if self._event_listener is None:
-            event_address = self.network.ephemeral(self.host)
-            self._event_listener = self.network.listen(event_address)
-            self._event_port = event_address.port
-            runtime.spawn(self._event_pump, name=f"space-events:{self.host}")
-        reg_id = self._call(
-            "notify",
-            {"template": template, "lease_ms": lease_ms,
-             "host": self.host, "event_port": self._event_port},
-        )
+
+        def attempt() -> int:
+            # Connect first: a fresh connection starts without an event
+            # side, and the request must name a port that is listening.
+            self._connection()
+            if self._event_listener is None:
+                event_address = self.network.ephemeral(self.host)
+                self._event_listener = self.network.listen(event_address)
+                self._event_port = event_address.port
+                runtime.spawn(
+                    lambda pumped=self._event_listener: self._event_pump(pumped),
+                    name=f"space-events:{self.host}")
+            return self._call_once(
+                "notify",
+                {"template": template, "lease_ms": lease_ms,
+                 "host": self.host, "event_port": self._event_port})
+
+        reg_id = self._guarded("notify", attempt, self.recovery is not None)
         self._event_handlers[reg_id] = listener
         return reg_id
 
-    def _event_pump(self) -> None:
+    def listening(self, registration_id: int) -> bool:
+        """True while events for ``registration_id`` can still arrive:
+        its connection is up and the server has not hung up on it."""
+        conn = self._conn
+        return (registration_id in self._event_handlers
+                and conn is not None and not conn.closed and not conn.eof)
+
+    def _event_pump(self, listener: Any) -> None:
         try:
-            channel = self._event_listener.accept(timeout_ms=None)
+            channel = listener.accept(timeout_ms=None)
             if channel is None:
                 return
+            if self._event_listener is not listener:
+                channel.close()  # torn down while the server was dialling
+                return
+            self._event_channel = channel
             while True:
                 message = channel.receive(timeout_ms=None)
                 if message is None:

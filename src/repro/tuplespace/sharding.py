@@ -10,27 +10,42 @@ link.  This module splits the space into N independent shards and puts a
   ``ring.shard_for(key)``.  An *entry* whose key is ``None`` is written
   to its class's home shard (``shard_for("class:<name>")``); a *template*
   whose key is ``None`` is a wildcard and scatter-gathers.
-* **Scatter-gather.**  Wildcard ``take``/``read`` scan the shards
-  non-blockingly from a sticky per-client cursor, first match wins; when
-  every shard is empty and wait budget remains, the router camps a
-  blocking non-consuming ``read`` on a rotating shard for one
-  ``scatter_block_ms`` quantum, then rescans.  ``take_multiple`` merges
-  across shards up to its cap per scan round; ``contents``/``count``
-  merge/sum in shard-index order.  Every order is a pure function of the
-  template and cursor, so runs replay deterministically.
+* **Scatter-gather.**  Wildcard ``take``/``read`` try the shards
+  non-blockingly from a sticky per-client cursor, first match wins;
+  ``take_multiple`` splits its cap over the shards and overlaps the
+  requests (split-phase: all sent, then all collected — N replies leave
+  N hosts in parallel, no process per shard); ``contents``/``count``
+  merge/sum in shard-index order.  Every order is a pure function of
+  the template, the cursor and the events seen, so runs replay
+  deterministically.
+* **The wildcard wait is event-driven.**  A blocking wildcard call does
+  not poll.  Per template *class* the router keeps one ``notify``
+  registration per shard (made the first time a call is about to block,
+  never per call); each event bumps that shard's event count and wakes
+  one local condition.  A shard is *hinted* — worth a non-blocking take
+  — unless its last reply for this template was empty **and** no event
+  has arrived since that request was issued; the comparison is against
+  the count read *before* the request, so check-then-wait cannot lose a
+  wakeup.  With nothing hinted the caller blocks locally — zero RPCs,
+  zero spawned processes — until an event, or until its deadline (or,
+  on long waits, every ``_RESCAN_MS``), when one full rescan covers
+  events lost to a partition.  A registration lives as long as its
+  proxy's connection: after a reconnect or a re-discovery (a promoted
+  standby knows nothing of it) the router registers again and re-hints
+  that shard.  Entries restored by an aborted take fire no event
+  (JavaSpaces ``notify`` semantics) and are found by the deadline rescan.
 * **Shard-local transactions.**  A :class:`ShardedTransaction` is born
   unbound and pins itself to the shard of its first operation; all later
   operations under it must hit the same shard (cross-shard use raises
   :class:`~repro.errors.SpaceError`), so commit/abort stay single-shard.
-  A wildcard take under an unbound transaction probes for a non-empty
-  shard first and binds there; if the bound shard runs dry the router
-  aborts and transparently rebinds — the holder of the handle never sees
-  the move.
+  A wildcard take under an unbound transaction binds to the first hinted
+  shard that yields entries; an empty attempt is aborted and the handle
+  rebinds elsewhere — its holder never sees the move.
 * **Batched prefetch.**  :class:`ShardedBatch` mirrors
   :class:`~repro.tuplespace.proxy.ProxyBatch`: consecutive same-shard
   operations ride one pipelined RPC, and the worker's steady-state
   write_all + commit + txn_create + take_multiple cycle collapses to a
-  single RPC to the hot shard once the router has found where tasks live.
+  single RPC to the shard its cursor rests on.
 
 With a single shard the router degenerates to a pass-through (every key
 routes to shard 0 with the original blocking timeouts), so ``shards=1``
@@ -44,10 +59,10 @@ from contextlib import contextmanager
 from hashlib import blake2b
 from typing import Any, Callable, Optional
 
-from repro.errors import AdmissionError, SpaceError
+from repro.errors import AdmissionError, NetworkError, SpaceError
 from repro.net.address import Address
 from repro.net.network import Network
-from repro.tuplespace.entry import Entry
+from repro.tuplespace.entry import Entry, match_items
 from repro.tuplespace.lease import FOREVER
 from repro.tuplespace.proxy import (
     ProxyBatch,
@@ -148,9 +163,9 @@ class ShardedTransaction:
         self.shard = shard
 
     def _unbind_quietly(self) -> None:
-        """Abort the current server transaction (it took nothing — the
-        probe loop only rebinds after an empty take) and return to the
-        unbound state so the next attempt can pin a different shard."""
+        """Abort the current server transaction (it took nothing — only
+        an empty attempt unbinds) and return to the unbound state so the
+        next attempt can pin a different shard."""
         remote, self._remote, self.shard = self._remote, None, None
         if remote is None or remote.completed:
             return
@@ -192,9 +207,9 @@ class ShardedBatch:
 
     A trailing ``txn_create`` + wildcard ``take``/``take_multiple`` pair
     (the worker's prefetch) is executed as one unit through the router's
-    probe/bind loop — and when the probe's first attempt lands on the
-    same shard as the preceding run (the steady-state hot path), the
-    whole cycle is a single RPC.
+    wildcard wait, starting at the preceding run's shard — so the
+    write-back and the prefetch that finds tasks there (the steady
+    state) are a single RPC.
     """
 
     def __init__(self, router: "ShardRouter") -> None:
@@ -422,8 +437,12 @@ class ShardedBatch:
             return pb.abort(remote)
         raise SpaceError(f"unknown batched operation {kind!r}")
 
-    def _flush_run(self, pending: tuple, results: list[Any]) -> None:
-        shard, pb, mapping = pending
+    @staticmethod
+    def _flush_run(pending: tuple, results: list[Any]) -> list[Any]:
+        """Send a same-shard run (plus whatever the caller appended to
+        its pipeline), file the run's values under the batch's op
+        indices, and return everything the pipeline answered."""
+        _shard, pb, mapping = pending
         values = pb.flush()
         for op_index, pb_index, op in mapping:
             results[op_index] = values[pb_index]
@@ -431,6 +450,7 @@ class ShardedBatch:
             if op["kind"] in ("commit", "abort") and \
                     isinstance(txn, ShardedTransaction):
                 txn.completed = True
+        return values
 
     def _run_tail(self, ops: list[dict[str, Any]], tail_start: int,
                   results: list[Any], pending: Optional[tuple]) -> None:
@@ -441,11 +461,44 @@ class ShardedBatch:
             take_op["template"], max_entries, txn,
             timeout_ms=take_op["timeout_ms"],
             multiple=take_op["kind"] == "take_multiple",
-            piggyback=pending, piggyback_results=results,
+            carried=pending, carried_results=results,
         )
         if tail_start == len(ops) - 2:  # txn_create rode along
             results[-2] = txn.txn_id if txn._remote is not None else None
         results[-1] = got
+
+
+#: Longest a wildcard call waits on events alone: every period (and at
+#: its deadline, if sooner) it rescans all shards, which bounds what an
+#: event lost to a partition can cost.
+_RESCAN_MS = 10_000.0
+
+#: Distinct templates per class whose empty marks are remembered.
+_MAX_TEMPLATES = 64
+
+
+def _listed(entry: Optional[Entry]) -> list[Entry]:
+    return [] if entry is None else [entry]
+
+
+class _Watch:
+    """A router's event state for one template class.
+
+    Registrations are per class (a field-less template matches every
+    entry of it) so their number is bounded by classes x shards however
+    many distinct templates wait; the empty marks are per template,
+    since a shard holding nothing for one ``app_id`` may hold plenty for
+    another.
+    """
+
+    def __init__(self, cls: type, shards: int) -> None:
+        self.template: Entry = cls.__new__(cls)
+        #: Per shard: the live registration's id, and events seen so far
+        #: (also bumped on re-registration: "anything may have happened").
+        self.registrations: list[Optional[int]] = [None] * shards
+        self.events = [0] * shards
+        #: ``match_items`` of a template → its per-shard empty marks.
+        self.empty: dict[tuple, list[Optional[int]]] = {}
 
 
 class ShardRouter:
@@ -469,7 +522,6 @@ class ShardRouter:
         metrics: Any = None,
         locators: Optional[list[Optional[Callable[[], Optional[Address]]]]] = None,
         tracer: Any = None,
-        scatter_block_ms: float = 250.0,
     ) -> None:
         if not addresses:
             raise ValueError("ShardRouter needs at least one shard address")
@@ -481,9 +533,8 @@ class ShardRouter:
         self.network = network
         self.host = host
         self.runtime = network.runtime
-        self.scatter_block_ms = scatter_block_ms
-        #: For "scatter" envelope spans around wildcard fan-outs (the
-        #: doctor intersects them with rpc.* spans to cost fan-out time).
+        #: For "scatter" envelope spans around wildcard calls (the doctor
+        #: intersects them with rpc.* spans to cost fan-out time).
         self.tracer = tracer
         self._proxies = [
             SpaceProxy(network, host, address, recovery=recovery, rng=rng,
@@ -492,28 +543,14 @@ class ShardRouter:
                        tracer=tracer)
             for i, address in enumerate(addresses)
         ]
-        #: Dedicated camp connections (lazily built): a camp is a blocking
-        #: ``read`` issued on *every* shard concurrently, and a proxy's
-        #: socket is strict request-reply, so campers must never share a
-        #: socket with the fan-out RPCs (or with a lingering camper from
-        #: an earlier round — hence the busy mask).
-        self._camp_proxy_args = dict(recovery=recovery, rng=rng,
-                                     metrics=metrics, tracer=tracer)
-        self._camp_addresses = list(addresses)
-        self._camp_locators = locators
-        self._camp_proxies: Optional[list[SpaceProxy]] = None
-        self._camp_busy: list[bool] = [False] * len(addresses)
-        self._camp_live = 0
-        self._camp_hits = 0
-        self._camp_hit_shard: Optional[int] = None
-        self._camp_cond = self.runtime.condition()
-        #: Sticky scatter cursor: where wildcard scans start.  Seeded per
-        #: client host so workers spread their first probes, but stable
-        #: across runs (determinism).
+        #: Event state of the wildcard wait, per template class, and the
+        #: one condition every blocked wildcard call sleeps on.
+        self._watches: dict[type, _Watch] = {}
+        self._wake = self.runtime.condition()
+        #: Sticky scatter cursor: where wildcard scans start, and where
+        #: they last found entries.  Seeded per client host so workers
+        #: spread their first attempts, but stable across runs.
         self._cursor = stable_hash(f"cursor:{host}") % len(self._proxies)
-        #: True after a wildcard take found entries at the cursor shard:
-        #: the next prefetch goes straight there (steady state = 1 RPC).
-        self._hot = False
 
     # -- client-health surface (console reads these off the worker proxy) ----
 
@@ -532,13 +569,9 @@ class ShardRouter:
     def fail(self) -> None:
         for proxy in self._proxies:
             proxy.fail()
-        for proxy in self._camp_proxies or []:
-            proxy.fail()
 
     def close(self) -> None:
         for proxy in self._proxies:
-            proxy.close()
-        for proxy in self._camp_proxies or []:
             proxy.close()
 
     def ping(self) -> bool:
@@ -562,10 +595,15 @@ class ShardRouter:
         key = template.shard_key() if isinstance(template, Entry) else None
         return None if key is None else self.ring.shard_for(key)
 
-    def _scan_order(self) -> list[int]:
+    def _scan_order(self, first: Optional[int] = None) -> list[int]:
+        """Every shard once: ``first`` (if any), then from the cursor."""
         n = len(self._proxies)
         start = self._cursor % n
-        return [(start + i) % n for i in range(n)]
+        order = [(start + i) % n for i in range(n)]
+        if first is not None:
+            order.remove(first)
+            order.insert(0, first)
+        return order
 
     def _txn_for(self, txn: Any, shard: int) -> Optional[RemoteTransaction]:
         if txn is None:
@@ -633,7 +671,10 @@ class ShardRouter:
         if shard is not None:
             return self._proxies[shard].read(
                 template, txn=self._txn_for(txn, shard), timeout_ms=timeout_ms)
-        return self._scatter_single(template, txn, timeout_ms, take=False)
+        got = self._gather("read", template, timeout_ms, self._first_match(
+            lambda shard: _listed(self._proxies[shard].read(
+                template, txn=txn, timeout_ms=0.0))))
+        return got[0] if got else None
 
     def take(self, template: Entry, txn: Any = None,
              timeout_ms: Optional[float] = None) -> Optional[Entry]:
@@ -642,11 +683,13 @@ class ShardRouter:
             return self._proxies[shard].take(
                 template, txn=self._txn_for(txn, shard), timeout_ms=timeout_ms)
         if isinstance(txn, ShardedTransaction):
-            got = self._prefetch_under_txn(template, 1, txn,
-                                           timeout_ms=timeout_ms,
-                                           multiple=False)
-            return got
-        return self._scatter_single(template, txn, timeout_ms, take=True)
+            return self._prefetch_under_txn(template, 1, txn,
+                                            timeout_ms=timeout_ms,
+                                            multiple=False)
+        got = self._gather("take", template, timeout_ms, self._first_match(
+            lambda shard: _listed(self._proxies[shard].take(
+                template, txn=txn, timeout_ms=0.0))))
+        return got[0] if got else None
 
     def read_if_exists(self, template: Entry, txn: Any = None):
         return self.read(template, txn, timeout_ms=0.0)
@@ -666,7 +709,17 @@ class ShardRouter:
             return self._prefetch_under_txn(template, max_entries, txn,
                                             timeout_ms=timeout_ms,
                                             multiple=True)
-        return self._scatter_multiple(template, max_entries, txn, timeout_ms)
+        if max_entries < 1:
+            raise SpaceError(f"max_entries must be >= 1: {max_entries}")
+        if txn is not None:
+            # A raw RemoteTransaction lives on one shard — its owner's
+            # business which; whichever answers first is all it can hold.
+            scan = self._first_match(
+                lambda shard: self._proxies[shard].take_multiple(
+                    template, max_entries, txn=txn, timeout_ms=0.0))
+        else:
+            scan = self._overlapped(template, max_entries)
+        return self._gather("take_multiple", template, timeout_ms, scan)
 
     def count(self, template: Entry, txn: Any = None) -> int:
         shard = self._template_shard(template)
@@ -716,13 +769,7 @@ class ShardRouter:
         so outcomes are deterministic.  Safe because each shard has its
         own proxy/connection — no two concurrent ops share a socket.
         """
-        return self._fan_out_over(range(len(self._proxies)), op)
-
-    def _fan_out_over(self, shards: Any,
-                      op: Callable[[SpaceProxy, int], Any]) -> list[Any]:
-        """As :meth:`_fan_out`, over an explicit subset of shard indices;
-        results align with the given order."""
-        outcomes = self._fan_out_outcomes(shards, op)
+        outcomes = self._fan_out_outcomes(range(len(self._proxies)), op)
         for status, value in outcomes:
             if status == "err":
                 raise value
@@ -780,86 +827,163 @@ class ShardRouter:
     def _expired(self, deadline: Optional[float]) -> bool:
         return deadline is not None and self.runtime.now() >= deadline
 
-    def _ensure_campers(self) -> list[SpaceProxy]:
-        if self._camp_proxies is None:
-            locators = self._camp_locators
-            self._camp_proxies = [
-                SpaceProxy(self.network, self.host, address,
-                           locator=locators[i] if locators else None,
-                           **self._camp_proxy_args)
-                for i, address in enumerate(self._camp_addresses)
-            ]
-        return self._camp_proxies
+    # -- the wildcard wait (module docstring) ----------------------------------
 
-    def _camp(self, template: Entry, deadline: Optional[float]) -> Optional[int]:
-        """Block one quantum until a match appears on *any* shard.
+    def _watch(self, template: Entry) -> tuple[_Watch, list[Optional[int]]]:
+        """The template class's event state, and this template's empty
+        marks: per shard, the event count as of the request whose reply
+        last came back empty (``None``: not known to be empty)."""
+        cls = type(template)
+        watch = self._watches.get(cls)
+        if watch is None:
+            watch = self._watches[cls] = _Watch(cls, len(self._proxies))
+        try:
+            key = tuple(match_items(template))
+            marks = watch.empty.get(key)
+        except TypeError:
+            # Unhashable field value: marks that last for this call only.
+            return watch, [None] * len(self._proxies)
+        if marks is None:
+            if len(watch.empty) >= _MAX_TEMPLATES:
+                watch.empty.clear()  # forgetting only costs a rescan
+            marks = watch.empty[key] = [None] * len(self._proxies)
+        return watch, marks
 
-        One non-consuming blocking ``read`` per shard, each on its
-        dedicated camp connection; the first camper to see a match wakes
-        the caller immediately.  Campers still waiting when that happens
-        keep running in the background and release their sockets when
-        their quantum lapses — the busy mask keeps the next round off
-        them (a lingering camper's hit still counts for whichever round
-        is waiting).  Camping on one shard at a time would stall a
-        scatter consumer for a whole quantum whenever entries land on a
-        shard it is not watching — the failure mode that serializes the
-        master's result drain.
-        """
-        budget = self.scatter_block_ms
+    def _arm(self, watch: _Watch) -> None:
+        """Make sure every shard reports new ``watch`` entries to us.
+
+        An RPC only where the registration is missing or died with its
+        connection; that shard is re-hinted, since anything may have
+        been written while nobody was listening."""
+        for shard, proxy in enumerate(self._proxies):
+            registration = watch.registrations[shard]
+            if registration is not None and proxy.listening(registration):
+                continue
+            watch.registrations[shard] = proxy.notify(
+                watch.template,
+                lambda _event, s=shard: self._on_event(watch, s),
+                runtime=self.runtime)
+            self._on_event(watch, shard)
+
+    def _on_event(self, watch: _Watch, shard: int) -> None:
+        with self._wake:
+            watch.events[shard] += 1
+            self._wake.notify_all()
+
+    def _await_hint(self, watch: _Watch, marks: list[Optional[int]],
+                    deadline: Optional[float]) -> bool:
+        """Block — no RPC, no spawned process — until an event hints
+        some shard for this template (True), or the deadline or the
+        rescan period lapses (False)."""
+        budget = _RESCAN_MS
         if deadline is not None:
             budget = min(budget, max(0.0, deadline - self.runtime.now()))
-        if budget <= 0.0:
-            return None
-        n = len(self._proxies)
-        if n == 1:
-            if self._proxies[0].exists(template, timeout_ms=budget):
-                return 0
-            return None
-        campers = self._ensure_campers()
-        cond = self._camp_cond
+        with self._wake:
+            return self.runtime.wait_for(
+                self._wake, lambda: marks != watch.events, timeout_ms=budget)
 
-        def camp(shard: int, quantum: float) -> None:
-            try:
-                hit = campers[shard].exists(template, timeout_ms=quantum)
-            except Exception:
-                # A dead shard mid-failover: camping is advisory — the
-                # scan loop surfaces real errors; the proxy self-heals.
-                hit = False
-            with cond:
-                self._camp_busy[shard] = False
-                self._camp_live -= 1
-                if hit:
-                    self._camp_hits += 1
-                    self._camp_hit_shard = shard
-                cond.notify_all()
+    def _gather(self, op: str, template: Entry, timeout_ms: Optional[float],
+                scan: Callable[[list[int], _Watch, list[Optional[int]]],
+                               list[Entry]],
+                first: Optional[int] = None) -> list[Entry]:
+        """One wildcard call: ``scan`` the hinted shards (in cursor
+        order) with non-blocking takes or reads; with nothing found,
+        wait for a hint and go again.
 
-        with cond:
-            start_hits = self._camp_hits
-            for shard in range(n):
-                if self._camp_busy[shard]:
-                    continue  # lingering camper from an earlier round
-                self._camp_busy[shard] = True
-                self._camp_live += 1
-                self.runtime.spawn(
-                    lambda s=shard, q=budget: camp(s, q),
-                    name=f"camp:{self.host}:{shard}",
-                )
-            while self._camp_hits == start_hits and self._camp_live > 0:
-                if not cond.wait(timeout=budget):
-                    break
-            if self._camp_hits > start_hits:
-                shard = self._camp_hit_shard
-                self._cursor = shard if shard is not None else self._cursor
-                return shard
-            return None
+        ``first`` is scanned before anything else whether hinted or not
+        (a batch run that must be sent regardless rides it).  A
+        ``timeout_ms`` of 0 has nothing to wait for, so it scans every
+        shard once and registers nothing.
+        """
+        watch, marks = self._watch(template)
+        deadline = self._deadline(timeout_ms)
+        everywhere = timeout_ms == 0.0
+        with self._traced_scatter(op):
+            while True:
+                if not everywhere:
+                    self._arm(watch)
+                got = scan(
+                    [shard for shard in self._scan_order(first)
+                     if everywhere or shard == first
+                     or marks[shard] != watch.events[shard]],
+                    watch, marks)
+                if got or timeout_ms == 0.0 or self._expired(deadline):
+                    return got
+                first = None
+                # A lapsed wait is the safety net for lost events: scan
+                # every shard once, then (deadline permitting) wait on.
+                everywhere = not self._await_hint(watch, marks, deadline)
+
+    def _first_match(self, attempt: Callable[[int], list[Entry]]):
+        """Scan one shard at a time; the first to yield anything wins."""
+        def scan(shards: list[int], watch: _Watch,
+                 marks: list[Optional[int]]) -> list[Entry]:
+            for shard in shards:
+                mark = watch.events[shard]  # read before the request goes
+                chunk = attempt(shard)
+                marks[shard] = None if chunk else mark
+                if chunk:
+                    self._cursor = shard
+                    return chunk
+            return []
+        return scan
+
+    def _overlapped(self, template: Entry, room: int):
+        """Scan for the untransacted ``take_multiple``: split ``room``
+        (>= 1) over the shards, put every request on the wire, then
+        collect.
+
+        The replies leave N hosts' egress links in parallel instead of
+        serializing through one shard after another (what lets a
+        result-heavy drain scale with the shard count), and the split
+        keeps the total within ``room`` without a sizing round.  A shard
+        holding more than its share keeps the rest for the next call.
+        What other shards yielded outlives one shard's failure: it is
+        returned, the failed shard stays hinted, and its error
+        resurfaces on the next call.
+        """
+        def scan(shards: list[int], watch: _Watch,
+                 marks: list[Optional[int]]) -> list[Entry]:
+            got: list[Entry] = []
+            error = None
+            # One wave covers every shard unless there are more shards
+            # than room: then waves of ``room`` shards, one entry each,
+            # until a wave yields.
+            while shards and not got:
+                wave, shards = shards[:room], shards[room:]
+                share, extra = divmod(room, len(wave))
+                pending = []
+                for i, shard in enumerate(wave):
+                    mark = watch.events[shard]
+                    try:
+                        pending.append((
+                            shard, mark,
+                            self._proxies[shard].begin_take_multiple(
+                                template, share + (i < extra))))
+                    except (NetworkError, SpaceError) as exc:
+                        error = error or exc
+                for shard, mark, collect in pending:
+                    try:
+                        chunk = collect()
+                    except (NetworkError, SpaceError) as exc:
+                        error = error or exc
+                        continue
+                    marks[shard] = None if chunk else mark
+                    if chunk and not got:
+                        self._cursor = shard
+                    got.extend(chunk)
+            if error is not None and not got:
+                raise error
+            return got
+        return scan
 
     @contextmanager
     def _traced_scatter(self, op: str):
         """Envelope span around one wildcard scatter-gather call.
 
-        The span covers the whole call — fan-out RPCs *and* camped
-        waits — so the doctor intersects it with the rpc.* spans inside
-        to attribute only the in-flight portion to the scatter phase.
+        The span covers the whole call — attempts *and* local waits —
+        so the doctor intersects it with the rpc.* spans inside to
+        attribute only the in-flight portion to the scatter phase.
         Purely observational: the disabled path yields immediately.
         """
         tracer = self.tracer
@@ -879,125 +1003,6 @@ class ShardRouter:
         finally:
             span.end()
 
-    def _scatter_single(self, template: Entry, txn: Any,
-                        timeout_ms: Optional[float],
-                        take: bool) -> Optional[Entry]:
-        with self._traced_scatter("take" if take else "read"):
-            return self._scatter_single_impl(template, txn, timeout_ms, take)
-
-    def _scatter_single_impl(self, template: Entry, txn: Any,
-                             timeout_ms: Optional[float], take: bool) -> Optional[Entry]:
-        """Wildcard read/take without a sharded transaction: first match
-        wins, scanning non-blockingly from the sticky cursor."""
-        deadline = self._deadline(timeout_ms)
-        while True:
-            for shard in self._scan_order():
-                proxy = self._proxies[shard]
-                if take:
-                    entry = proxy.take(template, txn=txn, timeout_ms=0.0)
-                else:
-                    entry = proxy.read(template, txn=txn, timeout_ms=0.0)
-                if entry is not None:
-                    self._cursor = shard
-                    return entry
-            if timeout_ms == 0.0 or self._expired(deadline):
-                self._hot = False
-                return None
-            self._camp(template, deadline)
-
-    def _scatter_multiple(self, template: Entry, max_entries: int, txn: Any,
-                          timeout_ms: Optional[float]) -> list[Entry]:
-        with self._traced_scatter("take_multiple"):
-            return self._scatter_multiple_impl(template, max_entries, txn,
-                                               timeout_ms)
-
-    def _scatter_multiple_impl(self, template: Entry, max_entries: int,
-                               txn: Any,
-                               timeout_ms: Optional[float]) -> list[Entry]:
-        """Wildcard take_multiple: gather from all shards per scan round.
-
-        Each round is two parallel fan-outs: ``count`` to size per-shard
-        quotas (so the round never takes more than ``max_entries`` in
-        total), then ``take_multiple`` for the quotas.  A concurrent
-        consumer can shrink a shard between the two — the round just
-        returns fewer; a later round (or the caller's next call) picks up
-        the rest.  When every shard is empty, camp-and-rescan as for the
-        single-entry scatter.
-        """
-        if txn is not None:
-            # A transaction pins one shard; a txn-scoped scatter would
-            # have been routed by the caller.  Fall back to a sequential
-            # scan so the transaction's proxy semantics hold.
-            return self._scatter_multiple_seq(template, max_entries, txn,
-                                              timeout_ms)
-        deadline = self._deadline(timeout_ms)
-        while True:
-            counts = self._fan_out(lambda proxy, _i: proxy.count(template))
-            # Round-robin quota allocation: spread the round's budget one
-            # entry at a time over every shard that has matches.  Greedy
-            # shard-order allocation would concentrate the round on the
-            # first shards with entries and serialize the gather through
-            # one or two hosts' egress links — defeating the fan-out.
-            quotas = [0] * len(counts)
-            budget = max_entries
-            while budget > 0:
-                granted = 0
-                for shard, count in enumerate(counts):
-                    if budget > 0 and quotas[shard] < count:
-                        quotas[shard] += 1
-                        budget -= 1
-                        granted += 1
-                if granted == 0:
-                    break
-            if any(quotas):
-                chunks = self._fan_out_over(
-                    [s for s, q in enumerate(quotas) if q > 0],
-                    lambda proxy, i: proxy.take_multiple(
-                        template, quotas[i], timeout_ms=0.0))
-                got = [entry for chunk in chunks for entry in chunk]
-                if got:
-                    return got
-            if timeout_ms == 0.0 or self._expired(deadline):
-                self._hot = False
-                return []
-            self._camp(template, deadline)
-
-    def _scatter_multiple_seq(self, template: Entry, max_entries: int,
-                              txn: Any,
-                              timeout_ms: Optional[float]) -> list[Entry]:
-        deadline = self._deadline(timeout_ms)
-        while True:
-            got: list[Entry] = []
-            for shard in self._scan_order():
-                chunk = self._proxies[shard].take_multiple(
-                    template, max_entries - len(got), txn=txn, timeout_ms=0.0)
-                if chunk and not got:
-                    self._cursor = shard
-                got.extend(chunk)
-                if len(got) >= max_entries:
-                    break
-            if got:
-                return got
-            if timeout_ms == 0.0 or self._expired(deadline):
-                self._hot = False
-                return []
-            self._camp(template, deadline)
-
-    def _probe(self, template: Entry,
-               deadline: Optional[float]) -> Optional[int]:
-        """Find a shard with at least one match, without consuming: scan
-        ``read_if_exists`` from the cursor, then camp and rescan until a
-        match or the deadline."""
-        while True:
-            for shard in self._scan_order():
-                if self._proxies[shard].exists(template, timeout_ms=0.0):
-                    return shard
-            if self._expired(deadline):
-                return None
-            hit = self._camp(template, deadline)
-            if hit is not None:
-                return hit
-
     def _prefetch_under_txn(
         self,
         template: Entry,
@@ -1005,92 +1010,44 @@ class ShardRouter:
         txn: ShardedTransaction,
         timeout_ms: Optional[float],
         multiple: bool,
-        piggyback: Optional[tuple] = None,
-        piggyback_results: Optional[list[Any]] = None,
+        carried: Optional[tuple] = None,
+        carried_results: Optional[list[Any]] = None,
     ) -> Any:
-        """Wildcard take under a shard-local transaction.
+        """Wildcard take under a still-unbound shard-local transaction.
 
-        Attempt cycle: pick a shard (the txn's pin, the hot cursor, a
-        piggyback run's shard, or a probe hit), then issue txn_create (if
-        unbound) + non-blocking take in ONE pipelined RPC there.  An
-        empty take unbinds and re-probes so a worker is never stuck
-        camped on a dry shard while tasks pile up on another — the
-        rebind is invisible to the transaction's holder.
+        Each attempt is txn_create + non-blocking take in ONE pipelined
+        RPC on a hinted shard.  Entries bind the handle there; an empty
+        attempt is aborted, so a worker is never stuck holding a dry
+        shard while tasks pile up on another, and the rebind is
+        invisible to the transaction's holder.
 
-        ``piggyback`` is :class:`ShardedBatch`'s final unflushed
-        same-shard run: when the first attempt lands on its shard, the
-        prefetch rides that run's RPC (the steady-state single-RPC path).
+        ``carried`` is :class:`ShardedBatch`'s final unflushed same-shard
+        run: it must go out whatever the hints say, so its shard is
+        attempted first and the prefetch rides that RPC (the steady-state
+        single-RPC cycle).
         """
-        deadline = self._deadline(timeout_ms)
-        empty: Any = [] if multiple else None
-        attempt_shard: Optional[int] = None
-        if txn._remote is not None:
-            attempt_shard = txn.shard
-        elif self._hot:
-            attempt_shard = self._cursor
-        elif piggyback is not None:
-            attempt_shard = piggyback[0]
-        first = True
-        while True:
-            if attempt_shard is None:
-                attempt_shard = self._probe(template, deadline)
-                if attempt_shard is None:
-                    self._hot = False
-                    return empty
-            if txn._remote is not None and txn.shard != attempt_shard:
-                txn._unbind_quietly()
-            if piggyback is not None and first and \
-                    piggyback[0] == attempt_shard:
-                shard, pb, mapping = piggyback
-            else:
-                if piggyback is not None and first:
-                    # The carried run targets a different shard: flush it
-                    # before the prefetch so sequence order is preserved.
-                    self._flush_piggyback(piggyback, piggyback_results)
-                    piggyback = None
-                shard, pb, mapping = attempt_shard, \
-                    self._proxies[attempt_shard].batch(), None
-            first = False
-            if txn._remote is None:
-                remote = pb.txn_create(txn._timeout_ms)
-            else:
-                remote = txn._remote
+        def attempt(shard: int) -> list[Entry]:
+            nonlocal carried
+            run, carried = carried, None  # rides the first attempt only
+            pb = run[1] if run is not None else self._proxies[shard].batch()
+            remote = pb.txn_create(txn._timeout_ms)
             if multiple:
                 pb.take_multiple(template, max_entries, txn=remote,
                                  timeout_ms=0.0)
             else:
                 pb.take(template, txn=remote, timeout_ms=0.0)
-            values = pb.flush()
-            if mapping is not None and piggyback_results is not None:
-                for op_index, pb_index, op in mapping:
-                    piggyback_results[op_index] = values[pb_index]
-                    optxn = op.get("txn")
-                    if op["kind"] in ("commit", "abort") and \
-                            isinstance(optxn, ShardedTransaction):
-                        optxn.completed = True
-                piggyback = None
-            if txn._remote is None:
-                txn._adopt(shard, remote)
-            got = values[-1]
-            if (multiple and got) or (not multiple and got is not None):
-                self._cursor = shard
-                self._hot = True
-                return got
-            self._hot = False
-            if timeout_ms == 0.0 or self._expired(deadline):
-                return empty
-            txn._unbind_quietly()
-            attempt_shard = None
+            values = (ShardedBatch._flush_run(run, carried_results)
+                      if run is not None else pb.flush())
+            txn._adopt(shard, remote)
+            got = values[-1] if multiple else _listed(values[-1])
+            if not got:
+                txn._unbind_quietly()
+            return got
 
-    def _flush_piggyback(self, pending: tuple,
-                         results: Optional[list[Any]]) -> None:
-        shard, pb, mapping = pending
-        values = pb.flush()
-        if results is None:
-            return
-        for op_index, pb_index, op in mapping:
-            results[op_index] = values[pb_index]
-            txn = op.get("txn")
-            if op["kind"] in ("commit", "abort") and \
-                    isinstance(txn, ShardedTransaction):
-                txn.completed = True
+        got = self._gather(
+            "take_multiple" if multiple else "take", template, timeout_ms,
+            self._first_match(attempt),
+            first=carried[0] if carried is not None else None)
+        if multiple:
+            return got
+        return got[0] if got else None

@@ -396,7 +396,7 @@ class JavaSpace:
     def exists(self, template: Entry, txn: Optional[Transaction] = None,
                timeout_ms: Optional[float] = None) -> bool:
         """Non-consuming presence check: a ``read`` that reports only
-        whether a match was seen (scatter clients camp on this)."""
+        whether a match was seen."""
         return self.read(template, txn, timeout_ms=timeout_ms) is not None
 
     def take_if_exists(self, template: Entry, txn: Optional[Transaction] = None) -> Optional[Entry]:

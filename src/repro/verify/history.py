@@ -29,7 +29,13 @@ response times and a *resolution status*:
 Operations issued under a transaction are buffered on the
 :class:`RecordingTransaction` and resolved all at once when its fate is
 known; operations inside a pipelined batch are buffered on the
-:class:`RecordingBatch` and resolved at ``flush``.  The checker
+:class:`RecordingBatch` and resolved at ``flush``.  Writes enter the
+history ``pending`` at *invocation* (for a batch: when ``flush`` starts)
+and are stamped at response: a write can be observed before its call
+returns — a batch whose commit landed while a later sub-op still blocks
+server-side — and a history closed in that window must still show where
+the observed entry came from (``pending`` counts as ``indeterminate``).
+The checker
 (:mod:`repro.verify.checker`) treats ``indeterminate`` as slack in both
 directions — it can never manufacture a violation, only excuse one — so
 recording errs toward ``indeterminate`` whenever the outcome is unknown.
@@ -66,10 +72,8 @@ def entry_key(entry: Any) -> Optional[tuple[str, Any]]:
     """Identity of an entry for conservation checks.
 
     ``(class name, shard_key)`` — the same identity the shard ring
-    routes on.  Entries without a routable key (``shard_key() is None``,
-    e.g. checkpoints) return ``None`` and are exempt from per-key
-    conservation, which is deliberate: such entries are typically leased
-    and expire legitimately.
+    routes on.  Entries without a routable key (``shard_key() is None``)
+    return ``None`` and are exempt from per-key conservation.
     """
     if not isinstance(entry, Entry):
         return None
@@ -258,24 +262,22 @@ class RecordingSpace:
 
     def write(self, entry: Entry, txn: Any = None,
               lease_ms: float = FOREVER, requeue: bool = False) -> Any:
-        invoked = self._history.now()
+        records = self._open_writes([entry], self._history.now())
         try:
             result = self._space.write(entry, txn=_unwrap(txn),
                                        lease_ms=lease_ms, requeue=requeue)
         except (FencedError, AdmissionError):
-            self._history.record("write", entry, self._client, invoked,
-                                 REJECTED)
+            self._stamp(records, REJECTED)
             raise
         except NetworkError:
-            self._history.record("write", entry, self._client, invoked,
-                                 INDETERMINATE)
+            self._stamp(records, INDETERMINATE)
             raise
-        self._settle("write", [entry], txn, invoked)
+        self._close_writes(records, txn)
         return result
 
     def write_all(self, entries: list[Entry], txn: Any = None,
                   lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        invoked = self._history.now()
+        records = self._open_writes(entries, self._history.now())
         try:
             result = self._space.write_all(entries, txn=_unwrap(txn),
                                            lease_ms=lease_ms, requeue=requeue)
@@ -284,18 +286,12 @@ class RecordingSpace:
             # shard rejects; those entries *are* in the space and the
             # router names them on the exception.  Everything else was
             # definitely refused pre-dispatch.
-            admitted = {id(e) for e in getattr(exc, "admitted_entries", ())}
-            for entry in entries:
-                self._history.record(
-                    "write", entry, self._client, invoked,
-                    COMMITTED if id(entry) in admitted else REJECTED)
+            self._stamp_unadmitted(records, entries, exc)
             raise
         except NetworkError:
-            for entry in entries:
-                self._history.record("write", entry, self._client, invoked,
-                                     INDETERMINATE)
+            self._stamp(records, INDETERMINATE)
             raise
-        self._settle("write", entries, txn, invoked)
+        self._close_writes(records, txn)
         return result
 
     def take(self, template: Entry, txn: Any = None,
@@ -313,7 +309,7 @@ class RecordingSpace:
                                          invoked, INDETERMINATE, count=1)
             raise
         if entry is not None:
-            self._settle("take", [entry], txn, invoked)
+            self._settle_takes([entry], txn, invoked)
         return entry
 
     def take_if_exists(self, template: Entry,
@@ -335,7 +331,7 @@ class RecordingSpace:
                                          invoked, INDETERMINATE, count=None)
             raise
         if entries:
-            self._settle("take", entries, txn, invoked)
+            self._settle_takes(entries, txn, invoked)
         return entries
 
     # -- non-mutating operations ---------------------------------------------
@@ -369,17 +365,50 @@ class RecordingSpace:
 
     # -- internals -----------------------------------------------------------
 
-    def _settle(self, op: str, entries: list[Entry], txn: Any,
-                invoked_ms: float) -> None:
-        """Record successful entries: buffered if transactional."""
+    def _open_writes(self, entries: list[Entry],
+                     invoked_ms: float) -> list[Op]:
+        """Enter writes into the history ``pending``, before the call that
+        may make them visible to other clients is issued."""
+        return [self._history.record("write", entry, self._client,
+                                     invoked_ms, PENDING)
+                for entry in entries]
+
+    def _stamp(self, records: list[Op], status: str) -> None:
+        now = self._history.now()
+        for record in records:
+            record.status = status
+            record.responded_ms = now
+
+    def _stamp_unadmitted(self, records: list[Op], entries: list[Entry],
+                        exc: Optional[Exception],
+                        status: str = REJECTED) -> None:
+        """Stamp ``status`` — except on entries a partially rejected
+        scatter names as admitted, which did land."""
+        admitted = {id(e) for e in getattr(exc, "admitted_entries", ())}
+        for record, entry in zip(records, entries):
+            self._stamp([record],
+                        COMMITTED if id(entry) in admitted else status)
+
+    def _close_writes(self, records: list[Op], txn: Any) -> None:
+        """Acknowledged writes: their transaction's fate decides, or
+        (untransacted) they are committed now."""
+        if isinstance(txn, RecordingTransaction):
+            for record in records:
+                txn._buffer(record)
+        else:
+            self._stamp(records, COMMITTED)
+
+    def _settle_takes(self, entries: list[Entry], txn: Any,
+                      invoked_ms: float) -> None:
+        """Record successful takes: buffered if transactional."""
         if isinstance(txn, RecordingTransaction):
             for entry in entries:
                 txn._buffer(self._history.record(
-                    op, entry, self._client, invoked_ms, PENDING))
+                    "take", entry, self._client, invoked_ms, PENDING))
         else:
             for entry in entries:
-                self._history.record(op, entry, self._client, invoked_ms,
-                                     COMMITTED)
+                self._history.record("take", entry, self._client,
+                                     invoked_ms, COMMITTED)
 
 
 class RecordingBatch:
@@ -472,6 +501,13 @@ class RecordingBatch:
 
     def flush(self) -> list[Any]:
         descriptors, self._descriptors = self._descriptors, []
+        space = self._space
+        for d in descriptors:
+            if d["kind"] == "write":
+                # Pending from here on: the flush may block in a later
+                # sub-op long after these writes became visible.
+                d["records"] = space._open_writes(d["entries"],
+                                                  d["invoked_ms"])
         try:
             values = self._inner.flush()
         except (FencedError, AdmissionError) as exc:
@@ -480,9 +516,7 @@ class RecordingBatch:
             # whole pipeline definitely did not execute.  (A sharded
             # scatter write inside a batch may still have landed on the
             # shards that admitted it — those entries ride the error.)
-            self._fail(descriptors, REJECTED,
-                       admitted={id(e) for e in
-                                 getattr(exc, "admitted_entries", ())})
+            self._fail(descriptors, REJECTED, exc)
             raise
         except NetworkError:
             self._fail(descriptors, INDETERMINATE)
@@ -503,7 +537,7 @@ class RecordingBatch:
         for d in descriptors:
             kind, txn = d["kind"], d.get("txn")
             if kind == "write":
-                space._settle("write", d["entries"], txn, d["invoked_ms"])
+                space._close_writes(d["records"], txn)
             elif kind == "read":
                 entry = values[d["index"]]
                 if entry is not None:
@@ -514,24 +548,24 @@ class RecordingBatch:
                 entries = (list(value) if d["multiple"]
                            else ([value] if value is not None else []))
                 if entries:
-                    space._settle("take", entries, txn, d["invoked_ms"])
+                    space._settle_takes(entries, txn, d["invoked_ms"])
             elif kind == "commit" and isinstance(txn, RecordingTransaction):
                 txn._resolve(COMMITTED)
             elif kind == "abort" and isinstance(txn, RecordingTransaction):
                 txn._resolve(ABORTED)
 
     def _fail(self, descriptors: list[dict[str, Any]], status: str,
-              admitted: Optional[set[int]] = None) -> None:
+              exc: Optional[Exception] = None) -> None:
         """Record a failed flush.
 
         ``rejected`` flushes executed nothing; ``indeterminate`` flushes
         may have executed a prefix.  Writes are attributable either way
-        (buffered into their open transaction when one is recording, so
-        a later commit — in a retried batch — resolves them precisely);
-        takes yielded no entries we can name, so an indeterminate flush
-        records unkeyed per-class slack.  ``admitted`` (entry ids) marks
-        writes a partially-rejected scatter did land — committed, not
-        ``status``.
+        (left buffered in their open transaction when one is recording,
+        so a later commit — in a retried batch — resolves them
+        precisely); takes yielded no entries we can name, so an
+        indeterminate flush records unkeyed per-class slack.  Entries a
+        partially rejected scatter did land ride ``exc`` and are stamped
+        committed, not ``status``.
         """
         space = self._space
         history = space._history
@@ -541,13 +575,10 @@ class RecordingBatch:
                 if (status == INDETERMINATE
                         and isinstance(txn, RecordingTransaction)
                         and not txn._resolved):
-                    space._settle("write", d["entries"], txn, d["invoked_ms"])
+                    space._close_writes(d["records"], txn)
                 else:
-                    for entry in d["entries"]:
-                        history.record(
-                            "write", entry, space._client, d["invoked_ms"],
-                            COMMITTED if admitted and id(entry) in admitted
-                            else status)
+                    space._stamp_unadmitted(d["records"], d["entries"], exc,
+                                          status)
             elif kind == "take" and status == INDETERMINATE:
                 history.record_unkeyed(
                     "take", d["template"], space._client, d["invoked_ms"],

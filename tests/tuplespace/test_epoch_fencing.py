@@ -353,3 +353,43 @@ def test_sync_replication_gates_commits_on_standby_ack(runtime):
         server.stop(drain_ms=0.0)
 
     run(runtime, scenario)
+
+
+def test_feed_hanging_up_mid_wait_is_not_an_ack(runtime):
+    """A primary cut off from its standby parks a co-hosted client's
+    commit waiting for the replication ack.  When the standby is then
+    promoted it hangs up the feed — and "no feed attached" must not
+    release the parked commit as acknowledged: the promoted replica does
+    not hold it.  (Seen as a phantom second take of a task in the
+    4-shard ``partition:shard`` campaigns.)"""
+    network = Network(runtime)
+    space = DurableSpace(runtime, name="primary")
+    server = SpaceServer(runtime, space, network, REMOTE_PRIMARY)
+    server.sync_replication = True
+    server.repl_ack_timeout_ms = 500.0
+    server.start()
+    standby = HotStandby(runtime, network, "master",
+                         primary_address=REMOTE_PRIMARY, address=STANDBY)
+    standby.start()
+
+    def scenario():
+        proxy = SpaceProxy(network, "phost", REMOTE_PRIMARY)  # loopback
+        proxy.write(Point(1, 0))
+        runtime.sleep(300.0)
+        assert standby.space.wal.last_lsn == 1
+        network.partition("phost", "master")   # records out: lost
+
+        def promote_soon():
+            runtime.sleep(100.0)
+            standby.promote()                  # hangs up the feed
+
+        runtime.spawn(promote_soon, name="promote")
+        with pytest.raises(ConnectionClosedError):
+            proxy.write(Point(2, 0))
+        assert server.repl_stalls == 1
+        assert [p.x for p in standby.space.contents(Point())] == [1]
+        proxy.close()
+        standby.stop()
+        server.stop(drain_ms=0.0)
+
+    run(runtime, scenario)

@@ -120,3 +120,71 @@ def test_client_killed_mid_flight_leaves_pending(rt):
     # stays PENDING, which the checker folds into indeterminate.
     assert op.status == PENDING
     assert check_history(history, final_entries=[]).ok
+
+
+class _StallingBatch:
+    """Duck-typed batch whose ``flush`` runs ``mid_flight`` after the
+    write + commit sub-ops took effect and before it returns — the
+    worker's write-back batch blocked in its trailing prefetch take."""
+
+    def __init__(self, mid_flight):
+        self._mid_flight = mid_flight
+        self._ops = 0
+
+    def _index(self):
+        self._ops += 1
+        return self._ops - 1
+
+    def write_all(self, entries, txn=None, lease_ms=None, requeue=False):
+        return self._index()
+
+    def commit(self, txn):
+        return self._index()
+
+    def take_multiple(self, template, max_entries, txn=None, timeout_ms=0.0):
+        return self._index()
+
+    def flush(self):
+        self._mid_flight()
+        return [{"count": 1}, None, []]
+
+
+class _BatchingSpace:
+    def __init__(self, mid_flight):
+        self._mid_flight = mid_flight
+
+    def batch(self):
+        return _StallingBatch(self._mid_flight)
+
+
+def test_batch_writes_are_in_the_history_while_the_flush_is_in_flight(rt):
+    """The seed-23 / 4-shard / kill-shard / prefetch-4 red, minus the
+    timing: a write-back batch (write_all + commit + prefetch take) whose
+    commit landed is observed by the master while the batch's flush is
+    still blocked in the take, and the history is closed right then.
+    The results' writes must already be on record (pending), or the
+    checker sees a committed take of an entry nobody wrote."""
+    history = HistoryRecorder(rt)
+    verdicts = []
+
+    def master_drains_then_history_closes():
+        history.record("take", TaskEntry(1, "r"), "master", history.now(),
+                       COMMITTED)
+        verdicts.append(check_history(history, final_entries=[]))
+
+    worker = RecordingSpace(_BatchingSpace(master_drains_then_history_closes),
+                            history, client="w1")
+    txn = RecordingTransaction(_FakeTxn(), history, "w1")
+    batch = worker.batch()
+    batch.write_all([TaskEntry(1, "r")], txn=txn)
+    batch.commit(txn)
+    batch.take_multiple(TaskEntry(), 4, timeout_ms=250.0)
+    batch.flush()
+
+    mid_flight = verdicts[0]
+    assert mid_flight.ok, mid_flight.summary()
+    assert mid_flight.by_status == {COMMITTED: 1, PENDING: 1}
+    # Once the flush returns, the same record resolves with its commit.
+    write = next(op for op in history.ops if op.op == "write")
+    assert write.status == COMMITTED
+    assert check_history(history, final_entries=[]).ok
