@@ -268,16 +268,7 @@ class AdaptiveClusterFramework:
                         - s.stats["expired"], 0),
                     shard=str(i))
                 if isinstance(space, DurableSpace):
-                    space.wal.tracer = self.tracer
-                    self.registry.expose("wal.commits",
-                                         lambda s=space: s.wal.last_lsn,
-                                         shard=str(i))
-                    self.registry.expose("wal.syncs",
-                                         lambda s=space: s.wal.store.syncs,
-                                         shard=str(i))
-                    self.registry.expose("space.epoch",
-                                         lambda s=space: s.wal.epoch,
-                                         shard=str(i))
+                    self._expose_wal(space, shard=str(i))
             self.space_address = self.shard_addresses[0]
             self.standby_address = self.shard_standby_addresses[0]
         else:
@@ -292,13 +283,7 @@ class AdaptiveClusterFramework:
                     self.space.stats["writes"] - self.space.stats["takes"]
                     - self.space.stats["expired"], 0))
             if isinstance(self.space, DurableSpace):
-                self.space.wal.tracer = self.tracer
-                self.registry.expose("wal.commits",
-                                     lambda: self.space.wal.last_lsn)
-                self.registry.expose("wal.syncs",
-                                     lambda: self.space.wal.store.syncs)
-                self.registry.expose("space.epoch",
-                                     lambda: self.space.wal.epoch)
+                self._expose_wal(self.space)
             self.shard_hosts = [cluster.master.hostname]
             self.space_address = Address(
                 cluster.master.hostname, SPACE_PORT + offset)
@@ -348,6 +333,21 @@ class AdaptiveClusterFramework:
         self.master = self._build_master()
         self.worker_hosts: list[WorkerHost] = []
         self._started = False
+
+    def _expose_wal(self, space: DurableSpace, **labels: str) -> None:
+        """Trace ``space``'s log and expose its read-through gauges:
+        commits and barriers, then what the checkpoint trigger weighs
+        (``wal.tail_bytes`` against ``wal.state_bytes``, the size of the
+        last checkpoint) and how often it fired."""
+        wal = space.wal
+        wal.tracer = self.tracer
+        expose = self.registry.expose
+        expose("wal.commits", lambda: wal.last_lsn, **labels)
+        expose("wal.syncs", lambda: wal.store.syncs, **labels)
+        expose("wal.tail_bytes", lambda: wal.store.tail_bytes, **labels)
+        expose("wal.state_bytes", lambda: wal.store.state_bytes, **labels)
+        expose("wal.checkpoints", lambda: wal.store.checkpoints, **labels)
+        expose("space.epoch", lambda: wal.epoch, **labels)
 
     def _make_space(self, name: str) -> JavaSpace:
         config = self.config

@@ -113,6 +113,26 @@ class AdmissionError(SpaceError):
         self.admitted_entries: tuple = ()
 
 
+class WalCorruptionError(SpaceError):
+    """The write-ahead log or a checkpoint is damaged in place.
+
+    Raised while loading or replaying durable state when a frame fails
+    its checksum (or does not decode, or skips an LSN) *and* valid
+    frames follow it — so it is not the torn tail a crash mid-append
+    leaves, which is dropped silently.  Recovery stops here instead of
+    silently losing every committed record after the damage.
+    ``offset`` is where in the buffer the bad frame starts;
+    ``last_good_lsn`` the last record read intact before it (None when
+    there was none)."""
+
+    def __init__(self, message: str, offset: int = 0,
+                 last_good_lsn: int | None = None) -> None:
+        super().__init__(f"{message} (at byte {offset}, "
+                         f"last good lsn {last_good_lsn})")
+        self.offset = offset
+        self.last_good_lsn = last_good_lsn
+
+
 class OutOfMemoryError(ReproError):
     """A node's modelled RAM cannot satisfy an allocation."""
 

@@ -30,6 +30,21 @@ def _signal_latencies(metrics: Any, hostname: str) -> list[float]:
     return out
 
 
+def _wal_totals(spaces: list) -> Optional[dict]:
+    """Log and checkpoint figures summed over the durable spaces (None
+    when no space has a write-ahead log)."""
+    stores = [space.wal.store for space in spaces if hasattr(space, "wal")]
+    if not stores:
+        return None
+    return {
+        "commits": sum(store.last_lsn() for store in stores),
+        "syncs": sum(store.syncs for store in stores),
+        "checkpoints": sum(store.checkpoints for store in stores),
+        "tail_bytes": sum(store.tail_bytes for store in stores),
+        "state_bytes": sum(store.state_bytes for store in stores),
+    }
+
+
 def cluster_table(framework: Any, report: Any = None) -> str:
     """One frame of the cluster console for ``framework``."""
     runtime = framework.runtime
@@ -80,6 +95,15 @@ def cluster_table(framework: Any, report: Any = None) -> str:
         f"space: writes={totals['writes']} takes={totals['takes']} "
         f"reads={totals['reads']} queue≈{max(queued, 0)} "
         f"wakeups={totals['wakeups']} bytes={totals['bytes_written']:,}")
+
+    wal = _wal_totals(spaces)
+    if wal is not None:
+        # Durability cost: what the checkpoint trigger weighs (the log
+        # tail against the last checkpoint) and how often it fired.
+        lines.append(
+            f"wal: commits={wal['commits']} syncs={wal['syncs']} "
+            f"checkpoints={wal['checkpoints']} "
+            f"tail={wal['tail_bytes']:,}B state={wal['state_bytes']:,}B")
 
     supervisors = getattr(framework, "supervisors", None) or []
     if supervisors:
@@ -200,6 +224,10 @@ def cluster_snapshot(framework: Any, report: Any = None) -> dict:
         for key in ("writes", "takes", "reads", "queue",
                     "wakeups", "bytes_written")
     }
+
+    wal = _wal_totals(spaces)
+    if wal is not None:
+        snapshot["wal"] = wal
 
     supervisors = getattr(framework, "supervisors", None) or []
     if supervisors:

@@ -22,9 +22,10 @@ with a span covering it (see :data:`PHASE_ORDER`).  The ordering encodes
    intersection of ``scatter`` spans with ``rpc.*`` spans, so camped
    waits inside a scatter do not masquerade as fan-out cost).
 6. ``rpc``       — some request/reply (or class load) was in flight.
-7. ``wal``       — durability barriers (commits/syncs are instants
-   under simulation, so this phase is usually 0 ms; the counts still
-   appear in the report).
+7. ``wal``       — durability barriers (commits, syncs and checkpoints
+   are instants under simulation, so this phase is usually 0 ms; the
+   counts still appear in the report, with the largest checkpoint —
+   the one stall whose host cost grows with the store — by name).
 8. ``queue``     — the remainder: nothing above was happening, so the
    job was waiting on queues/scheduling.
 
@@ -112,6 +113,7 @@ _PHASE_BY_NAME = {
     "class-load": "rpc",
     "wal.commit": "wal",
     "wal.sync": "wal",
+    "wal.snapshot": "wal",
 }
 
 
@@ -236,8 +238,16 @@ class DoctorReport:
         if self.counts.get("wal_commits") or self.counts.get("wal_syncs"):
             lines.append(
                 f"  wal barriers: {self.counts.get('wal_commits', 0)} "
-                f"commits, {self.counts.get('wal_syncs', 0)} syncs "
+                f"commits, {self.counts.get('wal_syncs', 0)} syncs, "
+                f"{self.counts.get('wal_checkpoints', 0)} checkpoints "
                 f"(instant under simulation)")
+        if self.counts.get("wal_checkpoints"):
+            lines.append(
+                f"  largest checkpoint: "
+                f"{self.counts['wal_checkpoint_max_bytes']:,} bytes / "
+                f"{self.counts['wal_checkpoint_max_entries']:,} entries at "
+                f"t={self.counts['wal_checkpoint_max_at_ms']:,.1f} ms "
+                f"(written under the space lock)")
         if self.workers:
             width = len(self.workers[0].timeline)
             lines.append(f"per-worker utilization "
@@ -296,7 +306,8 @@ def analyze_job(tracer_or_spans: Any, app: Optional[str] = None,
     # done once, with the clip inlined.
     raw: dict[str, list[tuple]] = {name: [] for name in PHASE_ORDER}
     span_counts: dict[str, int] = {name: 0 for name in PHASE_ORDER}
-    wal_commits = wal_syncs = 0
+    wal_commits = wal_syncs = wal_checkpoints = 0
+    largest_checkpoint: Optional[Any] = None
     task_spans: list[Any] = []
     by_proc: dict[str, list[tuple]] = {}
     tasks_by_proc: dict[str, int] = {}
@@ -309,6 +320,11 @@ def analyze_job(tracer_or_spans: Any, app: Optional[str] = None,
             wal_commits += 1
         elif name == "wal.sync":
             wal_syncs += 1
+        elif name == "wal.snapshot":
+            wal_checkpoints += 1
+            if (largest_checkpoint is None or span.attrs.get("bytes", 0)
+                    > largest_checkpoint.attrs.get("bytes", 0)):
+                largest_checkpoint = span
         start = span.start_ms
         end = span.end_ms if span.end_ms is not None else start
         if name == "task":
@@ -422,18 +438,26 @@ def analyze_job(tracer_or_spans: Any, app: Optional[str] = None,
             rpc_ms=rpc, wait_ms=max(0.0, total - compute - rpc),
             worker=worker_by_trace.get(span.trace_id, "-")))
 
+    counts = {
+        "tasks": len(task_spans),
+        "spans": len(spans),
+        "rpcs": span_counts["rpc"],
+        "wal_commits": wal_commits,
+        "wal_syncs": wal_syncs,
+        "wal_checkpoints": wal_checkpoints,
+    }
+    if largest_checkpoint is not None:
+        counts.update(
+            wal_checkpoint_max_bytes=largest_checkpoint.attrs.get("bytes", 0),
+            wal_checkpoint_max_entries=largest_checkpoint.attrs.get(
+                "entries", 0),
+            wal_checkpoint_max_at_ms=largest_checkpoint.start_ms)
     return DoctorReport(
         app=str(job.attrs.get("app", job.trace_id)),
         start_ms=lo, end_ms=hi,
         phases=phases, workers=tuple(lanes),
         slowest=tuple(costs),
-        counts={
-            "tasks": len(task_spans),
-            "spans": len(spans),
-            "rpcs": span_counts["rpc"],
-            "wal_commits": wal_commits,
-            "wal_syncs": wal_syncs,
-        },
+        counts=counts,
     )
 
 

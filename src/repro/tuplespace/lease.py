@@ -44,6 +44,22 @@ class Lease:
         )
         self.cancelled = False
 
+    @classmethod
+    def until(cls, runtime: Runtime, now: float, expiration_ms: float,
+              on_cancel: Optional[Callable[[], None]] = None) -> "Lease":
+        """A lease granted at ``now`` that ends at the *absolute*
+        ``expiration_ms`` — how recovery re-grants an entry its original
+        deadline bit for bit (a duration would round-trip through
+        ``now + (deadline - now)``).  A deadline already past yields an
+        expired lease, which its owner reaps lazily."""
+        lease = cls.__new__(cls)
+        lease._runtime = runtime
+        lease._on_cancel = on_cancel
+        lease.granted_at = now
+        lease.expiration_ms = expiration_ms
+        lease.cancelled = False
+        return lease
+
     def is_expired(self) -> bool:
         if self.cancelled:
             return True

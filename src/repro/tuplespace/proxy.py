@@ -865,14 +865,13 @@ class SpaceServer:
         if wal is None:
             raise SpaceError("space is not durable; nothing to replicate")
         with space._lock:
-            snapshot = wal.store.snapshot
-            base_lsn = max(
-                snapshot[0] if snapshot is not None else 0,
-                args.get("from_lsn", 0),
-            )
+            store = wal.store
             conn.send({"ok": True, "value": {
-                "snapshot": snapshot,
-                "records": wal.records_since(base_lsn),
+                # The store's checkpoint bytes, as they are: the standby
+                # installs and decodes the same frame recovery does.
+                "snapshot": store.snapshot,
+                "records": wal.records_since(
+                    max(store.snapshot_lsn, args.get("from_lsn", 0))),
                 # The standby adopts the primary's epoch even when no
                 # commit has happened under it yet, so chained failovers
                 # keep strictly increasing epochs.

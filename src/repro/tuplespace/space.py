@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
+from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import SpaceError
 from repro.runtime.base import Runtime
@@ -36,7 +37,12 @@ from repro.tuplespace.entry import Entry, match_items, matches_fields
 from repro.tuplespace.events import EventRegistration, RemoteEvent
 from repro.tuplespace.lease import FOREVER, Lease
 from repro.tuplespace.transaction import Transaction
-from repro.util.codec import decode_any, encode_entry, peek_class
+from repro.util.codec import (
+    HEADER_SIZE,
+    decode_any,
+    encode_entry,
+    peek_class,
+)
 
 __all__ = ["JavaSpace"]
 
@@ -240,7 +246,6 @@ class JavaSpace:
         self._stat_bytes_written = 0
         self._stat_wakeups = 0
         self._stat_listener_errors = 0
-        self.stats = _SpaceStats(self)
         # Weighted fair-share dispatch (deficit round-robin across tenants).
         # ``None`` keeps the single-tenant fast path: _find never inspects
         # tenant fields and never forces matching snapshots.
@@ -251,6 +256,15 @@ class JavaSpace:
         #: Observational counters (``grants:<tenant>`` per DRR selection);
         #: not part of STAT_KEYS so existing telemetry goldens hold.
         self.fair_stats: dict[str, int] = {}
+
+    @property
+    def stats(self) -> _SpaceStats:
+        """Read-through view of the ``_stat_*`` counters.  Built per
+        access: a view stored on the space would tie the two into a
+        reference cycle, and a dropped space (a crashed primary, a store
+        of 20 000 entries) should be freed when its last reference goes,
+        not whenever the cycle collector next runs."""
+        return _SpaceStats(self)
 
     # ------------------------------------------------------------------ write --
 
@@ -710,48 +724,77 @@ class JavaSpace:
 
     # ------------------------------------------------------- recovery internals --
 
-    def _restore(self, entry_id: int, data: bytes, expiration_ms: float) -> None:
-        """Re-insert one committed entry with its original id and absolute
-        lease deadline (WAL replay / snapshot install; caller holds the
-        lock or owns the space exclusively)."""
-        cancelled = self._lease_cancelled
-        lease = Lease(
-            self.runtime,
-            expiration_ms if expiration_ms == FOREVER
-            # Clamp at zero: an entry whose deadline passed while the space
-            # was down restores as already expired and reaps lazily.
-            else max(0.0, expiration_ms - self.runtime.now()),
-            on_cancel=lambda eid=entry_id: cancelled.append(eid),
-        )
-        entry: Optional[Entry] = None
-        cls = peek_class(data)
-        if cls is None:
-            # Pickle frame: decoding is the only way to learn the class,
-            # so keep the instance as the matching snapshot.
-            entry = decode_any(data)
-            cls = type(entry)
-        stored = _Stored(entry_id, cls, data, lease)
-        stored._snapshot = entry
-        bucket = self._buckets.get(cls)
-        if bucket is None:
-            bucket = self._buckets[cls] = {}
-            self._scan_lists[cls] = _ScanList()
-        bucket[entry_id] = stored
-        self._scan_lists[cls].ids.append(entry_id)
-        self._by_id[entry_id] = stored
-        if self._indexes.get(cls):
-            self._index_entry(stored, entry)
-        if lease.expiration_ms != FOREVER:
-            heappush(self._lease_heap, (lease.expiration_ms, entry_id))
-        if entry_id > self._last_id:
-            self._last_id = entry_id
-            self._ids = itertools.count(entry_id + 1)
+    def _apply_committed(self, batches: Iterable[Iterable[tuple]],
+                         last_id: int = 0) -> None:
+        """Bulk-apply batches of committed ``("write", entry_id, data,
+        expiration_ms)`` / ``("take", entry_id)`` ops, keeping original
+        ids and absolute lease deadlines.
 
-    def _discard(self, entry_id: int) -> None:
-        """Remove an entry by id if present (WAL replay of a take)."""
-        stored = self._by_id.get(entry_id)
-        if stored is not None:
-            self._remove(stored)
+        Checkpoint install, WAL replay and a replicated commit all come
+        through here (the caller holds the lock or owns the space
+        exclusively).  A write whose id is already stored is skipped and
+        a take of an absent id ignored, so re-applying a batch is
+        harmless.  ``last_id`` is the highest id the source ever issued:
+        the id counter resumes past it and past every id applied.
+        """
+        runtime = self.runtime
+        now = runtime.now()
+        by_id = self._by_id
+        buckets = self._buckets
+        scan_lists = self._scan_lists
+        heap = self._lease_heap
+        cancel = self._lease_cancelled.append
+        remove = self._remove
+        until = Lease.until
+        top = max(last_id, self._last_id)
+        # A compact frame names its class in its header: one dict probe
+        # per entry resolves class, bucket and scan list, which are looked
+        # up once per class instead of once per entry.
+        slots: dict[bytes, tuple] = {}
+        for ops in batches:
+            for op in ops:
+                if op[0] != "write":
+                    stored = by_id.get(op[1])
+                    if stored is not None:
+                        remove(stored)
+                    continue
+                _, entry_id, data, expiration_ms = op
+                if entry_id in by_id:
+                    continue
+                entry: Optional[Entry] = None
+                slot = slots.get(data[:HEADER_SIZE])
+                if slot is None:
+                    cls = peek_class(data)
+                    if cls is None:
+                        # Pickle frame: decoding is the only way to learn
+                        # the class, so keep the instance as the matching
+                        # snapshot (and its header says nothing: no slot).
+                        entry = decode_any(data)
+                        cls = type(entry)
+                    bucket = buckets.get(cls)
+                    if bucket is None:
+                        bucket = buckets[cls] = {}
+                        scan_lists[cls] = _ScanList()
+                    slot = (cls, bucket, scan_lists[cls],
+                            bool(self._indexes.get(cls)))
+                    if entry is None:
+                        slots[data[:HEADER_SIZE]] = slot
+                cls, bucket, scan, indexed = slot
+                stored = _Stored(entry_id, cls, data, until(
+                    runtime, now, expiration_ms, partial(cancel, entry_id)))
+                stored._snapshot = entry
+                bucket[entry_id] = stored
+                scan.ids.append(entry_id)
+                by_id[entry_id] = stored
+                if indexed:
+                    self._index_entry(stored, entry)
+                if expiration_ms != FOREVER:
+                    heappush(heap, (expiration_ms, entry_id))
+                if entry_id > top:
+                    top = entry_id
+        if top > self._last_id:
+            self._last_id = top
+            self._ids = itertools.count(top + 1)
 
     def _reset_state(self) -> None:
         """Drop every stored entry and index (snapshot install on a
@@ -764,20 +807,20 @@ class JavaSpace:
         self._lease_heap.clear()
         self._lease_cancelled.clear()
 
-    def _committed_state(self) -> tuple[int, list[tuple[int, bytes, float]]]:
-        """``(last_id, [(entry_id, data, expiration_ms), ...])`` for every
-        committed, unexpired entry.
+    def _committed_state(self) -> tuple[int, list[tuple]]:
+        """``(last_id, ops)``: the write ops that recreate every
+        committed, unexpired entry, in id order — what a checkpoint
+        holds and :meth:`_apply_committed` takes back.
 
         An entry under an open take (``_TAKEN``) is committed state — the
         take hasn't happened yet; a pending write is not.  Caller holds
         the lock.
         """
-        entries: list[tuple[int, bytes, float]] = []
-        for entry_id, stored in self._by_id.items():
-            if stored.state == _PENDING_WRITE or stored.lease.is_expired():
-                continue
-            entries.append((entry_id, stored.data, stored.lease.expiration_ms))
-        return self._last_id, entries
+        return self._last_id, [
+            ("write", entry_id, stored.data, stored.lease.expiration_ms)
+            for entry_id, stored in self._by_id.items()
+            if stored.state != _PENDING_WRITE
+            and not stored.lease.is_expired()]
 
     # ---------------------------------------------------------------- internals --
 
@@ -792,9 +835,9 @@ class JavaSpace:
     def _index_entry(self, stored: _Stored, entry: Optional[Entry]) -> None:
         """Maintain the *activated* field indexes for one inserted entry.
 
-        Called from ``_store``/``_restore`` only when the class already
-        has at least one activated index (``_build_index`` activated it
-        on behalf of a selective reader) — the common write never gets
+        Called from ``_store``/``_apply_committed`` only when the class
+        already has at least one activated index (``_build_index`` did
+        that on behalf of a selective reader) — the common write never gets
         here.  ``entry`` is the writer's live instance when available;
         pre-encoded inserts fall back to the lazy snapshot.  The indexed
         ``(field, value)`` pairs are recorded on ``stored`` so removal

@@ -11,10 +11,48 @@ transactions back for free.
 Storage sits behind :class:`WalStore` so "the disk" can be whatever
 survives the failure being modelled: the in-memory store survives a
 ``SpaceServer.crash()`` plus the loss of the space object (machine loss
-in the simulation), while :class:`FileWalStore` puts the same bytes on a
-real filesystem.  A periodic *snapshot* — the serialized committed store
-— bounds replay time: installing one truncates every record it already
-covers.
+in the simulation) and *is* the simulated disk, so it keeps the whole
+record tail as a list; :class:`FileWalStore` puts the same bytes on a
+real filesystem, holds only the commit group it has not written yet, and
+decodes the log file on demand.  A *checkpoint* — the committed store as
+one checksummed frame of write ops — bounds replay: installing one
+truncates every record it covers.  Checkpoint and log share one frame
+envelope and one op layout, so recovery is a single "decode frame →
+apply ops" pass over both (see :func:`decode_checkpoint`,
+:func:`iter_log`).
+
+Frames (little-endian)
+----------------------
+Every frame — commit record, pickle-fallback record, checkpoint — rides
+one envelope::
+
+    magic u8 · body_len u32 · crc32(body) u32 · body
+
+    0xC5 record      body = lsn i64 · epoch i64 · nops u32 · op*
+    0xC6 fallback    body = lsn i64 · epoch i64 · pickle(ops)
+    0xC7 checkpoint  body = lsn i64 · last_id i64 · count u32 · op_write*
+
+    op_write:  'W'  entry_id i64  exp f64  data_len u32  data
+               'w'  entry_id i64  exp i64  data_len u32  data
+    op_take:   't'  entry_id i64
+
+The two write tags keep integer expirations round-tripping as ints
+while the common float case — absolute virtual time, ``math.inf`` for
+FOREVER — packs in one struct call.  Entry ``data`` bytes are spliced in
+verbatim: whatever the entry codec produced is what hits the disk.  A
+record that does not fit the op layout (oversized id, exotic payload)
+pickles its ops into a fallback frame instead, so a log may interleave
+both kinds.
+
+Torn tail vs corruption: frames are appended sequentially, so a crash
+mid-write can only damage the *end* of the log.  An invalid frame
+(unknown magic, extent past EOF, bad checksum) with no valid frame
+anywhere after it is a torn tail and is dropped; an invalid frame that
+*is* followed by a valid one, a frame that checksums but does not
+decode, or a gap in the dense LSN sequence means committed records were
+damaged in place, and reading raises :class:`WalCorruptionError` rather
+than silently dropping everything after it.  A checkpoint file is
+replaced atomically and is never torn: any damage to it raises.
 
 Group commit & fsync policy
 ---------------------------
@@ -28,19 +66,19 @@ Every store takes an ``fsync_policy``:
   :class:`WriteAheadLog`'s ``group_ms`` time watermark fires, or on an
   explicit :meth:`WalStore.sync`).  One barrier amortizes over the whole
   group, multiplying commit throughput — the tradeoff is that commits
-  acknowledged after the last barrier can vanish on *power loss* (they
-  still survive a process crash, which keeps the OS page cache).
+  acknowledged after the last barrier can vanish on *power loss*.
 * ``"os"`` — persist to the OS (write+flush) per record, never fsync.
   Fast, survives process crashes, loses the tail since the last explicit
   barrier on power loss.
 
-Snapshot compaction is crash-safe: pending records are synced, the new
-snapshot is written to a temp file, fsynced, and atomically renamed into
-place *before* the log is truncated (itself via temp-write → fsync →
-rename).  A crash at any point leaves either the old snapshot with the
-full log or the new snapshot with a (possibly still-full) log — both
-recover to the same committed state, since replay skips records at or
-below the snapshot LSN.
+Checkpoint compaction is crash-safe: pending records are synced, the new
+checkpoint is written to a temp file, fsynced, atomically renamed into
+place and the directory fsynced *before* the log is truncated (itself
+via temp-write → fsync → rename → directory fsync).  A crash at any
+point leaves either the old checkpoint with the full log or the new
+checkpoint with a (possibly still-full) log — both recover to the same
+committed state, since replay skips records at or below the checkpoint
+LSN; a ``*.tmp`` left behind is deleted at the next load.
 
 The log is also the replication feed: a hot standby subscribes and
 receives every appended record in commit order (see
@@ -50,17 +88,20 @@ fsync policy — records ship as they commit, not as they hit the disk.
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
+import re
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
+from zlib import crc32
 
-from repro.errors import SpaceError
+from repro.errors import SpaceError, WalCorruptionError
 
 __all__ = ["CommitRecord", "WalStore", "FileWalStore", "WriteAheadLog",
-           "record_frame", "decode_log", "WAL_MAGIC",
+           "record_frame", "frame_size", "iter_log", "decode_log",
+           "encode_checkpoint", "checkpoint_head", "decode_checkpoint",
+           "WAL_MAGIC", "WAL_PICKLE_MAGIC", "CHECKPOINT_MAGIC",
            "OP_WRITE", "OP_TAKE", "FSYNC_POLICIES"]
 
 OP_WRITE = "write"
@@ -85,81 +126,58 @@ class CommitRecord:
     #: Primary epoch under which the batch committed.  Monotonically
     #: non-decreasing along the log; a promoted standby bumps it before
     #: serving, which fences the deposed primary (see ``failover.py``).
-    #: Defaults to 0 so logs written before fencing existed still load.
     epoch: int = 0
 
 
-# -------------------------------------------------------------- WAL frames --
-#
-# Records are framed in the length-prefixed layout below, which embeds
-# entry payloads as opaque byte ranges; a record that does not fit it is
-# framed through ``pickle.dumps`` instead, so a log may interleave both
-# kinds and reading dispatches on each frame's first byte.
-#
-# Compact frame layout (little-endian)::
-#
-#     +------+------------+------------------------------------------+
-#     | 0xC4 | u32 length | i64 lsn  i64 epoch  u32 nops  op_0..op_n |
-#     +------+------------+------------------------------------------+
-#
-#     op_write:  'W'  i64 entry_id  f64 exp  u32 data_len  data
-#                'w'  i64 entry_id  i64 exp  u32 data_len  data
-#     op_take:   't'  i64 entry_id
-#
-# The two write tags keep integer expirations round-tripping as ints
-# (replay must not turn them into floats) while the common float case
-# — absolute virtual time, ``math.inf`` for FOREVER — packs in one
-# struct call.  The entry ``data`` bytes are spliced in verbatim:
-# whatever the entry codec produced is what hits the disk, with no
-# intermediate pickling of the containing record.  ``length`` covers
-# the body only, which is what lets ``decode_log`` treat a short read
-# as a torn tail frame.
+# ------------------------------------------------------------------ frames --
 
-#: First byte of a compact WAL frame.  Distinct from the entry codec's
-#: ``0xC3`` (frames of both kinds can sit in one buffer during replay)
-#: and from pickle's PROTO opcode ``0x80``.
-WAL_MAGIC = 0xC4
+#: First byte of a compact commit-record frame.  Distinct from the entry
+#: codec's ``0xC3`` and from pickle's PROTO opcode ``0x80`` (entry frames
+#: of both kinds sit inside WAL frames).
+WAL_MAGIC = 0xC5
+#: First byte of a record frame whose ops did not fit the op layout.
+WAL_PICKLE_MAGIC = 0xC6
+#: First byte of a checkpoint (the whole ``.snap`` file is one frame).
+CHECKPOINT_MAGIC = 0xC7
 
-_pack_u32 = struct.Struct("<I").pack
-_pack_i64 = struct.Struct("<q").pack
-_unpack_u32 = struct.Struct("<I").unpack_from
-_unpack_i64 = struct.Struct("<q").unpack_from
-_HDR = struct.Struct("<BIqqI")           # magic, body_len, lsn, epoch, nops
-_W_FLOAT = struct.Struct("<qdI")         # entry_id, exp, data_len
-_W_INT = struct.Struct("<qqI")
-_unpack_w_float = _W_FLOAT.unpack_from
-_unpack_w_int = _W_INT.unpack_from
-#: Whole frame head for the dominant record shape — one float-expiry
+_ENVELOPE = struct.Struct("<BII")        # magic, body_len, crc32(body)
+_HEAD = struct.Struct("<qqI")            # lsn, epoch | last_id, nops
+_LSN_EPOCH = struct.Struct("<qq")        # what every record body starts with
+_W_FLOAT = struct.Struct("<cqdI")        # 'W', entry_id, exp, data_len
+_W_INT = struct.Struct("<cqqI")          # 'w'
+_TAKE = struct.Struct("<cq")             # 't', entry_id
+#: Whole body head of the dominant record shape — one float-expiry
 #: write op — packed in a single struct call.
-_ONE_WRITE = struct.Struct("<BIqqIcqdI")
-_ONE_WRITE_BODY = 20 + 21                # qqI header body + 'W' op head
+_ONE_WRITE = struct.Struct("<qqIcqdI")
+_unpack_w_float = struct.Struct("<qdI").unpack_from
+_unpack_w_int = struct.Struct("<qqI").unpack_from
+_unpack_i64 = struct.Struct("<q").unpack_from
+_RECORD_MAGICS = re.compile(b"[%c%c]" % (WAL_MAGIC, WAL_PICKLE_MAGIC))
+
+_ENVELOPE_SIZE = _ENVELOPE.size           # 9
+_HEAD_SIZE = _HEAD.size                   # 20
+_LSN_EPOCH_SIZE = _LSN_EPOCH.size         # 16
+_WRITE_HEAD = _W_FLOAT.size               # 21, either write tag
+_TAKE_SIZE = _TAKE.size                   # 9
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
+#: What a malformed body raises while being picked apart.
+_MALFORMED = (struct.error, IndexError, ValueError, TypeError,
+              pickle.UnpicklingError, EOFError, AttributeError, ImportError)
 
-def _encode_compact(record: CommitRecord) -> Optional[bytes]:
-    """The compact frame for ``record``, or None if any op does not fit
-    the fixed layout (unknown op kind, non-bytes payload, oversized id).
-    The caller falls back to a pickle frame in that case, so exotic
-    records are never lost — just slower."""
-    ops = record.ops
-    if len(ops) == 1:
-        op = ops[0]
-        if op[0] == OP_WRITE and len(op) == 4:
-            _, entry_id, data, exp = op
-            if (data.__class__ is bytes and exp.__class__ is float
-                    and _I64_MIN <= entry_id <= _I64_MAX):
-                n = len(data)
-                return _ONE_WRITE.pack(
-                    WAL_MAGIC, _ONE_WRITE_BODY + n, record.lsn,
-                    record.epoch, 1, b"W", entry_id, exp, n) + data
-    # The header is packed last (its length field needs the body size),
-    # so slot 0 is reserved and back-filled.
-    parts: list = [b""]
+
+def _frame(magic: int, body: bytes) -> bytes:
+    return _ENVELOPE.pack(magic, len(body), crc32(body)) + body
+
+
+def _encode_ops(ops: Iterable[tuple]) -> Optional[list[bytes]]:
+    """The op-layout pieces for ``ops``, or None if any op does not fit
+    (unknown kind, non-bytes payload, oversized id or expiration)."""
+    parts: list[bytes] = []
     append = parts.append
-    size = 0
-    for op in record.ops:
+    for op in ops:
         kind = op[0]
         if kind == OP_WRITE and len(op) == 4:
             _, entry_id, data, exp = op
@@ -167,121 +185,229 @@ def _encode_compact(record: CommitRecord) -> Optional[bytes]:
                     _I64_MIN <= entry_id <= _I64_MAX):
                 return None
             if exp.__class__ is float:
-                head = b"W" + _W_FLOAT.pack(entry_id, exp, len(data))
+                append(_W_FLOAT.pack(b"W", entry_id, exp, len(data)))
             elif exp.__class__ is int and _I64_MIN <= exp <= _I64_MAX:
-                head = b"w" + _W_INT.pack(entry_id, exp, len(data))
+                append(_W_INT.pack(b"w", entry_id, exp, len(data)))
             else:
                 return None
-            append(head)
             append(data)
-            size += len(head) + len(data)
-        elif kind == OP_TAKE and len(op) == 2:
-            entry_id = op[1]
-            if not (_I64_MIN <= entry_id <= _I64_MAX):
-                return None
-            append(b"t" + _pack_i64(entry_id))
-            size += 9
+        elif kind == OP_TAKE and len(op) == 2 and (
+                _I64_MIN <= op[1] <= _I64_MAX):
+            append(_TAKE.pack(b"t", op[1]))
         else:
             return None
-    parts[0] = _HDR.pack(WAL_MAGIC, size + 20, record.lsn, record.epoch,
-                         len(record.ops))
-    return b"".join(parts)
+    return parts
+
+
+def frame_size(ops: tuple[tuple, ...]) -> int:
+    """Bytes a record carrying ``ops`` adds to the log in the compact
+    layout — what the checkpoint trigger weighs the tail by.  Computed
+    from the op shapes, so the in-memory store (which never encodes a
+    frame) and the file store agree."""
+    size = _ENVELOPE_SIZE + _HEAD_SIZE
+    for op in ops:
+        size += _WRITE_HEAD + len(op[2]) if op[0] == OP_WRITE else _TAKE_SIZE
+    return size
 
 
 def record_frame(record: CommitRecord) -> bytes:
     """The on-disk frame for ``record``, encoded once and cached.
 
     Group commit concatenates cached frames instead of re-serializing
-    the batch.
+    the batch.  A record whose ops do not fit the compact layout is
+    framed with its ops pickled, so exotic records are never lost —
+    just slower.
     """
     frame = record.__dict__.get("_frame")
-    if frame is None:
-        frame = _encode_compact(record)
-        if frame is None:
-            frame = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        # Frozen dataclass: the cache slot is set through the back door
-        # and excluded from equality/hash (it never reaches __eq__ —
-        # instances compare by declared fields only).
-        object.__setattr__(record, "_frame", frame)
+    if frame is not None:
+        return frame
+    ops = record.ops
+    body = None
+    if len(ops) == 1 and len(ops[0]) == 4 and ops[0][0] == OP_WRITE:
+        _, entry_id, data, exp = ops[0]
+        if (data.__class__ is bytes and exp.__class__ is float
+                and _I64_MIN <= entry_id <= _I64_MAX):
+            body = _ONE_WRITE.pack(record.lsn, record.epoch, 1, b"W",
+                                   entry_id, exp, len(data)) + data
+    if body is None:
+        parts = _encode_ops(ops)
+        if parts is not None:
+            body = _HEAD.pack(record.lsn, record.epoch,
+                              len(ops)) + b"".join(parts)
+    if body is not None:
+        frame = _frame(WAL_MAGIC, body)
+    else:
+        frame = _frame(
+            WAL_PICKLE_MAGIC,
+            _LSN_EPOCH.pack(record.lsn, record.epoch)
+            + pickle.dumps(ops, protocol=pickle.HIGHEST_PROTOCOL))
+    # Frozen dataclass: the cache slot is set through the back door and
+    # excluded from equality/hash (instances compare by declared fields).
+    object.__setattr__(record, "_frame", frame)
     return frame
 
 
-def _decode_compact_body(view, start: int, end: int) -> Optional[CommitRecord]:
-    """Parse one compact frame body; None means a torn/corrupt frame."""
-    try:
-        pos = start
-        lsn, = _unpack_i64(view, pos)
-        epoch, = _unpack_i64(view, pos + 8)
-        nops, = _unpack_u32(view, pos + 16)
-        pos += 20
-        ops = []
-        for _ in range(nops):
-            kind = view[pos]
-            pos += 1
-            if kind == 0x57 or kind == 0x77:  # W (float exp) / w (int exp)
-                if kind == 0x57:
-                    entry_id, exp, n = _unpack_w_float(view, pos)
-                else:
-                    entry_id, exp, n = _unpack_w_int(view, pos)
-                pos += 20
-                if pos + n > end:
-                    return None
-                ops.append((OP_WRITE, entry_id, bytes(view[pos:pos + n]), exp))
-                pos += n
-            elif kind == 0x74:  # t
-                entry_id, = _unpack_i64(view, pos)
-                pos += 8
-                ops.append((OP_TAKE, entry_id))
+def _decode_ops(raw: bytes, pos: int, end: int, nops: int) -> list[tuple]:
+    """Parse ``nops`` ops filling ``raw[pos:end]`` exactly; raises one of
+    ``_MALFORMED`` otherwise."""
+    ops: list[tuple] = []
+    append = ops.append
+    for _ in range(nops):
+        kind = raw[pos]
+        if kind == 0x57 or kind == 0x77:  # W (float exp) / w (int exp)
+            if kind == 0x57:
+                entry_id, exp, n = _unpack_w_float(raw, pos + 1)
             else:
-                return None
-        if pos != end:
-            return None
-        return CommitRecord(lsn, tuple(ops), epoch)
-    except (struct.error, IndexError):
-        return None
+                entry_id, exp, n = _unpack_w_int(raw, pos + 1)
+            pos += _WRITE_HEAD
+            stop = pos + n
+            if stop > end:
+                raise ValueError("op payload runs past its frame")
+            append((OP_WRITE, entry_id, raw[pos:stop], exp))
+            pos = stop
+        elif kind == 0x74:  # t
+            append((OP_TAKE, _unpack_i64(raw, pos + 1)[0]))
+            pos += _TAKE_SIZE
+        else:
+            raise ValueError(f"unknown op tag {kind:#x}")
+    if pos != end:
+        raise ValueError("frame longer than its ops")
+    return ops
+
+
+def _valid_record_after(raw: bytes, view: memoryview, pos: int) -> bool:
+    """True when a checksummed record frame starts anywhere in
+    ``raw[pos:]`` — what tells damage in the middle of the log from a
+    torn tail, which by construction has nothing valid after it."""
+    size = len(raw)
+    for match in _RECORD_MAGICS.finditer(raw, pos):
+        at = match.start()
+        start = at + _ENVELOPE_SIZE
+        if start > size:
+            break
+        _, length, crc = _ENVELOPE.unpack_from(raw, at)
+        end = start + length
+        if (length >= _LSN_EPOCH_SIZE and end <= size
+                and crc32(view[start:end]) == crc):
+            return True
+    return False
+
+
+def iter_log(raw: bytes, decode: bool = True,
+             ) -> Iterator[tuple[int, int, Any, int]]:
+    """Stream the record frames of a log buffer as
+    ``(lsn, epoch, ops, end_offset)``, checksumming each.
+
+    Stops silently at a torn tail (the caller learns where from the last
+    ``end_offset``) and raises :class:`WalCorruptionError` for damage in
+    place — see the module docstring for the rule.  ``decode=False``
+    validates without materializing ops (``ops`` is None): what a store
+    needs to learn its last LSN at load.
+    """
+    view = memoryview(raw)
+    size = len(raw)
+    unpack_envelope = _ENVELOPE.unpack_from
+    unpack_head = _HEAD.unpack_from
+    unpack_lsn_epoch = _LSN_EPOCH.unpack_from
+    pos = 0
+    last_lsn: Optional[int] = None
+    while pos < size:
+        start = pos + _ENVELOPE_SIZE
+        end = -1
+        if start <= size:
+            magic, length, crc = unpack_envelope(raw, pos)
+            end = start + length
+        if (end < 0 or end > size
+                or (magic != WAL_MAGIC and magic != WAL_PICKLE_MAGIC)
+                or crc32(view[start:end]) != crc):
+            if _valid_record_after(raw, view, pos + 1):
+                raise WalCorruptionError(
+                    "invalid frame followed by valid ones", pos, last_lsn)
+            return  # torn tail
+        try:
+            ops = None
+            if magic == WAL_MAGIC:
+                lsn, epoch, nops = unpack_head(raw, start)
+                if decode:
+                    ops = _decode_ops(raw, start + _HEAD_SIZE, end, nops)
+            else:
+                lsn, epoch = unpack_lsn_epoch(raw, start)
+                if decode:
+                    ops = pickle.loads(view[start + _LSN_EPOCH_SIZE:end])
+        except _MALFORMED as exc:
+            raise WalCorruptionError(
+                f"checksummed frame does not decode ({exc})", pos,
+                last_lsn) from exc
+        if last_lsn is not None and lsn != last_lsn + 1:
+            raise WalCorruptionError(
+                f"LSN gap: {lsn} follows {last_lsn}", pos, last_lsn)
+        last_lsn = lsn
+        pos = end
+        yield lsn, epoch, ops, end
 
 
 def decode_log(raw: bytes) -> list[CommitRecord]:
-    """Decode a log buffer of compact and pickle-fallback frames.
+    """Decode a log buffer of compact and pickle-fallback frames into
+    records (torn tail dropped, corruption raised: see :func:`iter_log`)."""
+    return [CommitRecord(lsn, tuple(ops), epoch)
+            for lsn, epoch, ops, _ in iter_log(raw)]
 
-    Stops at the first torn or unrecognizable frame: a mid-write crash
-    may leave a partial final frame; everything before it is intact
-    because frames are appended sequentially.
+
+# -------------------------------------------------------------- checkpoints --
+
+
+def encode_checkpoint(lsn: int, last_id: int, ops: list[tuple]) -> bytes:
+    """The checkpoint frame for a committed store: the write ops that
+    recreate it (``(OP_WRITE, entry_id, data, expiration_ms)``, each
+    entry's stored frame spliced in verbatim) behind one header.
+
+    ``lsn`` is the last commit the state includes; ``last_id`` the
+    highest entry id ever issued, so recovered ids never collide.
     """
-    records: list[CommitRecord] = []
-    view = memoryview(raw)
-    pos, size = 0, len(raw)
-    while pos < size:
-        first = raw[pos]
-        if first == WAL_MAGIC:
-            if pos + 5 > size:
-                break  # torn header
-            length, = _unpack_u32(view, pos + 1)
-            start = pos + 5
-            end = start + length
-            if end > size:
-                break  # torn body
-            record = _decode_compact_body(view, start, end)
-            if record is None:
-                break
-            records.append(record)
-            pos = end
-        else:
-            fh = io.BytesIO(raw)
-            fh.seek(pos)
-            try:
-                record = pickle.load(fh)
-            except Exception:
-                # EOFError / UnpicklingError / attribute lookups on
-                # garbage bytes — all mean a torn tail frame.
-                break
-            records.append(record)
-            pos = fh.tell()
-    return records
+    parts = _encode_ops(ops)
+    if parts is None:
+        raise SpaceError("an entry does not fit the checkpoint op layout")
+    parts.insert(0, _HEAD.pack(lsn, last_id, len(ops)))
+    return _frame(CHECKPOINT_MAGIC, b"".join(parts))
+
+
+def checkpoint_head(state: bytes) -> tuple[int, int, int]:
+    """``(lsn, last_id, count)`` of a checkpoint, after checking its
+    envelope and checksum.  A checkpoint is written atomically, so any
+    mismatch is corruption (:class:`WalCorruptionError`), never a tear."""
+    start = _ENVELOPE_SIZE
+    try:
+        magic, length, crc = _ENVELOPE.unpack_from(state, 0)
+        if magic != CHECKPOINT_MAGIC:
+            raise ValueError(f"not a checkpoint (magic {magic:#x})")
+        if start + length != len(state):
+            raise ValueError("length field disagrees with the buffer")
+        if crc32(memoryview(state)[start:]) != crc:
+            raise ValueError("bad checksum")
+        return _HEAD.unpack_from(state, start)
+    except _MALFORMED as exc:
+        raise WalCorruptionError(f"checkpoint: {exc}", 0, None) from exc
+
+
+def decode_checkpoint(state: bytes) -> tuple[int, int, list[tuple]]:
+    """``(lsn, last_id, ops)`` of a checkpoint — the same op tuples log
+    replay yields, so one apply path serves both."""
+    lsn, last_id, count = checkpoint_head(state)
+    try:
+        ops = _decode_ops(state, _ENVELOPE_SIZE + _HEAD_SIZE, len(state),
+                          count)
+    except _MALFORMED as exc:
+        raise WalCorruptionError(
+            f"checkpoint: checksummed frame does not decode ({exc})", 0,
+            None) from exc
+    return lsn, last_id, ops
+
+
+# ------------------------------------------------------------------- stores --
 
 
 class WalStore:
-    """In-memory durable medium: a snapshot slot plus the record tail.
+    """In-memory durable medium: a checkpoint slot plus the record tail.
 
     The object models the disk — hand the *same store* to a recovering
     space after discarding the crashed one and the committed state comes
@@ -304,17 +430,29 @@ class WalStore:
             raise SpaceError(f"group_size must be >= 1: {group_size}")
         self.fsync_policy = fsync_policy
         self.group_size = group_size
-        self.snapshot: Optional[tuple[int, bytes]] = None  # (lsn, state)
+        #: Latest checkpoint (:func:`encode_checkpoint` bytes), the LSN
+        #: it covers and its size; ``None`` / 0 / 0 until the first one.
+        self.snapshot: Optional[bytes] = None
+        self.snapshot_lsn = 0
+        self.state_bytes = 0
         #: Highest primary epoch this store has durably observed.  It is
         #: replayed on recovery so a restarted primary knows whether it
         #: has been superseded while down.
         self.epoch = 0
+        #: The records this object holds in memory.  Here that is the
+        #: whole tail since the checkpoint (the list *is* the disk);
+        #: :class:`FileWalStore` holds only the group not yet written.
         self.records: list[CommitRecord] = []
-        #: Records in ``records[:_synced]`` are behind a durability
-        #: barrier; the tail is pending (buffered or OS-cached only).
-        self._synced = 0
+        #: Records appended since the last durability barrier.
+        self._unsynced = 0
         #: Durability barriers issued (fsyncs, for the file store).
         self.syncs = 0
+        #: Checkpoints installed through this object.
+        self.checkpoints = 0
+        #: Size of the tail since the checkpoint in compact-frame bytes
+        #: (:func:`frame_size`): what the durable space weighs against
+        #: ``state_bytes`` to decide a checkpoint.
+        self.tail_bytes = 0
         #: Cached :meth:`last_lsn` — read on every append (LSN
         #: assignment), so it must not scan.
         self._last_lsn = 0
@@ -336,32 +474,32 @@ class WalStore:
         self.records.append(record)
         if record.lsn > self._last_lsn:
             self._last_lsn = record.lsn
+        self.tail_bytes += frame_size(record.ops)
+        self._unsynced += 1
         if self.fsync_policy == "group":
-            if len(self.records) - self._synced >= self.group_size:
+            if self._unsynced >= self.group_size:
                 self.sync()
         else:
-            self._persist([record])
+            self._persist()
             if self.fsync_policy == "always":
-                self._synced = len(self.records)
+                self._unsynced = 0
                 self._fsync()
 
     def pending(self) -> int:
         """Records appended but not yet behind a durability barrier."""
-        return len(self.records) - self._synced
+        return self._unsynced
 
     def sync(self) -> None:
         """Durability barrier: persist and fsync everything pending."""
-        if self.fsync_policy == "group":
-            tail = self.records[self._synced:]
-            if tail:
-                self._persist(tail)
-        self._synced = len(self.records)
+        self._persist()
+        self._unsynced = 0
         self._fsync()
 
     # -- persistence hooks (overridden by FileWalStore) ----------------------
 
-    def _persist(self, records: list[CommitRecord]) -> None:
-        """Hand ``records`` to the medium (OS write; in-memory: no-op)."""
+    def _persist(self) -> None:
+        """Hand the records not yet written to the medium (OS write;
+        in-memory: no-op, the list is the medium)."""
 
     def _fsync(self) -> None:
         self.syncs += 1
@@ -375,44 +513,76 @@ class WalStore:
         object survives wholesale).  Returns how many acknowledged
         commits vanished — 0 under ``fsync_policy="always"``.
         """
-        lost = len(self.records) - self._synced
-        del self.records[self._synced:]
-        self._refresh_last_lsn()
+        lost = self._unsynced
+        if lost:
+            del self.records[-lost:]
+        self._unsynced = 0
+        self._recount(self.records)
         return lost
 
-    def _refresh_last_lsn(self) -> None:
-        if self.records:
-            self._last_lsn = self.records[-1].lsn
-        elif self.snapshot is not None:
-            self._last_lsn = self.snapshot[0]
-        else:
-            self._last_lsn = 0
+    def _recount(self, tail: list[CommitRecord]) -> None:
+        """Re-derive the cached tail figures after the tail was cut."""
+        self._last_lsn = tail[-1].lsn if tail else self.snapshot_lsn
+        self.tail_bytes = sum(frame_size(r.ops) for r in tail)
 
-    # -- snapshotting ---------------------------------------------------------
+    # -- checkpointing --------------------------------------------------------
 
     def install_snapshot(self, lsn: int, state: bytes) -> None:
-        """Persist ``state`` covering everything up to ``lsn`` and drop
-        the records it makes redundant.  Acts as a durability barrier:
-        the snapshot is durable before the log loses anything."""
+        """Persist checkpoint ``state`` covering everything up to ``lsn``
+        and drop the records it makes redundant.  Acts as a durability
+        barrier: pending records are synced first, and the checkpoint is
+        durable before the log loses anything."""
+        if checkpoint_head(state)[0] != lsn:
+            raise SpaceError(f"checkpoint does not end at lsn {lsn}")
         self.sync()
-        self.snapshot = (lsn, state)
-        self.records = [r for r in self.records if r.lsn > lsn]
-        self._synced = len(self.records)
-        self._refresh_last_lsn()
+        tail = self.records_since(lsn) if lsn < self._last_lsn else []
+        self._replace(state, tail)
+        self._adopt(state, lsn)
+        self.checkpoints += 1
+        self._recount(tail)
+
+    def _replace(self, state: bytes, tail: list[CommitRecord]) -> None:
+        """Swap in the checkpoint and cut the log down to ``tail``."""
+        self.records = tail
+
+    def _adopt(self, state: bytes, lsn: int) -> None:
+        self.snapshot = state
+        self.snapshot_lsn = lsn
+        self.state_bytes = len(state)
+
+    # -- reading ---------------------------------------------------------------
 
     def last_lsn(self) -> int:
         return self._last_lsn
 
+    @property
+    def tail_records(self) -> int:
+        """Records past the checkpoint (LSNs are dense)."""
+        return self._last_lsn - self.snapshot_lsn
+
+    def records_since(self, lsn: int) -> list[CommitRecord]:
+        """Every stored record with an LSN strictly greater than ``lsn``."""
+        return [r for r in self.records if r.lsn > lsn]
+
+    def replay(self, lsn: int) -> Iterator[tuple]:
+        """The ``ops`` of every record past ``lsn``, in commit order —
+        the recovery stream (no :class:`CommitRecord` is built for it)."""
+        return (r.ops for r in self.records if r.lsn > lsn)
+
 
 class FileWalStore(WalStore):
-    """File-backed store: a pickled snapshot file and a framed log file.
+    """File-backed store: a checkpoint file and a framed log file.
 
-    Layout: ``<path>.snap`` holds ``(lsn, state)``; ``<path>.log`` holds
-    consecutive :class:`CommitRecord` frames (see :func:`record_frame`;
-    both frame kinds are self-delimiting).  The WAL contract under the
-    default ``fsync_policy="always"`` is that an acknowledged commit survives
+    Layout: ``<path>.snap`` is one checkpoint frame, ``<path>.log``
+    consecutive record frames (module docstring), ``<path>.epoch`` the
+    fencing epoch.  The WAL contract under the default
+    ``fsync_policy="always"`` is that an acknowledged commit survives
     power loss — each append is written, flushed *and fsynced*.  See the
     module docstring for what ``group`` and ``os`` trade away.
+
+    The tail lives on the disk, not in RAM: ``records`` holds only the
+    commit group not yet written, and :meth:`records_since` /
+    :meth:`replay` decode the log file when asked.
     """
 
     def __init__(self, path, fsync_policy: str = "always",
@@ -421,90 +591,147 @@ class FileWalStore(WalStore):
             raise SpaceError(f"unknown codec {codec!r}; expected 'compact'")
         super().__init__(fsync_policy=fsync_policy, group_size=group_size)
         path = os.fspath(path)
+        self._dir = os.path.dirname(path) or "."
         self._snap_path = path + ".snap"
         self._log_path = path + ".log"
         self._epoch_path = path + ".epoch"
+        new = not os.path.exists(self._log_path)
         self._load()
         self._log_fh = open(self._log_path, "ab")
+        if new:
+            self._fsync_dir()  # the log's directory entry must survive too
 
     def _persist_epoch(self) -> None:
         # The epoch is a promise never to accept older writes, so it must
         # be durable *before* any commit made under it — atomic replace
         # keeps a crash from leaving a torn value.
-        self._write_atomic(
-            self._epoch_path,
-            lambda fh: fh.write(str(self.epoch).encode("ascii")),
-        )
+        self._write_atomic(self._epoch_path,
+                           str(self.epoch).encode("ascii"))
 
     def _load(self) -> None:
+        """Read the epoch and checkpoint, validate the log and cut off a
+        torn tail.  Raises :class:`WalCorruptionError` for anything worse
+        than a tear."""
+        for path in (self._snap_path, self._log_path, self._epoch_path):
+            if os.path.exists(path + ".tmp"):
+                os.remove(path + ".tmp")  # a crash mid-replace; never live
         if os.path.exists(self._epoch_path):
             with open(self._epoch_path, "rb") as fh:
                 self.epoch = int(fh.read().decode("ascii") or "0")
         if os.path.exists(self._snap_path):
             with open(self._snap_path, "rb") as fh:
-                self.snapshot = pickle.load(fh)
+                state = fh.read()
+            self._adopt(state, checkpoint_head(state)[0])
+        raw = b""
         if os.path.exists(self._log_path):
             with open(self._log_path, "rb") as fh:
-                self.records.extend(decode_log(fh.read()))
-        if self.snapshot is not None:
-            lsn = self.snapshot[0]
-            self.records = [r for r in self.records if r.lsn > lsn]
-        # Records written before the epoch sidecar existed (or by older
-        # versions) may still carry a higher epoch than the sidecar.
-        for record in self.records:
-            if getattr(record, "epoch", 0) > self.epoch:
-                self.epoch = record.epoch
-        self._synced = len(self.records)
-        self._refresh_last_lsn()
+                raw = fh.read()
+        base = last = self.snapshot_lsn
+        good = covered = 0
+        for lsn, epoch, _, end in iter_log(raw, decode=False):
+            if good == 0 and lsn > base + 1:
+                raise WalCorruptionError(
+                    f"LSN gap: log starts at {lsn}, checkpoint ends at "
+                    f"{base}", 0, base)
+            # The sidecar is written before any commit under its epoch;
+            # a log that outlived its sidecar still carries the value.
+            if epoch > self.epoch:
+                self.epoch = epoch
+            if lsn > base:
+                last = lsn
+            else:
+                covered = end  # survived a crash mid-compaction
+            good = end
+        if good < len(raw):
+            with open(self._log_path, "r+b") as fh:
+                fh.truncate(good)  # or later appends would hide behind it
+                os.fsync(fh.fileno())
+        self._last_lsn = last
+        self.tail_bytes = good - covered
+        #: Log file size, and how much of it is behind an fsync.
+        self._log_size = self._synced_size = good
 
-    def _persist(self, records: list[CommitRecord]) -> None:
+    def _persist(self) -> None:
         # One write per group: frames were (or are now) encoded exactly
         # once each, so a group commit is a concatenation, not a
         # re-serialization of the batch.
+        records = self.records
+        if not records:
+            return
         if len(records) == 1:
             payload = record_frame(records[0])
         else:
             payload = b"".join(map(record_frame, records))
         self._log_fh.write(payload)
         self._log_fh.flush()
+        self._log_size += len(payload)
+        records.clear()
 
     def _fsync(self) -> None:
         super()._fsync()
         os.fsync(self._log_fh.fileno())
+        self._synced_size = self._log_size
 
-    @staticmethod
-    def _write_atomic(path: str, writer: Callable[[Any], None]) -> None:
-        """temp-write → fsync → rename: the file at ``path`` is either
-        the old complete version or the new complete version, never a
-        torn intermediate."""
+    def _fsync_dir(self) -> None:
+        """Make a create/rename in the store's directory durable."""
+        fd = os.open(self._dir, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def _write_atomic(self, path: str, payload: bytes) -> None:
+        """temp-write → fsync → rename → directory fsync: the file at
+        ``path`` is either the old complete version or the new complete
+        version, never a torn intermediate, and the rename itself
+        survives power loss."""
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
-            writer(fh)
+            fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        self._fsync_dir()
 
-    def install_snapshot(self, lsn: int, state: bytes) -> None:
-        # Crash-safe compaction order: (1) pending records hit the disk,
-        # (2) the new snapshot becomes durable atomically, (3) only then
-        # is the log truncated (also atomically).  A crash between any
-        # two steps recovers correctly — replay skips records <= lsn.
-        self.sync()
-        WalStore.install_snapshot(self, lsn, state)  # updates memory view
-        self._write_atomic(
-            self._snap_path,
-            lambda fh: pickle.dump((lsn, state), fh,
-                                   protocol=pickle.HIGHEST_PROTOCOL),
-        )
+    def _replace(self, state: bytes, tail: list[CommitRecord]) -> None:
+        # Crash-safe compaction order: (1) pending records hit the disk
+        # (install_snapshot synced them), (2) the new checkpoint becomes
+        # durable atomically, (3) only then is the log cut (also
+        # atomically).  A crash between any two steps recovers correctly
+        # — replay skips records at or below the checkpoint LSN.
+        self._write_atomic(self._snap_path, state)
         self._log_fh.close()
-
-        def write_tail(fh) -> None:
-            for record in self.records:
-                fh.write(record_frame(record))
-
-        self._write_atomic(self._log_path, write_tail)
+        payload = b"".join(map(record_frame, tail))
+        self._write_atomic(self._log_path, payload)
         self._log_fh = open(self._log_path, "ab")
-        self._synced = len(self.records)
+        self._log_size = self._synced_size = len(payload)
+
+    def power_loss(self) -> int:
+        lost = self._unsynced
+        self.records.clear()
+        self._unsynced = 0
+        self._log_fh.close()
+        os.truncate(self._log_path, self._synced_size)
+        self._load()
+        self._log_fh = open(self._log_path, "ab")
+        return lost
+
+    def _tail(self) -> Iterator[tuple[int, int, Any]]:
+        """``(lsn, epoch, ops)`` of every record: the file, then the
+        group still in memory."""
+        with open(self._log_path, "rb") as fh:
+            raw = fh.read()
+        for lsn, epoch, ops, _ in iter_log(raw):
+            yield lsn, epoch, ops
+        for record in self.records:
+            yield record.lsn, record.epoch, record.ops
+
+    def records_since(self, lsn: int) -> list[CommitRecord]:
+        return [CommitRecord(at, tuple(ops), epoch)
+                for at, epoch, ops in self._tail() if at > lsn]
+
+    def replay(self, lsn: int) -> Iterator[tuple]:
+        return (ops for at, _, ops in self._tail() if at > lsn)
 
     def close(self) -> None:
         self.sync()
@@ -512,7 +739,7 @@ class FileWalStore(WalStore):
 
 
 class WriteAheadLog:
-    """Commit-ordered log with snapshot truncation and live subscribers.
+    """Commit-ordered log with checkpoint truncation and live subscribers.
 
     ``append`` assigns the next LSN; ``import_record`` preserves the LSN
     of a record replicated from a primary, so a promoted standby's log
@@ -626,7 +853,7 @@ class WriteAheadLog:
 
     def records_since(self, lsn: int) -> list[CommitRecord]:
         """Every stored record with an LSN strictly greater than ``lsn``."""
-        return [r for r in self.store.records if r.lsn > lsn]
+        return self.store.records_since(lsn)
 
     # -- replication feed ---------------------------------------------------
 
@@ -649,18 +876,3 @@ def op_write(entry_id: int, data: bytes, expiration_ms: float) -> tuple:
 
 def op_take(entry_id: int) -> tuple:
     return (OP_TAKE, entry_id)
-
-
-def describe_ops(ops: tuple[tuple, ...]) -> str:
-    """Compact human rendering used by logs and tests."""
-    parts = []
-    for op in ops:
-        if op[0] == OP_WRITE:
-            parts.append(f"w#{op[1]}")
-        else:
-            parts.append(f"t#{op[1]}")
-    return ",".join(parts)
-
-
-def state_of(obj: Any) -> bytes:  # pragma: no cover - convenience alias
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)

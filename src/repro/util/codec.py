@@ -58,6 +58,7 @@ __all__ = [
     "decode_any",
     "is_compact",
     "peek_class",
+    "HEADER_SIZE",
 ]
 
 #: First byte of every compact frame.  Anything else is assumed to be a
@@ -65,6 +66,9 @@ __all__ = [
 #: byte is the PROTO opcode ``0x80``).
 MAGIC = 0xC3
 _MAGIC_BYTE = bytes([MAGIC])
+#: Length of a compact frame's header (magic + u32 schema fingerprint):
+#: ``data[:HEADER_SIZE]`` identifies the entry class without a decode.
+HEADER_SIZE = 5
 
 _pack_u32 = struct.Struct("<I").pack
 _pack_i64 = struct.Struct("<q").pack

@@ -121,7 +121,7 @@ def _recovered_state(op_list, fsync_policy: str, group_size: int) -> bytes:
         recovered = FileWalStore(path)
         try:
             return pickle.dumps(
-                [(r.lsn, r.ops) for r in recovered.records],
+                [(r.lsn, r.ops) for r in recovered.records_since(0)],
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
         finally:

@@ -2,27 +2,35 @@
 
 Encoding is compact-first with a pickle fallback at both levels: a
 commit record that does not fit the fixed WAL layout (oversized id,
-exotic expiration) is framed through ``pickle.dumps``, and an entry of
-an unregistered class is a pickle frame *inside* a compact WAL frame.
-``decode_log`` and ``decode_any`` dispatch per frame on the first byte
-(0xC4 / 0xC3 compact, 0x80 pickle PROTO), so a mixed log replays as one
-stream; these tests pin that down at the store level and end-to-end
-through :class:`DurableSpace`, across a crash.
+exotic expiration) has its ops pickled into a fallback frame, and an
+entry of an unregistered class is a pickle frame *inside* a compact WAL
+frame.  Every WAL frame rides one checksummed envelope (magic, length,
+crc32, body); ``decode_log`` dispatches per frame on the magic (0xC5
+compact / 0xC6 fallback) and ``decode_any`` on the entry frame's first
+byte (0xC3 compact, 0x80 pickle PROTO), so a mixed log replays as one
+stream.  These tests pin that down at the store level and end-to-end
+through :class:`DurableSpace`, across a crash — and pin what the
+checksum buys: a torn tail is dropped, damage in place raises.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.errors import SpaceError
+from repro.errors import SpaceError, WalCorruptionError
 from repro.runtime import SimulatedRuntime
 from repro.tuplespace import Entry
 from repro.tuplespace.durable import DurableSpace
 from repro.tuplespace.wal import (
     WAL_MAGIC,
+    WAL_PICKLE_MAGIC,
     CommitRecord,
     FileWalStore,
+    WalStore,
     WriteAheadLog,
+    decode_checkpoint,
     decode_log,
     op_take,
     op_write,
@@ -57,24 +65,21 @@ def run(runtime, fn, name="test-proc"):
     return proc.result
 
 
-def _frame_first_bytes(raw):
-    """First byte of every frame in a WAL log (0xC4 or pickle 0x80)."""
-    import io
-    import pickle
+def _frame_offsets(raw):
+    """Start offset of every frame in a WAL log, plus its end."""
     import struct
 
-    firsts, pos = [], 0
+    offsets, pos = [], 0
     while pos < len(raw):
-        firsts.append(raw[pos])
-        if raw[pos] == WAL_MAGIC:
-            body_len, = struct.unpack_from("<I", raw, pos + 1)
-            pos += 5 + body_len
-        else:
-            fh = io.BytesIO(raw)
-            fh.seek(pos)
-            pickle.load(fh)
-            pos = fh.tell()
-    return firsts
+        offsets.append(pos)
+        body_len, = struct.unpack_from("<I", raw, pos + 1)
+        pos += 9 + body_len                  # magic, length, crc32, body
+    return offsets + [pos]
+
+
+def _frame_first_bytes(raw):
+    """Magic of every frame in a WAL log (0xC5 compact, 0xC6 fallback)."""
+    return [raw[pos] for pos in _frame_offsets(raw)[:-1]]
 
 
 def _record(lsn, fallback=False, epoch=0):
@@ -97,7 +102,7 @@ def test_uncompactable_record_falls_back_to_a_pickle_frame():
     plain, exotic = _record(1), _record(2, fallback=True)
     assert record_frame(plain)[0] == WAL_MAGIC
     frame = record_frame(exotic)
-    assert frame[0] == PICKLE_PROTO
+    assert frame[0] == WAL_PICKLE_MAGIC
     assert record_frame(exotic) is frame  # encoded once, then cached
     assert decode_log(record_frame(plain) + frame) == [plain, exotic]
 
@@ -114,7 +119,7 @@ def test_mixed_frame_log_decodes_as_one_stream(tmp_path):
 
     # Reopen: the replayed frames of both kinds are there; keep appending.
     store = FileWalStore(str(path))
-    assert [r.lsn for r in store.records] == [1, 2, 3]
+    assert [r.lsn for r in store.records_since(0)] == [1, 2, 3]
     for record in written[3:]:
         store.append(record)
     store.sync()
@@ -122,10 +127,10 @@ def test_mixed_frame_log_decodes_as_one_stream(tmp_path):
 
     raw = (path.parent / "wal.log").read_bytes()
     assert _frame_first_bytes(raw) == [
-        PICKLE_PROTO if fallback else WAL_MAGIC for fallback in pattern]
+        WAL_PICKLE_MAGIC if fallback else WAL_MAGIC for fallback in pattern]
     assert decode_log(raw) == written
     store = FileWalStore(str(path))
-    assert store.records == written
+    assert store.records_since(0) == written
     assert store.last_lsn() == 6
     store.close()
 
@@ -158,8 +163,115 @@ def test_torn_tail_is_dropped(tmp_path, fallback):
     log = path.parent / "wal.log"
     log.write_bytes(log.read_bytes()[:-3])  # crash mid-write of last frame
     store = FileWalStore(str(path))
-    assert [r.lsn for r in store.records] == [1, 2]
+    assert [r.lsn for r in store.records_since(0)] == [1, 2]
+    # The tear is cut off, so what is appended next is not hidden behind
+    # it at the following load.
+    store.append(_record(3))
     store.close()
+    store = FileWalStore(str(path))
+    assert [r.lsn for r in store.records_since(0)] == [1, 2, 3]
+    store.close()
+
+
+def _flip(raw, at):
+    damaged = bytearray(raw)
+    damaged[at] ^= 0x40
+    return bytes(damaged)
+
+
+def _five_frame_log(tmp_path):
+    """A closed log of five records (the fourth a fallback frame)."""
+    path = tmp_path / "wal"
+    store = FileWalStore(str(path))
+    for lsn in range(1, 6):
+        store.append(_record(lsn, fallback=(lsn == 4)))
+    store.close()
+    return path, path.parent / "wal.log"
+
+
+@pytest.mark.parametrize("where", ["magic", "length", "checksum", "body"])
+@pytest.mark.parametrize("frame", [0, 2, 3])
+def test_damage_in_the_middle_of_the_log_raises(tmp_path, frame, where):
+    """A flipped bit in a frame that has valid frames after it must stop
+    recovery, not silently drop every later committed record — whichever
+    part of the frame it hits (a damaged length can point past EOF, which
+    alone would look like a torn tail)."""
+    path, log = _five_frame_log(tmp_path)
+    raw = log.read_bytes()
+    start = _frame_offsets(raw)[frame]
+    at = start + {"magic": 0, "length": 3, "checksum": 6, "body": 20}[where]
+    log.write_bytes(_flip(raw, at))
+    with pytest.raises(WalCorruptionError) as caught:
+        FileWalStore(str(path))
+    assert caught.value.offset == start
+    assert caught.value.last_good_lsn == (frame or None)
+    with pytest.raises(WalCorruptionError):
+        decode_log(_flip(raw, at))
+
+
+@pytest.mark.parametrize("damage", ["flip", "cut"])
+def test_damage_in_the_final_frame_is_a_torn_tail(tmp_path, damage):
+    path, log = _five_frame_log(tmp_path)
+    raw = log.read_bytes()
+    start, end = _frame_offsets(raw)[-2:]
+    for at in range(start, end):
+        torn = _flip(raw, at) if damage == "flip" else raw[:at]
+        assert [r.lsn for r in decode_log(torn)] == [1, 2, 3, 4]
+    log.write_bytes(_flip(raw, end - 1))
+    store = FileWalStore(str(path))
+    assert store.last_lsn() == 4
+    assert os.path.getsize(log) == start       # the tear is cut off
+    store.close()
+
+
+def test_lsn_gap_raises(tmp_path):
+    """Dense LSNs make a lost frame visible even when what is left
+    checksums: a removed middle frame is corruption, not a short log."""
+    path, log = _five_frame_log(tmp_path)
+    raw = log.read_bytes()
+    offsets = _frame_offsets(raw)
+    log.write_bytes(raw[:offsets[2]] + raw[offsets[3]:])
+    with pytest.raises(WalCorruptionError) as caught:
+        FileWalStore(str(path))
+    assert caught.value.last_good_lsn == 2
+    # ... and so is a log that starts past where its checkpoint ends.
+    log.write_bytes(raw[offsets[2]:])
+    with pytest.raises(WalCorruptionError):
+        FileWalStore(str(path))
+
+
+def test_damaged_checkpoint_raises(runtime, tmp_path):
+    """A checkpoint is replaced atomically and never torn: any damage to
+    it stops the store load and the recovery, wherever the bytes sit."""
+    path = str(tmp_path / "wal")
+    store = FileWalStore(path)
+    space = DurableSpace(runtime, wal=WriteAheadLog(store),
+                         snapshot_every=None)
+
+    def before():
+        for i in range(5):
+            space.write(TaskEntry("app", i, f"p{i}"))
+        space.checkpoint()
+
+    run(runtime, before)
+    store.close()
+    good = open(path + ".snap", "rb").read()
+    assert decode_checkpoint(good)[0] == 5
+    for at in (0, 3, 6, 12, len(good) // 2, len(good) - 1):
+        with open(path + ".snap", "wb") as fh:
+            fh.write(_flip(good, at))
+        with pytest.raises(WalCorruptionError):
+            FileWalStore(path)
+        # The same bytes in an in-memory store (a standby's bootstrap, a
+        # simulated disk) fail at recovery.
+        survivor = WalStore()
+        survivor.snapshot, survivor.snapshot_lsn = _flip(good, at), 5
+        with pytest.raises(WalCorruptionError):
+            DurableSpace.recover(runtime, survivor)
+    with open(path + ".snap", "wb") as fh:
+        fh.write(good[:-1])
+    with pytest.raises(WalCorruptionError):
+        FileWalStore(path)
 
 
 def test_cached_frame_does_not_change_record_equality():

@@ -11,6 +11,7 @@ from repro.tuplespace.wal import (
     FileWalStore,
     WalStore,
     WriteAheadLog,
+    encode_checkpoint,
     op_write,
 )
 from tests.conftest import run_in_sim
@@ -84,12 +85,12 @@ def test_file_group_commit_not_on_disk_until_sync(tmp_path):
     _append(wal, 3)
 
     peek = FileWalStore(path)                # what a power loss would find
-    buffered = len(peek.records)
+    buffered = len(peek.records_since(0))
     peek.close()
 
     wal.sync()
     peek = FileWalStore(path)
-    durable = len(peek.records)
+    durable = len(peek.records_since(0))
     peek.close()
     store.close()
     assert (buffered, durable) == (0, 3)
@@ -100,14 +101,15 @@ def test_file_compaction_survives_reopen(tmp_path):
     store = FileWalStore(path)
     wal = WriteAheadLog(store)
     _append(wal, 5)
-    store.install_snapshot(3, b"state-at-3")
+    state = encode_checkpoint(3, 2, [op_write(2, b"payload", float("inf"))])
+    store.install_snapshot(3, state)
     _append(wal, 2, start=5)
     store.close()
 
     recovered = FileWalStore(path)
     try:
-        assert recovered.snapshot == (3, b"state-at-3")
-        assert [r.lsn for r in recovered.records] == [4, 5, 6, 7]
+        assert recovered.snapshot == state
+        assert [r.lsn for r in recovered.records_since(0)] == [4, 5, 6, 7]
         assert recovered.last_lsn() == 7
     finally:
         recovered.close()
@@ -119,7 +121,7 @@ def test_file_compaction_truncates_the_log(tmp_path):
     wal = WriteAheadLog(store)
     _append(wal, 50)
     before = os.path.getsize(path + ".log")
-    store.install_snapshot(50, b"all-covered")
+    store.install_snapshot(50, encode_checkpoint(50, 49, []))
     after = os.path.getsize(path + ".log")
     store.close()
     assert before > 0
@@ -131,7 +133,73 @@ def test_compaction_leaves_no_torn_temp_files(tmp_path):
     store = FileWalStore(path)
     wal = WriteAheadLog(store)
     _append(wal, 8)
-    store.install_snapshot(4, b"state")
+    store.install_snapshot(4, encode_checkpoint(4, 3, []))
     store.close()
     leftovers = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_stale_temp_file_is_removed_at_load(tmp_path):
+    """A crash between temp-write and rename leaves ``*.tmp`` behind; it
+    was never live, so the next load deletes it and reads the old file."""
+    path = os.fspath(tmp_path / "wal")
+    store = FileWalStore(path)
+    wal = WriteAheadLog(store)
+    _append(wal, 3)
+    store.close()
+    for suffix in (".snap.tmp", ".log.tmp", ".epoch.tmp"):
+        with open(path + suffix, "wb") as fh:
+            fh.write(b"half-written")
+    store = FileWalStore(path)
+    assert [r.lsn for r in store.records_since(0)] == [1, 2, 3]
+    assert store.snapshot is None and store.epoch == 0
+    store.close()
+    assert [n for n in os.listdir(tmp_path) if n.endswith(".tmp")] == []
+
+
+def test_renames_are_made_durable_by_a_directory_fsync(tmp_path, monkeypatch):
+    """``os.replace`` is atomic but not durable until the directory is
+    fsynced: the checkpoint, the cut log and the epoch all depend on it."""
+    import stat
+
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        events.append(f"fsync-{kind}")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace " + os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = os.fspath(tmp_path / "wal")
+    store = FileWalStore(path)
+    assert events == ["fsync-dir"]           # the new log's directory entry
+    wal = WriteAheadLog(store)
+    _append(wal, 2)
+    del events[:]
+    store.install_snapshot(2, encode_checkpoint(2, 1, []))
+    assert events == [
+        "fsync-file",                                  # pending records
+        "fsync-file", "replace wal.snap", "fsync-dir",   # new checkpoint
+        "fsync-file", "replace wal.log", "fsync-dir",    # then the cut log
+    ]
+    del events[:]
+    store.set_epoch(4)
+    assert events == ["fsync-file", "replace wal.epoch", "fsync-dir"]
+    store.close()
+
+
+def test_a_checkpoint_issues_one_barrier_of_its_own(tmp_path):
+    for store in (WalStore(), FileWalStore(os.fspath(tmp_path / "wal"))):
+        wal = WriteAheadLog(store)
+        _append(wal, 4)
+        before = store.syncs
+        store.install_snapshot(4, encode_checkpoint(4, 3, []))
+        assert store.syncs - before == 1
+        assert (store.checkpoints, store.tail_records, store.tail_bytes) == (
+            1, 0, 0)
