@@ -4,8 +4,10 @@ Measures encode and decode ops/second and bytes/entry for the entry
 shapes the framework actually ships — a selective template, a seeded
 task, and a payload-bearing result — as compact frames and as the
 whole-object pickle frames unregistered classes fall back to, plus the
-WAL commit-record frame path (``record_frame``).  Wall-clock only; nothing
-is written to BENCH_micro.json (run_micro carries the gated cells).
+WAL commit-record frame path (``record_frame``) and a field-slice read
+(``read_fields``: what the space pays to route an entry) against the
+full decode it replaced.  Wall-clock only; nothing is written to
+BENCH_micro.json (run_micro carries the gated cells).
 
 Usage::
 
@@ -20,7 +22,7 @@ import time
 
 from repro.core.entries import ResultEntry, TaskEntry
 from repro.tuplespace.wal import CommitRecord, op_write, record_frame
-from repro.util.codec import decode_any, encode_entry
+from repro.util.codec import decode_any, encode_entry, read_fields
 from repro.util.serialization import deserialize, serialize
 
 SHAPES = {
@@ -82,6 +84,17 @@ def run(n: int, rounds: int) -> None:
         rate = _best(frame, n, rounds)
         print(f"{'wal-frame':>10} {codec:>8} {rate:>12.0f} {'-':>12} "
               f"{len(frame()):>6}")
+
+    # Field-slice read: one field of a seven-field TaskEntry whose
+    # payload is a container, vs decoding the entry to look at it.
+    data = encode_entry(SHAPES["task"])
+    for label, fn in (
+        ("1 of 7", lambda: read_fields(data, ("app_id",))),
+        ("decode", lambda: decode_any(data)),
+    ):
+        rate = _best(fn, n, rounds)
+        print(f"{'read':>10} {label:>8} {'-':>12} {rate:>12.0f} "
+              f"{len(data):>6}")
 
 
 def main() -> None:

@@ -261,6 +261,8 @@ class AdaptiveClusterFramework:
             self.space: JavaSpace = self.spaces[0]
             for i, space in enumerate(self.spaces):
                 self.registry.expose_dict("space", space.stats, shard=str(i))
+                self.registry.expose_dict("space.match", space.match_stats,
+                                          shard=str(i))
                 self.registry.expose(
                     "space.queue_depth",
                     lambda s=space: max(
@@ -277,6 +279,7 @@ class AdaptiveClusterFramework:
             # Registry naming scheme: the space's counters surface as
             # ``space.<key>`` (read-through — no per-op registry cost).
             self.registry.expose_dict("space", self.space.stats)
+            self.registry.expose_dict("space.match", self.space.match_stats)
             self.registry.expose(
                 "space.queue_depth",
                 lambda: max(

@@ -45,6 +45,15 @@ def _wal_totals(spaces: list) -> Optional[dict]:
     }
 
 
+def _match_totals(spaces: list) -> dict:
+    """``JavaSpace.match_stats`` summed over the spaces."""
+    totals: dict[str, int] = {}
+    for space in spaces:
+        for key, value in space.match_stats.items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
+
+
 def cluster_table(framework: Any, report: Any = None) -> str:
     """One frame of the cluster console for ``framework``."""
     runtime = framework.runtime
@@ -91,10 +100,15 @@ def cluster_table(framework: Any, report: Any = None) -> str:
                     "wakeups", "bytes_written")
     }
     queued = totals["writes"] - totals["takes"] - totals["expired"]
+    match = _match_totals(spaces)
+    # match: what finding those entries cost — ids walked, whole entries
+    # decoded to look inside them, field indexes built.
     lines.append(
         f"space: writes={totals['writes']} takes={totals['takes']} "
         f"reads={totals['reads']} queue≈{max(queued, 0)} "
-        f"wakeups={totals['wakeups']} bytes={totals['bytes_written']:,}")
+        f"wakeups={totals['wakeups']} bytes={totals['bytes_written']:,} "
+        f"match: {match['scan_steps']} steps/{match['match_decodes']} "
+        f"decodes/{match['index_builds']} indexes")
 
     wal = _wal_totals(spaces)
     if wal is not None:
@@ -224,6 +238,7 @@ def cluster_snapshot(framework: Any, report: Any = None) -> dict:
         for key in ("writes", "takes", "reads", "queue",
                     "wakeups", "bytes_written")
     }
+    snapshot["space"]["match"] = _match_totals(spaces)
 
     wal = _wal_totals(spaces)
     if wal is not None:

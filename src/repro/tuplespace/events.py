@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.tuplespace.entry import Entry
+from repro.tuplespace.entry import Entry, match_items
 from repro.tuplespace.lease import Lease
 
 __all__ = ["RemoteEvent", "EventRegistration"]
@@ -36,6 +36,10 @@ class EventRegistration:
     ) -> None:
         self.registration_id = registration_id
         self.template = template
+        #: What the template selects on — fixed at registration (the
+        #: space hands over an isolated snapshot), not recomputed for
+        #: every entry that becomes visible.
+        self.items = match_items(template)
         self.listener = listener
         self.lease = lease
         self.sequence = 0

@@ -32,7 +32,12 @@ from repro.tuplespace.events import EventRegistration, RemoteEvent
 from repro.tuplespace.lease import FOREVER
 from repro.tuplespace.space import JavaSpace
 from repro.tuplespace.transaction import Transaction, TransactionManager
-from repro.util.codec import decode_any, encode_entry, peek_class
+from repro.util.codec import (
+    decode_any,
+    encode_entry,
+    peek_class,
+    read_fields,
+)
 
 __all__ = ["SpaceServer", "SpaceProxy", "ProxyBatch", "RemoteTransaction",
            "RecoveryPolicy", "AdmissionConfig", "AdmissionController"]
@@ -177,21 +182,28 @@ class AdmissionController:
         if args.get("requeue"):
             return
         config = self.config
-        controlled: dict[str, list[Entry]] = {}
+        #: tenant → (class, priority) of each of its controlled writes.
+        controlled: dict[str, list[tuple[type, Optional[int]]]] = {}
         for frame in frames:
-            # The controlled-class test reads the frame header only; the
-            # tenant field needs a decode, paid for controlled classes
-            # (and pickle-fallback frames, which have no header to peek).
+            # The controlled-class test reads the frame header only, and
+            # tenant/priority are field-slice reads: admission judges an
+            # entry without decoding it.  Only a pickle-fallback frame
+            # (no header to peek, no slices) is decoded.
             cls = peek_class(frame)
             if cls is not None and cls.__name__ not in config.class_names:
                 continue
-            entry = decode_any(frame)
-            if type(entry).__name__ not in config.class_names:
-                continue
-            tenant = getattr(entry, "tenant", None)
+            fields = read_fields(frame, ("tenant", "priority"))
+            if fields is None:
+                entry = decode_any(frame)
+                cls = type(entry)
+                if cls.__name__ not in config.class_names:
+                    continue
+                fields = [getattr(entry, "tenant", None),
+                          getattr(entry, "priority", None)]
+            tenant, priority = fields
             if tenant is None:
                 continue
-            controlled.setdefault(tenant, []).append(entry)
+            controlled.setdefault(tenant, []).append((cls, priority))
         if not controlled:
             return
         self.stats["checked"] += 1
@@ -220,15 +232,17 @@ class AdmissionController:
         raise AdmissionError(message, retry_after_ms=retry_after_ms,
                              tenant=tenant, reason=reason)
 
-    def _check_watermarks(self, controlled: dict[str, list[Entry]]) -> None:
+    def _check_watermarks(
+            self, controlled: dict[str, list[tuple[type, Optional[int]]]]
+    ) -> None:
         config = self.config
         if config.queue_soft_watermark is None and \
                 config.queue_hard_watermark is None:
             return
         backlog = sum(
             self.space.count(self._class_template(cls))
-            for cls in {type(e) for batch in controlled.values()
-                        for e in batch}
+            for cls in {cls for batch in controlled.values()
+                        for cls, _ in batch}
         )
         hard = config.queue_hard_watermark
         if hard is not None and backlog >= hard:
@@ -243,8 +257,8 @@ class AdmissionController:
             return
         cutoff = config.shed_below_priority
         for tenant, batch in sorted(controlled.items()):
-            for entry in batch:
-                priority = getattr(entry, "priority", None) or 0
+            for _, priority in batch:
+                priority = priority or 0
                 if priority < cutoff:
                     self._reject(
                         tenant, "shed",
@@ -253,13 +267,14 @@ class AdmissionController:
                         f"for tenant {tenant!r}",
                         config.retry_after_ms)
 
-    def _check_quota(self, tenant: str, batch: list[Entry]) -> None:
+    def _check_quota(self, tenant: str,
+                     batch: list[tuple[type, Optional[int]]]) -> None:
         quota = self._quota_for(tenant)
         if quota is None:
             return
         in_flight = sum(
             self.space.count(self._tenant_template(cls, tenant))
-            for cls in {type(e) for e in batch}
+            for cls in {cls for cls, _ in batch}
         )
         if in_flight + len(batch) > quota:
             self._reject(
@@ -268,7 +283,8 @@ class AdmissionController:
                 f"+{len(batch)} would exceed quota {quota}",
                 self.config.retry_after_ms)
 
-    def _check_rate(self, tenant: str, batch: list[Entry],
+    def _check_rate(self, tenant: str,
+                    batch: list[tuple[type, Optional[int]]],
                     now: float) -> None:
         rate = self._rate_for(tenant)
         if rate is None:

@@ -15,12 +15,23 @@ determinism is a strict strengthening that experiments rely on).  An
 expiry is driven by a deadline min-heap: ``_reap_expired`` is O(expired)
 per call and free when every lease is FOREVER.
 
-Isolation: entries are serialized at ``write`` and a private snapshot is
-deserialized *lazily* the first time field matching needs it — a
-class-only template (the master/worker hot path) never pays the decode
-pass at all.  Callers still never share mutable state through the
-space: every ``read``/``take`` returns a fresh copy deserialized from the
-stored bytes, the behaviour of the real JavaSpaces proxy.
+Matching: a template that selects on a field activates a ``(class,
+field)`` index whose value buckets are insertion-ordered id lists of the
+same kind as the class bucket's, so every operation is one walk
+(:meth:`JavaSpace._matching`) over the shortest list that can hold its
+matches.  For hashable values, being filed under a dict key *is* the
+equality templates test, so an indexed field is never confirmed against
+the entry; the confirm survives only for fields an index cannot answer
+(:meth:`JavaSpace._plan`).  ``match_stats`` counts the walk.
+
+Isolation: entries are serialized at ``write`` and the space works on
+the bytes.  It reads the one or two fields it routes on straight out of
+the frame (:func:`repro.util.codec.read_fields`) and never materialises
+an entry it does not hand out — only a pickle-fallback frame, which has
+no field slices, is decoded (once, lazily) into a private matching
+snapshot.  Callers still never share mutable state through the space:
+every ``read``/``take`` returns a fresh copy deserialized from the stored
+bytes, the behaviour of the real JavaSpaces proxy.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import SpaceError
 from repro.runtime.base import Runtime
-from repro.tuplespace.entry import Entry, match_items, matches_fields
+from repro.tuplespace.entry import Entry, match_items, values_equal
 from repro.tuplespace.events import EventRegistration, RemoteEvent
 from repro.tuplespace.lease import FOREVER, Lease
 from repro.tuplespace.transaction import Transaction
@@ -42,6 +53,7 @@ from repro.util.codec import (
     decode_any,
     encode_entry,
     peek_class,
+    read_fields,
 )
 
 __all__ = ["JavaSpace"]
@@ -89,18 +101,20 @@ _TAKEN = "taken"
 class _Stored:
     """One entry in the store, with its lock state.
 
-    ``entry`` (the private matching snapshot) is deserialized on first
-    access; ``cls`` and ``index_keys`` are recorded at write time so the
-    common paths — class-only matching, index maintenance, removal —
-    never force the snapshot.
+    ``cls`` and ``filed`` are recorded at write time, and field values
+    are read out of ``data`` by slice, so a compact frame is never
+    decoded inside the space; ``_snapshot`` is the private matching copy
+    of a pickle-fallback frame, which has no slices (see
+    :meth:`JavaSpace._read`).
     """
 
     __slots__ = (
         "entry_id", "cls", "data", "lease", "state", "owner_txn",
-        "read_lockers", "index_keys", "_snapshot",
+        "read_lockers", "filed", "_snapshot",
     )
 
-    def __init__(self, entry_id: int, cls: type, data: bytes, lease: Lease) -> None:
+    def __init__(self, entry_id: int, cls: type, data: bytes, lease: Lease,
+                 snapshot: Optional[Entry] = None) -> None:
         self.entry_id = entry_id
         self.cls = cls                # entry class
         self.data = data              # serialized form returned to clients
@@ -110,36 +124,40 @@ class _Stored:
         # Lazily-allocated (None ≡ empty): most entries are never read
         # under a transaction nor indexed, and the write path is hot.
         self.read_lockers: Optional[set[int]] = None  # txn ids, shared locks
-        self.index_keys: Optional[list[tuple[str, Any]]] = None
-        self._snapshot: Optional[Entry] = None
-
-    @property
-    def entry(self) -> Entry:
-        """Private matching snapshot, materialized on first field match."""
-        snapshot = self._snapshot
-        if snapshot is None:
-            snapshot = self._snapshot = decode_any(self.data)
-        return snapshot
+        # Indexed field → the value bucket this entry is filed in.
+        self.filed: Optional[dict[str, _ScanList]] = None
+        self._snapshot = snapshot     # pickle-fallback frames only
 
 
 class _ScanList:
-    """Insertion-order scan index for one class bucket.
+    """Insertion-ordered ids of one bucket: a class's entries, or the
+    entries of a class that hold one value of an indexed field (``key``).
 
     CPython dicts never shrink and their iteration walks the dead slots
     that ``pop`` leaves behind, so a FIFO drain of a large bucket would
     make every subsequent scan start with a tombstone march.  Scans
     therefore walk this id list instead: ``head`` lazily retires the
     leading removed ids (O(1) amortized for FIFO removal, the dominant
-    pattern), and ``stale`` counts mid-list removals so the list is
-    rebuilt — live ids only — once they outnumber the remainder.
+    pattern), and ``stale`` counts the removed ids still listed so the
+    list is rebuilt — live ids only — once they outnumber the rest.
+
+    An id is live iff it is still in the class's ``id → _Stored`` dict.
+    That holds for a value bucket too, because a stored entry's field
+    values never change: it leaves its value buckets exactly when it
+    leaves the store.
     """
 
-    __slots__ = ("ids", "head", "stale")
+    __slots__ = ("ids", "head", "stale", "key")
 
-    def __init__(self) -> None:
+    def __init__(self, key: Any = None) -> None:
         self.ids: list[int] = []
         self.head = 0
         self.stale = 0
+        self.key = key
+
+    def __len__(self) -> int:
+        """Live ids."""
+        return len(self.ids) - self.head - self.stale
 
 
 class _Waiter:
@@ -174,17 +192,27 @@ class _TxnOps:
         self.reads: list[int] = []
 
 
+def _hashable(value: Any) -> bool:
+    try:
+        hash(value)
+        return True
+    except TypeError:
+        return False
+
+
 def _own_frame(entry: Entry) -> tuple[type, bytes, Optional[Entry]]:
-    """``(class, frame, instance)`` for an entry written in-process."""
+    """``(class, frame, None)`` for an entry written in-process: the
+    writer's live object is never kept, not even to index by — whatever
+    the space matches on must be a private copy."""
     if not isinstance(entry, Entry):
         raise SpaceError(f"not an Entry: {type(entry).__name__}")
-    return type(entry), encode_entry(entry), entry   # enforces serializability
+    return type(entry), encode_entry(entry), None   # enforces serializability
 
 
 def _wire_frame(data: bytes) -> tuple[type, bytes, Optional[Entry]]:
-    """``(class, frame, instance or None)`` for a frame a client encoded:
+    """``(class, frame, snapshot or None)`` for a frame a client encoded:
     the class comes from a compact frame's header; only a pickle-fallback
-    frame is decoded to learn it."""
+    frame is decoded to learn it (and the copy kept as its snapshot)."""
     entry: Optional[Entry] = None
     cls = peek_class(data)
     if cls is None:
@@ -210,7 +238,8 @@ class JavaSpace:
         self._buckets: dict[type, dict[int, _Stored]] = {}
         self._scan_lists: dict[type, _ScanList] = {}  # FIFO scan order
         self._by_id: dict[int, _Stored] = {}  # O(1) entry_id lookup
-        # Per-class field-value index: cls → field → value → {entry ids}.
+        # Per-class field-value index: cls → field → value → value bucket
+        # (the ids holding that value, in insertion order).
         # Built *lazily*: a (class, field) index materializes the first
         # time a template selects on that field (one bucket scan), and
         # only those activated fields are maintained on later writes.
@@ -219,8 +248,8 @@ class JavaSpace:
         # indexing was the single largest cost in the write/take profile.
         # Only hashable field values are indexed; templates fall back to a
         # scan for the rest.  Cuts selective matching from O(bucket) to
-        # O(candidates) — measured by bench_micro_space_template_selectivity.
-        self._indexes: dict[type, dict[str, dict[Any, set[int]]]] = {}
+        # O(matches) — measured by bench_micro_space_template_selectivity.
+        self._indexes: dict[type, dict[str, dict[Any, _ScanList]]] = {}
         # Fields that ever held an unhashable value (per class): the index
         # is incomplete for them (an ndarray can still equal a hashable
         # template value), so matching falls back to scanning.
@@ -247,8 +276,8 @@ class JavaSpace:
         self._stat_wakeups = 0
         self._stat_listener_errors = 0
         # Weighted fair-share dispatch (deficit round-robin across tenants).
-        # ``None`` keeps the single-tenant fast path: _find never inspects
-        # tenant fields and never forces matching snapshots.
+        # ``None`` keeps the single-tenant fast path: no take ever reads
+        # a tenant field.
         self._fair_shares: Optional[dict[str, float]] = None
         self._fair_default_share = 1.0
         self._fair_class_names: frozenset[str] = frozenset()
@@ -256,6 +285,12 @@ class JavaSpace:
         #: Observational counters (``grants:<tenant>`` per DRR selection);
         #: not part of STAT_KEYS so existing telemetry goldens hold.
         self.fair_stats: dict[str, int] = {}
+        #: What matching cost (same standing as ``fair_stats``):
+        #: ``scan_steps`` ids examined by bucket walks, ``match_decodes``
+        #: whole entries decoded to read a field of them (pickle-fallback
+        #: frames only), ``index_builds`` field indexes activated.
+        self.match_stats: dict[str, int] = {
+            "scan_steps": 0, "match_decodes": 0, "index_builds": 0}
 
     @property
     def stats(self) -> _SpaceStats:
@@ -285,8 +320,7 @@ class JavaSpace:
         Under a transaction the entry stays invisible to other transactions
         until commit.
         """
-        return self._write_frames([_own_frame(entry)], txn, lease_ms,
-                                  keep_snapshot=False)[0]
+        return self._write_frames([_own_frame(entry)], txn, lease_ms)[0]
 
     def write_encoded(
         self,
@@ -302,24 +336,16 @@ class JavaSpace:
         frame header; pickle frames decode once for the class and keep
         the instance as the matching snapshot).
         """
-        return self._write_frames([_wire_frame(data)], txn, lease_ms,
-                                  keep_snapshot=True)[0]
+        return self._write_frames([_wire_frame(data)], txn, lease_ms)[0]
 
     def _write_frames(
         self,
         frames: list[tuple[type, bytes, Optional[Entry]]],
         txn: Optional[Transaction],
         lease_ms: float,
-        keep_snapshot: bool,
     ) -> list[Lease]:
-        """Store ``(class, frame, instance or None)`` triples under one
-        lock hold and one journal record.
-
-        The instance spares index maintenance a decode.  A writer's live
-        object is never kept beyond that (the matching snapshot must stay
-        private); ``keep_snapshot`` marks instances the space decoded
-        itself, which may serve as the snapshot.
-        """
+        """Store ``(class, frame, snapshot or None)`` triples under one
+        lock hold and one journal record."""
         with self._lock:
             ops = None
             if txn is not None:
@@ -327,10 +353,8 @@ class JavaSpace:
                 ops = self._ops(txn)
             leases: list[Lease] = []
             journal: list[tuple] = []
-            for cls, data, entry in frames:
-                stored = self._store(cls, data, lease_ms, entry)
-                if keep_snapshot and entry is not None:
-                    stored._snapshot = entry
+            for cls, data, snapshot in frames:
+                stored = self._store(cls, data, lease_ms, snapshot)
                 leases.append(stored.lease)
                 if ops is not None:
                     stored.state = _PENDING_WRITE
@@ -348,12 +372,11 @@ class JavaSpace:
             return leases
 
     def _store(self, cls: type, data: bytes, lease_ms: float,
-               entry: Optional[Entry] = None) -> _Stored:
+               snapshot: Optional[Entry] = None) -> _Stored:
         """Insert one serialized entry (store, id map, index, lease heap).
 
-        ``entry`` is the writer's live instance when available — it spares
-        the index maintenance path a snapshot decode; pre-encoded writes
-        pass None and the (rarely needed) snapshot stays lazy.
+        ``snapshot`` is the private copy of a pickle-fallback frame the
+        space had to decode to learn its class.
         """
         entry_id = next(self._ids)
         self._last_id = entry_id
@@ -362,7 +385,7 @@ class JavaSpace:
             self.runtime, lease_ms,
             on_cancel=lambda eid=entry_id: cancelled.append(eid),
         )
-        stored = _Stored(entry_id, cls, data, lease)
+        stored = _Stored(entry_id, cls, data, lease, snapshot)
         bucket = self._buckets.get(cls)
         if bucket is None:
             bucket = self._buckets[cls] = {}
@@ -370,8 +393,9 @@ class JavaSpace:
         bucket[entry_id] = stored
         self._scan_lists[cls].ids.append(entry_id)
         self._by_id[entry_id] = stored
-        if self._indexes.get(cls):
-            self._index_entry(stored, entry)
+        index = self._indexes.get(cls)
+        if index:
+            self._index_entry(stored, index)
         if lease.expiration_ms != FOREVER:
             heappush(self._lease_heap, (lease.expiration_ms, entry_id))
         self._stat_writes += 1
@@ -475,7 +499,7 @@ class JavaSpace:
         back atomically.
         """
         return self._write_frames([_own_frame(entry) for entry in entries],
-                                  txn, lease_ms, keep_snapshot=False)
+                                  txn, lease_ms)
 
     def write_all_encoded(
         self,
@@ -485,7 +509,7 @@ class JavaSpace:
     ) -> list[Lease]:
         """Batch form of :meth:`write_encoded` (one monitor pass)."""
         return self._write_frames([_wire_frame(data) for data in datas],
-                                  txn, lease_ms, keep_snapshot=True)
+                                  txn, lease_ms)
 
     def take_multiple(
         self,
@@ -514,8 +538,8 @@ class JavaSpace:
         iterator; does not lock or remove anything)."""
         with self._lock:
             self._reap_expired()
-            return [decode_any(stored.data)
-                    for stored in self._iter_matching(template, txn)]
+            return [decode_any(stored.data) for stored in self._matching(
+                type(template), match_items(template), txn, take=False)]
 
     def _acquire_batch(
         self,
@@ -538,28 +562,35 @@ class JavaSpace:
             while True:
                 if self._lease_cancelled or self._lease_heap:
                     self._reap_expired()
-                out: list = []
-                if max_entries == 1:
-                    stored = self._find(template_cls, items, txn, take)
-                    if stored is not None:
-                        out.append(self._claim(stored, txn, take, raw))
-                elif self._fair_applies(template_cls, items, take):
+                found: list[_Stored] = []
+                if self._fair_shares is not None and self._fair_applies(
+                        template_cls, items, take):
                     # DRR selection depends on what each claim consumes,
                     # so the fair path claims as it goes.
-                    while len(out) < max_entries:
-                        stored = self._find(template_cls, items, txn, take)
+                    while len(found) < max_entries:
+                        stored = self._find_fair(template_cls, items, txn)
                         if stored is None:
                             break
-                        out.append(self._claim(stored, txn, take, raw))
+                        self._claim(stored, txn, take)
+                        found.append(stored)
                 else:
-                    # Drain in one pass: the candidate sets (index buckets
-                    # or the class bucket) are walked once for the whole
-                    # batch instead of once per taken entry.
-                    for stored in self._find_many(template_cls, items, txn,
-                                                  take, max_entries):
-                        out.append(self._claim(stored, txn, take, raw))
-                if out:
-                    return out
+                    # One walk for the whole batch.  Claiming after it is
+                    # equivalent: a claim never changes another collected
+                    # entry's visibility.
+                    found = self._matching(template_cls, items, txn, take,
+                                           max_entries)
+                    for stored in found:
+                        self._claim(stored, txn, take)
+                if found:
+                    if take and txn is None and self.journaling:
+                        # One call, one commit — however many entries.
+                        self._journal_ops(
+                            [("take", stored.entry_id) for stored in found])
+                    # Zero-copy reply path (``raw``): the stored bytes ship
+                    # as-is and the far side decodes once.  Isolation
+                    # holds — bytes are immutable.
+                    return [stored.data if raw else decode_any(stored.data)
+                            for stored in found]
                 remaining: Optional[float] = None
                 if deadline is not None:
                     remaining = deadline - self.runtime.now()
@@ -585,14 +616,14 @@ class JavaSpace:
                 if txn is not None:
                     txn.ensure_active()
 
-    def _claim(self, stored: _Stored, txn: Optional[Transaction], take: bool,
-               raw: bool = False):
+    def _claim(self, stored: _Stored, txn: Optional[Transaction],
+               take: bool) -> None:
+        """Consume (take) or share-lock (transactional read) one found
+        entry; the caller journals an untransacted batch of takes."""
         if take:
             self._stat_takes += 1
             if txn is None:
                 self._remove(stored)
-                if self.journaling:
-                    self._journal_ops([("take", stored.entry_id)])
             else:
                 txn._enlist(self)
                 stored.state = _TAKEN
@@ -608,11 +639,6 @@ class JavaSpace:
                 if txn.txn_id not in lockers:
                     lockers.add(txn.txn_id)
                     self._ops(txn).reads.append(stored.entry_id)
-        if raw:
-            # Zero-copy reply path: the stored bytes ship as-is and the
-            # far side decodes once.  Isolation holds — bytes are immutable.
-            return stored.data
-        return decode_any(stored.data)
 
     # ----------------------------------------------------------------- notify --
 
@@ -776,18 +802,18 @@ class JavaSpace:
                         bucket = buckets[cls] = {}
                         scan_lists[cls] = _ScanList()
                     slot = (cls, bucket, scan_lists[cls],
-                            bool(self._indexes.get(cls)))
+                            self._indexes.get(cls))
                     if entry is None:
                         slots[data[:HEADER_SIZE]] = slot
-                cls, bucket, scan, indexed = slot
+                cls, bucket, scan, index = slot
                 stored = _Stored(entry_id, cls, data, until(
-                    runtime, now, expiration_ms, partial(cancel, entry_id)))
-                stored._snapshot = entry
+                    runtime, now, expiration_ms, partial(cancel, entry_id)),
+                    entry)
                 bucket[entry_id] = stored
                 scan.ids.append(entry_id)
                 by_id[entry_id] = stored
-                if indexed:
-                    self._index_entry(stored, entry)
+                if index:
+                    self._index_entry(stored, index)
                 if expiration_ms != FOREVER:
                     heappush(heap, (expiration_ms, entry_id))
                 if entry_id > top:
@@ -824,139 +850,176 @@ class JavaSpace:
 
     # ---------------------------------------------------------------- internals --
 
-    @staticmethod
-    def _hashable(value: Any) -> bool:
-        try:
-            hash(value)
-            return True
-        except TypeError:
-            return False
+    def _read(self, stored: _Stored, names: tuple[str, ...]) -> list:
+        """The values of ``stored``'s fields ``names`` (``None`` where it
+        has no such field), without materialising the entry.
 
-    def _index_entry(self, stored: _Stored, entry: Optional[Entry]) -> None:
-        """Maintain the *activated* field indexes for one inserted entry.
+        The one way the space looks inside an entry it does not hand
+        out: a field-slice read of the frame.  Only a pickle-fallback
+        frame has to be decoded, once, into its private snapshot.
+        """
+        values = read_fields(stored.data, names)
+        if values is None:
+            snapshot = stored._snapshot
+            if snapshot is None:
+                snapshot = stored._snapshot = decode_any(stored.data)
+                self.match_stats["match_decodes"] += 1
+            attrs = snapshot.__dict__
+            values = [attrs.get(name) for name in names]
+        return values
+
+    def _confirm(self, stored: _Stored, items: list[tuple[str, Any]]) -> bool:
+        """Field-wise ``values_equal`` match of template ``items`` against
+        ``stored`` — for whatever no exact index answered."""
+        got = self._read(stored, tuple([name for name, _ in items]))
+        for (_, value), candidate in zip(items, got):
+            if not values_equal(candidate, value):
+                return False
+        return True
+
+    def _file(self, cls: type, name: str, by_value: dict[Any, _ScanList],
+              entry_id: int, value: Any) -> Optional[_ScanList]:
+        """Append ``entry_id`` to the bucket of ``value``; None (and the
+        field poisoned for good) when ``value`` is unhashable."""
+        try:
+            sl = by_value.get(value)
+        except TypeError:
+            self._unindexable.setdefault(cls, set()).add(name)
+            return None
+        if sl is None:
+            sl = by_value[value] = _ScanList(value)
+        sl.ids.append(entry_id)
+        return sl
+
+    def _index_entry(self, stored: _Stored,
+                     index: dict[str, dict[Any, _ScanList]]) -> None:
+        """File one inserted entry under its value of every *activated*
+        field (``index``, the class's non-empty field → buckets map).
 
         Called from ``_store``/``_apply_committed`` only when the class
         already has at least one activated index (``_build_index`` did
-        that on behalf of a selective reader) — the common write never gets
-        here.  ``entry`` is the writer's live instance when available;
-        pre-encoded inserts fall back to the lazy snapshot.  The indexed
-        ``(field, value)`` pairs are recorded on ``stored`` so removal
-        never recomputes them.  Index correctness relies on values whose
-        hash/equality survive recoding — true of every sane key type, and
-        the index is only ever a pre-filter: ``matches`` still confirms
-        against the isolated snapshot.
+        that on behalf of a selective reader) — the common write never
+        gets here.  The values come out of the stored frame, never from
+        a writer's live object: a key must be a private copy for the
+        index to be exact (see :meth:`_plan`).  The buckets are recorded
+        on ``stored`` so removal never recomputes them.
         """
-        cls = stored.cls
-        index = self._indexes.get(cls)
-        if not index:
-            return
-        if entry is None:
-            entry = stored.entry
-        attrs = entry.__dict__
-        keys = stored.index_keys
-        if keys is None:
-            keys = stored.index_keys = []
-        dropped: list[str] = []
-        for name, by_value in index.items():
-            value = attrs.get(name)
+        names = tuple(index)
+        for name, value in zip(names, self._read(stored, names)):
             if value is None:
                 continue
-            try:
-                ids = by_value.get(value)
-            except TypeError:
-                # Unhashable value: poison the field and stop maintaining
-                # its index — _candidate_ids falls back to scanning.
-                self._unindexable.setdefault(cls, set()).add(name)
-                dropped.append(name)
-                continue
-            if ids is None:
-                by_value[value] = ids = set()
-            ids.add(stored.entry_id)
-            keys.append((name, value))
-        for name in dropped:
-            del index[name]
+            sl = self._file(stored.cls, name, index[name], stored.entry_id,
+                            value)
+            if sl is None:
+                # Stop maintaining a poisoned index — _plan scans instead.
+                del index[name]
+            elif stored.filed is None:
+                stored.filed = {name: sl}
+            else:
+                stored.filed[name] = sl
 
     def _build_index(
         self, cls: type, name: str
-    ) -> Optional[dict[Any, set[int]]]:
-        """Activate the ``(cls, name)`` index: one scan over the bucket.
+    ) -> Optional[dict[Any, _ScanList]]:
+        """Activate the ``(cls, name)`` index: one pass over the bucket.
 
         Lazy-index activation point — the first template that selects on
-        ``name`` pays one O(bucket) build (forcing matching snapshots),
-        and every later write maintains the index incrementally.  Returns
-        None (and poisons the field) if any current value is unhashable.
+        ``name`` pays one O(bucket) build (a field-slice read per entry,
+        in insertion order), and every later write maintains the index
+        incrementally.  Returns None (and poisons the field) if any
+        current value is unhashable.
         """
-        by_value: dict[Any, set[int]] = {}
-        indexed: list[tuple[_Stored, Any]] = []
-        bucket = self._buckets.get(cls)
-        if bucket:
-            for stored in bucket.values():
-                value = stored.entry.__dict__.get(name)
-                if value is None:
-                    continue
-                try:
-                    ids = by_value.get(value)
-                except TypeError:
-                    self._unindexable.setdefault(cls, set()).add(name)
-                    return None
-                if ids is None:
-                    by_value[value] = ids = set()
-                ids.add(stored.entry_id)
-                indexed.append((stored, value))
-        for stored, value in indexed:
-            if stored.index_keys is None:
-                stored.index_keys = []
-            stored.index_keys.append((name, value))
-        index = self._indexes.get(cls)
-        if index is None:
-            index = self._indexes[cls] = {}
-        index[name] = by_value
+        self.match_stats["index_builds"] += 1
+        by_value: dict[Any, _ScanList] = {}
+        filed: list[tuple[_Stored, _ScanList]] = []
+        names = (name,)
+        for stored in self._buckets[cls].values():
+            value, = self._read(stored, names)
+            if value is None:
+                continue
+            sl = self._file(cls, name, by_value, stored.entry_id, value)
+            if sl is None:
+                return None
+            filed.append((stored, sl))
+        for stored, sl in filed:
+            if stored.filed is None:
+                stored.filed = {name: sl}
+            else:
+                stored.filed[name] = sl
+        self._indexes.setdefault(cls, {})[name] = by_value
         return by_value
 
-    def _unindex_entry(self, stored: _Stored) -> None:
-        if not stored.index_keys:
-            return
-        index = self._indexes.get(stored.cls)
-        if index is None:
-            return
-        for name, value in stored.index_keys:
-            by_value = index.get(name)
-            ids = by_value.get(value) if by_value is not None else None
-            if ids is not None:
-                ids.discard(stored.entry_id)
-                if not ids:
-                    del by_value[value]
+    def _retire(self, sl: _ScanList, bucket: dict[int, _Stored]) -> bool:
+        """Account for one id of ``sl`` that just left ``bucket``; True
+        when that was its last live id (the list is then emptied)."""
+        sl.stale += 1
+        listed = len(sl.ids) - sl.head
+        if sl.stale == listed:
+            sl.ids = []
+            sl.head = sl.stale = 0
+            return True
+        # Mid-list staleness (selective takes): rebuild once the dead
+        # outnumber what is left to scan.  Head retirement decrements
+        # ``stale``, so pure FIFO drains never rebuild.
+        if sl.stale >= 64 and sl.stale * 2 >= listed:
+            sl.ids = [i for i in sl.ids[sl.head:] if i in bucket]
+            sl.head = sl.stale = 0
+        return False
 
-    def _candidate_ids(
+    def _plan(
         self, cls: type, items: list[tuple[str, Any]]
-    ) -> Optional[list[int]]:
-        """Entry ids pre-filtered by the indexed template fields.
+    ) -> Optional[tuple[_ScanList, list, list]]:
+        """How to enumerate the entries of ``cls`` that can match the
+        template fields ``items``: ``(list to walk, membership tests,
+        fields to confirm)``, or None for a definite miss.
 
         Selecting on a field that has no index yet *activates* it (one
-        bucket scan via ``_build_index``); after that the lookup is a
-        pair of dict probes.  Returns None when no indexed field narrows
-        the search (scan the bucket); an empty list means a definite miss.
+        bucket pass via ``_build_index``); after that each indexed field
+        is a pair of dict probes.  The shortest value bucket found is
+        the list to walk; every other one becomes a membership test
+        ``(name, bucket)`` — a candidate passes iff it is filed in that
+        very bucket.  With no indexed field the class's own list is
+        walked.  All three are in insertion order, so which list is
+        walked never changes which match comes first.
+
+        *Exactness.*  An indexed field needs no confirm: for hashable
+        values, two values share a dict key iff they are equal, which is
+        the relation ``values_equal`` computes — ``1``, ``1.0`` and
+        ``True`` share a bucket on either path.  The one hashable value
+        that is not equal to itself, NaN, can only be found in a dict by
+        identity, and never is: keys are private decoded copies, so a
+        NaN template misses here exactly as it does under
+        ``values_equal``.  A confirm (:meth:`_confirm`, a field-slice
+        read) is left for the fields no index can answer: a poisoned one
+        (it once held an unhashable value, so its index would be
+        incomplete — an ndarray can equal a hashable template value) and
+        one whose template value is itself unhashable.
         """
-        poisoned = self._unindexable.get(cls)
-        ids: Optional[set[int]] = None
         index = self._indexes.get(cls)
-        for name, value in items:
-            if (poisoned is not None and name in poisoned) or not self._hashable(value):
-                continue
-            by_value = index.get(name) if index is not None else None
-            if by_value is None:
-                by_value = self._build_index(cls, name)
+        poisoned = self._unindexable.get(cls)
+        members: list[tuple[str, _ScanList]] = []
+        confirm: list[tuple[str, Any]] = []
+        for item in items:
+            name, value = item
+            by_value = None
+            if not (poisoned and name in poisoned) and _hashable(value):
+                by_value = index.get(name) if index else None
                 if by_value is None:
+                    by_value = self._build_index(cls, name)
+                    index = self._indexes.get(cls)
                     poisoned = self._unindexable.get(cls)
-                    continue
-                index = self._indexes.get(cls)
-            matching = by_value.get(value)
-            if not matching:
-                return []
-            ids = set(matching) if ids is None else ids & matching
-            if not ids:
-                return []
-        return None if ids is None else sorted(ids)  # FIFO within matches
+            if by_value is None:
+                confirm.append(item)
+                continue
+            sl = by_value.get(value)
+            if sl is None:
+                return None
+            members.append((name, sl))
+        if not members:
+            return self._scan_lists[cls], members, confirm
+        if len(members) > 1:
+            members.sort(key=lambda member: len(member[1]))
+        return members.pop(0)[1], members, confirm
 
     # ----------------------------------------------------- fair-share dispatch --
 
@@ -1002,23 +1065,14 @@ class JavaSpace:
 
         One pass collects the FIFO-first candidate of every tenant with a
         visible match; the deficit counters then pick the tenant.  The
-        pass forces matching snapshots (it must read ``tenant``), which
-        is why fair share is opt-in per space.
+        pass looks up every candidate's tenant, which is why fair share
+        is opt-in per space.
         """
         candidates: dict[str, _Stored] = {}
-        for cls, bucket in self._buckets.items():
-            if not bucket or not issubclass(cls, template_cls):
-                continue
-            for stored in self._scan_bucket(cls, bucket):
-                if not self._visible(stored, txn):
-                    continue
-                if stored.read_lockers and not self._takeable(stored, txn):
-                    continue
-                if items and not matches_fields(items, stored.entry):
-                    continue
-                tenant = getattr(stored.entry, "tenant", None) or ""
-                if tenant not in candidates:
-                    candidates[tenant] = stored
+        for stored in self._matching(template_cls, items, txn, take=True):
+            tenant = self._tenant_of(stored)
+            if tenant not in candidates:
+                candidates[tenant] = stored
         if not candidates:
             return None
         if len(candidates) == 1:
@@ -1029,6 +1083,21 @@ class JavaSpace:
             return stored
         chosen = self._drr_select(sorted(candidates))
         return candidates[chosen]
+
+    def _tenant_of(self, stored: _Stored) -> str:
+        """The entry's tenant (``""`` for none), off the key of the
+        bucket it is filed in: the DRR pass activates the ``tenant``
+        index, and from then on costs a dict probe per candidate, not a
+        frame read.  (A poisoned index — an unhashable tenant — leaves
+        the read.)"""
+        cls = stored.cls
+        by_value = self._indexes.get(cls, {}).get("tenant")
+        if by_value is None and "tenant" not in self._unindexable.get(cls, ()):
+            by_value = self._build_index(cls, "tenant")
+        if by_value is None:
+            return self._read(stored, ("tenant",))[0] or ""
+        sl = stored.filed.get("tenant") if stored.filed else None
+        return sl.key if sl is not None else ""
 
     def _drr_select(self, present: list[str]) -> str:
         """Deficit-round-robin tenant pick among the tenants ``present``.
@@ -1060,159 +1129,77 @@ class JavaSpace:
                 and template_cls.__name__ in self._fair_class_names
                 and not any(name == "tenant" for name, _ in items))
 
-    def _scan_bucket(self, cls: type, bucket: dict[int, _Stored]) -> Iterator[_Stored]:
-        """Live entries of ``bucket`` in insertion order (scan-list walk);
-        leading dead ids are retired as a side effect."""
-        sl = self._scan_lists[cls]
-        ids = sl.ids
-        get = bucket.get
-        i = sl.head
-        n = len(ids)
-        at_head = True
-        while i < n:
-            stored = get(ids[i])
-            i += 1
-            if stored is None:
-                if at_head:
-                    sl.head = i
-                    sl.stale -= 1
-                continue
-            at_head = False
-            yield stored
-
-    def _find(
+    def _matching(
         self,
         template_cls: type,
         items: list[tuple[str, Any]],
         txn: Optional[Transaction],
         take: bool,
-    ) -> Optional[_Stored]:
-        if self._fair_shares is not None and self._fair_applies(
-                template_cls, items, take):
-            return self._find_fair(template_cls, items, txn)
+        limit: Optional[int] = None,
+    ) -> list[_Stored]:
+        """The first ``limit`` (default: all) entries a ``read`` — or,
+        with ``take``, a take — under ``txn`` may return for the
+        template, in insertion order within each class bucket: the one
+        walk behind every operation.
+
+        Per class, :meth:`_plan` names the list to walk; leading dead ids
+        are retired as a side effect.  Nothing here decodes an entry.
+        """
+        out: list[_Stored] = []
+        steps = 0
         for cls, bucket in self._buckets.items():
             if not bucket or not issubclass(cls, template_cls):
                 continue
+            members = confirm = None
             if items:
-                candidates = self._candidate_ids(cls, items)
-                if candidates is not None:
-                    for entry_id in candidates:
-                        stored = bucket.get(entry_id)
-                        if stored is None:
-                            continue
-                        state = stored.state
-                        if state != _AVAILABLE:
-                            if state == _TAKEN or txn is None or stored.owner_txn is not txn:
-                                continue
-                        if stored.lease.is_expired():
-                            continue
-                        if take and stored.read_lockers and not self._takeable(stored, txn):
-                            continue
-                        if matches_fields(items, stored.entry):
-                            return stored
+                plan = self._plan(cls, items)
+                if plan is None:
                     continue
-            # Insertion-order walk over the scan list, inlined rather than
-            # through _scan_bucket: this loop is the per-op hot path and
-            # in the common case returns its very first live entry.
-            sl = self._scan_lists[cls]
+                sl, members, confirm = plan
+            else:
+                sl = self._scan_lists[cls]
             ids = sl.ids
             get = bucket.get
-            i = sl.head
             n = len(ids)
-            at_head = True
-            while i < n:
-                stored = get(ids[i])
-                i += 1
+            # Retire the leading dead ids, then walk the rest.
+            first = head = sl.head
+            while head < n and ids[head] not in bucket:
+                head += 1
+            sl.stale -= head - first
+            sl.head = head
+            last = head - 1
+            for last in range(head, n):
+                stored = get(ids[last])
                 if stored is None:
-                    if at_head:
-                        sl.head = i
-                        sl.stale -= 1
                     continue
-                at_head = False
-                # _visible, inlined.
+                if members:
+                    filed = stored.filed
+                    if filed is None or any(
+                            filed.get(name) is not other
+                            for name, other in members):
+                        continue
+                # Visible: available, or this txn's own pending write; a
+                # taken entry is gone from every view.
                 state = stored.state
                 if state != _AVAILABLE:
-                    if state == _TAKEN or txn is None or stored.owner_txn is not txn:
+                    if (state == _TAKEN or txn is None
+                            or stored.owner_txn is not txn):
                         continue
                 if stored.lease.is_expired():
                     continue
-                if take and stored.read_lockers and not self._takeable(stored, txn):
+                if (take and stored.read_lockers
+                        and not self._takeable(stored, txn)):
                     continue
-                # Class-only templates match without touching the snapshot.
-                if not items or matches_fields(items, stored.entry):
-                    return stored
-        return None
-
-    def _find_many(
-        self,
-        template_cls: type,
-        items: list[tuple[str, Any]],
-        txn: Optional[Transaction],
-        take: bool,
-        limit: int,
-    ) -> list[_Stored]:
-        """Up to ``limit`` matches in one walk (``take_multiple`` drain).
-
-        Same candidate machinery as :meth:`_find`, but the index buckets
-        (or class buckets) are traversed once for the whole batch —
-        claims happen after collection, which is equivalent because a
-        claim never changes another collected entry's visibility.
-        """
-        out: list[_Stored] = []
-        for cls, bucket in self._buckets.items():
-            if not bucket or not issubclass(cls, template_cls):
-                continue
-            if items:
-                candidates = self._candidate_ids(cls, items)
-                stored_iter: Any = (
-                    self._scan_bucket(cls, bucket)
-                    if candidates is None
-                    else (bucket[i] for i in candidates if i in bucket)
-                )
-            else:
-                stored_iter = self._scan_bucket(cls, bucket)
-            for stored in stored_iter:
-                if not self._visible(stored, txn):
+                if confirm and not self._confirm(stored, confirm):
                     continue
-                if take and stored.read_lockers and not self._takeable(stored, txn):
-                    continue
-                if not items or matches_fields(items, stored.entry):
-                    out.append(stored)
-                    if len(out) >= limit:
-                        return out
+                out.append(stored)
+                if len(out) == limit:
+                    break
+            steps += last + 1 - first
+            if len(out) == limit:
+                break
+        self.match_stats["scan_steps"] += steps
         return out
-
-    def _iter_matching(
-        self, template: Entry, txn: Optional[Transaction]
-    ) -> Iterator[_Stored]:
-        """Visible entries matching ``template``, index-prefiltered, FIFO
-        within each class bucket (shared by ``contents`` and ``count``)."""
-        template_cls = type(template)
-        items = match_items(template)
-        for cls, bucket in self._buckets.items():
-            if not bucket or not issubclass(cls, template_cls):
-                continue
-            candidates = self._candidate_ids(cls, items) if items else None
-            stored_iter: Any = (
-                self._scan_bucket(cls, bucket)
-                if candidates is None
-                else (bucket[i] for i in candidates if i in bucket)
-            )
-            for stored in stored_iter:
-                if not self._visible(stored, txn):
-                    continue
-                if not items or matches_fields(items, stored.entry):
-                    yield stored
-
-    def _visible(self, stored: _Stored, txn: Optional[Transaction]) -> bool:
-        state = stored.state
-        if state == _TAKEN:
-            return False  # gone from every view
-        if stored.lease.is_expired():
-            return False
-        if state == _AVAILABLE:
-            return True
-        return txn is not None and stored.owner_txn is txn  # _PENDING_WRITE
 
     def _takeable(self, stored: _Stored, txn: Optional[Transaction]) -> bool:
         """Shared read locks by *other* transactions block a take."""
@@ -1240,7 +1227,7 @@ class JavaSpace:
             for waiter in queue:
                 if waiter.woken:
                     continue
-                if not waiter.items or matches_fields(waiter.items, stored.entry):
+                if not waiter.items or self._confirm(stored, waiter.items):
                     waiter.woken = True
                     waiter.cond.notify()
                     wakeups += 1
@@ -1274,8 +1261,7 @@ class JavaSpace:
             alive.append(reg)
             if not issubclass(stored.cls, type(reg.template)):
                 continue
-            reg_items = match_items(reg.template)
-            if not reg_items or matches_fields(reg_items, stored.entry):
+            if not reg.items or self._confirm(stored, reg.items):
                 event = RemoteEvent(self.name, reg.registration_id, reg.next_sequence())
                 self._stat_events += 1
                 # Deliver outside the monitor; listeners must not block, and
@@ -1298,17 +1284,15 @@ class JavaSpace:
         bucket = self._buckets.get(cls)
         if bucket is not None and bucket.pop(stored.entry_id, None) is not None:
             self._by_id.pop(stored.entry_id, None)
-            self._unindex_entry(stored)
-            sl = self._scan_lists.get(cls)
-            if sl is not None:
-                sl.stale += 1
-                # Mid-list staleness (selective takes): rebuild once the
-                # dead outnumber what is left to scan.  Head retirement
-                # decrements ``stale``, so pure FIFO drains never rebuild.
-                if sl.stale >= 64 and sl.stale * 2 >= len(sl.ids) - sl.head:
-                    sl.ids = [i for i in sl.ids[sl.head:] if i in bucket]
-                    sl.head = 0
-                    sl.stale = 0
+            self._retire(self._scan_lists[cls], bucket)
+            if stored.filed:
+                index = self._indexes.get(cls) or {}
+                for name, sl in stored.filed.items():
+                    # An emptied value bucket goes (a poisoned field's
+                    # index is gone already): a field of unique values
+                    # would otherwise grow one dead key per entry.
+                    if self._retire(sl, bucket) and name in index:
+                        del index[name][sl.key]
 
     def _reap_expired(self) -> None:
         """Collect expired and cancelled entries.
@@ -1360,4 +1344,5 @@ class JavaSpace:
         """Number of visible entries matching ``template`` (diagnostic)."""
         with self._lock:
             self._reap_expired()
-            return sum(1 for _ in self._iter_matching(template, txn))
+            return len(self._matching(type(template), match_items(template),
+                                      txn, take=False))

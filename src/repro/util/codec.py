@@ -58,6 +58,7 @@ __all__ = [
     "decode_any",
     "is_compact",
     "peek_class",
+    "read_fields",
     "HEADER_SIZE",
 ]
 
@@ -82,13 +83,15 @@ _I64_MAX = (1 << 63) - 1
 
 
 class _Schema:
-    __slots__ = ("cls", "fields", "fingerprint", "header")
+    __slots__ = ("cls", "fields", "fingerprint", "header", "slices")
 
     def __init__(self, cls: type, fields: tuple[str, ...]) -> None:
         self.cls = cls
         self.fields = fields
         self.fingerprint = schema_fingerprint(cls, fields)
         self.header = _MAGIC_BYTE + _pack_u32(self.fingerprint)
+        #: names → per-field output slots (see :func:`read_fields`).
+        self.slices: dict[tuple[str, ...], tuple[int, ...]] = {}
 
 
 _BY_CLASS: dict[type, _Schema] = {}
@@ -259,6 +262,17 @@ def is_compact(data) -> bool:
     return len(data) > 0 and data[0] == MAGIC
 
 
+def _schema_of(data) -> _Schema:
+    """The registered schema a compact frame's header names."""
+    fingerprint, = _unpack_u32(data, 1)
+    schema = _BY_FINGERPRINT.get(fingerprint)
+    if schema is None:
+        raise EntryError(
+            f"compact frame with unregistered schema {fingerprint:#x}"
+        )
+    return schema
+
+
 def peek_class(data) -> Optional[type]:
     """The entry class of a compact frame without decoding its values.
 
@@ -268,13 +282,71 @@ def peek_class(data) -> Optional[type]:
     """
     if not is_compact(data):
         return None
-    fingerprint, = _unpack_u32(data, 1)
-    schema = _BY_FINGERPRINT.get(fingerprint)
-    if schema is None:
-        raise EntryError(
-            f"compact frame with unregistered schema {fingerprint:#x}"
-        )
-    return schema.cls
+    return _schema_of(data).cls
+
+
+#: Encoded size of the fixed-width values, by tag; the other valid tags
+#: (``s b I p``) carry a u32 length after the tag byte.
+_FIXED_SIZE = {0x4E: 1, 0x54: 1, 0x46: 1, 0x69: 9, 0x66: 9}
+_SIZED_TAGS = frozenset(b"sbIp")
+
+
+def read_fields(data, names: tuple[str, ...]) -> Optional[list]:
+    """The values of the fields ``names`` of a compact frame, in that
+    order, without decoding the rest (a field-slice read).
+
+    For whoever routes an entry rather than consumes it: fields nobody
+    asked for are stepped over by tag and length — a ``p`` payload is
+    never unpickled — and the walk stops at the last field wanted.  A
+    name outside the schema reads as ``None``, which is what a template
+    (``None`` = wildcard, never equal to a set field) and ``getattr(entry,
+    name, None)`` both make of a missing attribute.  Returns ``None``
+    for a pickle-fallback frame, which has no slices to read; raises
+    :class:`EntryError` for a malformed compact one.
+    """
+    if not data:
+        raise EntryError("cannot deserialize empty payload")
+    if data[0] != MAGIC:
+        return None
+    try:
+        schema = _schema_of(data)
+        slots = schema.slices.get(names)
+        if slots is None:
+            # Field position → index into ``names`` (-1: step over), cut
+            # after the last field wanted.
+            wanted = [names.index(field) if field in names else -1
+                      for field in schema.fields]
+            while wanted and wanted[-1] < 0:
+                wanted.pop()
+            slots = schema.slices[names] = tuple(wanted)
+        out: list = [None] * len(names)
+        pos = HEADER_SIZE
+        for slot in slots:
+            tag = data[pos]
+            if slot < 0:
+                size = _FIXED_SIZE.get(tag)
+                if size is None:
+                    if tag not in _SIZED_TAGS:
+                        raise EntryError("corrupt compact frame: unknown "
+                                         f"value tag {tag:#x}")
+                    size = 5 + _unpack_u32(data, pos + 1)[0]
+                pos += size
+            elif tag == 0x73:  # s (inlined, like decode_any's)
+                end = pos + 5 + _unpack_u32(data, pos + 1)[0]
+                out[slot] = str(data[pos + 5:end], "utf-8")
+                pos = end
+            elif tag == 0x69:  # i
+                out[slot], = _unpack_i64(data, pos + 1)
+                pos += 9
+            else:
+                out[slot], pos = _decode_value(data, pos)
+    except (IndexError, struct.error, UnicodeDecodeError):
+        # Ran off the end mid-value (a cut inside a UTF-8 sequence shows
+        # up as a decode error before the length check below can).
+        raise EntryError("corrupt compact frame: truncated") from None
+    if pos > len(data):
+        raise EntryError("corrupt compact frame: truncated")
+    return out
 
 
 def decode_any(data) -> Any:

@@ -9,7 +9,7 @@ from repro.errors import AdmissionError
 from repro.tuplespace import JavaSpace
 from repro.tuplespace import proxy as proxy_module
 from repro.tuplespace.proxy import AdmissionConfig, AdmissionController
-from repro.util.codec import decode_any, encode_entry
+from repro.util.codec import decode_any, encode_entry, is_compact
 from tests.conftest import run_in_sim
 
 
@@ -55,5 +55,25 @@ def test_tenant_tagged_task_frame_is_still_judged(rt, decodes):
 
     error = run_in_sim(rt, body)
     assert (error.tenant, error.reason) == ("t", "in-flight")
-    assert decodes == [untagged, tagged]
+    # Judged on field slices of the frame: admission decodes no entry.
+    assert decodes == []
     assert controller.stats["rejected"] == 1
+
+
+def test_pickle_fallback_task_frame_is_decoded_to_be_judged(rt, decodes):
+    """A frame with no field slices is the one case admission decodes."""
+    controller = AdmissionController(rt, JavaSpace(rt),
+                                     AdmissionConfig(max_in_flight=0))
+    drifted = TaskEntry("app", 3, tenant="t")
+    drifted.note = "off-schema attribute"
+    frame = encode_entry(drifted)
+    assert not is_compact(frame)
+
+    def body():
+        with pytest.raises(AdmissionError) as rejected:
+            controller.check("write", {"entry_data": frame})
+        return rejected.value
+
+    error = run_in_sim(rt, body)
+    assert (error.tenant, error.reason) == ("t", "in-flight")
+    assert decodes == [frame]

@@ -1,7 +1,8 @@
 """Crash-point property: a durable space over a file WAL, crashed anywhere.
 
-For any sequence of write / take / ``write_all`` / transaction commit /
-transaction abort / lease cancel, under every fsync policy, with the
+For any sequence of write / take / ``take_multiple`` / ``write_all`` /
+transaction commit / transaction abort / lease cancel, under every fsync
+policy, with the
 process killed at a random step — or inside a checkpoint, after each of
 its durable steps — what ``DurableSpace.recover`` rebuilds from the
 files equals a dict shadow model *as of the last commit the policy
@@ -16,7 +17,10 @@ promised to keep*:
   whichever of the old/new checkpoint and full/cut log the crash left.
 
 The model is kept per LSN, so "which commit did recovery stop at" is
-read off the recovered log and checked against the promise, not guessed.
+read off the recovered log and checked against the promise, not guessed
+— and a call that logged more than one record (an untransacted
+``take_multiple`` once logged one per entry) can be recovered to an LSN
+the model has no state for, which fails the lookup.
 Afterwards the recovered space keeps serving the rest of the sequence
 and must survive a clean restart, and checkpoint → recover → checkpoint
 is byte-stable.
@@ -56,6 +60,7 @@ _steps = st.lists(
     st.one_of(
         st.tuples(st.just("write")),
         st.tuples(st.just("take")),
+        st.tuples(st.just("take_multiple"), st.integers(1, 5)),
         st.tuples(st.just("write_all"), st.integers(1, 5)),
         st.tuples(st.just("commit"), _txn_ops),
         st.tuples(st.just("abort"), _txn_ops),
@@ -111,6 +116,11 @@ class _Driver:
             assert (got is None) == (not self.model)
             if got is not None:
                 assert self.model.pop(got.task_id) == got.payload
+        elif kind == "take_multiple":
+            got = space.take_multiple(TaskEntry(), step[1], timeout_ms=0.0)
+            assert len(got) == min(step[1], len(self.model))
+            for entry in got:
+                assert self.model.pop(entry.task_id) == entry.payload
         elif kind == "write_all":
             entries = [self._fresh() for _ in range(step[1])]
             for entry, lease in zip(entries, space.write_all(entries)):
@@ -253,5 +263,5 @@ def test_every_crash_kind_on_a_fixed_sequence(policy, how):
     steps = [("write_all", 4), ("write",), ("take",),
              ("commit", ["take", "write", "write"]), ("cancel", 1),
              ("abort", ["take", "write"]), ("write",), ("sync",),
-             ("write",), ("take",), ("write_all", 2)]
-    _scenario(steps, policy, group_size=3, crash_at=9, how=how)
+             ("write",), ("take_multiple", 3), ("write_all", 2)]
+    _scenario(steps, policy, group_size=3, crash_at=10, how=how)

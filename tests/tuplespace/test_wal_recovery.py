@@ -155,6 +155,35 @@ def test_committed_txn_survives_recovery(runtime):
     assert committed_points(recovered) == [(2, 2)]
 
 
+def test_untransacted_take_multiple_is_one_commit(runtime):
+    """One call, one record (one LSN, one replication record), however
+    many entries it drained: the batch survives a crash whole or not at
+    all."""
+    store = WalStore(fsync_policy="group", group_size=64)
+    space = DurableSpace(runtime, wal=WriteAheadLog(store),
+                         snapshot_every=None)
+
+    def scenario():
+        space.write_all([Point(i, 0) for i in range(10)])
+        space.sync()
+        before = space.wal.last_lsn
+        taken = space.take_multiple(Point(), 8, timeout_ms=0.0)
+        return before, [p.x for p in taken]
+
+    before, taken = run(runtime, scenario)
+    assert taken == list(range(8))
+    assert space.wal.last_lsn == before + 1
+    assert len(store.records[-1].ops) == 8
+    # Process crash: the record reached the store, all eight are gone.
+    recovered = DurableSpace.recover(runtime, store)
+    assert committed_points(recovered) == [(8, 0), (9, 0)]
+    # Power loss before the group's fsync: the one record is lost, and
+    # all eight are back — never some of them.
+    assert store.power_loss() == 1
+    recovered = DurableSpace.recover(runtime, store)
+    assert committed_points(recovered) == [(i, 0) for i in range(10)]
+
+
 def test_snapshot_plus_tail_recovery(runtime):
     store = WalStore()
     space = DurableSpace(runtime, wal=WriteAheadLog(store), snapshot_every=None)

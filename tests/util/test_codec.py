@@ -27,6 +27,7 @@ from repro.util.codec import (
     encode_entry,
     is_compact,
     peek_class,
+    read_fields,
     register_entry,
     registered_fields,
     schema_fingerprint,
@@ -190,3 +191,89 @@ def test_memoryview_input_decodes():
     entry = TaskEntry("app", 3, [1, 2])
     assert decode_any(memoryview(encode_entry(entry))).__dict__ == \
         entry.__dict__
+
+
+# ------------------------------------------------------ field-slice reads --
+
+
+class Wide:
+    """Six free-form fields: any value tag can sit before, between and
+    after the fields a reader asks for."""
+
+    FIELDS = ("a", "b", "c", "d", "e", "f")
+
+    def __init__(self, a=None, b=None, c=None, d=None, e=None, f=None):
+        self.a, self.b, self.c, self.d, self.e, self.f = a, b, c, d, e, f
+
+
+register_entry(Wide)
+
+wide_entries = st.builds(Wide, *([payloads] * len(Wide.FIELDS)))
+some_names = st.lists(st.sampled_from(Wide.FIELDS + ("absent",)),
+                      unique=True).map(tuple)
+
+
+@given(entry=wide_entries, names=some_names)
+def test_read_fields_equals_the_attributes(entry, names):
+    """Every tag kind (N T F i I f s b p), any subset, any order."""
+    attrs = entry.__dict__
+    assert read_fields(encode_entry(entry), names) == \
+        [attrs.get(name) for name in names]
+
+
+@given(entry=wide_entries, cut=st.integers(0, 400))
+def test_read_fields_rejects_a_truncated_frame(entry, cut):
+    frame = encode_entry(entry)
+    with pytest.raises(EntryError):
+        read_fields(frame[:cut % len(frame)], Wide.FIELDS)
+
+
+def test_read_fields_stops_at_the_last_field_wanted():
+    frame = encode_entry(Wide("x", 2, [3], "y", 5, 6))
+    cut = frame.index(b"s\x01\x00\x00\x00y")
+    # Everything from field d on is missing; a, b, c still read.
+    assert read_fields(frame[:cut], ("c", "a")) == [[3], "x"]
+
+
+def _wide_frame(*values: bytes) -> bytes:
+    return encode_entry(Wide())[:5] + b"".join(values)
+
+
+def test_unasked_payload_is_never_unpickled():
+    garbage = b"this is no pickle"
+    frame = _wide_frame(b"s\x01\x00\x00\x00x",
+                        b"p" + struct.pack("<I", len(garbage)) + garbage,
+                        b"i" + struct.pack("<q", 5), b"N", b"N", b"N")
+    assert read_fields(frame, ("c", "a")) == [5, "x"]
+    with pytest.raises(EntryError):
+        read_fields(frame, ("b",))
+    with pytest.raises(EntryError):
+        decode_any(frame)
+
+
+@pytest.mark.parametrize("names", [("a",), ("b",)])
+def test_read_fields_rejects_an_unknown_tag(names):
+    # Whether the bad tag is the field wanted or one stepped over.
+    frame = _wide_frame(b"z", b"N", b"N", b"N", b"N", b"N")
+    with pytest.raises(EntryError):
+        read_fields(frame, names)
+
+
+def test_read_fields_has_nothing_to_read_in_a_pickle_frame():
+    assert read_fields(encode_entry(_Loose()), ("x",)) is None
+    drifted = TaskEntry("a", 1, None)
+    drifted.extra = "grew a field"
+    assert read_fields(encode_entry(drifted), ("app",)) is None
+
+
+def test_read_fields_rejects_empty_and_unregistered_frames():
+    with pytest.raises(EntryError):
+        read_fields(b"", ("a",))
+    with pytest.raises(EntryError):
+        read_fields(bytes([MAGIC]) + struct.pack("<I", 0xDEADBEEF), ("a",))
+
+
+def test_read_fields_accepts_a_memoryview():
+    frame = encode_entry(TaskEntry("app", 3, [1, 2]))
+    assert read_fields(memoryview(frame), ("payload", "app")) == \
+        [[1, 2], "app"]
