@@ -1,10 +1,11 @@
-"""Head-to-head codec microbenchmark: compact frames vs their pickle fallback.
+"""Codec microbenchmark: entry frames against a whole-object pickle.
 
 Measures encode and decode ops/second and bytes/entry for the entry
 shapes the framework actually ships — a selective template, a seeded
-task, and a payload-bearing result — as compact frames and as the
-whole-object pickle frames unregistered classes fall back to, plus the
-WAL commit-record frame path (``record_frame``) and a field-slice read
+task, and a payload-bearing result — as entry frames and, for
+reference, as ``serialize`` (pickle) of the same object: the ``pickle``
+rows are that reference, not a path the system takes.  Plus the WAL
+commit-record frame path (``record_frame``) and a field-slice read
 (``read_fields``: what the space pays to route an entry) against the
 full decode it replaced.  Wall-clock only; nothing is written to
 BENCH_micro.json (run_micro carries the gated cells).
@@ -17,7 +18,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import pickle
 import time
 
 from repro.core.entries import ResultEntry, TaskEntry
@@ -69,21 +69,16 @@ def run(n: int, rounds: int) -> None:
     record = CommitRecord(
         lsn=1, epoch=3,
         ops=(op_write(7, encode_entry(SHAPES["task"]), float("inf")),))
-    def compact_frame():
+
+    def frame():
         # record_frame caches on the instance; strip the cache so the
         # benchmark measures encoding, not a dict lookup.
         record.__dict__.pop("_frame", None)
         return record_frame(record)
 
-    def pickle_frame():
-        record.__dict__.pop("_frame", None)
-        return pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-
-    for codec, frame in (("compact", compact_frame),
-                         ("pickle", pickle_frame)):
-        rate = _best(frame, n, rounds)
-        print(f"{'wal-frame':>10} {codec:>8} {rate:>12.0f} {'-':>12} "
-              f"{len(frame()):>6}")
+    rate = _best(frame, n, rounds)
+    print(f"{'wal-frame':>10} {'compact':>8} {rate:>12.0f} {'-':>12} "
+          f"{len(frame()):>6}")
 
     # Field-slice read: one field of a seven-field TaskEntry whose
     # payload is a container, vs decoding the entry to look at it.

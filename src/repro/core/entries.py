@@ -4,6 +4,10 @@
 resides" — here: ``(app_id, task_id)``.  Workers use a wildcard template
 on ``TaskEntry`` (value-based lookup), the master collects ``ResultEntry``
 objects back.
+
+Each class's codec schema is its constructor's parameter list, in that
+order (the canonical encoding order), registered when the class is
+defined — see :class:`~repro.tuplespace.entry.Entry`.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.tuplespace.entry import Entry
-from repro.util.codec import register_entry
 
 __all__ = ["TaskEntry", "ResultEntry", "DeadLetterEntry", "MasterCheckpointEntry"]
 
@@ -150,12 +153,3 @@ class DeadLetterEntry(Entry):
         self.trace = trace
         self.tenant = tenant
 
-
-# Compact-codec schemas: one registration per class, fields in
-# constructor order (the canonical encoding order).  Registration is a
-# pure declaration — instances still pickle fine, and unregistered
-# subclasses simply stay on the pickle path.
-register_entry(TaskEntry)
-register_entry(ResultEntry)
-register_entry(MasterCheckpointEntry)
-register_entry(DeadLetterEntry)

@@ -101,14 +101,14 @@ def cluster_table(framework: Any, report: Any = None) -> str:
     }
     queued = totals["writes"] - totals["takes"] - totals["expired"]
     match = _match_totals(spaces)
-    # match: what finding those entries cost — ids walked, whole entries
-    # decoded to look inside them, field indexes built.
+    # match: what finding those entries cost — ids walked, field
+    # indexes built.
     lines.append(
         f"space: writes={totals['writes']} takes={totals['takes']} "
         f"reads={totals['reads']} queue≈{max(queued, 0)} "
         f"wakeups={totals['wakeups']} bytes={totals['bytes_written']:,} "
-        f"match: {match['scan_steps']} steps/{match['match_decodes']} "
-        f"decodes/{match['index_builds']} indexes")
+        f"match: {match['scan_steps']} steps/"
+        f"{match['index_builds']} indexes")
 
     wal = _wal_totals(spaces)
     if wal is not None:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import sys
 from typing import Any
 
+from repro.util.codec import init_fields, register_entry
+
 __all__ = [
     "Entry",
     "entry_fields",
@@ -33,8 +35,26 @@ class Entry:
 
     Subclasses are plain Python classes; every instance attribute whose
     name does not start with ``_`` is a *public field* that participates
-    in matching.  Entries must be picklable (enforced at ``write``).
+    in matching.
+
+    Defining a subclass registers its *schema* with the entry codec
+    (:func:`repro.util.codec.register_entry`): the ``__init__`` parameter
+    names, in order.  An instance may carry any subset of those
+    attributes (an absent one is ``None``, a wildcard) and no others —
+    an attribute outside the schema is an :class:`EntryError` at
+    ``write``, and field values must be scalars or picklable containers.
+    A class whose constructor does not name its fields (variadic, or
+    installed after the class body by a decorator such as ``@dataclass``)
+    declares them itself: ``register_entry(cls, fields=("a", "b"))``.
     """
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = init_fields(cls)
+        # A variadic __init__ names no fields: no schema yet, and the
+        # first encode says so unless the class registers fields= by then.
+        if fields is not None:
+            register_entry(cls, fields)
 
     def shard_key(self) -> Any:
         """The routable key for sharded spaces.
@@ -51,6 +71,9 @@ class Entry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fields = ", ".join(f"{k}={v!r}" for k, v in entry_fields(self).items())
         return f"{type(self).__name__}({fields})"
+
+
+register_entry(Entry)   # subclasses register themselves; the base has no fields
 
 
 #: cls → (public field names, total attr count when cached).  Instances of

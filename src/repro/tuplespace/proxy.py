@@ -187,20 +187,11 @@ class AdmissionController:
         for frame in frames:
             # The controlled-class test reads the frame header only, and
             # tenant/priority are field-slice reads: admission judges an
-            # entry without decoding it.  Only a pickle-fallback frame
-            # (no header to peek, no slices) is decoded.
+            # entry without decoding it.
             cls = peek_class(frame)
-            if cls is not None and cls.__name__ not in config.class_names:
+            if cls.__name__ not in config.class_names:
                 continue
-            fields = read_fields(frame, ("tenant", "priority"))
-            if fields is None:
-                entry = decode_any(frame)
-                cls = type(entry)
-                if cls.__name__ not in config.class_names:
-                    continue
-                fields = [getattr(entry, "tenant", None),
-                          getattr(entry, "priority", None)]
-            tenant, priority = fields
+            tenant, priority = read_fields(frame, ("tenant", "priority"))
             if tenant is None:
                 continue
             controlled.setdefault(tenant, []).append((cls, priority))
@@ -762,12 +753,14 @@ class SpaceServer:
                 # + lease_ms: a renewal that crawled through a slow or
                 # one-way-partitioned link must not grant more lease than
                 # the supervisor will wait out before promoting, or the
-                # two primaries overlap.  Legacy renewals without a bound
-                # keep the arrival-clock rule.
+                # two primaries overlap.  A renewal that carries no bound
+                # therefore extends nothing.
                 bound = args.get("valid_until")
-                granted = now + self.lease_ms if bound is None else float(bound)
-                if self._lease_expires is None or granted > self._lease_expires:
-                    self._lease_expires = granted
+                if bound is not None:
+                    granted = float(bound)
+                    if (self._lease_expires is None
+                            or granted > self._lease_expires):
+                        self._lease_expires = granted
         # The reply reports the fence state: a probe that finds the lease
         # expired tells the supervisor this primary is self-fenced and will
         # stay so (renewal was just refused above) — reachable-but-fenced

@@ -27,11 +27,10 @@ the entry; the confirm survives only for fields an index cannot answer
 Isolation: entries are serialized at ``write`` and the space works on
 the bytes.  It reads the one or two fields it routes on straight out of
 the frame (:func:`repro.util.codec.read_fields`) and never materialises
-an entry it does not hand out — only a pickle-fallback frame, which has
-no field slices, is decoded (once, lazily) into a private matching
-snapshot.  Callers still never share mutable state through the space:
-every ``read``/``take`` returns a fresh copy deserialized from the stored
-bytes, the behaviour of the real JavaSpaces proxy.
+an entry it does not hand out.  Callers still never share mutable state
+through the space: every ``read``/``take`` returns a fresh copy
+deserialized from the stored bytes, the behaviour of the real JavaSpaces
+proxy.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from repro.errors import SpaceError
+from repro.errors import EntryError, SpaceError
 from repro.runtime.base import Runtime
 from repro.tuplespace.entry import Entry, match_items, values_equal
 from repro.tuplespace.events import EventRegistration, RemoteEvent
@@ -102,19 +101,17 @@ class _Stored:
     """One entry in the store, with its lock state.
 
     ``cls`` and ``filed`` are recorded at write time, and field values
-    are read out of ``data`` by slice, so a compact frame is never
-    decoded inside the space; ``_snapshot`` is the private matching copy
-    of a pickle-fallback frame, which has no slices (see
-    :meth:`JavaSpace._read`).
+    are read out of ``data`` by slice (:func:`~repro.util.codec.read_fields`),
+    so a frame is never decoded inside the space.
     """
 
     __slots__ = (
         "entry_id", "cls", "data", "lease", "state", "owner_txn",
-        "read_lockers", "filed", "_snapshot",
+        "read_lockers", "filed",
     )
 
-    def __init__(self, entry_id: int, cls: type, data: bytes, lease: Lease,
-                 snapshot: Optional[Entry] = None) -> None:
+    def __init__(self, entry_id: int, cls: type, data: bytes,
+                 lease: Lease) -> None:
         self.entry_id = entry_id
         self.cls = cls                # entry class
         self.data = data              # serialized form returned to clients
@@ -126,7 +123,6 @@ class _Stored:
         self.read_lockers: Optional[set[int]] = None  # txn ids, shared locks
         # Indexed field → the value bucket this entry is filed in.
         self.filed: Optional[dict[str, _ScanList]] = None
-        self._snapshot = snapshot     # pickle-fallback frames only
 
 
 class _ScanList:
@@ -200,27 +196,29 @@ def _hashable(value: Any) -> bool:
         return False
 
 
-def _own_frame(entry: Entry) -> tuple[type, bytes, Optional[Entry]]:
-    """``(class, frame, None)`` for an entry written in-process: the
-    writer's live object is never kept, not even to index by — whatever
-    the space matches on must be a private copy."""
+def _own_frame(entry: Entry) -> tuple[type, bytes]:
+    """``(class, frame)`` for an entry written in-process: the writer's
+    live object is never kept, not even to index by — whatever the space
+    matches on must be a private copy."""
     if not isinstance(entry, Entry):
         raise SpaceError(f"not an Entry: {type(entry).__name__}")
-    return type(entry), encode_entry(entry), None   # enforces serializability
+    return type(entry), encode_entry(entry)   # enforces the schema rule
 
 
-def _wire_frame(data: bytes) -> tuple[type, bytes, Optional[Entry]]:
-    """``(class, frame, snapshot or None)`` for a frame a client encoded:
-    the class comes from a compact frame's header; only a pickle-fallback
-    frame is decoded to learn it (and the copy kept as its snapshot)."""
-    entry: Optional[Entry] = None
+def _wire_frame(data: bytes) -> tuple[type, bytes]:
+    """``(class, frame)`` for a frame a client encoded — the door for
+    outside input.  Refused before anything is stored or journalled:
+    a buffer that is not ``bytes`` (a mutable one could change under the
+    store, and the WAL splices frames verbatim), one that is not an
+    entry frame of a schema this process knows (``peek_class`` raises),
+    and a schema whose class is not an ``Entry``.  Nothing is decoded."""
+    if data.__class__ is not bytes:
+        raise EntryError(
+            f"encoded entry must be bytes, not {type(data).__name__}")
     cls = peek_class(data)
-    if cls is None:
-        entry = decode_any(data)
-        cls = type(entry)
-    if not (isinstance(cls, type) and issubclass(cls, Entry)):
+    if not issubclass(cls, Entry):
         raise SpaceError(f"not an Entry: {cls.__name__}")
-    return cls, data, entry
+    return cls, data
 
 
 class JavaSpace:
@@ -286,11 +284,10 @@ class JavaSpace:
         #: not part of STAT_KEYS so existing telemetry goldens hold.
         self.fair_stats: dict[str, int] = {}
         #: What matching cost (same standing as ``fair_stats``):
-        #: ``scan_steps`` ids examined by bucket walks, ``match_decodes``
-        #: whole entries decoded to read a field of them (pickle-fallback
-        #: frames only), ``index_builds`` field indexes activated.
+        #: ``scan_steps`` ids examined by bucket walks, ``index_builds``
+        #: field indexes activated.
         self.match_stats: dict[str, int] = {
-            "scan_steps": 0, "match_decodes": 0, "index_builds": 0}
+            "scan_steps": 0, "index_builds": 0}
 
     @property
     def stats(self) -> _SpaceStats:
@@ -332,20 +329,21 @@ class JavaSpace:
 
         The zero-copy server path: a proxy client encoded the entry once,
         the bytes travelled the wire, and the space stores them verbatim
-        (compact frames don't even decode — the class comes from the
-        frame header; pickle frames decode once for the class and keep
-        the instance as the matching snapshot).
+        without decoding — the class comes from the frame header.
+        ``data`` must be ``bytes`` holding a frame of a registered
+        ``Entry`` class (:class:`EntryError` / :class:`SpaceError`
+        otherwise, with nothing stored).
         """
         return self._write_frames([_wire_frame(data)], txn, lease_ms)[0]
 
     def _write_frames(
         self,
-        frames: list[tuple[type, bytes, Optional[Entry]]],
+        frames: list[tuple[type, bytes]],
         txn: Optional[Transaction],
         lease_ms: float,
     ) -> list[Lease]:
-        """Store ``(class, frame, snapshot or None)`` triples under one
-        lock hold and one journal record."""
+        """Store ``(class, frame)`` pairs under one lock hold and one
+        journal record."""
         with self._lock:
             ops = None
             if txn is not None:
@@ -353,8 +351,8 @@ class JavaSpace:
                 ops = self._ops(txn)
             leases: list[Lease] = []
             journal: list[tuple] = []
-            for cls, data, snapshot in frames:
-                stored = self._store(cls, data, lease_ms, snapshot)
+            for cls, data in frames:
+                stored = self._store(cls, data, lease_ms)
                 leases.append(stored.lease)
                 if ops is not None:
                     stored.state = _PENDING_WRITE
@@ -371,13 +369,8 @@ class JavaSpace:
                 self._journal_ops(journal)
             return leases
 
-    def _store(self, cls: type, data: bytes, lease_ms: float,
-               snapshot: Optional[Entry] = None) -> _Stored:
-        """Insert one serialized entry (store, id map, index, lease heap).
-
-        ``snapshot`` is the private copy of a pickle-fallback frame the
-        space had to decode to learn its class.
-        """
+    def _store(self, cls: type, data: bytes, lease_ms: float) -> _Stored:
+        """Insert one serialized entry (store, id map, index, lease heap)."""
         entry_id = next(self._ids)
         self._last_id = entry_id
         cancelled = self._lease_cancelled
@@ -385,7 +378,7 @@ class JavaSpace:
             self.runtime, lease_ms,
             on_cancel=lambda eid=entry_id: cancelled.append(eid),
         )
-        stored = _Stored(entry_id, cls, data, lease, snapshot)
+        stored = _Stored(entry_id, cls, data, lease)
         bucket = self._buckets.get(cls)
         if bucket is None:
             bucket = self._buckets[cls] = {}
@@ -773,9 +766,9 @@ class JavaSpace:
         remove = self._remove
         until = Lease.until
         top = max(last_id, self._last_id)
-        # A compact frame names its class in its header: one dict probe
-        # per entry resolves class, bucket and scan list, which are looked
-        # up once per class instead of once per entry.
+        # A frame names its class in its header: one dict probe per
+        # entry resolves class, bucket and scan list, which are looked up
+        # once per class instead of once per entry.
         slots: dict[bytes, tuple] = {}
         for ops in batches:
             for op in ops:
@@ -787,28 +780,18 @@ class JavaSpace:
                 _, entry_id, data, expiration_ms = op
                 if entry_id in by_id:
                     continue
-                entry: Optional[Entry] = None
                 slot = slots.get(data[:HEADER_SIZE])
                 if slot is None:
                     cls = peek_class(data)
-                    if cls is None:
-                        # Pickle frame: decoding is the only way to learn
-                        # the class, so keep the instance as the matching
-                        # snapshot (and its header says nothing: no slot).
-                        entry = decode_any(data)
-                        cls = type(entry)
                     bucket = buckets.get(cls)
                     if bucket is None:
                         bucket = buckets[cls] = {}
                         scan_lists[cls] = _ScanList()
-                    slot = (cls, bucket, scan_lists[cls],
-                            self._indexes.get(cls))
-                    if entry is None:
-                        slots[data[:HEADER_SIZE]] = slot
+                    slot = slots[data[:HEADER_SIZE]] = (
+                        cls, bucket, scan_lists[cls], self._indexes.get(cls))
                 cls, bucket, scan, index = slot
                 stored = _Stored(entry_id, cls, data, until(
-                    runtime, now, expiration_ms, partial(cancel, entry_id)),
-                    entry)
+                    runtime, now, expiration_ms, partial(cancel, entry_id)))
                 bucket[entry_id] = stored
                 scan.ids.append(entry_id)
                 by_id[entry_id] = stored
@@ -850,28 +833,12 @@ class JavaSpace:
 
     # ---------------------------------------------------------------- internals --
 
-    def _read(self, stored: _Stored, names: tuple[str, ...]) -> list:
-        """The values of ``stored``'s fields ``names`` (``None`` where it
-        has no such field), without materialising the entry.
-
-        The one way the space looks inside an entry it does not hand
-        out: a field-slice read of the frame.  Only a pickle-fallback
-        frame has to be decoded, once, into its private snapshot.
-        """
-        values = read_fields(stored.data, names)
-        if values is None:
-            snapshot = stored._snapshot
-            if snapshot is None:
-                snapshot = stored._snapshot = decode_any(stored.data)
-                self.match_stats["match_decodes"] += 1
-            attrs = snapshot.__dict__
-            values = [attrs.get(name) for name in names]
-        return values
-
     def _confirm(self, stored: _Stored, items: list[tuple[str, Any]]) -> bool:
         """Field-wise ``values_equal`` match of template ``items`` against
-        ``stored`` — for whatever no exact index answered."""
-        got = self._read(stored, tuple([name for name, _ in items]))
+        ``stored`` — for whatever no exact index answered.  Like every
+        look inside an entry the space does not hand out, a field-slice
+        read of the frame (``None`` where it has no such field)."""
+        got = read_fields(stored.data, tuple([name for name, _ in items]))
         for (_, value), candidate in zip(items, got):
             if not values_equal(candidate, value):
                 return False
@@ -905,7 +872,7 @@ class JavaSpace:
         on ``stored`` so removal never recomputes them.
         """
         names = tuple(index)
-        for name, value in zip(names, self._read(stored, names)):
+        for name, value in zip(names, read_fields(stored.data, names)):
             if value is None:
                 continue
             sl = self._file(stored.cls, name, index[name], stored.entry_id,
@@ -934,7 +901,7 @@ class JavaSpace:
         filed: list[tuple[_Stored, _ScanList]] = []
         names = (name,)
         for stored in self._buckets[cls].values():
-            value, = self._read(stored, names)
+            value, = read_fields(stored.data, names)
             if value is None:
                 continue
             sl = self._file(cls, name, by_value, stored.entry_id, value)
@@ -1095,7 +1062,7 @@ class JavaSpace:
         if by_value is None and "tenant" not in self._unindexable.get(cls, ()):
             by_value = self._build_index(cls, "tenant")
         if by_value is None:
-            return self._read(stored, ("tenant",))[0] or ""
+            return read_fields(stored.data, ("tenant",))[0] or ""
         sl = stored.filed.get("tenant") if stored.filed else None
         return sl.key if sl is not None else ""
 

@@ -23,13 +23,11 @@ apply ops" pass over both (see :func:`decode_checkpoint`,
 
 Frames (little-endian)
 ----------------------
-Every frame — commit record, pickle-fallback record, checkpoint — rides
-one envelope::
+Both frames — commit record, checkpoint — ride one envelope::
 
     magic u8 · body_len u32 · crc32(body) u32 · body
 
     0xC5 record      body = lsn i64 · epoch i64 · nops u32 · op*
-    0xC6 fallback    body = lsn i64 · epoch i64 · pickle(ops)
     0xC7 checkpoint  body = lsn i64 · last_id i64 · count u32 · op_write*
 
     op_write:  'W'  entry_id i64  exp f64  data_len u32  data
@@ -39,10 +37,11 @@ one envelope::
 The two write tags keep integer expirations round-tripping as ints
 while the common float case — absolute virtual time, ``math.inf`` for
 FOREVER — packs in one struct call.  Entry ``data`` bytes are spliced in
-verbatim: whatever the entry codec produced is what hits the disk.  A
-record that does not fit the op layout (oversized id, exotic payload)
-pickles its ops into a fallback frame instead, so a log may interleave
-both kinds.
+verbatim: whatever the entry codec produced is what hits the disk.  The
+space only journals what fits — ids from its own i64 counter, ``bytes``
+frames it checked at the door, its own lease deadlines — so an op that
+does not fit the layout is a bug upstream and raises
+:class:`SpaceError`; there is no second record kind to absorb it.
 
 Torn tail vs corruption: frames are appended sequentially, so a crash
 mid-write can only damage the *end* of the log.  An invalid frame
@@ -89,7 +88,6 @@ fsync policy — records ship as they commit, not as they hit the disk.
 from __future__ import annotations
 
 import os
-import pickle
 import re
 import struct
 from dataclasses import dataclass
@@ -101,7 +99,7 @@ from repro.errors import SpaceError, WalCorruptionError
 __all__ = ["CommitRecord", "WalStore", "FileWalStore", "WriteAheadLog",
            "record_frame", "frame_size", "iter_log", "decode_log",
            "encode_checkpoint", "checkpoint_head", "decode_checkpoint",
-           "WAL_MAGIC", "WAL_PICKLE_MAGIC", "CHECKPOINT_MAGIC",
+           "WAL_MAGIC", "CHECKPOINT_MAGIC",
            "OP_WRITE", "OP_TAKE", "FSYNC_POLICIES"]
 
 OP_WRITE = "write"
@@ -131,18 +129,14 @@ class CommitRecord:
 
 # ------------------------------------------------------------------ frames --
 
-#: First byte of a compact commit-record frame.  Distinct from the entry
-#: codec's ``0xC3`` and from pickle's PROTO opcode ``0x80`` (entry frames
-#: of both kinds sit inside WAL frames).
+#: First byte of a commit-record frame.  Distinct from the entry codec's
+#: ``0xC3`` (entry frames sit inside WAL frames).
 WAL_MAGIC = 0xC5
-#: First byte of a record frame whose ops did not fit the op layout.
-WAL_PICKLE_MAGIC = 0xC6
 #: First byte of a checkpoint (the whole ``.snap`` file is one frame).
 CHECKPOINT_MAGIC = 0xC7
 
 _ENVELOPE = struct.Struct("<BII")        # magic, body_len, crc32(body)
 _HEAD = struct.Struct("<qqI")            # lsn, epoch | last_id, nops
-_LSN_EPOCH = struct.Struct("<qq")        # what every record body starts with
 _W_FLOAT = struct.Struct("<cqdI")        # 'W', entry_id, exp, data_len
 _W_INT = struct.Struct("<cqqI")          # 'w'
 _TAKE = struct.Struct("<cq")             # 't', entry_id
@@ -152,11 +146,10 @@ _ONE_WRITE = struct.Struct("<qqIcqdI")
 _unpack_w_float = struct.Struct("<qdI").unpack_from
 _unpack_w_int = struct.Struct("<qqI").unpack_from
 _unpack_i64 = struct.Struct("<q").unpack_from
-_RECORD_MAGICS = re.compile(b"[%c%c]" % (WAL_MAGIC, WAL_PICKLE_MAGIC))
+_RECORD_MAGIC = re.compile(bytes([WAL_MAGIC]))
 
 _ENVELOPE_SIZE = _ENVELOPE.size           # 9
 _HEAD_SIZE = _HEAD.size                   # 20
-_LSN_EPOCH_SIZE = _LSN_EPOCH.size         # 16
 _WRITE_HEAD = _W_FLOAT.size               # 21, either write tag
 _TAKE_SIZE = _TAKE.size                   # 9
 
@@ -164,17 +157,22 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 #: What a malformed body raises while being picked apart.
-_MALFORMED = (struct.error, IndexError, ValueError, TypeError,
-              pickle.UnpicklingError, EOFError, AttributeError, ImportError)
+_MALFORMED = (struct.error, IndexError, ValueError, TypeError)
 
 
 def _frame(magic: int, body: bytes) -> bytes:
     return _ENVELOPE.pack(magic, len(body), crc32(body)) + body
 
 
-def _encode_ops(ops: Iterable[tuple]) -> Optional[list[bytes]]:
-    """The op-layout pieces for ``ops``, or None if any op does not fit
-    (unknown kind, non-bytes payload, oversized id or expiration)."""
+def _misfit(op: tuple) -> SpaceError:
+    return SpaceError(
+        f"{op[0]!r} op of entry {op[1]!r} does not fit the WAL op layout")
+
+
+def _encode_ops(ops: Iterable[tuple]) -> list[bytes]:
+    """The op-layout pieces for ``ops``; :class:`SpaceError` for an op
+    that does not fit (unknown kind, non-bytes payload, oversized id or
+    expiration)."""
     parts: list[bytes] = []
     append = parts.append
     for op in ops:
@@ -183,19 +181,19 @@ def _encode_ops(ops: Iterable[tuple]) -> Optional[list[bytes]]:
             _, entry_id, data, exp = op
             if data.__class__ is not bytes or not (
                     _I64_MIN <= entry_id <= _I64_MAX):
-                return None
+                raise _misfit(op)
             if exp.__class__ is float:
                 append(_W_FLOAT.pack(b"W", entry_id, exp, len(data)))
             elif exp.__class__ is int and _I64_MIN <= exp <= _I64_MAX:
                 append(_W_INT.pack(b"w", entry_id, exp, len(data)))
             else:
-                return None
+                raise _misfit(op)
             append(data)
         elif kind == OP_TAKE and len(op) == 2 and (
                 _I64_MIN <= op[1] <= _I64_MAX):
             append(_TAKE.pack(b"t", op[1]))
         else:
-            return None
+            raise _misfit(op)
     return parts
 
 
@@ -214,9 +212,8 @@ def record_frame(record: CommitRecord) -> bytes:
     """The on-disk frame for ``record``, encoded once and cached.
 
     Group commit concatenates cached frames instead of re-serializing
-    the batch.  A record whose ops do not fit the compact layout is
-    framed with its ops pickled, so exotic records are never lost —
-    just slower.
+    the batch.  Raises :class:`SpaceError` for a record whose ops do not
+    fit the op layout, as :func:`encode_checkpoint` does.
     """
     frame = record.__dict__.get("_frame")
     if frame is not None:
@@ -230,17 +227,9 @@ def record_frame(record: CommitRecord) -> bytes:
             body = _ONE_WRITE.pack(record.lsn, record.epoch, 1, b"W",
                                    entry_id, exp, len(data)) + data
     if body is None:
-        parts = _encode_ops(ops)
-        if parts is not None:
-            body = _HEAD.pack(record.lsn, record.epoch,
-                              len(ops)) + b"".join(parts)
-    if body is not None:
-        frame = _frame(WAL_MAGIC, body)
-    else:
-        frame = _frame(
-            WAL_PICKLE_MAGIC,
-            _LSN_EPOCH.pack(record.lsn, record.epoch)
-            + pickle.dumps(ops, protocol=pickle.HIGHEST_PROTOCOL))
+        body = _HEAD.pack(record.lsn, record.epoch,
+                          len(ops)) + b"".join(_encode_ops(ops))
+    frame = _frame(WAL_MAGIC, body)
     # Frozen dataclass: the cache slot is set through the back door and
     # excluded from equality/hash (instances compare by declared fields).
     object.__setattr__(record, "_frame", frame)
@@ -280,14 +269,14 @@ def _valid_record_after(raw: bytes, view: memoryview, pos: int) -> bool:
     ``raw[pos:]`` — what tells damage in the middle of the log from a
     torn tail, which by construction has nothing valid after it."""
     size = len(raw)
-    for match in _RECORD_MAGICS.finditer(raw, pos):
+    for match in _RECORD_MAGIC.finditer(raw, pos):
         at = match.start()
         start = at + _ENVELOPE_SIZE
         if start > size:
             break
         _, length, crc = _ENVELOPE.unpack_from(raw, at)
         end = start + length
-        if (length >= _LSN_EPOCH_SIZE and end <= size
+        if (length >= _HEAD_SIZE and end <= size
                 and crc32(view[start:end]) == crc):
             return True
     return False
@@ -308,7 +297,6 @@ def iter_log(raw: bytes, decode: bool = True,
     size = len(raw)
     unpack_envelope = _ENVELOPE.unpack_from
     unpack_head = _HEAD.unpack_from
-    unpack_lsn_epoch = _LSN_EPOCH.unpack_from
     pos = 0
     last_lsn: Optional[int] = None
     while pos < size:
@@ -317,8 +305,7 @@ def iter_log(raw: bytes, decode: bool = True,
         if start <= size:
             magic, length, crc = unpack_envelope(raw, pos)
             end = start + length
-        if (end < 0 or end > size
-                or (magic != WAL_MAGIC and magic != WAL_PICKLE_MAGIC)
+        if (end < 0 or end > size or magic != WAL_MAGIC
                 or crc32(view[start:end]) != crc):
             if _valid_record_after(raw, view, pos + 1):
                 raise WalCorruptionError(
@@ -326,14 +313,9 @@ def iter_log(raw: bytes, decode: bool = True,
             return  # torn tail
         try:
             ops = None
-            if magic == WAL_MAGIC:
-                lsn, epoch, nops = unpack_head(raw, start)
-                if decode:
-                    ops = _decode_ops(raw, start + _HEAD_SIZE, end, nops)
-            else:
-                lsn, epoch = unpack_lsn_epoch(raw, start)
-                if decode:
-                    ops = pickle.loads(view[start + _LSN_EPOCH_SIZE:end])
+            lsn, epoch, nops = unpack_head(raw, start)
+            if decode:
+                ops = _decode_ops(raw, start + _HEAD_SIZE, end, nops)
         except _MALFORMED as exc:
             raise WalCorruptionError(
                 f"checksummed frame does not decode ({exc})", pos,
@@ -347,8 +329,8 @@ def iter_log(raw: bytes, decode: bool = True,
 
 
 def decode_log(raw: bytes) -> list[CommitRecord]:
-    """Decode a log buffer of compact and pickle-fallback frames into
-    records (torn tail dropped, corruption raised: see :func:`iter_log`)."""
+    """Decode a log buffer into records (torn tail dropped, corruption
+    raised: see :func:`iter_log`)."""
     return [CommitRecord(lsn, tuple(ops), epoch)
             for lsn, epoch, ops, _ in iter_log(raw)]
 
@@ -365,8 +347,6 @@ def encode_checkpoint(lsn: int, last_id: int, ops: list[tuple]) -> bytes:
     highest entry id ever issued, so recovered ids never collide.
     """
     parts = _encode_ops(ops)
-    if parts is None:
-        raise SpaceError("an entry does not fit the checkpoint op layout")
     parts.insert(0, _HEAD.pack(lsn, last_id, len(ops)))
     return _frame(CHECKPOINT_MAGIC, b"".join(parts))
 

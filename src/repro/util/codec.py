@@ -4,9 +4,9 @@ Pickle is general but pays for that generality on every entry: each frame
 re-describes the class, the field names, and the object protocol.  Space
 entries are the opposite of general — a handful of flat classes whose
 instances differ only in field *values*.  This module exploits that: a
-class registers its field schema once (:func:`register_entry`), and an
-encoded entry is then just a 5-byte header plus the field values in
-schema order.
+class's field schema is registered once, when the class is defined
+(:func:`register_entry`), and an encoded entry is then just a 5-byte
+header plus the field values in schema order.
 
 Frame format (little-endian throughout)::
 
@@ -32,17 +32,22 @@ Every encoder is deterministic, which gives the *canonical encoding*
 contract the determinism checker relies on: the same entry value always
 encodes to the same bytes, in every process, on every run.
 
-Unregistered classes and registered instances whose attribute set has
-drifted from the schema fall back to a whole-object pickle frame, so
-:func:`encode_entry` is total and one stream can hold both frame kinds.
-:func:`decode_any` tells them apart by the first byte: frames from
-:func:`repro.util.serialization.serialize` always start with pickle's
-``PROTO`` opcode ``0x80`` (protocol ≥ 2), compact frames with ``0xC3``.
-The codec never changes *what* round-trips, only how fast and how small.
+This is the only frame kind, and the codec is total over
+:class:`~repro.tuplespace.entry.Entry`: defining a subclass registers
+its schema (``Entry.__init_subclass__`` calls :func:`register_entry`), so
+a process that only ever decodes knows every fingerprint before the
+first frame arrives.  One rule covers instances: their attributes must
+be a subset of the schema.  An absent attribute encodes as ``N`` — what
+a template and :func:`read_fields` already make of a missing field — and
+an attribute outside the schema is an :class:`EntryError` at encode
+time, as is a class with no schema.  Every reader raises
+:class:`EntryError` for a buffer that does not start ``0xC3``; nothing
+here unpickles a whole object.
 """
 
 from __future__ import annotations
 
+import inspect
 import struct
 from typing import Any, Optional
 from zlib import crc32
@@ -54,17 +59,15 @@ __all__ = [
     "MAGIC",
     "register_entry",
     "registered_fields",
+    "init_fields",
     "encode_entry",
     "decode_any",
-    "is_compact",
     "peek_class",
     "read_fields",
     "HEADER_SIZE",
 ]
 
-#: First byte of every compact frame.  Anything else is assumed to be a
-#: pickle frame (``serialize`` always emits protocol ≥ 2, whose first
-#: byte is the PROTO opcode ``0x80``).
+#: First byte of every entry frame.
 MAGIC = 0xC3
 _MAGIC_BYTE = bytes([MAGIC])
 #: Length of a compact frame's header (magic + u32 schema fingerprint):
@@ -83,12 +86,15 @@ _I64_MAX = (1 << 63) - 1
 
 
 class _Schema:
-    __slots__ = ("cls", "fields", "fingerprint", "header", "slices")
+    __slots__ = ("cls", "fields", "text", "fingerprint", "header", "slices")
 
     def __init__(self, cls: type, fields: tuple[str, ...]) -> None:
         self.cls = cls
         self.fields = fields
-        self.fingerprint = schema_fingerprint(cls, fields)
+        #: What the fingerprint hashes: two schemas are the same schema
+        #: iff their texts are equal, whatever class object carries them.
+        self.text = f"{cls.__module__}.{cls.__qualname__}:{','.join(fields)}"
+        self.fingerprint = crc32(self.text.encode("utf-8"))
         self.header = _MAGIC_BYTE + _pack_u32(self.fingerprint)
         #: names → per-field output slots (see :func:`read_fields`).
         self.slices: dict[tuple[str, ...], tuple[int, ...]] = {}
@@ -106,36 +112,49 @@ def schema_fingerprint(cls: type, fields: tuple[str, ...]) -> int:
     two processes that merely import the same entry modules exchange
     frames.
     """
-    text = f"{cls.__module__}.{cls.__qualname__}:{','.join(fields)}"
-    return crc32(text.encode("utf-8"))
+    return _Schema(cls, fields).fingerprint
+
+
+def init_fields(cls: type) -> Optional[tuple[str, ...]]:
+    """The schema ``cls.__init__`` declares: its parameter names after
+    ``self`` (none for a class that never defined one), or None when it
+    is variadic and so names no fields."""
+    init = cls.__init__
+    if init is object.__init__:
+        return ()
+    params = list(inspect.signature(init).parameters.values())[1:]
+    if any(p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in params):
+        return None
+    return tuple(p.name for p in params)
 
 
 def register_entry(cls: type, fields: Optional[tuple[str, ...]] = None) -> type:
-    """Register ``cls`` for compact encoding; returns ``cls`` (decorator-friendly).
+    """Register the schema of ``cls``; returns ``cls`` (decorator-friendly).
 
-    ``fields`` fixes the schema order.  When omitted it is derived from
-    the ``__init__`` parameter names (excluding ``self``), which matches
-    the convention that entry constructors assign each parameter to the
-    same-named attribute.  Instances whose attribute set deviates from
-    the schema are not broken — they fall back to pickle frames.
+    Defining an ``Entry`` subclass calls this, so it is called by hand
+    only to override what that derived: ``fields`` fixes the schema
+    order.  When omitted it is :func:`init_fields` — the convention that
+    entry constructors assign each parameter to the same-named
+    attribute.  A class whose ``__init__`` is installed after the class
+    body ran (``@dataclass``) registers again after decoration.
+
+    The same ``module.qualname:fields`` registered by a new class object
+    (a module reload, a class defined in a function called twice)
+    rebinds the fingerprint to the new class; two *different* schemas
+    whose fingerprints clash raise :class:`EntryError`.
     """
     if fields is None:
-        import inspect
-
-        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
-        if any(p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in params):
+        fields = init_fields(cls)
+        if fields is None:
             raise EntryError(
                 f"cannot derive schema for {cls.__name__}: "
                 "variadic __init__; pass fields= explicitly"
             )
-        fields = tuple(p.name for p in params)
     schema = _Schema(cls, tuple(fields))
     other = _BY_FINGERPRINT.get(schema.fingerprint)
-    if other is not None and other.cls is not cls:
+    if other is not None and other.text != schema.text:
         raise EntryError(
-            f"schema fingerprint collision: {cls.__qualname__} vs "
-            f"{other.cls.__qualname__}"
-        )
+            f"schema fingerprint collision: {schema.text} vs {other.text}")
     _BY_CLASS[cls] = schema
     _BY_FINGERPRINT[schema.fingerprint] = schema
     return cls
@@ -183,21 +202,37 @@ def _encode_value(out: list, value: Any) -> None:
         out.append(b"p" + _pack_u32(len(raw)) + raw)
 
 
-def encode_entry(entry: Any) -> bytes:
-    """Canonical bytes for ``entry``: compact if registered, else pickle.
+def _conform(schema: _Schema, attrs: dict) -> dict:
+    """``attrs`` padded to the schema (an absent field is ``None``);
+    :class:`EntryError` if it holds a name outside the schema."""
+    fields = schema.fields
+    extra = [name for name in attrs if name not in fields]
+    if extra:
+        raise EntryError(
+            f"{schema.cls.__qualname__} instance has attributes outside its "
+            f"schema {fields}: {extra}; name them in __init__ or call "
+            "register_entry(cls, fields=...)")
+    return dict.fromkeys(fields) | attrs
 
-    The compact path requires the instance to carry exactly the schema
-    attributes (entry constructors guarantee this); anything else — an
-    unregistered class, a dynamically grown instance — takes the pickle
-    fallback, so ``encode_entry`` is total over picklable objects.
+
+def encode_entry(entry: Any) -> bytes:
+    """Canonical bytes for ``entry``.
+
+    The instance's attributes must be a subset of its class's schema: an
+    absent one encodes as ``None`` (so a field-less ``cls.__new__(cls)``
+    template encodes), one outside the schema — or a class with no
+    schema at all — raises :class:`EntryError`.
     """
     schema = _BY_CLASS.get(entry.__class__)
     if schema is None:
-        return serialize(entry)
+        raise EntryError(
+            f"no entry schema for {entry.__class__.__qualname__}: subclass "
+            "Entry with a non-variadic __init__, or call "
+            "register_entry(cls, fields=...)")
     attrs = entry.__dict__
     fields = schema.fields
     if len(attrs) != len(fields):
-        return serialize(entry)
+        attrs = _conform(schema, attrs)
     out = [schema.header]
     append = out.append
     pack_u32, pack_i64 = _pack_u32, _pack_i64
@@ -216,7 +251,10 @@ def encode_entry(entry: Any) -> bytes:
             else:
                 _encode_value(out, value)
     except KeyError:
-        return serialize(entry)
+        # As many attributes as fields, one field absent: one attribute
+        # is outside the schema, which is what _conform reports.
+        _conform(schema, attrs)
+        raise
     return b"".join(out)
 
 
@@ -257,13 +295,15 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
     raise EntryError(f"corrupt compact frame: unknown value tag {tag:#x}")
 
 
-def is_compact(data) -> bool:
-    """True iff ``data`` is a compact frame (vs a pickle frame)."""
-    return len(data) > 0 and data[0] == MAGIC
-
-
 def _schema_of(data) -> _Schema:
-    """The registered schema a compact frame's header names."""
+    """The registered schema a frame's header names; :class:`EntryError`
+    for anything that is not an entry frame of a known schema."""
+    if not data:
+        raise EntryError("cannot deserialize empty payload")
+    if data[0] != MAGIC:
+        raise EntryError(f"not an entry frame: first byte {data[0]:#x}")
+    if len(data) < HEADER_SIZE:
+        raise EntryError("corrupt compact frame: truncated")
     fingerprint, = _unpack_u32(data, 1)
     schema = _BY_FINGERPRINT.get(fingerprint)
     if schema is None:
@@ -273,15 +313,12 @@ def _schema_of(data) -> _Schema:
     return schema
 
 
-def peek_class(data) -> Optional[type]:
-    """The entry class of a compact frame without decoding its values.
+def peek_class(data) -> type:
+    """The entry class of a frame without decoding its values.
 
-    Returns None for pickle frames (whose class costs a full load) and
-    raises :class:`EntryError` for a compact frame whose schema is not
-    registered in this process.
+    Raises :class:`EntryError` for a buffer that is not an entry frame
+    or whose schema is not registered in this process.
     """
-    if not is_compact(data):
-        return None
     return _schema_of(data).cls
 
 
@@ -291,25 +328,20 @@ _FIXED_SIZE = {0x4E: 1, 0x54: 1, 0x46: 1, 0x69: 9, 0x66: 9}
 _SIZED_TAGS = frozenset(b"sbIp")
 
 
-def read_fields(data, names: tuple[str, ...]) -> Optional[list]:
-    """The values of the fields ``names`` of a compact frame, in that
-    order, without decoding the rest (a field-slice read).
+def read_fields(data, names: tuple[str, ...]) -> list:
+    """The values of the fields ``names`` of a frame, in that order,
+    without decoding the rest (a field-slice read).
 
     For whoever routes an entry rather than consumes it: fields nobody
     asked for are stepped over by tag and length — a ``p`` payload is
     never unpickled — and the walk stops at the last field wanted.  A
     name outside the schema reads as ``None``, which is what a template
     (``None`` = wildcard, never equal to a set field) and ``getattr(entry,
-    name, None)`` both make of a missing attribute.  Returns ``None``
-    for a pickle-fallback frame, which has no slices to read; raises
-    :class:`EntryError` for a malformed compact one.
+    name, None)`` both make of a missing attribute.  Raises
+    :class:`EntryError` for a malformed frame.
     """
-    if not data:
-        raise EntryError("cannot deserialize empty payload")
-    if data[0] != MAGIC:
-        return None
+    schema = _schema_of(data)
     try:
-        schema = _schema_of(data)
         slots = schema.slices.get(names)
         if slots is None:
             # Field position → index into ``names`` (-1: step over), cut
@@ -350,22 +382,12 @@ def read_fields(data, names: tuple[str, ...]) -> Optional[list]:
 
 
 def decode_any(data) -> Any:
-    """Decode a compact or pickle-fallback frame (first-byte dispatch).
+    """Decode an entry frame (``bytes`` or ``memoryview``).
 
-    ``bytes`` or ``memoryview`` accepted.  Compact frames reconstruct
-    the instance without running ``__init__`` — fields are assigned
-    directly in schema order.
+    The instance is reconstructed without running ``__init__`` — every
+    schema field is assigned directly, in schema order.
     """
-    if not data:
-        raise EntryError("cannot deserialize empty payload")
-    if data[0] != MAGIC:
-        return deserialize(data)
-    fingerprint, = _unpack_u32(data, 1)
-    schema = _BY_FINGERPRINT.get(fingerprint)
-    if schema is None:
-        raise EntryError(
-            f"compact frame with unregistered schema {fingerprint:#x}"
-        )
+    schema = _schema_of(data)
     cls = schema.cls
     obj = cls.__new__(cls)
     attrs = obj.__dict__

@@ -125,8 +125,7 @@ def test_top_json_prints_cluster_snapshot(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["workers"], "snapshot should list worker rows"
     assert "alerts" in doc and "shards" in doc
-    assert set(doc["space"]["match"]) == {"scan_steps", "match_decodes",
-                                          "index_builds"}
+    assert set(doc["space"]["match"]) == {"scan_steps", "index_builds"}
     assert doc["job"]["complete"] is True
 
 

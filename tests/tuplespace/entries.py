@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.tuplespace import Entry
-from repro.util.codec import register_entry
 
 
 class TaskEntry(Entry):
@@ -32,8 +31,3 @@ class PriorityTask(TaskEntry):
         super().__init__(app, task_id, payload)
         self.priority = priority
 
-
-# Compact-codec schemas (constructor order = canonical field order).
-register_entry(TaskEntry)
-register_entry(ResultEntry)
-register_entry(PriorityTask)

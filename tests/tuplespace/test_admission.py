@@ -9,7 +9,7 @@ from repro.errors import AdmissionError
 from repro.tuplespace import JavaSpace
 from repro.tuplespace import proxy as proxy_module
 from repro.tuplespace.proxy import AdmissionConfig, AdmissionController
-from repro.util.codec import decode_any, encode_entry, is_compact
+from repro.util.codec import decode_any, encode_entry
 from tests.conftest import run_in_sim
 
 
@@ -60,20 +60,34 @@ def test_tenant_tagged_task_frame_is_still_judged(rt, decodes):
     assert controller.stats["rejected"] == 1
 
 
-def test_pickle_fallback_task_frame_is_decoded_to_be_judged(rt, decodes):
-    """A frame with no field slices is the one case admission decodes."""
-    controller = AdmissionController(rt, JavaSpace(rt),
-                                     AdmissionConfig(max_in_flight=0))
-    drifted = TaskEntry("app", 3, tenant="t")
-    drifted.note = "off-schema attribute"
-    frame = encode_entry(drifted)
-    assert not is_compact(frame)
+class UrgentTask(TaskEntry):
+    """A task class an application brings: defining it registers it."""
+
+    def __init__(self, app_id=None, task_id=None, tenant=None,
+                 priority=None, deadline_ms=None):
+        self.app_id = app_id
+        self.task_id = task_id
+        self.tenant = tenant
+        self.priority = priority
+        self.deadline_ms = deadline_ms
+
+
+def test_application_defined_task_class_is_judged_without_a_decode(
+        rt, decodes):
+    """A class the core never heard of is as first-class as ``TaskEntry``:
+    controlled by name, judged on header + field slices, 0 decodes."""
+    controller = AdmissionController(
+        rt, JavaSpace(rt),
+        AdmissionConfig(max_in_flight=0, class_names=("UrgentTask",)))
+    frame = encode_entry(UrgentTask("app", 3, tenant="t", deadline_ms=9.5))
+    plain = encode_entry(TaskEntry("app", 3, tenant="t"))
 
     def body():
+        controller.check("write", {"entry_data": plain})   # not controlled
         with pytest.raises(AdmissionError) as rejected:
             controller.check("write", {"entry_data": frame})
         return rejected.value
 
     error = run_in_sim(rt, body)
     assert (error.tenant, error.reason) == ("t", "in-flight")
-    assert decodes == [frame]
+    assert decodes == []

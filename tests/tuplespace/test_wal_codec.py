@@ -1,21 +1,23 @@
-"""WAL framing: compact frames and pickle-fallback frames share one log.
+"""WAL framing: one record kind, one entry-frame kind.
 
-Encoding is compact-first with a pickle fallback at both levels: a
-commit record that does not fit the fixed WAL layout (oversized id,
-exotic expiration) has its ops pickled into a fallback frame, and an
-entry of an unregistered class is a pickle frame *inside* a compact WAL
-frame.  Every WAL frame rides one checksummed envelope (magic, length,
-crc32, body); ``decode_log`` dispatches per frame on the magic (0xC5
-compact / 0xC6 fallback) and ``decode_any`` on the entry frame's first
-byte (0xC3 compact, 0x80 pickle PROTO), so a mixed log replays as one
-stream.  These tests pin that down at the store level and end-to-end
-through :class:`DurableSpace`, across a crash — and pin what the
-checksum buys: a torn tail is dropped, damage in place raises.
+A commit record is a ``0xC5`` frame whose ops sit in the fixed op layout
+and whose entry payloads are ``0xC3`` entry frames spliced in verbatim —
+there is no second kind at either level.  A record that does not fit the
+layout (oversized id, exotic expiration) raises ``SpaceError``; any
+other first byte where a frame should start — the retired ``0xC6``
+included — is an invalid frame under the one rule: a torn tail if
+nothing valid follows, ``WalCorruptionError`` otherwise.  Every frame
+rides one checksummed envelope (magic, length, crc32, body).  These
+tests pin that down at the store level and end-to-end through
+:class:`DurableSpace`, across a crash — and pin what the checksum buys:
+a torn tail is dropped, damage in place raises.
 """
 
 from __future__ import annotations
 
 import os
+import struct
+from zlib import crc32
 
 import pytest
 
@@ -25,7 +27,6 @@ from repro.tuplespace import Entry
 from repro.tuplespace.durable import DurableSpace
 from repro.tuplespace.wal import (
     WAL_MAGIC,
-    WAL_PICKLE_MAGIC,
     CommitRecord,
     FileWalStore,
     WalStore,
@@ -36,14 +37,15 @@ from repro.tuplespace.wal import (
     op_write,
     record_frame,
 )
-from repro.util.codec import MAGIC, encode_entry
+from repro.util.codec import MAGIC, encode_entry, peek_class
 from tests.tuplespace.entries import TaskEntry
 
-PICKLE_PROTO = 0x80
+#: First byte of the record kind that no longer exists.
+RETIRED_MAGIC = 0xC6
 
 
 class Note(Entry):
-    """Deliberately *not* registered: its frames are the pickle fallback."""
+    """A second entry class, defined — and so registered — here."""
 
     def __init__(self, text=None):
         self.text = text
@@ -67,8 +69,6 @@ def run(runtime, fn, name="test-proc"):
 
 def _frame_offsets(raw):
     """Start offset of every frame in a WAL log, plus its end."""
-    import struct
-
     offsets, pos = [], 0
     while pos < len(raw):
         offsets.append(pos)
@@ -78,46 +78,62 @@ def _frame_offsets(raw):
 
 
 def _frame_first_bytes(raw):
-    """Magic of every frame in a WAL log (0xC5 compact, 0xC6 fallback)."""
+    """Magic of every frame in a WAL log."""
     return [raw[pos] for pos in _frame_offsets(raw)[:-1]]
 
 
-def _record(lsn, fallback=False, epoch=0):
-    """One single-write record; ``fallback`` gives it an entry id past
-    i64, which the compact layout cannot hold."""
-    entry_id = (1 << 70) + lsn if fallback else lsn
-    return CommitRecord(lsn=lsn,
-                        ops=(op_write(entry_id, b"x" * 20, float("inf")),),
-                        epoch=epoch)
+def _record(lsn, batch=False, epoch=0):
+    """One single-write record (the one-struct-call body), or with
+    ``batch`` a write + int-expiry write + take (the general body)."""
+    ops = (op_write(lsn, b"x" * 20, float("inf")),)
+    if batch:
+        ops += (op_write(1000 + lsn, b"y" * 7, 12), op_take(lsn))
+    return CommitRecord(lsn=lsn, ops=ops, epoch=epoch)
 
 
-def _records(n, start=1, fallback=False):
-    return [_record(start + i, fallback) for i in range(n)]
+def _records(n, start=1):
+    return [_record(start + i) for i in range(n)]
+
+
+def _retired_frame(lsn):
+    """A checksummed frame of the retired ``0xC6`` kind — what a log
+    written before it was deleted could hold at a frame boundary."""
+    body = struct.pack("<qq", lsn, 0) + b"\x80\x05]\x94."   # pickle of []
+    return struct.pack("<BII", RETIRED_MAGIC, len(body), crc32(body)) + body
 
 
 # -- frame level ---------------------------------------------------------------
 
 
-def test_uncompactable_record_falls_back_to_a_pickle_frame():
-    plain, exotic = _record(1), _record(2, fallback=True)
-    assert record_frame(plain)[0] == WAL_MAGIC
-    frame = record_frame(exotic)
-    assert frame[0] == WAL_PICKLE_MAGIC
-    assert record_frame(exotic) is frame  # encoded once, then cached
-    assert decode_log(record_frame(plain) + frame) == [plain, exotic]
+@pytest.mark.parametrize("ops", [
+    (op_write(1 << 70, b"x", float("inf")),),
+    (op_write(1, b"x", float("inf")), op_take(1 << 70)),
+    (op_write(1, b"x", 1 << 70),),
+    (op_write(1, bytearray(b"x"), float("inf")),),
+    (("rename", 1),),
+], ids=["write-id", "take-id", "expiration", "bytearray", "kind"])
+def test_uncompactable_record_raises(ops):
+    """There is no second record kind to absorb an op that does not fit
+    the layout: the record is refused, as a checkpoint of it would be."""
+    plain = _record(1)
+    frame = record_frame(plain)
+    assert frame[0] == WAL_MAGIC
+    assert record_frame(plain) is frame      # encoded once, then cached
+    with pytest.raises(SpaceError, match="does not fit"):
+        record_frame(CommitRecord(lsn=2, ops=ops))
 
 
 def test_mixed_frame_log_decodes_as_one_stream(tmp_path):
     path = tmp_path / "wal"
-    pattern = [True, True, False, True, False, False]  # fallback?
-    written = [_record(i + 1, fallback) for i, fallback in enumerate(pattern)]
+    pattern = [True, True, False, True, False, False]  # batch body?
+    written = [_record(i + 1, batch) for i, batch in enumerate(pattern)]
     store = FileWalStore(str(path))
     for record in written[:3]:
         store.append(record)
     store.sync()
     store.close()
 
-    # Reopen: the replayed frames of both kinds are there; keep appending.
+    # Reopen: the replayed frames of both shapes are there; keep appending.
     store = FileWalStore(str(path))
     assert [r.lsn for r in store.records_since(0)] == [1, 2, 3]
     for record in written[3:]:
@@ -126,8 +142,7 @@ def test_mixed_frame_log_decodes_as_one_stream(tmp_path):
     store.close()
 
     raw = (path.parent / "wal.log").read_bytes()
-    assert _frame_first_bytes(raw) == [
-        WAL_PICKLE_MAGIC if fallback else WAL_MAGIC for fallback in pattern]
+    assert _frame_first_bytes(raw) == [WAL_MAGIC] * len(pattern)
     assert decode_log(raw) == written
     store = FileWalStore(str(path))
     assert store.records_since(0) == written
@@ -152,16 +167,23 @@ def test_compact_frames_preserve_op_value_types():
     assert [type(e) for e in exps] == [float, int]
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_torn_tail_is_dropped(tmp_path, fallback):
+@pytest.mark.parametrize("retired", [False, True])
+def test_torn_tail_is_dropped(tmp_path, retired):
+    """The last frame cut mid-write — or, ``retired``, a whole ``0xC6``
+    frame where the last frame should start: nothing valid follows
+    either, so both are a tail to drop."""
     path = tmp_path / "wal"
     store = FileWalStore(str(path))
-    for record in _records(2) + _records(1, start=3, fallback=fallback):
+    for record in _records(3):
         store.append(record)
     store.sync()
     store.close()
     log = path.parent / "wal.log"
-    log.write_bytes(log.read_bytes()[:-3])  # crash mid-write of last frame
+    raw = log.read_bytes()
+    if retired:
+        log.write_bytes(raw[:_frame_offsets(raw)[2]] + _retired_frame(3))
+    else:
+        log.write_bytes(raw[:-3])           # crash mid-write of last frame
     store = FileWalStore(str(path))
     assert [r.lsn for r in store.records_since(0)] == [1, 2]
     # The tear is cut off, so what is appended next is not hidden behind
@@ -173,6 +195,31 @@ def test_torn_tail_is_dropped(tmp_path, fallback):
     store.close()
 
 
+def test_retired_record_kind_mid_log_is_corruption(tmp_path):
+    """A ``0xC6`` byte at a frame boundary with a valid frame after it is
+    damage in place: the error names the offset and the last good LSN."""
+    path = tmp_path / "wal"
+    store = FileWalStore(str(path))
+    for record in _records(3):
+        store.append(record)
+    store.close()
+    log = path.parent / "wal.log"
+    raw = log.read_bytes()
+    offsets = _frame_offsets(raw)
+    damaged = raw[:offsets[1]] + _retired_frame(2) + raw[offsets[2]:]
+    for case in (damaged,
+                 # ... or just the magic byte of an otherwise intact frame
+                 raw[:offsets[1]] + bytes([RETIRED_MAGIC])
+                 + raw[offsets[1] + 1:]):
+        with pytest.raises(WalCorruptionError) as caught:
+            decode_log(case)
+        assert caught.value.offset == offsets[1]
+        assert caught.value.last_good_lsn == 1
+    log.write_bytes(damaged)
+    with pytest.raises(WalCorruptionError):
+        FileWalStore(str(path))
+
+
 def _flip(raw, at):
     damaged = bytearray(raw)
     damaged[at] ^= 0x40
@@ -180,11 +227,11 @@ def _flip(raw, at):
 
 
 def _five_frame_log(tmp_path):
-    """A closed log of five records (the fourth a fallback frame)."""
+    """A closed log of five records (the fourth a multi-op one)."""
     path = tmp_path / "wal"
     store = FileWalStore(str(path))
     for lsn in range(1, 6):
-        store.append(_record(lsn, fallback=(lsn == 4)))
+        store.append(_record(lsn, batch=(lsn == 4)))
     store.close()
     return path, path.parent / "wal.log"
 
@@ -291,10 +338,9 @@ def test_store_rejects_any_codec_but_compact(tmp_path, codec):
 
 
 def test_mixed_entry_frames_survive_crash_and_recovery(runtime, tmp_path):
-    """Registered and unregistered entry classes share one space: their
-    entry frames (compact / pickle fallback) interleave in the log, are
-    partially consumed, and are all there after a crash + recover — and
-    new writes of both kinds keep working."""
+    """Two entry classes share one space: their frames — one kind, two
+    schemas — interleave in the log, are partially consumed, and are all
+    there after a crash + recover — and new writes of both keep working."""
     path = str(tmp_path / "wal")
     store = FileWalStore(path)
     space = DurableSpace(runtime, wal=WriteAheadLog(store),
@@ -311,11 +357,14 @@ def test_mixed_entry_frames_survive_crash_and_recovery(runtime, tmp_path):
     store.sync()
     store.close()
 
-    # Both entry-frame kinds really are on disk, embedded verbatim.
+    # Both classes' frames really are on disk, embedded verbatim, in the
+    # one record kind.
     raw = open(path + ".log", "rb").read()
+    assert set(_frame_first_bytes(raw)) == {WAL_MAGIC}
     datas = [op[2] for record in decode_log(raw) for op in record.ops
              if op[0] == "write"]
-    assert [d[0] for d in datas] == [MAGIC, PICKLE_PROTO] * 3
+    assert [d[0] for d in datas] == [MAGIC] * 6
+    assert [peek_class(d) for d in datas] == [TaskEntry, Note] * 3
 
     survivor = FileWalStore(path)
     recovered = DurableSpace.recover(runtime, survivor, snapshot_every=None)
@@ -341,11 +390,11 @@ def test_mixed_entry_frames_survive_crash_and_recovery(runtime, tmp_path):
 
 @pytest.mark.parametrize("entry", [
     TaskEntry("app", 1, {"nested": [1, 2, (3, 4)]}),
-    Note("unregistered"),
-], ids=["compact", "pickle-fallback"])
+    Note("defined in this module"),
+], ids=["compact", "defined-here"])
 def test_recovery_round_trips_entry_frames(runtime, tmp_path, entry):
     """Entry payload bytes inside WAL ops are themselves codec frames;
-    a store must replay them bit-exactly, whichever kind they are."""
+    a store must replay them bit-exactly, whichever class they are."""
     path = str(tmp_path / "wal")
     store = FileWalStore(path)
     space = DurableSpace(runtime, wal=WriteAheadLog(store),

@@ -32,6 +32,7 @@ crash schedules.
 from __future__ import annotations
 
 import os
+import struct
 import tempfile
 from unittest import mock
 
@@ -41,7 +42,12 @@ from hypothesis import given, seed, settings, strategies as st
 from repro.runtime import SimulatedRuntime
 from repro.tuplespace.durable import DurableSpace
 from repro.tuplespace.transaction import TransactionManager
-from repro.tuplespace.wal import FSYNC_POLICIES, FileWalStore, WriteAheadLog
+from repro.tuplespace.wal import (
+    FSYNC_POLICIES,
+    WAL_MAGIC,
+    FileWalStore,
+    WriteAheadLog,
+)
 from tests.conftest import run_in_sim
 from tests.tuplespace.entries import TaskEntry
 
@@ -194,6 +200,13 @@ class _Driver:
     def recover(self, expect_lsn):
         """A new process: reopen the files, rebuild, compare."""
         self.store = self._open()
+        # One record kind: every frame the space journalled is a 0xC5.
+        with open(self.path + ".log", "rb") as fh:
+            raw = fh.read()
+        pos = 0
+        while pos < len(raw):
+            assert raw[pos] == WAL_MAGIC
+            pos += 9 + struct.unpack_from("<I", raw, pos + 1)[0]
         self.space = DurableSpace.recover(self.runtime, self.store,
                                           snapshot_every=2)
         assert self.space.wal.last_lsn == expect_lsn
