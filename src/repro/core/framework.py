@@ -712,6 +712,19 @@ class AdaptiveClusterFramework:
                 self.supervisors.append(supervisor)
             self.standby = self.standbys[0]
             self.supervisor = self.supervisors[0]
+            # What liveness costs: probes put on the wire per shard (a
+            # round shared by co-hosted shards counts once for each),
+            # those that came back as anything but "ok", and the
+            # renewals the nodes' lease endpoints handled.
+            for i, supervisor in enumerate(self.supervisors):
+                labels = {"shard": str(i)} if self.sharded else {}
+                self.registry.expose(
+                    "failover.probes", lambda s=supervisor: s.probes, **labels)
+                self.registry.expose(
+                    "failover.probe_misses",
+                    lambda s=supervisor: s.probe_misses, **labels)
+            self.registry.expose("failover.lease_renewals",
+                                 self.lease_renewals)
             # Standby replication lag in WAL frames (primary LSN minus
             # the standby's applied LSN) — the watchdog's
             # ``space.replication_lag`` feed.  Read-through: sampled at
@@ -743,6 +756,11 @@ class AdaptiveClusterFramework:
         # Remaining component stats join the registry as read-through
         # views; periodic snapshots mirror them into the Metrics series.
         self.registry.expose_dict("net", network.stats)
+        kernel = getattr(runtime, "kernel", None)
+        if kernel is not None:
+            # Thread hand-offs of the simulator: what a message costs
+            # beyond its events.
+            self.registry.expose("sim.switches", lambda: kernel.switches)
         if config.metrics_snapshot_ms is not None:
             self.telemetry.enable_snapshots(
                 self.metrics, interval_ms=config.metrics_snapshot_ms)
@@ -922,6 +940,13 @@ class AdaptiveClusterFramework:
         for space in self.current_spaces():
             entries.extend(space.contents(Entry()))
         return entries
+
+    def lease_renewals(self) -> int:
+        """Lease-renewal pings handled by every node's lease endpoint."""
+        return sum(agent.renewals
+                   for (_, kind), agent in
+                   self.cluster.network.node_agents.items()
+                   if kind == "lease")
 
     # -- fault-injection hooks ---------------------------------------------------
 

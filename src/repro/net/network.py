@@ -7,9 +7,10 @@ works under virtual and wall-clock time.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -47,19 +48,38 @@ class ChaosProfile:
 
 
 class MessageQueue:
-    """Blocking FIFO over a runtime condition; supports close semantics."""
+    """Blocking FIFO over a runtime condition; supports close semantics.
+
+    Read either by processes blocked in :meth:`get` or — after
+    :meth:`serve` — by one callback draining it with :meth:`poll`.  The
+    callback runs in the zero-delay event a ``notify`` would have woken a
+    blocked getter in, so replacing a parked reader process by a callback
+    moves no event and no virtual instant.  It is scheduled only while
+    *armed* (by an empty ``poll``), so at most one run is pending and, on
+    the threaded runtime's timer threads, never two at once.
+    """
 
     def __init__(self, runtime: Runtime) -> None:
         self._runtime = runtime
-        self._cond = runtime.condition()
+        self._lock = runtime.lock()
+        self._cond = runtime.condition(self._lock)
         self._items: deque[Any] = deque()
         self.closed = False
+        self._callback: Optional[Callable[[], None]] = None
+        self._armed = False
 
     def put(self, item: Any) -> None:
-        with self._cond:
+        with self._lock:
             if self.closed:
                 return
             self._items.append(item)
+            self._signal()
+
+    def _signal(self) -> None:
+        if self._armed:
+            self._armed = False
+            self._runtime.call_later(0.0, self._callback)
+        elif self._callback is None:
             self._cond.notify_all()
 
     def get(self, timeout_ms: Optional[float] = None) -> Any:
@@ -68,22 +88,38 @@ class MessageQueue:
         Returns ``None`` on timeout; raises :class:`ConnectionClosedError`
         when the queue is closed and drained.
         """
-        with self._cond:
-            ok = self._runtime.wait_for(
+        with self._lock:
+            self._runtime.wait_for(
                 self._cond, lambda: bool(self._items) or self.closed, timeout_ms
             )
             if self._items:
                 return self._items.popleft()
             if self.closed:
                 raise ConnectionClosedError("endpoint closed")
-            if not ok:
-                return None
-            return None  # pragma: no cover - defensive
+            return None
+
+    def serve(self, callback: Callable[[], None]) -> None:
+        """Read this queue by ``callback`` from now on.  It is not run
+        here: the caller polls for what is already queued."""
+        self._callback = callback
+
+    def poll(self, read: bool = True) -> Any:
+        """Non-blocking :meth:`get`: the oldest item, or ``None`` after
+        arming the serving callback for the next arrival or close.
+        ``read=False`` only arms — a server whose request is parked still
+        wants to hear the peer hang up.  Raises like :meth:`get`."""
+        with self._lock:
+            if read and self._items:
+                return self._items.popleft()
+            if self.closed:
+                raise ConnectionClosedError("endpoint closed")
+            self._armed = self._callback is not None
+            return None
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             self.closed = True
-            self._cond.notify_all()
+            self._signal()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -118,19 +154,24 @@ class StreamSocket:
     Ordering is enforced twice over: arrival times are kept monotonic per
     receiver (virtual-time determinism), and messages carry sequence
     numbers reassembled in a reorder buffer (real ``threading.Timer``
-    callbacks on the threaded runtime can fire out of order).
+    callbacks on the threaded runtime can fire out of order).  Sequence
+    numbers come from an ``itertools.count`` — atomic under the
+    interpreter lock, so stamping takes no lock on either runtime.
     """
 
     def __init__(self, network: "Network", local: Address, remote: Address) -> None:
         self._network = network
         self.local = local
         self.remote = remote
-        self._queue = MessageQueue(network.runtime)
+        self._queue = queue = MessageQueue(network.runtime)
+        #: Serve by callback instead of a process parked in :meth:`receive`
+        #: (:meth:`MessageQueue.serve`, :meth:`MessageQueue.poll`).
+        self.serve, self.poll = queue.serve, queue.poll
         self._peer: Optional["StreamSocket"] = None
         self.closed = False
         self._last_arrival = 0.0   # enforces FIFO delivery despite jitter
         self._seq_lock = network.runtime.lock()
-        self._next_seq = 0         # stamped by senders targeting this socket
+        self._next_seq = itertools.count()  # stamped by senders to this socket
         self._expected_seq = 0     # next sequence to release to the queue
         self._reorder: dict[int, Optional[bytes]] = {}
 
@@ -164,38 +205,32 @@ class StreamSocket:
         if peer is not None and not peer.closed:
             # Propagate EOF after network delay, never overtaking data
             # already in flight (same FIFO rule as _send_stream).
-            now = self._network.runtime.now()
-            arrival = max(now + self._network.latency.base_ms, peer._last_arrival)
-            peer._last_arrival = arrival
-            seq = peer._alloc_seq()
             network = self._network
+            now = network.runtime.now()
+            arrival = max(now + network.latency.base_ms, peer._last_arrival)
+            peer._last_arrival = arrival
             network.runtime.call_later(
                 arrival - now,
-                lambda: network._run_or_hold(
-                    self.local.host, peer.local.host,
-                    lambda: peer._deliver(None, seq)),
-            )
+                network._arrival(self.local.host, peer, None,
+                                 next(peer._next_seq)))
         self._queue.close()
 
-    def _alloc_seq(self) -> int:
-        with self._seq_lock:
-            seq = self._next_seq
-            self._next_seq += 1
-            return seq
-
     def _deliver(self, payload_bytes: Optional[bytes], seq: int) -> None:
-        """Release in sequence order; ``None`` payload is the EOF marker."""
+        """Release in sequence order; ``None`` payload is the EOF marker.
+
+        The queue is fed under the sequence lock: two timer threads of
+        the threaded runtime must not swap what they just put in order.
+        """
         with self._seq_lock:
-            self._reorder[seq] = payload_bytes
-            ready: list[Optional[bytes]] = []
-            while self._expected_seq in self._reorder:
-                ready.append(self._reorder.pop(self._expected_seq))
+            reorder = self._reorder
+            reorder[seq] = payload_bytes
+            while self._expected_seq in reorder:
+                data = reorder.pop(self._expected_seq)
                 self._expected_seq += 1
-        for data in ready:
-            if data is None:
-                self._queue.close()
-            else:
-                self._queue.put(deserialize(data))
+                if data is None:
+                    self._queue.close()
+                else:
+                    self._queue.put(deserialize(data))
 
 
 class Listener:
@@ -204,7 +239,9 @@ class Listener:
     def __init__(self, network: "Network", address: Address) -> None:
         self._network = network
         self.address = address
-        self._pending = MessageQueue(network.runtime)
+        self._pending = pending = MessageQueue(network.runtime)
+        #: Accept by callback instead of a process parked in :meth:`accept`.
+        self.serve, self.poll = pending.serve, pending.poll
 
     def accept(self, timeout_ms: Optional[float] = None) -> Optional[StreamSocket]:
         return self._pending.get(timeout_ms)
@@ -238,6 +275,10 @@ class Network:
         self._chaos: Optional[ChaosProfile] = None
         self._chaos_rng: Optional[np.random.Generator] = None
         self._ephemeral_port = 49152
+        #: Node-local singletons, keyed ``(host, kind)``: what co-hosted
+        #: services share the way processes of one machine share an agent
+        #: (a host's lease endpoint, a supervisor host's probe rounds).
+        self.node_agents: dict[tuple[str, Any], Any] = {}
         self.stats = {"datagrams": 0, "datagram_bytes": 0, "messages": 0, "message_bytes": 0,
                       "dropped": 0, "partition_dropped": 0, "resets": 0}
 
@@ -491,34 +532,55 @@ class Network:
 
     def _send_stream(self, sender: StreamSocket, receiver: StreamSocket, payload: Any) -> None:
         data = serialize(payload)
-        self.stats["messages"] += 1
-        self.stats["message_bytes"] += len(data)
-        if self._partitioned(sender.local.host, receiver.local.host):
-            self.stats["dropped"] += 1
-            self.stats["partition_dropped"] += 1
+        size = len(data)
+        stats = self.stats
+        stats["messages"] += 1
+        stats["message_bytes"] += size
+        sender_host = sender.local.host
+        receiver_host = receiver.local.host
+        if (self._isolated or self._blocked) and self._partitioned(
+                sender_host, receiver_host):
+            stats["dropped"] += 1
+            stats["partition_dropped"] += 1
             return  # vanishes on the wire; the receiver just waits
-        if self._chaos is not None and self._chaos_drops(self._chaos.stream_drop):
+        chaos = self._chaos
+        if chaos is not None and self._chaos_drops(chaos.stream_drop):
             # A reliable stream that loses a segment for good is a dead
             # connection: reset both endpoints after the one-way delay.
             # (No sequence number is allocated, so the reorder buffer of
             # messages already in flight is not poisoned.)
-            self.stats["dropped"] += 1
+            stats["dropped"] += 1
             self.runtime.call_later(
                 self.latency.base_ms,
                 lambda: self._reset_stream(sender, receiver),
             )
             return
+        # Each optional term is skipped when the state it reads is off;
+        # the ones that are on apply in this fixed order, so a delay is
+        # the same float whichever terms were skipped (x + 0.0, x * 1.0).
         now = self.runtime.now()
-        delay = self.latency.delay_ms(len(data), self._rng)
-        delay += self._egress_delay(sender.local.host, len(data))
-        delay += self._chaos_delay_ms()
-        delay *= self._slow_factor(sender.local.host, receiver.local.host)
+        delay = self.latency.delay_ms(size, self._rng)
+        if self.latency.egress_kb_per_ms is not None:
+            delay += self._egress_delay(sender_host, size)
+        if chaos is not None:
+            delay += self._chaos_delay_ms()
+        if self._slow:
+            delay *= self._slow_factor(sender_host, receiver_host)
         # Reliable ordered delivery: never deliver before an earlier message.
         arrival = max(now + delay, receiver._last_arrival)
         receiver._last_arrival = arrival
-        seq = receiver._alloc_seq()
         self.runtime.call_later(
             arrival - now,
-            lambda: self._run_or_hold(sender.local.host, receiver.local.host,
-                                      lambda: receiver._deliver(data, seq)),
-        )
+            self._arrival(sender_host, receiver, data,
+                          next(receiver._next_seq)))
+
+    def _arrival(self, sender_host: str, receiver: StreamSocket,
+                 data: Optional[bytes], seq: int) -> Callable[[], None]:
+        """The delivery event of one stream message (``None``: EOF)."""
+        def arrive() -> None:
+            if self._paused:
+                self._run_or_hold(sender_host, receiver.local.host,
+                                  lambda: receiver._deliver(data, seq))
+            else:
+                receiver._deliver(data, seq)
+        return arrive

@@ -32,12 +32,9 @@ class _SimProcessHandle(ProcessHandle):
             runtime.sleep(1.0)
 
 
-class _SimCancelHandle(CancelHandle):
-    def __init__(self, handle: EventHandle) -> None:
-        self._handle = handle
-
-    def cancel(self) -> None:
-        self._handle.cancel()
+# The kernel's event handle already is a cancel handle; wrapping it cost
+# an allocation per scheduled message for a cancel nobody calls.
+CancelHandle.register(EventHandle)
 
 
 class SimulatedRuntime(Runtime):
@@ -62,7 +59,7 @@ class SimulatedRuntime(Runtime):
         return _SimProcessHandle(self, self.kernel.spawn(fn, name=name))
 
     def call_later(self, delay_ms: float, action: Callable[[], None]) -> CancelHandle:
-        return _SimCancelHandle(self.kernel.call_later(delay_ms, action))
+        return self.kernel.call_later(delay_ms, action)
 
     def context(self) -> object:
         """The current simulated process (the kernel inside timer actions):

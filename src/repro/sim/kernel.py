@@ -193,6 +193,9 @@ class SimKernel:
         self._error: Optional[BaseException] = None    # raised by an action
         self._running = False
         self._shutdown = False
+        #: Baton hand-offs to another thread (one OS switch each); an
+        #: event that wakes nobody, or its own thread, costs none.
+        self.switches = 0
         #: Optional observer called once per distinct virtual time, right
         #: before that time's bucket drains: ``on_advance(time_ms)``.
         #: Lets telemetry sample the clock without scheduling events of
@@ -346,6 +349,7 @@ class SimKernel:
             self._current = proc
             target = proc._baton
         if target is not baton:
+            self.switches += 1
             target.release()
             baton.acquire()
 

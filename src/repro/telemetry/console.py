@@ -130,9 +130,13 @@ def cluster_table(framework: Any, report: Any = None) -> str:
                   if hasattr(framework, "total_fenced_rpcs") else 0)
         stalls = sum(getattr(server, "repl_stalls", 0)
                      for server in getattr(framework, "space_servers", []))
+        # probes/misses: what liveness costs — one probe round per host
+        # pair and heartbeat, however many shards it answers for.
         lines.append(
             f"failover: epoch={epochs} failovers={failovers} "
-            f"fenced_rpcs={fenced} repl_stalls={stalls}")
+            f"fenced_rpcs={fenced} repl_stalls={stalls} "
+            f"probes={sum(s.probes for s in supervisors)} "
+            f"misses={sum(s.probe_misses for s in supervisors)}")
 
     admissions = [server.admission
                   for server in getattr(framework, "space_servers", [])
@@ -255,6 +259,9 @@ def cluster_snapshot(framework: Any, report: Any = None) -> dict:
             "repl_stalls": sum(
                 getattr(server, "repl_stalls", 0)
                 for server in getattr(framework, "space_servers", [])),
+            "probes": sum(s.probes for s in supervisors),
+            "probe_misses": sum(s.probe_misses for s in supervisors),
+            "lease_renewals": framework.lease_renewals(),
         }
 
     admissions = [server.admission

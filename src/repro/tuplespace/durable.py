@@ -38,6 +38,7 @@ with Jini lookup) lives in :mod:`repro.tuplespace.failover`.
 from __future__ import annotations
 
 import gc
+from functools import partial
 from typing import Any, Optional
 
 from repro.errors import (
@@ -307,11 +308,23 @@ class HotStandby:
                                epoch=self.space.wal.epoch)
         return self.server
 
-    # -- the tail loop ---------------------------------------------------------
+    # -- the tail ----------------------------------------------------------------
 
-    def _tail(self) -> None:
-        failures = 0
+    _FEED_LOST = (ConnectionClosedError, ConnectionRefusedError_, NetworkError)
+
+    def _tail(self, failures: int = 0) -> None:
+        """Dial the primary and bootstrap from its reply — an honest
+        blocking sequence, so a short-lived process: once caught up, the
+        feed is served by :meth:`_on_feed` and the process ends."""
         while self._running and not self.promoted:
+            if failures:
+                if failures > self.max_retries:
+                    if self.metrics is not None:
+                        self.metrics.event("standby-gave-up", host=self.host)
+                    return
+                self.runtime.sleep(self.retry_ms)
+                if not self._running or self.promoted:
+                    break
             try:
                 conn = self.network.connect(self.host, self.primary_address)
                 self._conn = conn
@@ -323,7 +336,6 @@ class HotStandby:
                 value = reply["value"]
                 self.space.bootstrap(value["snapshot"], value["records"],
                                      epoch=value.get("epoch"))
-                failures = 0
                 # Confirm what we durably hold — after the bootstrap and
                 # after every applied batch.  The ack travels standby →
                 # primary on the feed connection, the direction an egress
@@ -331,38 +343,40 @@ class HotStandby:
                 # a cut-off primary *notice* replication has stalled and
                 # stop acknowledging clients (see SpaceServer.sync_replication).
                 conn.send({"repl_ack": self.space.wal.last_lsn})
-                if not self.caught_up:
-                    self.caught_up = True
-                    if self.metrics is not None:
-                        self.metrics.event("standby-caught-up", host=self.host,
-                                           lsn=self.space.wal.last_lsn)
-                while self._running and not self.promoted:
-                    message = conn.receive(timeout_ms=None)
-                    if message is None:
-                        continue
-                    # The feed ships commit *batches* (records coalesced
-                    # within one kernel tick); single-record messages are
-                    # accepted too for compatibility.
-                    batch = message.get("repl_batch")
-                    if batch is not None:
-                        for record in batch:
-                            self._apply_contiguous(conn, record)
-                        conn.send({"repl_ack": self.space.wal.last_lsn})
-                        continue
-                    record = message.get("repl")
-                    if record is not None:
-                        self._apply_contiguous(conn, record)
-                        conn.send({"repl_ack": self.space.wal.last_lsn})
-            except (ConnectionClosedError, ConnectionRefusedError_, NetworkError):
+            except self._FEED_LOST:
                 if not self._running or self.promoted:
                     return
                 failures += 1
-                if failures > self.max_retries:
-                    if self.metrics is not None:
-                        self.metrics.event("standby-gave-up", host=self.host)
-                    return
-                self.runtime.sleep(self.retry_ms)
+                continue
+            if not self.caught_up:
+                self.caught_up = True
+                if self.metrics is not None:
+                    self.metrics.event("standby-caught-up", host=self.host,
+                                       lsn=self.space.wal.last_lsn)
+            on_feed = partial(self._on_feed, conn)
+            conn.serve(on_feed)
+            on_feed()
+            return
         self._conn = None
+
+    def _on_feed(self, conn: StreamSocket) -> None:
+        """Apply and confirm what the feed delivered; when it breaks,
+        start over from a fresh bootstrap."""
+        try:
+            while self._running and not self.promoted:
+                message = conn.poll()
+                if message is None:
+                    return
+                # The feed ships commit *batches*: the records of one
+                # kernel tick, coalesced.
+                for record in message["repl_batch"]:
+                    self._apply_contiguous(conn, record)
+                conn.send({"repl_ack": self.space.wal.last_lsn})
+            self._conn = None
+        except self._FEED_LOST:
+            if self._running and not self.promoted:
+                self.runtime.spawn(lambda: self._tail(1),
+                                   name=f"standby-tail:{self.host}")
 
     def _apply_contiguous(self, conn: StreamSocket, record: Any) -> None:
         """Apply one streamed record, refusing to ack across a hole.

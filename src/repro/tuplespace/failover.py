@@ -6,8 +6,10 @@ reconnect asks the lookup service *where the space lives now* instead of
 hammering a dead address.
 
 :class:`SpaceSupervisor` is the control half — it heartbeats the primary
-:class:`~repro.tuplespace.proxy.SpaceServer` and, after ``max_misses``
-consecutive missed probes, promotes the :class:`~repro.tuplespace.durable.HotStandby`,
+:class:`~repro.tuplespace.proxy.SpaceServer` (one probe per heartbeat and
+*host pair*, shared by every supervisor watching a primary on that host:
+:class:`_HostProbe`) and, after ``max_misses`` consecutive missed probes,
+promotes the :class:`~repro.tuplespace.durable.HotStandby`,
 cancels the primary's lookup registration and registers the standby's
 address under the same service attributes.  From that point every
 locator-equipped proxy re-discovers the new primary on its next
@@ -16,6 +18,7 @@ reconnect.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Optional
 
 from repro.errors import (
@@ -31,7 +34,7 @@ from repro.net.network import Network, StreamSocket
 from repro.runtime.base import Runtime
 from repro.tuplespace.durable import HotStandby
 from repro.tuplespace.lease import FOREVER
-from repro.tuplespace.proxy import SpaceServer
+from repro.tuplespace.proxy import SpaceServer, lease_status
 from repro.tuplespace.transaction import TransactionManager
 
 __all__ = ["JiniSpaceLocator", "SpaceSupervisor", "HEARTBEAT_MS", "MAX_MISSES"]
@@ -88,12 +91,186 @@ class JiniSpaceLocator:
         return best.service
 
 
+class _HostProbe:
+    """The heartbeat of every supervisor on one host towards the
+    primaries of one host: one event-driven probe round per
+    ``heartbeat_ms`` — no sleeping process, and not one ping per shard.
+
+    A round is one ``ping`` on a standing connection to the first watched
+    primary that accepts a dial; the other primaries' lease bounds ride
+    along as ``peers`` and that node's lease endpoint answers for each
+    from its own server (:class:`~repro.tuplespace.proxy.LeaseEndpoint`).
+    Every bound is stamped from this host's clock when the round starts
+    and recorded by its supervisor the moment the message is on the wire.
+    With one primary per host the round *is* the old per-supervisor ping:
+    same message, same instants.  The next round is scheduled
+    ``heartbeat_ms`` after this one resolved.
+    """
+
+    def __init__(self, supervisor: "SpaceSupervisor") -> None:
+        self.runtime = supervisor.runtime
+        self.network = supervisor.network
+        self.host = supervisor.host
+        self.primary_host = supervisor.primary_address.host
+        self.heartbeat_ms = supervisor.heartbeat_ms
+        self.timeout_ms = supervisor.probe_timeout_ms
+        #: Watching supervisors, in joining order (the dial order).
+        self.members: list["SpaceSupervisor"] = []
+        self._conn: Optional[StreamSocket] = None
+        self._contact: Optional[Address] = None     # whom _conn reaches
+        self._asked: list["SpaceSupervisor"] = []   # awaiting this round
+        self._early: dict["SpaceSupervisor", str] = {}  # settled by the dial
+        self._reused = False        # the round went out on an old connection
+        self._timer: Any = None     # set while a round is on the wire
+        self._next: Any = None      # set while the next round is due
+        #: Rounds, replies and timeouts are events; on the threaded
+        #: runtime they arrive on timer threads.
+        self._lock = self.runtime.lock()
+
+    def join(self, supervisor: "SpaceSupervisor") -> None:
+        with self._lock:
+            self.members.append(supervisor)
+            if self._next is None and self._timer is None:
+                # First round one heartbeat after the event that used to
+                # start the watch process.
+                self._next = self.runtime.call_later(0.0, self._schedule)
+
+    def leave(self, supervisor: "SpaceSupervisor") -> None:
+        with self._lock:
+            if supervisor in self.members:
+                self.members.remove(supervisor)
+            if supervisor in self._asked:
+                self._asked.remove(supervisor)
+            if not self.members and self._next is not None:
+                self._next.cancel()
+                self._next = None
+            if not self.members or self._contact == supervisor.primary_address:
+                self._drop()
+
+    def _schedule(self) -> None:
+        self._next = self.runtime.call_later(self.heartbeat_ms, self._round)
+
+    def _drop(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = self._contact = None
+
+    def _round(self) -> None:
+        with self._lock:
+            self._next = None
+            self._asked = list(self.members)
+            conn = self._conn
+            self._reused = (conn is not None and not conn.closed
+                            and not conn.eof)
+            if self.network.is_partitioned(self.host, self.primary_host):
+                self._resolve({})   # the dial itself would be refused
+            else:
+                self._send()
+
+    def _send(self) -> None:
+        """Put the round on the wire, dialling a contact first if the
+        standing connection is gone (a crash closes it): in this tick, so
+        a dead primary is still a refused connect."""
+        statuses: dict["SpaceSupervisor", str] = {}
+        if not self._reused:
+            self._drop()
+            for member in self._asked:
+                try:
+                    self._conn = self.network.connect(self.host,
+                                                      member.primary_address)
+                except ConnectionRefusedError_:
+                    statuses[member] = "lost" if self.network.is_partitioned(
+                        self.primary_host, self.host) else "dead"
+                except NetworkError:
+                    statuses[member] = "lost"
+                else:
+                    self._contact = member.primary_address
+                    self._conn.serve(self._on_reply)
+                    break
+        if self._conn is None:
+            self._resolve(statuses)
+            return
+        now = self.runtime.now()
+        on_wire = [m for m in self._asked if m not in statuses]
+        # Same host as the contact, so a port names a peer.
+        bounds = {m.primary_address.port: now + m.lease_ms for m in on_wire}
+        args: dict[str, Any] = {
+            "renew_lease": True,
+            "valid_until": bounds.pop(self._contact.port, None)}
+        if bounds:
+            args["peers"] = bounds
+        try:
+            self._conn.send({"op": "ping", "args": args})
+        except (ConnectionClosedError, NetworkError):
+            self._resolve(statuses)
+            return
+        for member in on_wire:
+            member.probes += 1
+            member._sent_bound(now + member.lease_ms)
+        self._early = statuses
+        self._timer = self.runtime.call_later(
+            self.timeout_ms, partial(self._on_reply, True))
+        self._on_reply()    # arms the socket: nothing can be queued yet
+
+    def _on_reply(self, timed_out: bool = False) -> None:
+        with self._lock:
+            if self._timer is None:
+                return      # a late event of a round already resolved
+            reply = None
+            try:
+                if not timed_out:
+                    reply = self._conn.poll()
+                    if reply is None:
+                        return
+            except ConnectionClosedError:
+                if self._reused:
+                    # Hung up under this very probe (its EOF was still in
+                    # flight): redial now, as a fresh probe would.
+                    self._reused = False
+                    self._send()
+                    return
+            self._timer.cancel()
+            self._timer = None
+            statuses = self._early
+            if reply and reply.get("ok"):
+                pong = reply["value"]
+                answers = dict(pong.get("peers") or ())
+                answers[self._contact.port] = lease_status(pong)
+                for member in self._asked:
+                    answer = answers.get(member.primary_address.port)
+                    if answer is not None and member not in statuses:
+                        statuses[member] = (
+                            answer if answer in ("ok", "dead") else "fenced")
+            self._resolve(statuses)
+
+    def _resolve(self, statuses: dict["SpaceSupervisor", str]) -> None:
+        """Hand every asked supervisor its status (``lost`` when the round
+        brought none) and schedule the next round."""
+        asked, self._asked = self._asked, []
+        if not any(member.primary_address == self._contact
+                   and statuses.get(member) in ("ok", "fenced")
+                   for member in asked):
+            # Never reuse a connection a probe failed on: a late reply
+            # would be read as the next probe's answer.
+            self._drop()
+        for member in asked:
+            member._probed(statuses.get(member, "lost"))
+        if self.members:
+            self._schedule()
+
+
 class SpaceSupervisor:
     """Promote the hot standby when the primary stops answering pings.
 
     Detection is deliberately dumb — ``max_misses`` consecutive failed
     probes at ``heartbeat_ms`` intervals — which makes the failover time
-    a deterministic function of the fault time under simulation.
+    a deterministic function of the fault time under simulation.  The
+    probes themselves are shared per host pair (:class:`_HostProbe`);
+    the miss count, the lease bound, promotion and fencing are this
+    supervisor's own.
     """
 
     def __init__(
@@ -137,10 +314,13 @@ class SpaceSupervisor:
         #: Standbys this supervisor spawned itself (demoted primaries
         #: rejoining the replication chain); stopped with the supervisor.
         self._spawned_standbys: list[HotStandby] = []
-        #: The heartbeat's standing connection to the primary, kept
-        #: while probes succeed (one server-side handler per primary,
-        #: not one accept + spawn + close per heartbeat).
-        self._probe_conn: Optional[StreamSocket] = None
+        #: Probes put on the wire for this primary, and how many came
+        #: back as anything but ``ok``.
+        self.probes = 0
+        self.probe_misses = 0
+        self._misses = 0
+        self._all_dead = True   # every miss so far was a hard refusal
+        self._probe: Optional[_HostProbe] = None
 
     @property
     def lease_ms(self) -> float:
@@ -168,131 +348,93 @@ class SpaceSupervisor:
         # The deployment grants the initial lease around now; assume the
         # worst (it runs its full course) until probes refine the bound.
         self._lease_valid_until = self.runtime.now() + self.lease_ms
-        self.runtime.spawn(self._watch, name=f"space-supervisor:{self.host}")
+        self._watch()
 
     def stop(self) -> None:
         self._running = False
-        self._drop_probe_conn()
+        self._unwatch()
         for standby in self._spawned_standbys:
             standby.stop()
-
-    def _drop_probe_conn(self) -> None:
-        if self._probe_conn is not None:
-            self._probe_conn.close()
-            self._probe_conn = None
 
     # -- watchdog ------------------------------------------------------------
 
     def _watch(self) -> None:
-        misses = 0
-        all_dead = True  # every miss so far was a hard connection refusal
-        generation = self.failovers
-        while self._running and self.failovers == generation:
-            self.runtime.sleep(self.heartbeat_ms)
-            if not self._running or self.failovers != generation:
-                return
-            status = self._probe()
-            if status == "ok":
-                misses = 0
-                all_dead = True
-                continue
-            if status == "fenced":
-                # The primary answered but is self-fenced: its lease
-                # expired (a pause/partition outlived lease_ms) and
-                # renewal was refused.  It will never serve again on its
-                # own — only promotion restores a writable space.
-                if self.metrics is not None:
-                    self.metrics.event("primary-self-fenced",
-                                       address=str(self.primary_address))
-                self._failover(wait_lease=False)
-                return
-            misses += 1
-            all_dead = all_dead and status == "dead"
-            if self.metrics is not None:
-                self.metrics.event("primary-heartbeat-miss", misses=misses,
-                                   status=status)
-            if misses >= self.max_misses:
-                # A run of pure connection-refusals proves nothing
-                # listens there — no one holds a lease, promote at once.
-                # Any "lost" probe (timeout, drop) leaves open that the
-                # primary heard a renewal whose ack we never saw, so
-                # promotion must wait that renewal out.
-                self._failover(wait_lease=not all_dead)
-                return
+        """Join the probe rounds of this host towards the primary's."""
+        self._misses = 0
+        self._all_dead = True
+        agents = self.network.node_agents
+        key = (self.host, ("probe", self.primary_address.host,
+                           self.heartbeat_ms, self.probe_timeout_ms))
+        self._probe = agents.get(key)
+        if self._probe is None:
+            self._probe = agents[key] = _HostProbe(self)
+        self._probe.join(self)
 
-    def _probe(self) -> str:
-        """One ping round-trip to the primary.
+    def _unwatch(self) -> None:
+        if self._probe is not None:
+            self._probe.leave(self)
+            self._probe = None
 
-        ``"ok"`` — alive and serving; ``"fenced"`` — alive but refusing
-        ops (expired lease or superseded: promote, it cannot recover by
-        itself); ``"dead"`` — connection refused with no partition in
-        the way (nothing listens there); ``"lost"`` — sent but no answer,
-        or unreachable behind a partition: the primary's state is unknown.
+    def _sent_bound(self, valid_until: float) -> None:
+        """A renewal carrying ``valid_until`` is on the wire.
 
         The probe doubles as a *lease renewal*: a primary that can still
         hear us keeps acknowledging writes, one that cannot self-fences
         after :attr:`lease_ms` — strictly before we would promote.  The
-        renewal carries its own expiry bound (``valid_until``, stamped
-        from *our* clock before the send), and we remember that bound the
-        moment the request is on the wire: under an asymmetric partition
-        the request may arrive and renew the lease even though the reply
-        never comes back, and promotion must assume exactly that.
+        renewal carries its own expiry bound (stamped from *our* clock
+        before the send), and we remember that bound the moment the
+        request is on the wire: under an asymmetric partition the request
+        may arrive and renew the lease even though the reply never comes
+        back, and promotion must assume exactly that.
         """
-        status = self._ping()
-        if status not in ("ok", "fenced"):
-            # Never reuse a connection a probe failed on: a late reply
-            # would be read as the next probe's answer.
-            self._drop_probe_conn()
-        return status
+        if (self._lease_valid_until is None
+                or valid_until > self._lease_valid_until):
+            self._lease_valid_until = valid_until
 
-    def _ping(self) -> str:
-        primary = self.primary_address
-        if self.network.is_partitioned(self.host, primary.host):
-            return "lost"  # the dial itself would be refused
-        for _ in range(2):
-            conn = self._probe_conn
-            reused = conn is not None and not conn.closed and not conn.eof
-            if not reused:
-                # First probe, or the primary hung up since the last one
-                # (a crash closes its connections): dial in this tick,
-                # so a dead primary is still a refused connect.
-                self._drop_probe_conn()
-                try:
-                    conn = self.network.connect(self.host, primary)
-                except ConnectionRefusedError_:
-                    if self.network.is_partitioned(primary.host, self.host):
-                        return "lost"
-                    return "dead"
-                except NetworkError:
-                    return "lost"
-                self._probe_conn = conn
-            try:
-                valid_until = self.runtime.now() + self.lease_ms
-                conn.send({"op": "ping", "args": {"renew_lease": True,
-                                                  "valid_until": valid_until}})
-                # On the wire: the primary may honour it even if we
-                # never hear back.
-                if (self._lease_valid_until is None
-                        or valid_until > self._lease_valid_until):
-                    self._lease_valid_until = valid_until
-                reply = conn.receive(timeout_ms=self.probe_timeout_ms)
-            except ConnectionClosedError:
-                if reused:
-                    # Hung up under this very probe (its EOF was still
-                    # in flight): redial now, as a fresh probe would.
-                    self._drop_probe_conn()
-                    continue
-                return "lost"
-            except NetworkError:
-                return "lost"
-            if not reply or not reply.get("ok"):
-                return "lost"
-            value = reply.get("value")
-            if isinstance(value, dict) and (value.get("lease_expired")
-                                            or value.get("superseded")):
-                return "fenced"
-            return "ok"
-        return "lost"
+    def _probed(self, status: str) -> None:
+        """One probe round's verdict on our primary.
+
+        ``"ok"`` — alive and serving; ``"fenced"`` — alive but refusing
+        ops (expired lease or superseded: promote, it cannot recover by
+        itself); ``"dead"`` — connection refused with no partition in
+        the way, or its node says nothing serves there; ``"lost"`` —
+        sent but no answer, or unreachable behind a partition: the
+        primary's state is unknown.
+        """
+        if status == "ok":
+            self._misses = 0
+            self._all_dead = True
+            return
+        self.probe_misses += 1
+        if status == "fenced":
+            # The primary answered but is self-fenced: its lease
+            # expired (a pause/partition outlived lease_ms) and
+            # renewal was refused.  It will never serve again on its
+            # own — only promotion restores a writable space.
+            if self.metrics is not None:
+                self.metrics.event("primary-self-fenced",
+                                   address=str(self.primary_address))
+            self._promote(wait_lease=False)
+            return
+        self._misses += 1
+        self._all_dead = self._all_dead and status == "dead"
+        if self.metrics is not None:
+            self.metrics.event("primary-heartbeat-miss", misses=self._misses,
+                               status=status)
+        if self._misses >= self.max_misses:
+            # A run of pure connection-refusals proves nothing
+            # listens there — no one holds a lease, promote at once.
+            # Any "lost" probe (timeout, drop) leaves open that the
+            # primary heard a renewal whose ack we never saw, so
+            # promotion must wait that renewal out.
+            self._promote(wait_lease=not self._all_dead)
+
+    def _promote(self, wait_lease: bool) -> None:
+        """Stop watching and fail over — a blocking sequence (lease wait,
+        registrar RPCs), so a process of its own, once per failover."""
+        self._unwatch()
+        self.runtime.spawn(lambda: self._failover(wait_lease),
+                           name=f"space-supervisor:{self.host}")
 
     def _failover(self, wait_lease: bool = True) -> None:
         """The promotion sequence: wait out any lease the unreachable
@@ -317,7 +459,6 @@ class SpaceSupervisor:
                 return
         self.failed_over = True
         self.failovers += 1
-        self._drop_probe_conn()
         old_primary = self.primary_address
         self.server = self.standby.promote(
             TransactionManager(self.runtime, metrics=self.metrics)
@@ -408,7 +549,7 @@ class SpaceSupervisor:
         if self.server is not None:
             self.server.grant_lease(self.lease_ms)
             self._lease_valid_until = self.runtime.now() + self.lease_ms
-        self.runtime.spawn(self._watch, name=f"space-supervisor:{self.host}")
+        self._watch()
 
     def _send_fence(self, address: Address, epoch: int) -> str:
         """One fence round trip.

@@ -10,8 +10,8 @@ transactions (a worker crash mid-task restores the task entry).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.errors import (
@@ -30,7 +30,7 @@ from repro.runtime.base import Runtime
 from repro.tuplespace.entry import Entry
 from repro.tuplespace.events import EventRegistration, RemoteEvent
 from repro.tuplespace.lease import FOREVER
-from repro.tuplespace.space import JavaSpace
+from repro.tuplespace.space import JavaSpace, Waiter
 from repro.tuplespace.transaction import Transaction, TransactionManager
 from repro.util.codec import (
     decode_any,
@@ -372,6 +372,87 @@ _STREAMING = object()
 _NON_BATCHABLE = frozenset({"replicate", "notify", "batch"})
 
 
+def _first(frames: list) -> Any:
+    return frames[0] if frames else None
+
+
+@dataclass(slots=True, eq=False)
+class _Blocked:
+    """A ``read``/``take``/``take_multiple``/``exists`` parked in the
+    space: ``shape`` turns the frames it will find into the reply value,
+    ``timer`` is its deadline, ``batch`` the pipeline it interrupted."""
+
+    waiter: Waiter
+    shape: Callable[[list], Any]
+    timer: Any = None
+    batch: Optional[tuple[list, list]] = None
+
+
+@dataclass(slots=True, eq=False)
+class _Gate:
+    """A finished reply held back until every attached replication feed
+    has confirmed ``lsn`` — or ``deadline`` passes."""
+
+    value: Any
+    lsn: int
+    deadline: float
+    timer: Any = None
+
+
+class _Session:
+    """One client connection as the server sees it.
+
+    ``parked`` is the continuation of the request in progress while it
+    waits (:class:`_Blocked`, :class:`_Gate`); the connection's later
+    messages then stay queued, exactly as they did behind a process
+    blocked in the handler.
+    """
+
+    __slots__ = ("conn", "transactions", "before_lsn", "parked",
+                 "on_message", "wake")
+
+    def __init__(self, server: "SpaceServer", conn: StreamSocket) -> None:
+        self.conn = conn
+        self.transactions: dict[int, Transaction] = {}
+        self.before_lsn = 0
+        self.parked: Any = None
+        self.on_message = partial(server._on_message, self)
+        # A space waiter's wake: resume in the zero-delay event that
+        # would have woken a process blocked in the space.
+        self.wake = partial(server.runtime.call_later, 0.0,
+                            partial(server._resume, self))
+
+
+class LeaseEndpoint:
+    """A node's lease agent (the paper's one-agent-per-node shape): every
+    primary serving on the host is listed here by port, so one supervisor
+    probe that reaches any of them is answered for all — each by its
+    *own* ping handler, so a renewal is granted by nobody but its target."""
+
+    def __init__(self) -> None:
+        self.servers: dict[int, "SpaceServer"] = {}
+        #: Lease-renewal pings handled on this node, however they came.
+        self.renewals = 0
+
+    def probe(self, bounds: dict[int, float]) -> dict[int, str]:
+        """``{port: valid_until}`` → ``{port: "ok" | "lease_expired" |
+        "superseded" | "dead"}`` (``dead``: nothing serves there)."""
+        statuses = {}
+        for port, valid_until in bounds.items():
+            server = self.servers.get(port)
+            statuses[port] = "dead" if server is None else lease_status(
+                server._dispatch({"op": "ping", "args": {
+                    "renew_lease": True, "valid_until": valid_until}}, None))
+        return statuses
+
+
+def lease_status(pong: dict[str, Any]) -> str:
+    """What a ping reply says about the server's lease."""
+    if pong.get("superseded"):
+        return "superseded"
+    return "lease_expired" if pong.get("lease_expired") else "ok"
+
+
 class SpaceServer:
     """Exports a :class:`JavaSpace` on a network address."""
 
@@ -390,11 +471,13 @@ class SpaceServer:
         self.txn_manager = txn_manager if txn_manager is not None else TransactionManager(runtime)
         self._listener = None
         self._running = False
-        self._conn_ids = itertools.count(1)
+        #: Serializes this server's event handlers.  A no-op under the
+        #: simulator; on the threaded runtime they arrive on timer threads.
+        self._lock = runtime.lock()
         #: Live client connections, in accept order (a dict, not a set:
         #: crash/drain close them in this order, and the order in which
         #: clients see the hang-up must replay).
-        self._connections: dict[StreamSocket, None] = {}
+        self._connections: dict[StreamSocket, _Session] = {}
         #: Request connection → (event channel, notify registrations made
         #: over it).  Like transactions, registrations live exactly as
         #: long as the connection that asked for them.
@@ -434,13 +517,16 @@ class SpaceServer:
         #: Replication LSN each attached feed has confirmed, keyed by the
         #: feed's connection; mutations gate on the minimum.
         self._feed_acks: dict[Any, int] = {}
-        self._repl_cond = runtime.condition()
+        #: Sessions whose reply waits for those acks, oldest first.
+        self._gates: list[_Session] = []
         #: Acks that timed out waiting for the standby (dropped replies).
         self.repl_stalls = 0
         #: Multi-tenant admission control (off by default).  When set,
         #: tenant-tagged task writes are checked *before* dispatch — like
         #: the fence — so a rejected write has no side effects.
         self.admission: Optional[AdmissionController] = None
+        self._endpoint: LeaseEndpoint = network.node_agents.setdefault(
+            (address.host, "lease"), LeaseEndpoint())
 
     def enable_admission(self, config: AdmissionConfig) -> AdmissionController:
         """Arm per-tenant admission control for this server's space."""
@@ -466,24 +552,34 @@ class SpaceServer:
             self.restarts += 1
         if self.lease_ms is not None:
             self._lease_expires = self.runtime.now() + self.lease_ms
-        self._listener = self.network.listen(self.address)
+        self._listener = listener = self.network.listen(self.address)
         self._running = True
-        self.runtime.spawn(self._accept_loop, name=f"space-server:{self.address}")
+        self._endpoint.servers[self.address.port] = self
+        on_accept = partial(self._on_accept, listener)
+        listener.serve(on_accept)
+        # Accepting starts in the event the accept process used to start
+        # in: connections dialled meanwhile wait in the listener.
+        self.runtime.call_later(0.0, on_accept)
+
+    def _halt(self) -> None:
+        self._running = False
+        if self._listener is not None:
+            self._listener.close()
+        if self._endpoint.servers.get(self.address.port) is self:
+            del self._endpoint.servers[self.address.port]
 
     def stop(self, drain_ms: Optional[float] = 1_000.0) -> None:
         """Graceful stop: refuse new connections and give open ones
         ``drain_ms`` to finish before they are closed.
 
         The deadline is what makes "graceful" terminate: a client that
-        never hangs up used to keep its ``_serve`` loop alive forever.
+        never hangs up would otherwise be served forever.
         ``drain_ms=None`` restores that linger-forever behaviour.
         """
-        self._running = False
-        if self._listener is not None:
-            self._listener.close()
+        self._halt()
         # Graceful stop is a durability barrier: a buffered commit group
-        # must not be lost to a *clean* shutdown (crash() skips this on
-        # purpose — that is the failure being modelled).
+        # must not be lost to a *clean* shutdown (crash() has no such
+        # barrier — that is the failure being modelled).
         space_sync = getattr(self.space, "sync", None)
         if space_sync is not None:
             space_sync()
@@ -500,128 +596,245 @@ class SpaceServer:
         """Abrupt server death: every live connection drops, so clients see
         :class:`ConnectionClosedError` and their open transactions abort —
         in-flight takes roll back exactly as on a real server restart.
+        Nothing is flushed: a commit group still buffered in the WAL is
+        at the mercy of the store, as after a real crash.
         The in-memory space contents survive a restart of the same server
         object; surviving the *machine* requires a
         :class:`~repro.tuplespace.durable.DurableSpace` recovered from its
         write-ahead log."""
-        self.stop(drain_ms=None)
+        self._halt()
         for conn in list(self._connections):
             conn.close()
 
-    # -- server loops -----------------------------------------------------------
+    # -- serving, by callback -----------------------------------------------------
+    #
+    # No process is parked per listener or per connection: the network
+    # runs these handlers in the event that would have woken one.  A
+    # request that must wait — for a match, for a replication ack — parks
+    # its continuation on the session; nothing else ever blocks here.
 
-    def _accept_loop(self) -> None:
-        listener = self._listener
-        while self._running:
+    def _on_accept(self, listener: Any) -> None:
+        with self._lock:
             try:
-                conn = listener.accept(timeout_ms=None)
+                while self._running:
+                    conn = listener.poll()
+                    if conn is None:
+                        return
+                    session = self._connections[conn] = _Session(self, conn)
+                    conn.serve(session.on_message)
+                    # Its first read happens in the event that used to
+                    # start the connection's process.
+                    self.runtime.call_later(0.0, session.on_message)
             except ConnectionClosedError:
                 return
-            if conn is None:
-                continue
-            self._connections[conn] = None
-            conn_id = next(self._conn_ids)
-            self.runtime.spawn(
-                lambda c=conn: self._serve(c), name=f"space-conn-{conn_id}"
-            )
 
-    def _serve(self, conn: StreamSocket) -> None:
-        """Handle one client connection; abort its transactions on drop."""
-        transactions: dict[int, Transaction] = {}
-        wal = getattr(self.space, "wal", None)
+    def _on_message(self, session: _Session) -> None:
+        """Serve what the connection has queued, until it runs dry or a
+        request parks; abort its transactions when it drops."""
+        conn = session.conn
+        with self._lock:
+            try:
+                while session.parked is None:
+                    request = conn.poll()
+                    if request is None:
+                        return
+                    if "repl_ack" in request:
+                        # Standby confirming replication up to an LSN.  Acks
+                        # ride the feed connection *backwards* (standby to
+                        # primary), which is exactly the direction an egress
+                        # partition of the primary leaves open — so a cut-off
+                        # primary notices its acks stopped instead of serving
+                        # on in blissful ignorance.
+                        self._note_repl_ack(conn, int(request["repl_ack"]))
+                        continue
+                    wal = getattr(self.space, "wal", None)
+                    session.before_lsn = wal.last_lsn if wal is not None else 0
+                    self._advance(session, self._dispatch, request, session)
+                # Parked: later requests wait their turn, but a hang-up
+                # must still be heard (raises if it already happened).
+                conn.poll(read=False)
+            except ConnectionClosedError:
+                self._hang_up(session)
+
+    def _advance(self, session: _Session, step: Callable[..., Any],
+                 *args: Any) -> None:
+        """Run the request in progress one step further and answer it,
+        unless the step parked (again)."""
         try:
-            while True:
-                request = conn.receive(timeout_ms=None)
-                if request is None:
-                    continue
-                if "repl_ack" in request:
-                    # Standby confirming replication up to an LSN.  Acks
-                    # ride the feed connection *backwards* (standby to
-                    # primary), which is exactly the direction an egress
-                    # partition of the primary leaves open — so a cut-off
-                    # primary notices its acks stopped instead of serving
-                    # on in blissful ignorance.
-                    self._note_repl_ack(conn, int(request["repl_ack"]))
-                    continue
-                try:
-                    before_lsn = wal.last_lsn if wal is not None else 0
-                    value = self._dispatch(request, transactions, conn)
-                    if value is _STREAMING:
-                        continue  # handler replied itself; feed is one-way now
-                    if (self.sync_replication and wal is not None
-                            and wal.last_lsn > before_lsn
-                            and not self._await_repl_ack(wal.last_lsn)):
-                        # The standby never confirmed this mutation within
-                        # the timeout.  Acking anyway would be the lost-ack
-                        # bug: a promotion could discard a commit the
-                        # client was told succeeded.  Dropping the
-                        # connection *without a reply* instead makes the
-                        # outcome honestly indeterminate on the client.
-                        self.repl_stalls += 1
-                        conn.close()
-                        raise ConnectionClosedError(
-                            f"replication ack for lsn {wal.last_lsn} "
-                            f"timed out; dropping client unanswered")
-                    conn.send({"ok": True, "value": value})
-                except ConnectionClosedError:
-                    raise
-                except Exception as exc:  # marshalled back to the client
-                    conn.send(_error_reply(exc))
+            value = step(*args)
+            if value is _STREAMING:
+                return  # handler replied itself; feed is one-way now
+            if value.__class__ is _Blocked:
+                session.parked = value
+                remaining = value.waiter.remaining(self.runtime.now())
+                if remaining is not None:
+                    value.timer = self.runtime.call_later(
+                        remaining, partial(self._resume, session, value))
+                return
+            self._reply(session, value)
         except ConnectionClosedError:
-            pass
-        finally:
-            self._connections.pop(conn, None)
-            if conn in self._feed_acks:
-                with self._repl_cond:
-                    self._feed_acks.pop(conn, None)
-                    self._repl_cond.notify_all()
-            for txn in transactions.values():
-                if txn.state == "active":
-                    txn.abort()
-            subscription = self._subscriptions.pop(conn, None)
-            if subscription is not None:
-                channel, registrations = subscription
-                for registration in registrations:
-                    registration.lease.cancel()
-                channel.close()
-            conn.close()
+            raise
+        except Exception as exc:  # marshalled back to the client
+            session.conn.send(_error_reply(exc))
+
+    def _resume(self, session: _Session,
+                at_deadline: Optional[_Blocked] = None) -> None:
+        """A parked space op was woken, or ``at_deadline`` ran out of
+        time: look again (past the deadline that answers empty)."""
+        with self._lock:
+            blocked = session.parked
+            if blocked.__class__ is not _Blocked:
+                return      # hung up meanwhile
+            if at_deadline is None:
+                if blocked.timer is not None:
+                    blocked.timer.cancel()
+            elif blocked.waiter.woken or blocked is not at_deadline:
+                return      # a wake is already scheduled and wins, as
+                            # notify beats a blocked process's timeout
+            else:
+                self.space.forget(blocked.waiter)
+            session.parked = None
+            try:
+                self._advance(session, self._unblock, session, blocked)
+            except ConnectionClosedError:
+                self._hang_up(session)
+            else:
+                self._on_message(session)
+
+    def _unblock(self, session: _Session, blocked: _Blocked) -> Any:
+        """Retry a parked op; on an answer, the rest of its request."""
+        try:
+            frames = self.space.retry(blocked.waiter)
+            if frames is None:
+                return blocked
+            reply = {"ok": True, "value": blocked.shape(frames)}
+        except Exception as exc:
+            if blocked.batch is None:
+                raise
+            reply = _error_reply(exc)
+        if blocked.batch is None:
+            return reply["value"]
+        ops, replies = blocked.batch
+        replies.append(reply)
+        if not reply["ok"]:
+            return {"replies": replies}
+        return self._run_batch(session, ops, replies)
+
+    def _hang_up(self, session: _Session) -> None:
+        """The connection is gone: drop everything that lived on it."""
+        conn = session.conn
+        if self._connections.pop(conn, None) is None:
+            return      # already hung up
+        if conn in self._feed_acks:
+            del self._feed_acks[conn]
+            self._wake_gates()
+        parked, session.parked = session.parked, None
+        if parked is not None:
+            if parked.timer is not None:
+                parked.timer.cancel()
+            if parked.__class__ is _Blocked:
+                self.space.forget(parked.waiter)
+            elif session in self._gates:
+                self._gates.remove(session)
+        for txn in session.transactions.values():
+            if txn.state == "active":
+                txn.abort()
+        subscription = self._subscriptions.pop(conn, None)
+        if subscription is not None:
+            channel, registrations = subscription
+            for registration in registrations:
+                registration.lease.cancel()
+            channel.close()
+        conn.close()
 
     # -- replication acknowledgements -------------------------------------------
 
     def _note_repl_ack(self, conn: StreamSocket, lsn: int) -> None:
-        with self._repl_cond:
-            if lsn > self._feed_acks.get(conn, -1):
-                self._feed_acks[conn] = lsn
-            self._repl_cond.notify_all()
+        if lsn > self._feed_acks.get(conn, -1):
+            self._feed_acks[conn] = lsn
+        self._wake_gates()
 
-    def _await_repl_ack(self, lsn: int) -> bool:
-        """Block until every attached feed has confirmed ``lsn``.
+    def _confirmed(self, lsn: int) -> bool:
+        acks = self._feed_acks
+        return bool(acks) and min(acks.values()) >= lsn
 
-        True when confirmed, or when no feed is attached to begin with
-        (with no standby to promote there is nothing a lost ack could
-        diverge from, and gating would deadlock a freshly promoted
-        primary whose deposed predecessor has not rejoined yet); False
-        on timeout.  A feed that hangs up *during* the wait is not
-        consent: the standby is re-bootstrapping (its next feed will
-        confirm) or being promoted (nobody will, and the replica that
-        now serves does not hold this record).
+    def _reply(self, session: _Session, value: Any) -> None:
+        """Answer the request in progress — under synchronous
+        replication only once every attached feed has confirmed what it
+        journalled.
+
+        No feed attached at all means no gate (with no standby to
+        promote there is nothing a lost ack could diverge from, and
+        gating would deadlock a freshly promoted primary whose deposed
+        predecessor has not rejoined yet).  A feed that hangs up *during*
+        the wait is not consent: the standby is re-bootstrapping (its
+        next feed will confirm) or being promoted (nobody will, and the
+        replica that now serves does not hold this record).
         """
-        with self._repl_cond:
-            acks = self._feed_acks
-            if not acks:
-                return True
-            return self.runtime.wait_for(
-                self._repl_cond,
-                lambda: bool(acks) and min(acks.values()) >= lsn,
-                timeout_ms=self.repl_ack_timeout_ms,
-            )
+        wal = getattr(self.space, "wal", None)
+        if (self.sync_replication and wal is not None
+                and wal.last_lsn > session.before_lsn
+                and self._feed_acks and not self._confirmed(wal.last_lsn)):
+            session.parked = gate = _Gate(
+                value, wal.last_lsn,
+                self.runtime.now() + self.repl_ack_timeout_ms)
+            self._hold(session, gate)
+        else:
+            session.conn.send({"ok": True, "value": value})
 
-    def _dispatch(
-        self,
-        request: dict[str, Any],
-        transactions: dict[int, Transaction],
-        conn: StreamSocket,
-    ) -> Any:
+    def _hold(self, session: _Session, gate: _Gate) -> None:
+        """(Re-)arm a gate with what is left of its budget, as a blocked
+        process re-waits after a wake that did not satisfy it."""
+        gate.timer = self.runtime.call_later(
+            gate.deadline - self.runtime.now(),
+            partial(self._release, session, gate, True))
+        self._gates.append(session)
+
+    def _wake_gates(self) -> None:
+        """The feed set or an ack changed: every held reply re-checks, in
+        its own zero-delay event, oldest first."""
+        sessions, self._gates = self._gates, []
+        for session in sessions:
+            gate = session.parked
+            gate.timer.cancel()
+            self.runtime.call_later(
+                0.0, partial(self._release, session, gate, False))
+
+    def _release(self, session: _Session, gate: _Gate,
+                 timed_out: bool) -> None:
+        """Send, keep holding, or give up on a held reply."""
+        with self._lock:
+            if session.parked is not gate or (
+                    timed_out and session not in self._gates):
+                return      # hung up meanwhile, or a wake is on its way
+            if timed_out:
+                self._gates.remove(session)
+            try:
+                if self._confirmed(gate.lsn):
+                    session.parked = None
+                    session.conn.send({"ok": True, "value": gate.value})
+                elif gate.deadline > self.runtime.now():
+                    self._hold(session, gate)
+                    return
+                else:
+                    # The standby never confirmed this mutation within
+                    # the timeout.  Acking anyway would be the lost-ack
+                    # bug: a promotion could discard a commit the client
+                    # was told succeeded.  Dropping the connection
+                    # *without a reply* instead makes the outcome
+                    # honestly indeterminate on the client.
+                    self.repl_stalls += 1
+                    session.conn.close()
+                    raise ConnectionClosedError(
+                        f"replication ack for lsn {gate.lsn} timed out; "
+                        f"dropping client unanswered")
+            except ConnectionClosedError:
+                self._hang_up(session)
+            else:
+                self._on_message(session)
+
+    def _dispatch(self, request: dict[str, Any],
+                  session: Optional[_Session]) -> Any:
         op = request.get("op")
         args = request.get("args", {})
         if self.fencing and op not in _FENCE_EXEMPT_OPS:
@@ -631,13 +844,13 @@ class SpaceServer:
         txn = None
         txn_id = args.get("txn_id")
         if txn_id is not None:
-            txn = transactions.get(txn_id)
+            txn = session.transactions.get(txn_id)
             if txn is None:
                 raise TransactionError(f"unknown transaction id {txn_id}")
         handler = _DISPATCH.get(op)
         if handler is None:
             raise SpaceError(f"unknown operation: {op!r}")
-        return handler(self, args, txn, transactions, conn)
+        return handler(self, args, txn, session)
 
     def _check_fence(self, op: str, client_epoch: Optional[int]) -> None:
         """Reject the request if either side of it is behind the cluster.
@@ -677,65 +890,75 @@ class SpaceServer:
 
     # -- per-op handlers, bound through the _DISPATCH table ---------------------
 
-    def _op_write(self, args, txn, transactions, conn) -> Any:
+    def _op_write(self, args, txn, session) -> Any:
         lease = self.space.write_encoded(args["entry_data"], txn=txn,
                                          lease_ms=args["lease_ms"])
         return {"remaining_ms": lease.remaining_ms()}
 
-    def _op_read(self, args, txn, transactions, conn) -> Any:
-        return self.space.read_encoded(args["template"], txn=txn,
-                                       timeout_ms=args["timeout_ms"])
+    # The four ops that may wait hand the space the session's ``wake``
+    # instead of blocking: an answer comes back at once, or a waiter that
+    # :meth:`_advance` parks as the request's continuation.
 
-    def _op_take(self, args, txn, transactions, conn) -> Any:
-        return self.space.take_encoded(args["template"], txn=txn,
-                                       timeout_ms=args["timeout_ms"])
+    def _op_read(self, args, txn, session) -> Any:
+        got = self.space.read_encoded(args["template"], txn=txn,
+                                      timeout_ms=args["timeout_ms"],
+                                      wake=session.wake)
+        return _Blocked(got, _first) if got.__class__ is Waiter else got
 
-    def _op_count(self, args, txn, transactions, conn) -> Any:
+    def _op_take(self, args, txn, session) -> Any:
+        got = self.space.take_encoded(args["template"], txn=txn,
+                                      timeout_ms=args["timeout_ms"],
+                                      wake=session.wake)
+        return _Blocked(got, _first) if got.__class__ is Waiter else got
+
+    def _op_count(self, args, txn, session) -> Any:
         return self.space.count(args["template"], txn=txn)
 
-    def _op_exists(self, args, txn, transactions, conn) -> Any:
+    def _op_exists(self, args, txn, session) -> Any:
         # A blocking read whose reply is one bit: waiting for a fat entry
         # to appear does not drag the entry itself over the wire.
-        return self.space.read(args["template"], txn=txn,
-                               timeout_ms=args["timeout_ms"]) is not None
+        got = self.space.read_encoded(args["template"], txn=txn,
+                                      timeout_ms=args["timeout_ms"],
+                                      wake=session.wake)
+        return _Blocked(got, bool) if got.__class__ is Waiter else got is not None
 
-    def _op_write_all(self, args, txn, transactions, conn) -> Any:
+    def _op_write_all(self, args, txn, session) -> Any:
         leases = self.space.write_all_encoded(args["entries_data"], txn=txn,
                                               lease_ms=args["lease_ms"])
         return {"count": len(leases)}
 
-    def _op_take_multiple(self, args, txn, transactions, conn) -> Any:
-        return self.space.take_multiple_encoded(
+    def _op_take_multiple(self, args, txn, session) -> Any:
+        got = self.space.take_multiple_encoded(
             args["template"], args["max_entries"], txn=txn,
-            timeout_ms=args["timeout_ms"],
-        )
+            timeout_ms=args["timeout_ms"], wake=session.wake)
+        return _Blocked(got, list) if got.__class__ is Waiter else got
 
-    def _op_contents(self, args, txn, transactions, conn) -> Any:
+    def _op_contents(self, args, txn, session) -> Any:
         return self.space.contents(args["template"], txn=txn)
 
-    def _op_txn_create(self, args, txn, transactions, conn) -> Any:
+    def _op_txn_create(self, args, txn, session) -> Any:
         new_txn = self.txn_manager.create(args["timeout_ms"])
-        transactions[new_txn.txn_id] = new_txn
+        session.transactions[new_txn.txn_id] = new_txn
         return new_txn.txn_id
 
-    def _op_txn_commit(self, args, txn, transactions, conn) -> Any:
-        txn = transactions.pop(args["id"], None)
+    def _op_txn_commit(self, args, txn, session) -> Any:
+        txn = session.transactions.pop(args["id"], None)
         if txn is None:
             raise TransactionError(f"unknown transaction id {args['id']}")
         txn.commit()
         return None
 
-    def _op_txn_abort(self, args, txn, transactions, conn) -> Any:
-        txn = transactions.pop(args["id"], None)
+    def _op_txn_abort(self, args, txn, session) -> Any:
+        txn = session.transactions.pop(args["id"], None)
         if txn is None:
             raise TransactionError(f"unknown transaction id {args['id']}")
         txn.abort()
         return None
 
-    def _op_notify(self, args, txn, transactions, conn) -> Any:
-        return self._register_notify(args, conn)
+    def _op_notify(self, args, txn, session) -> Any:
+        return self._register_notify(args, session.conn)
 
-    def _op_ping(self, args, txn, transactions, conn) -> Any:
+    def _op_ping(self, args, txn, session) -> Any:
         # Supervisor probes double as lease renewals; an ordinary client
         # ping never does, so a mere worker cannot keep a deposed primary
         # alive.  Renewal is refused once the server is superseded, and —
@@ -744,6 +967,8 @@ class SpaceServer:
         # primary whose standby may have been promoted in the meantime.
         # Only an explicit ``grant_lease`` (the supervisor re-arming its
         # watch) un-fences.
+        if args.get("renew_lease"):
+            self._endpoint.renewals += 1
         if args.get("renew_lease") and self.lease_ms is not None:
             now = self.runtime.now()
             if not self.superseded and (self._lease_expires is None
@@ -765,7 +990,7 @@ class SpaceServer:
         # expired tells the supervisor this primary is self-fenced and will
         # stay so (renewal was just refused above) — reachable-but-fenced
         # must trigger promotion, or the space stays read-only forever.
-        return {
+        pong = {
             "pong": True,
             "epoch": self.epoch,
             "superseded": self.superseded,
@@ -773,8 +998,16 @@ class SpaceServer:
                 self._lease_expires is not None
                 and self.runtime.now() > self._lease_expires),
         }
+        # A supervisor watching several primaries on this host sends one
+        # probe: the others' bounds ride along (keyed by port — the host
+        # is this one) and the node's lease endpoint answers for each
+        # from its own server.
+        peers = args.get("peers")
+        if peers:
+            pong["peers"] = self._endpoint.probe(peers)
+        return pong
 
-    def _op_fence(self, args, txn, transactions, conn) -> Any:
+    def _op_fence(self, args, txn, session) -> Any:
         """Demotion order from a supervisor: a newer primary exists.
 
         Idempotent — repeated fences (the supervisor retries until the
@@ -791,7 +1024,7 @@ class SpaceServer:
             self.runtime.call_later(0.0, lambda: self.stop(drain_ms=1_000.0))
         return {"epoch": self.epoch, "superseded": self.superseded}
 
-    def _op_batch(self, args, txn, transactions, conn) -> Any:
+    def _op_batch(self, args, txn, session) -> Any:
         """Execute a pipeline of sub-operations from one network message.
 
         Sub-ops run strictly in request order and stop at the first
@@ -808,7 +1041,6 @@ class SpaceServer:
         id, so ``txn_create`` + ``take_multiple`` need only one round
         trip even though the client never saw the id.
         """
-        replies: list[dict[str, Any]] = []
         # Admission runs over the *whole* pipeline before any sub-op
         # executes: a rejected batch therefore has zero side effects (no
         # executed prefix), the same pre-dispatch guarantee lone ops get
@@ -817,7 +1049,15 @@ class SpaceServer:
         if self.admission is not None:
             for sub in args["ops"]:
                 self.admission.check(sub.get("op"), sub.get("args", {}))
-        for sub in args["ops"]:
+        return self._run_batch(session, args["ops"], [])
+
+    def _run_batch(self, session: _Session, ops: list[dict[str, Any]],
+                   replies: list[dict[str, Any]]) -> Any:
+        """Run the sub-ops that have no reply yet.  One that parks
+        returns its :class:`_Blocked`, tagged with the batch to come
+        back to (:meth:`_unblock`)."""
+        transactions = session.transactions
+        for sub in ops[len(replies):]:
             op = sub.get("op")
             handler = _DISPATCH.get(op)
             if handler is None or op in _NON_BATCHABLE:
@@ -852,16 +1092,19 @@ class SpaceServer:
                                     "error": f"unknown transaction id {txn_id}"})
                     break
             try:
-                value = handler(self, sub_args, sub_txn, transactions, conn)
+                value = handler(self, sub_args, sub_txn, session)
             except ConnectionClosedError:
                 raise
             except Exception as exc:
                 replies.append(_error_reply(exc))
                 break
+            if value.__class__ is _Blocked:
+                value.batch = (ops, replies)
+                return value
             replies.append({"ok": True, "value": value})
         return {"replies": replies}
 
-    def _op_replicate(self, args, txn, transactions, conn) -> Any:
+    def _op_replicate(self, args, txn, session) -> Any:
         """Bootstrap a standby and turn this connection into its feed.
 
         The reply (snapshot + log tail) is sent and the live subscription
@@ -870,6 +1113,7 @@ class SpaceServer:
         record, and none is shipped twice.
         """
         space = self.space
+        conn = session.conn
         wal = getattr(space, "wal", None)
         if wal is None:
             raise SpaceError("space is not durable; nothing to replicate")
@@ -917,9 +1161,8 @@ class SpaceServer:
             # starts unconfirmed (-1): until the standby acks the
             # bootstrap, mutations must not trust the snapshot we just
             # put on the wire — it may never arrive.
-            with self._repl_cond:
-                self._feed_acks[conn] = -1
-                self._repl_cond.notify_all()
+            self._feed_acks[conn] = -1
+            self._wake_gates()
         return _STREAMING
 
     def _register_notify(self, args: dict[str, Any], conn: StreamSocket) -> int:
@@ -927,7 +1170,7 @@ class SpaceServer:
 
         The channel is dialled on the connection's first registration
         and shared by its later ones; both end with the connection (see
-        :meth:`_serve`), so a client that reconnects — to this server or
+        :meth:`_hang_up`), so a client that reconnects — to this server or
         to a promoted standby — registers afresh and nothing leaks.
 
         Events are coalesced per kernel tick: a burst that becomes
@@ -1591,7 +1834,8 @@ class SpaceProxy:
         lease_ms: float = FOREVER,
         runtime: Optional[Runtime] = None,
     ) -> int:
-        """Register for remote events; spawns a local event-pump process.
+        """Register for remote events; ``listener`` runs in the delivery
+        event of each one (``runtime`` schedules the first accept).
 
         A registration lives as long as the connection it was made on —
         check :meth:`listening` and register again after a reconnect.
@@ -1607,9 +1851,9 @@ class SpaceProxy:
                 event_address = self.network.ephemeral(self.host)
                 self._event_listener = self.network.listen(event_address)
                 self._event_port = event_address.port
-                runtime.spawn(
-                    lambda pumped=self._event_listener: self._event_pump(pumped),
-                    name=f"space-events:{self.host}")
+                on_dial = partial(self._on_event_dial, self._event_listener)
+                self._event_listener.serve(on_dial)
+                runtime.call_later(0.0, on_dial)
             return self._call_once(
                 "notify",
                 {"template": template, "lease_ms": lease_ms,
@@ -1626,19 +1870,25 @@ class SpaceProxy:
         return (registration_id in self._event_handlers
                 and conn is not None and not conn.closed and not conn.eof)
 
-    def _event_pump(self, listener: Any) -> None:
+    def _on_event_dial(self, listener: Any) -> None:
+        """The server dialled back (or the listener closed first)."""
         try:
-            channel = listener.accept(timeout_ms=None)
-            if channel is None:
-                return
-            if self._event_listener is not listener:
-                channel.close()  # torn down while the server was dialling
-                return
-            self._event_channel = channel
-            while True:
-                message = channel.receive(timeout_ms=None)
-                if message is None:
-                    continue
+            channel = listener.poll()
+        except ConnectionClosedError:
+            return
+        if channel is None:
+            return
+        if self._event_listener is not listener:
+            channel.close()  # torn down while the server was dialling
+            return
+        self._event_channel = channel
+        on_event = partial(self._on_event, channel)
+        channel.serve(on_event)
+        on_event()
+
+    def _on_event(self, channel: StreamSocket) -> None:
+        try:
+            while (message := channel.poll()) is not None:
                 handler = self._event_handlers.get(message["registration_id"])
                 if handler is not None:
                     handler(

@@ -55,7 +55,7 @@ from repro.util.codec import (
     read_fields,
 )
 
-__all__ = ["JavaSpace"]
+__all__ = ["JavaSpace", "Waiter"]
 
 
 #: Stat keys, in exposition order.  Each maps to a plain ``_stat_<key>``
@@ -156,25 +156,36 @@ class _ScanList:
         return len(self.ids) - self.head - self.stale
 
 
-class _Waiter:
-    """One blocked ``read``/``take`` caller, parked on its own condition."""
+class Waiter:
+    """One ``read``/``take``/``take_multiple`` that has no answer yet:
+    what it matches, until when, and how to tell its caller to look again.
 
-    __slots__ = ("template_cls", "items", "cond", "take", "txn", "woken")
+    ``wake`` runs under the space lock when a matching entry became
+    visible or the waiter's transaction ended; the caller then repeats
+    :meth:`JavaSpace._attempt`.  A process blocked in the in-process API
+    passes its condition's ``notify``, a server the callable that
+    schedules its continuation (:meth:`JavaSpace.retry` is its second
+    look) — the queue does not know the difference.
+    """
 
-    def __init__(
-        self,
-        template_cls: type,
-        items: list[tuple[str, Any]],
-        cond: Any,
-        take: bool,
-        txn: Optional[Transaction],
-    ) -> None:
-        self.template_cls = template_cls
-        self.items = items            # precomputed non-None template fields
-        self.cond = cond              # shares the space lock
+    __slots__ = ("template_cls", "items", "take", "txn", "max_entries",
+                 "raw", "deadline", "wake", "woken")
+
+    def __init__(self, template: Entry, txn: Optional[Transaction],
+                 deadline: Optional[float], take: bool, max_entries: int,
+                 raw: bool, wake: Optional[Callable[[], Any]]) -> None:
+        self.template_cls = type(template)
+        self.items = match_items(template)  # the non-None template fields
         self.take = take
         self.txn = txn
-        self.woken = False            # set by the waker; at most one notify
+        self.max_entries = max_entries
+        self.raw = raw                # answer with stored frames, undecoded
+        self.deadline = deadline      # absolute ms; None waits forever
+        self.wake = wake
+        self.woken = False            # set by the waker; at most one wake
+
+    def remaining(self, now: float) -> Optional[float]:
+        return None if self.deadline is None else self.deadline - now
 
 
 class _TxnOps:
@@ -254,7 +265,7 @@ class JavaSpace:
         self._unindexable: dict[type, set[str]] = {}
         # Blocked callers keyed by template class; a visibility change only
         # touches the queues along the entry class's MRO.
-        self._waiters: dict[type, list[_Waiter]] = {}
+        self._waiters: dict[type, list[Waiter]] = {}
         # Lease bookkeeping: (expiration_ms, entry_id) min-heap for finite
         # leases plus a list of explicitly cancelled entry ids, so reaping
         # is O(expired) and skips entirely when every lease is FOREVER.
@@ -440,22 +451,28 @@ class JavaSpace:
         template: Entry,
         txn: Optional[Transaction] = None,
         timeout_ms: Optional[float] = None,
-    ) -> Optional[bytes]:
-        """Like :meth:`read`, but returns the stored frame bytes."""
+        wake: Optional[Callable[[], Any]] = None,
+    ) -> Any:
+        """Like :meth:`read`, but returns the stored frame bytes.
+
+        With ``wake`` the call never blocks: where it would, it queues
+        itself and returns its :class:`Waiter`; ``wake()`` then runs when
+        it is worth a :meth:`retry` (the encoded takes do the same)."""
         got = self._acquire_batch(template, txn, timeout_ms, take=False,
-                                  max_entries=1, raw=True)
-        return got[0] if got else None
+                                  max_entries=1, raw=True, wake=wake)
+        return got if got.__class__ is Waiter else got[0] if got else None
 
     def take_encoded(
         self,
         template: Entry,
         txn: Optional[Transaction] = None,
         timeout_ms: Optional[float] = None,
-    ) -> Optional[bytes]:
+        wake: Optional[Callable[[], Any]] = None,
+    ) -> Any:
         """Like :meth:`take`, but returns the stored frame bytes."""
         got = self._acquire_batch(template, txn, timeout_ms, take=True,
-                                  max_entries=1, raw=True)
-        return got[0] if got else None
+                                  max_entries=1, raw=True, wake=wake)
+        return got if got.__class__ is Waiter else got[0] if got else None
 
     def take_multiple_encoded(
         self,
@@ -463,12 +480,24 @@ class JavaSpace:
         max_entries: int,
         txn: Optional[Transaction] = None,
         timeout_ms: Optional[float] = None,
-    ) -> list[bytes]:
+        wake: Optional[Callable[[], Any]] = None,
+    ) -> Any:
         """Like :meth:`take_multiple`, but returns stored frame bytes."""
         if max_entries < 1:
             raise SpaceError(f"max_entries must be >= 1: {max_entries}")
         return self._acquire_batch(template, txn, timeout_ms, take=True,
-                                   max_entries=max_entries, raw=True)
+                                   max_entries=max_entries, raw=True,
+                                   wake=wake)
+
+    def retry(self, waiter: Waiter) -> Optional[list]:
+        """Second look of a call parked with ``wake``, after its wake or
+        at its deadline: the frames, ``[]`` past the deadline, or
+        ``None`` — queued again.  Raises what a blocked caller would on
+        waking (its transaction ended meanwhile)."""
+        with self._lock:
+            if waiter.txn is not None:
+                waiter.txn.ensure_active()
+            return self._attempt(waiter)
 
     def snapshot(self, template: Entry) -> Entry:
         """Pre-serialized template (here: an isolated copy)."""
@@ -542,72 +571,87 @@ class JavaSpace:
         take: bool,
         max_entries: int,
         raw: bool = False,
-    ) -> list:
+        wake: Optional[Callable[[], Any]] = None,
+    ) -> Any:
         if not isinstance(template, Entry):
             raise SpaceError(f"template is not an Entry: {type(template).__name__}")
         if txn is not None:
             txn.ensure_active()
         deadline = None if timeout_ms is None else self.runtime.now() + timeout_ms
-        template_cls = type(template)
-        items = match_items(template)
-        waiter: Optional[_Waiter] = None
+        waiter = Waiter(template, txn, deadline, take, max_entries, raw, wake)
         with self._lock:
+            got = self._attempt(waiter)
+            if got is not None or wake is not None:
+                return waiter if got is None else got
+            cond = self.runtime.condition(self._lock)
+            waiter.wake = cond.notify
             while True:
-                if self._lease_cancelled or self._lease_heap:
-                    self._reap_expired()
-                found: list[_Stored] = []
-                if self._fair_shares is not None and self._fair_applies(
-                        template_cls, items, take):
-                    # DRR selection depends on what each claim consumes,
-                    # so the fair path claims as it goes.
-                    while len(found) < max_entries:
-                        stored = self._find_fair(template_cls, items, txn)
-                        if stored is None:
-                            break
-                        self._claim(stored, txn, take)
-                        found.append(stored)
-                else:
-                    # One walk for the whole batch.  Claiming after it is
-                    # equivalent: a claim never changes another collected
-                    # entry's visibility.
-                    found = self._matching(template_cls, items, txn, take,
-                                           max_entries)
-                    for stored in found:
-                        self._claim(stored, txn, take)
-                if found:
-                    if take and txn is None and self.journaling:
-                        # One call, one commit — however many entries.
-                        self._journal_ops(
-                            [("take", stored.entry_id) for stored in found])
-                    # Zero-copy reply path (``raw``): the stored bytes ship
-                    # as-is and the far side decodes once.  Isolation
-                    # holds — bytes are immutable.
-                    return [stored.data if raw else decode_any(stored.data)
-                            for stored in found]
-                remaining: Optional[float] = None
-                if deadline is not None:
-                    remaining = deadline - self.runtime.now()
-                    if remaining <= 0:
-                        return []
-                if waiter is None:
-                    waiter = _Waiter(template_cls, items,
-                                     self.runtime.condition(self._lock), take, txn)
-                    if txn is not None:
-                        # Enlist before parking so the transaction's
-                        # completion reaches _wake_txn_waiters even if this
-                        # blocked call was its only contact with the space.
-                        txn._enlist(self)
-                queue = self._waiters.setdefault(template_cls, [])
-                waiter.woken = False
-                queue.append(waiter)
                 try:
-                    waiter.cond.wait(remaining)
+                    cond.wait(waiter.remaining(self.runtime.now()))
                 finally:
-                    # On timeout (no targeted notify) we are still queued.
-                    if not waiter.woken and waiter in queue:
-                        queue.remove(waiter)
+                    self.forget(waiter)
                 if txn is not None:
                     txn.ensure_active()
+                got = self._attempt(waiter)
+                if got is not None:
+                    return got
+
+    def _attempt(self, waiter: Waiter) -> Optional[list]:
+        """One pass of a read/take (caller holds the lock): the matches,
+        ``[]`` once the deadline has passed, or ``None`` with the waiter
+        queued until its ``wake`` is called (or :meth:`forget`)."""
+        template_cls, items = waiter.template_cls, waiter.items
+        txn, take = waiter.txn, waiter.take
+        if self._lease_cancelled or self._lease_heap:
+            self._reap_expired()
+        found: list[_Stored] = []
+        if self._fair_shares is not None and self._fair_applies(
+                template_cls, items, take):
+            # DRR selection depends on what each claim consumes,
+            # so the fair path claims as it goes.
+            while len(found) < waiter.max_entries:
+                stored = self._find_fair(template_cls, items, txn)
+                if stored is None:
+                    break
+                self._claim(stored, txn, take)
+                found.append(stored)
+        else:
+            # One walk for the whole batch.  Claiming after it is
+            # equivalent: a claim never changes another collected
+            # entry's visibility.
+            found = self._matching(template_cls, items, txn, take,
+                                   waiter.max_entries)
+            for stored in found:
+                self._claim(stored, txn, take)
+        if found:
+            if take and txn is None and self.journaling:
+                # One call, one commit — however many entries.
+                self._journal_ops(
+                    [("take", stored.entry_id) for stored in found])
+            # Zero-copy reply path (``raw``): the stored bytes ship
+            # as-is and the far side decodes once.  Isolation
+            # holds — bytes are immutable.
+            return [stored.data if waiter.raw else decode_any(stored.data)
+                    for stored in found]
+        remaining = waiter.remaining(self.runtime.now())
+        if remaining is not None and remaining <= 0:
+            return []
+        if txn is not None:
+            # Enlist before parking so the transaction's completion
+            # reaches _wake_txn_waiters even if this blocked call was
+            # its only contact with the space.
+            txn._enlist(self)
+        waiter.woken = False
+        self._waiters.setdefault(template_cls, []).append(waiter)
+        return None
+
+    def forget(self, waiter: Waiter) -> None:
+        """Dequeue a waiter nobody woke (its timeout fired, or its
+        caller went away): a woken one already left its queue."""
+        if not waiter.woken:
+            queue = self._waiters.get(waiter.template_cls)
+            if queue and waiter in queue:
+                queue.remove(waiter)
 
     def _claim(self, stored: _Stored, txn: Optional[Transaction],
                take: bool) -> None:
@@ -1196,7 +1240,7 @@ class JavaSpace:
                     continue
                 if not waiter.items or self._confirm(stored, waiter.items):
                     waiter.woken = True
-                    waiter.cond.notify()
+                    waiter.wake()
                     wakeups += 1
                     woke_here = True
             if woke_here:
@@ -1211,7 +1255,7 @@ class JavaSpace:
             for waiter in queue:
                 if waiter.txn is txn and not waiter.woken:
                     waiter.woken = True
-                    waiter.cond.notify()
+                    waiter.wake()
                     self._stat_wakeups += 1
                     woke_here = True
             if woke_here:

@@ -162,3 +162,39 @@ def test_gray_slow_campaign_completes_consistently():
 def test_nemesis_campaigns_replay_deterministically(faults):
     # Byte-identical trace/solution/aggregations across the stall or cut.
     assert verify_coordination_determinism(seed=7, faults=faults)
+
+
+#: Failover instants at commit 249030b, where every supervisor pinged its
+#: own primary from its own process.  Both campaigns keep one primary per
+#: host, so the shared probe round is that very ping: same messages, same
+#: instants, to the last bit.
+PARENT_FAILOVER_INSTANTS = {
+    (11, ("kill-primary-space",), 1, 1): [
+        (3008.341776899116, "primary-heartbeat-miss"),
+        (3258.341776899116, "primary-heartbeat-miss"),
+        (3508.341776899116, "primary-heartbeat-miss"),
+        (3508.341776899116, "standby-promoted"),
+        (3509.8601955819054, "failover-complete"),
+        (3509.8601955819054, "primary-fenced"),
+        (3509.8601955819054, "standby-rejoining")],
+    (23, ("kill-shard:0",), 4, 4): [
+        (3010.655170683776, "primary-heartbeat-miss"),
+        (3260.655170683776, "primary-heartbeat-miss"),
+        (3510.655170683776, "primary-heartbeat-miss"),
+        (3510.655170683776, "standby-promoted"),
+        (3512.0718689267474, "failover-complete"),
+        (3512.0718689267474, "primary-fenced"),
+        (3512.0718689267474, "standby-rejoining")],
+}
+
+
+@pytest.mark.parametrize("campaign", sorted(PARENT_FAILOVER_INSTANTS))
+def test_one_primary_per_host_fails_over_at_the_parent_commits_instants(
+        campaign):
+    seed, faults, shards, prefetch = campaign
+    result = coordination_chaos_experiment(
+        seed=seed, faults=faults, shards=shards, prefetch=prefetch)
+    assert result.correct
+    failover = {name for _, name in PARENT_FAILOVER_INSTANTS[campaign]}
+    assert [(t, name) for t, name, _ in result.trace
+            if name in failover] == PARENT_FAILOVER_INSTANTS[campaign]

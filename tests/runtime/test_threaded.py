@@ -146,3 +146,58 @@ def test_blocking_take_woken_by_other_thread(rtt):
     space.write(TaskEntry("app", 9, None))
     handle.join(timeout_ms=5_000.0)
     assert result["entry"].task_id == 9
+
+
+def test_socket_callback_runs_in_sequence_order_never_concurrently(rtt):
+    """A callback-served socket on real timer threads: four threads hand
+    it deliveries in scrambled order; the callback must see them in
+    sequence order and never run twice at once."""
+    import sys
+
+    from repro.net.latency import IDEAL
+    from repro.util.serialization import serialize
+
+    network = Network(rtt, latency=IDEAL)
+    listener = network.listen(Address("srv", 1))
+    network.connect("cli", Address("srv", 1))
+    served = listener.accept(timeout_ms=1_000.0)
+    total, threads = 400, 4
+    seen: list[int] = []
+    running, overlaps = [0], [0]
+    done = threading.Event()
+
+    def on_message():
+        # Nothing may follow the empty poll: it re-arms the callback.
+        while (message := served.poll()) is not None:
+            running[0] += 1
+            if running[0] > 1:
+                overlaps[0] += 1
+            seen.append(message)
+            running[0] -= 1
+            if len(seen) == total:
+                done.set()
+
+    served.serve(on_message)
+    on_message()                        # arm
+
+    def deliver(worker):
+        # Worker w owns sequence numbers w, w+4, ... and walks them
+        # backwards, so most arrive ahead of what the socket expects.
+        for seq in reversed(range(worker, total, threads)):
+            served._deliver(serialize(seq), seq)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=deliver, args=(w,))
+                   for w in range(threads)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert done.wait(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == list(range(total))
+    assert overlaps[0] == 0

@@ -203,3 +203,35 @@ def test_a_checkpoint_issues_one_barrier_of_its_own(tmp_path):
         assert store.syncs - before == 1
         assert (store.checkpoints, store.tail_records, store.tail_bytes) == (
             1, 0, 0)
+
+
+def test_server_crash_is_not_a_durability_barrier_but_stop_is(rt):
+    """``crash()`` models losing the process: the buffered commit group
+    stays at the store's mercy.  Only the graceful ``stop()`` flushes."""
+    from repro.net.address import Address
+    from repro.net.network import Network
+    from repro.tuplespace.durable import DurableSpace
+    from repro.tuplespace.proxy import SpaceServer
+    from tests.tuplespace.entries import TaskEntry
+
+    def served(port):
+        store = WalStore(fsync_policy="group", group_size=64)
+        space = DurableSpace(rt, wal=WriteAheadLog(store))
+        server = SpaceServer(rt, space, Network(rt), Address("m", port))
+        server.start()
+        for i in range(5):
+            space.write(TaskEntry("app", i, None))
+        assert store.pending() == 5 and store.syncs == 0
+        return store, server
+
+    def body():
+        store, server = served(1)
+        server.crash()
+        assert store.pending() == 5 and store.syncs == 0
+        assert store.power_loss() == 5
+        store, server = served(2)
+        server.stop(drain_ms=0.0)
+        assert store.pending() == 0 and store.syncs == 1
+        assert store.power_loss() == 0
+
+    run_in_sim(rt, body)
