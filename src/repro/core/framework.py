@@ -102,7 +102,7 @@ class FrameworkConfig:
     hot_standby: bool = False               # replica + supervisor + promotion
     sync_replication: bool = True           # gate acks on standby confirmation
     repl_ack_timeout_ms: float = 500.0      # then drop the client unanswered
-    master_checkpoint_ms: Optional[float] = None  # master checkpoint period
+    master_checkpoint_ms: Optional[float] = None  # checkpoint staleness bound
     checkpoint_lease_ms: float = 60_000.0   # checkpoint entry lease
     master_restart_delay_ms: float = 500.0  # pause before a master restart
     task_txn_lease_ms: Optional[float] = None  # worker task-txn lease (None=∞)
@@ -761,6 +761,12 @@ class AdaptiveClusterFramework:
             # Thread hand-offs of the simulator: what a message costs
             # beyond its events.
             self.registry.expose("sim.switches", lambda: kernel.switches)
+        if config.master_checkpoint_ms is not None:
+            # No progress = flat count, bounded age; stuck = age unbounded.
+            for name in ("checkpoints_written", "checkpoint_age_ms"):
+                self.registry.expose(
+                    f"master.{name}", lambda name=name: getattr(
+                        self.master, name), app=self.app.app_id)
         if config.metrics_snapshot_ms is not None:
             self.telemetry.enable_snapshots(
                 self.metrics, interval_ms=config.metrics_snapshot_ms)

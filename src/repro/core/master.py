@@ -132,10 +132,10 @@ class Master:
         #: partial result instead of spinning on replication forever.
         #: ``None`` (default) keeps the wait-for-last-task semantics.
         self.give_up_after_ms = give_up_after_ms
-        #: Checkpoint/resume: every ``checkpoint_ms`` the master writes a
-        #: :class:`MasterCheckpointEntry` (lease ``checkpoint_lease_ms``)
-        #: into the space; a restarted master adopts it and completes the
-        #: job exactly-once.  ``None`` disables checkpointing.
+        #: Checkpoint/resume: a :class:`MasterCheckpointEntry` in the space
+        #: (lease ``checkpoint_lease_ms``) trails the master's progress by at
+        #: most ``checkpoint_ms``; a restarted master adopts it and completes
+        #: the job exactly-once.  ``None`` disables checkpointing.
         self.checkpoint_ms = checkpoint_ms
         self.checkpoint_lease_ms = checkpoint_lease_ms
         #: Failover tolerance: retry space operations that hit a dropped
@@ -165,6 +165,8 @@ class Master:
         self.checkpoints_written = 0
         self.resumed_from_seq: Optional[int] = None
         self._ckpt_seq = 0
+        #: When the newest checkpoint was written, and what it recorded.
+        self._ckpt_at, self._ckpt_state = 0.0, None
         self._cancelled = False
         self._crashed = False
 
@@ -382,25 +384,28 @@ class Master:
         task_by_id = {task.task_id: task for task in tasks}
         replicas: dict[int, int] = {}
         last_progress = self.runtime.now()
-        last_checkpoint = self.runtime.now()
         last_dead_scan = self.runtime.now()
+        # "Seeded, nothing back yet" is the first progress to record.
+        self._ckpt_at, self._ckpt_state = self.runtime.now(), None
         while len(results) + len(dead) < len(tasks):
             if self._cancelled:
                 break
             self._check_crashed()
-            ckpt = None
-            if self.checkpoint_ms is not None and \
-                    self.runtime.now() - last_checkpoint >= self.checkpoint_ms:
-                ckpt = self._build_checkpoint(tasks, results, dead, by_worker)
-                last_checkpoint = self.runtime.now()
             wait_ms = (self.straggler_timeout_ms if self.eager_scheduling
                        else self.dead_letter_poll_ms)
-            # The checkpoint cadence shortens the drain wait below; it
-            # must not also turn every wake-up into a dead-letter scan
+            # A checkpoint coming due shortens the drain wait below (to the
+            # instant it is due, not a full period from this drain's start);
+            # it must not also turn that wake-up into a dead-letter scan
             # (on a sharded space: one round trip per shard, each time).
             dead_scan_ms = min(wait_ms, self.dead_letter_poll_ms)
+            ckpt = None
             if self.checkpoint_ms is not None:
-                wait_ms = min(wait_ms, self.checkpoint_ms)
+                now = self.runtime.now()
+                if now >= self._checkpoint_due(results, dead)[0]:
+                    ckpt = self._build_checkpoint(tasks, results, dead,
+                                                  by_worker)
+                wait_ms = min(
+                    wait_ms, self._checkpoint_due(results, dead)[0] - now)
             entries = self._drain_results(template, wait_ms, ckpt)
             # A kill that lands while a take is in flight must not
             # aggregate the entries it returned: the results are dropped
@@ -602,6 +607,29 @@ class Master:
             results=len(results), dead=len(dead), reseeded=reseeded,
         )
 
+    @property
+    def checkpoint_age_ms(self) -> float:
+        return self.runtime.now() - self._ckpt_at
+
+    def _checkpoint_due(self, results: dict[int, Any],
+                        dead: dict[int, str]) -> tuple[float, str, tuple]:
+        """When the next checkpoint is due, why, and what it would record.
+
+        ``checkpoint_ms`` bounds staleness, it is not a period: progress
+        the newest checkpoint lacks is due once that one is
+        ``checkpoint_ms`` old; with nothing new, only a renewal at half
+        the lease, so a stalled job never loses its one checkpoint.
+        Counts fingerprint the state: ``results`` only grows (``by_worker``
+        with it), ``dead`` grows or loses a task to ``results``.
+        """
+        state = (len(results), len(dead), self.duplicate_results,
+                 self.replicated_tasks)
+        renew_at = self._ckpt_at + self.checkpoint_lease_ms / 2
+        if state == self._ckpt_state:
+            return renew_at, "lease", state
+        return (min(self._ckpt_at + self.checkpoint_ms, renew_at),
+                "progress", state)
+
     def _build_checkpoint(
         self,
         tasks: list[Task],
@@ -627,10 +655,13 @@ class Master:
             duplicates=self.duplicate_results,
             replicas=self.replicated_tasks,
         )
+        _, reason, state = self._checkpoint_due(results, dead)
         self.checkpoints_written += 1
         self.metrics.event("master-checkpoint", app=self.app.app_id,
                            seq=self._ckpt_seq, results=len(results),
-                           outstanding=len(outstanding))
+                           outstanding=len(outstanding),
+                           age_ms=self.checkpoint_age_ms, reason=reason)
+        self._ckpt_at, self._ckpt_state = self.runtime.now(), state
         return entry
 
     def _write_checkpoint(
@@ -665,32 +696,20 @@ class Master:
                if ckpt is not None and (ckpt.seq or 0) > 1 else None)
 
         def attempt() -> list[ResultEntry]:
-            if ckpt is None and self.drain_batch <= 1:
-                entry = self.space.take(template, timeout_ms=wait_ms)
-                return [entry] if entry is not None else []
-            batcher = getattr(self.space, "batch", None)
-            if batcher is None:
-                if ckpt is not None:
-                    self.space.write(ckpt, lease_ms=self.checkpoint_lease_ms)
-                    if old is not None:
-                        while self.space.take_if_exists(old) is not None:
-                            pass
-                if self.drain_batch > 1:
-                    return self.space.take_multiple(
-                        template, self.drain_batch, timeout_ms=wait_ms)
-                entry = self.space.take(template, timeout_ms=wait_ms)
-                return [entry] if entry is not None else []
-            batch = batcher()
+            batcher = (getattr(self.space, "batch", None)
+                       if ckpt is not None or self.drain_batch > 1 else None)
+            space = self.space if batcher is None else batcher()
             if ckpt is not None:
-                batch.write(ckpt, lease_ms=self.checkpoint_lease_ms)
+                space.write(ckpt, lease_ms=self.checkpoint_lease_ms)
                 if old is not None:
-                    batch.take(old, timeout_ms=0.0)
+                    space.take(old, timeout_ms=0.0)
             if self.drain_batch > 1:
-                batch.take_multiple(template, self.drain_batch,
-                                    timeout_ms=wait_ms)
+                got = space.take_multiple(template, self.drain_batch,
+                                          timeout_ms=wait_ms)
             else:
-                batch.take(template, timeout_ms=wait_ms)
-            got = batch.flush()[-1]
+                got = space.take(template, timeout_ms=wait_ms)
+            if batcher is not None:
+                got = space.flush()[-1]
             if self.drain_batch > 1:
                 return got or []
             return [got] if got is not None else []

@@ -356,6 +356,10 @@ class CoordinationChaosResult:
         r = self.report
         dup_aggs = {tid: n for tid, n in self.final_aggregations().items()
                     if n != 1}
+        kills = [t for t, n, _ in self.trace if n == "master-kill-injected"]
+        age = [f" ({kills[-1] - t:.1f} ms old at the kill)"
+               for t, n, p in self.trace if n == "master-checkpoint"
+               and dict(p)["seq"] == r.resumed_from_seq and kills]
         lines = [
             f"Coordination chaos run — seed {self.seed}, "
             f"faults {list(self.faults)}",
@@ -364,7 +368,8 @@ class CoordinationChaosResult:
             f"  complete    : {r.complete}; exactly-once: "
             f"{'yes' if self.exactly_once else f'NO {dup_aggs}'}",
             f"  restarts    : {self.master_restarts} master; checkpoints "
-            f"{r.checkpoints_written}, resumed from seq {r.resumed_from_seq}",
+            f"{r.checkpoints_written}, resumed from seq {r.resumed_from_seq}"
+            f"{age[-1] if age else ''}",
             f"  faults      : {self.faults_injected} injected; duplicates "
             f"{r.duplicate_results}; replicas {r.replicated_tasks}",
             f"  fenced      : {self.fenced_rpcs} stale-epoch RPCs rejected",

@@ -166,6 +166,11 @@ def cluster_table(framework: Any, report: Any = None) -> str:
             f"released={governor.stats['tasks_released']} "
             f"polls={governor.stats['polls']}")
 
+    if framework.master.checkpoint_ms is not None:
+        lines.append(
+            f"master: checkpoints={framework.master.checkpoints_written} "
+            f"checkpoint_age={_fmt_ms(framework.master.checkpoint_age_ms)}")
+
     watchdog = getattr(framework, "watchdog", None)
     if watchdog is not None and watchdog.alerts:
         # SLO pane: active alerts first (worst news on top), then the
@@ -280,6 +285,11 @@ def cluster_snapshot(framework: Any, report: Any = None) -> dict:
     governor = getattr(framework, "governor", None)
     if governor is not None:
         snapshot["preemption"] = dict(governor.stats)
+
+    if framework.master.checkpoint_ms is not None:
+        snapshot["master"] = {
+            name: getattr(framework.master, name)
+            for name in ("checkpoints_written", "checkpoint_age_ms")}
 
     watchdog = getattr(framework, "watchdog", None)
     if watchdog is not None:
