@@ -393,124 +393,84 @@ def _write_postmortems(result, directory: str, label: str) -> None:
         print(f"postmortem: {bundle.reason} → {path}")
 
 
-def _chaos(args) -> int:
-    from repro.experiments.chaos import chaos_experiment, verify_chaos_determinism
+#: campaign → (experiment, its determinism replay, the result property
+#: that must hold, what to print when it does not) in ``experiments.chaos``.
+_CAMPAIGNS = {
+    "chaos": ("chaos_experiment", "verify_chaos_determinism", "correct",
+              "solution does not match the expected partial sum"),
+    "coordination": ("coordination_chaos_experiment",
+                     "verify_coordination_determinism", "exactly_once",
+                     "job did not complete every task exactly-once"),
+    "contention": ("contention_chaos_experiment",
+                   "verify_contention_determinism", "correct",
+                   "a non-aggressor tenant lost tasks or got a wrong sum"),
+}
 
+
+def _chaos(args) -> int:
+    """Pick the campaign the flags ask for; one tail runs it, prints,
+    writes artifacts, gates and (``--verify-determinism``) replays it."""
+    from repro.errors import ConfigurationError, SimulationError
+    from repro.experiments import chaos
+
+    kwargs = dict(seed=args.seed, workers=args.workers,
+                  prefetch=args.prefetch, shards=args.shards)
     if args.tenants is not None:
         if args.faults:
             print("FAIL: --tenants and --fault are separate campaigns; "
                   "pick one")
             return 2
-        return _contention_chaos(args)
-    if args.faults:
-        return _coordination_chaos(args)
-    result = chaos_experiment(seed=args.seed, workers=args.workers,
-                              tasks=args.tasks, random_plan=args.random_plan,
-                              prefetch=args.prefetch, trace=args.trace,
-                              shards=args.shards)
+        label = "contention"
+        kwargs.update(tenants=args.tenants)
+    elif args.faults:
+        label = "coordination"
+        kwargs.update(tasks=args.tasks, faults=args.faults)
+    else:
+        label = "chaos"
+        kwargs.update(tasks=args.tasks, random_plan=args.random_plan)
+    experiment, verify, gate, failure = _CAMPAIGNS[label]
+    try:
+        result = getattr(chaos, experiment)(trace=args.trace, **kwargs)
+    except SimulationError as exc:
+        # --prefetch 0 / --shards 0: the worker's / the framework's own
+        # complaint, not a traceback (and not a silently different run).
+        if not isinstance(exc.__cause__, (ValueError, ConfigurationError)):
+            raise
+        print(f"FAIL: {exc.__cause__}")
+        return 2
     print(result.format_summary())
     _write_telemetry(result, args.trace_out if args.trace else None,
                      args.metrics_out)
-    _write_postmortems(result, args.postmortem_dir, "chaos")
-    if not result.correct:
-        print("FAIL: solution does not match the expected partial sum")
+    _write_postmortems(result, args.postmortem_dir, label)
+    if not getattr(result, gate):
+        print(f"FAIL: {failure}")
         return 1
     if not result.consistent:
         print("FAIL: consistency checker found history violations")
         return 1
+    if label == "contention" and args.isolation \
+            and not _isolation(chaos, kwargs):
+        return 1
     if args.verify_determinism:
-        ok = verify_chaos_determinism(seed=args.seed, workers=args.workers,
-                                      tasks=args.tasks,
-                                      random_plan=args.random_plan,
-                                      prefetch=args.prefetch,
-                                      trace=args.trace,
-                                      shards=args.shards)
+        ok = getattr(chaos, verify)(trace=args.trace, **kwargs)
         print(f"determinism: {'identical traces' if ok else 'TRACES DIVERGED'}")
         if not ok:
             result.flight.dump("determinism-diverged")
-            _write_postmortems(result, args.postmortem_dir, "chaos")
+            _write_postmortems(result, args.postmortem_dir, label)
             return 1
     return 0
 
 
-def _coordination_chaos(args) -> int:
-    from repro.experiments.chaos import (
-        coordination_chaos_experiment,
-        verify_coordination_determinism,
-    )
-
-    result = coordination_chaos_experiment(
-        seed=args.seed, workers=args.workers, tasks=args.tasks,
-        faults=args.faults, prefetch=args.prefetch, trace=args.trace,
-        shards=args.shards,
-    )
-    print(result.format_summary())
-    _write_telemetry(result, args.trace_out if args.trace else None,
-                     args.metrics_out)
-    _write_postmortems(result, args.postmortem_dir, "coordination")
-    if not result.exactly_once:
-        print("FAIL: job did not complete every task exactly-once")
-        return 1
-    if not result.consistent:
-        print("FAIL: consistency checker found history violations")
-        return 1
-    if args.verify_determinism:
-        ok = verify_coordination_determinism(
-            seed=args.seed, workers=args.workers, tasks=args.tasks,
-            faults=args.faults, prefetch=args.prefetch, trace=args.trace,
-            shards=args.shards,
-        )
-        print(f"determinism: {'identical traces' if ok else 'TRACES DIVERGED'}")
-        if not ok:
-            result.flight.dump("determinism-diverged")
-            _write_postmortems(result, args.postmortem_dir, "coordination")
-            return 1
-    return 0
-
-
-def _contention_chaos(args) -> int:
-    from repro.experiments.chaos import (
-        contention_chaos_experiment,
-        contention_isolation,
-        verify_contention_determinism,
-    )
-
-    result = contention_chaos_experiment(
-        seed=args.seed, workers=args.workers, tenants=args.tenants,
-        prefetch=args.prefetch, trace=args.trace, shards=args.shards,
-    )
-    print(result.format_summary())
-    _write_telemetry(result, args.trace_out if args.trace else None,
-                     args.metrics_out)
-    _write_postmortems(result, args.postmortem_dir, "contention")
-    if not result.correct:
-        print("FAIL: a non-aggressor tenant lost tasks or got a wrong sum")
-        return 1
-    if not result.consistent:
-        print("FAIL: consistency checker found history violations")
-        return 1
-    if args.isolation:
-        baseline, contended, ratio = contention_isolation(
-            seed=args.seed, workers=args.workers, tenants=args.tenants,
-            prefetch=args.prefetch, shards=args.shards,
-        )
-        print(f"isolation: victim {contended.victim_throughput_per_s:.2f}/s "
-              f"contended vs {baseline.victim_throughput_per_s:.2f}/s alone "
-              f"(ratio {ratio:.3f})")
-        if ratio < 0.8:
-            print("FAIL: aggressor degraded the victim below 0.8x baseline")
-            return 1
-    if args.verify_determinism:
-        ok = verify_contention_determinism(
-            seed=args.seed, workers=args.workers, tenants=args.tenants,
-            prefetch=args.prefetch, trace=args.trace, shards=args.shards,
-        )
-        print(f"determinism: {'identical traces' if ok else 'TRACES DIVERGED'}")
-        if not ok:
-            result.flight.dump("determinism-diverged")
-            _write_postmortems(result, args.postmortem_dir, "contention")
-            return 1
-    return 0
+def _isolation(chaos, kwargs: dict) -> bool:
+    """``--isolation``: the aggressor-free baseline against the contended
+    run; the victim must keep 0.8x of its isolated throughput."""
+    baseline, contended, ratio = chaos.contention_isolation(**kwargs)
+    print(f"isolation: victim {contended.victim_throughput_per_s:.2f}/s "
+          f"contended vs {baseline.victim_throughput_per_s:.2f}/s alone "
+          f"(ratio {ratio:.3f})")
+    if ratio < 0.8:
+        print("FAIL: aggressor degraded the victim below 0.8x baseline")
+    return ratio >= 0.8
 
 
 def _traced_run(app_id: str, workers: Optional[int], seed: int, real: bool,

@@ -24,15 +24,21 @@ from repro.core.codeserver import CODE_SERVER_PORT, CodeServer
 from repro.core.master import Master, MasterReport
 from repro.core.metrics import Metrics
 from repro.core.netmgmt import RULEBASE_PORT, NetworkManagementModule
-from repro.core.signals import ThresholdPolicy
+from repro.core.signals import Signal, ThresholdPolicy
+from repro.core.tenancy import PreemptionGovernor
 from repro.core.worker import WorkerHost
-from repro.errors import ConfigurationError, MasterCrashedError
+from repro.errors import (
+    ConfigurationError,
+    MasterCrashedError,
+    OutOfMemoryError,
+)
 from repro.telemetry import FlightRecorder, SloWatchdog, Telemetry
 from repro.jini.discovery import DiscoveryClient
 from repro.jini.join import JoinManager, LookupClient
 from repro.jini.lookup import LookupService, ServiceItem
 from repro.net.address import Address
 from repro.node.cluster import Cluster
+from repro.runtime import SimulatedRuntime
 from repro.runtime.base import Runtime
 from repro.tuplespace.durable import DurableSpace, HotStandby
 from repro.tuplespace.entry import Entry
@@ -52,6 +58,7 @@ from repro.tuplespace.proxy import (
 from repro.tuplespace.sharding import HashRing, ShardRouter
 from repro.tuplespace.space import JavaSpace
 from repro.tuplespace.transaction import TransactionManager
+from repro.verify import HistoryRecorder, RecordingSpace
 
 __all__ = ["AdaptiveClusterFramework", "FrameworkConfig"]
 
@@ -69,6 +76,9 @@ SPACE_FOOTPRINT_MB = 64
 #: ``MAX_MISSES`` heartbeats plus the lease wait).
 _MASTER_SPACE_RETRIES = 8 * MAX_MISSES
 
+#: Pause before a killed master is restarted (:meth:`run_with_recovery`).
+_MASTER_RESTART_DELAY_MS = 500.0
+
 
 @dataclass(frozen=True)
 class FrameworkConfig:
@@ -81,7 +91,6 @@ class FrameworkConfig:
     monitoring: bool = True                 # network management module on/off
     use_jini: bool = True                   # discover the space via lookup
     compute_real: bool = True               # actually run app.execute on workers
-    load_metric: str = "external"           # what the inference engine polls
     transactional_takes: bool = False       # crash-safe task takes (see worker)
     monitoring_mode: str = "poll"           # "poll" (paper) or "trap" (extension)
     port_offset: int = 0                    # shift all service ports so several
@@ -100,11 +109,7 @@ class FrameworkConfig:
     # -- durability / failover (see DESIGN.md "Recovery model") -------------
     durable_space: bool = False             # WAL + snapshots behind the space
     hot_standby: bool = False               # replica + supervisor + promotion
-    sync_replication: bool = True           # gate acks on standby confirmation
-    repl_ack_timeout_ms: float = 500.0      # then drop the client unanswered
     master_checkpoint_ms: Optional[float] = None  # checkpoint staleness bound
-    checkpoint_lease_ms: float = 60_000.0   # checkpoint entry lease
-    master_restart_delay_ms: float = 500.0  # pause before a master restart
     task_txn_lease_ms: Optional[float] = None  # worker task-txn lease (None=∞)
     staleness_ms: Optional[float] = None    # SNMP sample staleness window
 
@@ -171,7 +176,19 @@ class FrameworkConfig:
     #: :mod:`repro.core.tenancy`).
     preemption: bool = False
     preemption_poll_ms: float = 500.0
-    preemption_priority_cutoff: int = 1
+
+
+@dataclass(frozen=True)
+class _Shard:
+    """One row of the placement table.  The classic deployment is the
+    one-row case: the master node at ``SPACE_PORT``, no name suffix, no
+    labels — what every trace, Jini item and Prometheus dump carries."""
+
+    host: str                   # where the primary's server listens
+    address: Address
+    standby_address: Address    # where the promoted replica would serve
+    suffix: str                 # "" or ":shard<i>", on every service name
+    labels: dict[str, str]      # registry labels, Jini attribute, locator query
 
 
 class AdaptiveClusterFramework:
@@ -197,8 +214,6 @@ class AdaptiveClusterFramework:
         self.registry = self.telemetry.registry
         # Cost models charge virtual CPU only under simulation; on the
         # threaded runtime the real computation already takes real time.
-        from repro.runtime import SimulatedRuntime
-
         self._model_time = isinstance(runtime, SimulatedRuntime)
         if self.config.hot_standby and not self.config.use_jini:
             raise ConfigurationError(
@@ -216,6 +231,13 @@ class AdaptiveClusterFramework:
                 and not cluster.space_hosts):
             raise ConfigurationError(
                 "shard_placement='dedicated' needs cluster.add_space_hosts()")
+        if not self.config.admission:
+            for name in ("admission_soft_watermark", "admission_quotas",
+                         "admission_rates"):
+                if getattr(self.config, name) is not None:
+                    raise ConfigurationError(
+                        f"{name} needs admission=True: without admission "
+                        f"control it configures nothing")
         #: True when the space is partitioned behind a ShardRouter.  The
         #: classic single in-process space (shards=1, placement "master")
         #: keeps the exact legacy wiring; "spread"/"dedicated" force the
@@ -224,102 +246,51 @@ class AdaptiveClusterFramework:
         self.sharded = (self.config.shards > 1
                         or self.config.shard_placement in ("spread",
                                                            "dedicated"))
-        self.ring: Optional[HashRing] = (
-            HashRing(self.config.shards) if self.sharded else None)
-        offset = self.config.port_offset
-        if self.sharded:
-            if self.config.shard_placement == "dedicated":
-                hosts = cluster.space_hosts
-                self.shard_hosts = [hosts[i % len(hosts)].hostname
-                                    for i in range(self.config.shards)]
-            elif self.config.shard_placement == "spread":
-                nodes = cluster.nodes
-                self.shard_hosts = [nodes[i % len(nodes)].hostname
-                                    for i in range(self.config.shards)]
-            else:
-                self.shard_hosts = ([cluster.master.hostname]
-                                    * self.config.shards)
-            # Shard ports live in their own window (+100) so they never
-            # collide with the legacy space/standby pair or the lookup
-            # port, even with several shards co-hosted on the master.
-            self.shard_addresses = [
-                Address(self.shard_hosts[i], SPACE_PORT + offset + 100 + 2 * i)
-                for i in range(self.config.shards)
-            ]
-            # Standby replicas (and their supervisors) live on the master
-            # node regardless of shard placement: a fault that takes out a
-            # shard host must not take out the replica that survives it.
-            # Port pairs stay unique because shard ports are spaced by 2.
-            self.shard_standby_addresses = [
-                Address(cluster.master.hostname, address.port + 1)
-                for address in self.shard_addresses
-            ]
-            self.spaces: list[JavaSpace] = [
-                self._make_space(f"space:{app.app_id}:shard{i}")
-                for i in range(self.config.shards)
-            ]
-            self.space: JavaSpace = self.spaces[0]
-            for i, space in enumerate(self.spaces):
-                self.registry.expose_dict("space", space.stats, shard=str(i))
-                self.registry.expose_dict("space.match", space.match_stats,
-                                          shard=str(i))
-                self.registry.expose(
-                    "space.queue_depth",
-                    lambda s=space: max(
-                        s.stats["writes"] - s.stats["takes"]
-                        - s.stats["expired"], 0),
-                    shard=str(i))
-                if isinstance(space, DurableSpace):
-                    self._expose_wal(space, shard=str(i))
-            self.space_address = self.shard_addresses[0]
-            self.standby_address = self.shard_standby_addresses[0]
-        else:
-            self.space = self._make_space(f"space:{app.app_id}")
-            self.spaces = [self.space]
-            # Registry naming scheme: the space's counters surface as
-            # ``space.<key>`` (read-through — no per-op registry cost).
-            self.registry.expose_dict("space", self.space.stats)
-            self.registry.expose_dict("space.match", self.space.match_stats)
+        self.placement, self.ring = self._place_shards()
+        self._registrar = Address(cluster.master.hostname,
+                                  LOOKUP_PORT + self.config.port_offset)
+        self.shard_hosts = [shard.host for shard in self.placement]
+        self.shard_addresses = [shard.address for shard in self.placement]
+        self.shard_standby_addresses = [shard.standby_address
+                                        for shard in self.placement]
+        self.space_address = self.shard_addresses[0]
+        self.spaces: list[JavaSpace] = [
+            self._make_space(f"space:{app.app_id}{shard.suffix}")
+            for shard in self.placement
+        ]
+        self.space: JavaSpace = self.spaces[0]
+        # Registry naming scheme: a space's counters surface as
+        # ``space.<key>`` (read-through — no per-op registry cost).
+        for shard, space in zip(self.placement, self.spaces):
+            self.registry.expose_dict("space", space.stats, **shard.labels)
+            self.registry.expose_dict("space.match", space.match_stats,
+                                      **shard.labels)
             self.registry.expose(
                 "space.queue_depth",
-                lambda: max(
-                    self.space.stats["writes"] - self.space.stats["takes"]
-                    - self.space.stats["expired"], 0))
-            if isinstance(self.space, DurableSpace):
-                self._expose_wal(self.space)
-            self.shard_hosts = [cluster.master.hostname]
-            self.space_address = Address(
-                cluster.master.hostname, SPACE_PORT + offset)
-            self.shard_addresses = [self.space_address]
-            #: Where the promoted standby serves (primary port + 1).
-            self.standby_address = Address(
-                cluster.master.hostname, SPACE_PORT + offset + 1
-            )
-            self.shard_standby_addresses = [self.standby_address]
+                lambda s=space: max(
+                    s.stats["writes"] - s.stats["takes"]
+                    - s.stats["expired"], 0),
+                **shard.labels)
+            if isinstance(space, DurableSpace):
+                self._expose_wal(space, **shard.labels)
         self.space_server: Optional[SpaceServer] = None
         self.space_servers: list[SpaceServer] = []
         self.code_server: Optional[CodeServer] = None
         self.lookup: Optional[LookupService] = None
         self.netmgmt: Optional[NetworkManagementModule] = None
-        self.standby: Optional[HotStandby] = None
         self.standbys: list[HotStandby] = []
-        self.supervisor: Optional[SpaceSupervisor] = None
         self.supervisors: list[SpaceSupervisor] = []
-        self._join: Optional[JoinManager] = None
         self._joins: list[JoinManager] = []
         self._master_proxy: Optional[Any] = None
         self.master_restarts = 0
         #: Extra tenants sharing this deployment (see
-        #: :meth:`attach_tenant_master`) and their space clients.
+        #: :meth:`attach_tenant_master`).
         self.tenant_masters: list[Master] = []
-        self._tenant_proxies: list[Any] = []
         #: Priority-preemption governor (``config.preemption``).
         self.governor: Optional[Any] = None
         #: Shared operation history for the consistency checker.
         self.history: Optional[Any] = None
         if self.config.record_history:
-            from repro.verify import HistoryRecorder
-
             self.history = HistoryRecorder(runtime)
         #: End-to-end task latency (seed → aggregated), the watchdog's
         #: ``task.latency_ms.p99`` feed.  Deterministic log-bucketed
@@ -336,6 +307,32 @@ class AdaptiveClusterFramework:
         self.master = self._build_master()
         self.worker_hosts: list[WorkerHost] = []
         self._started = False
+
+    def _place_shards(self) -> tuple[list[_Shard], Optional[HashRing]]:
+        """The placement table, one row per shard, and the ring that
+        routes over it (none for the classic single row)."""
+        config, cluster = self.config, self.cluster
+        master_host = cluster.master.hostname
+        port = SPACE_PORT + config.port_offset
+        if not self.sharded:
+            return [_Shard(master_host, Address(master_host, port),
+                           Address(master_host, port + 1), "", {})], None
+        pool = {"master": [cluster.master], "spread": cluster.nodes,
+                "dedicated": cluster.space_hosts}[config.shard_placement]
+        placement = []
+        for i in range(config.shards):
+            host = pool[i % len(pool)].hostname
+            # Shard ports live in their own window (+100) so they never
+            # collide with the classic space/standby pair or the lookup
+            # port, spaced by 2 so each standby gets primary port + 1.
+            address = Address(host, port + 100 + 2 * i)
+            # Standby replicas (and their supervisors) live on the master
+            # node regardless of shard placement: they must survive (and
+            # observe) faults that hit the primary's machine or its links.
+            placement.append(_Shard(
+                host, address, Address(master_host, address.port + 1),
+                f":shard{i}", {"shard": str(i)}))
+        return placement, HashRing(config.shards)
 
     def _expose_wal(self, space: DurableSpace, **labels: str) -> None:
         """Trace ``space``'s log and expose its read-through gauges:
@@ -359,106 +356,100 @@ class AdaptiveClusterFramework:
                                 fsync_policy=config.wal_fsync_policy)
         return JavaSpace(self.runtime, name=name)
 
-    def _space_locator(self, host: str,
-                       shard: Optional[int] = None) -> JiniSpaceLocator:
-        """A lookup-backed locator so ``host`` finds the space post-failover.
-
-        With ``shard`` set the query pins one partition (each shard
-        registers with a ``shard`` attribute, so failover re-discovery is
-        per shard)."""
-        query: dict[str, str] = {"type": "JavaSpaces", "app": self.app.app_id}
-        if shard is not None:
-            query["shard"] = str(shard)
+    def _space_locator(self, host: str, shard: _Shard) -> JiniSpaceLocator:
+        """A lookup-backed locator so ``host`` finds ``shard`` post-failover
+        (sharded items register with a ``shard`` attribute, so the query —
+        and hence failover re-discovery — is pinned per shard)."""
         return JiniSpaceLocator(
-            self.cluster.network, host,
-            Address(self.cluster.master.hostname,
-                    LOOKUP_PORT + self.config.port_offset),
-            query,
+            self.cluster.network, host, self._registrar,
+            {"type": "JavaSpaces", "app": self.app.app_id, **shard.labels},
             call_timeout_ms=self.config.rpc_timeout_ms,
         )
 
-    def _build_router(self, host: str, recovery: Any = None,
-                      rng: Any = None) -> ShardRouter:
-        """A per-client :class:`ShardRouter` over every shard server."""
-        locators = None
-        if self.config.hot_standby:
-            locators = [self._space_locator(host, shard=i)
-                        for i in range(len(self.shard_addresses))]
-        return ShardRouter(
-            self.cluster.network, host, list(self.shard_addresses),
-            ring=self.ring, recovery=recovery, rng=rng,
-            metrics=self.metrics, locators=locators, tracer=self.tracer,
-        )
+    def _space_client(self, host: str, name: str, recovery: Any = None,
+                      rng: Any = None, in_process_ok: bool = False) -> Any:
+        """The one rule for which space client a process on ``host`` gets.
 
-    def _build_master(self) -> Master:
-        """Create a (or the next, after a kill) master process.
-
-        With a hot standby the master talks to the space through a
-        locator-equipped :class:`SpaceProxy` — like any worker — so a
-        failover redirects it to the promoted replica; space operations
-        retry across the failover window.  Without one it keeps the
-        zero-copy in-process space the scalability experiments measure.
+        Sharded: a :class:`ShardRouter` over every shard server (a
+        co-hosted shard is still served over loopback RPC, so all shards
+        are symmetric).  Otherwise a :class:`SpaceProxy`; with a hot
+        standby either carries lookup-backed locators, so a failover
+        redirects it to the promoted replica.  Only the deployment's own
+        master (``in_process_ok``) keeps the zero-copy in-process space
+        the scalability experiments measure — unless admission control,
+        enforced at the server, would be bypassed that way.  With
+        ``record_history`` the client records under ``name``.
         """
-        config = self.config
-        space: Any = self.space
-        retry_ms = None
+        config, network = self.config, self.cluster.network
+        space: Any
         if self.sharded:
-            # The master reaches every shard through a router, like any
-            # worker; shard 0 may be co-hosted but is still served over
-            # (loopback) RPC so all shards are symmetric.
-            if self._master_proxy is not None:
-                self._master_proxy.close()
-            self._master_proxy = self._build_router(
-                self.cluster.master.hostname)
-            space = self._master_proxy
-            # Unlike the in-process space, shards are reached over RPC, so
-            # the master must ride out shard crashes/restarts like any
-            # other client — enable its retry guard unconditionally.
-            retry_ms = HEARTBEAT_MS
-        elif config.hot_standby or config.admission:
-            # With a standby, a locator-equipped proxy lets a failover
-            # redirect the master like any worker.  Admission control is
-            # enforced server-side, so an in-process master would bypass
-            # it: the (loopback) proxy gets its seeding writes metered
-            # like every other tenant's.
-            if self._master_proxy is not None:
-                self._master_proxy.close()
-            self._master_proxy = SpaceProxy(
-                self.cluster.network, self.cluster.master.hostname,
-                self.space_address, metrics=self.metrics, tracer=self.tracer,
-                locator=(self._space_locator(self.cluster.master.hostname)
+            space = ShardRouter(
+                network, host, list(self.shard_addresses), ring=self.ring,
+                recovery=recovery, rng=rng, metrics=self.metrics,
+                locators=([self._space_locator(host, shard)
+                           for shard in self.placement]
+                          if config.hot_standby else None),
+                tracer=self.tracer,
+            )
+        elif in_process_ok and not (config.hot_standby or config.admission):
+            space = self.space
+        else:
+            space = SpaceProxy(
+                network, host, self.space_address, recovery=recovery,
+                rng=rng, metrics=self.metrics, tracer=self.tracer,
+                locator=(self._space_locator(host, self.placement[0])
                          if config.hot_standby else None),
             )
-            space = self._master_proxy
-            if config.hot_standby:
-                retry_ms = HEARTBEAT_MS
-        if config.admission and retry_ms is None:
+        if self.history is not None:
+            space = RecordingSpace(space, self.history, client=name)
+        return space
+
+    def _make_master(self, space: Any, app: Application,
+                     tenant: Optional[str], priority: Optional[int],
+                     checkpointing: bool) -> Master:
+        """The one place a master process is built."""
+        config = self.config
+        retry_ms: Optional[float] = None
+        if self.sharded or config.hot_standby:
+            # Servers that can crash, restart or fail over are reached
+            # over RPC: the master rides that out like any other client,
+            # one retry per supervisor heartbeat.
+            retry_ms = HEARTBEAT_MS
+        elif config.admission:
             # AdmissionError is a pre-dispatch rejection, so the master's
             # guard may re-issue the op verbatim after the server's
             # retry-after hint; this floor keeps the guard's loop alive.
             retry_ms = AdmissionConfig.retry_after_ms
-        if self.history is not None:
-            from repro.verify import RecordingSpace
-
-            space = RecordingSpace(space, self.history, client="master")
         return Master(
-            self.runtime, self.cluster.master, space, self.app, self.metrics,
+            self.runtime, self.cluster.master, space, app, self.metrics,
             eager_scheduling=config.eager_scheduling,
             straggler_timeout_ms=config.straggler_timeout_ms,
             model_time=self._model_time,
             dead_letter_poll_ms=config.dead_letter_poll_ms,
             give_up_after_ms=config.give_up_after_ms,
-            checkpoint_ms=config.master_checkpoint_ms,
-            checkpoint_lease_ms=config.checkpoint_lease_ms,
+            checkpoint_ms=(config.master_checkpoint_ms if checkpointing
+                           else None),
             space_retry_ms=retry_ms,
             space_max_retries=_MASTER_SPACE_RETRIES,
             seed_batch=config.master_seed_batch,
             drain_batch=config.master_drain_batch,
             tracer=self.tracer,
-            tenant=config.tenant,
-            priority=config.priority,
+            tenant=tenant,
+            priority=priority,
             latency_hist=self.task_latency,
         )
+
+    def _build_master(self) -> Master:
+        """Create this deployment's own (or, after a kill, its next)
+        master process, on a fresh space client."""
+        if self._master_proxy is not None:
+            self._master_proxy.close()
+        space = self._space_client(self.cluster.master.hostname, "master",
+                                   in_process_ok=True)
+        # The in-process space holds no connection for shutdown to close.
+        self._master_proxy = space if hasattr(space, "close") else None
+        return self._make_master(space, self.app, self.config.tenant,
+                                 self.config.priority, checkpointing=True)
 
     def attach_tenant_master(
         self,
@@ -476,52 +467,16 @@ class AdaptiveClusterFramework:
         they never collide across tenants (task identity is
         ``(app_id, task_id)``).  Run the returned master from its own
         runtime process; its report is independent of every other
-        tenant's.
+        tenant's.  Tenant masters do not checkpoint.
         """
         if app.app_id != self.app.app_id:
             raise ConfigurationError(
                 f"tenant app_id {app.app_id!r} != deployment app_id "
                 f"{self.app.app_id!r}: workers serve exactly one class set")
-        config = self.config
-        host = self.cluster.master.hostname
-        space: Any
-        if self.sharded:
-            space = self._build_router(host)
-        else:
-            space = SpaceProxy(
-                self.cluster.network, host, self.space_address,
-                metrics=self.metrics, tracer=self.tracer,
-                locator=(self._space_locator(host)
-                         if config.hot_standby else None),
-            )
-        self._tenant_proxies.append(space)
-        if self.history is not None:
-            from repro.verify import RecordingSpace
-
-            space = RecordingSpace(space, self.history,
-                                   client=f"master:{tenant}")
-        if self.sharded or config.hot_standby:
-            retry_ms: Optional[float] = HEARTBEAT_MS
-        elif config.admission:
-            retry_ms = AdmissionConfig.retry_after_ms
-        else:
-            retry_ms = None
-        master = Master(
-            self.runtime, self.cluster.master, space, app, self.metrics,
-            eager_scheduling=config.eager_scheduling,
-            straggler_timeout_ms=config.straggler_timeout_ms,
-            model_time=self._model_time,
-            dead_letter_poll_ms=config.dead_letter_poll_ms,
-            give_up_after_ms=config.give_up_after_ms,
-            space_retry_ms=retry_ms,
-            space_max_retries=_MASTER_SPACE_RETRIES,
-            seed_batch=config.master_seed_batch,
-            drain_batch=config.master_drain_batch,
-            tracer=self.tracer,
-            tenant=tenant,
-            priority=priority,
-            latency_hist=self.task_latency,
-        )
+        space = self._space_client(self.cluster.master.hostname,
+                                   f"master:{tenant}")
+        master = self._make_master(space, app, tenant, priority,
+                                   checkpointing=False)
         self.tenant_masters.append(master)
         return master
 
@@ -531,35 +486,47 @@ class AdaptiveClusterFramework:
         """Bring up all services and worker hosts (no tasks planned yet)."""
         if self._started:
             raise ConfigurationError("framework already started")
+        # Started only once the services fit: a later run() must raise
+        # that ConfigurationError again, not run a serverless master.
+        self._reserve_master_ram()
         self._started = True
-        runtime, cluster, config = self.runtime, self.cluster, self.config
-        network = cluster.network
-        master_host = cluster.master.hostname
+        config = self.config
+        self._start_space_servers()
+        self._start_tenancy()
+        self._start_code_server()
+        if config.use_jini:
+            self._start_jini()
+        if config.hot_standby:
+            self._start_failover()
+        if config.monitoring:
+            self._start_monitoring()
+        self._start_telemetry()
+        self._start_workers()
 
-        # The master must fit the service stack in RAM (the paper's reason
-        # for the 256 MB master even on the 64 MB-worker testbed).
-        from repro.errors import OutOfMemoryError
-
+    def _reserve_master_ram(self) -> None:
+        """The master must fit the service stack in RAM (the paper's reason
+        for the 256 MB master even on the 64 MB-worker testbed)."""
+        master = self.cluster.master
         try:
-            cluster.master.memory.allocate(
-                f"javaspaces:{self.app.app_id}", SPACE_FOOTPRINT_MB * 1024
-            )
-            if config.use_jini:
-                cluster.master.memory.allocate(
-                    "jini-infrastructure", JINI_FOOTPRINT_MB * 1024
-                )
+            master.memory.allocate(f"javaspaces:{self.app.app_id}",
+                                   SPACE_FOOTPRINT_MB * 1024)
+            if self.config.use_jini:
+                master.memory.allocate("jini-infrastructure",
+                                       JINI_FOOTPRINT_MB * 1024)
         except OutOfMemoryError as exc:
             raise ConfigurationError(
-                f"master node {master_host!r} ({cluster.master.spec}) cannot "
+                f"master node {master.hostname!r} ({master.spec}) cannot "
                 f"host the Jini/JavaSpaces services: {exc}"
             ) from exc
 
-        # JavaSpaces service: one server per shard (the classic deployment
-        # is the one-shard case).  Each shard has its own transaction
-        # manager — transactions are shard-local by construction.
-        for i, space in enumerate(self.spaces):
+    def _start_space_servers(self) -> None:
+        """JavaSpaces service: one server per shard.  Each shard has its
+        own transaction manager — transactions are shard-local by
+        construction."""
+        runtime, config = self.runtime, self.config
+        for shard, space in zip(self.placement, self.spaces):
             server = SpaceServer(
-                runtime, space, network, self.shard_addresses[i],
+                runtime, space, self.cluster.network, shard.address,
                 txn_manager=TransactionManager(runtime, metrics=self.metrics),
             )
             if config.hot_standby:
@@ -571,192 +538,158 @@ class AdaptiveClusterFramework:
                 # With a standby that may be promoted, an ack the standby
                 # never saw is a future lost write — gate on its
                 # confirmation (drop the client unanswered on timeout).
-                server.sync_replication = config.sync_replication
-                server.repl_ack_timeout_ms = config.repl_ack_timeout_ms
+                server.sync_replication = True
             server.start()
             self.space_servers.append(server)
         self.space_server = self.space_servers[0]
-        offset = config.port_offset
         if config.hot_standby:
             self.registry.expose("space.fenced_rpcs", self.total_fenced_rpcs)
 
-        # Multi-tenancy: weighted fair-share dispatch inside every space,
-        # admission control in front of every server, and per-tenant
-        # read-through telemetry for tenants the config names.
+    def _start_tenancy(self) -> None:
+        """Multi-tenancy: weighted fair-share dispatch inside every space,
+        admission control in front of every server, and per-tenant
+        read-through telemetry for tenants the config names."""
+        config = self.config
         if config.tenant_shares is not None:
-            for i, space in enumerate(self.spaces):
+            for shard, space in zip(self.placement, self.spaces):
                 space.configure_fair_share(config.tenant_shares)
-                labels = {"shard": str(i)} if self.sharded else {}
                 self.registry.expose_dict("space.fair", space.fair_stats,
-                                          **labels)
+                                          **shard.labels)
         if config.admission:
             admission_config = AdmissionConfig(
                 queue_soft_watermark=config.admission_soft_watermark,
                 quotas=config.admission_quotas,
                 rates=config.admission_rates,
             )
-            for i, server in enumerate(self.space_servers):
+            for shard, server in zip(self.placement, self.space_servers):
                 server.enable_admission(admission_config)
-                labels = {"shard": str(i)} if self.sharded else {}
                 self.registry.expose_dict("admission",
-                                          server.admission.stats, **labels)
+                                          server.admission.stats,
+                                          **shard.labels)
         for tenant in self._named_tenants():
-            self.registry.expose(
-                "tenant.admitted",
-                lambda t=tenant: self.tenant_admission(t).get("admitted", 0),
-                tenant=tenant)
-            self.registry.expose(
-                "tenant.rejected",
-                lambda t=tenant: self.tenant_admission(t).get("rejected", 0),
-                tenant=tenant)
-            self.registry.expose(
-                "tenant.shed",
-                lambda t=tenant: self.tenant_admission(t).get("shed", 0),
-                tenant=tenant)
+            for key in ("admitted", "rejected", "shed"):
+                self.registry.expose(
+                    f"tenant.{key}",
+                    lambda t=tenant, k=key: self.tenant_admission(t).get(k, 0),
+                    tenant=tenant)
             self.registry.expose(
                 "tenant.grants",
                 lambda t=tenant: self.tenant_grants().get(t, 0),
                 tenant=tenant)
         if config.preemption:
-            from repro.core.tenancy import PreemptionGovernor
-
             self.governor = PreemptionGovernor(
-                runtime, self, self.metrics,
+                self.runtime, self, self.metrics,
                 poll_ms=config.preemption_poll_ms,
-                priority_cutoff=config.preemption_priority_cutoff,
             )
             self.governor.start()
             self.registry.expose_dict("preemption", self.governor.stats)
 
-        # Code server for remote node configuration.
-        self.code_server = CodeServer(runtime, network, master_host,
-                                      port=CODE_SERVER_PORT + offset)
+    def _start_code_server(self) -> None:
+        """Code server for remote node configuration."""
+        self.code_server = CodeServer(
+            self.runtime, self.cluster.network, self.cluster.master.hostname,
+            port=CODE_SERVER_PORT + self.config.port_offset)
         self.code_server.publish(self.app.app_id, self.app.classload_profile())
         self.code_server.start()
 
-        # Jini substrate: every shard registers its JavaSpaces service.
-        # Sharded items carry a ``shard`` attribute so per-shard locators
-        # (and the supervisor's failover re-registration) stay pinned.
-        space_address = self.space_address
-        if config.use_jini:
-            self.lookup = LookupService(
-                runtime, network, Address(master_host, LOOKUP_PORT + offset)
+    def _start_jini(self) -> None:
+        """Jini substrate: every shard registers its JavaSpaces service
+        (the labels ride along as attributes: see :meth:`_space_locator`)."""
+        runtime, network = self.runtime, self.cluster.network
+        self.lookup = LookupService(runtime, network, self._registrar)
+        self.lookup.start()
+        for shard, space in zip(self.placement, self.spaces):
+            attributes: dict[str, Any] = {
+                "type": "JavaSpaces", "app": self.app.app_id, **shard.labels}
+            if self.config.hot_standby:
+                # Epoch attribute: locators prefer the highest-epoch
+                # registration post-failover.
+                attributes["epoch"] = space.wal.epoch
+            join = JoinManager(
+                runtime, network, shard.host, self._registrar,
+                ServiceItem(f"javaspaces:{self.app.app_id}{shard.suffix}",
+                            shard.address, attributes),
+                lease_ms=FOREVER,
             )
-            self.lookup.start()
-            registrar = Address(master_host, LOOKUP_PORT + offset)
-            if self.sharded:
-                for i, address in enumerate(self.shard_addresses):
-                    attributes: dict[str, Any] = {
-                        "type": "JavaSpaces", "app": self.app.app_id,
-                        "shard": str(i),
-                    }
-                    if config.hot_standby:
-                        # Epoch attribute: locators prefer the
-                        # highest-epoch registration post-failover.
-                        attributes["epoch"] = self.spaces[i].wal.epoch
-                    join = JoinManager(
-                        runtime, network, self.shard_hosts[i], registrar,
-                        ServiceItem(
-                            f"javaspaces:{self.app.app_id}:shard{i}", address,
-                            attributes,
-                        ),
-                        lease_ms=FOREVER,
-                    )
-                    join.start()
-                    self._joins.append(join)
-            else:
-                attributes = {"type": "JavaSpaces", "app": self.app.app_id}
-                if config.hot_standby:
-                    attributes["epoch"] = self.space.wal.epoch
-                self._joins.append(JoinManager(
-                    runtime, network, master_host, registrar,
-                    ServiceItem(
-                        f"javaspaces:{self.app.app_id}", self.space_address,
-                        attributes,
-                    ),
-                    lease_ms=FOREVER,
-                ))
-                self._joins[0].start()
-            self._join = self._joins[0]
+            join.start()
+            self._joins.append(join)
 
-        # Hot standby: replicate the primary's commit stream and stand by
-        # to serve it; the supervisor heartbeats the primary and performs
-        # the promotion + re-registration when it goes quiet.
-        if config.hot_standby:
-            for i in range(len(self.spaces)):
-                suffix = f":shard{i}" if self.sharded else ""
-                # Standby and supervisor run on the master node, not the
-                # shard host: they must survive (and observe) faults that
-                # hit the primary's machine or its links.
-                standby = HotStandby(
-                    runtime, network, master_host,
-                    primary_address=self.shard_addresses[i],
-                    address=self.shard_standby_addresses[i],
-                    name=f"space-standby:{self.app.app_id}{suffix}",
-                    metrics=self.metrics,
-                    sync_replication=config.sync_replication,
-                    repl_ack_timeout_ms=config.repl_ack_timeout_ms,
-                )
-                standby.start()
-                self.standbys.append(standby)
-                supervisor = SpaceSupervisor(
-                    runtime, network, master_host,
-                    standby=standby,
-                    primary_address=self.shard_addresses[i],
-                    registrar=Address(master_host, LOOKUP_PORT + offset),
-                    service_item=self._joins[i].item,
-                    old_registration_id=self._joins[i].registration_id,
-                    metrics=self.metrics,
-                )
-                supervisor.start()
-                self.supervisors.append(supervisor)
-            self.standby = self.standbys[0]
-            self.supervisor = self.supervisors[0]
-            # What liveness costs: probes put on the wire per shard (a
-            # round shared by co-hosted shards counts once for each),
-            # those that came back as anything but "ok", and the
-            # renewals the nodes' lease endpoints handled.
-            for i, supervisor in enumerate(self.supervisors):
-                labels = {"shard": str(i)} if self.sharded else {}
-                self.registry.expose(
-                    "failover.probes", lambda s=supervisor: s.probes, **labels)
-                self.registry.expose(
-                    "failover.probe_misses",
-                    lambda s=supervisor: s.probe_misses, **labels)
-            self.registry.expose("failover.lease_renewals",
-                                 self.lease_renewals)
-            # Standby replication lag in WAL frames (primary LSN minus
-            # the standby's applied LSN) — the watchdog's
-            # ``space.replication_lag`` feed.  Read-through: sampled at
-            # snapshot time, free on the commit path.
-            for i, standby in enumerate(self.standbys):
-                labels = {"shard": str(i)} if self.sharded else {}
-                self.registry.expose(
-                    "space.replication_lag",
-                    lambda s=self.spaces[i], r=standby: max(
-                        0, s.wal.last_lsn - r.applied_lsn),
-                    **labels)
-
-        # Network management module on the master host.
-        if config.monitoring:
-            self.netmgmt = NetworkManagementModule(
-                runtime, network, master_host, self.metrics,
-                policy=config.thresholds,
-                poll_interval_ms=config.poll_interval_ms,
-                community=config.community,
-                load_metric=config.load_metric,
-                mode=config.monitoring_mode,
-                port=RULEBASE_PORT + offset,
-                trap_port=None if offset == 0 else 162 + offset,
-                staleness_ms=config.staleness_ms,
-                registry=self.registry,
+    def _start_failover(self) -> None:
+        """Hot standby: replicate each primary's commit stream and stand
+        by to serve it; the supervisor heartbeats the primary and performs
+        the promotion + re-registration when it goes quiet."""
+        runtime, network = self.runtime, self.cluster.network
+        master_host = self.cluster.master.hostname
+        for shard, join in zip(self.placement, self._joins):
+            standby = HotStandby(
+                runtime, network, master_host,
+                primary_address=shard.address,
+                address=shard.standby_address,
+                name=f"space-standby:{self.app.app_id}{shard.suffix}",
+                metrics=self.metrics,
+                sync_replication=True,
             )
-            self.netmgmt.start()
+            standby.start()
+            self.standbys.append(standby)
+            supervisor = SpaceSupervisor(
+                runtime, network, master_host,
+                standby=standby,
+                primary_address=shard.address,
+                registrar=self._registrar,
+                service_item=join.item,
+                old_registration_id=join.registration_id,
+                metrics=self.metrics,
+            )
+            supervisor.start()
+            self.supervisors.append(supervisor)
+        # What liveness costs: probes put on the wire per shard (a
+        # round shared by co-hosted shards counts once for each),
+        # those that came back as anything but "ok", and the
+        # renewals the nodes' lease endpoints handled.
+        for shard, supervisor in zip(self.placement, self.supervisors):
+            self.registry.expose(
+                "failover.probes", lambda s=supervisor: s.probes,
+                **shard.labels)
+            self.registry.expose(
+                "failover.probe_misses",
+                lambda s=supervisor: s.probe_misses, **shard.labels)
+        self.registry.expose("failover.lease_renewals", self.lease_renewals)
+        # Standby replication lag in WAL frames (primary LSN minus
+        # the standby's applied LSN) — the watchdog's
+        # ``space.replication_lag`` feed.  Read-through: sampled at
+        # snapshot time, free on the commit path.
+        for shard, space, standby in zip(self.placement, self.spaces,
+                                         self.standbys):
+            self.registry.expose(
+                "space.replication_lag",
+                lambda s=space, r=standby: max(
+                    0, s.wal.last_lsn - r.applied_lsn),
+                **shard.labels)
 
-        # Remaining component stats join the registry as read-through
-        # views; periodic snapshots mirror them into the Metrics series.
-        self.registry.expose_dict("net", network.stats)
-        kernel = getattr(runtime, "kernel", None)
+    def _start_monitoring(self) -> None:
+        """Network management module on the master host."""
+        config = self.config
+        offset = config.port_offset
+        self.netmgmt = NetworkManagementModule(
+            self.runtime, self.cluster.network, self.cluster.master.hostname,
+            self.metrics,
+            policy=config.thresholds,
+            poll_interval_ms=config.poll_interval_ms,
+            community=config.community,
+            mode=config.monitoring_mode,
+            port=RULEBASE_PORT + offset,
+            trap_port=None if offset == 0 else 162 + offset,
+            staleness_ms=config.staleness_ms,
+            registry=self.registry,
+        )
+        self.netmgmt.start()
+
+    def _start_telemetry(self) -> None:
+        """Remaining component stats join the registry as read-through
+        views; periodic snapshots mirror them into the Metrics series."""
+        config = self.config
+        self.registry.expose_dict("net", self.cluster.network.stats)
+        kernel = getattr(self.runtime, "kernel", None)
         if kernel is not None:
             # Thread hand-offs of the simulator: what a message costs
             # beyond its events.
@@ -777,41 +710,32 @@ class AdaptiveClusterFramework:
             self.watchdog.attach(self.telemetry.snapshotter)
             self.flight.watchdog = self.watchdog
 
-        # Worker hosts on every worker node.
-        netmgmt_address = self.netmgmt.address if self.netmgmt else None
+    def _start_workers(self) -> None:
+        """Worker hosts on every worker node."""
+        config = self.config
         recovery = RecoveryPolicy(
             base_backoff_ms=config.reconnect_base_ms,
             max_backoff_ms=config.reconnect_max_ms,
             call_timeout_ms=config.rpc_timeout_ms,
         )
-        space_wrapper = None
-        if self.history is not None:
-            from repro.verify import RecordingSpace
-
-            history = self.history
-            space_wrapper = (
-                lambda client, hostname:
-                RecordingSpace(client, history, client=hostname))
-        for node in cluster.workers:
+        for node in self.cluster.workers:
             node.snmp_community = config.community
             # Jitter from a per-worker named stream: deterministic under a
-            # fixed seed, independent across workers.  The router factory
-            # captures the same stream so a rebuilt worker proxy keeps
-            # drawing from it, exactly like the single-proxy path.
-            recovery_rng = cluster.streams.stream(f"recovery:{node.hostname}")
-            space_factory = None
-            locator = None
-            if self.sharded:
-                space_factory = (
-                    lambda hostname=node.hostname, rng=recovery_rng:
-                    self._build_router(hostname, recovery=recovery, rng=rng))
-            elif config.hot_standby:
-                locator = self._space_locator(node.hostname)
+            # fixed seed, independent across workers.  The factory
+            # captures the same stream so a rebuilt worker client keeps
+            # drawing from it.
+            recovery_rng = self.cluster.streams.stream(
+                f"recovery:{node.hostname}")
             host = WorkerHost(
-                runtime, node, self.app,
-                space_address=space_address,
-                code_server=Address(master_host, CODE_SERVER_PORT + offset),
-                netmgmt_address=netmgmt_address,
+                self.runtime, node, self.app,
+                space_factory=(
+                    lambda hostname=node.hostname, rng=recovery_rng:
+                    self._space_client(hostname, hostname,
+                                       recovery=recovery, rng=rng)),
+                code_server=Address(self.cluster.master.hostname,
+                                    CODE_SERVER_PORT + config.port_offset),
+                netmgmt_address=(self.netmgmt.address if self.netmgmt
+                                 else None),
                 metrics=self.metrics,
                 worker_poll_ms=config.worker_poll_ms,
                 compute_real=config.compute_real,
@@ -822,11 +746,8 @@ class AdaptiveClusterFramework:
                 task_txn_lease_ms=config.task_txn_lease_ms,
                 prefetch=config.worker_prefetch,
                 tracer=self.tracer,
-                locator=locator,
                 recovery_rng=recovery_rng,
-                space_factory=space_factory,
             )
-            host.space_wrapper = space_wrapper
             host.start()
             self.worker_hosts.append(host)
 
@@ -848,19 +769,21 @@ class AdaptiveClusterFramework:
 
     def start_all_workers(self) -> None:
         """Manually Start every worker (used when monitoring is off)."""
-        from repro.core.signals import Signal
-
         for host in self.worker_hosts:
             host.handle_signal(Signal.START)
 
-    def run(self) -> MasterReport:
-        """Run the master to completion (call from a runtime process)."""
+    def _ensure_running(self) -> None:
+        """Started, and — with no monitoring loop to recruit them — every
+        worker told to Start."""
         if not self._started:
             self.start()
         if self.netmgmt is None:
             self.start_all_workers()
-        report = self.master.run()
-        return report
+
+    def run(self) -> MasterReport:
+        """Run the master to completion (call from a runtime process)."""
+        self._ensure_running()
+        return self.master.run()
 
     def run_with_recovery(self) -> MasterReport:
         """Like :meth:`run`, but a killed master is restarted.
@@ -871,17 +794,14 @@ class AdaptiveClusterFramework:
         ``master_checkpoint_ms`` to be useful — without checkpoints the
         restarted master re-plans from scratch.
         """
-        if not self._started:
-            self.start()
-        if self.netmgmt is None:
-            self.start_all_workers()
+        self._ensure_running()
         while True:
             try:
                 return self.master.run()
             except MasterCrashedError:
                 self.master_restarts += 1
                 self.metrics.event("master-killed", app=self.app.app_id)
-                self.runtime.sleep(self.config.master_restart_delay_ms)
+                self.runtime.sleep(_MASTER_RESTART_DELAY_MS)
                 self.master = self._build_master()
                 self.metrics.event("master-restarted", app=self.app.app_id,
                                    restarts=self.master_restarts)
@@ -956,23 +876,23 @@ class AdaptiveClusterFramework:
 
     # -- fault-injection hooks ---------------------------------------------------
 
+    def _kill_space_server(self, index: int, event: str,
+                           **payload: Any) -> None:
+        if self.space_servers:
+            server = self.space_servers[index]
+            self.metrics.event(event, app=self.app.app_id, **payload)
+            server.crash()
+
     def kill_primary_space(self) -> None:
         """Crash the primary space server: connections drop, clients must
         ride out the failover to the promoted standby."""
-        if self.space_server is not None:
-            self.metrics.event("space-primary-killed", app=self.app.app_id)
-            self.space_server.crash()
+        self._kill_space_server(0, "space-primary-killed")
 
     def kill_shard(self, shard: int) -> None:
         """Crash one shard's primary server.  Other shards keep serving;
         with ``hot_standby`` that shard's supervisor promotes its replica
         independently."""
-        if not self.space_servers:
-            return
-        server = self.space_servers[shard]
-        self.metrics.event("space-shard-killed", app=self.app.app_id,
-                           shard=shard)
-        server.crash()
+        self._kill_space_server(shard, "space-shard-killed", shard=shard)
 
     def kill_master(self) -> None:
         """Kill the master process mid-run (see :meth:`run_with_recovery`)."""
@@ -989,8 +909,8 @@ class AdaptiveClusterFramework:
             master.cancel()
         if self.governor is not None:
             self.governor.stop()
-        for proxy in self._tenant_proxies:
-            proxy.close()
+        for master in self.tenant_masters:
+            master.space.close()
         for host in self.worker_hosts:
             host.stop()
         if self.netmgmt is not None:

@@ -57,7 +57,7 @@ class WorkerHost:
         runtime: Runtime,
         node: Node,
         app: Application,
-        space_address: Address,
+        space_factory: Callable[[], Any],
         code_server: Address,
         netmgmt_address: Optional[Address],
         metrics: Metrics,
@@ -69,10 +69,8 @@ class WorkerHost:
         recovery: Optional[RecoveryPolicy] = None,
         recovery_rng: Any = None,
         task_txn_lease_ms: Optional[float] = None,
-        locator: Optional[Callable[[], Any]] = None,
         prefetch: int = 1,
         tracer: Any = None,
-        space_factory: Optional[Callable[[], Any]] = None,
     ) -> None:
         self.runtime = runtime
         self.node = node
@@ -80,7 +78,11 @@ class WorkerHost:
         # Telemetry tracer (None/disabled = zero-cost): compute spans hang
         # off the task's trace carried in the entry's ``trace`` field.
         self.tracer = tracer
-        self.space_address = space_address
+        # Builds this worker's space client, fresh on every Start.  Which
+        # kind (proxy, shard router, history-recording wrapper) is the
+        # deployment's decision — the loop only calls the SpaceProxy
+        # surface.
+        self.space_factory = space_factory
         self.netmgmt_address = netmgmt_address
         self.metrics = metrics
         self.worker_poll_ms = worker_poll_ms
@@ -99,16 +101,6 @@ class WorkerHost:
         # Finite task-transaction lease: a worker that stalls mid-task has
         # its take rolled back server-side after this long (None = forever).
         self.task_txn_lease_ms = task_txn_lease_ms
-        # Service locator consulted on reconnect (failover re-discovery).
-        self.locator = locator
-        # Sharded spaces: a factory returning the space client (e.g. a
-        # ShardRouter over every shard) instead of the single SpaceProxy.
-        # Anything with the SpaceProxy surface works — the loop only calls
-        # that API.
-        self.space_factory = space_factory
-        # History recording (verify module): wraps the freshly-built
-        # space client so every acknowledged op lands in the run history.
-        self.space_wrapper: Optional[Callable[[Any, str], Any]] = None
         # Pipeline depth: take up to this many tasks per cycle (one
         # take_multiple under one transaction), compute them all, and
         # write the results back with a single batched write_all+commit.
@@ -338,17 +330,7 @@ class WorkerHost:
                 load_span.end()
             self.metrics.event("class-load", worker=self.node.hostname)
         self._honored(Signal.START, start_received_at)
-        if self.space_factory is not None:
-            proxy = self.space_factory()
-        else:
-            proxy = SpaceProxy(
-                self.network, self.node.hostname, self.space_address,
-                recovery=self.recovery, rng=self._recovery_rng,
-                metrics=self.metrics, locator=self.locator, tracer=tracer,
-            )
-        if self.space_wrapper is not None:
-            proxy = self.space_wrapper(proxy, self.node.hostname)
-        self._proxy = proxy
+        proxy = self._proxy = self.space_factory()
         template = TaskEntry(app_id=self.app.app_id)
         disconnects = 0                       # consecutive failed cycles
         disconnected_at: Optional[float] = None

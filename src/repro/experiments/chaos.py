@@ -13,7 +13,7 @@ identical recovery-event trace when replayed from the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.application import Application, ClassLoadProfile, Task
 from repro.core.framework import AdaptiveClusterFramework, FrameworkConfig
@@ -101,13 +101,11 @@ TRACE_EVENTS = frozenset({
 })
 
 
-@dataclass
-class ChaosResult:
-    """Everything the chaos acceptance criteria check."""
+@dataclass(kw_only=True)
+class _CampaignResult:
+    """What every campaign reports, whatever it injected."""
 
     seed: int
-    report: MasterReport
-    expected_solution: int
     trace: list[tuple[float, str, tuple]] = field(default_factory=list)
     faults_injected: int = 0
     faults_healed: int = 0
@@ -131,16 +129,29 @@ class ChaosResult:
         return list(self.flight.bundles) if self.flight is not None else []
 
     @property
-    def correct(self) -> bool:
-        return self.report.solution == self.expected_solution
-
-    @property
     def consistent(self) -> bool:
         """True iff the history checker found no violations."""
         return self.history_report is None or self.history_report.ok
 
     def events_named(self, name: str) -> list[tuple[float, tuple]]:
         return [(t, p) for t, n, p in self.trace if n == name]
+
+    def _history_lines(self) -> list[str]:
+        if self.history_report is None:
+            return []
+        return ["  " + self.history_report.summary().replace("\n", "\n  ")]
+
+
+@dataclass
+class ChaosResult(_CampaignResult):
+    """Everything the chaos acceptance criteria check."""
+
+    report: MasterReport
+    expected_solution: int
+
+    @property
+    def correct(self) -> bool:
+        return self.report.solution == self.expected_solution
 
     def format_summary(self) -> str:
         r = self.report
@@ -154,13 +165,105 @@ class ChaosResult:
             f"  duplicates : {r.duplicate_results}; replicas: {r.replicated_tasks}",
             f"  fenced     : {self.fenced_rpcs} stale-epoch RPCs rejected",
             f"  trace      : {len(self.trace)} recovery events",
+            *self._history_lines(),
         ]
-        if self.history_report is not None:
-            lines.append(
-                "  " + self.history_report.summary().replace("\n", "\n  "))
         for t, name, payload in self.trace:
             lines.append(f"    t={t:>9.1f}ms {name:<20} {dict(payload)}")
         return "\n".join(lines)
+
+
+def _campaign(seed: int, workers: int, app: Application,
+              config: FrameworkConfig, plan: Callable, run: Callable,
+              result: Callable, settle_ms: float = 0.0) -> Any:
+    """The scaffold every campaign shares, replayable from ``seed``:
+    deploy → arm → run → disarm → (settle) → shut down → check → dump.
+
+    ``plan(streams, worker hostnames)`` gives the fault plan (``None``:
+    no injector); ``run(runtime, framework)`` drives the job, and
+    ``result(framework, its outcome, **common fields)`` reports it.
+    """
+
+    def body(runtime: SimulatedRuntime) -> Any:
+        streams = RandomStreams(seed)
+        cluster = testbed_small(runtime, workers=workers, streams=streams)
+        framework = AdaptiveClusterFramework(runtime, cluster, app, config)
+        framework.start()
+        framework.start_all_workers()
+        campaign = plan(streams, [node.hostname for node in cluster.workers])
+        injector = None
+        if campaign is not None:
+            framework.flight.fault_plan = campaign.to_dict()
+            injector = FaultInjector.for_framework(
+                framework, campaign, rng=streams.stream("chaos-net"))
+            injector.arm()
+        outcome = run(runtime, framework)
+        if injector is not None:
+            injector.disarm()   # late plan entries must not hit the teardown
+        if settle_ms:
+            runtime.sleep(settle_ms)
+        framework.shutdown()
+        history_report = check_history(framework.history,
+                                       framework.final_contents())
+        # Gate failures freeze the black box: the bundle names the
+        # campaign and holds the trace/metrics/history tail around
+        # the violation, so a red CI cell ships its own evidence.
+        if not history_report.ok:
+            framework.flight.dump("checker-violation")
+        verdict = result(
+            framework, outcome,
+            seed=seed,
+            trace=[(t, name, tuple(sorted(payload.items())))
+                   for t, name, payload in framework.metrics.events
+                   if name in TRACE_EVENTS],
+            faults_injected=injector.injected if injector else 0,
+            faults_healed=injector.healed if injector else 0,
+            tracer=framework.tracer,
+            prometheus=framework.telemetry.prometheus_text(),
+            history_report=history_report,
+            fenced_rpcs=framework.total_fenced_rpcs(),
+            flight=framework.flight,
+        )
+        if not verdict.correct:
+            framework.flight.dump("wrong-solution")
+        return verdict
+
+    return run_simulation(body)
+
+
+def _config(give_up_after_ms: float, prefetch: int, trace: bool,
+            shards: int, **extra: Any) -> FrameworkConfig:
+    """The deployment every campaign runs on, plus what only one adds.
+    ``prefetch`` and ``shards`` pass through unclamped: 0 is the
+    worker's / the framework's error to raise, not a different campaign."""
+    return FrameworkConfig(
+        monitoring=False,           # faults drive the run, not load
+        compute_real=True,
+        transactional_takes=True,   # crash-safe takes
+        rpc_timeout_ms=1_000.0,     # notice a partitioned server fast
+        dead_letter_poll_ms=500.0,
+        give_up_after_ms=give_up_after_ms,
+        worker_prefetch=prefetch,
+        master_seed_batch=prefetch,
+        master_drain_batch=prefetch,
+        trace=trace,
+        shards=shards,
+        record_history=True,
+        **extra,
+    )
+
+
+def _verify(experiment: Callable, fingerprint: Callable, seed: int,
+            kwargs: dict) -> bool:
+    """Run ``experiment`` twice; True iff the fingerprints are identical."""
+    first = experiment(seed=seed, **kwargs)
+    second = experiment(seed=seed, **kwargs)
+    return fingerprint(first) == fingerprint(second)
+
+
+def _require_compact(codec: str) -> None:
+    if codec != "compact":  # keyword kept for benchmarks/suite/adapter.py
+        raise ConfigurationError(
+            f"unknown codec {codec!r}; expected 'compact'")
 
 
 def default_chaos_plan(hosts: Sequence[str]) -> FaultPlan:
@@ -204,129 +307,54 @@ def chaos_experiment(
     travel in the entries either way, so the virtual timeline — and hence
     the replayable recovery trace — is identical with it on or off.
     """
-    if codec != "compact":  # keyword kept for benchmarks/suite/adapter.py
-        raise ConfigurationError(
-            f"unknown codec {codec!r}; expected 'compact'")
+    _require_compact(codec)
+    app = PoisonedSquares(n=tasks, poison=poison)
 
-    def body(runtime: SimulatedRuntime) -> ChaosResult:
-        streams = RandomStreams(seed)
-        cluster = testbed_small(runtime, workers=workers, streams=streams)
-        app = PoisonedSquares(n=tasks, poison=poison)
-        framework = AdaptiveClusterFramework(
-            runtime, cluster, app,
-            FrameworkConfig(
-                monitoring=False,           # faults drive the run, not load
-                compute_real=True,
-                transactional_takes=True,   # crash-safe takes
+    def campaign(streams: RandomStreams, hostnames: list[str]) -> FaultPlan:
+        if plan is not None:
+            return plan
+        if random_plan:
+            return FaultPlan.generate(streams.stream("fault-plan"), hostnames)
+        return default_chaos_plan(hostnames)
+
+    return _campaign(
+        seed, workers, app,
+        _config(give_up_after_ms, prefetch, trace, shards,
                 eager_scheduling=True,      # replicate around dead workers
                 straggler_timeout_ms=2_000.0,
-                max_task_attempts=2,
-                rpc_timeout_ms=1_000.0,     # notice a partitioned server fast
-                dead_letter_poll_ms=500.0,
-                give_up_after_ms=give_up_after_ms,
-                worker_prefetch=max(1, prefetch),
-                master_seed_batch=max(1, prefetch),
-                master_drain_batch=max(1, prefetch),
-                trace=trace,
-                shards=max(1, shards),
-                record_history=True,
-            ),
-        )
-        framework.start()
-        framework.start_all_workers()
-        hostnames = [node.hostname for node in cluster.workers]
-        campaign = plan
-        if campaign is None:
-            campaign = (FaultPlan.generate(streams.stream("fault-plan"),
-                                           hostnames)
-                        if random_plan else default_chaos_plan(hostnames))
-        framework.flight.fault_plan = campaign.to_dict()
-        injector = FaultInjector.for_framework(
-            framework, campaign, rng=streams.stream("chaos-net"))
-        injector.arm()
-        report = framework.master.run()
-        injector.disarm()       # late plan entries must not hit the teardown
-        framework.shutdown()
-        history_report = None
-        if framework.history is not None:
-            history_report = check_history(framework.history,
-                                           framework.final_contents())
-        # Gate failures freeze the black box: the bundle names the
-        # campaign and holds the trace/metrics/history tail around
-        # the violation, so a red CI cell ships its own evidence.
-        if history_report is not None and not history_report.ok:
-            framework.flight.dump("checker-violation")
-        if report.solution != app.expected_solution():
-            framework.flight.dump("wrong-solution")
-        events = [
-            (t, name, tuple(sorted(payload.items())))
-            for t, name, payload in framework.metrics.events
-            if name in TRACE_EVENTS
-        ]
-        return ChaosResult(
-            seed=seed,
-            report=report,
-            expected_solution=app.expected_solution(),
-            trace=events,
-            faults_injected=injector.injected,
-            faults_healed=injector.healed,
-            tracer=framework.tracer,
-            prometheus=framework.telemetry.prometheus_text(),
-            history_report=history_report,
-            fenced_rpcs=framework.total_fenced_rpcs(),
-            flight=framework.flight,
-        )
-
-    return run_simulation(body)
+                max_task_attempts=2),
+        plan=campaign,
+        run=lambda runtime, framework: framework.master.run(),
+        result=lambda framework, report, **common: ChaosResult(
+            report=report, expected_solution=app.expected_solution(),
+            **common),
+    )
 
 
 def verify_chaos_determinism(seed: int = 42, **kwargs: Any) -> bool:
     """Run the campaign twice; True iff the recovery traces are identical."""
-    first = chaos_experiment(seed=seed, **kwargs)
-    second = chaos_experiment(seed=seed, **kwargs)
-    return first.trace == second.trace and \
-        first.report.solution == second.report.solution
+    return _verify(chaos_experiment,
+                   lambda r: (r.trace, r.report.solution), seed, kwargs)
 
 
 # -- coordinator chaos: survive the space primary and the master itself -------
 
 
 @dataclass
-class CoordinationChaosResult:
+class CoordinationChaosResult(_CampaignResult):
     """Acceptance data for the coordinator-fault campaign."""
 
-    seed: int
     faults: tuple[str, ...]
     report: MasterReport
     expected_solution: int
-    trace: list[tuple[float, str, tuple]] = field(default_factory=list)
     #: (task_id, worker) per result-aggregated event, in order.
     aggregations: list[tuple[float, int]] = field(default_factory=list)
-    faults_injected: int = 0
     master_restarts: int = 0
-    #: Telemetry artifacts (see :class:`ChaosResult`).
-    tracer: Any = None
-    prometheus: str = ""
-    #: Consistency-checker verdict over the recorded op history.
-    history_report: Optional[HistoryReport] = None
-    #: RPCs the epoch fence rejected across every server incarnation.
-    fenced_rpcs: int = 0
-    #: Black-box flight recorder (see :class:`ChaosResult.flight`).
-    flight: Any = None
-
-    @property
-    def postmortems(self) -> list:
-        return list(self.flight.bundles) if self.flight is not None else []
 
     @property
     def correct(self) -> bool:
         return self.report.complete and \
             self.report.solution == self.expected_solution
-
-    @property
-    def consistent(self) -> bool:
-        """True iff the history checker found no violations."""
-        return self.history_report is None or self.history_report.ok
 
     def final_aggregations(self) -> dict[int, int]:
         """task_id → times aggregated by the *final* master incarnation.
@@ -348,9 +376,6 @@ class CoordinationChaosResult:
         """Complete, correct, and no task folded twice into the solution."""
         return self.correct and \
             all(n == 1 for n in self.final_aggregations().values())
-
-    def events_named(self, name: str) -> list[tuple[float, tuple]]:
-        return [(t, p) for t, n, p in self.trace if n == name]
 
     def format_summary(self) -> str:
         r = self.report
@@ -374,10 +399,8 @@ class CoordinationChaosResult:
             f"{r.duplicate_results}; replicas {r.replicated_tasks}",
             f"  fenced      : {self.fenced_rpcs} stale-epoch RPCs rejected",
             f"  trace       : {len(self.trace)} recovery events",
+            *self._history_lines(),
         ]
-        if self.history_report is not None:
-            lines.append(
-                "  " + self.history_report.summary().replace("\n", "\n  "))
         for t, name, payload in self.trace:
             lines.append(f"    t={t:>9.1f}ms {name:<22} {dict(payload)}")
         return "\n".join(lines)
@@ -448,100 +471,43 @@ def coordination_chaos_experiment(
     ``shards`` > 1 partitions the space; ``"kill-shard:<i>"`` faults then
     crash one shard's primary and that shard's supervisor promotes its
     hot standby while the other shards keep serving."""
-    if codec != "compact":  # keyword kept for benchmarks/suite/adapter.py
-        raise ConfigurationError(
-            f"unknown codec {codec!r}; expected 'compact'")
+    _require_compact(codec)
     faults = tuple(faults)
+    # No poison: exactly-once over *every* task is the criterion here.
+    app = PoisonedSquares(n=tasks, poison=())
 
-    def body(runtime: SimulatedRuntime) -> CoordinationChaosResult:
-        streams = RandomStreams(seed)
-        cluster = testbed_small(runtime, workers=workers, streams=streams)
-        # No poison: exactly-once over *every* task is the criterion here.
-        app = PoisonedSquares(n=tasks, poison=())
-        framework = AdaptiveClusterFramework(
-            runtime, cluster, app,
-            FrameworkConfig(
-                monitoring=False,
-                compute_real=True,
-                transactional_takes=True,
+    return _campaign(
+        seed, workers, app,
+        _config(give_up_after_ms, prefetch, trace, shards,
                 task_txn_lease_ms=10_000.0,
                 eager_scheduling=True,
                 straggler_timeout_ms=2_000.0,
                 max_task_attempts=2,
-                rpc_timeout_ms=1_000.0,
-                dead_letter_poll_ms=500.0,
-                give_up_after_ms=give_up_after_ms,
                 hot_standby=True,
                 master_checkpoint_ms=1_000.0,
-                master_restart_delay_ms=500.0,
-                worker_prefetch=max(1, prefetch),
-                master_seed_batch=max(1, prefetch),
-                master_drain_batch=max(1, prefetch),
-                trace=trace,
-                shards=max(1, shards),
                 # Sharded chaos spreads primaries off the master node:
                 # "partition:shard:i" must be able to sever a primary
                 # from its (master-hosted) supervisor, or split-brain
                 # fencing has nothing to bite on.
-                shard_placement="spread" if shards > 1 else "master",
-                record_history=True,
-            ),
-        )
-        framework.start()
-        framework.start_all_workers()
-        campaign = coordination_chaos_plan(faults)
-        framework.flight.fault_plan = campaign.to_dict()
-        injector = FaultInjector.for_framework(
-            framework, campaign, rng=streams.stream("chaos-net"))
-        injector.arm()
-        report = framework.run_with_recovery()
-        injector.disarm()
-        framework.shutdown()
-        history_report = None
-        if framework.history is not None:
-            history_report = check_history(framework.history,
-                                           framework.final_contents())
-        if history_report is not None and not history_report.ok:
-            framework.flight.dump("checker-violation")
-        if not (report.complete
-                and report.solution == app.expected_solution()):
-            framework.flight.dump("wrong-solution")
-        events = [
-            (t, name, tuple(sorted(payload.items())))
-            for t, name, payload in framework.metrics.events
-            if name in TRACE_EVENTS
-        ]
-        aggregations = [
-            (t, payload["task_id"])
-            for t, name, payload in framework.metrics.events
-            if name == "result-aggregated"
-        ]
-        return CoordinationChaosResult(
-            seed=seed,
-            faults=faults,
-            report=report,
+                shard_placement="spread" if shards > 1 else "master"),
+        plan=lambda streams, hostnames: coordination_chaos_plan(faults),
+        run=lambda runtime, framework: framework.run_with_recovery(),
+        result=lambda framework, report, **common: CoordinationChaosResult(
+            faults=faults, report=report,
             expected_solution=app.expected_solution(),
-            trace=events,
-            aggregations=aggregations,
-            faults_injected=injector.injected,
+            aggregations=[(t, payload["task_id"])
+                          for t, name, payload in framework.metrics.events
+                          if name == "result-aggregated"],
             master_restarts=framework.master_restarts,
-            tracer=framework.tracer,
-            prometheus=framework.telemetry.prometheus_text(),
-            history_report=history_report,
-            fenced_rpcs=framework.total_fenced_rpcs(),
-            flight=framework.flight,
-        )
-
-    return run_simulation(body)
+            **common),
+    )
 
 
 def verify_coordination_determinism(seed: int = 42, **kwargs: Any) -> bool:
     """Run the coordinator campaign twice; True iff byte-identical traces."""
-    first = coordination_chaos_experiment(seed=seed, **kwargs)
-    second = coordination_chaos_experiment(seed=seed, **kwargs)
-    return first.trace == second.trace and \
-        first.report.solution == second.report.solution and \
-        first.aggregations == second.aggregations
+    return _verify(coordination_chaos_experiment,
+                   lambda r: (r.trace, r.report.solution, r.aggregations),
+                   seed, kwargs)
 
 
 # -- multi-tenant contention: admission, fair share, preemption ----------------
@@ -580,10 +546,9 @@ class TenantSquares(PoisonedSquares):
 
 
 @dataclass
-class ContentionResult:
+class ContentionResult(_CampaignResult):
     """Acceptance data for the multi-tenant contention campaign."""
 
-    seed: int
     tenants: int
     aggressor: bool
     #: tenant → its master's report (absent if the run raised).
@@ -593,7 +558,6 @@ class ContentionResult:
     #: tenant → "ExcType: message" for masters that failed — the
     #: aggressor legitimately dies here when admission starves it out.
     errors: dict[str, str] = field(default_factory=dict)
-    trace: list[tuple[float, str, tuple]] = field(default_factory=list)
     #: tenant → fair-share take grants (space DRR dispatcher).
     grants: dict[str, int] = field(default_factory=dict)
     #: Admission totals over every server: checked/admitted/rejected/shed.
@@ -602,19 +566,9 @@ class ContentionResult:
     aggressor_admission: dict[str, int] = field(default_factory=dict)
     preemptions: int = 0
     tasks_released: int = 0
-    faults_injected: int = 0
     #: Simulated timestamps of the victim's result aggregations — the
     #: overload microbench derives stall percentiles from the gaps.
     victim_completions_ms: list[float] = field(default_factory=list)
-    tracer: Any = None
-    prometheus: str = ""
-    history_report: Optional[HistoryReport] = None
-    #: Black-box flight recorder (see :class:`ChaosResult.flight`).
-    flight: Any = None
-
-    @property
-    def postmortems(self) -> list:
-        return list(self.flight.bundles) if self.flight is not None else []
 
     @property
     def victim_report(self) -> Optional[MasterReport]:
@@ -656,12 +610,6 @@ class ContentionResult:
                 return False
         return True
 
-    @property
-    def consistent(self) -> bool:
-        """True iff the history checker found no violations — including
-        check 4: no admission-rejected write left a side effect."""
-        return self.history_report is None or self.history_report.ok
-
     def _grants_summary(self) -> str:
         """Per-tenant grants, folding a large bystander fleet into one
         aggregate so the 128-tenant summary stays one line."""
@@ -686,10 +634,8 @@ class ContentionResult:
             f"  preemption : {self.preemptions} preemptions, "
             f"{self.tasks_released} tasks released",
             f"  trace      : {len(self.trace)} events",
+            *self._history_lines(),
         ]
-        if self.history_report is not None:
-            lines.append(
-                "  " + self.history_report.summary().replace("\n", "\n  "))
         return "\n".join(lines)
 
 
@@ -732,58 +678,28 @@ def contention_chaos_experiment(
         raise ValueError(f"tenants must be >= 2 (victim + aggressor slot), "
                          f"got {tenants}")
 
-    def body(runtime: SimulatedRuntime) -> ContentionResult:
-        streams = RandomStreams(seed)
-        cluster = testbed_small(runtime, workers=workers, streams=streams)
-        victim_app = TenantSquares(base=0, n=victim_tasks,
-                                   task_cost=victim_task_cost)
-        framework = AdaptiveClusterFramework(
-            runtime, cluster, victim_app,
-            FrameworkConfig(
-                monitoring=False,
-                compute_real=True,
-                transactional_takes=True,
-                rpc_timeout_ms=1_000.0,
-                dead_letter_poll_ms=500.0,
-                give_up_after_ms=give_up_after_ms,
-                worker_prefetch=max(1, prefetch),
-                master_seed_batch=max(1, prefetch),
-                master_drain_batch=max(1, prefetch),
-                trace=trace,
-                shards=max(1, shards),
-                record_history=True,
-                # -- the multi-tenant job service under test --------------
-                tenant=VICTIM,
-                priority=2,
-                # The victim's share outweighs every other tenant
-                # combined — paying tenants buy isolation by weight.
-                tenant_shares={VICTIM: float(max(4, tenants)),
-                               AGGRESSOR: 0.5},
-                admission=True,
-                # Sized so the opening burst (victim + bystander seeds)
-                # crosses it — the aggressor (priority 0 < cutoff 1)
-                # gets watermark-shed as well as quota-rejected.
-                admission_soft_watermark=(victim_tasks // max(1, shards)
-                                          + 8),
-                admission_quotas={AGGRESSOR: aggressor_quota},
-                admission_rates={AGGRESSOR: aggressor_rate_per_s},
-                preemption=True,
-                preemption_poll_ms=preemption_poll_ms,
-                preemption_priority_cutoff=1,
-            ),
-        )
-        framework.start()
-        framework.start_all_workers()
-        injector = None
-        if fault_plan is not None:
-            # Nemesis faults (worker crash / pause) compose with the
-            # tenancy layer: preemption's release-and-requeue must stay
-            # exactly-once even while victims of the plan lose leases.
-            framework.flight.fault_plan = fault_plan.to_dict()
-            injector = FaultInjector.for_framework(
-                framework, fault_plan, rng=streams.stream("chaos-net"))
-            injector.arm()
+    victim_app = TenantSquares(base=0, n=victim_tasks,
+                               task_cost=victim_task_cost)
+    config = _config(
+        give_up_after_ms, prefetch, trace, shards,
+        # -- the multi-tenant job service under test ----------------------
+        tenant=VICTIM,
+        priority=2,
+        # The victim's share outweighs every other tenant combined —
+        # paying tenants buy isolation by weight.
+        tenant_shares={VICTIM: float(max(4, tenants)), AGGRESSOR: 0.5},
+        admission=True,
+        # Sized so the opening burst (victim + bystander seeds) crosses
+        # it — the aggressor (priority 0 < the governor's cutoff 1) gets
+        # watermark-shed as well as quota-rejected.
+        admission_soft_watermark=victim_tasks // max(1, shards) + 8,
+        admission_quotas={AGGRESSOR: aggressor_quota},
+        admission_rates={AGGRESSOR: aggressor_rate_per_s},
+        preemption=True,
+        preemption_poll_ms=preemption_poll_ms,
+    )
 
+    def run(runtime: SimulatedRuntime, framework: AdaptiveClusterFramework):
         masters = {VICTIM: framework.master}
         expected = {VICTIM: victim_app.expected_solution()}
         for i in range(2, tenants):
@@ -804,81 +720,57 @@ def contention_chaos_experiment(
         reports: dict[str, MasterReport] = {}
         errors: dict[str, str] = {}
 
-        def runner(name: str, master: Any):
-            def run() -> None:
-                try:
-                    reports[name] = master.run()
-                except Exception as exc:
-                    # Legitimate for the aggressor: retries exhausted
-                    # against a quota that never frees fast enough.
-                    errors[name] = f"{type(exc).__name__}: {exc}"
-            return run
+        def run_tenant(name: str, master: Any) -> None:
+            try:
+                reports[name] = master.run()
+            except Exception as exc:
+                # Legitimate for the aggressor: retries exhausted
+                # against a quota that never frees fast enough.
+                errors[name] = f"{type(exc).__name__}: {exc}"
 
-        procs = [runtime.spawn(runner(name, master), name=f"tenant:{name}")
+        procs = [runtime.spawn(lambda n=name, m=master: run_tenant(n, m),
+                               name=f"tenant:{name}")
                  for name, master in sorted(masters.items())]
         for proc in procs:
             proc.join()
-        if injector is not None:
-            injector.disarm()
-        # A master can observe a result one scheduling beat before the
-        # writing worker's own flush reply resolves its history records;
-        # drain those in-flight replies before snapshotting the history,
-        # or the checker sees takes of writes that "never happened".
-        runtime.sleep(2 * framework.config.worker_poll_ms + 200.0)
-        framework.shutdown()
+        return reports, expected, errors
 
-        history_report = None
-        if framework.history is not None:
-            history_report = check_history(framework.history,
-                                           framework.final_contents())
-        if history_report is not None and not history_report.ok:
-            framework.flight.dump("checker-violation")
-        for name, want in expected.items():
-            if name == AGGRESSOR:
-                continue
-            rep = reports.get(name)
-            if rep is None or not rep.complete or rep.solution != want:
-                framework.flight.dump("wrong-solution")
-                break
-        events = [
-            (t, name, tuple(sorted(payload.items())))
-            for t, name, payload in framework.metrics.events
-            if name in TRACE_EVENTS
-        ]
+    def result(framework: AdaptiveClusterFramework, outcome: tuple,
+               **common: Any) -> ContentionResult:
+        reports, expected, errors = outcome
         admission_totals: dict[str, int] = {}
         for server in framework.space_servers:
-            if server.admission is None:
-                continue
             for key, value in server.admission.stats.items():
                 admission_totals[key] = admission_totals.get(key, 0) + value
-        victim_completions = [
-            t for t, name, payload in framework.metrics.events
-            if name == "result-aggregated"
-            and payload.get("task_id", TENANT_STRIDE) < TENANT_STRIDE
-        ]
         governor = framework.governor
         return ContentionResult(
-            seed=seed,
             tenants=tenants,
             aggressor=aggressor,
             reports=reports,
             expected=expected,
             errors=errors,
-            trace=events,
             grants=framework.tenant_grants(),
             admission_totals=admission_totals,
             aggressor_admission=framework.tenant_admission(AGGRESSOR),
-            preemptions=governor.stats["preemptions"] if governor else 0,
-            tasks_released=governor.stats["tasks_released"] if governor else 0,
-            faults_injected=injector.injected if injector else 0,
-            victim_completions_ms=victim_completions,
-            tracer=framework.tracer,
-            prometheus=framework.telemetry.prometheus_text(),
-            history_report=history_report,
-            flight=framework.flight,
+            preemptions=governor.stats["preemptions"],
+            tasks_released=governor.stats["tasks_released"],
+            victim_completions_ms=[
+                t for t, name, payload in framework.metrics.events
+                if name == "result-aggregated"
+                and payload.get("task_id", TENANT_STRIDE) < TENANT_STRIDE],
+            **common,
         )
 
-    return run_simulation(body)
+    # Nemesis faults (worker crash / pause) compose with the tenancy
+    # layer: preemption's release-and-requeue must stay exactly-once even
+    # while victims of the plan lose leases.  A master can observe a
+    # result one scheduling beat before the writing worker's own flush
+    # reply resolves its history records; settling drains those replies,
+    # or the checker sees takes of writes that "never happened".
+    return _campaign(
+        seed, workers, victim_app, config,
+        plan=lambda streams, hostnames: fault_plan, run=run, result=result,
+        settle_ms=2 * config.worker_poll_ms + 200.0)
 
 
 def contention_isolation(
@@ -901,9 +793,8 @@ def contention_isolation(
 
 def verify_contention_determinism(seed: int = 42, **kwargs: Any) -> bool:
     """Run the contention campaign twice; True iff byte-identical."""
-    first = contention_chaos_experiment(seed=seed, **kwargs)
-    second = contention_chaos_experiment(seed=seed, **kwargs)
-    return first.trace == second.trace and \
-        first.grants == second.grants and \
-        {n: r.solution for n, r in first.reports.items()} == \
-        {n: r.solution for n, r in second.reports.items()}
+    return _verify(
+        contention_chaos_experiment,
+        lambda r: (r.trace, r.grants,
+                   {n: rep.solution for n, rep in r.reports.items()}),
+        seed, kwargs)

@@ -76,8 +76,8 @@ class FaultInjector:
             space_server=framework.space_server, rng=rng,
             primary_killer=framework.kill_primary_space,
             master_killer=framework.kill_master,
-            shard_killer=getattr(framework, "kill_shard", None),
-            space_hosts=getattr(framework, "shard_hosts", None),
+            shard_killer=framework.kill_shard,
+            space_hosts=framework.shard_hosts,
         )
 
     def arm(self) -> None:

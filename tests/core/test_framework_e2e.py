@@ -10,6 +10,7 @@ from repro.core import (
     Signal,
     WorkerState,
 )
+from repro.errors import ConfigurationError
 from repro.node import LoadSimulator2, testbed_small
 from tests.core.toyapp import SumOfSquares
 
@@ -197,3 +198,17 @@ def test_report_timings_are_consistent(rt):
     )
     assert max_worker > 0
     assert report.max_task_overhead_ms > 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("admission_soft_watermark", 8),
+    ("admission_quotas", {"t": 4}),
+    ("admission_rates", {"t": 10.0}),
+])
+def test_admission_settings_without_admission_are_rejected(rt, field, value):
+    cluster = testbed_small(rt, workers=1)
+    with pytest.raises(ConfigurationError, match=f"{field} needs admission"):
+        AdaptiveClusterFramework(rt, cluster, SumOfSquares(n=2),
+                                 FrameworkConfig(**{field: value}))
+    AdaptiveClusterFramework(rt, cluster, SumOfSquares(n=2),
+                             FrameworkConfig(admission=True, **{field: value}))

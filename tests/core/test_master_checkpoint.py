@@ -415,7 +415,7 @@ def killed_hardened_job(kill_at_ms, cluster_seed):
                 rpc_timeout_ms=1_000.0, dead_letter_poll_ms=500.0,
                 worker_prefetch=6, master_seed_batch=HARDENED_TASKS,
                 master_drain_batch=HARDENED_TASKS, shards=4,
-                hot_standby=True, sync_replication=True, durable_space=True,
+                hot_standby=True, durable_space=True,
                 master_checkpoint_ms=500.0, record_history=True))
         framework.start()
         framework.start_all_workers()

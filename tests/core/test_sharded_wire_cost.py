@@ -52,7 +52,7 @@ _COMMON = dict(monitoring=False, compute_real=True, transactional_takes=True,
                worker_poll_ms=10_000.0, dead_letter_poll_ms=10_000.0)
 HARDENED = dict(_COMMON, worker_prefetch=6, master_seed_batch=TASKS,
                 master_drain_batch=TASKS, shards=4, hot_standby=True,
-                sync_replication=True, durable_space=True,
+                durable_space=True,
                 master_checkpoint_ms=1_000.0)
 PER_TASK = dict(_COMMON, worker_prefetch=1, master_seed_batch=1,
                 master_drain_batch=1)

@@ -20,7 +20,7 @@ from repro.core.states import WorkerState
 from repro.core.worker import WorkerHost
 from repro.net import Address, Network
 from repro.node.machine import FAST_PC, Node
-from repro.tuplespace import JavaSpace, SpaceServer
+from repro.tuplespace import JavaSpace, SpaceProxy, SpaceServer
 from repro.verify import HistoryRecorder, RecordingSpace
 from tests.core.toyapp import SumOfSquares
 
@@ -37,11 +37,18 @@ def env(rt):
     code.publish(app.app_id, app.classload_profile())
     code.start()
 
-    def make_host(prefetch, transactional=False):
+    def make_host(prefetch, transactional=False, history=None):
         node = Node(rt, net, "w1", FAST_PC)
+
+        def space_factory():
+            client = SpaceProxy(net, "w1", SPACE_ADDR)
+            if history is not None:
+                client = RecordingSpace(client, history, client="w1")
+            return client
+
         return WorkerHost(
             rt, node, app,
-            space_address=SPACE_ADDR,
+            space_factory=space_factory,
             code_server=Address("master", CODE_SERVER_PORT),
             netmgmt_address=None,
             metrics=Metrics(rt),
@@ -143,12 +150,9 @@ def test_prefetch_takes_tasks_in_multi_entry_batches(rt, env):
     def batch_sizes(prefetch):
         # Observed at the worker's own space client (the history-recording
         # seam), so the sizes hold however the server fetches a batch.
-        host = make_host(prefetch=prefetch)
-        host.running = True
         history = HistoryRecorder(rt)
-        host.space_wrapper = (
-            lambda client, hostname:
-            RecordingSpace(client, history, client=hostname))
+        host = make_host(prefetch=prefetch, history=history)
+        host.running = True
 
         def body():
             fill_tasks(space, app, 12)

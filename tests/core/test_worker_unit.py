@@ -14,7 +14,7 @@ from repro.core.states import WorkerState
 from repro.core.worker import WorkerHost
 from repro.net import Address, Network
 from repro.node.machine import FAST_PC, Node
-from repro.tuplespace import JavaSpace, SpaceServer
+from repro.tuplespace import JavaSpace, SpaceProxy, SpaceServer
 from tests.core.toyapp import SumOfSquares
 
 SPACE_ADDR = Address("master", 4155)
@@ -32,7 +32,7 @@ def env(rt):
     node = Node(rt, net, "w1", FAST_PC)
     host = WorkerHost(
         rt, node, app,
-        space_address=SPACE_ADDR,
+        space_factory=lambda: SpaceProxy(net, "w1", SPACE_ADDR),
         code_server=Address("master", CODE_SERVER_PORT),
         netmgmt_address=None,           # unmanaged: direct signal injection
         metrics=Metrics(rt),

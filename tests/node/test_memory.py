@@ -66,6 +66,10 @@ def test_slow_pc_master_cannot_host_jini(rt):
     framework = AdaptiveClusterFramework(rt, cluster, SumOfSquares(n=2))
     with pytest.raises(ConfigurationError, match="cannot host"):
         framework.start()
+    # Not half-started: a later run() raises the same error again instead
+    # of running a master with no servers or workers.
+    with pytest.raises(ConfigurationError, match="cannot host"):
+        framework.run()
 
 
 def test_fast_pc_master_fits_service_stack(rt):

@@ -92,6 +92,16 @@ def test_chaos_tenants_and_faults_are_exclusive(capsys):
     assert "separate campaigns" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, complaint", [
+    ("--prefetch", "seed_batch/drain_batch must be >= 1: 0/0"),
+    ("--shards", "shards must be >= 1: 0"),
+])
+def test_chaos_zero_is_an_error_not_a_different_campaign(flag, complaint,
+                                                         capsys):
+    assert main(["chaos", flag, "0"]) == 2
+    assert f"FAIL: {complaint}" in capsys.readouterr().out
+
+
 def test_doctor_prints_attribution_summary(capsys):
     assert main(["doctor", "option-pricing", "--workers", "2"]) == 0
     out = capsys.readouterr().out

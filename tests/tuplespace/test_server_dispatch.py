@@ -320,7 +320,7 @@ GOLDEN = {
     "hardened_spread": (
         dict(_COMMON, worker_prefetch=6, master_seed_batch=TASKS,
              master_drain_batch=TASKS, shards=4, hot_standby=True,
-             sync_replication=True, durable_space=True,
+             durable_space=True,
              master_checkpoint_ms=1_000.0, shard_placement="spread"),
         16127.054102897042, 16122.666504186103, 695, 76203,
         "e4c3c36e5d6ff81a81d65b5ae1dc8bf1414d880a1e598a5496b82357a61d2f14"),
