@@ -265,12 +265,8 @@ class AdaptiveClusterFramework:
             self.registry.expose_dict("space", space.stats, **shard.labels)
             self.registry.expose_dict("space.match", space.match_stats,
                                       **shard.labels)
-            self.registry.expose(
-                "space.queue_depth",
-                lambda s=space: max(
-                    s.stats["writes"] - s.stats["takes"]
-                    - s.stats["expired"], 0),
-                **shard.labels)
+            self.registry.expose("space.queue_depth", space.queue_depth,
+                                 **shard.labels)
             if isinstance(space, DurableSpace):
                 self._expose_wal(space, **shard.labels)
         self.space_server: Optional[SpaceServer] = None

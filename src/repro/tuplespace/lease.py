@@ -22,21 +22,29 @@ FOREVER = math.inf
 class Lease:
     """A grant that expires at ``expiration_ms`` of runtime time.
 
-    ``on_cancel`` is invoked when the lease is cancelled explicitly;
-    expiry itself is checked lazily by the resource owner via
-    :meth:`is_expired` (the space also runs a reaper).
+    ``on_cancel`` is invoked when the lease is cancelled explicitly,
+    ``on_renew`` after each renewal; expiry itself is checked lazily by
+    the resource owner via :meth:`is_expired` (the space also runs a
+    reaper, which a renewal must re-arm: it may have *shortened* the
+    lease).
     """
+
+    # One per stored entry: slots keep a 20 000-entry store small.
+    __slots__ = ("_runtime", "_on_cancel", "_on_renew", "granted_at",
+                 "expiration_ms", "cancelled")
 
     def __init__(
         self,
         runtime: Runtime,
         duration_ms: float = FOREVER,
         on_cancel: Optional[Callable[[], None]] = None,
+        on_renew: Optional[Callable[[], None]] = None,
     ) -> None:
         if duration_ms < 0:
             raise LeaseError(f"negative lease duration: {duration_ms}")
         self._runtime = runtime
         self._on_cancel = on_cancel
+        self._on_renew = on_renew
         now = runtime.now()
         self.granted_at = now
         self.expiration_ms = (
@@ -46,7 +54,8 @@ class Lease:
 
     @classmethod
     def until(cls, runtime: Runtime, now: float, expiration_ms: float,
-              on_cancel: Optional[Callable[[], None]] = None) -> "Lease":
+              on_cancel: Optional[Callable[[], None]] = None,
+              on_renew: Optional[Callable[[], None]] = None) -> "Lease":
         """A lease granted at ``now`` that ends at the *absolute*
         ``expiration_ms`` — how recovery re-grants an entry its original
         deadline bit for bit (a duration would round-trip through
@@ -55,6 +64,7 @@ class Lease:
         lease = cls.__new__(cls)
         lease._runtime = runtime
         lease._on_cancel = on_cancel
+        lease._on_renew = on_renew
         lease.granted_at = now
         lease.expiration_ms = expiration_ms
         lease.cancelled = False
@@ -83,6 +93,8 @@ class Lease:
             self.expiration_ms = FOREVER
         else:
             self.expiration_ms = self._runtime.now() + duration_ms
+        if self._on_renew is not None:
+            self._on_renew()
 
     def cancel(self) -> None:
         """Relinquish the grant immediately."""

@@ -24,6 +24,12 @@ equality templates test, so an indexed field is never confirmed against
 the entry; the confirm survives only for fields an index cannot answer
 (:meth:`JavaSpace._plan`).  ``match_stats`` counts the walk.
 
+Counting: every list also counts its *visible* ids (state
+``_AVAILABLE``), moved only at the transitions that show or hide an
+entry, so :meth:`JavaSpace.count` reads the counter of the list a walk
+would take and examines no id — unless the template needs two buckets
+intersected or a field confirmed, which still walks.
+
 Isolation: entries are serialized at ``write`` and the space works on
 the bytes.  It reads the one or two fields it routes on straight out of
 the frame (:func:`repro.util.codec.read_fields`) and never materialises
@@ -111,12 +117,12 @@ class _Stored:
     )
 
     def __init__(self, entry_id: int, cls: type, data: bytes,
-                 lease: Lease) -> None:
+                 lease: Lease, state: str = _AVAILABLE) -> None:
         self.entry_id = entry_id
         self.cls = cls                # entry class
         self.data = data              # serialized form returned to clients
         self.lease = lease
-        self.state = _AVAILABLE
+        self.state = state
         self.owner_txn: Optional[Transaction] = None
         # Lazily-allocated (None ≡ empty): most entries are never read
         # under a transaction nor indexed, and the write path is hot.
@@ -141,15 +147,19 @@ class _ScanList:
     That holds for a value bucket too, because a stored entry's field
     values never change: it leaves its value buckets exactly when it
     leaves the store.
+
+    ``visible`` counts the live ids in state ``_AVAILABLE`` — what
+    :meth:`JavaSpace.count` answers from, once expired leases are reaped.
     """
 
-    __slots__ = ("ids", "head", "stale", "key")
+    __slots__ = ("ids", "head", "stale", "key", "visible")
 
     def __init__(self, key: Any = None) -> None:
         self.ids: list[int] = []
         self.head = 0
         self.stale = 0
         self.key = key
+        self.visible = 0
 
     def __len__(self) -> int:
         """Live ids."""
@@ -267,10 +277,11 @@ class JavaSpace:
         # touches the queues along the entry class's MRO.
         self._waiters: dict[type, list[Waiter]] = {}
         # Lease bookkeeping: (expiration_ms, entry_id) min-heap for finite
-        # leases plus a list of explicitly cancelled entry ids, so reaping
-        # is O(expired) and skips entirely when every lease is FOREVER.
+        # leases plus a list of the entry ids whose lease was cancelled or
+        # renewed since the last reap, so reaping is O(expired) and skips
+        # entirely when every lease is FOREVER.
         self._lease_heap: list[tuple[float, int]] = []
-        self._lease_cancelled: list[int] = []
+        self._lease_changed: list[int] = []
         self._ids = itertools.count(1)
         self._last_id = 0  # highest id ever issued (snapshot/replay resume)
         self._txn_ops: dict[int, _TxnOps] = {}
@@ -357,16 +368,17 @@ class JavaSpace:
         journal record."""
         with self._lock:
             ops = None
+            state = _AVAILABLE
             if txn is not None:
                 txn._enlist(self)
                 ops = self._ops(txn)
+                state = _PENDING_WRITE
             leases: list[Lease] = []
             journal: list[tuple] = []
             for cls, data in frames:
-                stored = self._store(cls, data, lease_ms)
+                stored = self._store(cls, data, lease_ms, state)
                 leases.append(stored.lease)
                 if ops is not None:
-                    stored.state = _PENDING_WRITE
                     stored.owner_txn = txn
                     ops.writes.append(stored.entry_id)
                 else:
@@ -380,22 +392,25 @@ class JavaSpace:
                 self._journal_ops(journal)
             return leases
 
-    def _store(self, cls: type, data: bytes, lease_ms: float) -> _Stored:
-        """Insert one serialized entry (store, id map, index, lease heap)."""
+    def _store(self, cls: type, data: bytes, lease_ms: float,
+               state: str) -> _Stored:
+        """Insert one serialized entry (store, id map, index, lease heap,
+        visible counts)."""
         entry_id = next(self._ids)
         self._last_id = entry_id
-        cancelled = self._lease_cancelled
-        lease = Lease(
-            self.runtime, lease_ms,
-            on_cancel=lambda eid=entry_id: cancelled.append(eid),
-        )
-        stored = _Stored(entry_id, cls, data, lease)
+        changed = self._lease_changed
+        hook = lambda eid=entry_id: changed.append(eid)  # noqa: E731
+        lease = Lease(self.runtime, lease_ms, hook, hook)   # cancel, renew
+        stored = _Stored(entry_id, cls, data, lease, state)
         bucket = self._buckets.get(cls)
         if bucket is None:
             bucket = self._buckets[cls] = {}
             self._scan_lists[cls] = _ScanList()
         bucket[entry_id] = stored
-        self._scan_lists[cls].ids.append(entry_id)
+        scan = self._scan_lists[cls]
+        scan.ids.append(entry_id)
+        if state == _AVAILABLE:
+            scan.visible += 1
         self._by_id[entry_id] = stored
         index = self._indexes.get(cls)
         if index:
@@ -602,7 +617,7 @@ class JavaSpace:
         queued until its ``wake`` is called (or :meth:`forget`)."""
         template_cls, items = waiter.template_cls, waiter.items
         txn, take = waiter.txn, waiter.take
-        if self._lease_cancelled or self._lease_heap:
+        if self._lease_changed or self._lease_heap:
             self._reap_expired()
         found: list[_Stored] = []
         if self._fair_shares is not None and self._fair_applies(
@@ -663,6 +678,10 @@ class JavaSpace:
                 self._remove(stored)
             else:
                 txn._enlist(self)
+                if stored.state == _AVAILABLE:
+                    # (A take of this txn's own pending write hides
+                    # nothing: it was never counted.)
+                    self._tally(stored, -1)
                 stored.state = _TAKEN
                 stored.owner_txn = txn
                 self._ops(txn).takes.append(stored.entry_id)
@@ -736,6 +755,7 @@ class JavaSpace:
                 if commit:
                     stored.state = _AVAILABLE
                     stored.owner_txn = None
+                    self._tally(stored, 1)
                     self._entry_became_visible(stored)
                     if self.journaling:
                         journal.append(
@@ -763,6 +783,7 @@ class JavaSpace:
                 else:
                     stored.state = _AVAILABLE
                     stored.owner_txn = None
+                    self._tally(stored, 1)
                     self._wake_waiters(stored)
             for entry_id in ops.reads:
                 stored = by_id.get(entry_id)
@@ -806,7 +827,7 @@ class JavaSpace:
         buckets = self._buckets
         scan_lists = self._scan_lists
         heap = self._lease_heap
-        cancel = self._lease_cancelled.append
+        changed = self._lease_changed.append
         remove = self._remove
         until = Lease.until
         top = max(last_id, self._last_id)
@@ -834,10 +855,12 @@ class JavaSpace:
                     slot = slots[data[:HEADER_SIZE]] = (
                         cls, bucket, scan_lists[cls], self._indexes.get(cls))
                 cls, bucket, scan, index = slot
+                hook = partial(changed, entry_id)
                 stored = _Stored(entry_id, cls, data, until(
-                    runtime, now, expiration_ms, partial(cancel, entry_id)))
+                    runtime, now, expiration_ms, hook, hook))
                 bucket[entry_id] = stored
                 scan.ids.append(entry_id)
+                scan.visible += 1
                 by_id[entry_id] = stored
                 if index:
                     self._index_entry(stored, index)
@@ -858,7 +881,7 @@ class JavaSpace:
         self._indexes.clear()
         self._unindexable.clear()
         self._lease_heap.clear()
-        self._lease_cancelled.clear()
+        self._lease_changed.clear()
 
     def _committed_state(self) -> tuple[int, list[tuple]]:
         """``(last_id, ops)``: the write ops that recreate every
@@ -913,9 +936,11 @@ class JavaSpace:
         gets here.  The values come out of the stored frame, never from
         a writer's live object: a key must be a private copy for the
         index to be exact (see :meth:`_plan`).  The buckets are recorded
-        on ``stored`` so removal never recomputes them.
+        on ``stored`` so removal never recomputes them, and count the
+        entry if it is visible.
         """
         names = tuple(index)
+        shown = stored.state == _AVAILABLE
         for name, value in zip(names, read_fields(stored.data, names)):
             if value is None:
                 continue
@@ -924,7 +949,9 @@ class JavaSpace:
             if sl is None:
                 # Stop maintaining a poisoned index — _plan scans instead.
                 del index[name]
-            elif stored.filed is None:
+                continue
+            sl.visible += shown
+            if stored.filed is None:
                 stored.filed = {name: sl}
             else:
                 stored.filed[name] = sl
@@ -953,6 +980,8 @@ class JavaSpace:
                 return None
             filed.append((stored, sl))
         for stored, sl in filed:
+            if stored.state == _AVAILABLE:
+                sl.visible += 1
             if stored.filed is None:
                 stored.filed = {name: sl}
             else:
@@ -960,9 +989,12 @@ class JavaSpace:
         self._indexes.setdefault(cls, {})[name] = by_value
         return by_value
 
-    def _retire(self, sl: _ScanList, bucket: dict[int, _Stored]) -> bool:
-        """Account for one id of ``sl`` that just left ``bucket``; True
-        when that was its last live id (the list is then emptied)."""
+    def _retire(self, sl: _ScanList, bucket: dict[int, _Stored],
+                shown: bool) -> bool:
+        """Account for one id of ``sl`` that just left ``bucket`` (and was
+        counted visible if ``shown``); True when that was its last live id
+        (the list is then emptied)."""
+        sl.visible -= shown
         sl.stale += 1
         listed = len(sl.ids) - sl.head
         if sl.stale == listed:
@@ -1295,40 +1327,61 @@ class JavaSpace:
         bucket = self._buckets.get(cls)
         if bucket is not None and bucket.pop(stored.entry_id, None) is not None:
             self._by_id.pop(stored.entry_id, None)
-            self._retire(self._scan_lists[cls], bucket)
+            shown = stored.state == _AVAILABLE
+            self._retire(self._scan_lists[cls], bucket, shown)
             if stored.filed:
                 index = self._indexes.get(cls) or {}
                 for name, sl in stored.filed.items():
                     # An emptied value bucket goes (a poisoned field's
                     # index is gone already): a field of unique values
                     # would otherwise grow one dead key per entry.
-                    if self._retire(sl, bucket) and name in index:
+                    if self._retire(sl, bucket, shown) and name in index:
                         del index[name][sl.key]
+
+    def _tally(self, stored: _Stored, delta: int) -> None:
+        """Move ``stored``'s visible counts by ``delta``: it was just
+        shown (+1, a commit or an aborted take) or hidden (-1, a take
+        under a transaction) without entering or leaving the store."""
+        self._scan_lists[stored.cls].visible += delta
+        if stored.filed:
+            for sl in stored.filed.values():
+                sl.visible += delta
 
     def _reap_expired(self) -> None:
         """Collect expired and cancelled entries.
 
-        O(reaped): cancelled ids arrive via lease ``on_cancel`` hooks, and
-        finite-lease deadlines sit in a min-heap — when every lease is
-        FOREVER and nothing was cancelled this is two empty checks.
+        O(reaped): cancelled and renewed ids arrive via the lease hooks,
+        and finite-lease deadlines sit in a min-heap — when every lease is
+        FOREVER and nothing was cancelled or renewed this is two empty
+        checks.  Afterwards no ``_AVAILABLE`` entry is expired: the heap
+        gives up every deadline ``<= now`` and ``is_expired`` is
+        ``now >=``, which is what lets :meth:`count` trust the counters.
         """
-        cancelled = self._lease_cancelled
-        if cancelled:
+        heap = self._lease_heap
+        changed = self._lease_changed
+        if changed:
             # Explicit cancellations are journaled: unlike natural expiry
             # (an absolute deadline that replays by itself), a cancel is an
             # external state change the log must carry.
             journal: list[tuple] = []
-            for entry_id in cancelled:
+            for entry_id in changed:
                 stored = self._by_id.get(entry_id)
-                if stored is not None and stored.state != _TAKEN:
+                if stored is None:
+                    continue
+                lease = stored.lease
+                if not lease.cancelled:
+                    # Renewed: queue the new deadline, which may be
+                    # sooner than the queued one (or the first one).
+                    if lease.expiration_ms != FOREVER:
+                        heappush(heap, (lease.expiration_ms, entry_id))
+                elif stored.state != _TAKEN:
                     self._stat_expired += 1
                     self._remove(stored)
                     if self.journaling and stored.state != _PENDING_WRITE:
                         journal.append(("take", entry_id))
-            cancelled.clear()
+            changed.clear()
             if journal:
                 self._journal_ops(journal)
-        heap = self._lease_heap
         if not heap:
             return
         now = self.runtime.now()
@@ -1337,12 +1390,8 @@ class JavaSpace:
             stored = self._by_id.get(entry_id)
             if stored is None:
                 continue  # already taken/cancelled/removed
-            lease = stored.lease
-            if not lease.is_expired():
-                # Renewed since it was queued; re-arm at the new deadline.
-                if lease.expiration_ms != FOREVER:
-                    heappush(heap, (lease.expiration_ms, entry_id))
-                continue
+            if not stored.lease.is_expired():
+                continue  # renewed since: the renewal queued its deadline
             if stored.state != _TAKEN:
                 self._stat_expired += 1
                 self._remove(stored)
@@ -1352,8 +1401,50 @@ class JavaSpace:
     # ------------------------------------------------------------------- misc --
 
     def count(self, template: Entry, txn: Optional[Transaction] = None) -> int:
-        """Number of visible entries matching ``template`` (diagnostic)."""
+        """Number of visible entries matching ``template``.
+
+        Admission control asks on every write it controls, so the answer
+        comes from the ``visible`` counter of the list a walk would take
+        (:meth:`_plan`), once reaping has made ``_AVAILABLE`` mean
+        visible: a field-less or one-indexed-field template examines no
+        id.  A template that needs two buckets intersected or a field
+        confirmed walks.  Under ``txn`` its own pending writes that match
+        are added; its takes are already uncounted.
+        """
+        template_cls = type(template)
+        items = match_items(template)
         with self._lock:
             self._reap_expired()
-            return len(self._matching(type(template), match_items(template),
-                                      txn, take=False))
+            total = 0
+            for cls, bucket in self._buckets.items():
+                if not bucket or not issubclass(cls, template_cls):
+                    continue
+                if not items:
+                    total += self._scan_lists[cls].visible
+                    continue
+                plan = self._plan(cls, items)
+                if plan is None:
+                    continue
+                sl, members, confirm = plan
+                if members or confirm:
+                    total = len(self._matching(template_cls, items, None,
+                                               take=False))
+                    break
+                total += sl.visible
+            ops = self._txn_ops.get(txn.txn_id) if txn is not None else None
+            if ops is not None:
+                by_id = self._by_id
+                for entry_id in ops.writes:
+                    stored = by_id.get(entry_id)
+                    if (stored is not None and stored.state == _PENDING_WRITE
+                            and issubclass(stored.cls, template_cls)
+                            and (not items or self._confirm(stored, items))):
+                        total += 1
+            return total
+
+    def queue_depth(self) -> int:
+        """Entries visible outside any transaction, summed from the
+        per-class counters: ``count(Entry())`` without its reap, so an
+        entry whose lease lapsed still counts until the next operation
+        reaps it.  Takes no lock and changes nothing — a gauge reads it."""
+        return sum([sl.visible for sl in list(self._scan_lists.values())])

@@ -282,7 +282,7 @@ def _valid_record_after(raw: bytes, view: memoryview, pos: int) -> bool:
     return False
 
 
-def iter_log(raw: bytes, decode: bool = True,
+def iter_log(raw: bytes, decode: bool = True, verify: bool = True,
              ) -> Iterator[tuple[int, int, Any, int]]:
     """Stream the record frames of a log buffer as
     ``(lsn, epoch, ops, end_offset)``, checksumming each.
@@ -291,7 +291,8 @@ def iter_log(raw: bytes, decode: bool = True,
     ``end_offset``) and raises :class:`WalCorruptionError` for damage in
     place — see the module docstring for the rule.  ``decode=False``
     validates without materializing ops (``ops`` is None): what a store
-    needs to learn its last LSN at load.
+    needs to learn its last LSN at load.  ``verify=False`` skips the
+    checksums, for a buffer an earlier pass already validated.
     """
     view = memoryview(raw)
     size = len(raw)
@@ -306,7 +307,7 @@ def iter_log(raw: bytes, decode: bool = True,
             magic, length, crc = unpack_envelope(raw, pos)
             end = start + length
         if (end < 0 or end > size or magic != WAL_MAGIC
-                or crc32(view[start:end]) != crc):
+                or (verify and crc32(view[start:end]) != crc)):
             if _valid_record_after(raw, view, pos + 1):
                 raise WalCorruptionError(
                     "invalid frame followed by valid ones", pos, last_lsn)
@@ -562,7 +563,8 @@ class FileWalStore(WalStore):
 
     The tail lives on the disk, not in RAM: ``records`` holds only the
     commit group not yet written, and :meth:`records_since` /
-    :meth:`replay` decode the log file when asked.
+    :meth:`replay` decode the log file when asked — the first of them
+    after a load from the buffer the load already read and checksummed.
     """
 
     def __init__(self, path, fsync_policy: str = "always",
@@ -626,6 +628,10 @@ class FileWalStore(WalStore):
             with open(self._log_path, "r+b") as fh:
                 fh.truncate(good)  # or later appends would hide behind it
                 os.fsync(fh.fileno())
+            raw = raw[:good]
+        #: The log as validated here, kept for the first read of the tail
+        #: (recovery's replay) so it is not read and checksummed twice.
+        self._loaded: Optional[bytes] = raw
         self._last_lsn = last
         self.tail_bytes = good - covered
         #: Log file size, and how much of it is behind an fsync.
@@ -681,6 +687,7 @@ class FileWalStore(WalStore):
         # — replay skips records at or below the checkpoint LSN.
         self._write_atomic(self._snap_path, state)
         self._log_fh.close()
+        self._loaded = None
         payload = b"".join(map(record_frame, tail))
         self._write_atomic(self._log_path, payload)
         self._log_fh = open(self._log_path, "ab")
@@ -698,10 +705,14 @@ class FileWalStore(WalStore):
 
     def _tail(self) -> Iterator[tuple[int, int, Any]]:
         """``(lsn, epoch, ops)`` of every record: the file, then the
-        group still in memory."""
-        with open(self._log_path, "rb") as fh:
-            raw = fh.read()
-        for lsn, epoch, ops, _ in iter_log(raw):
+        group still in memory.  The first read after a load decodes the
+        buffer the load validated, unless the log has grown since."""
+        raw, self._loaded = self._loaded, None
+        verify = raw is None or len(raw) != self._log_size
+        if verify:
+            with open(self._log_path, "rb") as fh:
+                raw = fh.read()
+        for lsn, epoch, ops, _ in iter_log(raw, verify=verify):
             yield lsn, epoch, ops
         for record in self.records:
             yield record.lsn, record.epoch, record.ops

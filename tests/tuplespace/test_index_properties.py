@@ -12,6 +12,13 @@ spaces run the op mix in lockstep — one with indexes live, one with
 ``_plan`` pinned to the scan path — and every observable result, and the
 final FIFO drain, must agree.
 
+``count`` answers from per-list visible counters on the indexed path and
+walks on the pinned one, so the lockstep also pins the counters — with
+transactions open (own pending writes visible to their txn, takes
+hidden, a txn taking its own pending write), across lease cancels and
+renewals.  A field-less template reaches the class list's counter on
+both paths, so every count is also checked against ``len(contents)``.
+
 The key pool is chosen to hit every corner of the exactness rule:
 ``1``/``1.0``/``True`` share a bucket, NaN equals nothing (not even the
 same object), and a list or set value poisons the field in mid-run.
@@ -28,6 +35,7 @@ from typing import Any, Optional
 
 from hypothesis import example, given, seed, settings, strategies as st
 
+from repro.errors import LeaseError
 from repro.runtime import SimulatedRuntime
 from repro.tuplespace import Entry, TransactionManager
 from repro.tuplespace.durable import DurableSpace
@@ -82,6 +90,15 @@ ops = st.lists(
         # write issued later: log order != id order, which is what makes
         # the order after recovery differ from the primary's.
         st.tuples(st.just("txn_write"), classes, apps, keys, st.booleans()),
+        # Counts inside an open transaction that wrote one entry and took
+        # one — its own pending write when ``own`` — then ends.
+        st.tuples(st.just("txn_count"), classes, apps, keys, maybe(apps),
+                  st.booleans(), st.booleans()),
+        # Cancel, or renew (a FOREVER lease renewed to 10 ms expires by
+        # the next sleep), the lease of an earlier single write.
+        st.tuples(st.just("cancel"), st.integers(0, 7)),
+        st.tuples(st.just("renew"), st.integers(0, 7),
+                  st.sampled_from([10.0, 200.0])),
         st.tuples(st.just("sleep"), st.just(60.0)),
         st.tuples(st.just("crash")),
         st.tuples(st.just("failover")),
@@ -106,6 +123,9 @@ class _Path:
         self.runtime = runtime
         self.indexed = indexed
         self.space = self._pin(DurableSpace(runtime, snapshot_every=4))
+        #: Leases of the single writes made to ``space`` (a new space
+        #: grants new ones).
+        self.leases: list = []
         # An index can only be activated on a class the store holds.
         for cls in CLASSES.values():
             self.space.write(cls("a", 0, -1))
@@ -147,11 +167,13 @@ class _Path:
         self.space = self._pin(
             DurableSpace.recover(self.runtime, self.space.wal.store,
                                  snapshot_every=4))
+        self.leases = []
         self._attach_standby()
 
     def failover(self) -> None:
         """The standby — fed only by ``apply_commit`` — takes over."""
         self.space = self.standby
+        self.leases = []
         self._attach_standby()
 
 
@@ -182,6 +204,15 @@ class _Path:
               ("txn_write", "loose", "b", 2, True),
               ("failover",),
               ("take", "loose", "b", 2)])
+# A txn takes its own pending write (which hides nothing) and aborts; a
+# FOREVER lease renewed short lapses; a cancel:
+@example(ops=[("write", "task", "a", 1, None, False),
+              ("txn_count", "task", "a", 1, None, True, False),
+              ("renew", 0, 10.0),
+              ("sleep", 60.0),
+              ("write", "loose", "b", 2, None, True),
+              ("cancel", 1),
+              ("count", "loose", None, None)])
 @_seeded
 @given(ops=ops)
 @settings(max_examples=80, deadline=None)
@@ -196,17 +227,23 @@ def test_indexed_results_equal_scan_results(ops):
         def same(results):
             assert results[0] == results[1]
 
+        def counted(space, template, txn=None):
+            """``count``, checked against ``contents`` — the independent
+            reference: a field-less template reaches the class list's
+            counter on the scan-pinned path too."""
+            n = space.count(template, txn=txn)
+            assert n == len(space.contents(template, txn=txn))
+            return n
+
         def write(space, entries, encoded, **kwargs):
             if encoded:
                 frames = [encode_entry(entry) for entry in entries]
                 if len(frames) == 1:
-                    space.write_encoded(frames[0], **kwargs)
-                else:
-                    space.write_all_encoded(frames, **kwargs)
-            elif len(entries) == 1:
-                space.write(entries[0], **kwargs)
-            else:
-                space.write_all(entries, **kwargs)
+                    return space.write_encoded(frames[0], **kwargs)
+                return space.write_all_encoded(frames, **kwargs)
+            if len(entries) == 1:
+                return space.write(entries[0], **kwargs)
+            return space.write_all(entries, **kwargs)
 
         for op in ops:
             kind = op[0]
@@ -214,8 +251,9 @@ def test_indexed_results_equal_scan_results(ops):
                 _, cls, app, key, lease, encoded = op
                 for path in paths:
                     kwargs = {} if lease is None else {"lease_ms": lease}
-                    write(path.space, [CLASSES[cls](app, key, seq)],
-                          encoded, **kwargs)
+                    path.leases.append(write(
+                        path.space, [CLASSES[cls](app, key, seq)], encoded,
+                        **kwargs))
                 seq += 1
             elif kind == "write_all":
                 _, cls, pairs, encoded = op
@@ -232,7 +270,7 @@ def test_indexed_results_equal_scan_results(ops):
             elif kind == "count":
                 _, cls, app, key = op
                 template = CLASSES[cls](app=app, task_id=key)
-                same([path.space.count(template) for path in paths])
+                same([counted(path.space, template) for path in paths])
                 same([[_fields(e) for e in path.space.contents(template)]
                       for path in paths])
             elif kind == "take_multiple":
@@ -262,6 +300,51 @@ def test_indexed_results_equal_scan_results(ops):
                     else:
                         txn.abort()
                 seq += 2
+            elif kind == "txn_count":
+                _, cls, app, key, take_app, own, commit = op
+                klass = CLASSES[cls]
+                templates = [Entry(), klass(), klass(app=app),
+                             klass(task_id=key), klass(app=app, task_id=key)]
+                results = []
+                for path in paths:
+                    space = path.space
+                    txn, other = txns.create(), txns.create()
+                    space.write(klass(app, key, seq), txn=txn)
+                    # ``payload`` is unique to the pending write.
+                    taken = space.take(
+                        klass(app, key, seq) if own else klass(app=take_app),
+                        txn=txn, timeout_ms=0.0)
+                    # Outside the txn neither its write nor its take shows;
+                    # inside, its own write is visible and its take hidden;
+                    # another txn sees what the outside does.
+                    seen = [(counted(space, t), counted(space, t, txn))
+                            for t in templates]
+                    assert [counted(space, t, other) for t in templates] == [
+                        outside for outside, _ in seen]
+                    if commit:
+                        txn.commit()
+                    else:
+                        txn.abort()
+                    other.abort()
+                    results.append((_fields(taken), seen,
+                                    [counted(space, t) for t in templates]))
+                same(results)
+                seq += 1
+            elif kind == "cancel":
+                for path in paths:
+                    if path.leases:
+                        path.leases[op[1] % len(path.leases)].cancel()
+            elif kind == "renew":
+                _, pick, ms = op
+                renewed = []
+                for path in paths:
+                    try:
+                        if path.leases:
+                            path.leases[pick % len(path.leases)].renew(ms)
+                        renewed.append(True)
+                    except LeaseError:   # expired or cancelled already
+                        renewed.append(False)
+                same(renewed)
             elif kind == "sleep":
                 # Expire short leases in both deployments at once.
                 runtime.sleep(op[1])
@@ -275,6 +358,12 @@ def test_indexed_results_equal_scan_results(ops):
             # same entries in the same order on both paths.
             same([[_fields(e) for e in path.standby.contents(Entry())]
                   for path in paths])
+            # The backlog gauge is the class counters, on either path
+            # (read after ``count`` has reaped what lapsed).
+            for path in paths:
+                for space in (path.space, path.standby):
+                    visible = counted(space, Entry())
+                    assert space.queue_depth() == visible
         # Final drain: the remaining FIFO order must agree exactly.
         while True:
             got = [_fields(path.space.take(Entry(), timeout_ms=0.0))

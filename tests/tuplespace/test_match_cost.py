@@ -103,12 +103,17 @@ def test_selective_ops_cost_their_matches_not_their_bucket(
         assert (found.app_id, found.task_id) == (APPS[7], 507)
         assert stats["scan_steps"] - before == 1
         decoded.clear()
-        # count examines the bucket it counts (plus the ids the takes
-        # above left dead at its head) and decodes nothing.
+        # count reads the counter of the list a walk would take: a
+        # one-field or field-less template examines no id ...
         before = stats["scan_steps"]
         assert space.count(TaskEntry(app_id=APPS[0])) == per_app - 3
-        assert stats["scan_steps"] - before <= per_app
         assert space.count(TaskEntry(app_id="no-such-app")) == 0
+        assert space.count(TaskEntry()) == ENTRIES - 3 * 10
+        assert stats["scan_steps"] - before == 0
+        # ... and two indexed fields still walk the shorter bucket.
+        assert space.count(TaskEntry(app_id=APPS[7], task_id=507)) == 1
+        assert space.count(TaskEntry(app_id=APPS[8], task_id=507)) == 0
+        assert stats["scan_steps"] - before == 2
         assert not decoded
 
     run_in_sim(rt, body)

@@ -24,6 +24,7 @@ import pytest
 from repro.errors import SpaceError, WalCorruptionError
 from repro.runtime import SimulatedRuntime
 from repro.tuplespace import Entry
+from repro.tuplespace import wal as wal_module
 from repro.tuplespace.durable import DurableSpace
 from repro.tuplespace.wal import (
     WAL_MAGIC,
@@ -147,6 +148,38 @@ def test_mixed_frame_log_decodes_as_one_stream(tmp_path):
     store = FileWalStore(str(path))
     assert store.records_since(0) == written
     assert store.last_lsn() == 6
+    store.close()
+
+
+def test_recovery_reads_and_checksums_the_log_once(tmp_path, monkeypatch):
+    """The load validates the log; the replay that follows decodes that
+    same buffer instead of reading and checksumming the file again.  A
+    later read, or one after the log grew, goes back to the file."""
+    path = tmp_path / "wal"
+    store = FileWalStore(str(path))
+    for record in _records(3):
+        store.append(record)
+    store.close()
+    reads, checks = [], []
+    real_open, real_crc = open, wal_module.crc32
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if str(file).endswith(".log") and "r" in mode:
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(wal_module, "open", counting_open, raising=False)
+    monkeypatch.setattr(wal_module, "crc32",
+                        lambda data: checks.append(1) or real_crc(data))
+    store = FileWalStore(str(path))
+    assert [tuple(ops) for ops in store.replay(0)] == [
+        r.ops for r in _records(3)]
+    assert (len(reads), len(checks)) == (1, 3)
+    assert [r.lsn for r in store.records_since(1)] == [2, 3]
+    assert (len(reads), len(checks)) == (2, 6)
+    store = FileWalStore(str(path))
+    store.append(_record(4))
+    assert [r.lsn for r in store.records_since(0)] == [1, 2, 3, 4]
     store.close()
 
 
