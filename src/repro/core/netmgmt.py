@@ -148,7 +148,13 @@ class NetworkManagementModule:
                                worker_id=record.worker_id)
             self._conns[record.hostname] = conn
             if self.mode == "poll":
-                self._monitor_loop(record, conn)
+                # Its own session: monitors polling concurrently through
+                # one socket would read (and drop) each other's replies.
+                session = self.snmp.session()
+                try:
+                    self._monitor_loop(record, conn, session)
+                finally:
+                    session.close()
             else:
                 # Trap mode: signals are pushed by _handle_trap; this loop
                 # only watches for the client going away.
@@ -187,20 +193,24 @@ class NetworkManagementModule:
             conn.send({"type": "signal", "signal": signal.value,
                        "sent_at": self.runtime.now()})
 
-    def _monitor_loop(self, record: WorkerRecord, conn: StreamSocket) -> None:
+    def _monitor_loop(self, record: WorkerRecord, conn: StreamSocket,
+                      session: SnmpManager) -> None:
         """Steps 4–7 of the rule-base protocol, repeated forever."""
         while self.running:
-            signal = self.poll_once(record)
+            signal = self.poll_once(record, session)
             if signal is not None:
                 conn.send({"type": "signal", "signal": signal.value,
                            "sent_at": self.runtime.now()})
             self.runtime.sleep(self.poll_interval_ms)
 
-    def poll_once(self, record: WorkerRecord) -> Optional[Signal]:
-        """One SNMP poll + inference decision for a worker."""
+    def poll_once(self, record: WorkerRecord,
+                  session: Optional[SnmpManager] = None) -> Optional[Signal]:
+        """One SNMP poll + inference decision for a worker, through its
+        monitor's ``session`` (default: the module's own manager)."""
         self.stats["polls"] += 1
+        snmp = session if session is not None else self.snmp
         try:
-            load = float(self.snmp.get_one(record.hostname, self.load_oid))
+            load = float(snmp.get_one(record.hostname, self.load_oid))
         except (TimeoutError_, SnmpError):
             self.stats["poll_failures"] += 1
             # Stale-data guard: an unreachable agent means every further

@@ -51,6 +51,16 @@ class SnmpManager:
         self._socket = network.bind_datagram(network.ephemeral(host))
         self.stats = {"requests": 0, "retries": 0, "timeouts": 0}
 
+    def session(self) -> "SnmpManager":
+        """A sibling manager on its own socket, with its own request ids,
+        counting into this one's :attr:`stats` — one per concurrent
+        poller, so no poller ever reads another's replies."""
+        sibling = SnmpManager(self.runtime, self.network, self.host,
+                              community=self.community,
+                              timeout_ms=self.timeout_ms, retries=self.retries)
+        sibling.stats = self.stats
+        return sibling
+
     def close(self) -> None:
         self._socket.close()
 
