@@ -7,12 +7,12 @@ transfer pays real network cost (bundle bytes through the latency model).
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
 
 from repro.errors import ConnectionClosedError, FrameworkError
 from repro.core.application import ClassLoadProfile
 from repro.net.address import Address
-from repro.net.network import Network, StreamSocket
+from repro.net.network import Listener, Network, StreamSocket
 from repro.runtime.base import Runtime
 
 __all__ = ["CodeServer", "CODE_SERVER_PORT"]
@@ -21,7 +21,8 @@ CODE_SERVER_PORT = 8088
 
 
 class CodeServer:
-    """Serves application code bundles over stream connections."""
+    """Serves application code bundles over stream connections, by
+    callback: a download is answered in the event its request arrives."""
 
     def __init__(self, runtime: Runtime, network: Network, host: str,
                  port: int = CODE_SERVER_PORT) -> None:
@@ -41,43 +42,49 @@ class CodeServer:
         if self._running:
             return
         self._running = True
-        self._listener = self.network.listen(self.address)
-        self.runtime.spawn(self._accept_loop, name=f"code-server:{self.address.host}")
+        self._listener = listener = self.network.listen(self.address)
+        on_accept = partial(self._on_accept, listener)
+        listener.serve(on_accept)
+        self.runtime.call_later(0.0, on_accept)
 
     def stop(self) -> None:
         self._running = False
         if self._listener is not None:
             self._listener.close()
 
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn = self._listener.accept(timeout_ms=None)
-            except ConnectionClosedError:
-                return
-            if conn is None:
-                continue
-            self.runtime.spawn(lambda c=conn: self._serve(c), name="code-conn")
-
-    def _serve(self, conn: StreamSocket) -> None:
+    def _on_accept(self, listener: Listener) -> None:
         try:
-            request = conn.receive(timeout_ms=None)
+            while self._running:
+                conn = listener.poll()
+                if conn is None:
+                    return
+                serve = partial(self._on_request, conn)
+                conn.serve(serve)
+                self.runtime.call_later(0.0, serve)
+        except ConnectionClosedError:
+            return
+
+    def _on_request(self, conn: StreamSocket) -> None:
+        """Answer the connection's one request, then hang up."""
+        try:
+            request = conn.poll()
+            if request is None:
+                return
             if not isinstance(request, dict) or "app_id" not in request:
                 conn.send({"ok": False, "error": "bad request"})
-                return
-            profile = self._bundles.get(request["app_id"])
-            if profile is None:
+            elif (profile := self._bundles.get(request["app_id"])) is None:
                 conn.send({"ok": False, "error": f"no bundle for {request['app_id']!r}"})
-                return
-            self.stats["downloads"] += 1
-            self.stats["bytes_served"] += profile.bundle_bytes
-            # The bundle body itself rides the network so the latency model
-            # charges for its size, exactly like a real jar download.
-            conn.send({"ok": True, "profile": profile, "jar": b"\x00" * profile.bundle_bytes})
+            else:
+                self.stats["downloads"] += 1
+                self.stats["bytes_served"] += profile.bundle_bytes
+                # The bundle body itself rides the network so the latency
+                # model charges for its size, exactly like a real jar
+                # download.
+                conn.send({"ok": True, "profile": profile,
+                           "jar": b"\x00" * profile.bundle_bytes})
         except ConnectionClosedError:
             pass
-        finally:
-            conn.close()
+        conn.close()
 
 
 def download_bundle(

@@ -5,10 +5,14 @@ Server half of the rule-base protocol:
 1. the server listens for client connections;
 2. a worker's SNMP client connects and sends its address;
 3. the server assigns it a client ID (via the inference engine registry);
-4.–7. a per-worker monitor loop polls the worker's SNMP agent for CPU
-   load, feeds the sample to the inference engine, and sends whatever
-   signal it decides back over the socket;
+4.–7. a per-worker monitor polls the worker's SNMP agent for CPU load
+   through its own SNMP session, feeds the sample to the inference
+   engine, and sends whatever signal it decides back over the socket;
 8. the client forwards the signal to the worker application; go to 5.
+
+Nothing here is a process: connections are accepted and registrations
+read by callback, and each monitor is one timer chain — a poll's answer
+schedules the next poll ``poll_interval_ms`` later.
 
 The monitored OID is the *external* load by default (load excluding the
 framework's own worker process — see DESIGN.md §5 for why), switchable to
@@ -18,6 +22,7 @@ total load for ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional
 
 from repro.errors import ConnectionClosedError, SnmpError, TimeoutError_
@@ -25,7 +30,7 @@ from repro.core.inference import InferenceEngine, WorkerRecord
 from repro.core.metrics import Metrics
 from repro.core.signals import Signal, ThresholdPolicy
 from repro.net.address import Address
-from repro.net.network import Network, StreamSocket
+from repro.net.network import Listener, Network, StreamSocket
 from repro.runtime.base import Runtime
 from repro.snmp.manager import SnmpManager
 from repro.snmp.mib import HOST_RESOURCES
@@ -37,6 +42,16 @@ __all__ = ["NetworkManagementModule", "RULEBASE_PORT"]
 RULEBASE_PORT = 5601
 
 _log = get_logger("netmgmt")
+
+
+@dataclass
+class _Client:
+    """One rule-base connection: the worker it registered (once it has)
+    and, in poll mode, the SNMP session its monitor polls through."""
+
+    conn: StreamSocket
+    record: Optional[WorkerRecord] = None
+    session: Optional[SnmpManager] = None
 
 
 class NetworkManagementModule:
@@ -86,6 +101,7 @@ class NetworkManagementModule:
             # Surface as ``netmgmt.polls`` etc. plus the inference
             # engine's decision counters — read-through, no per-poll cost.
             registry.expose_dict("netmgmt", self.stats)
+            registry.expose_dict("snmp", self.snmp.stats)
             registry.expose_dict("inference", self.inference.stats)
 
     # -- lifecycle -----------------------------------------------------------------
@@ -94,8 +110,10 @@ class NetworkManagementModule:
         if self.running:
             return
         self.running = True
-        self._listener = self.network.listen(self.address)
-        self.runtime.spawn(self._accept_loop, name="netmgmt-accept")
+        self._listener = listener = self.network.listen(self.address)
+        on_accept = partial(self._on_accept, listener)
+        listener.serve(on_accept)
+        self.runtime.call_later(0.0, on_accept)
         if self.mode == "trap":
             from repro.snmp.trap import TRAP_PORT, TrapReceiver
 
@@ -117,55 +135,67 @@ class NetworkManagementModule:
 
     # -- rule-base server ---------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while self.running:
-            try:
-                conn = self._listener.accept(timeout_ms=None)
-            except ConnectionClosedError:
-                return
-            if conn is None:
-                continue
-            self.runtime.spawn(lambda c=conn: self._handle_client(c), name="netmgmt-client")
-
-    def _handle_client(self, conn: StreamSocket) -> None:
-        record = None
+    def _on_accept(self, listener: Listener) -> None:
         try:
-            registration = conn.receive(timeout_ms=None)
-            if not isinstance(registration, dict) or registration.get("type") != "register":
-                conn.close()
-                return
-            record = self.inference.register(registration["host"])
-            reply = {"type": "registered", "worker_id": record.worker_id,
-                     "mode": self.mode}
-            if self.mode == "trap":
-                reply["trap_address"] = self._trap_receiver.address
-                reply["thresholds"] = {
-                    "idle_below": self.inference.policy.idle_below,
-                    "stop_above": self.inference.policy.stop_above,
-                }
-            conn.send(reply)
-            self.metrics.event("worker-registered", worker=record.hostname,
-                               worker_id=record.worker_id)
-            self._conns[record.hostname] = conn
-            if self.mode == "poll":
-                # Its own session: monitors polling concurrently through
-                # one socket would read (and drop) each other's replies.
-                session = self.snmp.session()
-                try:
-                    self._monitor_loop(record, conn, session)
-                finally:
-                    session.close()
-            else:
-                # Trap mode: signals are pushed by _handle_trap; this loop
-                # only watches for the client going away.
-                while self.running:
-                    conn.receive(timeout_ms=None)
+            while self.running:
+                conn = listener.poll()
+                if conn is None:
+                    return
+                client = partial(self._on_client, _Client(conn))
+                conn.serve(client)
+                self.runtime.call_later(0.0, client)
+        except ConnectionClosedError:
+            return
+
+    def _on_client(self, client: _Client) -> None:
+        """Registration (steps 2–3), then: poll mode starts the monitor
+        and never reads the socket again; trap mode watches it for the
+        client going away."""
+        conn = client.conn
+        try:
+            if client.record is None:
+                registration = conn.poll()
+                if registration is None:
+                    return
+                if not isinstance(registration, dict) or registration.get("type") != "register":
+                    conn.close()
+                    return
+                self._register(client, registration["host"])
+                if self.mode == "poll":
+                    # Its own session: monitors polling concurrently
+                    # through one socket would read (and drop) each
+                    # other's replies.
+                    client.session = self.snmp.session()
+                    self._poll(client)
+                    return
+            while self.running:
+                if conn.poll() is None:
+                    return
         except ConnectionClosedError:
             pass
-        finally:
-            if record is not None:
-                self._conns.pop(record.hostname, None)
-            conn.close()
+        self._end(client)
+
+    def _register(self, client: _Client, hostname: str) -> None:
+        record = client.record = self.inference.register(hostname)
+        reply = {"type": "registered", "worker_id": record.worker_id,
+                 "mode": self.mode}
+        if self.mode == "trap":
+            reply["trap_address"] = self._trap_receiver.address
+            reply["thresholds"] = {
+                "idle_below": self.inference.policy.idle_below,
+                "stop_above": self.inference.policy.stop_above,
+            }
+        client.conn.send(reply)
+        self.metrics.event("worker-registered", worker=record.hostname,
+                           worker_id=record.worker_id)
+        self._conns[record.hostname] = client.conn
+
+    def _end(self, client: _Client) -> None:
+        if client.session is not None:
+            client.session.close()
+        if client.record is not None:
+            self._conns.pop(client.record.hostname, None)
+        client.conn.close()
 
     def _handle_trap(self, trap, sender) -> None:
         """Trap-mode inference: one decision per load-band transition."""
@@ -193,25 +223,47 @@ class NetworkManagementModule:
             conn.send({"type": "signal", "signal": signal.value,
                        "sent_at": self.runtime.now()})
 
-    def _monitor_loop(self, record: WorkerRecord, conn: StreamSocket,
-                      session: SnmpManager) -> None:
-        """Steps 4–7 of the rule-base protocol, repeated forever."""
-        while self.running:
-            signal = self.poll_once(record, session)
-            if signal is not None:
-                conn.send({"type": "signal", "signal": signal.value,
-                           "sent_at": self.runtime.now()})
-            self.runtime.sleep(self.poll_interval_ms)
+    # -- the monitor: steps 4–7 as one timer chain --------------------------------
 
-    def poll_once(self, record: WorkerRecord,
-                  session: Optional[SnmpManager] = None) -> Optional[Signal]:
-        """One SNMP poll + inference decision for a worker, through its
-        monitor's ``session`` (default: the module's own manager)."""
+    def _poll(self, client: _Client) -> None:
+        if not self.running:
+            self._end(client)
+            return
         self.stats["polls"] += 1
-        snmp = session if session is not None else self.snmp
+        client.session.fetch(client.record.hostname, self.load_oid,
+                             partial(self._on_sample, client))
+
+    def _on_sample(self, client: _Client, load: Any,
+                   error: Optional[Exception]) -> None:
+        if error is not None and not isinstance(error, (TimeoutError_, SnmpError)):
+            self._end(client)   # the session closed under the poll
+            return
+        signal = self._decide(client.record,
+                              None if error is not None else float(load))
+        if signal is not None:
+            try:
+                client.conn.send({"type": "signal", "signal": signal.value,
+                                  "sent_at": self.runtime.now()})
+            except ConnectionClosedError:
+                self._end(client)
+                return
+        self.runtime.call_later(self.poll_interval_ms,
+                                partial(self._poll, client))
+
+    def poll_once(self, record: WorkerRecord) -> Optional[Signal]:
+        """One blocking SNMP poll + inference decision for a worker."""
+        self.stats["polls"] += 1
         try:
-            load = float(snmp.get_one(record.hostname, self.load_oid))
+            load = float(self.snmp.get_one(record.hostname, self.load_oid))
         except (TimeoutError_, SnmpError):
+            return self._decide(record, None)
+        return self._decide(record, load)
+
+    def _decide(self, record: WorkerRecord,
+                load: Optional[float]) -> Optional[Signal]:
+        """Feed one sample (``None``: the poll failed) to the inference
+        engine; returns the signal it decides, if any."""
+        if load is None:
             self.stats["poll_failures"] += 1
             # Stale-data guard: an unreachable agent means every further
             # decision would rest on an old sample; the inference engine

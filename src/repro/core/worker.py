@@ -20,6 +20,7 @@ the process but keeps classes in memory, so Resume skips the reload —
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.errors import (
@@ -130,6 +131,7 @@ class WorkerHost:
         self.last_result_ms: Optional[float] = None
         self._proxy: Optional[Any] = None  # SpaceProxy or ShardRouter
         self._control: Optional[StreamSocket] = None
+        self._registered = False
         self._loop_generation = 0
         self._loop_active = False
         self._exit_cond = runtime.condition()
@@ -144,9 +146,8 @@ class WorkerHost:
         self.running = True
         self.node.start_agent()
         if self.netmgmt_address is not None:
-            self.runtime.spawn(
-                self._rulebase_client, name=f"snmp-client:{self.node.hostname}"
-            )
+            # Dials in the event a client process used to start in.
+            self.runtime.call_later(0.0, self._dial_rulebase)
 
     def stop(self) -> None:
         self.running = False
@@ -217,29 +218,35 @@ class WorkerHost:
 
     # -- rule-base client (Fig. 4 steps 1–3, 8) -----------------------------------------
 
-    def _rulebase_client(self) -> None:
-        from repro.errors import ConnectionRefusedError_
-
+    def _dial_rulebase(self) -> None:
         try:
-            try:
-                self._control = self.network.connect(
-                    self.node.hostname, self.netmgmt_address
-                )
-            except ConnectionRefusedError_:
-                return  # management module already gone (teardown race)
-            # Step 2: client connects and sends its address to the server.
-            self._control.send({"type": "register", "host": self.node.hostname})
-            reply = self._control.receive(timeout_ms=None)
-            if reply is None or reply.get("type") != "registered":
-                return
-            self.worker_id = reply["worker_id"]
-            if reply.get("mode") == "trap":
-                self._start_trap_emitter(reply)
-            while self.running:
-                message = self._control.receive(timeout_ms=None)
+            control = self.network.connect(self.node.hostname,
+                                           self.netmgmt_address)
+        except ConnectionRefusedError_:
+            return  # management module already gone (teardown race)
+        self._control = control
+        self._registered = False
+        # Step 2: client connects and sends its address to the server.
+        control.send({"type": "register", "host": self.node.hostname})
+        control.serve(partial(self._on_control, control))
+        self._on_control(control)   # arms the socket: nothing is queued yet
+
+    def _on_control(self, control: StreamSocket) -> None:
+        """The registration reply, then signals (step 8), each in the
+        event its delivery wakes; :meth:`handle_signal` never blocks."""
+        try:
+            while not self._registered or self.running:
+                message = control.poll()
                 if message is None:
-                    continue
-                if message.get("type") == "signal":
+                    return
+                if not self._registered:
+                    if message.get("type") != "registered":
+                        return
+                    self._registered = True
+                    self.worker_id = message["worker_id"]
+                    if message.get("mode") == "trap":
+                        self._start_trap_emitter(message)
+                elif message.get("type") == "signal":
                     signal = Signal(message["signal"])
                     received_at = self.runtime.now()
                     self.metrics.event(

@@ -1,20 +1,22 @@
 """The Jini lookup service (registrar).
 
 Maintains the mapping between each registered service and its attributes,
-answers associative lookups, and enforces leases on registrations.  Runs
-an RPC loop on a stream address plus a discovery responder on the
-multicast group (see :mod:`repro.jini.discovery`).
+answers associative lookups, and enforces leases on registrations.
+Serves RPC on a stream address plus a discovery responder on the
+multicast group (see :mod:`repro.jini.discovery`), both by callback: a
+request is answered in the event its delivery wakes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional
 
 from repro.errors import ConnectionClosedError, LookupError_
 from repro.net.address import Address
-from repro.net.network import Network, StreamSocket
+from repro.net.network import DatagramSocket, Listener, Network, StreamSocket
 from repro.runtime.base import Runtime
 from repro.tuplespace.lease import FOREVER, Lease
 from repro.jini.discovery import DISCOVERY_GROUP
@@ -61,17 +63,22 @@ class LookupService:
         if self._running:
             return
         self._running = True
-        self._listener = self.network.listen(self.address)
+        self._listener = listener = self.network.listen(self.address)
         # Join the discovery multicast group so presence announcements
         # from clients reach us.  Bound to an ephemeral port so several
         # registrars can coexist on one host; group membership, not the
         # bound port, is what routes the multicast.
-        self._discovery_socket = self.network.bind_datagram(
+        self._discovery_socket = discovery = self.network.bind_datagram(
             self.network.ephemeral(self.address.host)
         )
-        self.network.join_multicast(DISCOVERY_GROUP, self._discovery_socket)
-        self.runtime.spawn(self._rpc_loop, name=f"lookup-rpc:{self.address}")
-        self.runtime.spawn(self._discovery_loop, name=f"lookup-discovery:{self.address}")
+        self.network.join_multicast(DISCOVERY_GROUP, discovery)
+        on_accept = partial(self._on_accept, listener)
+        listener.serve(on_accept)
+        on_discovery = partial(self._on_discovery, discovery)
+        discovery.serve(on_discovery)
+        # Serving starts in the events serving processes used to start in.
+        self.runtime.call_later(0.0, on_accept)
+        self.runtime.call_later(0.0, on_discovery)
 
     def stop(self) -> None:
         self._running = False
@@ -121,41 +128,38 @@ class LookupService:
         for rid in dead:
             del self._registrations[rid]
 
-    # -- network loops -----------------------------------------------------------------
+    # -- serving, by callback ---------------------------------------------------------
 
-    def _discovery_loop(self) -> None:
+    def _on_discovery(self, socket: DatagramSocket) -> None:
         """Answer multicast presence announcements with our RPC address."""
-        while self._running:
-            try:
-                received = self._discovery_socket.receive(timeout_ms=None)
-            except ConnectionClosedError:
-                return
-            if received is None:
-                continue
-            message, sender = received
-            if isinstance(message, dict) and message.get("type") == "discovery-request":
-                reply_to = Address(message["host"], message["port"])
-                self._discovery_socket.send_to(
-                    reply_to,
-                    {"type": "discovery-response", "registrar": self.address},
-                )
-
-    def _rpc_loop(self) -> None:
-        while self._running:
-            try:
-                conn = self._listener.accept(timeout_ms=None)
-            except ConnectionClosedError:
-                return
-            if conn is None:
-                continue
-            self.runtime.spawn(lambda c=conn: self._serve(c), name="lookup-conn")
-
-    def _serve(self, conn: StreamSocket) -> None:
         try:
-            while True:
-                request = conn.receive(timeout_ms=None)
-                if request is None:
-                    continue
+            while (received := socket.poll()) is not None:
+                message, _sender = received
+                if isinstance(message, dict) and message.get("type") == "discovery-request":
+                    reply_to = Address(message["host"], message["port"])
+                    socket.send_to(
+                        reply_to,
+                        {"type": "discovery-response", "registrar": self.address},
+                    )
+        except ConnectionClosedError:
+            return
+
+    def _on_accept(self, listener: Listener) -> None:
+        try:
+            while self._running:
+                conn = listener.poll()
+                if conn is None:
+                    return
+                serve = partial(self._on_request, conn)
+                conn.serve(serve)
+                self.runtime.call_later(0.0, serve)
+        except ConnectionClosedError:
+            return
+
+    def _on_request(self, conn: StreamSocket) -> None:
+        """Answer every queued request; hang up when the client does."""
+        try:
+            while (request := conn.poll()) is not None:
                 try:
                     conn.send({"ok": True, "value": self._dispatch(request)})
                 except ConnectionClosedError:
@@ -163,8 +167,6 @@ class LookupService:
                 except Exception as exc:
                     conn.send({"ok": False, "error": str(exc)})
         except ConnectionClosedError:
-            pass
-        finally:
             conn.close()
 
     def _dispatch(self, request: dict[str, Any]) -> Any:

@@ -131,7 +131,10 @@ class DatagramSocket:
     def __init__(self, network: "Network", address: Address) -> None:
         self._network = network
         self.address = address
-        self._queue = MessageQueue(network.runtime)
+        self._queue = queue = MessageQueue(network.runtime)
+        #: Serve by callback instead of a process parked in :meth:`receive`
+        #: (:meth:`MessageQueue.serve`, :meth:`MessageQueue.poll`).
+        self.serve, self.poll = queue.serve, queue.poll
 
     def send_to(self, destination: Address, payload: Any) -> None:
         self._network._send_datagram(self.address, destination, payload)

@@ -8,11 +8,12 @@ communities are silently ignored (SNMPv1 behaviour without traps).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
-from repro.errors import BadCommunityError, CodecError, ConnectionClosedError, NoSuchOidError
+from repro.errors import CodecError, ConnectionClosedError, NoSuchOidError
 from repro.net.address import Address
-from repro.net.network import Network
+from repro.net.network import DatagramSocket, Network
 from repro.runtime.base import Runtime
 from repro.snmp.mib import Mib
 from repro.snmp.pdu import (
@@ -58,28 +59,30 @@ class SnmpAgent:
         if self._running:
             return
         self._running = True
-        self._socket = self.network.bind_datagram(self.address)
-        self.runtime.spawn(self._serve_loop, name=f"snmp-agent:{self.address.host}")
+        self._socket = socket = self.network.bind_datagram(self.address)
+        on_datagram = partial(self._on_datagram, socket)
+        socket.serve(on_datagram)
+        # Serving starts in the event a serving process used to start in:
+        # requests that arrive meanwhile wait in the socket.
+        self.runtime.call_later(0.0, on_datagram)
 
     def stop(self) -> None:
         self._running = False
         if self._socket is not None:
             self._socket.close()
 
-    # -- serving ---------------------------------------------------------------
+    # -- serving, by callback ----------------------------------------------------
 
-    def _serve_loop(self) -> None:
-        while self._running:
-            try:
-                received = self._socket.receive(timeout_ms=None)
-            except ConnectionClosedError:
-                return
-            if received is None:
-                continue
-            data, sender = received
-            response = self._handle(data)
-            if response is not None:
-                self._socket.send_to(sender, response)
+    def _on_datagram(self, socket: DatagramSocket) -> None:
+        """Answer every queued request, in the event its delivery woke."""
+        try:
+            while (received := socket.poll()) is not None:
+                data, sender = received
+                response = self._handle(data)
+                if response is not None:
+                    socket.send_to(sender, response)
+        except ConnectionClosedError:
+            return  # stopped: nothing more will arrive
 
     def _handle(self, data: bytes) -> Optional[bytes]:
         try:

@@ -3,14 +3,28 @@
 The paper's monitoring agent calls into this layer (there via JNI; here
 directly) to fetch system parameters such as CPU load from registered
 workers.
+
+Every request is a transaction in a table keyed by request id, with its
+own retry/timeout timer; replies are read by a callback in the event
+their delivery wakes and matched to their transaction by id, so callers
+sharing one manager never see each other's replies.  :meth:`fetch`
+answers by callback; the blocking operations wait on the same
+transaction.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
-from repro.errors import NoSuchOidError, SnmpError, TimeoutError_
+from repro.errors import (
+    CodecError,
+    ConnectionClosedError,
+    NoSuchOidError,
+    SnmpError,
+    TimeoutError_,
+)
 from repro.net.address import Address
 from repro.net.network import Network
 from repro.runtime.base import Runtime
@@ -27,6 +41,26 @@ from repro.snmp.pdu import (
 )
 
 __all__ = ["SnmpManager"]
+
+
+class _Transaction:
+    """One request in flight: its bytes, its attempts (made and allowed)
+    and the timer of the current one."""
+
+    __slots__ = ("agent", "data", "request_id", "sent", "attempts",
+                 "on_done", "deadline", "timer")
+
+    def __init__(self, agent: Address, data: bytes, request_id: int,
+                 attempts: int,
+                 on_done: Callable[[Any, Optional[Exception]], None]) -> None:
+        self.agent = agent
+        self.data = data
+        self.request_id = request_id
+        self.sent = 0
+        self.attempts = attempts
+        self.on_done = on_done
+        self.deadline = 0.0
+        self.timer: Any = None
 
 
 class SnmpManager:
@@ -48,13 +82,17 @@ class SnmpManager:
         self.timeout_ms = timeout_ms
         self.retries = retries
         self._request_ids = itertools.count(1)
+        self._lock = runtime.lock()
+        self._pending: dict[int, _Transaction] = {}
         self._socket = network.bind_datagram(network.ephemeral(host))
+        self._socket.serve(self._on_datagram)
+        self._socket.poll()     # nothing is queued yet: only arms
         self.stats = {"requests": 0, "retries": 0, "timeouts": 0}
 
     def session(self) -> "SnmpManager":
         """A sibling manager on its own socket, with its own request ids,
-        counting into this one's :attr:`stats` — one per concurrent
-        poller, so no poller ever reads another's replies."""
+        counting into this one's :attr:`stats` — one per monitored agent,
+        as the paper's per-worker monitor polled."""
         sibling = SnmpManager(self.runtime, self.network, self.host,
                               community=self.community,
                               timeout_ms=self.timeout_ms, retries=self.retries)
@@ -73,16 +111,37 @@ class SnmpManager:
             varbinds=[(Oid(o), None) for o in oids],
             community=self.community,
         )
-        response = self._transact(Address(agent_host, port), request)
-        if response.error_status == ERROR_NO_SUCH_NAME:
-            bad = response.varbinds[response.error_index - 1][0]
-            raise NoSuchOidError(str(bad))
-        if response.error_status != 0:
-            raise SnmpError(f"agent error status {response.error_status}")
-        return dict(response.varbinds)
+        return _values(self._transact(Address(agent_host, port), request))
 
     def get_one(self, agent_host: str, oid: Oid, port: int = SNMP_PORT) -> Any:
         return self.get(agent_host, [oid], port)[Oid(oid)]
+
+    def fetch(self, agent_host: str, oid: Oid,
+              on_done: Callable[[Any, Optional[Exception]], None],
+              port: int = SNMP_PORT) -> None:
+        """:meth:`get_one` by callback: ``on_done(value, None)`` once the
+        agent answers, ``on_done(None, error)`` on an error status, on
+        :class:`TimeoutError_` after the last attempt, or on
+        :class:`ConnectionClosedError` if the manager is closed first."""
+        oid = Oid(oid)
+        request = GetRequest(
+            request_id=next(self._request_ids),
+            varbinds=[(oid, None)],
+            community=self.community,
+        )
+
+        def done(response: Any, error: Optional[Exception]) -> None:
+            if error is not None:
+                on_done(None, error)
+                return
+            try:
+                value = _values(response)[oid]
+            except SnmpError as exc:
+                on_done(None, exc)
+                return
+            on_done(value, None)
+
+        self._request(Address(agent_host, port), request, done)
 
     def get_next(
         self, agent_host: str, oid: Oid, port: int = SNMP_PORT
@@ -167,30 +226,101 @@ class SnmpManager:
             raise SnmpError(f"set failed with status {response.error_status}")
 
     # -- plumbing -----------------------------------------------------------------
+    #
+    # Event positions are those of a caller blocked in the socket: an
+    # attempt's timer is armed at the instant its receive armed one, and
+    # a reply is handled in the event that would have woken it.
 
-    def _transact(self, agent: Address, request) -> Any:
-        """Send with retries; match the response by request id."""
-        data = encode_message(request)
-        attempts = self.retries + 1
-        for attempt in range(attempts):
-            self.stats["requests"] += 1
-            if attempt > 0:
+    def _request(self, agent: Address, request: Any,
+                 on_done: Callable[[Any, Optional[Exception]], None]) -> None:
+        txn = _Transaction(agent, encode_message(request), request.request_id,
+                           self.retries + 1, on_done)
+        with self._lock:
+            self._pending[txn.request_id] = txn
+            self._attempt(txn)
+
+    def _attempt(self, txn: _Transaction) -> None:
+        """Put one attempt on the wire and arm its timeout with the
+        floats a receive blocked for ``timeout_ms`` computed."""
+        self.stats["requests"] += 1
+        txn.sent += 1
+        self._socket.send_to(txn.agent, txn.data)
+        now = self.runtime.now()
+        timeout = (now + self.timeout_ms) - now
+        txn.deadline = now + timeout
+        self._arm(txn, txn.deadline - now)
+
+    def _arm(self, txn: _Transaction, remaining: float) -> None:
+        txn.timer = self.runtime.call_later(max(0.0, remaining),
+                                            partial(self._expire, txn))
+
+    def _expire(self, txn: _Transaction) -> None:
+        with self._lock:
+            if self._pending.get(txn.request_id) is not txn:
+                return      # answered while this timer was due
+            remaining = txn.deadline - self.runtime.now()
+            if remaining > 0:
+                self._arm(txn, remaining)   # woke early: wait out the rest
+                return
+            if txn.sent < txn.attempts:
                 self.stats["retries"] += 1
-            self._socket.send_to(agent, data)
-            deadline = self.runtime.now() + self.timeout_ms
-            while True:
-                remaining = deadline - self.runtime.now()
-                if remaining <= 0:
-                    break
-                received = self._socket.receive(timeout_ms=remaining)
-                if received is None:
-                    break
-                payload, _sender = received
+                self._attempt(txn)
+                return
+            del self._pending[txn.request_id]
+            self.stats["timeouts"] += 1
+        txn.on_done(None, TimeoutError_(
+            f"no SNMP response from {txn.agent} after {txn.sent} attempts"))
+
+    def _on_datagram(self) -> None:
+        """Match every queued reply to its transaction by request id; a
+        reply nobody waits for (a late duplicate) is dropped."""
+        while True:
+            with self._lock:
                 try:
-                    response = decode_message(payload)
-                except Exception:
-                    continue  # not ours / corrupt: keep listening
-                if response.request_id == request.request_id:
-                    return response
-        self.stats["timeouts"] += 1
-        raise TimeoutError_(f"no SNMP response from {agent} after {attempts} attempts")
+                    received = self._socket.poll()
+                except ConnectionClosedError:
+                    failed = list(self._pending.values())
+                    self._pending.clear()
+                    break
+                if received is None:
+                    return
+                try:
+                    response = decode_message(received[0])
+                except CodecError:
+                    continue    # corrupt: keep listening
+                txn = self._pending.pop(response.request_id, None)
+                if txn is None:
+                    continue
+                txn.timer.cancel()
+            txn.on_done(response, None)
+        for txn in failed:
+            txn.timer.cancel()
+            txn.on_done(None, ConnectionClosedError("SNMP manager closed"))
+
+    def _transact(self, agent: Address, request: Any) -> Any:
+        """Blocking form: wait on the transaction's outcome."""
+        outcome: list[tuple[Any, Optional[Exception]]] = []
+        cond = self.runtime.condition()
+
+        def done(response: Any, error: Optional[Exception]) -> None:
+            with cond:
+                outcome.append((response, error))
+                cond.notify_all()
+
+        self._request(agent, request, done)
+        with cond:
+            self.runtime.wait_for(cond, lambda: bool(outcome))
+        response, error = outcome[0]
+        if error is not None:
+            raise error
+        return response
+
+
+def _values(response: Any) -> dict[Oid, Any]:
+    """A GET response's ``{oid: value}``, or the error its status names."""
+    if response.error_status == ERROR_NO_SUCH_NAME:
+        bad = response.varbinds[response.error_index - 1][0]
+        raise NoSuchOidError(str(bad))
+    if response.error_status != 0:
+        raise SnmpError(f"agent error status {response.error_status}")
+    return dict(response.varbinds)

@@ -10,11 +10,12 @@ quantifies the trade.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Callable, Optional
 
 from repro.errors import CodecError, ConnectionClosedError
 from repro.net.address import Address
-from repro.net.network import Network
+from repro.net.network import DatagramSocket, Network
 from repro.node.machine import Node
 from repro.runtime.base import Runtime
 from repro.snmp.mib import HOST_RESOURCES
@@ -53,34 +54,34 @@ class TrapReceiver:
         if self._running:
             return
         self._running = True
-        self._socket = self.network.bind_datagram(self.address)
-        self.runtime.spawn(self._listen_loop, name=f"trap-receiver:{self.address.host}")
+        self._socket = socket = self.network.bind_datagram(self.address)
+        on_datagram = partial(self._on_datagram, socket)
+        socket.serve(on_datagram)
+        self.runtime.call_later(0.0, on_datagram)
 
     def stop(self) -> None:
         self._running = False
         if self._socket is not None:
             self._socket.close()
 
-    def _listen_loop(self) -> None:
-        while self._running:
-            try:
-                received = self._socket.receive(timeout_ms=None)
-            except ConnectionClosedError:
-                return
-            if received is None:
-                continue
-            data, sender = received
-            try:
-                pdu = decode_message(data)
-            except CodecError:
-                self.stats["rejected"] += 1
-                continue
-            if not isinstance(pdu, TrapV2) or pdu.community != self.community:
-                self.stats["rejected"] += 1
-                continue
-            self.stats["traps"] += 1
-            for handler in self._handlers:
-                handler(pdu, sender)
+    def _on_datagram(self, socket: DatagramSocket) -> None:
+        """Dispatch every queued trap, in the event its delivery woke."""
+        try:
+            while (received := socket.poll()) is not None:
+                data, sender = received
+                try:
+                    pdu = decode_message(data)
+                except CodecError:
+                    self.stats["rejected"] += 1
+                    continue
+                if not isinstance(pdu, TrapV2) or pdu.community != self.community:
+                    self.stats["rejected"] += 1
+                    continue
+                self.stats["traps"] += 1
+                for handler in self._handlers:
+                    handler(pdu, sender)
+        except ConnectionClosedError:
+            return
 
 
 class LoadBandTrapEmitter:
@@ -111,6 +112,7 @@ class LoadBandTrapEmitter:
         self.running = False
         self._ids = itertools.count(1)
         self._socket = None
+        self._band: Optional[str] = None
         self.traps_sent = 0
 
     def start(self) -> None:
@@ -120,7 +122,7 @@ class LoadBandTrapEmitter:
         self._socket = self.node.network.bind_datagram(
             self.node.network.ephemeral(self.node.hostname)
         )
-        self.runtime.spawn(self._watch_loop, name=f"trap-emitter:{self.node.hostname}")
+        self.runtime.call_later(0.0, self._announce)
 
     def stop(self) -> None:
         self.running = False
@@ -142,16 +144,21 @@ class LoadBandTrapEmitter:
         self._socket.send_to(self.destination, encode_message(trap))
         self.traps_sent += 1
 
-    def _watch_loop(self) -> None:
+    # One timer chain: each check schedules the next where a sampling
+    # process would have gone to sleep.
+
+    def _announce(self) -> None:
+        load = self._current_load()
+        self._band = self.band_of(load)
+        self._emit(load)  # initial announcement recruits idle nodes
+        self.runtime.call_later(self.check_interval_ms, self._check)
+
+    def _check(self) -> None:
+        if not self.running:
+            return
         load = self._current_load()
         band = self.band_of(load)
-        self._emit(load)  # initial announcement recruits idle nodes
-        while self.running:
-            self.runtime.sleep(self.check_interval_ms)
-            if not self.running:
-                return
-            load = self._current_load()
-            new_band = self.band_of(load)
-            if new_band != band:
-                band = new_band
-                self._emit(load)
+        if band != self._band:
+            self._band = band
+            self._emit(load)
+        self.runtime.call_later(self.check_interval_ms, self._check)

@@ -25,9 +25,6 @@ SCANNED = ("src", "tests", "benchmarks", "examples")
 NEVER_FLIPPED = {
     "community": "a credential: deployment settings stay configurable "
                  "even while every test cluster uses 'public'",
-    "staleness_ms": "the only door to the stale-sample safety guard "
-                    "(off by default); ROADMAP item 5 is its first "
-                    "framework-level caller",
 }
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import NoSuchOidError, TimeoutError_
+from repro.errors import ConnectionClosedError, NoSuchOidError, TimeoutError_
 from repro.net import Address, LatencyModel, Network
 from repro.sim import RandomStreams
 from repro.snmp import HOST_RESOURCES, Mib, Oid, SnmpAgent, SnmpManager
@@ -157,3 +157,69 @@ def test_agent_stop_releases_port(rt, env):
         return True
 
     assert run(rt, proc)
+
+
+def test_shared_manager_demultiplexes_concurrent_replies(rt, env):
+    """Two pollers on one manager: each reply reaches its own request
+    (matched by id) instead of whichever waiter reads the socket first."""
+    net, _, manager = env
+    mib = Mib()
+    mib.register(HOST_RESOURCES.HR_PROCESSOR_LOAD, lambda: 81)
+    SnmpAgent(rt, net, "worker4", mib, community="cluster").start()
+    # worker3's poller waits first, but worker4 answers first.
+    net.slow("worker3", 4.0)
+    answers = {}
+
+    def poll(host):
+        answers[host] = manager.get_one(host, HOST_RESOURCES.HR_PROCESSOR_LOAD)
+
+    def proc():
+        pollers = [rt.spawn(lambda h=h: poll(h), name=f"poller:{h}")
+                   for h in ("worker3", "worker4")]
+        for poller in pollers:
+            poller.join()
+        return True
+
+    assert run(rt, proc)
+    assert answers == {"worker3": 37, "worker4": 81}
+    assert manager.stats == {"requests": 2, "retries": 0, "timeouts": 0}
+
+
+def test_fetch_answers_by_callback(rt, env):
+    _, _, manager = env
+    outcomes = []
+    manager.fetch("worker3", HOST_RESOURCES.EXTERNAL_LOAD,
+                  lambda value, error: outcomes.append((value, error)))
+    manager.fetch("worker3", Oid("1.3.6.1.99.0"),
+                  lambda value, error: outcomes.append((value, type(error))))
+    rt.kernel.run_until_idle()
+    assert outcomes == [(12, None), (None, NoSuchOidError)]
+
+
+def test_closing_the_manager_fails_requests_in_flight(rt, env):
+    """A closed served socket ends its callback quietly and hands every
+    pending request a ConnectionClosedError instead of a timeout."""
+    _, _, manager = env
+    outcomes = []
+    manager.fetch("ghost", HOST_RESOURCES.SYS_NAME,
+                  lambda value, error: outcomes.append(type(error)))
+    manager.close()
+    rt.kernel.run_until_idle()
+    assert outcomes == [ConnectionClosedError]
+    assert manager.stats["timeouts"] == 0
+
+
+def test_agent_stop_with_a_request_in_flight(rt, env):
+    """The request reaches a stopped agent: nothing raises, the poller
+    sees a timeout after its retries."""
+    _, agent, manager = env
+
+    def proc():
+        rt.call_later(0.1, agent.stop)      # before the request lands
+        with pytest.raises(TimeoutError_):
+            manager.get_one("worker3", HOST_RESOURCES.SYS_NAME)
+        return True
+
+    assert run(rt, proc)
+    assert agent.stats["requests"] == 0
+    assert manager.stats["timeouts"] == 1
