@@ -126,42 +126,65 @@ _PDU_BY_TAG = {
 
 
 # --------------------------------------------------------------------- encode --
+#
+# One pass over the PDU, building each TLV from its content length.  OID
+# encodings (and, below, decodings) come from tables: a monitoring plane
+# polls the same handful of MIB objects forever.  Tables stop growing at
+# ``_OID_TABLE_MAX`` entries, so a long walk cannot bloat them.
+
+_OID_TABLE_MAX = 1024
+_OID_BER: dict[Oid, bytes] = {}        # Oid -> its full OID TLV
+_OID_OF: dict[bytes, Oid] = {}         # OID content bytes -> Oid
+#: INTEGER TLVs of 0..127, the common case (request ids, error fields,
+#: loads in percent).
+_SMALL_INT = [bytes((TAG_INTEGER, 1, value)) for value in range(128)]
+_NULL = bytes((TAG_NULL, 0))
 
 
-def _encode_length(length: int) -> bytes:
+def _header(tag: int, length: int) -> bytes:
+    """Tag and BER length octets (long form over 127)."""
     if length < 0x80:
-        return bytes([length])
+        return bytes((tag, length))
     payload = length.to_bytes((length.bit_length() + 7) // 8, "big")
-    return bytes([0x80 | len(payload)]) + payload
-
-
-def _tlv(tag: int, content: bytes) -> bytes:
-    return bytes([tag]) + _encode_length(len(content)) + content
+    return bytes((tag, 0x80 | len(payload))) + payload
 
 
 def _encode_integer(value: int) -> bytes:
-    if value == 0:
-        return _tlv(TAG_INTEGER, b"\x00")
-    length = (value.bit_length() + 8) // 8  # +1 bit for the sign
-    return _tlv(TAG_INTEGER, value.to_bytes(length, "big", signed=True))
+    if 0 <= value < 128:
+        return _SMALL_INT[value]
+    content = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+    return _header(TAG_INTEGER, len(content)) + content
 
 
 def _encode_oid(oid: Oid) -> bytes:
+    ber = _OID_BER.get(oid)
+    if ber is not None:
+        return ber
     parts = oid.parts
-    out = bytearray([parts[0] * 40 + parts[1]])
+    out = bytearray((parts[0] * 40 + parts[1],))
     for sub in parts[2:]:
-        chunk = bytearray([sub & 0x7F])
+        chunk = bytearray((sub & 0x7F,))
         sub >>= 7
         while sub:
             chunk.insert(0, 0x80 | (sub & 0x7F))
             sub >>= 7
-        out.extend(chunk)
-    return _tlv(TAG_OID, bytes(out))
+        out += chunk
+    ber = _header(TAG_OID, len(out)) + out
+    if len(_OID_BER) < _OID_TABLE_MAX:
+        _OID_BER[oid] = ber
+    return ber
+
+
+def _octets(content: bytes) -> bytes:
+    return _header(TAG_OCTET_STRING, len(content)) + content
 
 
 def _encode_value(value: Any) -> bytes:
+    kind = type(value)
+    if kind is int:
+        return _encode_integer(value)
     if value is None:
-        return _tlv(TAG_NULL, b"")
+        return _NULL
     if isinstance(value, bool):
         return _encode_integer(int(value))
     if isinstance(value, int):
@@ -170,9 +193,9 @@ def _encode_value(value: Any) -> bytes:
         # SNMPv1 has no REAL type; agents report scaled integers.
         return _encode_integer(round(value))
     if isinstance(value, str):
-        return _tlv(TAG_OCTET_STRING, value.encode("utf-8"))
+        return _octets(value.encode("utf-8"))
     if isinstance(value, bytes):
-        return _tlv(TAG_OCTET_STRING, value)
+        return _octets(value)
     if isinstance(value, Oid):
         return _encode_oid(value)
     raise CodecError(f"cannot encode value of type {type(value).__name__}")
@@ -180,74 +203,71 @@ def _encode_value(value: Any) -> bytes:
 
 def encode_message(pdu: _Pdu) -> bytes:
     """Encode a full SNMPv1 message: Sequence(version, community, PDU)."""
-    varbind_bytes = b"".join(
-        _tlv(TAG_SEQUENCE, _encode_oid(Oid(oid)) + _encode_value(value))
-        for oid, value in pdu.varbinds
-    )
-    pdu_bytes = _tlv(
-        pdu.TAG,
-        _encode_integer(pdu.request_id)
-        + _encode_integer(pdu.error_status)
-        + _encode_integer(pdu.error_index)
-        + _tlv(TAG_SEQUENCE, varbind_bytes),
-    )
-    return _tlv(
-        TAG_SEQUENCE,
-        _encode_integer(SNMP_VERSION_1)
-        + _tlv(TAG_OCTET_STRING, pdu.community.encode("utf-8"))
-        + pdu_bytes,
-    )
+    varbinds = []
+    for oid, value in pdu.varbinds:
+        body = _encode_oid(oid if oid.__class__ is Oid else Oid(oid)) \
+            + _encode_value(value)
+        varbinds.append(_header(TAG_SEQUENCE, len(body)))
+        varbinds.append(body)
+    varbind_list = b"".join(varbinds)
+    pdu_body = (_encode_integer(pdu.request_id)
+                + _encode_integer(pdu.error_status)
+                + _encode_integer(pdu.error_index)
+                + _header(TAG_SEQUENCE, len(varbind_list)) + varbind_list)
+    body = (_SMALL_INT[SNMP_VERSION_1]
+            + _octets(pdu.community.encode("utf-8"))
+            + _header(pdu.TAG, len(pdu_body)) + pdu_body)
+    return _header(TAG_SEQUENCE, len(body)) + body
 
 
 # --------------------------------------------------------------------- decode --
+#
+# One walk over the message by index: every TLV is a (tag, start, end)
+# window into the original bytes, so nothing is sliced until a value is
+# built.  Truncation and every structural error raise CodecError.
 
 
-class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.data)
-
-    def byte(self) -> int:
-        if self.eof():
-            raise CodecError("truncated message")
-        value = self.data[self.pos]
-        self.pos += 1
-        return value
-
-    def read(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+def _tlv(data: bytes, pos: int, end: int) -> tuple[int, int, int]:
+    """The TLV at ``pos`` inside ``data[:end]``: (tag, content start,
+    content end)."""
+    if pos + 2 > end:
+        raise CodecError("truncated message")
+    tag = data[pos]
+    length = data[pos + 1]
+    pos += 2
+    if length >= 0x80:
+        n_bytes = length & 0x7F
+        if n_bytes == 0 or n_bytes > 4:
+            raise CodecError(f"unsupported length-of-length {n_bytes}")
+        if pos + n_bytes > end:
             raise CodecError("truncated content")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def tlv(self) -> tuple[int, bytes]:
-        tag = self.byte()
-        first = self.byte()
-        if first < 0x80:
-            length = first
-        else:
-            n_bytes = first & 0x7F
-            if n_bytes == 0 or n_bytes > 4:
-                raise CodecError(f"unsupported length-of-length {n_bytes}")
-            length = int.from_bytes(self.read(n_bytes), "big")
-        return tag, self.read(length)
+        length = int.from_bytes(data[pos:pos + n_bytes], "big")
+        pos += n_bytes
+    stop = pos + length
+    if stop > end:
+        raise CodecError("truncated content")
+    return tag, pos, stop
 
 
-def _decode_integer(content: bytes) -> int:
-    if not content:
+def _decode_integer(data: bytes, start: int, stop: int) -> int:
+    if start == stop:
         raise CodecError("empty INTEGER")
-    return int.from_bytes(content, "big", signed=True)
+    if stop - start == 1:
+        value = data[start]
+        return value - 256 if value > 127 else value
+    return int.from_bytes(data[start:stop], "big", signed=True)
 
 
-def _decode_oid(content: bytes) -> Oid:
+def _decode_oid(data: bytes, start: int, stop: int) -> Oid:
+    content = data[start:stop]
+    oid = _OID_OF.get(content)
+    if oid is not None:
+        return oid
     if not content:
         raise CodecError("empty OID")
     first = content[0]
-    parts = [min(first // 40, 2), first - 40 * min(first // 40, 2)]
+    head = min(first // 40, 2)
+    parts = [head, first - 40 * head]
     sub = 0
     for byte in content[1:]:
         sub = (sub << 7) | (byte & 0x7F)
@@ -256,74 +276,81 @@ def _decode_oid(content: bytes) -> Oid:
             sub = 0
     if sub:
         raise CodecError("OID subidentifier not terminated")
-    return Oid(parts)
+    oid = Oid(parts)
+    if len(_OID_OF) < _OID_TABLE_MAX:
+        _OID_OF[content] = oid
+    return oid
 
 
-def _decode_value(tag: int, content: bytes) -> Any:
+def _decode_value(data: bytes, tag: int, start: int, stop: int) -> Any:
+    if tag == TAG_INTEGER:
+        return _decode_integer(data, start, stop)
     if tag == TAG_NULL:
         return None
-    if tag == TAG_INTEGER:
-        return _decode_integer(content)
     if tag == TAG_OCTET_STRING:
+        content = data[start:stop]
         try:
             return content.decode("utf-8")
         except UnicodeDecodeError:
             return content
     if tag == TAG_OID:
-        return _decode_oid(content)
+        return _decode_oid(data, start, stop)
     raise CodecError(f"unexpected value tag 0x{tag:02x}")
 
 
 def decode_message(data: bytes) -> _Pdu:
     """Decode bytes produced by :func:`encode_message`."""
-    outer_tag, outer = _Reader(data).tlv()
-    if outer_tag != TAG_SEQUENCE:
-        raise CodecError(f"message must be a SEQUENCE, got 0x{outer_tag:02x}")
-    reader = _Reader(outer)
+    if data.__class__ is not bytes:
+        try:
+            data = bytes(memoryview(data))
+        except TypeError:
+            raise CodecError(f"not a byte buffer: {type(data).__name__}") from None
+    tag, pos, end = _tlv(data, 0, len(data))
+    if tag != TAG_SEQUENCE:
+        raise CodecError(f"message must be a SEQUENCE, got 0x{tag:02x}")
 
-    tag, content = reader.tlv()
-    if tag != TAG_INTEGER or _decode_integer(content) != SNMP_VERSION_1:
+    tag, start, pos = _tlv(data, pos, end)
+    if tag != TAG_INTEGER or _decode_integer(data, start, pos) != SNMP_VERSION_1:
         raise CodecError("unsupported SNMP version")
-    tag, content = reader.tlv()
+    tag, start, pos = _tlv(data, pos, end)
     if tag != TAG_OCTET_STRING:
         raise CodecError("community must be OCTET STRING")
-    community = content.decode("utf-8")
+    try:
+        community = data[start:pos].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError("community is not UTF-8") from exc
 
-    pdu_tag, pdu_content = reader.tlv()
+    pdu_tag, pos, end = _tlv(data, pos, end)
     pdu_class = _PDU_BY_TAG.get(pdu_tag)
     if pdu_class is None:
         raise CodecError(f"unknown PDU tag 0x{pdu_tag:02x}")
-    pdu_reader = _Reader(pdu_content)
-    tag, content = pdu_reader.tlv()
-    request_id = _decode_integer(content)
-    tag, content = pdu_reader.tlv()
-    error_status = _decode_integer(content)
-    tag, content = pdu_reader.tlv()
-    error_index = _decode_integer(content)
-    tag, varbind_content = pdu_reader.tlv()
+    _, start, pos = _tlv(data, pos, end)
+    request_id = _decode_integer(data, start, pos)
+    _, start, pos = _tlv(data, pos, end)
+    error_status = _decode_integer(data, start, pos)
+    _, start, pos = _tlv(data, pos, end)
+    error_index = _decode_integer(data, start, pos)
+    tag, pos, end = _tlv(data, pos, end)
     if tag != TAG_SEQUENCE:
         raise CodecError("varbind list must be a SEQUENCE")
 
     varbinds: list[VarBind] = []
-    vb_reader = _Reader(varbind_content)
-    while not vb_reader.eof():
-        tag, vb = vb_reader.tlv()
+    while pos < end:
+        tag, start, pos = _tlv(data, pos, end)
         if tag != TAG_SEQUENCE:
             raise CodecError("varbind must be a SEQUENCE")
-        inner = _Reader(vb)
-        oid_tag, oid_content = inner.tlv()
+        oid_tag, oid_start, oid_stop = _tlv(data, start, pos)
         if oid_tag != TAG_OID:
             raise CodecError("varbind name must be an OID")
-        value_tag, value_content = inner.tlv()
-        varbinds.append(
-            (_decode_oid(oid_content), _decode_value(value_tag, value_content))
-        )
+        value_tag, value_start, value_stop = _tlv(data, oid_stop, pos)
+        varbinds.append((_decode_oid(data, oid_start, oid_stop),
+                         _decode_value(data, value_tag, value_start,
+                                       value_stop)))
 
-    pdu = pdu_class(
+    return pdu_class(
         request_id=request_id,
         varbinds=varbinds,
         error_status=error_status,
         error_index=error_index,
         community=community,
     )
-    return pdu
