@@ -19,6 +19,8 @@ paper's workers survive their own 100 % compute spikes, see Fig. 10).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Optional
 
 from repro.errors import SimulationError
@@ -28,6 +30,8 @@ __all__ = ["CpuModel", "UtilizationRecorder"]
 
 #: Reference machine speed for work units (the paper's 800 MHz PIII).
 REFERENCE_MHZ = 800.0
+
+_time = itemgetter(0)
 
 
 class UtilizationRecorder:
@@ -49,9 +53,11 @@ class UtilizationRecorder:
 
     def _trim(self, now: float) -> None:
         cutoff = now - self._keep_ms
+        steps = self._steps
         # Keep one sample at/before the cutoff so integration stays exact.
-        while len(self._steps) > 2 and self._steps[1][0] <= cutoff:
-            self._steps.pop(0)
+        if len(steps) > 2 and steps[1][0] <= cutoff:
+            keep_from = bisect_right(steps, cutoff, lo=1, key=_time) - 1
+            del steps[:min(keep_from, len(steps) - 2)]
 
     def history(self) -> list[tuple[float, float, float]]:
         return list(self._steps)
@@ -63,10 +69,14 @@ class UtilizationRecorder:
         if now <= start:
             _, total, ext = self._steps[-1]
             return ext if external else total
-        index = 1 if external else 0
+        steps = self._steps
+        # Steps that ended by the window start add nothing: begin at the
+        # one in force at ``start``.
+        first = max(0, bisect_right(steps, start, key=_time) - 1)
         area = 0.0
-        for i, (t, total, ext) in enumerate(self._steps):
-            t_next = self._steps[i + 1][0] if i + 1 < len(self._steps) else now
+        for i in range(first, len(steps)):
+            t, total, ext = steps[i]
+            t_next = steps[i + 1][0] if i + 1 < len(steps) else now
             lo, hi = max(t, start), min(t_next, now)
             if hi > lo:
                 area += (ext if external else total) * (hi - lo)
