@@ -12,7 +12,7 @@ from functools import partial
 from repro.errors import ConnectionClosedError, FrameworkError
 from repro.core.application import ClassLoadProfile
 from repro.net.address import Address
-from repro.net.network import Listener, Network, StreamSocket
+from repro.net.network import Listener, Network, Serialized, StreamSocket
 from repro.runtime.base import Runtime
 
 __all__ = ["CodeServer", "CODE_SERVER_PORT"]
@@ -30,6 +30,7 @@ class CodeServer:
         self.network = network
         self.address = Address(host, port)
         self._bundles: dict[str, ClassLoadProfile] = {}
+        self._replies: dict[str, Serialized] = {}
         self._listener = None
         self._running = False
         self.stats = {"downloads": 0, "bytes_served": 0}
@@ -37,6 +38,14 @@ class CodeServer:
     def publish(self, app_id: str, profile: ClassLoadProfile) -> None:
         """Make an application's worker bundle downloadable."""
         self._bundles[app_id] = profile
+        # The bundle body itself rides the network so the latency model
+        # charges for its size, exactly like a real jar download.  It is
+        # encoded once here, not per download: a fresh copy of a
+        # 250-350 KB reply in whichever thread served each download
+        # fragmented the malloc arenas of every worker thread.
+        self._replies[app_id] = Serialized(
+            {"ok": True, "profile": profile,
+             "jar": b"\x00" * profile.bundle_bytes})
 
     def start(self) -> None:
         if self._running:
@@ -77,11 +86,7 @@ class CodeServer:
             else:
                 self.stats["downloads"] += 1
                 self.stats["bytes_served"] += profile.bundle_bytes
-                # The bundle body itself rides the network so the latency
-                # model charges for its size, exactly like a real jar
-                # download.
-                conn.send({"ok": True, "profile": profile,
-                           "jar": b"\x00" * profile.bundle_bytes})
+                conn.send(self._replies[request["app_id"]])
         except ConnectionClosedError:
             pass
         conn.close()

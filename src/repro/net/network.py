@@ -26,7 +26,7 @@ from repro.runtime.base import Runtime
 from repro.util.serialization import deserialize, serialize
 
 __all__ = ["ChaosProfile", "Network", "DatagramSocket", "StreamSocket", "Listener",
-           "MessageQueue"]
+           "MessageQueue", "Serialized"]
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,19 @@ class ChaosProfile:
     stream_drop: float = 0.0
     extra_delay_ms: float = 0.0
     delay_probability: float = 1.0
+
+
+class Serialized:
+    """A payload serialized once, for a server that sends the same reply
+    many times: :meth:`StreamSocket.send` puts these very bytes on the
+    wire, and every receiver gets its own copy of the payload, as if it
+    had been sent itself.  A large reply then costs no buffer per send in
+    whichever thread happens to serve it."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, payload: Any) -> None:
+        self.data = serialize(payload)
 
 
 class MessageQueue:
@@ -534,7 +547,8 @@ class Network:
         return client
 
     def _send_stream(self, sender: StreamSocket, receiver: StreamSocket, payload: Any) -> None:
-        data = serialize(payload)
+        data = (payload.data if payload.__class__ is Serialized
+                else serialize(payload))
         size = len(data)
         stats = self.stats
         stats["messages"] += 1

@@ -48,7 +48,8 @@ def _monitored_framework(runtime, workers=3, loaded=False, **config):
     return framework
 
 
-def test_monitored_run_spawns_no_service_process():
+def _spawned_by_a_monitored_run(**config):
+    """Names of the processes one monitored option-pricing job spawns."""
     spawned: list[str] = []
 
     def body(runtime):
@@ -63,32 +64,18 @@ def test_monitored_run_spawns_no_service_process():
                                   streams=RandomStreams(0))
         report, framework = run_framework_once(
             runtime, cluster, make_options_app(),
-            FrameworkConfig(compute_real=False))
-        return report.complete, framework.netmgmt.stats["polls"]
+            FrameworkConfig(compute_real=False, **config))
+        assert report.complete
+        return framework.netmgmt.stats
 
-    complete, polls = run_simulation(body)
-    assert complete and polls > 0
+    return spawned, run_simulation(body)
+
+
+@pytest.mark.parametrize("mode", ["poll", "trap"])
+def test_monitored_run_spawns_no_service_process(mode):
+    spawned, stats = _spawned_by_a_monitored_run(monitoring_mode=mode)
+    assert stats["polls" if mode == "poll" else "traps_received"] > 0
     assert spawned, "the worker run loops are still processes"
-    assert [name for name in spawned
-            if name.startswith(SERVICE_PREFIXES)] == []
-
-
-def test_trap_mode_spawns_no_service_process():
-    spawned: list[str] = []
-
-    def body(runtime):
-        spawn = runtime.kernel.spawn
-        runtime.kernel.spawn = lambda fn, name="proc": (
-            spawned.append(name), spawn(fn, name))[1]
-        cluster = options_cluster(runtime, workers=2,
-                                  streams=RandomStreams(0))
-        report, framework = run_framework_once(
-            runtime, cluster, make_options_app(),
-            FrameworkConfig(compute_real=False, monitoring_mode="trap"))
-        return report.complete, framework.netmgmt.stats["traps_received"]
-
-    complete, traps = run_simulation(body)
-    assert complete and traps > 0
     assert [name for name in spawned
             if name.startswith(SERVICE_PREFIXES)] == []
 

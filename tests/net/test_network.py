@@ -267,3 +267,28 @@ def test_message_size_affects_delay(rt):
 
     t = run(rt, proc)
     assert t == pytest.approx(10.0, rel=0.05)
+
+
+def test_serialized_payload_goes_out_as_the_same_bytes(rt, net):
+    """A reply encoded once costs what sending it costs, and every
+    receiver still gets a private copy."""
+    from repro.net.network import Serialized
+
+    listener = net.listen(Address("server", 80))
+    reply = {"ok": True, "jar": b"\x00" * 5_000}
+    frozen = Serialized(reply)
+
+    def proc():
+        received, sizes = [], []
+        for payload in (reply, frozen, frozen):
+            before = net.stats["message_bytes"]
+            client = net.connect("client", Address("server", 80))
+            listener.accept(timeout_ms=10.0).send(payload)
+            sizes.append(net.stats["message_bytes"] - before)
+            received.append(client.receive(timeout_ms=10.0))
+        return received, sizes
+
+    received, sizes = run(rt, proc)
+    assert sizes[0] == sizes[1] == sizes[2]
+    assert received[0] == received[1] == received[2] == reply
+    assert received[1] is not received[2]
