@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.experiments.report import EvaluationReport, run_full_evaluation
@@ -41,3 +43,15 @@ def test_render_mentions_each_figure(quick_report):
 
 def test_empty_report_renders_empty():
     assert EvaluationReport().render() == ""
+
+
+#: sha256 of the full evaluation's rendered report (Figs 6-11, Exp 3,
+#: Table 2).  Every modelled result feeds it, so any change that moves a
+#: virtual instant, a message size or a random draw shows up here; one
+#: that means to must say so and re-pin it.
+REPORT_SHA256 = "9edc4a7cf2c5f2e4b650800d6fbb700f4f500ffdbc4d0e34ab016f038c3ab0a2"
+
+
+def test_full_evaluation_report_is_pinned():
+    text = run_full_evaluation().render()
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
