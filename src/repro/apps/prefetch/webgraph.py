@@ -68,8 +68,11 @@ def generate_cluster(
     """Generate a synthetic cluster with preferential attachment.
 
     Every page links somewhere (no dangling pages — matching the paper's
-    stochastic-matrix construction, which assumes n successors ≥ 1).
+    stochastic-matrix construction, which assumes n successors ≥ 1), so
+    a cluster needs at least two pages.
     """
+    if n_pages < 2:
+        raise ValueError(f"n_pages must be at least 2, got {n_pages}")
     rng = np.random.default_rng(seed)
     pages = [
         WebPage(page_id=i, url=f"http://{domain}/page{i}.html")

@@ -5,12 +5,18 @@ memory requirements and task dependency.  Here the classification is
 *measured*: speedup curves from the scalability experiment, CPU cost from
 the task cost model, memory from actual serialized task/result sizes, and
 task dependency from the application's structure.
+
+Like the paper's Table 2, it summarises the §5.1 experiments: given the
+Fig 6–8 sweeps it grades from their rows, and only when called alone
+does it run its own ``[1, max]``-worker sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Optional
 
+from repro.apps.options import OptionPricingApplication
 from repro.apps.prefetch import PrefetchApplication
 from repro.core.application import Application
 from repro.experiments.calibration import (
@@ -18,7 +24,7 @@ from repro.experiments.calibration import (
     CLUSTER_FACTORIES,
     MAX_WORKERS,
 )
-from repro.experiments.scalability import scalability_experiment
+from repro.experiments.scalability import ScalabilityResult, scalability_experiment
 from repro.util.serialization import serialized_size
 
 __all__ = ["AppClassification", "classify_applications", "classify_one"]
@@ -61,24 +67,48 @@ def _scalability_grade(row, planning_cpu: float, aggregation_cpu: float) -> str:
 
 
 def _cpu_grade(app: Application, task_cost: float) -> str:
-    if isinstance(app, type(APP_FACTORIES["option-pricing"]())):
+    if isinstance(app, OptionPricingApplication):
         # "Adaptable depending on number of simulations"
         return "Adaptable"
     return "High" if task_cost >= 2000.0 else "Low"
 
 
-def classify_one(app_id: str, worker_counts: list[int] | None = None) -> AppClassification:
-    """Measure one application's Table 2 row."""
-    app_factory = APP_FACTORIES[app_id]
-    cluster_factory = CLUSTER_FACTORIES[app_id]
+def _check_sweep(app_id: str, sweep: ScalabilityResult) -> None:
+    """A supplied sweep must span 1 → the testbed's full size."""
     max_workers = MAX_WORKERS[app_id]
-    if worker_counts is None:
-        worker_counts = [1, max_workers]
+    if sweep.app_id != app_id:
+        raise ValueError(f"sweep is for {sweep.app_id!r}, not {app_id!r}")
+    if not sweep.rows or sweep.rows[0].workers != 1:
+        raise ValueError(f"{app_id} sweep must start at 1 worker")
+    if sweep.rows[-1].workers != max_workers:
+        raise ValueError(
+            f"{app_id} sweep must end at {max_workers} workers, "
+            f"not {sweep.rows[-1].workers}")
 
-    sweep = scalability_experiment(app_factory, cluster_factory, worker_counts)
-    speedup = dict(sweep.speedups())[worker_counts[-1]]
 
-    app = app_factory()
+def classify_one(
+    app_id: str,
+    worker_counts: Optional[list[int]] = None,
+    sweep: Optional[ScalabilityResult] = None,
+) -> AppClassification:
+    """Measure one application's Table 2 row.
+
+    ``sweep`` is an already-run scalability sweep of ``app_id`` (1 to
+    ``MAX_WORKERS`` workers) to grade from; without one, a sweep over
+    ``worker_counts`` (default ``[1, max]``) is run here.
+    """
+    if sweep is None:
+        if worker_counts is None:
+            worker_counts = [1, MAX_WORKERS[app_id]]
+        sweep = scalability_experiment(
+            APP_FACTORIES[app_id], CLUSTER_FACTORIES[app_id], worker_counts)
+    elif worker_counts is not None:
+        raise ValueError("pass worker_counts or sweep, not both")
+    else:
+        _check_sweep(app_id, sweep)
+    _, speedup = sweep.speedups()[-1]
+
+    app = APP_FACTORIES[app_id]()
     tasks = app.plan()
     task_cost = max(app.task_cost_ms(t) for t in tasks)
     planning_cpu = sum(app.planning_cost_ms(t) for t in tasks)
@@ -100,9 +130,14 @@ def classify_one(app_id: str, worker_counts: list[int] | None = None) -> AppClas
     )
 
 
-def classify_applications() -> list[AppClassification]:
-    """Measured Table 2 for all three applications."""
-    return [classify_one(app_id) for app_id in APP_FACTORIES]
+def classify_applications(
+    sweeps: Optional[Mapping[str, ScalabilityResult]] = None,
+) -> list[AppClassification]:
+    """Measured Table 2 for all three applications, graded from
+    ``sweeps[app_id]`` where given (see :func:`classify_one`)."""
+    sweeps = sweeps or {}
+    return [classify_one(app_id, sweep=sweeps.get(app_id))
+            for app_id in APP_FACTORIES]
 
 
 def format_table(rows: list[AppClassification]) -> str:

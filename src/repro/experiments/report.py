@@ -87,5 +87,6 @@ def run_full_evaluation(
             )
     if classification:
         note("Table 2 classification")
-        report.classification = classify_applications()
+        # Graded from the Fig 6-8 sweeps when they ran, not re-simulated.
+        report.classification = classify_applications(report.scalability)
     return report

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import repro.apps.prefetch.app as prefetch_app
 from repro.apps.prefetch import (
+    DistributedPageRank,
     PageRankPrefetcher,
     PrefetchApplication,
     PrefetchCache,
@@ -17,6 +21,8 @@ from repro.apps.prefetch import (
     power_iteration_step,
     stochastic_matrix,
 )
+from repro.experiments.harness import run_simulation
+from repro.node.cluster import testbed_small
 
 
 def tiny_cluster() -> WebPageCluster:
@@ -220,8 +226,95 @@ def test_app_chained_rounds_converge_to_pagerank():
 
 
 def test_app_rejects_bad_strip_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strip_size"):
         PrefetchApplication(n_pages=500, strip_size=30)
+
+
+def test_app_rejects_zero_strip_size():
+    with pytest.raises(ValueError, match="strip_size"):
+        PrefetchApplication(n_pages=500, strip_size=0)
+
+
+def test_generate_cluster_needs_two_pages():
+    # One page has nowhere to link: the generator would draw from NaN weights.
+    with pytest.raises(ValueError, match="n_pages"):
+        generate_cluster(n_pages=1)
+
+
+@pytest.mark.parametrize("n_pages", [0, 1])
+def test_app_needs_two_pages(n_pages):
+    with pytest.raises(ValueError, match="n_pages"):
+        PrefetchApplication(n_pages=n_pages)
+
+
+def test_rejected_arguments_never_reach_the_input_cache():
+    before = prefetch_app._generated_inputs.cache_info()
+    with pytest.raises(ValueError):
+        PrefetchApplication(n_pages=70, strip_size=30, seed=123)
+    with pytest.raises(ValueError):
+        PrefetchApplication(n_pages=1, seed=123)
+    assert prefetch_app._generated_inputs.cache_info() == before
+
+
+# -- inputs shared between default apps ------------------------------------------------
+
+
+def test_default_apps_share_one_generated_cluster_and_matrix():
+    a, b = PrefetchApplication(), PrefetchApplication(damping=0.5)
+    assert a.cluster is b.cluster
+    assert a.matrix is b.matrix
+    fresh = generate_cluster(seed=0)
+    assert [p.links for p in a.cluster.pages] == [p.links for p in fresh.pages]
+    assert np.array_equal(a.matrix, stochastic_matrix(fresh))
+
+
+@pytest.mark.parametrize("other", [dict(seed=1), dict(n_pages=100)])
+def test_another_seed_or_page_count_gets_its_own_inputs(other):
+    base, app = PrefetchApplication(), PrefetchApplication(**other)
+    assert app.cluster is not base.cluster
+    assert app.matrix is not base.matrix
+    fresh = generate_cluster(**other)
+    assert np.array_equal(app.matrix, stochastic_matrix(fresh))
+
+
+def test_explicit_cluster_builds_its_own_matrix():
+    web = generate_cluster(seed=0)
+    app = PrefetchApplication(cluster=web)
+    assert app.cluster is web
+    assert app.matrix is not PrefetchApplication().matrix
+
+
+def test_advancing_one_app_leaves_the_others_x_alone():
+    a, b = PrefetchApplication(), PrefetchApplication()
+    a.advance(a.run_sequential())
+    assert np.array_equal(b.x, np.full(500, 1 / 500))
+    assert not np.array_equal(a.x, b.x)
+
+
+def test_shared_matrix_is_read_only_and_plans_hand_out_copies():
+    app = PrefetchApplication()
+    with pytest.raises(ValueError):
+        app.matrix[0, 0] = 1.0
+    rows = app.plan()[0].payload["rows"]
+    assert rows.flags.writeable
+    assert not np.shares_memory(rows, app.matrix)
+
+
+def test_real_multi_round_run_leaves_the_shared_matrix_unchanged():
+    app = PrefetchApplication(n_pages=100, seed=4)
+    digest = hashlib.sha256(app.matrix.tobytes()).hexdigest()
+
+    def body(runtime):
+        driver = DistributedPageRank(runtime, testbed_small(runtime, workers=2),
+                                     app, tol=0.0, max_rounds=3)
+        return driver.run()
+
+    run = run_simulation(body)
+    assert run.rounds == 3
+    assert not np.array_equal(app.x, np.full(100, 1 / 100))
+    shared = PrefetchApplication(n_pages=100, seed=4).matrix
+    assert shared is app.matrix
+    assert hashlib.sha256(shared.tobytes()).hexdigest() == digest
 
 
 def test_app_cost_model_matches_paper_characterization():

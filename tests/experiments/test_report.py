@@ -6,6 +6,8 @@ import hashlib
 
 import pytest
 
+import repro.apps.prefetch.app as prefetch_app
+from repro.experiments import adaptation, dynamics, scalability
 from repro.experiments.report import EvaluationReport, run_full_evaluation
 
 
@@ -51,7 +53,38 @@ def test_empty_report_renders_empty():
 #: that means to must say so and re-pin it.
 REPORT_SHA256 = "9edc4a7cf2c5f2e4b650800d6fbb700f4f500ffdbc4d0e34ab016f038c3ab0a2"
 
+#: Σ parallel_ms of the Fig 6-8 rows + Σ total_parallel_ms of the Exp 3
+#: rows, unrounded: the report prints whole milliseconds, so a shift of a
+#: few µs per transfer (e.g. a payload pickled 4 bytes shorter) moves this
+#: and not the sha.
+VIRTUAL_MS_REPR = "899203.1715181521"
 
-def test_full_evaluation_report_is_pinned():
-    text = run_full_evaluation().render()
+
+def test_full_evaluation_report_is_pinned(monkeypatch):
+    calls = {"run_simulation": 0, "generate_cluster": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (scalability, adaptation, dynamics):
+        counting(module, "run_simulation")
+    counting(prefetch_app, "generate_cluster")
+    prefetch_app._generated_inputs.cache_clear()
+
+    report = run_full_evaluation()
+    text = report.render()
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+    virtual_ms = (
+        sum(row.parallel_ms for sweep in report.scalability.values()
+            for row in sweep.rows)
+        + sum(row.total_parallel_ms for result in report.dynamics.values()
+              for row in result.rows))
+    assert repr(virtual_ms) == VIRTUAL_MS_REPR
+    # 23 sweep points + 3 adaptation runs + 9 Exp 3 runs; Table 2 is
+    # graded from the sweeps, and the 500-page site is generated once.
+    assert calls == {"run_simulation": 35, "generate_cluster": 1}
