@@ -1,4 +1,4 @@
-"""Exact wire and hand-off cost of the hardened and the per-task path.
+"""Exact wire and hand-off cost of the hardened, batched and per-task paths.
 
 The sharded sibling of the unsharded 8-messages-per-task cell: one warm
 24-task job on 4 shards with hot standbys, synchronous replication and
@@ -11,6 +11,8 @@ and so that a message stays an event, not a thread switch.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.core.framework import AdaptiveClusterFramework, FrameworkConfig
 from repro.experiments.harness import run_simulation
@@ -56,6 +58,18 @@ HARDENED = dict(_COMMON, worker_prefetch=6, master_seed_batch=TASKS,
                 master_checkpoint_ms=1_000.0)
 PER_TASK = dict(_COMMON, worker_prefetch=1, master_seed_batch=1,
                 master_drain_batch=1)
+BATCHED = dict(_COMMON, worker_prefetch=6, master_seed_batch=TASKS,
+               master_drain_batch=TASKS)
+
+#: Exact cost of the warm job per shape: (stream messages, message bytes,
+#: virtual duration in ms).  Measured at commit 3a6930d under
+#: PYTHONHASHSEED 0, 1 and 777 (identical); a change to the space
+#: clients that moves a wire byte or a virtual instant moves one of them.
+EXACT = {
+    "per_task": (PER_TASK, 192, 17_524, 15155.655015396282),
+    "batched": (BATCHED, 8, 5_680, 16200.73187050383),
+    "hardened": (HARDENED, 311, 50_280, 16122.534137133382),
+}
 
 
 def _warm_job_cost(config):
@@ -80,11 +94,14 @@ def _warm_job_cost(config):
         kernel.spawn = counting_spawn
         stats = cluster.network.stats
         messages, standing = stats["messages"], len(kernel.processes)
+        message_bytes = stats["message_bytes"]
         switches, started = kernel.switches, runtime.now()
         rounds = [s.probes for s in framework.supervisors]
         report = framework.master.run()
         cost = dict(
-            messages=stats["messages"] - messages, spawned=spawned,
+            messages=stats["messages"] - messages,
+            message_bytes=stats["message_bytes"] - message_bytes,
+            virtual_ms=runtime.now() - started, spawned=spawned,
             grown=len(kernel.processes) - standing,
             switches=kernel.switches - switches,
             heartbeats=(runtime.now() - started) / HEARTBEAT_MS,
@@ -112,6 +129,14 @@ def test_hardened_job_wire_cost_and_spawns_stay_under_their_ceilings():
     # ride the same rounds: at most one per heartbeat, for the host.
     assert len(set(cost["rounds"])) == 1
     assert 0 < cost["rounds"][0] <= cost["heartbeats"] + 1
+
+
+@pytest.mark.parametrize("shape", sorted(EXACT))
+def test_warm_job_wire_bytes_and_virtual_duration_are_exact(shape):
+    config, messages, message_bytes, virtual_ms = EXACT[shape]
+    cost = _warm_job_cost(config)
+    assert (cost["messages"], cost["message_bytes"], cost["virtual_ms"]) == (
+        messages, message_bytes, virtual_ms)
 
 
 def test_per_task_job_costs_under_three_switches_per_task():
