@@ -30,14 +30,16 @@ from repro.runtime.base import Runtime
 from repro.tuplespace.entry import Entry
 from repro.tuplespace.events import EventRegistration, RemoteEvent
 from repro.tuplespace.lease import FOREVER
+from repro.tuplespace.ops import (
+    OPS,
+    Call,
+    TransactionHandle,
+    batch_recorder,
+    space_client,
+)
 from repro.tuplespace.space import JavaSpace, Waiter
 from repro.tuplespace.transaction import Transaction, TransactionManager
-from repro.util.codec import (
-    decode_any,
-    encode_entry,
-    peek_class,
-    read_fields,
-)
+from repro.util.codec import decode_any, peek_class, read_fields
 
 __all__ = ["SpaceServer", "SpaceProxy", "ProxyBatch", "RemoteTransaction",
            "RecoveryPolicy", "AdmissionConfig", "AdmissionController"]
@@ -165,22 +167,21 @@ class AdmissionController:
     def check(self, op: str, args: dict[str, Any]) -> None:
         """Raise :class:`~repro.errors.AdmissionError` to refuse ``op``.
 
-        Applies to ``write``/``write_all`` of controlled, tenant-tagged
-        entries; everything else passes untouched.  A ``requeue``-flagged
+        Applies to the admission-checked operations (``write`` and
+        ``write_all``, see :data:`~repro.tuplespace.ops.OPS`) of
+        controlled, tenant-tagged entries; everything else passes
+        untouched.  A ``requeue``-flagged
         request (a worker re-queuing tasks it already holds: preemption
         release, poison-task retry) bypasses quotas — those tasks were
         admitted once, and shedding them would break exactly-once.
         The whole operation is judged before any of it executes, so a
         mixed ``write_all`` is all-or-nothing.
         """
-        if op == "write":
-            frames = [args["entry_data"]]
-        elif op == "write_all":
-            frames = args["entries_data"]
-        else:
+        row = OPS.get(op)
+        if row is None or not row.admitted or args.get("requeue"):
             return
-        if args.get("requeue"):
-            return
+        frames = (args["entries_data"] if row.route == "entries"
+                  else [args["entry_data"]])
         config = self.config
         #: tenant → (class, priority) of each of its controlled writes.
         controlled: dict[str, list[tuple[type, Optional[int]]]] = {}
@@ -296,20 +297,6 @@ class AdmissionController:
         self._buckets[tenant] = (tokens - cost, now)
 
 
-#: Operations safe to re-issue blindly after a reconnect: they either do
-#: not mutate the space or (``txn_create``, ``notify``) create state that
-#: died with the dropped connection.  A retried ``take``/``write`` could
-#: consume or duplicate an entry whose first attempt actually landed, so
-#: those surface the disconnect to the caller, whose transaction was
-#: aborted server-side anyway.
-_IDEMPOTENT_OPS = frozenset({"read", "exists", "count", "contents", "ping",
-                             "txn_create", "notify"})
-
-#: Operations whose ``timeout_ms`` arg is a *server-side wait budget*: the
-#: client's reply deadline must cover it on top of the RPC budget, or a
-#: long blocking take would be misread as a dead connection.
-_BLOCKING_OPS = frozenset({"read", "exists", "take", "take_multiple"})
-
 #: Server exceptions reconstructed as their own type on the client, so a
 #: caller can distinguish "your transaction expired" from a generic remote
 #: failure without string matching.
@@ -356,31 +343,37 @@ def _raise_remote(reply: dict[str, Any], label: str) -> None:
     raise SpaceError(
         f"remote {label} failed: {reply.get('type')}: {reply.get('error')}")
 
-#: Operations exempt from epoch/lease fencing: probes must reach a fenced
-#: server (that is how supervisors and demoted standbys talk to it), the
-#: replication feed is how a fenced server *re-syncs*, and ``fence`` is
-#: the demotion order itself.
-_FENCE_EXEMPT_OPS = frozenset({"ping", "replicate", "fence"})
-
 #: Sentinel returned by a handler that already sent its own reply and
 #: turned the connection into a one-way stream (replication feed).
 _STREAMING = object()
 
-#: Operations that cannot ride inside a ``batch`` request: they hijack the
-#: connection (``replicate``), need their own side channel (``notify``),
-#: or would nest (``batch``).
-_NON_BATCHABLE = frozenset({"replicate", "notify", "batch"})
+
+#: A row's ``reply`` → how a parked request turns the frames it finds into
+#: its reply value.
+_SHAPES: dict[str, Callable[[list], Any]] = {
+    "first": lambda frames: frames[0] if frames else None,
+    "bool": bool, "list": list}
 
 
-def _first(frames: list) -> Any:
-    return frames[0] if frames else None
+def _idempotent(op: str) -> bool:
+    row = OPS.get(op)
+    return row is not None and row.idempotent
+
+
+def _decode(reply: Optional[str], value: Any) -> Any:
+    """The entries in a reply value that carries frames."""
+    if reply == "first":
+        return decode_any(value) if value is not None else None
+    if reply == "list":
+        return [decode_any(frame) for frame in value]
+    return value
 
 
 @dataclass(slots=True, eq=False)
 class _Blocked:
-    """A ``read``/``take``/``take_multiple``/``exists`` parked in the
-    space: ``shape`` turns the frames it will find into the reply value,
-    ``timer`` is its deadline, ``batch`` the pipeline it interrupted."""
+    """A blocking operation parked in the space: ``shape`` turns the
+    frames it will find into the reply value, ``timer`` is its deadline,
+    ``batch`` the pipeline it interrupted."""
 
     waiter: Waiter
     shape: Callable[[list], Any]
@@ -837,20 +830,23 @@ class SpaceServer:
                   session: Optional[_Session]) -> Any:
         op = request.get("op")
         args = request.get("args", {})
-        if self.fencing and op not in _FENCE_EXEMPT_OPS:
+        row = OPS.get(op)
+        if self.fencing and (row is None or not row.fence_exempt):
             self._check_fence(op, request.get("epoch"))
         if self.admission is not None:
             self.admission.check(op, args)
+        if row is None:
+            raise SpaceError(f"unknown operation: {op!r}")
         txn = None
-        txn_id = args.get("txn_id")
+        txn_id = args.get("txn_id") if row.txn_aware else None
         if txn_id is not None:
             txn = session.transactions.get(txn_id)
             if txn is None:
                 raise TransactionError(f"unknown transaction id {txn_id}")
-        handler = _DISPATCH.get(op)
-        if handler is None:
-            raise SpaceError(f"unknown operation: {op!r}")
-        return handler(self, args, txn, session)
+        value = _HANDLERS[op](self, args, txn, session)
+        if value.__class__ is Waiter:
+            return _Blocked(value, _SHAPES[row.reply])
+        return value
 
     def _check_fence(self, op: str, client_epoch: Optional[int]) -> None:
         """Reject the request if either side of it is behind the cluster.
@@ -888,28 +884,26 @@ class SpaceServer:
                 f"primary lease expired at {self._lease_expires:.0f} ms; "
                 f"refusing {op!r} until the supervisor renews")
 
-    # -- per-op handlers, bound through the _DISPATCH table ---------------------
+    # -- per-op handlers: ``_op_<name>`` for every row of OPS -------------------
 
     def _op_write(self, args, txn, session) -> Any:
         lease = self.space.write_encoded(args["entry_data"], txn=txn,
                                          lease_ms=args["lease_ms"])
         return {"remaining_ms": lease.remaining_ms()}
 
-    # The four ops that may wait hand the space the session's ``wake``
-    # instead of blocking: an answer comes back at once, or a waiter that
-    # :meth:`_advance` parks as the request's continuation.
+    # The blocking ops hand the space the session's ``wake`` instead of
+    # blocking: an answer comes back at once, or a waiter that the caller
+    # parks as the request's continuation.
 
     def _op_read(self, args, txn, session) -> Any:
-        got = self.space.read_encoded(args["template"], txn=txn,
-                                      timeout_ms=args["timeout_ms"],
-                                      wake=session.wake)
-        return _Blocked(got, _first) if got.__class__ is Waiter else got
+        return self.space.read_encoded(args["template"], txn=txn,
+                                       timeout_ms=args["timeout_ms"],
+                                       wake=session.wake)
 
     def _op_take(self, args, txn, session) -> Any:
-        got = self.space.take_encoded(args["template"], txn=txn,
-                                      timeout_ms=args["timeout_ms"],
-                                      wake=session.wake)
-        return _Blocked(got, _first) if got.__class__ is Waiter else got
+        return self.space.take_encoded(args["template"], txn=txn,
+                                       timeout_ms=args["timeout_ms"],
+                                       wake=session.wake)
 
     def _op_count(self, args, txn, session) -> Any:
         return self.space.count(args["template"], txn=txn)
@@ -917,10 +911,8 @@ class SpaceServer:
     def _op_exists(self, args, txn, session) -> Any:
         # A blocking read whose reply is one bit: waiting for a fat entry
         # to appear does not drag the entry itself over the wire.
-        got = self.space.read_encoded(args["template"], txn=txn,
-                                      timeout_ms=args["timeout_ms"],
-                                      wake=session.wake)
-        return _Blocked(got, bool) if got.__class__ is Waiter else got is not None
+        got = self._op_read(args, txn, session)
+        return got if got.__class__ is Waiter else got is not None
 
     def _op_write_all(self, args, txn, session) -> Any:
         leases = self.space.write_all_encoded(args["entries_data"], txn=txn,
@@ -928,10 +920,9 @@ class SpaceServer:
         return {"count": len(leases)}
 
     def _op_take_multiple(self, args, txn, session) -> Any:
-        got = self.space.take_multiple_encoded(
+        return self.space.take_multiple_encoded(
             args["template"], args["max_entries"], txn=txn,
             timeout_ms=args["timeout_ms"], wake=session.wake)
-        return _Blocked(got, list) if got.__class__ is Waiter else got
 
     def _op_contents(self, args, txn, session) -> Any:
         return self.space.contents(args["template"], txn=txn)
@@ -942,21 +933,10 @@ class SpaceServer:
         return new_txn.txn_id
 
     def _op_txn_commit(self, args, txn, session) -> Any:
-        txn = session.transactions.pop(args["id"], None)
-        if txn is None:
-            raise TransactionError(f"unknown transaction id {args['id']}")
-        txn.commit()
-        return None
+        _completed(args, session).commit()
 
     def _op_txn_abort(self, args, txn, session) -> Any:
-        txn = session.transactions.pop(args["id"], None)
-        if txn is None:
-            raise TransactionError(f"unknown transaction id {args['id']}")
-        txn.abort()
-        return None
-
-    def _op_notify(self, args, txn, session) -> Any:
-        return self._register_notify(args, session.conn)
+        _completed(args, session).abort()
 
     def _op_ping(self, args, txn, session) -> Any:
         # Supervisor probes double as lease renewals; an ordinary client
@@ -1059,32 +1039,27 @@ class SpaceServer:
         transactions = session.transactions
         for sub in ops[len(replies):]:
             op = sub.get("op")
-            handler = _DISPATCH.get(op)
-            if handler is None or op in _NON_BATCHABLE:
+            row = OPS.get(op)
+            if row is None or not row.batchable:
                 replies.append({"ok": False, "type": "SpaceError",
                                 "error": f"not batchable: {op!r}"})
                 break
             sub_args = sub.get("args", {})
             sub_txn = None
-            bad_ref = _SENTINEL = object()
             # "txn_id" names the transaction of space ops; "id" names the
-            # one txn_commit/txn_abort act on — both may be placeholders.
-            for key in ("txn_id", "id"):
-                value = sub_args.get(key)
-                if not isinstance(value, dict):
-                    continue
-                ref = value.get("batch_ref")
+            # one txn_commit/txn_abort act on — either may be a placeholder.
+            key = ("txn_id" if row.txn_aware
+                   else "id" if row.route == "txn" else None)
+            placeholder = sub_args.get(key) if key is not None else None
+            if isinstance(placeholder, dict):
+                ref = placeholder.get("batch_ref")
                 if (not isinstance(ref, int) or not 0 <= ref < len(replies)
                         or not replies[ref].get("ok")):
-                    bad_ref = ref
+                    replies.append({"ok": False, "type": "TransactionError",
+                                    "error": f"bad batch_ref {ref!r}"})
                     break
-                sub_args = dict(sub_args)
-                sub_args[key] = replies[ref]["value"]
-            if bad_ref is not _SENTINEL:
-                replies.append({"ok": False, "type": "TransactionError",
-                                "error": f"bad batch_ref {bad_ref!r}"})
-                break
-            txn_id = sub_args.get("txn_id")
+                sub_args = {**sub_args, key: replies[ref]["value"]}
+            txn_id = sub_args.get("txn_id") if row.txn_aware else None
             if txn_id is not None:
                 sub_txn = transactions.get(txn_id)
                 if sub_txn is None:
@@ -1092,15 +1067,15 @@ class SpaceServer:
                                     "error": f"unknown transaction id {txn_id}"})
                     break
             try:
-                value = handler(self, sub_args, sub_txn, session)
+                value = _HANDLERS[op](self, sub_args, sub_txn, session)
             except ConnectionClosedError:
                 raise
             except Exception as exc:
                 replies.append(_error_reply(exc))
                 break
-            if value.__class__ is _Blocked:
-                value.batch = (ops, replies)
-                return value
+            if value.__class__ is Waiter:
+                return _Blocked(value, _SHAPES[row.reply],
+                                batch=(ops, replies))
             replies.append({"ok": True, "value": value})
         return {"replies": replies}
 
@@ -1165,7 +1140,7 @@ class SpaceServer:
             self._wake_gates()
         return _STREAMING
 
-    def _register_notify(self, args: dict[str, Any], conn: StreamSocket) -> int:
+    def _op_notify(self, args, txn, session) -> int:
         """Forward matching events to the client's event channel.
 
         The channel is dialled on the connection's first registration
@@ -1179,6 +1154,7 @@ class SpaceServer:
         newest sequence number, so the gap tells the listener how many
         it stands for.
         """
+        conn = session.conn
         subscription = self._subscriptions.get(conn)
         if subscription is None:
             channel = self.network.connect(
@@ -1208,90 +1184,21 @@ class SpaceServer:
         return reg.registration_id
 
 
-#: op name → unbound SpaceServer handler; a dict probe replaces the former
-#: if-chain so dispatch cost no longer depends on the op's position.
-_DISPATCH: dict[str, Callable[..., Any]] = {
-    "write": SpaceServer._op_write,
-    "read": SpaceServer._op_read,
-    "take": SpaceServer._op_take,
-    "count": SpaceServer._op_count,
-    "exists": SpaceServer._op_exists,
-    "write_all": SpaceServer._op_write_all,
-    "take_multiple": SpaceServer._op_take_multiple,
-    "contents": SpaceServer._op_contents,
-    "txn_create": SpaceServer._op_txn_create,
-    "txn_commit": SpaceServer._op_txn_commit,
-    "txn_abort": SpaceServer._op_txn_abort,
-    "notify": SpaceServer._op_notify,
-    "ping": SpaceServer._op_ping,
-    "fence": SpaceServer._op_fence,
-    "replicate": SpaceServer._op_replicate,
-    "batch": SpaceServer._op_batch,
-}
+def _completed(args: dict[str, Any], session: _Session) -> Transaction:
+    """The connection's transaction a commit or abort names — no longer
+    the connection's, whatever the completion does."""
+    txn = session.transactions.pop(args["id"], None)
+    if txn is None:
+        raise TransactionError(f"unknown transaction id {args['id']}")
+    return txn
 
 
-# -- client wire forms --------------------------------------------------------
-#
-# One helper per entry-carrying op, shared by :class:`SpaceProxy` (the
-# immediate call) and :class:`ProxyBatch` (the queued sub-op).  Entries
-# are encoded once here, stored verbatim by the space and shipped back as
-# the stored frame for one decode here; templates always travel as live
-# objects — the server matches on their fields.
+#: op name → unbound SpaceServer handler, one per row of OPS.
+_HANDLERS: dict[str, Callable[..., Any]] = {
+    name: getattr(SpaceServer, f"_op_{name}") for name in OPS}
 
 
-def _frame(entry: Entry) -> bytes:
-    if not isinstance(entry, Entry):
-        raise SpaceError(f"not an Entry: {type(entry).__name__}")
-    return encode_entry(entry)
-
-
-def _write_args(entry: Entry, txn: Optional["RemoteTransaction"],
-                lease_ms: float, requeue: bool) -> dict[str, Any]:
-    args = {"entry_data": _frame(entry), "lease_ms": lease_ms,
-            "txn_id": txn.txn_id if txn else None}
-    if requeue:
-        # Worker re-queue of already-admitted tasks: exempt from
-        # admission control (shedding it would break exactly-once).
-        args["requeue"] = True
-    return args
-
-
-def _write_all_args(entries: list[Entry], txn: Optional["RemoteTransaction"],
-                    lease_ms: float, requeue: bool) -> dict[str, Any]:
-    args = {"entries_data": [_frame(entry) for entry in entries],
-            "lease_ms": lease_ms, "txn_id": txn.txn_id if txn else None}
-    if requeue:
-        args["requeue"] = True
-    return args
-
-
-def _match_args(template: Entry, txn: Optional["RemoteTransaction"],
-                timeout_ms: Optional[float]) -> dict[str, Any]:
-    """``read`` and ``take`` share one request shape."""
-    # ``raw`` is no longer read by the server (replies are always
-    # frames); it stays on the wire so request bytes — run_micro's exact
-    # wire-cost cells — are unchanged.
-    return {"template": template, "timeout_ms": timeout_ms,
-            "txn_id": txn.txn_id if txn else None, "raw": True}
-
-
-def _take_multiple_args(template: Entry, max_entries: int,
-                        txn: Optional["RemoteTransaction"],
-                        timeout_ms: Optional[float]) -> dict[str, Any]:
-    return {"template": template, "max_entries": max_entries,
-            "timeout_ms": timeout_ms,
-            "txn_id": txn.txn_id if txn else None, "raw": True}
-
-
-def _decode_one(frame: Optional[bytes]) -> Optional[Entry]:
-    return decode_any(frame) if frame is not None else None
-
-
-def _decode_many(frames: list[bytes]) -> list[Entry]:
-    return [decode_any(frame) for frame in frames]
-
-
-class RemoteTransaction:
+class RemoteTransaction(TransactionHandle):
     """Client-side handle on a server transaction."""
 
     def __init__(self, proxy: "SpaceProxy", txn_id: Any) -> None:
@@ -1300,25 +1207,15 @@ class RemoteTransaction:
         self.completed = False
 
     def commit(self) -> None:
-        self._proxy._call("txn_commit", {"id": self.txn_id})
+        self._proxy._invoke(Call("txn_commit", txn=self))
         self.completed = True
 
     def abort(self) -> None:
-        self._proxy._call("txn_abort", {"id": self.txn_id})
+        self._proxy._invoke(Call("txn_abort", txn=self))
         self.completed = True
 
-    def __enter__(self) -> "RemoteTransaction":
-        return self
 
-    def __exit__(self, exc_type: object, *exc: object) -> None:
-        if self.completed:
-            return
-        if exc_type is None:
-            self.commit()
-        else:
-            self.abort()
-
-
+@batch_recorder
 class ProxyBatch:
     """Collects compatible operations into one pipelined ``batch`` RPC.
 
@@ -1331,114 +1228,57 @@ class ProxyBatch:
     in the batch is marked completed iff the commit actually ran, so its
     context manager never double-completes it.
 
-    Retry semantics are inherited unchanged from PR 2: the whole batch is
-    transparently re-issued on reconnect only if *every* sub-op is
-    idempotent; otherwise the disconnect surfaces to the caller.
+    Each call is encoded as it is recorded (a bad entry raises there, and
+    nothing is queued).  The whole batch is transparently re-issued on
+    reconnect only if *every* sub-op is idempotent; otherwise the
+    disconnect surfaces to the caller.
     """
 
     def __init__(self, proxy: "SpaceProxy") -> None:
         self._proxy = proxy
-        self._ops: list[tuple[str, dict[str, Any]]] = []
-        self._post: list[tuple[int, Callable[[Any], None]]] = []
-        #: Sub-op index → decoder for a reply that carries entry frames.
-        self._decode: dict[int, Callable[[Any], Any]] = {}
+        #: Each call with its request args, built as it is recorded.
+        self._calls: list[tuple[Call, dict[str, Any]]] = []
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self._calls)
 
-    def _add(self, op: str, args: dict[str, Any],
-             post: Optional[Callable[[Any], None]] = None,
-             decode: Optional[Callable[[Any], Any]] = None) -> int:
-        index = len(self._ops)
-        self._ops.append((op, args))
-        if post is not None:
-            self._post.append((index, post))
-        if decode is not None:
-            self._decode[index] = decode
-        return index
+    def _record(self, call: Call) -> int:
+        self._calls.append((call, OPS[call.op].args(call)))
+        return len(self._calls) - 1
 
-    # -- the batchable operation set ----------------------------------------
-
-    def write(self, entry: Entry, txn: Optional["RemoteTransaction"] = None,
-              lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        return self._add("write", _write_args(entry, txn, lease_ms, requeue))
-
-    def write_all(self, entries: list[Entry],
-                  txn: Optional["RemoteTransaction"] = None,
-                  lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        return self._add("write_all",
-                         _write_all_args(entries, txn, lease_ms, requeue))
-
-    def read(self, template: Entry, txn: Optional["RemoteTransaction"] = None,
-             timeout_ms: Optional[float] = 0.0) -> int:
-        return self._add("read", _match_args(template, txn, timeout_ms),
-                         decode=_decode_one)
-
-    def take(self, template: Entry, txn: Optional["RemoteTransaction"] = None,
-             timeout_ms: Optional[float] = 0.0) -> int:
-        return self._add("take", _match_args(template, txn, timeout_ms),
-                         decode=_decode_one)
-
-    def take_multiple(self, template: Entry, max_entries: int,
-                      txn: Optional["RemoteTransaction"] = None,
-                      timeout_ms: Optional[float] = 0.0) -> int:
-        return self._add(
-            "take_multiple",
-            _take_multiple_args(template, max_entries, txn, timeout_ms),
-            decode=_decode_many)
-
-    def count(self, template: Entry) -> int:
-        return self._add("count", {"template": template, "txn_id": None})
-
-    def txn_create(self, timeout_ms: float = FOREVER) -> "RemoteTransaction":
-        """Open a transaction inside this batch.
-
-        The returned handle carries a ``{"batch_ref": k}`` placeholder id
-        that later ops *in the same batch* may use as their ``txn=``; the
-        server resolves it, and :meth:`flush` swaps in the real id so the
-        handle then works like any :meth:`SpaceProxy.transaction` result.
-        """
-        txn = RemoteTransaction(self._proxy, None)
-        index = self._add("txn_create", {"timeout_ms": timeout_ms},
-                          post=lambda value: setattr(txn, "txn_id", value))
-        txn.txn_id = {"batch_ref": index}
-        return txn
-
-    def commit(self, txn: "RemoteTransaction") -> int:
-        return self._add("txn_commit", {"id": txn.txn_id},
-                         post=lambda _: setattr(txn, "completed", True))
-
-    def abort(self, txn: "RemoteTransaction") -> int:
-        return self._add("txn_abort", {"id": txn.txn_id},
-                         post=lambda _: setattr(txn, "completed", True))
-
-    # -- execution -----------------------------------------------------------
+    def _transaction(self, timeout_ms: float) -> RemoteTransaction:
+        """A transaction opened inside this batch: its id is a
+        ``{"batch_ref": k}`` placeholder (see :meth:`SpaceServer._op_batch`)
+        until :meth:`flush` swaps in the real one."""
+        return RemoteTransaction(self._proxy, {"batch_ref": len(self._calls)})
 
     def flush(self) -> list[Any]:
         """Send the pipeline as one RPC; return per-op values in order."""
-        if not self._ops:
+        if not self._calls:
             return []
-        ops, self._ops = self._ops, []
-        post, self._post = self._post, []
-        decode, self._decode = self._decode, {}
-        replies = self._proxy._call_batch(ops)
-        for index, hook in post:
-            if index < len(replies) and replies[index].get("ok"):
-                hook(replies[index].get("value"))
+        calls, self._calls = self._calls, []
+        replies = self._proxy._call_batch(
+            [(call.op, args) for call, args in calls])
         results: list[Any] = []
-        for i, (op, _) in enumerate(ops):
+        # The server stops at the first failure, so every reply before it
+        # is a success whose side effects run before the failure raises.
+        for i, (call, _) in enumerate(calls):
             if i >= len(replies):
                 raise SpaceError(
-                    f"batched {op} skipped: an earlier operation failed")
+                    f"batched {call.op} skipped: an earlier operation failed")
             reply = replies[i]
             if not reply.get("ok"):
-                _raise_remote(reply, op)
+                _raise_remote(reply, call.op)
             value = reply.get("value")
-            decoder = decode.get(i)
-            results.append(decoder(value) if decoder is not None else value)
+            if call.op == "txn_create":
+                call.txn.txn_id = value
+            elif OPS[call.op].route == "txn":
+                call.txn.completed = True
+            results.append(_decode(OPS[call.op].reply, value))
         return results
 
 
+@space_client
 class SpaceProxy:
     """Client stub with the JavaSpace operation set.
 
@@ -1571,15 +1411,6 @@ class SpaceProxy:
             self._event_channel.close()
             self._event_channel = None
 
-    def _exchange(self, op: str, args: dict[str, Any],
-                  waits: list[tuple[str, dict[str, Any]]]) -> Any:
-        """One request/reply: send → epoch stamp → wait budget → receive.
-
-        ``waits`` are the (op, args) pairs the server executes for this
-        request — the op itself, or a batch's sub-ops in order.
-        """
-        return self._await_reply(self._send_request(op, args), op, waits)
-
     def _send_request(self, op: str, args: dict[str, Any]) -> StreamSocket:
         conn = self._connection()
         request: dict[str, Any] = {"op": op, "args": args}
@@ -1590,6 +1421,9 @@ class SpaceProxy:
 
     def _await_reply(self, conn: StreamSocket, op: str,
                      waits: list[tuple[str, dict[str, Any]]]) -> Any:
+        """The reply to the request sent on ``conn``.  ``waits`` are the
+        (op, args) pairs the server executes for it — the op itself, or a
+        batch's sub-ops in order."""
         timeout_ms = self.recovery.call_timeout_ms if self.recovery else None
         if timeout_ms is not None:
             # The RPC budget covers transport + dispatch; an op's own wait
@@ -1597,7 +1431,8 @@ class SpaceProxy:
             # batch's sub-ops) and must be added, not mistaken for a dead
             # connection.
             for sub_op, sub_args in waits:
-                if sub_op in _BLOCKING_OPS:
+                row = OPS.get(sub_op)
+                if row is not None and row.blocking:
                     wait = sub_args.get("timeout_ms")
                     if wait is None:
                         timeout_ms = None
@@ -1612,12 +1447,21 @@ class SpaceProxy:
         _raise_remote(reply, op)
 
     def _call_once(self, op: str, args: dict[str, Any]) -> Any:
-        return self._exchange(op, args, [(op, args)])
+        return self._await_reply(self._send_request(op, args), op,
+                                 [(op, args)])
 
     def _call(self, op: str, args: dict[str, Any]) -> Any:
+        """One request, as-is, under the recovery loop."""
         return self._guarded(
             op, lambda: self._call_once(op, args),
-            self.recovery is not None and op in _IDEMPOTENT_OPS)
+            self.recovery is not None and _idempotent(op))
+
+    def _invoke(self, call: Call) -> Any:
+        """One operation: its row's request, then its reply decoded."""
+        row = OPS[call.op]
+        value = self._call(call.op, row.args(call))
+        return value["count"] if row.reply == "count" else _decode(
+            row.reply, value)
 
     def _guarded(self, label: str, attempt_fn: Callable[[], Any],
                  retriable: bool, **notes: Any) -> Any:
@@ -1708,7 +1552,8 @@ class SpaceProxy:
 
     def _batch_once(self, ops: list[tuple[str, dict[str, Any]]]) -> list[dict]:
         wire = {"ops": [{"op": o, "args": a} for o, a in ops]}
-        return self._exchange("batch", wire, ops)["replies"]
+        return self._await_reply(self._send_request("batch", wire), "batch",
+                                 ops)["replies"]
 
     def _call_batch(self, ops: list[tuple[str, dict[str, Any]]]) -> list[dict]:
         # A batch is transparently retriable only if *every* sub-op is —
@@ -1717,61 +1562,20 @@ class SpaceProxy:
         names = [op for op, _ in ops]
         return self._guarded(
             "batch", lambda: self._batch_once(ops),
-            self.recovery is not None
-            and all(op in _IDEMPOTENT_OPS for op in names),
+            self.recovery is not None and all(map(_idempotent, names)),
             ops=names)
 
     def close(self) -> None:
         self._drop_connection()
 
-    # -- JavaSpace API ----------------------------------------------------------------
-
-    def write(self, entry: Entry, txn: Optional[RemoteTransaction] = None,
-              lease_ms: float = FOREVER,
-              requeue: bool = False) -> dict[str, Any]:
-        return self._call("write", _write_args(entry, txn, lease_ms, requeue))
-
-    def read(self, template: Entry, txn: Optional[RemoteTransaction] = None,
-             timeout_ms: Optional[float] = None) -> Optional[Entry]:
-        return _decode_one(
-            self._call("read", _match_args(template, txn, timeout_ms)))
-
-    def take(self, template: Entry, txn: Optional[RemoteTransaction] = None,
-             timeout_ms: Optional[float] = None) -> Optional[Entry]:
-        return _decode_one(
-            self._call("take", _match_args(template, txn, timeout_ms)))
-
-    def read_if_exists(self, template: Entry, txn: Optional[RemoteTransaction] = None):
-        return self.read(template, txn, timeout_ms=0.0)
-
-    def take_if_exists(self, template: Entry, txn: Optional[RemoteTransaction] = None):
-        return self.take(template, txn, timeout_ms=0.0)
-
-    def count(self, template: Entry) -> int:
-        return self._call("count", {"template": template, "txn_id": None})
+    # -- JavaSpace API: write/read/take/... come from ``space_client`` -----------
 
     def exists(self, template: Entry,
                timeout_ms: Optional[float] = None) -> bool:
         """Block until a matching entry is present (non-consuming) and
         return whether one was seen — a ``read`` whose reply carries one
         bit instead of the entry."""
-        return bool(self._call(
-            "exists", {"template": template, "timeout_ms": timeout_ms,
-                       "txn_id": None}))
-
-    def write_all(self, entries: list[Entry],
-                  txn: Optional[RemoteTransaction] = None,
-                  lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        reply = self._call("write_all",
-                           _write_all_args(entries, txn, lease_ms, requeue))
-        return reply["count"]
-
-    def take_multiple(self, template: Entry, max_entries: int,
-                      txn: Optional[RemoteTransaction] = None,
-                      timeout_ms: Optional[float] = None) -> list[Entry]:
-        return _decode_many(self._call(
-            "take_multiple",
-            _take_multiple_args(template, max_entries, txn, timeout_ms)))
+        return self._invoke(Call("exists", template, timeout_ms=timeout_ms))
 
     def begin_take_multiple(self, template: Entry,
                             max_entries: int) -> Callable[[], list[Entry]]:
@@ -1786,10 +1590,12 @@ class SpaceProxy:
         connection-level failure surfaces from whichever half hit it
         and, as in the recovery loop, leaves no connection behind.
         """
-        args = _take_multiple_args(template, max_entries, None, 0.0)
+        row = OPS["take_multiple"]
+        args = row.args(Call(row.name, template, timeout_ms=0.0,
+                             max_entries=max_entries))
         lost = (ConnectionClosedError, ConnectionRefusedError_, FencedError)
         try:
-            conn = self._send_request("take_multiple", args)
+            conn = self._send_request(row.name, args)
         except lost:
             self._drop_connection()
             raise
@@ -1799,8 +1605,8 @@ class SpaceProxy:
 
         def collect() -> list[Entry]:
             try:
-                return _decode_many(self._await_reply(
-                    conn, "take_multiple", [("take_multiple", args)]))
+                return _decode(row.reply, self._await_reply(
+                    conn, row.name, [(row.name, args)]))
             except lost:
                 self._drop_connection()
                 raise
@@ -1810,19 +1616,12 @@ class SpaceProxy:
 
         return collect
 
-    def contents(self, template: Entry,
-                 txn: Optional[RemoteTransaction] = None) -> list[Entry]:
-        return self._call(
-            "contents",
-            {"template": template, "txn_id": txn.txn_id if txn else None},
-        )
-
     def transaction(self, timeout_ms: float = FOREVER) -> RemoteTransaction:
-        txn_id = self._call("txn_create", {"timeout_ms": timeout_ms})
-        return RemoteTransaction(self, txn_id)
+        return RemoteTransaction(
+            self, self._invoke(Call("txn_create", timeout_ms=timeout_ms)))
 
     def ping(self) -> bool:
-        reply = self._call("ping", {})
+        reply = self._invoke(Call("ping"))
         return bool(reply) and bool(reply.get("pong"))
 
     # -- notify ---------------------------------------------------------------------

@@ -64,12 +64,15 @@ from repro.net.address import Address
 from repro.net.network import Network
 from repro.tuplespace.entry import Entry, match_items
 from repro.tuplespace.lease import FOREVER
-from repro.tuplespace.proxy import (
-    ProxyBatch,
-    RecoveryPolicy,
-    RemoteTransaction,
-    SpaceProxy,
+from repro.tuplespace.ops import (
+    OPS,
+    Call,
+    TransactionHandle,
+    apply,
+    batch_recorder,
+    space_client,
 )
+from repro.tuplespace.proxy import RecoveryPolicy, RemoteTransaction, SpaceProxy
 
 __all__ = ["stable_hash", "HashRing", "ShardRouter", "ShardedTransaction",
            "ShardedBatch"]
@@ -125,13 +128,10 @@ class HashRing:
 _UNBOUND = {"unbound": True}
 
 
-class ShardedTransaction:
-    """A lazily bound, shard-pinned transaction handle.
-
-    Matches the :class:`~repro.tuplespace.proxy.RemoteTransaction`
-    surface (``txn_id``/``completed``/``commit``/``abort``/context
-    manager) so worker and master code cannot tell the difference.
-    """
+class ShardedTransaction(TransactionHandle):
+    """A lazily bound, shard-pinned transaction handle: worker and master
+    code cannot tell it from a
+    :class:`~repro.tuplespace.proxy.RemoteTransaction`."""
 
     def __init__(self, router: "ShardRouter", timeout_ms: float = FOREVER) -> None:
         self._router = router
@@ -184,26 +184,18 @@ class ShardedTransaction:
             self._remote.abort()
         self.completed = True
 
-    def __enter__(self) -> "ShardedTransaction":
-        return self
 
-    def __exit__(self, exc_type: object, *exc: object) -> None:
-        if self.completed:
-            return
-        if exc_type is None:
-            self.commit()
-        else:
-            self.abort()
-
-
+@batch_recorder
 class ShardedBatch:
     """Pipelined batch over a :class:`ShardRouter`.
 
     Mirrors :class:`~repro.tuplespace.proxy.ProxyBatch`: record
     operations, then :meth:`flush` returns per-op values in order and
-    re-raises the first failure.  Consecutive operations that resolve to
-    the same shard ride one :class:`ProxyBatch` RPC; wildcard operations
-    execute as scatter-gather at their position in the sequence.
+    re-raises the first failure.  Each call goes where the router's single
+    calls go (:meth:`ShardRouter._route`).  Consecutive calls that land on
+    the same shard ride one :class:`ProxyBatch` RPC; a call no single
+    shard takes runs through the router (scatter-gather) at its position
+    in the sequence.
 
     A trailing ``txn_create`` + wildcard ``take``/``take_multiple`` pair
     (the worker's prefetch) is executed as one unit through the router's
@@ -214,228 +206,82 @@ class ShardedBatch:
 
     def __init__(self, router: "ShardRouter") -> None:
         self._router = router
-        self._ops: list[dict[str, Any]] = []
+        self._calls: list[Call] = []
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self._calls)
 
-    def _add(self, op: dict[str, Any]) -> int:
-        self._ops.append(op)
-        return len(self._ops) - 1
+    def _record(self, call: Call) -> int:
+        self._calls.append(call)
+        return len(self._calls) - 1
 
-    # -- the batchable operation set ----------------------------------------
-
-    def write(self, entry: Entry, txn: Any = None,
-              lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        return self._add({"kind": "write", "entry": entry, "txn": txn,
-                          "lease_ms": lease_ms, "requeue": requeue})
-
-    def write_all(self, entries: list[Entry], txn: Any = None,
-                  lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        return self._add({"kind": "write_all", "entries": list(entries),
-                          "txn": txn, "lease_ms": lease_ms,
-                          "requeue": requeue})
-
-    def read(self, template: Entry, txn: Any = None,
-             timeout_ms: Optional[float] = 0.0) -> int:
-        return self._add({"kind": "read", "template": template, "txn": txn,
-                          "timeout_ms": timeout_ms})
-
-    def take(self, template: Entry, txn: Any = None,
-             timeout_ms: Optional[float] = 0.0) -> int:
-        return self._add({"kind": "take", "template": template, "txn": txn,
-                          "timeout_ms": timeout_ms})
-
-    def take_multiple(self, template: Entry, max_entries: int,
-                      txn: Any = None,
-                      timeout_ms: Optional[float] = 0.0) -> int:
-        return self._add({"kind": "take_multiple", "template": template,
-                          "max_entries": max_entries, "txn": txn,
-                          "timeout_ms": timeout_ms})
-
-    def count(self, template: Entry) -> int:
-        return self._add({"kind": "count", "template": template, "txn": None})
-
-    def txn_create(self, timeout_ms: float = FOREVER) -> ShardedTransaction:
-        """Open a transaction inside this batch.
-
-        The handle stays unbound until an operation pins it to a shard;
-        when its first use is the trailing prefetch take, creation rides
-        that take's RPC (the ``batch_ref`` trick, per shard)."""
-        txn = ShardedTransaction(self._router, timeout_ms)
-        self._add({"kind": "txn_create", "txn": txn,
-                   "timeout_ms": timeout_ms})
-        return txn
-
-    def commit(self, txn: ShardedTransaction) -> int:
-        return self._add({"kind": "commit", "txn": txn})
-
-    def abort(self, txn: ShardedTransaction) -> int:
-        return self._add({"kind": "abort", "txn": txn})
+    def _transaction(self, timeout_ms: float) -> ShardedTransaction:
+        """The handle stays unbound until an operation pins it to a
+        shard; when its first use is the trailing prefetch take, creation
+        rides that take's RPC (the ``batch_ref`` trick, per shard)."""
+        return ShardedTransaction(self._router, timeout_ms)
 
     # -- execution -----------------------------------------------------------
 
     def flush(self) -> list[Any]:
-        ops, self._ops = self._ops, []
-        if not ops:
+        calls, self._calls = self._calls, []
+        if not calls:
             return []
-        results: list[Any] = [None] * len(ops)
-        tail_start = self._split_tail(ops)
-        pending = self._run_head(ops[:tail_start], results)
-        if tail_start < len(ops):
-            self._run_tail(ops, tail_start, results, pending)
-        elif pending is not None:
-            self._flush_run(pending, results)
+        results: list[Any] = [None] * len(calls)
+        tail = self._tail_start(calls)
+        router = self._router
+        run: Optional[tuple] = None  # (shard, ProxyBatch, [(i, pb_i, call)])
+        for index, call in enumerate(calls[:tail]):
+            shard = router._route(call)
+            # A run ends where a call goes to another shard or scatters; a
+            # call that reaches no server needs no sequencing against it.
+            if run is not None and (shard != run[0] if shard is not None
+                                    else not _local(call)):
+                self._flush_run(run, results)
+                run = None
+            if shard is None:
+                results[index] = self._off_shard(call)
+                continue
+            if run is None:
+                run = (shard, router._proxies[shard].batch(), [])
+            pb_index = apply(run[1], router._pinned(call, shard))
+            run[2].append((index, pb_index, call))
+        if tail < len(calls):
+            # The last run, unflushed, rides the prefetch's first attempt.
+            take = calls[-1]
+            results[-1] = router._prefetch_under_txn(take, run, results)
+            if tail == len(calls) - 2:  # txn_create rode along
+                bound = take.txn._remote is not None
+                results[-2] = take.txn.txn_id if bound else None
+        elif run is not None:
+            self._flush_run(run, results)
         return results
 
-    def _split_tail(self, ops: list[dict[str, Any]]) -> int:
+    def _tail_start(self, calls: list[Call]) -> int:
         """Index where the trailing prefetch group starts (or ``len``).
 
         The group is a final *wildcard* ``take``/``take_multiple`` under
         an unbound :class:`ShardedTransaction`, plus — if adjacent — the
         ``txn_create`` that minted it."""
-        last = ops[-1]
-        if last["kind"] not in ("take", "take_multiple"):
-            return len(ops)
-        txn = last.get("txn")
-        if not isinstance(txn, ShardedTransaction) or txn._remote is not None:
-            return len(ops)
-        if self._router._template_shard(last["template"]) is not None:
-            return len(ops)
-        if (len(ops) >= 2 and ops[-2]["kind"] == "txn_create"
-                and ops[-2]["txn"] is txn):
-            return len(ops) - 2
-        return len(ops) - 1
+        last = calls[-1]
+        if not self._router._prefetches(last):
+            return len(calls)
+        if (len(calls) >= 2 and calls[-2].op == "txn_create"
+                and calls[-2].txn is last.txn):
+            return len(calls) - 2
+        return len(calls) - 1
 
-    def _run_head(self, head: list[dict[str, Any]],
-                  results: list[Any]) -> Optional[tuple]:
-        """Execute the head; return the final unflushed same-shard run so
-        the tail can try to piggyback on its RPC."""
-        router = self._router
-        pending: Optional[tuple] = None  # (shard, ProxyBatch, [(op_i, pb_i, op)])
-        for index, op in enumerate(head):
-            shard = self._resolve_shard(op)
-            if shard is None:
-                if self._is_local_noop(op):
-                    results[index] = self._scatter_op(op)
-                    continue
-                if pending is not None:
-                    self._flush_run(pending, results)
-                    pending = None
-                results[index] = self._scatter_op(op)
-                continue
-            if pending is not None and pending[0] != shard:
-                self._flush_run(pending, results)
-                pending = None
-            if pending is None:
-                pending = (shard, router._proxies[shard].batch(), [])
-            pb_index = self._emit(pending[1], op, shard)
-            pending[2].append((index, pb_index, op))
-        return pending
-
-    def _resolve_shard(self, op: dict[str, Any]) -> Optional[int]:
-        """The shard a head operation belongs to (``None`` = scatter)."""
-        router = self._router
-        kind = op["kind"]
-        txn = op.get("txn")
-        if kind == "write":
-            return router._entry_shard(op["entry"])
-        if kind == "write_all":
-            shards = {router._entry_shard(e) for e in op["entries"]}
-            if len(shards) == 1:
-                return shards.pop()
-            if txn is not None:
-                raise SpaceError(
-                    "cross-shard write_all under a shard-local transaction")
-            return None
-        if kind in ("read", "take", "take_multiple"):
-            shard = router._template_shard(op["template"])
-            if shard is not None:
-                return shard
-            if isinstance(txn, ShardedTransaction) and txn._remote is not None:
-                return txn.shard  # wildcard under a pinned txn stays local
-            return None
-        if kind in ("commit", "abort"):
-            if isinstance(txn, ShardedTransaction):
-                # Unbound: never materialized server-side, completing it
-                # is a client-local no-op (handled by _scatter_op).
-                return txn.shard if txn._remote is not None else None
-            return None
-        if kind == "txn_create":
-            # Creation is lazy — the first operation that uses the handle
-            # pins it.  Nothing to send here.
-            return None
-        raise SpaceError(f"unknown batched operation {kind!r}")
-
-    @staticmethod
-    def _is_local_noop(op: dict[str, Any]) -> bool:
-        """True for operations with no server-side work: deferred
-        txn_create, and commit/abort of a still-unbound transaction.
-        These need no sequencing against a pending same-shard run."""
-        kind = op["kind"]
-        if kind == "txn_create":
-            return True
-        txn = op.get("txn")
-        return (kind in ("commit", "abort")
-                and isinstance(txn, ShardedTransaction)
-                and txn._remote is None)
-
-    def _scatter_op(self, op: dict[str, Any]) -> Any:
-        """Execute one non-routable operation at its sequence position."""
-        router = self._router
-        kind = op["kind"]
-        txn = op.get("txn")
-        if kind == "txn_create":
-            return None  # bound (and created) on first use
-        if kind in ("commit", "abort"):
-            if txn is not None:
-                (txn.commit if kind == "commit" else txn.abort)()
-            return None
-        if kind == "write_all":
-            return {"count": router.write_all(op["entries"], txn=txn,
-                                              lease_ms=op["lease_ms"],
-                                              requeue=op.get("requeue", False))}
-        if kind == "read":
-            return router.read(op["template"], txn=txn,
-                               timeout_ms=op["timeout_ms"])
-        if kind == "take":
-            return router.take(op["template"], txn=txn,
-                               timeout_ms=op["timeout_ms"])
-        if kind == "take_multiple":
-            return router.take_multiple(op["template"], op["max_entries"],
-                                        txn=txn, timeout_ms=op["timeout_ms"])
-        raise SpaceError(f"unknown batched operation {kind!r}")
-
-    def _emit(self, pb: ProxyBatch, op: dict[str, Any], shard: int) -> int:
-        """Append one resolved operation to a per-shard pipeline."""
-        kind = op["kind"]
-        txn = op.get("txn")
-        remote = None
-        if isinstance(txn, ShardedTransaction):
-            remote = txn._bind(shard)
-        elif txn is not None:
-            remote = txn
-        if kind == "write":
-            return pb.write(op["entry"], txn=remote, lease_ms=op["lease_ms"],
-                            requeue=op.get("requeue", False))
-        if kind == "write_all":
-            return pb.write_all(op["entries"], txn=remote,
-                                lease_ms=op["lease_ms"],
-                                requeue=op.get("requeue", False))
-        if kind == "read":
-            return pb.read(op["template"], txn=remote,
-                           timeout_ms=op["timeout_ms"])
-        if kind == "take":
-            return pb.take(op["template"], txn=remote,
-                           timeout_ms=op["timeout_ms"])
-        if kind == "take_multiple":
-            return pb.take_multiple(op["template"], op["max_entries"],
-                                    txn=remote, timeout_ms=op["timeout_ms"])
-        if kind == "commit":
-            return pb.commit(remote)
-        if kind == "abort":
-            return pb.abort(remote)
-        raise SpaceError(f"unknown batched operation {kind!r}")
+    def _off_shard(self, call: Call) -> Any:
+        """Execute a call no single shard takes, at its position."""
+        row = OPS[call.op]
+        if row.route == "local":
+            return None  # txn_create: bound (and created) on first use
+        if row.route == "txn":
+            # Completing a transaction that never bound is client-local.
+            return getattr(call.txn, row.method)()
+        value = apply(self._router, call)
+        # A batch answers write_all in its wire form, wherever it ran.
+        return {"count": value} if row.reply == "count" else value
 
     @staticmethod
     def _flush_run(pending: tuple, results: list[Any]) -> list[Any]:
@@ -444,28 +290,19 @@ class ShardedBatch:
         indices, and return everything the pipeline answered."""
         _shard, pb, mapping = pending
         values = pb.flush()
-        for op_index, pb_index, op in mapping:
+        for op_index, pb_index, call in mapping:
             results[op_index] = values[pb_index]
-            txn = op.get("txn")
-            if op["kind"] in ("commit", "abort") and \
-                    isinstance(txn, ShardedTransaction):
-                txn.completed = True
+            if OPS[call.op].route == "txn":
+                call.txn.completed = True
         return values
 
-    def _run_tail(self, ops: list[dict[str, Any]], tail_start: int,
-                  results: list[Any], pending: Optional[tuple]) -> None:
-        take_op = ops[-1]
-        txn: ShardedTransaction = take_op["txn"]
-        max_entries = take_op.get("max_entries", 1)
-        got = self._router._prefetch_under_txn(
-            take_op["template"], max_entries, txn,
-            timeout_ms=take_op["timeout_ms"],
-            multiple=take_op["kind"] == "take_multiple",
-            carried=pending, carried_results=results,
-        )
-        if tail_start == len(ops) - 2:  # txn_create rode along
-            results[-2] = txn.txn_id if txn._remote is not None else None
-        results[-1] = got
+
+def _local(call: Call) -> bool:
+    """True for a call no shard takes that has no server-side work: a
+    deferred ``txn_create``, or completing a still-unbound transaction."""
+    route = OPS[call.op].route
+    return route == "local" or (
+        route == "txn" and isinstance(call.txn, ShardedTransaction))
 
 
 #: Longest a wildcard call waits on events alone: every period (and at
@@ -501,6 +338,7 @@ class _Watch:
         self.empty: dict[tuple, list[Optional[int]]] = {}
 
 
+@space_client
 class ShardRouter:
     """Client stub over N shard servers with the :class:`SpaceProxy` API.
 
@@ -605,52 +443,78 @@ class ShardRouter:
             order.insert(0, first)
         return order
 
-    def _txn_for(self, txn: Any, shard: int) -> Optional[RemoteTransaction]:
-        if txn is None:
-            return None
-        if isinstance(txn, ShardedTransaction):
-            return txn._bind(shard)
-        return txn  # a raw RemoteTransaction: the caller owns its shard
+    @staticmethod
+    def _pinned(call: Call, shard: int) -> Call:
+        """``call`` with its shard-local transaction pinned to ``shard``
+        (a raw RemoteTransaction is the caller's to place)."""
+        if isinstance(call.txn, ShardedTransaction):
+            return call._replace(txn=call.txn._bind(shard))
+        return call
 
-    # -- JavaSpace API ---------------------------------------------------------
+    def _route(self, call: Call) -> Optional[int]:
+        """The one shard ``call`` goes to, by its row's route (``None``:
+        no single shard takes it — it scatters, or reaches no server)."""
+        route = OPS[call.op].route
+        if route == "entry":
+            return self._entry_shard(call.subject)
+        if route == "entries":
+            shards = {self._entry_shard(entry) for entry in call.subject}
+            if len(shards) > 1 and call.txn is not None:
+                raise SpaceError(
+                    "cross-shard write_all under a shard-local transaction")
+            return shards.pop() if len(shards) == 1 else None
+        if route == "template":
+            shard = self._template_shard(call.subject)
+            if shard is not None:
+                return shard
+        # A wildcard, commit or abort under a shard-local transaction goes
+        # to its pin (None while unbound: it holds nothing yet).
+        if route in ("template", "txn") and isinstance(call.txn,
+                                                        ShardedTransaction):
+            return call.txn.shard
+        return None
 
-    def write(self, entry: Entry, txn: Any = None,
-              lease_ms: float = FOREVER, requeue: bool = False) -> dict[str, Any]:
-        shard = self._entry_shard(entry)
-        return self._proxies[shard].write(entry, txn=self._txn_for(txn, shard),
-                                          lease_ms=lease_ms, requeue=requeue)
+    # -- JavaSpace API: write/read/take/... come from ``space_client`` ---------
 
-    def write_all(self, entries: list[Entry], txn: Any = None,
-                  lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        if not entries:
-            return 0
+    def _invoke(self, call: Call) -> Any:
+        """Send ``call`` to its shard's proxy, pinning its transaction
+        there; a call no single shard takes scatter-gathers."""
+        shard = self._route(call)
+        if shard is not None:
+            return apply(self._proxies[shard], self._pinned(call, shard))
+        if self._prefetches(call):
+            return self._prefetch_under_txn(call)
+        return getattr(self, f"_scatter_{call.op}")(call)
+
+    def _prefetches(self, call: Call) -> bool:
+        """A wildcard take under a still-unbound shard-local transaction:
+        it binds where it finds entries (:meth:`_prefetch_under_txn`)."""
+        return (call.op in ("take", "take_multiple")
+                and isinstance(call.txn, ShardedTransaction)
+                and self._route(call) is None)
+
+    def _scatter_write_all(self, call: Call) -> int:
+        """Untransacted bulk write: one write_all per touched shard, all
+        in flight at once (seeding a large job shouldn't pay one round
+        trip per shard in series).
+
+        Each shard's admission check is pre-dispatch-atomic for *its*
+        group, but the scatter as a whole is not: when one shard rejects
+        after others admitted, the surfaced AdmissionError names the
+        entries that landed — blind retry of the full list would
+        duplicate them (and the history would wrongly swear they never
+        existed)."""
         groups: dict[int, list[Entry]] = {}
-        for entry in entries:
+        for entry in call.subject:
             groups.setdefault(self._entry_shard(entry), []).append(entry)
-        if txn is not None and len(groups) > 1:
-            raise SpaceError(
-                "cross-shard write_all under a shard-local transaction")
-        if len(groups) == 1 or txn is not None:
-            total = 0
-            for shard in sorted(groups):
-                total += self._proxies[shard].write_all(
-                    groups[shard], txn=self._txn_for(txn, shard),
-                    lease_ms=lease_ms, requeue=requeue)
-            return total
-        # Untransacted bulk write: one write_all per touched shard, all in
-        # flight at once (seeding a large job shouldn't pay one round trip
-        # per shard in series).  Each shard's admission check is
-        # pre-dispatch-atomic for *its* group, but the scatter as a whole
-        # is not: when one shard rejects after others admitted, the
-        # surfaced AdmissionError names the entries that landed — blind
-        # retry of the full list would duplicate them (and the history
-        # would wrongly swear they never existed).
+        if not groups:
+            return 0
         shards = sorted(groups)
         outcomes = self._fan_out_outcomes(
             shards,
             lambda proxy, shard: proxy.write_all(groups[shard],
-                                                 lease_ms=lease_ms,
-                                                 requeue=requeue))
+                                                 lease_ms=call.lease_ms,
+                                                 requeue=call.requeue))
         failures = [value for (status, value) in outcomes if status == "err"]
         if not failures:
             return sum(value for _, value in outcomes)
@@ -665,82 +529,62 @@ class ShardRouter:
             for entry in groups[shard])
         raise exc
 
-    def read(self, template: Entry, txn: Any = None,
-             timeout_ms: Optional[float] = None) -> Optional[Entry]:
-        shard = self._route_for_acquire(template, txn)
-        if shard is not None:
-            return self._proxies[shard].read(
-                template, txn=self._txn_for(txn, shard), timeout_ms=timeout_ms)
-        got = self._gather("read", template, timeout_ms, self._first_match(
-            lambda shard: _listed(self._proxies[shard].read(
-                template, txn=txn, timeout_ms=0.0))))
+    def _first_hit(self, call: Call,
+                   attempt: Optional[Callable[[int], Any]] = None,
+                   first: Optional[int] = None) -> Any:
+        """Answer ``call`` from one shard at a time, in scan order: the
+        first whose ``attempt`` — by default ``call`` made non-blocking
+        there — yields anything wins."""
+        if attempt is None:
+            probe = call._replace(timeout_ms=0.0)
+
+            def attempt(shard: int) -> Any:
+                return apply(self._proxies[shard], probe)
+
+        listed = _listed if OPS[call.op].reply == "first" else list
+
+        def scan(shards: list[int], watch: _Watch,
+                 marks: list[Optional[int]]) -> list[Entry]:
+            for shard in shards:
+                mark = watch.events[shard]  # read before the request goes
+                chunk = listed(attempt(shard))
+                marks[shard] = None if chunk else mark
+                if chunk:
+                    self._cursor = shard
+                    return chunk
+            return []
+
+        got = self._gather(call, scan, first)
+        if OPS[call.op].reply == "list":
+            return got
         return got[0] if got else None
 
-    def take(self, template: Entry, txn: Any = None,
-             timeout_ms: Optional[float] = None) -> Optional[Entry]:
-        shard = self._route_for_acquire(template, txn)
-        if shard is not None:
-            return self._proxies[shard].take(
-                template, txn=self._txn_for(txn, shard), timeout_ms=timeout_ms)
-        if isinstance(txn, ShardedTransaction):
-            return self._prefetch_under_txn(template, 1, txn,
-                                            timeout_ms=timeout_ms,
-                                            multiple=False)
-        got = self._gather("take", template, timeout_ms, self._first_match(
-            lambda shard: _listed(self._proxies[shard].take(
-                template, txn=txn, timeout_ms=0.0))))
-        return got[0] if got else None
+    _scatter_read = _scatter_take = _first_hit
 
-    def read_if_exists(self, template: Entry, txn: Any = None):
-        return self.read(template, txn, timeout_ms=0.0)
-
-    def take_if_exists(self, template: Entry, txn: Any = None):
-        return self.take(template, txn, timeout_ms=0.0)
-
-    def take_multiple(self, template: Entry, max_entries: int,
-                      txn: Any = None,
-                      timeout_ms: Optional[float] = None) -> list[Entry]:
-        shard = self._route_for_acquire(template, txn)
-        if shard is not None:
-            return self._proxies[shard].take_multiple(
-                template, max_entries, txn=self._txn_for(txn, shard),
-                timeout_ms=timeout_ms)
-        if isinstance(txn, ShardedTransaction):
-            return self._prefetch_under_txn(template, max_entries, txn,
-                                            timeout_ms=timeout_ms,
-                                            multiple=True)
-        if max_entries < 1:
-            raise SpaceError(f"max_entries must be >= 1: {max_entries}")
-        if txn is not None:
+    def _scatter_take_multiple(self, call: Call) -> list[Entry]:
+        if call.max_entries < 1:
+            raise SpaceError(f"max_entries must be >= 1: {call.max_entries}")
+        if call.txn is not None:
             # A raw RemoteTransaction lives on one shard — its owner's
             # business which; whichever answers first is all it can hold.
-            scan = self._first_match(
-                lambda shard: self._proxies[shard].take_multiple(
-                    template, max_entries, txn=txn, timeout_ms=0.0))
-        else:
-            scan = self._overlapped(template, max_entries)
-        return self._gather("take_multiple", template, timeout_ms, scan)
+            return self._first_hit(call)
+        return self._gather(call, self._overlapped(call.subject,
+                                                   call.max_entries))
 
-    def count(self, template: Entry, txn: Any = None) -> int:
-        shard = self._template_shard(template)
-        if shard is not None:
-            return self._proxies[shard].count(template)
-        return sum(self._fan_out(
-            lambda proxy, _i: proxy.count(template)))
+    def _everywhere(self, call: Call) -> list[Any]:
+        """``call`` on every shard at once, answers in shard-index order:
+        the reply payloads leave N different hosts in parallel, and the
+        deterministic order keeps replays byte-identical.  A wildcard
+        under no pinned transaction gets here; an unbound one holds
+        nothing yet, so every shard answers without it."""
+        bare = call._replace(txn=None)
+        return self._fan_out(lambda proxy, _i: apply(proxy, bare))
 
-    def contents(self, template: Entry, txn: Any = None) -> list[Entry]:
-        shard = self._route_for_acquire(template, txn)
-        if shard is not None:
-            return self._proxies[shard].contents(
-                template, txn=self._txn_for(txn, shard))
-        merged: list[Entry] = []
-        # Concurrent per-shard RPCs, merged in shard-index order: the
-        # reply payloads leave N different hosts in parallel, and the
-        # deterministic merge keeps replays byte-identical.
-        for chunk in self._fan_out(
-                lambda proxy, _i: proxy.contents(template)):
-            merged.extend(chunk)
-        return merged
+    def _scatter_count(self, call: Call) -> int:
+        return sum(self._everywhere(call))
+
+    def _scatter_contents(self, call: Call) -> list[Entry]:
+        return [entry for chunk in self._everywhere(call) for entry in chunk]
 
     def transaction(self, timeout_ms: float = FOREVER) -> ShardedTransaction:
         return ShardedTransaction(self, timeout_ms)
@@ -784,11 +628,6 @@ class ShardRouter:
         under admission control) inspect the full list."""
         shards = list(shards)
         proxies = self._proxies
-        if len(shards) == 1:
-            try:
-                return [("ok", op(proxies[shards[0]], shards[0]))]
-            except Exception as exc:  # aligned with the fan-out contract
-                return [("err", exc)]
         results: list[Any] = [None] * len(shards)
         remaining = [len(shards)]
         cond = self.runtime.condition()
@@ -810,16 +649,6 @@ class ShardRouter:
             while remaining[0] > 0:
                 cond.wait()
         return results
-
-    def _route_for_acquire(self, template: Entry, txn: Any) -> Optional[int]:
-        """Shard for a read/take/contents — the template's shard, else the
-        transaction's pin (wildcard ops under a pinned txn stay local)."""
-        shard = self._template_shard(template)
-        if shard is not None:
-            return shard
-        if isinstance(txn, ShardedTransaction) and txn._remote is not None:
-            return txn.shard
-        return None
 
     def _deadline(self, timeout_ms: Optional[float]) -> Optional[float]:
         return None if timeout_ms is None else self.runtime.now() + timeout_ms
@@ -882,11 +711,11 @@ class ShardRouter:
             return self.runtime.wait_for(
                 self._wake, lambda: marks != watch.events, timeout_ms=budget)
 
-    def _gather(self, op: str, template: Entry, timeout_ms: Optional[float],
+    def _gather(self, call: Call,
                 scan: Callable[[list[int], _Watch, list[Optional[int]]],
                                list[Entry]],
                 first: Optional[int] = None) -> list[Entry]:
-        """One wildcard call: ``scan`` the hinted shards (in cursor
+        """One wildcard ``call``: ``scan`` the hinted shards (in cursor
         order) with non-blocking takes or reads; with nothing found,
         wait for a hint and go again.
 
@@ -895,10 +724,11 @@ class ShardRouter:
         ``timeout_ms`` of 0 has nothing to wait for, so it scans every
         shard once and registers nothing.
         """
-        watch, marks = self._watch(template)
+        timeout_ms = call.timeout_ms
+        watch, marks = self._watch(call.subject)
         deadline = self._deadline(timeout_ms)
         everywhere = timeout_ms == 0.0
-        with self._traced_scatter(op):
+        with self._traced_scatter(call.op):
             while True:
                 if not everywhere:
                     self._arm(watch)
@@ -913,20 +743,6 @@ class ShardRouter:
                 # A lapsed wait is the safety net for lost events: scan
                 # every shard once, then (deadline permitting) wait on.
                 everywhere = not self._await_hint(watch, marks, deadline)
-
-    def _first_match(self, attempt: Callable[[int], list[Entry]]):
-        """Scan one shard at a time; the first to yield anything wins."""
-        def scan(shards: list[int], watch: _Watch,
-                 marks: list[Optional[int]]) -> list[Entry]:
-            for shard in shards:
-                mark = watch.events[shard]  # read before the request goes
-                chunk = attempt(shard)
-                marks[shard] = None if chunk else mark
-                if chunk:
-                    self._cursor = shard
-                    return chunk
-            return []
-        return scan
 
     def _overlapped(self, template: Entry, room: int):
         """Scan for the untransacted ``take_multiple``: split ``room``
@@ -1003,17 +819,10 @@ class ShardRouter:
         finally:
             span.end()
 
-    def _prefetch_under_txn(
-        self,
-        template: Entry,
-        max_entries: int,
-        txn: ShardedTransaction,
-        timeout_ms: Optional[float],
-        multiple: bool,
-        carried: Optional[tuple] = None,
-        carried_results: Optional[list[Any]] = None,
-    ) -> Any:
-        """Wildcard take under a still-unbound shard-local transaction.
+    def _prefetch_under_txn(self, take: Call, carried: Optional[tuple] = None,
+                            carried_results: Optional[list[Any]] = None) -> Any:
+        """A wildcard ``take``/``take_multiple`` under a still-unbound
+        shard-local transaction.
 
         Each attempt is txn_create + non-blocking take in ONE pipelined
         RPC on a hinted shard.  Entries bind the handle there; an empty
@@ -1026,28 +835,20 @@ class ShardRouter:
         attempted first and the prefetch rides that RPC (the steady-state
         single-RPC cycle).
         """
-        def attempt(shard: int) -> list[Entry]:
+        txn: ShardedTransaction = take.txn
+
+        def attempt(shard: int) -> Any:
             nonlocal carried
             run, carried = carried, None  # rides the first attempt only
             pb = run[1] if run is not None else self._proxies[shard].batch()
             remote = pb.txn_create(txn._timeout_ms)
-            if multiple:
-                pb.take_multiple(template, max_entries, txn=remote,
-                                 timeout_ms=0.0)
-            else:
-                pb.take(template, txn=remote, timeout_ms=0.0)
+            apply(pb, take._replace(txn=remote, timeout_ms=0.0))
             values = (ShardedBatch._flush_run(run, carried_results)
                       if run is not None else pb.flush())
             txn._adopt(shard, remote)
-            got = values[-1] if multiple else _listed(values[-1])
-            if not got:
+            if not values[-1]:
                 txn._unbind_quietly()
-            return got
+            return values[-1]
 
-        got = self._gather(
-            "take_multiple" if multiple else "take", template, timeout_ms,
-            self._first_match(attempt),
-            first=carried[0] if carried is not None else None)
-        if multiple:
-            return got
-        return got[0] if got else None
+        return self._first_hit(
+            take, attempt, first=carried[0] if carried is not None else None)

@@ -11,7 +11,8 @@ response times and a *resolution status*:
     The operation definitely took effect (acknowledged, and any
     enclosing transaction committed).
 ``indeterminate``
-    The connection died around the critical RPC.  Non-idempotent
+    The connection died around the critical RPC, or the server failed
+    the call (in a batch, after a prefix may have run).  Non-idempotent
     operations are never blind-retried by the proxy (see
     :class:`~repro.tuplespace.proxy.RecoveryPolicy`), so the operation
     executed *at most once* — it may or may not have taken effect.
@@ -50,12 +51,19 @@ lost-write check for that class — sound, just weaker).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.errors import AdmissionError, FencedError, NetworkError, SpaceError
 from repro.runtime.base import Runtime
 from repro.tuplespace.entry import Entry
 from repro.tuplespace.lease import FOREVER
+from repro.tuplespace.ops import (
+    Call,
+    TransactionHandle,
+    apply,
+    batch_recorder,
+    space_client,
+)
 
 __all__ = ["Op", "HistoryRecorder", "RecordingSpace",
            "RecordingTransaction", "RecordingBatch", "entry_key"]
@@ -114,7 +122,7 @@ class HistoryRecorder:
         return self.runtime.now()
 
     def record(self, op: str, entry: Any, client: str, invoked_ms: float,
-               status: str, responded_ms: Optional[float] = None) -> Op:
+               status: str) -> Op:
         """Record one finalized (or pending) operation on ``entry``."""
         record = Op(
             op=op,
@@ -123,8 +131,7 @@ class HistoryRecorder:
             client=client,
             invoked_ms=invoked_ms,
             status=status,
-            responded_ms=(responded_ms if responded_ms is not None
-                          else (None if status == PENDING else self.now())),
+            responded_ms=None if status == PENDING else self.now(),
         )
         self.ops.append(record)
         return record
@@ -133,33 +140,16 @@ class HistoryRecorder:
                        invoked_ms: float, status: str,
                        count: Optional[int]) -> Op:
         """Record an operation whose affected entries are unknown."""
-        record = Op(
-            op=op,
-            entry_class=type(template).__name__,
-            key=None,
-            client=client,
-            invoked_ms=invoked_ms,
-            status=status,
-            responded_ms=self.now(),
-            count=count,
-        )
-        self.ops.append(record)
+        record = self.record(op, template, client, invoked_ms, status)
+        record.key = None
+        record.count = count
         return record
 
 
-def _unwrap(txn: Any) -> Any:
-    """The transaction handle the underlying client understands."""
-    if isinstance(txn, RecordingTransaction):
-        return txn._inner
-    return txn
+class RecordingTransaction(TransactionHandle):
+    """Transaction handle that defers status resolution.
 
-
-class RecordingTransaction:
-    """Duck-typed transaction handle that defers status resolution.
-
-    Mirrors the :class:`~repro.tuplespace.proxy.RemoteTransaction`
-    surface (``txn_id``/``completed``/``commit``/``abort``/context
-    manager).  ``completed`` is a property *with a setter* because
+    ``completed`` is a property *with a setter* because
     worker error paths assign it directly after a failed abort — that
     assignment resolves any still-pending operations as ``aborted``
     (the commit was never acknowledged, so nothing took effect).
@@ -190,8 +180,7 @@ class RecordingTransaction:
     def _buffer(self, record: Op) -> None:
         self._pending.append(record)
 
-    def _resolve(self, status: str,
-                 responded_ms: Optional[float] = None) -> None:
+    def _resolve(self, status: str) -> None:
         """Stamp every buffered operation with the transaction's fate.
 
         First resolution wins: a commit that died with a connection
@@ -201,7 +190,7 @@ class RecordingTransaction:
         if self._resolved:
             return
         self._resolved = True
-        when = responded_ms if responded_ms is not None else self._history.now()
+        when = self._history.now()
         for record in self._pending:
             record.status = status
             record.responded_ms = when
@@ -230,26 +219,61 @@ class RecordingTransaction:
             # issued — the server aborts the transaction on lease expiry.
             self._resolve(ABORTED)
 
-    def __enter__(self) -> "RecordingTransaction":
-        return self
 
-    def __exit__(self, exc_type: object, *exc: object) -> None:
-        if self.completed:
-            return
-        if exc_type is None:
-            self.commit()
-        else:
-            self.abort()
+@dataclass(slots=True, eq=False)
+class _Step:
+    """One recorded call on its way: when it was invoked, where its
+    value will be in a batch's answer, and (writes) its history records."""
+
+    call: Call
+    invoked_ms: float
+    index: Optional[int] = None
+    records: Sequence[Op] = ()
 
 
+def _unwrapped(call: Call) -> Call:
+    """``call`` as the wrapped client understands it."""
+    if isinstance(call.txn, RecordingTransaction):
+        return call._replace(txn=call.txn._inner)
+    return call
+
+
+def _entries(call: Call) -> list[Entry]:
+    return call.subject if call.op == "write_all" else [call.subject]
+
+
+#: Unkeyed slack a lost take leaves: one entry, or an unknown number.
+_LOST_TAKE = {"take": 1, "take_multiple": None}
+
+
+def _failure(exc: Exception) -> Optional[str]:
+    """What a failed call says about its effect (``None``: nothing)."""
+    if isinstance(exc, (FencedError, AdmissionError)):
+        # Both are pre-execution rejections; for a batch the server
+        # admission-checks every sub-op before running any, so the whole
+        # pipeline definitely did not execute.
+        return REJECTED
+    if isinstance(exc, (NetworkError, SpaceError)):
+        # The reply was lost, or the server failed the call — for a
+        # batch, after a prefix of it may have run.
+        return INDETERMINATE
+    return None
+
+
+@space_client
 class RecordingSpace:
     """History-recording wrapper around a space client.
 
-    Everything not intercepted here (``count``, ``contents``,
-    ``exists``, ``ping``, ``close``, ``fail``, health counters, ...)
-    passes through via ``__getattr__`` — including ``batch``, which is
-    wrapped on access so that ``getattr(space, "batch", None)``
-    duck-typing still reports ``None`` for clients without one.
+    The space operations (``write``, ``take``, ``count``, ...) are
+    recorded; everything else (``exists``, ``ping``, ``close``, ``fail``,
+    health counters, ...) passes through via ``__getattr__`` — including
+    ``batch``, which is wrapped on access so that
+    ``getattr(space, "batch", None)`` duck-typing still reports ``None``
+    for clients without one.
+
+    A lone call and a batch's calls are recorded alike: :meth:`_open`
+    before the call is made, then :meth:`_settle` each with its value or
+    with what its failure says.
     """
 
     def __init__(self, space: Any, history: HistoryRecorder,
@@ -257,99 +281,6 @@ class RecordingSpace:
         self._space = space
         self._history = history
         self._client = client
-
-    # -- mutating operations -------------------------------------------------
-
-    def write(self, entry: Entry, txn: Any = None,
-              lease_ms: float = FOREVER, requeue: bool = False) -> Any:
-        records = self._open_writes([entry], self._history.now())
-        try:
-            result = self._space.write(entry, txn=_unwrap(txn),
-                                       lease_ms=lease_ms, requeue=requeue)
-        except (FencedError, AdmissionError):
-            self._stamp(records, REJECTED)
-            raise
-        except NetworkError:
-            self._stamp(records, INDETERMINATE)
-            raise
-        self._close_writes(records, txn)
-        return result
-
-    def write_all(self, entries: list[Entry], txn: Any = None,
-                  lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        records = self._open_writes(entries, self._history.now())
-        try:
-            result = self._space.write_all(entries, txn=_unwrap(txn),
-                                           lease_ms=lease_ms, requeue=requeue)
-        except (FencedError, AdmissionError) as exc:
-            # A sharded scatter can admit some groups before another
-            # shard rejects; those entries *are* in the space and the
-            # router names them on the exception.  Everything else was
-            # definitely refused pre-dispatch.
-            self._stamp_unadmitted(records, entries, exc)
-            raise
-        except NetworkError:
-            self._stamp(records, INDETERMINATE)
-            raise
-        self._close_writes(records, txn)
-        return result
-
-    def take(self, template: Entry, txn: Any = None,
-             timeout_ms: Optional[float] = None) -> Optional[Entry]:
-        invoked = self._history.now()
-        try:
-            entry = self._space.take(template, txn=_unwrap(txn),
-                                     timeout_ms=timeout_ms)
-        except FencedError:
-            raise  # rejected pre-execution: nothing was consumed
-        except NetworkError:
-            # The reply was lost: an entry may have been consumed, and
-            # we cannot know which.  Unkeyed slack for the checker.
-            self._history.record_unkeyed("take", template, self._client,
-                                         invoked, INDETERMINATE, count=1)
-            raise
-        if entry is not None:
-            self._settle_takes([entry], txn, invoked)
-        return entry
-
-    def take_if_exists(self, template: Entry,
-                       txn: Any = None) -> Optional[Entry]:
-        return self.take(template, txn=txn, timeout_ms=0.0)
-
-    def take_multiple(self, template: Entry, max_entries: int,
-                      txn: Any = None,
-                      timeout_ms: Optional[float] = None) -> list[Entry]:
-        invoked = self._history.now()
-        try:
-            entries = self._space.take_multiple(
-                template, max_entries, txn=_unwrap(txn),
-                timeout_ms=timeout_ms)
-        except FencedError:
-            raise
-        except NetworkError:
-            self._history.record_unkeyed("take", template, self._client,
-                                         invoked, INDETERMINATE, count=None)
-            raise
-        if entries:
-            self._settle_takes(entries, txn, invoked)
-        return entries
-
-    # -- non-mutating operations ---------------------------------------------
-
-    def read(self, template: Entry, txn: Any = None,
-             timeout_ms: Optional[float] = None) -> Optional[Entry]:
-        invoked = self._history.now()
-        entry = self._space.read(template, txn=_unwrap(txn),
-                                 timeout_ms=timeout_ms)
-        if entry is not None:
-            # Reads never change state: record committed immediately.
-            self._history.record("read", entry, self._client, invoked,
-                                 COMMITTED)
-        return entry
-
-    def read_if_exists(self, template: Entry,
-                       txn: Any = None) -> Optional[Entry]:
-        return self.read(template, txn=txn, timeout_ms=0.0)
 
     # -- handles -------------------------------------------------------------
 
@@ -363,227 +294,129 @@ class RecordingSpace:
             return lambda: RecordingBatch(factory(), self)
         return getattr(self._space, name)
 
-    # -- internals -----------------------------------------------------------
+    # -- open / settle ---------------------------------------------------------
 
-    def _open_writes(self, entries: list[Entry],
-                     invoked_ms: float) -> list[Op]:
-        """Enter writes into the history ``pending``, before the call that
-        may make them visible to other clients is issued."""
-        return [self._history.record("write", entry, self._client,
-                                     invoked_ms, PENDING)
-                for entry in entries]
+    def _invoke(self, call: Call) -> Any:
+        step = self._open(_Step(call, self._history.now()))
+        try:
+            value = apply(self._space, _unwrapped(call))
+        except Exception as exc:
+            self._fail([step], exc)
+            raise
+        self._settle(step, COMMITTED, value)
+        return value
 
-    def _stamp(self, records: list[Op], status: str) -> None:
-        now = self._history.now()
-        for record in records:
-            record.status = status
-            record.responded_ms = now
+    def _open(self, step: _Step) -> _Step:
+        """Enter a write into the history ``pending``, before the call
+        that may make it visible to other clients is issued."""
+        if step.call.op in ("write", "write_all"):
+            step.records = [
+                self._history.record("write", entry, self._client,
+                                     step.invoked_ms, PENDING)
+                for entry in _entries(step.call)]
+        return step
 
-    def _stamp_unadmitted(self, records: list[Op], entries: list[Entry],
-                        exc: Optional[Exception],
-                        status: str = REJECTED) -> None:
-        """Stamp ``status`` — except on entries a partially rejected
-        scatter names as admitted, which did land."""
-        admitted = {id(e) for e in getattr(exc, "admitted_entries", ())}
-        for record, entry in zip(records, entries):
-            self._stamp([record],
-                        COMMITTED if id(entry) in admitted else status)
+    def _fail(self, steps: list[_Step], exc: Exception) -> None:
+        """Settle calls that failed with ``exc`` — as their failure says
+        (:func:`_failure`), except entries a partially rejected scatter
+        did land: those ride ``exc`` and are committed."""
+        status = _failure(exc)
+        if status is not None:
+            landed = {id(e) for e in getattr(exc, "admitted_entries", ())}
+            for step in steps:
+                self._settle(step, status, landed=landed)
 
-    def _close_writes(self, records: list[Op], txn: Any) -> None:
-        """Acknowledged writes: their transaction's fate decides, or
-        (untransacted) they are committed now."""
-        if isinstance(txn, RecordingTransaction):
-            for record in records:
-                txn._buffer(record)
-        else:
-            self._stamp(records, COMMITTED)
+    def _settle(self, step: _Step, status: str, value: Any = None,
+                landed: frozenset = frozenset()) -> None:
+        """Record one call's outcome: ``committed`` when acknowledged
+        (with its ``value``), else ``rejected`` or ``indeterminate``.
 
-    def _settle_takes(self, entries: list[Entry], txn: Any,
-                      invoked_ms: float) -> None:
-        """Record successful takes: buffered if transactional."""
-        if isinstance(txn, RecordingTransaction):
-            for entry in entries:
-                txn._buffer(self._history.record(
-                    "take", entry, self._client, invoked_ms, PENDING))
-        else:
-            for entry in entries:
-                self._history.record("take", entry, self._client,
-                                     invoked_ms, COMMITTED)
+        Acknowledged writes and takes under a recording transaction are
+        buffered on it until its fate is known.  A failed write is still
+        attributable; a failed take yielded no entry we can name, so an
+        indeterminate one records unkeyed per-class slack.  A commit or
+        abort decides its transaction.
+        """
+        call = step.call
+        op, txn = call.op, call.txn
+        recording = isinstance(txn, RecordingTransaction)
+        buffered = recording and status == COMMITTED
+        if step.records:
+            for record, entry in zip(step.records, _entries(call)):
+                if buffered:
+                    txn._buffer(record)
+                else:
+                    record.status = (COMMITTED if id(entry) in landed
+                                     else status)
+                    record.responded_ms = self._history.now()
+        elif op in _LOST_TAKE and status == COMMITTED:
+            taken = (value if op == "take_multiple"
+                     else [] if value is None else [value])
+            for entry in taken:
+                record = self._history.record(
+                    "take", entry, self._client, step.invoked_ms,
+                    PENDING if buffered else COMMITTED)
+                if buffered:
+                    txn._buffer(record)
+        elif op in _LOST_TAKE and status == INDETERMINATE:
+            self._history.record_unkeyed(
+                "take", call.subject, self._client, step.invoked_ms,
+                INDETERMINATE, count=_LOST_TAKE[op])
+        elif op == "read" and value is not None:
+            self._history.record("read", value, self._client,
+                                 step.invoked_ms, COMMITTED)
+        elif recording and op in ("txn_commit", "txn_abort"):
+            txn._resolve(status if op == "txn_commit" else ABORTED)
 
 
+@batch_recorder
 class RecordingBatch:
     """History-recording wrapper around a pipelined batch.
 
     Mirrors :class:`~repro.tuplespace.proxy.ProxyBatch` /
-    :class:`~repro.tuplespace.sharding.ShardedBatch`: operations are
-    described locally and resolved when :meth:`flush` learns their fate.
-    A ``commit``/``abort`` op inside the batch resolves its transaction's
-    buffered history at the right point in the op sequence, so the
-    worker's steady-state ``write_all + commit + txn_create +
-    take_multiple`` cycle records exactly like its unbatched equivalent.
+    :class:`~repro.tuplespace.sharding.ShardedBatch`: each call is passed
+    to the wrapped batch as it is recorded and resolved when
+    :meth:`flush` learns its fate.  A ``commit``/``abort`` inside the
+    batch resolves its transaction's buffered history at the right point
+    in the call sequence, so the worker's steady-state ``write_all +
+    commit + txn_create + take_multiple`` cycle records exactly like its
+    unbatched equivalent.
     """
 
     def __init__(self, inner: Any, space: RecordingSpace) -> None:
         self._inner = inner
         self._space = space
-        self._descriptors: list[dict[str, Any]] = []
+        self._steps: list[_Step] = []
 
     def __len__(self) -> int:
         return len(self._inner)
 
-    def _describe(self, **descriptor: Any) -> None:
-        descriptor["invoked_ms"] = self._space._history.now()
-        self._descriptors.append(descriptor)
-
-    # -- the batchable operation set ----------------------------------------
-
-    def write(self, entry: Entry, txn: Any = None,
-              lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        index = self._inner.write(entry, txn=_unwrap(txn), lease_ms=lease_ms,
-                                  requeue=requeue)
-        self._describe(kind="write", index=index, entries=[entry], txn=txn)
+    def _record(self, call: Call) -> Optional[int]:
+        # txn_create already reached the wrapped batch (_transaction).
+        index = (None if call.op == "txn_create"
+                 else apply(self._inner, _unwrapped(call)))
+        self._steps.append(_Step(call, self._space._history.now(), index))
         return index
 
-    def write_all(self, entries: list[Entry], txn: Any = None,
-                  lease_ms: float = FOREVER, requeue: bool = False) -> int:
-        index = self._inner.write_all(entries, txn=_unwrap(txn),
-                                      lease_ms=lease_ms, requeue=requeue)
-        self._describe(kind="write", index=index, entries=list(entries),
-                       txn=txn)
-        return index
-
-    def read(self, template: Entry, txn: Any = None,
-             timeout_ms: Optional[float] = 0.0) -> int:
-        index = self._inner.read(template, txn=_unwrap(txn),
-                                 timeout_ms=timeout_ms)
-        self._describe(kind="read", index=index, template=template, txn=txn)
-        return index
-
-    def take(self, template: Entry, txn: Any = None,
-             timeout_ms: Optional[float] = 0.0) -> int:
-        index = self._inner.take(template, txn=_unwrap(txn),
-                                 timeout_ms=timeout_ms)
-        self._describe(kind="take", index=index, template=template, txn=txn,
-                       multiple=False)
-        return index
-
-    def take_multiple(self, template: Entry, max_entries: int,
-                      txn: Any = None,
-                      timeout_ms: Optional[float] = 0.0) -> int:
-        index = self._inner.take_multiple(template, max_entries,
-                                          txn=_unwrap(txn),
-                                          timeout_ms=timeout_ms)
-        self._describe(kind="take", index=index, template=template, txn=txn,
-                       multiple=True)
-        return index
-
-    def count(self, template: Entry) -> int:
-        return self._inner.count(template)
-
-    def txn_create(self, timeout_ms: float = FOREVER) -> RecordingTransaction:
-        inner_txn = self._inner.txn_create(timeout_ms)
-        txn = RecordingTransaction(inner_txn, self._space._history,
-                                   self._space._client)
-        self._describe(kind="txn_create", txn=txn)
-        return txn
-
-    def commit(self, txn: Any) -> int:
-        index = self._inner.commit(_unwrap(txn))
-        self._describe(kind="commit", index=index, txn=txn)
-        return index
-
-    def abort(self, txn: Any) -> int:
-        index = self._inner.abort(_unwrap(txn))
-        self._describe(kind="abort", index=index, txn=txn)
-        return index
-
-    # -- execution -----------------------------------------------------------
+    def _transaction(self, timeout_ms: float) -> RecordingTransaction:
+        space = self._space
+        return RecordingTransaction(self._inner.txn_create(timeout_ms),
+                                    space._history, space._client)
 
     def flush(self) -> list[Any]:
-        descriptors, self._descriptors = self._descriptors, []
+        steps, self._steps = self._steps, []
         space = self._space
-        for d in descriptors:
-            if d["kind"] == "write":
-                # Pending from here on: the flush may block in a later
-                # sub-op long after these writes became visible.
-                d["records"] = space._open_writes(d["entries"],
-                                                  d["invoked_ms"])
+        # Pending from here on: the flush may block in a later sub-op
+        # long after these writes became visible.
+        for step in steps:
+            space._open(step)
         try:
             values = self._inner.flush()
-        except (FencedError, AdmissionError) as exc:
-            # Both are pre-execution rejections; for a batch the server
-            # admission-checks every sub-op before running any, so the
-            # whole pipeline definitely did not execute.  (A sharded
-            # scatter write inside a batch may still have landed on the
-            # shards that admitted it — those entries ride the error.)
-            self._fail(descriptors, REJECTED, exc)
+        except Exception as exc:
+            space._fail(steps, exc)
             raise
-        except NetworkError:
-            self._fail(descriptors, INDETERMINATE)
-            raise
-        except SpaceError:
-            # A sub-op failed server-side: a prefix of the batch may
-            # have executed; which ops it covers is not observable here.
-            self._fail(descriptors, INDETERMINATE)
-            raise
-        self._resolve(descriptors, values)
+        # In call order, so a commit resolves the writes buffered before it.
+        for step in steps:
+            space._settle(step, COMMITTED, None if step.index is None
+                          else values[step.index])
         return values
-
-    def _resolve(self, descriptors: list[dict[str, Any]],
-                 values: list[Any]) -> None:
-        """Record every op of a fully successful flush, in op order —
-        so a commit resolves the writes buffered just before it."""
-        space = self._space
-        for d in descriptors:
-            kind, txn = d["kind"], d.get("txn")
-            if kind == "write":
-                space._close_writes(d["records"], txn)
-            elif kind == "read":
-                entry = values[d["index"]]
-                if entry is not None:
-                    space._history.record("read", entry, space._client,
-                                          d["invoked_ms"], COMMITTED)
-            elif kind == "take":
-                value = values[d["index"]]
-                entries = (list(value) if d["multiple"]
-                           else ([value] if value is not None else []))
-                if entries:
-                    space._settle_takes(entries, txn, d["invoked_ms"])
-            elif kind == "commit" and isinstance(txn, RecordingTransaction):
-                txn._resolve(COMMITTED)
-            elif kind == "abort" and isinstance(txn, RecordingTransaction):
-                txn._resolve(ABORTED)
-
-    def _fail(self, descriptors: list[dict[str, Any]], status: str,
-              exc: Optional[Exception] = None) -> None:
-        """Record a failed flush.
-
-        ``rejected`` flushes executed nothing; ``indeterminate`` flushes
-        may have executed a prefix.  Writes are attributable either way
-        (left buffered in their open transaction when one is recording,
-        so a later commit — in a retried batch — resolves them
-        precisely); takes yielded no entries we can name, so an
-        indeterminate flush records unkeyed per-class slack.  Entries a
-        partially rejected scatter did land ride ``exc`` and are stamped
-        committed, not ``status``.
-        """
-        space = self._space
-        history = space._history
-        for d in descriptors:
-            kind, txn = d["kind"], d.get("txn")
-            if kind == "write":
-                if (status == INDETERMINATE
-                        and isinstance(txn, RecordingTransaction)
-                        and not txn._resolved):
-                    space._close_writes(d["records"], txn)
-                else:
-                    space._stamp_unadmitted(d["records"], d["entries"], exc,
-                                          status)
-            elif kind == "take" and status == INDETERMINATE:
-                history.record_unkeyed(
-                    "take", d["template"], space._client, d["invoked_ms"],
-                    INDETERMINATE, count=None if d["multiple"] else 1)
-            elif kind == "commit" and isinstance(txn, RecordingTransaction):
-                txn._resolve(status)
-            elif kind == "abort" and isinstance(txn, RecordingTransaction):
-                txn._resolve(ABORTED)
