@@ -190,6 +190,7 @@ class SimKernel:
         # The running run*() call's limits, shared by every dispatching thread.
         self._until: Optional[float] = None
         self._budget = self._max_events = 0
+        self._spent = 0     # events dispatched by finished run*() calls
         self._error: Optional[BaseException] = None    # raised by an action
         self._running = False
         self._shutdown = False
@@ -216,6 +217,12 @@ class SimKernel:
     def now(self) -> float:
         """Current virtual time in milliseconds."""
         return self._now
+
+    @property
+    def events(self) -> int:
+        """Events dispatched so far (cancelled ones never run and are not
+        counted): what the ``max_events`` budgets have been spent on."""
+        return self._spent + self._max_events - max(self._budget, 0)
 
     # -- scheduling -------------------------------------------------------------
 
@@ -376,6 +383,8 @@ class SimKernel:
                     ) from error
         finally:
             self._running = False
+            self._spent = self.events
+            self._budget = self._max_events = 0
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Process events in order until the queue drains or ``until`` is passed.

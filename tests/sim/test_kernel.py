@@ -335,6 +335,30 @@ def test_max_events_is_enforced_while_processes_hold_the_baton():
         assert kernel.now() == 25.0         # 2 starts + 2 wakes per ms; 51st
 
 
+def test_events_counts_what_ran_across_runs_and_inside_them():
+    with SimKernel() as kernel:
+        seen = []
+        kernel.call_later(1.0, lambda: None)
+        kernel.call_later(2.0, lambda: None).cancel()   # never runs
+
+        def proc():
+            seen.append(kernel.events)      # its own start event
+            kernel.sleep(5.0)
+            seen.append(kernel.events)
+
+        kernel.spawn(proc, name="p")
+        assert kernel.events == 0
+        kernel.run(until=3.0)
+        assert kernel.events == 2 and seen == [1]
+        kernel.run()
+        assert kernel.events == 3 and seen == [1, 3]
+        kernel.call_later(0.0, lambda: None)
+        kernel.call_later(0.0, lambda: None)
+        with pytest.raises(SimulationError, match="max_events"):
+            kernel.run(max_events=1)
+        assert kernel.events == 4           # the refused event did not run
+
+
 def test_deadlock_lists_live_processes_in_spawn_order():
     with SimKernel() as kernel:
         cond = SimCondition(kernel)
