@@ -10,13 +10,15 @@ regressions in the substrate code.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.apps.raytrace import Camera, default_scene, render_rows
+from repro.net import Address, Network
 from repro.runtime import SimulatedRuntime
 from repro.sim import SimKernel
 from repro.snmp import GetResponse, Oid
 from repro.snmp.pdu import decode_message, encode_message
-from repro.tuplespace import JavaSpace
+from repro.tuplespace import JavaSpace, SpaceProxy, SpaceServer
 from tests.tuplespace.entries import TaskEntry
 
 
@@ -167,3 +169,42 @@ def test_micro_process_handoff_rate(benchmark):
         kernel.shutdown()
 
     benchmark.pedantic(ping_pong, rounds=3, iterations=1)
+
+
+#: Round trips per timed round of :func:`test_micro_rpc_round_trip`.
+RPCS = 400
+
+
+@pytest.mark.parametrize("shape", ["ping", "write_take"])
+def test_micro_rpc_round_trip(benchmark, shape):
+    """Warm space RPCs between two hosts, through SpaceProxy and
+    SpaceServer: each one request and one reply, 4 kernel events and no
+    thread switch.  ``extra_info["us_per_rpc"]`` is the best round's host
+    time per round trip."""
+    runtime = SimulatedRuntime()
+    network = Network(runtime)
+    address = Address("server", 4155)
+    SpaceServer(runtime, JavaSpace(runtime), network, address).start()
+    proxy = SpaceProxy(network, "client", address)
+
+    def pings():
+        for _ in range(RPCS):
+            proxy.ping()
+
+    def writes_and_takes():
+        for i in range(RPCS // 2):
+            proxy.write(TaskEntry("bench", i, i))
+            assert proxy.take(TaskEntry(), timeout_ms=0.0) is not None
+
+    def drive(body):
+        proc = runtime.kernel.spawn(body, name="bench")
+        runtime.kernel.run_until_idle()
+        assert proc.finished and proc.error is None
+
+    drive(proxy.ping)                   # dial: every timed call is warm
+    body = pings if shape == "ping" else writes_and_takes
+    benchmark.pedantic(drive, args=(body,), rounds=7, iterations=1)
+    if benchmark.stats is not None:
+        benchmark.extra_info["us_per_rpc"] = (
+            benchmark.stats.stats.min / RPCS * 1e6)
+    runtime.shutdown()

@@ -8,8 +8,10 @@ works under virtual and wall-clock time.
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -74,7 +76,9 @@ class MessageQueue:
 
     def __init__(self, runtime: Runtime) -> None:
         self._runtime = runtime
-        self._lock = runtime.lock()
+        # An OS lock on either runtime: held across no block (a getter's
+        # wait lets go of it), so no simulated process ever waits on it.
+        self._lock = threading.Lock()
         self._cond = runtime.condition(self._lock)
         self._items: deque[Any] = deque()
         self.closed = False
@@ -86,14 +90,11 @@ class MessageQueue:
             if self.closed:
                 return
             self._items.append(item)
-            self._signal()
-
-    def _signal(self) -> None:
-        if self._armed:
-            self._armed = False
-            self._runtime.call_later(0.0, self._callback)
-        elif self._callback is None:
-            self._cond.notify_all()
+            if self._armed:
+                self._armed = False
+                self._runtime.call_later(0.0, self._callback)
+            elif self._callback is None:
+                self._cond.notify_all()
 
     def get(self, timeout_ms: Optional[float] = None) -> Any:
         """Pop the oldest item; blocks up to ``timeout_ms``.
@@ -102,11 +103,15 @@ class MessageQueue:
         when the queue is closed and drained.
         """
         with self._lock:
-            self._runtime.wait_for(
-                self._cond, lambda: bool(self._items) or self.closed, timeout_ms
-            )
-            if self._items:
-                return self._items.popleft()
+            items, now = self._items, self._runtime.now
+            deadline = None if timeout_ms is None else now() + timeout_ms
+            while not items and not self.closed:    # Runtime.wait_for's loop
+                remaining = None if deadline is None else deadline - now()
+                if remaining is not None and remaining <= 0:
+                    break
+                self._cond.wait(remaining)
+            if items:
+                return items.popleft()
             if self.closed:
                 raise ConnectionClosedError("endpoint closed")
             return None
@@ -132,10 +137,11 @@ class MessageQueue:
     def close(self) -> None:
         with self._lock:
             self.closed = True
-            self._signal()
-
-    def __len__(self) -> int:
-        return len(self._items)
+            if self._armed:
+                self._armed = False
+                self._runtime.call_later(0.0, self._callback)
+            elif self._callback is None:
+                self._cond.notify_all()
 
 
 class DatagramSocket:
@@ -186,7 +192,7 @@ class StreamSocket:
         self._peer: Optional["StreamSocket"] = None
         self.closed = False
         self._last_arrival = 0.0   # enforces FIFO delivery despite jitter
-        self._seq_lock = network.runtime.lock()
+        self._seq_lock = threading.Lock()   # an OS lock, as the queue's
         self._next_seq = itertools.count()  # stamped by senders to this socket
         self._expected_seq = 0     # next sequence to release to the queue
         self._reorder: dict[int, Optional[bytes]] = {}
@@ -227,19 +233,32 @@ class StreamSocket:
             peer._last_arrival = arrival
             network.runtime.call_later(
                 arrival - now,
-                network._arrival(self.local.host, peer, None,
-                                 next(peer._next_seq)))
+                partial(peer._deliver, None, next(peer._next_seq),
+                        self.local.host))
         self._queue.close()
 
-    def _deliver(self, payload_bytes: Optional[bytes], seq: int) -> None:
-        """Release in sequence order; ``None`` payload is the EOF marker.
-
-        The queue is fed under the sequence lock: two timer threads of
-        the threaded runtime must not swap what they just put in order.
-        """
+    def _deliver(self, data: Optional[bytes], seq: int,
+                 sender_host: Optional[str] = None) -> None:
+        """The arrival of message ``seq`` (``None``: EOF) from ``sender_host``
+        (``None`` once a pause released it): held while a host at either
+        end is paused, then fed to the queue in sequence order, under the
+        sequence lock — racing timer threads, or a held message released
+        out of turn, can arrive early."""
+        network = self._network
+        if sender_host is not None and network._paused:
+            network._run_or_hold(sender_host, self.local.host,
+                                 partial(self._deliver, data, seq))
+            return
         with self._seq_lock:
             reorder = self._reorder
-            reorder[seq] = payload_bytes
+            if seq == self._expected_seq and not reorder:   # in order
+                self._expected_seq = seq + 1
+                if data is None:
+                    self._queue.close()
+                else:
+                    self._queue.put(deserialize(data))
+                return
+            reorder[seq] = data
             while self._expected_seq in reorder:
                 data = reorder.pop(self._expected_seq)
                 self._expected_seq += 1
@@ -281,7 +300,7 @@ class Network:
         self._rng = rng
         self._datagram: dict[Address, DatagramSocket] = {}
         self._listeners: dict[Address, Listener] = {}
-        self._multicast: dict[Address, set[DatagramSocket]] = {}
+        self._multicast: dict[Address, dict[DatagramSocket, None]] = {}  # join order
         self._egress_free_at: dict[str, float] = {}  # bandwidth contention
         self._isolated: set[str] = set()             # partitioned hosts
         self._blocked: set[tuple[str, str]] = set()  # directed (src, dst) cuts
@@ -474,13 +493,14 @@ class Network:
         self.stats["datagrams"] += 1
         self.stats["datagram_bytes"] += len(data)
         if destination in self._multicast:
-            members = list(self._multicast[destination])
-            for member in members:
+            for member in list(self._multicast[destination]):
                 if self._partitioned(source.host, member.address.host):
                     self.stats["dropped"] += 1
                     self.stats["partition_dropped"] += 1
-                    continue
-                self._schedule_datagram(data, source, member)
+                elif self.latency.drops(self._rng):     # as a unicast copy
+                    self.stats["dropped"] += 1
+                else:
+                    self._schedule_datagram(data, source, member)
             return
         if self._partitioned(source.host, destination.host):
             self.stats["dropped"] += 1
@@ -512,10 +532,10 @@ class Network:
 
     def join_multicast(self, group: Address, socket: DatagramSocket) -> None:
         """Subscribe ``socket`` to datagrams addressed to ``group``."""
-        self._multicast.setdefault(group, set()).add(socket)
+        self._multicast.setdefault(group, {})[socket] = None
 
     def leave_multicast(self, group: Address, socket: DatagramSocket) -> None:
-        self._multicast.get(group, set()).discard(socket)
+        self._multicast.get(group, {}).pop(socket, None)
 
     # -- stream -------------------------------------------------------------------
 
@@ -554,9 +574,8 @@ class Network:
         stats["messages"] += 1
         stats["message_bytes"] += size
         sender_host = sender.local.host
-        receiver_host = receiver.local.host
         if (self._isolated or self._blocked) and self._partitioned(
-                sender_host, receiver_host):
+                sender_host, receiver.local.host):
             stats["dropped"] += 1
             stats["partition_dropped"] += 1
             return  # vanishes on the wire; the receiver just waits
@@ -582,22 +601,11 @@ class Network:
         if chaos is not None:
             delay += self._chaos_delay_ms()
         if self._slow:
-            delay *= self._slow_factor(sender_host, receiver_host)
+            delay *= self._slow_factor(sender_host, receiver.local.host)
         # Reliable ordered delivery: never deliver before an earlier message.
         arrival = max(now + delay, receiver._last_arrival)
         receiver._last_arrival = arrival
         self.runtime.call_later(
             arrival - now,
-            self._arrival(sender_host, receiver, data,
-                          next(receiver._next_seq)))
-
-    def _arrival(self, sender_host: str, receiver: StreamSocket,
-                 data: Optional[bytes], seq: int) -> Callable[[], None]:
-        """The delivery event of one stream message (``None``: EOF)."""
-        def arrive() -> None:
-            if self._paused:
-                self._run_or_hold(sender_host, receiver.local.host,
-                                  lambda: receiver._deliver(data, seq))
-            else:
-                receiver._deliver(data, seq)
-        return arrive
+            partial(receiver._deliver, data, next(receiver._next_seq),
+                    sender_host))

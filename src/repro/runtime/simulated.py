@@ -42,10 +42,10 @@ class SimulatedRuntime(Runtime):
 
     def __init__(self, kernel: Optional[SimKernel] = None) -> None:
         self.kernel = kernel if kernel is not None else SimKernel()
-        # Bind the clock directly: ``now()`` runs on every space operation,
-        # lease check, and deadline computation, so the instance attribute
-        # shadows the delegating method below to skip one call frame.
+        # Bind the clock and the scheduler directly (they run on every space
+        # op, message and wake): the attributes skip the methods' frame.
         self.now = self.kernel.now  # type: ignore[method-assign]
+        self.call_later = self.kernel.call_later  # type: ignore[method-assign]
 
     # -- Runtime interface -----------------------------------------------------
 

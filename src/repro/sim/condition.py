@@ -12,7 +12,8 @@ events.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from functools import partial
+from typing import Any, Optional
 
 from repro.errors import SimulationError
 from repro.sim.kernel import SimKernel, SimProcess
@@ -58,7 +59,7 @@ class SimLock:
         self._depth += 1
         return True
 
-    def release(self) -> None:
+    def release(self, *exc: object) -> None:
         depth = self._depth - 1
         if depth < 0:
             raise SimulationError("release of unacquired lock")
@@ -67,11 +68,9 @@ class SimLock:
             self._owner = None
 
     # ``with lock:`` never binds the target, so acquire's ``True`` return
-    # is fine — aliasing skips one frame per entry.
+    # is fine, and ``release`` ignores what ``__exit__`` is handed.
     __enter__ = acquire
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()
+    __exit__ = release
 
 
 class _Waiter:
@@ -92,7 +91,7 @@ class SimCondition:
     timeout — matching :class:`threading.Condition.wait`.
     """
 
-    def __init__(self, kernel: SimKernel, lock: Optional[SimLock] = None) -> None:
+    def __init__(self, kernel: SimKernel, lock: Any = None) -> None:
         self._kernel = kernel
         self._lock = lock if lock is not None else SimLock(kernel)
         self._waiters: deque[_Waiter] = deque()
@@ -105,57 +104,66 @@ class SimCondition:
         self._lock.release()
 
     def __enter__(self) -> "SimCondition":
-        self.acquire()
+        self._lock.acquire()
         return self
 
     def __exit__(self, *exc: object) -> None:
-        self.release()
+        self._lock.release()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block the calling process until notified or ``timeout`` ms pass."""
         kernel = self._kernel
-        proc = kernel.current()
+        proc = kernel._current
+        if proc is None:
+            raise SimulationError("not inside a simulated process")
         waiter = _Waiter(proc)
         self._waiters.append(waiter)
 
         handle = None
         if timeout is not None:
-            def _timeout() -> None:
-                if not waiter.woken:
-                    waiter.woken = True
-                    if waiter in self._waiters:
-                        self._waiters.remove(waiter)
-                    kernel._wake(proc)
-
-            handle = kernel.call_later(max(0.0, timeout), _timeout)
+            handle = kernel.call_later(max(0.0, timeout),
+                                       partial(self._expire, waiter))
 
         # Monitor semantics: release while blocked, reacquire on wake.  The
         # release must precede the park: this thread may run timer actions
-        # inline while parked, and they take locks as the kernel.
-        depth = self._lock._depth
-        for _ in range(depth):
-            self._lock.release()
+        # inline while parked, and they take locks as the kernel.  A
+        # SimLock's hold is set aside whole, however deep; an OS lock (a
+        # message queue's) is held once.
+        lock = self._lock
+        depth = lock._depth if lock.__class__ is SimLock else None
+        if depth is None:
+            lock.release()
+        else:
+            lock._owner, lock._depth = None, 0
         try:
             kernel._park(proc)
         finally:
-            for _ in range(depth):
-                self._lock.acquire()
+            if depth is None:
+                lock.acquire()
+            elif depth:
+                lock.acquire()          # raises if another took it meanwhile
+                lock._depth = depth
         if handle is not None:
             handle.cancel()
         return waiter.notified
 
+    def _expire(self, waiter: _Waiter) -> None:
+        if not waiter.woken:            # else a notify got there first
+            waiter.woken = True
+            if waiter in self._waiters:
+                self._waiters.remove(waiter)
+            self._kernel._wake(waiter.proc)
+
     def notify(self, n: int = 1) -> None:
         """Wake up to ``n`` waiters at the current virtual time."""
-        kernel = self._kernel
-        woken = 0
-        while self._waiters and woken < n:
-            waiter = self._waiters.popleft()
+        waiters = self._waiters
+        while waiters and n > 0:
+            waiter = waiters.popleft()
             if waiter.woken:
                 continue
-            waiter.woken = True
-            waiter.notified = True
-            kernel.call_later(0.0, waiter.proc._kernel_wake)
-            woken += 1
+            waiter.woken = waiter.notified = True
+            self._kernel.call_later(0.0, waiter.proc._kernel_wake)
+            n -= 1
 
     def notify_all(self) -> None:
-        self.notify(n=len(self._waiters))
+        self.notify(len(self._waiters))

@@ -47,12 +47,15 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import deque
+from functools import partial
 import traceback
 from typing import Any, Callable, Optional
 
 from repro.errors import DeadlockError, SimKilled, SimulationError
 
 __all__ = ["SimKernel", "SimProcess"]
+
+_new = object.__new__
 
 
 class EventHandle:
@@ -95,13 +98,11 @@ class SimProcess:
         self.error_tb: str = ""
         self._fn: Optional[Callable[[], Any]] = fn
         self._baton = baton
+        self._kernel_wake = partial(kernel._wake, self)    # one frame a wake
         # Reusable wake action: a process has at most one pending sleep,
         # so one handle per process replaces a lambda + EventHandle
         # allocation on every sleep() (the scheduler's hottest path).
         self._wake_handle = EventHandle(self._kernel_wake)
-
-    def _kernel_wake(self) -> None:
-        self.kernel._wake(self)
 
     def _run(self) -> None:
         """Body of the process, on its carrier thread."""
@@ -230,7 +231,8 @@ class SimKernel:
         """Schedule ``action`` to run, outside any process, after ``delay_ms``."""
         if delay_ms < 0:
             raise SimulationError(f"negative delay: {delay_ms}")
-        handle = EventHandle(action)
+        handle = _new(EventHandle)      # EventHandle(action), minus a frame
+        handle.action, handle.cancelled = action, False
         time_ms = self._now + delay_ms
         bucket = self._buckets.get(time_ms)
         if bucket is None:
@@ -257,15 +259,11 @@ class SimKernel:
 
     # -- process-side primitives -------------------------------------------------
 
-    def current(self) -> SimProcess:
+    def sleep(self, delay_ms: float) -> None:
+        """Block the current process for ``delay_ms`` of virtual time."""
         proc = self._current
         if proc is None:
             raise SimulationError("not inside a simulated process")
-        return proc
-
-    def sleep(self, delay_ms: float) -> None:
-        """Block the current process for ``delay_ms`` of virtual time."""
-        proc = self.current()
         # Inline call_later with the process's reusable wake handle: a
         # process has exactly one pending sleep at a time, so the handle
         # can't be double-queued, and sleep wakes are never cancelled.

@@ -10,6 +10,7 @@ transactions (a worker crash mid-task restores the task entry).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional
@@ -343,6 +344,10 @@ def _raise_remote(reply: dict[str, Any], label: str) -> None:
     raise SpaceError(
         f"remote {label} failed: {reply.get('type')}: {reply.get('error')}")
 
+#: What the client's recovery loop may survive (:meth:`SpaceProxy._recover`).
+_RECOVERABLE = (AdmissionError, FencedError, ConnectionClosedError,
+                ConnectionRefusedError_)
+
 #: Sentinel returned by a handler that already sent its own reply and
 #: turned the connection into a one-way stream (replication feed).
 _STREAMING = object()
@@ -464,9 +469,9 @@ class SpaceServer:
         self.txn_manager = txn_manager if txn_manager is not None else TransactionManager(runtime)
         self._listener = None
         self._running = False
-        #: Serializes this server's event handlers.  A no-op under the
-        #: simulator; on the threaded runtime they arrive on timer threads.
-        self._lock = runtime.lock()
+        #: Serializes this server's event handlers (on timer threads on the
+        #: threaded runtime).  An OS lock: none blocks, so none ever waits.
+        self._lock = threading.RLock()
         #: Live client connections, in accept order (a dict, not a set:
         #: crash/drain close them in this order, and the order in which
         #: clients see the hang-up must replay).
@@ -621,54 +626,57 @@ class SpaceServer:
             except ConnectionClosedError:
                 return
 
-    def _on_message(self, session: _Session) -> None:
-        """Serve what the connection has queued, until it runs dry or a
-        request parks; abort its transactions when it drops."""
+    def _on_message(self, session: _Session,
+                    resumed: Optional[_Blocked] = None) -> None:
+        """Serve the connection — first the request ``resumed`` carries on,
+        if any, then what it has queued — until it runs dry or a request
+        parks; abort its transactions when it drops."""
         conn = session.conn
         with self._lock:
             try:
                 while session.parked is None:
-                    request = conn.poll()
-                    if request is None:
-                        return
-                    if "repl_ack" in request:
-                        # Standby confirming replication up to an LSN.  Acks
-                        # ride the feed connection *backwards* (standby to
-                        # primary), which is exactly the direction an egress
-                        # partition of the primary leaves open — so a cut-off
-                        # primary notices its acks stopped instead of serving
-                        # on in blissful ignorance.
-                        self._note_repl_ack(conn, int(request["repl_ack"]))
-                        continue
-                    wal = getattr(self.space, "wal", None)
-                    session.before_lsn = wal.last_lsn if wal is not None else 0
-                    self._advance(session, self._dispatch, request, session)
+                    if resumed is not None:
+                        step, arg, resumed = self._unblock, resumed, None
+                    else:
+                        request = conn.poll()
+                        if request is None:
+                            return
+                        if "repl_ack" in request:
+                            # Standby confirming replication up to an LSN.
+                            # Acks ride the feed connection *backwards*
+                            # (standby to primary), exactly the direction an
+                            # egress partition of the primary leaves open —
+                            # so a cut-off primary notices its acks stopped
+                            # instead of serving on in blissful ignorance.
+                            self._note_repl_ack(conn, int(request["repl_ack"]))
+                            continue
+                        if self.sync_replication:   # see _hold_reply
+                            wal = getattr(self.space, "wal", None)
+                            session.before_lsn = (wal.last_lsn if wal is not None
+                                                  else 0)
+                        step, arg = self._dispatch, request
+                    try:
+                        value = step(arg, session)
+                        if value.__class__ is _Blocked:
+                            session.parked = value
+                            remaining = value.waiter.remaining(self.runtime.now())
+                            if remaining is not None:
+                                value.timer = self.runtime.call_later(
+                                    remaining,
+                                    partial(self._resume, session, value))
+                        elif value is not _STREAMING and not (
+                                self.sync_replication
+                                and self._hold_reply(session, value)):
+                            conn.send({"ok": True, "value": value})
+                    except ConnectionClosedError:
+                        raise
+                    except Exception as exc:  # marshalled back to the client
+                        conn.send(_error_reply(exc))
                 # Parked: later requests wait their turn, but a hang-up
                 # must still be heard (raises if it already happened).
                 conn.poll(read=False)
             except ConnectionClosedError:
                 self._hang_up(session)
-
-    def _advance(self, session: _Session, step: Callable[..., Any],
-                 *args: Any) -> None:
-        """Run the request in progress one step further and answer it,
-        unless the step parked (again)."""
-        try:
-            value = step(*args)
-            if value is _STREAMING:
-                return  # handler replied itself; feed is one-way now
-            if value.__class__ is _Blocked:
-                session.parked = value
-                remaining = value.waiter.remaining(self.runtime.now())
-                if remaining is not None:
-                    value.timer = self.runtime.call_later(
-                        remaining, partial(self._resume, session, value))
-                return
-            self._reply(session, value)
-        except ConnectionClosedError:
-            raise
-        except Exception as exc:  # marshalled back to the client
-            session.conn.send(_error_reply(exc))
 
     def _resume(self, session: _Session,
                 at_deadline: Optional[_Blocked] = None) -> None:
@@ -687,14 +695,9 @@ class SpaceServer:
             else:
                 self.space.forget(blocked.waiter)
             session.parked = None
-            try:
-                self._advance(session, self._unblock, session, blocked)
-            except ConnectionClosedError:
-                self._hang_up(session)
-            else:
-                self._on_message(session)
+            self._on_message(session, blocked)
 
-    def _unblock(self, session: _Session, blocked: _Blocked) -> Any:
+    def _unblock(self, blocked: _Blocked, session: _Session) -> Any:
         """Retry a parked op; on an answer, the rest of its request."""
         try:
             frames = self.space.retry(blocked.waiter)
@@ -751,10 +754,10 @@ class SpaceServer:
         acks = self._feed_acks
         return bool(acks) and min(acks.values()) >= lsn
 
-    def _reply(self, session: _Session, value: Any) -> None:
-        """Answer the request in progress — under synchronous
-        replication only once every attached feed has confirmed what it
-        journalled.
+    def _hold_reply(self, session: _Session, value: Any) -> bool:
+        """Under synchronous replication, hold the answer to the request
+        in progress until every attached feed has confirmed what it
+        journalled; ``False``: nothing to confirm, answer now.
 
         No feed attached at all means no gate (with no standby to
         promote there is nothing a lost ack could diverge from, and
@@ -765,15 +768,13 @@ class SpaceServer:
         replica that now serves does not hold this record).
         """
         wal = getattr(self.space, "wal", None)
-        if (self.sync_replication and wal is not None
-                and wal.last_lsn > session.before_lsn
-                and self._feed_acks and not self._confirmed(wal.last_lsn)):
-            session.parked = gate = _Gate(
-                value, wal.last_lsn,
-                self.runtime.now() + self.repl_ack_timeout_ms)
-            self._hold(session, gate)
-        else:
-            session.conn.send({"ok": True, "value": value})
+        if (wal is None or wal.last_lsn <= session.before_lsn
+                or not self._feed_acks or self._confirmed(wal.last_lsn)):
+            return False
+        session.parked = gate = _Gate(
+            value, wal.last_lsn, self.runtime.now() + self.repl_ack_timeout_ms)
+        self._hold(session, gate)
+        return True
 
     def _hold(self, session: _Session, gate: _Gate) -> None:
         """(Re-)arm a gate with what is left of its budget, as a blocked
@@ -833,10 +834,10 @@ class SpaceServer:
         row = OPS.get(op)
         if self.fencing and (row is None or not row.fence_exempt):
             self._check_fence(op, request.get("epoch"))
-        if self.admission is not None:
-            self.admission.check(op, args)
         if row is None:
             raise SpaceError(f"unknown operation: {op!r}")
+        if row.admitted and self.admission is not None:
+            self.admission.check(op, args)
         txn = None
         txn_id = args.get("txn_id") if row.txn_aware else None
         if txn_id is not None:
@@ -1452,28 +1453,36 @@ class SpaceProxy:
 
     def _call(self, op: str, args: dict[str, Any]) -> Any:
         """One request, as-is, under the recovery loop."""
-        return self._guarded(
-            op, lambda: self._call_once(op, args),
-            self.recovery is not None and _idempotent(op))
+        return self._guarded(op, self._call_once, (op, args), _idempotent(op))
 
     def _invoke(self, call: Call) -> Any:
         """One operation: its row's request, then its reply decoded."""
         row = OPS[call.op]
-        value = self._call(call.op, row.args(call))
+        op, args = row.name, row.args(call)
+        if self._tracer is not None and self._tracer.enabled:
+            value = self._guarded(op, self._call_once, (op, args),
+                                  row.idempotent)
+        else:
+            try:
+                value = self._await_reply(self._send_request(op, args), op,
+                                          ((op, args),))
+            except _RECOVERABLE as exc:
+                value = self._recover(op, self._call_once, (op, args),
+                                      row.idempotent, exc)
         return value["count"] if row.reply == "count" else _decode(
             row.reply, value)
 
-    def _guarded(self, label: str, attempt_fn: Callable[[], Any],
-                 retriable: bool, **notes: Any) -> Any:
-        """Run one RPC under the recovery loop, as an ``rpc.<label>`` span
-        (annotated with ``notes``) when tracing."""
+    def _guarded(self, label: str, attempt: Callable[..., Any], args: tuple,
+                 idempotent: bool, **notes: Any) -> Any:
+        """Run ``attempt(*args)`` under the recovery loop, as an
+        ``rpc.<label>`` span (annotated with ``notes``) when tracing."""
         tracer = self._tracer
         if tracer is None or not tracer.enabled:
-            return self._call_with_recovery(label, attempt_fn, retriable)
+            return self._recover(label, attempt, args, idempotent)
         span = self._rpc_span(f"rpc.{label}", tracer)
         span.annotate(**notes)
         with span:
-            return self._call_with_recovery(label, attempt_fn, retriable)
+            return self._recover(label, attempt, args, idempotent)
 
     def _rpc_span(self, name: str, tracer: Any):
         """Open an RPC span under the caller's ambient span (if any)."""
@@ -1484,65 +1493,49 @@ class SpaceProxy:
         return tracer.start(name, trace_id=f"rpc/{self.host}",
                             proc=self.host)
 
-    def _call_with_recovery(self, label: str, attempt_fn: Callable[[], Any],
-                            retriable: bool) -> Any:
-        attempt = 0
+    def _recover(self, label: str, attempt: Callable[..., Any], args: tuple,
+                 idempotent: bool, failure: Optional[Exception] = None) -> Any:
+        """``attempt(*args)`` until it succeeds, backing off after each
+        failure the policy survives and re-raising the first it does not;
+        ``failure`` is the first attempt's, when the caller made it."""
+        recovery, tries = self.recovery, 0
         while True:
+            if failure is not None:
+                # Admission control and the fence reject a request *before*
+                # executing it, so any op may be re-issued; after a lost
+                # connection only one that is safe to repeat.  A rejected
+                # admission keeps its healthy connection; otherwise the
+                # reconnect re-discovers the primary (and its epoch).
+                admission = isinstance(failure, AdmissionError)
+                if not admission:
+                    self._drop_connection()
+                if (self._failed or recovery is None
+                        or tries >= recovery.max_retries
+                        or not (idempotent or admission
+                                or isinstance(failure, FencedError))):
+                    raise failure
+                tries += 1
+                if admission:
+                    self.admission_rejected += 1
+                    event, notes = "admission-rejected", {
+                        "tenant": failure.tenant, "reason": failure.reason}
+                elif isinstance(failure, FencedError):
+                    self.fenced += 1
+                    event, notes = "proxy-fenced", {}
+                else:
+                    self.retries += 1
+                    event, notes = "proxy-retry", {}
+                if self._metrics is not None:
+                    self._metrics.event(event, host=self.host, op=label,
+                                        attempt=tries, **notes)
+                # Capped-exp backoff; an admission retry-after hint floors it.
+                delay = recovery.backoff_ms(tries, self._rng)
+                self.network.runtime.sleep(
+                    max(failure.retry_after_ms, delay) if admission else delay)
             try:
-                return attempt_fn()
-            except AdmissionError as exc:
-                # Rejected *before* execution (like a fence), so the
-                # re-issue is safe regardless of idempotency.  Honour the
-                # server's retry-after hint, floored by the capped-exp
-                # backoff schedule; the connection itself is healthy and
-                # is kept.
-                if self._failed or self.recovery is None:
-                    raise
-                attempt += 1
-                if attempt > self.recovery.max_retries:
-                    raise
-                self.admission_rejected += 1
-                if self._metrics is not None:
-                    self._metrics.event(
-                        "admission-rejected", host=self.host, op=label,
-                        attempt=attempt, tenant=exc.tenant,
-                        reason=exc.reason)
-                self.network.runtime.sleep(max(
-                    exc.retry_after_ms,
-                    self.recovery.backoff_ms(attempt, self._rng),
-                ))
-            except FencedError:
-                # The server rejected the request *before* executing it,
-                # so re-issuing is safe regardless of idempotency.  Drop
-                # the connection and retry — the reconnect path
-                # re-discovers the current primary (and its epoch).
-                self._drop_connection()
-                if self._failed or self.recovery is None:
-                    raise
-                attempt += 1
-                if attempt > self.recovery.max_retries:
-                    raise
-                self.fenced += 1
-                if self._metrics is not None:
-                    self._metrics.event("proxy-fenced", host=self.host,
-                                        op=label, attempt=attempt)
-                self.network.runtime.sleep(
-                    self.recovery.backoff_ms(attempt, self._rng)
-                )
-            except (ConnectionClosedError, ConnectionRefusedError_):
-                self._drop_connection()
-                if self._failed or not retriable:
-                    raise
-                attempt += 1
-                if attempt > self.recovery.max_retries:
-                    raise
-                self.retries += 1
-                if self._metrics is not None:
-                    self._metrics.event("proxy-retry", host=self.host,
-                                        op=label, attempt=attempt)
-                self.network.runtime.sleep(
-                    self.recovery.backoff_ms(attempt, self._rng)
-                )
+                return attempt(*args)
+            except _RECOVERABLE as exc:
+                failure = exc
 
     # -- request pipelining ------------------------------------------------------
 
@@ -1561,8 +1554,7 @@ class SpaceProxy:
         # re-issue unsafe, exactly as for a lone call.
         names = [op for op, _ in ops]
         return self._guarded(
-            "batch", lambda: self._batch_once(ops),
-            self.recovery is not None and all(map(_idempotent, names)),
+            "batch", self._batch_once, (ops,), all(map(_idempotent, names)),
             ops=names)
 
     def close(self) -> None:
@@ -1658,7 +1650,8 @@ class SpaceProxy:
                 {"template": template, "lease_ms": lease_ms,
                  "host": self.host, "event_port": self._event_port})
 
-        reg_id = self._guarded("notify", attempt, self.recovery is not None)
+        reg_id = self._guarded("notify", attempt, (),
+                               OPS["notify"].idempotent)
         self._event_handlers[reg_id] = listener
         return reg_id
 

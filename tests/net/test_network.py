@@ -128,6 +128,60 @@ def test_multicast_reaches_all_members(rt, net):
     assert run(rt, proc) == ["announce", "announce", "announce"]
 
 
+def test_multicast_walks_members_in_join_order(rt):
+    """Each member's copy is scheduled (and draws its jitter) in the order
+    the members joined — not in an order set by memory addresses."""
+    net = Network(rt, latency=IDEAL)
+    group = Address("224.0.0.1", 4160)
+    members = [net.bind_datagram(Address(f"m{i}", 4160)) for i in range(6)]
+    heard = []
+    for m in reversed(members):
+        net.join_multicast(group, m)
+        m.serve(lambda m=m: heard.append(m.address.host)
+                if m.poll() is not None else None)
+        m.poll()                        # arm: nothing queued yet
+    sender = net.bind_datagram(Address("s", 1))
+
+    def proc():
+        sender.send_to(group, "announce")
+
+    run(rt, proc)
+    assert heard == [f"m{i}" for i in reversed(range(6))]
+
+
+def test_multicast_copies_are_lost_like_unicast_datagrams(rt):
+    """Every member's copy takes the loss draw a unicast datagram takes,
+    in join order, from the same stream."""
+    def deliveries(loss):
+        runtime = SimulatedRuntime()
+        net = Network(runtime, rng=RandomStreams(7).stream("net"),
+                      latency=LatencyModel(base_ms=1.0, jitter_ms=0.0,
+                                           per_kb_ms=0.0,
+                                           loss_probability=loss))
+        group = Address("224.0.0.1", 4160)
+        members = [net.bind_datagram(Address(f"m{i}", 4160))
+                   for i in range(8)]
+        for m in members:
+            net.join_multicast(group, m)
+        sender = net.bind_datagram(Address("s", 1))
+
+        def proc():
+            sender.send_to(group, "announce")
+            return [m.receive(timeout_ms=10.0) is not None for m in members]
+
+        try:
+            return run(runtime, proc), net.stats["dropped"]
+        finally:
+            runtime.shutdown()
+
+    assert deliveries(1.0) == ([False] * 8, 8)
+    draws = RandomStreams(7).stream("net").random(8)
+    kept, dropped = deliveries(0.5)
+    assert kept == [bool(r >= 0.5) for r in draws]
+    assert dropped == sum(r < 0.5 for r in draws)
+    assert 0 < dropped < 8
+
+
 def test_multicast_leave(rt, net):
     group = Address("224.0.0.1", 4160)
     m = net.bind_datagram(Address("m", 4160))
