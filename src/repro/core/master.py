@@ -664,23 +664,6 @@ class Master:
         self._ckpt_at, self._ckpt_state = self.runtime.now(), state
         return entry
 
-    def _write_checkpoint(
-        self,
-        tasks: list[Task],
-        results: dict[int, Any],
-        dead: dict[int, str],
-        by_worker: dict[str, int],
-    ) -> None:
-        """Write checkpoint ``seq+1`` now, then retire its predecessor
-        (standalone form; the run loop piggybacks the same operations on
-        a drain round trip via :meth:`_drain_results`)."""
-        ckpt = self._build_checkpoint(tasks, results, dead, by_worker)
-        self._write(ckpt, lease_ms=self.checkpoint_lease_ms)
-        while self._take_if_exists(
-            MasterCheckpointEntry(app_id=self.app.app_id, seq=(ckpt.seq or 0) - 1)
-        ) is not None:
-            pass
-
     def _drain_results(self, template: ResultEntry, wait_ms: float,
                        ckpt: Optional[MasterCheckpointEntry]) -> list[ResultEntry]:
         """One drain round trip: up to ``drain_batch`` results, with a due

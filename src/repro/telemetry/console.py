@@ -2,11 +2,11 @@
 
 ``repro top`` drives this — one row per worker (state, tasks completed,
 throughput, RPC health, signal reaction latency) plus space, failover,
-admission and SLO-alert summary lines.  The renderer only *reads*
-framework state, so it can be called from a monitor process mid-run
-(live frames) or once after ``framework.run()`` returns (final
-snapshot).  :func:`cluster_snapshot` yields the same state as one plain
-dict for ``repro top --json`` and CI scripts.
+admission and SLO-alert summary lines.  :func:`cluster_snapshot` reads
+the state once, as one plain dict (``repro top --json`` and CI scripts
+print it); :func:`cluster_table` formats that dict.  Reading changes
+nothing, so either can be called from a monitor process mid-run (live
+frames) or once after ``framework.run()`` returns (final snapshot).
 """
 
 from __future__ import annotations
@@ -54,63 +54,46 @@ def _match_totals(spaces: list) -> dict:
     return totals
 
 
-def cluster_table(framework: Any, report: Any = None) -> str:
-    """One frame of the cluster console for ``framework``."""
-    runtime = framework.runtime
-    metrics = framework.metrics
-    now = runtime.now()
+def _space_counts(space: dict) -> str:
+    return (f"writes={space['writes']} takes={space['takes']} "
+            f"reads={space['reads']} queue≈{space['queue']} "
+            f"wakeups={space['wakeups']} bytes={space['bytes_written']:,}")
 
+
+def cluster_table(framework: Any, report: Any = None) -> str:
+    """One frame of the cluster console for ``framework``: its
+    :func:`cluster_snapshot`, formatted."""
+    snapshot = cluster_snapshot(framework, report)
     header = (f"{'worker':<12} {'state':<10} {'tasks':>5} {'tasks/s':>8} "
               f"{'busy ms':>9} {'reconn':>6} {'retry':>5} "
               f"{'sig p50':>8} {'sig max':>8}")
-    lines = [f"cluster {framework.app.app_id!r}  t={now:,.0f} ms",
+    lines = [f"cluster {snapshot['app']!r}  t={snapshot['t_ms']:,.0f} ms",
              header, "-" * len(header)]
 
-    for host in framework.worker_hosts:
-        hostname = host.node.hostname
-        busy_ms = host.worker_time_ms()
-        rate = (host.tasks_done / (busy_ms / 1000.0)
-                if busy_ms else 0.0)
-        proxy = host._proxy
-        reconnects = proxy.reconnects if proxy is not None else 0
-        retries = proxy.retries if proxy is not None else 0
-        latencies = sorted(_signal_latencies(metrics, hostname))
-        p50 = latencies[len(latencies) // 2] if latencies else None
-        worst = latencies[-1] if latencies else None
+    for worker in snapshot["workers"]:
         lines.append(
-            f"{hostname:<12} {str(host.state):<10} {host.tasks_done:>5} "
-            f"{rate:>8.2f} {_fmt_ms(busy_ms):>9} {reconnects:>6} "
-            f"{retries:>5} {_fmt_ms(p50):>8} {_fmt_ms(worst):>8}")
+            f"{worker['host']:<12} {worker['state']:<10} "
+            f"{worker['tasks']:>5} {worker['tasks_per_s']:>8.2f} "
+            f"{_fmt_ms(worker['busy_ms']):>9} {worker['reconnects']:>6} "
+            f"{worker['retries']:>5} {_fmt_ms(worker['signal_p50_ms']):>8} "
+            f"{_fmt_ms(worker['signal_max_ms']):>8}")
 
     lines.append("-" * len(header))
-    spaces = getattr(framework, "spaces", None) or [framework.space]
-    if len(spaces) > 1:
+    shards = snapshot["shards"]
+    if len(shards) > 1:
         # Sharded space: one line per partition, then the merged totals.
-        for i, space in enumerate(spaces):
-            stats = space.stats
-            queued = stats["writes"] - stats["takes"] - stats["expired"]
-            lines.append(
-                f"shard {i:<2} writes={stats['writes']} "
-                f"takes={stats['takes']} reads={stats['reads']} "
-                f"queue≈{max(queued, 0)} wakeups={stats['wakeups']} "
-                f"bytes={stats['bytes_written']:,}")
-    totals = {
-        key: sum(space.stats[key] for space in spaces)
-        for key in ("writes", "takes", "reads", "expired",
-                    "wakeups", "bytes_written")
-    }
-    queued = totals["writes"] - totals["takes"] - totals["expired"]
-    match = _match_totals(spaces)
+        for i, shard in enumerate(shards):
+            lines.append(f"shard {i:<2} {_space_counts(shard)}")
+    space = snapshot["space"]
+    match = space["match"]
     # match: what finding those entries cost — ids walked, field
     # indexes built.
     lines.append(
-        f"space: writes={totals['writes']} takes={totals['takes']} "
-        f"reads={totals['reads']} queue≈{max(queued, 0)} "
-        f"wakeups={totals['wakeups']} bytes={totals['bytes_written']:,} "
+        f"space: {_space_counts(space)} "
         f"match: {match['scan_steps']} steps/"
         f"{match['index_builds']} indexes")
 
-    wal = _wal_totals(spaces)
+    wal = snapshot.get("wal")
     if wal is not None:
         # Durability cost: what the checkpoint trigger weighs (the log
         # tail against the last checkpoint) and how often it fired.
@@ -119,94 +102,80 @@ def cluster_table(framework: Any, report: Any = None) -> str:
             f"checkpoints={wal['checkpoints']} "
             f"tail={wal['tail_bytes']:,}B state={wal['state_bytes']:,}B")
 
-    supervisors = getattr(framework, "supervisors", None) or []
-    if supervisors:
+    failover = snapshot.get("failover")
+    if failover is not None:
         # Failover/fencing health: one summary line for the supervisor
         # fleet — current epoch per shard, promotions performed, and how
-        # many stale-epoch RPCs the fence turned away.
-        epochs = ",".join(str(s.epoch) for s in supervisors)
-        failovers = sum(s.failovers for s in supervisors)
-        fenced = (framework.total_fenced_rpcs()
-                  if hasattr(framework, "total_fenced_rpcs") else 0)
-        stalls = sum(getattr(server, "repl_stalls", 0)
-                     for server in getattr(framework, "space_servers", []))
-        # probes/misses: what liveness costs — one probe round per host
-        # pair and heartbeat, however many shards it answers for.
+        # many stale-epoch RPCs the fence turned away.  probes/misses:
+        # what liveness costs — one probe round per host pair and
+        # heartbeat, however many shards it answers for.
+        epochs = ",".join(str(epoch) for epoch in failover["epochs"])
         lines.append(
-            f"failover: epoch={epochs} failovers={failovers} "
-            f"fenced_rpcs={fenced} repl_stalls={stalls} "
-            f"probes={sum(s.probes for s in supervisors)} "
-            f"misses={sum(s.probe_misses for s in supervisors)}")
+            f"failover: epoch={epochs} failovers={failover['failovers']} "
+            f"fenced_rpcs={failover['fenced_rpcs']} "
+            f"repl_stalls={failover['repl_stalls']} "
+            f"probes={failover['probes']} misses={failover['probe_misses']}")
 
-    admissions = [server.admission
-                  for server in getattr(framework, "space_servers", [])
-                  if getattr(server, "admission", None) is not None]
-    if admissions:
+    admission = snapshot.get("admission")
+    if admission is not None:
         # Multi-tenant job service: admission verdict totals over every
         # server, then the DRR dispatcher's per-tenant take grants.
-        totals_a: dict[str, int] = {}
-        for admission in admissions:
-            for key, value in admission.stats.items():
-                totals_a[key] = totals_a.get(key, 0) + value
         lines.append(
-            f"admission: checked={totals_a.get('checked', 0)} "
-            f"admitted={totals_a.get('admitted', 0)} "
-            f"rejected={totals_a.get('rejected', 0)} "
-            f"shed={totals_a.get('shed', 0)}")
-        grants = (framework.tenant_grants()
-                  if hasattr(framework, "tenant_grants") else {})
-        if grants:
-            lines.append("tenants: " + " ".join(
-                f"{tenant}={count}"
-                for tenant, count in sorted(grants.items())))
-    governor = getattr(framework, "governor", None)
-    if governor is not None:
+            f"admission: checked={admission['checked']} "
+            f"admitted={admission['admitted']} "
+            f"rejected={admission['rejected']} shed={admission['shed']}")
+    tenants = snapshot.get("tenants")
+    if tenants:
+        lines.append("tenants: " + " ".join(
+            f"{tenant}={count}" for tenant, count in tenants.items()))
+    preemption = snapshot.get("preemption")
+    if preemption is not None:
         lines.append(
-            f"preemption: preemptions={governor.stats['preemptions']} "
-            f"released={governor.stats['tasks_released']} "
-            f"polls={governor.stats['polls']}")
+            f"preemption: preemptions={preemption['preemptions']} "
+            f"released={preemption['tasks_released']} "
+            f"polls={preemption['polls']}")
 
-    if framework.master.checkpoint_ms is not None:
+    master = snapshot.get("master")
+    if master is not None:
         lines.append(
-            f"master: checkpoints={framework.master.checkpoints_written} "
-            f"checkpoint_age={_fmt_ms(framework.master.checkpoint_age_ms)}")
+            f"master: checkpoints={master['checkpoints_written']} "
+            f"checkpoint_age={_fmt_ms(master['checkpoint_age_ms'])}")
 
-    watchdog = getattr(framework, "watchdog", None)
-    if watchdog is not None and watchdog.alerts:
+    alerts = snapshot.get("alerts")
+    if alerts:
         # SLO pane: active alerts first (worst news on top), then the
         # resolved history so a post-run frame still tells the story.
-        active = [a for a in watchdog.alerts if a.active]
-        lines.append(f"alerts: {len(active)} active / "
-                     f"{len(watchdog.alerts)} total")
-        for alert in watchdog.alerts:
-            state = "ACTIVE" if alert.active else \
-                f"resolved t={alert.resolved_ms:,.0f}"
+        active = [alert for alert in alerts if "resolved_ms" not in alert]
+        lines.append(f"alerts: {len(active)} active / {len(alerts)} total")
+        for alert in alerts:
+            state = (f"resolved t={alert['resolved_ms']:,.0f}"
+                     if "resolved_ms" in alert else "ACTIVE")
             lines.append(
-                f"  [{state}] {alert.rule.name}: "
-                f"{alert.rule.metric} {alert.rule.op} "
-                f"{alert.rule.threshold:g} (value {alert.value:g} "
-                f"at t={alert.fired_ms:,.0f})")
+                f"  [{state}] {alert['rule']}: {alert['metric']} "
+                f"{alert['op']} {alert['threshold']:g} "
+                f"(value {alert['value']:g} at t={alert['fired_ms']:,.0f})")
 
-    if report is not None:
+    job = snapshot.get("job")
+    if job is not None:
         lines.append(
-            f"job:   parallel={report.parallel_ms:,.0f} ms "
-            f"planning={report.planning_ms:,.0f} ms "
-            f"aggregation={report.aggregation_ms:,.0f} ms "
-            f"(complete={report.complete})")
+            f"job:   parallel={job['parallel_ms']:,.0f} ms "
+            f"planning={job['planning_ms']:,.0f} ms "
+            f"aggregation={job['aggregation_ms']:,.0f} ms "
+            f"(complete={job['complete']})")
     return "\n".join(lines)
 
 
 def cluster_snapshot(framework: Any, report: Any = None) -> dict:
     """The console's state as one JSON-ready dict (``repro top --json``).
 
-    Mirrors :func:`cluster_table` section by section so scripts and CI
-    never have to scrape the table renderer.
+    The space figures are read off the spaces serving now (a promoted
+    standby's replica after a failover); a shard's ``queue`` is its
+    :meth:`~repro.tuplespace.space.JavaSpace.queue_depth`.
     """
-    runtime = framework.runtime
     metrics = framework.metrics
     snapshot: dict[str, Any] = {
         "app": framework.app.app_id,
-        "t_ms": runtime.now(),
+        "t_ms": framework.runtime.now(),
     }
 
     workers = []
@@ -230,14 +199,13 @@ def cluster_snapshot(framework: Any, report: Any = None) -> dict:
         })
     snapshot["workers"] = workers
 
-    spaces = getattr(framework, "spaces", None) or [framework.space]
+    spaces = framework.current_spaces()
     shard_stats = []
     for space in spaces:
         stats = space.stats
-        queued = stats["writes"] - stats["takes"] - stats["expired"]
         shard_stats.append({
             "writes": stats["writes"], "takes": stats["takes"],
-            "reads": stats["reads"], "queue": max(queued, 0),
+            "reads": stats["reads"], "queue": space.queue_depth(),
             "wakeups": stats["wakeups"],
             "bytes_written": stats["bytes_written"],
         })
@@ -253,47 +221,40 @@ def cluster_snapshot(framework: Any, report: Any = None) -> dict:
     if wal is not None:
         snapshot["wal"] = wal
 
-    supervisors = getattr(framework, "supervisors", None) or []
+    supervisors = framework.supervisors
+    servers = framework.space_servers
     if supervisors:
         snapshot["failover"] = {
             "epochs": [s.epoch for s in supervisors],
             "failovers": sum(s.failovers for s in supervisors),
-            "fenced_rpcs": (framework.total_fenced_rpcs()
-                            if hasattr(framework, "total_fenced_rpcs")
-                            else 0),
-            "repl_stalls": sum(
-                getattr(server, "repl_stalls", 0)
-                for server in getattr(framework, "space_servers", [])),
+            "fenced_rpcs": framework.total_fenced_rpcs(),
+            "repl_stalls": sum(server.repl_stalls for server in servers),
             "probes": sum(s.probes for s in supervisors),
             "probe_misses": sum(s.probe_misses for s in supervisors),
             "lease_renewals": framework.lease_renewals(),
         }
 
-    admissions = [server.admission
-                  for server in getattr(framework, "space_servers", [])
-                  if getattr(server, "admission", None) is not None]
+    admissions = [server.admission for server in servers
+                  if server.admission is not None]
     if admissions:
-        totals_a: dict[str, int] = {}
+        totals: dict[str, int] = {}
         for admission in admissions:
             for key, value in admission.stats.items():
-                totals_a[key] = totals_a.get(key, 0) + value
-        snapshot["admission"] = totals_a
-        grants = (framework.tenant_grants()
-                  if hasattr(framework, "tenant_grants") else {})
+                totals[key] = totals.get(key, 0) + value
+        snapshot["admission"] = totals
+        grants = framework.tenant_grants()
         if grants:
             snapshot["tenants"] = dict(sorted(grants.items()))
-    governor = getattr(framework, "governor", None)
-    if governor is not None:
-        snapshot["preemption"] = dict(governor.stats)
+    if framework.governor is not None:
+        snapshot["preemption"] = dict(framework.governor.stats)
 
     if framework.master.checkpoint_ms is not None:
         snapshot["master"] = {
             name: getattr(framework.master, name)
             for name in ("checkpoints_written", "checkpoint_age_ms")}
 
-    watchdog = getattr(framework, "watchdog", None)
-    if watchdog is not None:
-        snapshot["alerts"] = [a.to_dict() for a in watchdog.alerts]
+    if framework.watchdog is not None:
+        snapshot["alerts"] = [a.to_dict() for a in framework.watchdog.alerts]
 
     if report is not None:
         snapshot["job"] = {

@@ -11,6 +11,7 @@ transactions (a worker crash mid-task restores the task entry).
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional
@@ -372,6 +373,12 @@ def _decode(reply: Optional[str], value: Any) -> Any:
     if reply == "list":
         return [decode_any(frame) for frame in value]
     return value
+
+
+def _result(row: Any, value: Any) -> Any:
+    """A lone call's return value (a batch keeps write_all's wire form)."""
+    return value["count"] if row.reply == "count" else _decode(row.reply,
+                                                                 value)
 
 
 @dataclass(slots=True, eq=False)
@@ -1469,8 +1476,42 @@ class SpaceProxy:
             except _RECOVERABLE as exc:
                 value = self._recover(op, self._call_once, (op, args),
                                       row.idempotent, exc)
-        return value["count"] if row.reply == "count" else _decode(
-            row.reply, value)
+        return _result(row, value)
+
+    def _begin(self, call: Call) -> Callable[[], Any]:
+        """Split-phase :meth:`_invoke`: the request goes out now; the
+        returned function waits for the reply and decodes it.
+
+        A router begins a call on each shard's proxy before collecting
+        any, so N round trips overlap on one process.  Collect before the
+        next call on this proxy (one request per connection at a time).
+        A failed attempt is recovered at collection, by the loop and the
+        retry rule of a lone call; a send that failed otherwise raises
+        there too, so it skips no other proxy's send.  Traced, the call
+        is one ``rpc.<op>`` span from send to collection.
+        """
+        row = OPS[call.op]
+        op, args = row.name, row.args(call)
+        tracer = self._tracer
+        span = (self._rpc_span(f"rpc.{op}", tracer)
+                if tracer is not None and tracer.enabled else nullcontext())
+        try:
+            sent: Any = self._send_request(op, args)
+        except Exception as exc:  # raised when collected
+            sent = exc
+
+        def collect() -> Any:
+            with span:
+                try:
+                    if isinstance(sent, Exception):
+                        raise sent
+                    value = self._await_reply(sent, op, ((op, args),))
+                except _RECOVERABLE as exc:
+                    value = self._recover(op, self._call_once, (op, args),
+                                          row.idempotent, exc)
+            return _result(row, value)
+
+        return collect
 
     def _guarded(self, label: str, attempt: Callable[..., Any], args: tuple,
                  idempotent: bool, **notes: Any) -> Any:
@@ -1568,45 +1609,6 @@ class SpaceProxy:
         return whether one was seen — a ``read`` whose reply carries one
         bit instead of the entry."""
         return self._invoke(Call("exists", template, timeout_ms=timeout_ms))
-
-    def begin_take_multiple(self, template: Entry,
-                            max_entries: int) -> Callable[[], list[Entry]]:
-        """Split-phase, non-blocking, untransacted ``take_multiple``: the
-        request goes out now; the returned function waits for the reply.
-
-        A scatter begins one on every shard's proxy before collecting
-        any, so N round trips — and N replies streaming off N hosts —
-        overlap without a helper process per shard.  One request per
-        connection at a time, as ever: collect before the next call on
-        this proxy.  No transparent retry (a take is not idempotent); a
-        connection-level failure surfaces from whichever half hit it
-        and, as in the recovery loop, leaves no connection behind.
-        """
-        row = OPS["take_multiple"]
-        args = row.args(Call(row.name, template, timeout_ms=0.0,
-                             max_entries=max_entries))
-        lost = (ConnectionClosedError, ConnectionRefusedError_, FencedError)
-        try:
-            conn = self._send_request(row.name, args)
-        except lost:
-            self._drop_connection()
-            raise
-        tracer = self._tracer
-        span = (self._rpc_span("rpc.take_multiple", tracer)
-                if tracer is not None and tracer.enabled else None)
-
-        def collect() -> list[Entry]:
-            try:
-                return _decode(row.reply, self._await_reply(
-                    conn, row.name, [(row.name, args)]))
-            except lost:
-                self._drop_connection()
-                raise
-            finally:
-                if span is not None:
-                    span.end()
-
-        return collect
 
     def transaction(self, timeout_ms: float = FOREVER) -> RemoteTransaction:
         return RemoteTransaction(

@@ -11,13 +11,15 @@ link.  This module splits the space into N independent shards and puts a
   to its class's home shard (``shard_for("class:<name>")``); a *template*
   whose key is ``None`` is a wildcard and scatter-gathers.
 * **Scatter-gather.**  Wildcard ``take``/``read`` try the shards
-  non-blockingly from a sticky per-client cursor, first match wins;
-  ``take_multiple`` splits its cap over the shards and overlaps the
-  requests (split-phase: all sent, then all collected — N replies leave
-  N hosts in parallel, no process per shard); ``contents``/``count``
-  merge/sum in shard-index order.  Every order is a pure function of
-  the template, the cursor and the events seen, so runs replay
-  deterministically.
+  non-blockingly from a sticky per-client cursor, first match wins.
+  ``take_multiple`` splits its cap over the shards; ``contents``/
+  ``count`` ask every shard and merge/sum in shard-index order; an
+  untransacted ``write_all`` sends each shard its group.  Those
+  requests overlap split-phase (:meth:`SpaceProxy._begin`): all sent,
+  then all collected in shard order, so N replies leave N hosts in
+  parallel and the router starts no process.  Every order is a pure
+  function of the template, the cursor and the events seen, so runs
+  replay deterministically.
 * **The wildcard wait is event-driven.**  A blocking wildcard call does
   not poll.  Per template *class* the router keeps one ``notify``
   registration per shard (made the first time a call is about to block,
@@ -59,7 +61,7 @@ from contextlib import contextmanager
 from hashlib import blake2b
 from typing import Any, Callable, Optional
 
-from repro.errors import AdmissionError, NetworkError, SpaceError
+from repro.errors import AdmissionError, SpaceError
 from repro.net.address import Address
 from repro.net.network import Network
 from repro.tuplespace.entry import Entry, match_items
@@ -318,6 +320,19 @@ def _listed(entry: Optional[Entry]) -> list[Entry]:
     return [] if entry is None else [entry]
 
 
+def _settle(pending: list[Callable[[], Any]]) -> list[tuple[bool, Any]]:
+    """Collect every begun call (:meth:`SpaceProxy._begin`) in order, as
+    ``(True, value)`` or ``(False, error)``: one shard's failure must not
+    leave a later shard's reply unread on its connection."""
+    outcomes = []
+    for collect in pending:
+        try:
+            outcomes.append((True, collect()))
+        except Exception as exc:
+            outcomes.append((False, exc))
+    return outcomes
+
+
 class _Watch:
     """A router's event state for one template class.
 
@@ -346,7 +361,10 @@ class ShardRouter:
     connected :class:`SpaceProxy` (so per-shard failover re-discovery
     works exactly as for the single-space proxy).  The router is a
     drop-in anywhere a ``SpaceProxy`` is used — including
-    ``getattr(space, "batch")`` duck-typing in the master.
+    ``getattr(space, "batch")`` duck-typing in the master.  It runs on
+    its caller's process and starts none: a request to several shards
+    at once is begun on each shard's proxy, then collected in order,
+    and each follows its proxy's one recovery rule.
     """
 
     def __init__(
@@ -496,7 +514,7 @@ class ShardRouter:
     def _scatter_write_all(self, call: Call) -> int:
         """Untransacted bulk write: one write_all per touched shard, all
         in flight at once (seeding a large job shouldn't pay one round
-        trip per shard in series).
+        trip per shard in series).  The sum when every shard succeeds.
 
         Each shard's admission check is pre-dispatch-atomic for *its*
         group, but the scatter as a whole is not: when one shard rejects
@@ -507,15 +525,11 @@ class ShardRouter:
         groups: dict[int, list[Entry]] = {}
         for entry in call.subject:
             groups.setdefault(self._entry_shard(entry), []).append(entry)
-        if not groups:
-            return 0
         shards = sorted(groups)
-        outcomes = self._fan_out_outcomes(
-            shards,
-            lambda proxy, shard: proxy.write_all(groups[shard],
-                                                 lease_ms=call.lease_ms,
-                                                 requeue=call.requeue))
-        failures = [value for (status, value) in outcomes if status == "err"]
+        outcomes = _settle([
+            self._proxies[shard]._begin(call._replace(subject=groups[shard]))
+            for shard in shards])
+        failures = [value for ok, value in outcomes if not ok]
         if not failures:
             return sum(value for _, value in outcomes)
         for exc in failures:
@@ -524,8 +538,8 @@ class ShardRouter:
         exc = failures[0]
         exc.admitted_entries = tuple(
             entry
-            for shard, (status, _value) in zip(shards, outcomes)
-            if status == "ok"
+            for shard, (ok, _value) in zip(shards, outcomes)
+            if ok
             for entry in groups[shard])
         raise exc
 
@@ -574,11 +588,18 @@ class ShardRouter:
     def _everywhere(self, call: Call) -> list[Any]:
         """``call`` on every shard at once, answers in shard-index order:
         the reply payloads leave N different hosts in parallel, and the
-        deterministic order keeps replays byte-identical.  A wildcard
+        deterministic order keeps replays byte-identical.  The first
+        failing shard's error, in shard order, is raised.  A wildcard
         under no pinned transaction gets here; an unbound one holds
         nothing yet, so every shard answers without it."""
         bare = call._replace(txn=None)
-        return self._fan_out(lambda proxy, _i: apply(proxy, bare))
+        values = []
+        for ok, value in _settle([proxy._begin(bare)
+                                  for proxy in self._proxies]):
+            if not ok:
+                raise value
+            values.append(value)
+        return values
 
     def _scatter_count(self, call: Call) -> int:
         return sum(self._everywhere(call))
@@ -601,54 +622,6 @@ class ShardRouter:
                 for proxy in self._proxies]
 
     # -- scatter-gather internals ---------------------------------------------
-
-    def _fan_out(self, op: Callable[[SpaceProxy, int], Any]) -> list[Any]:
-        """Run ``op(proxy, shard_index)`` against every shard concurrently.
-
-        This is the "gather" in scatter-gather: one runtime process per
-        shard issues the RPC, so N reply payloads stream off N hosts'
-        egress links in parallel instead of serializing through a
-        sequential scan.  Results come back in shard-index order; the
-        first failing shard's error (again in shard order) is re-raised,
-        so outcomes are deterministic.  Safe because each shard has its
-        own proxy/connection — no two concurrent ops share a socket.
-        """
-        outcomes = self._fan_out_outcomes(range(len(self._proxies)), op)
-        for status, value in outcomes:
-            if status == "err":
-                raise value
-        return [value for _, value in outcomes]
-
-    def _fan_out_outcomes(
-        self, shards: Any,
-        op: Callable[[SpaceProxy, int], Any]) -> list[tuple[str, Any]]:
-        """Concurrent per-shard calls, returning every shard's outcome as
-        ``("ok", value)`` or ``("err", exception)`` instead of raising —
-        callers that need partial-failure semantics (scatter write_all
-        under admission control) inspect the full list."""
-        shards = list(shards)
-        proxies = self._proxies
-        results: list[Any] = [None] * len(shards)
-        remaining = [len(shards)]
-        cond = self.runtime.condition()
-
-        def call(slot: int, index: int) -> None:
-            try:
-                results[slot] = ("ok", op(proxies[index], index))
-            except BaseException as exc:  # re-raised on the caller below
-                results[slot] = ("err", exc)
-            finally:
-                with cond:
-                    remaining[0] -= 1
-                    cond.notify_all()
-
-        for slot, index in enumerate(shards):
-            self.runtime.spawn(lambda s=slot, i=index: call(s, i),
-                               name=f"scatter:{self.host}:{index}")
-        with cond:
-            while remaining[0] > 0:
-                cond.wait()
-        return results
 
     def _deadline(self, timeout_ms: Optional[float]) -> Optional[float]:
         return None if timeout_ms is None else self.runtime.now() + timeout_ms
@@ -768,21 +741,16 @@ class ShardRouter:
             while shards and not got:
                 wave, shards = shards[:room], shards[room:]
                 share, extra = divmod(room, len(wave))
-                pending = []
+                before, pending = [], []
                 for i, shard in enumerate(wave):
-                    mark = watch.events[shard]
-                    try:
-                        pending.append((
-                            shard, mark,
-                            self._proxies[shard].begin_take_multiple(
-                                template, share + (i < extra))))
-                    except (NetworkError, SpaceError) as exc:
-                        error = error or exc
-                for shard, mark, collect in pending:
-                    try:
-                        chunk = collect()
-                    except (NetworkError, SpaceError) as exc:
-                        error = error or exc
+                    before.append(watch.events[shard])  # read, then send
+                    pending.append(self._proxies[shard]._begin(Call(
+                        "take_multiple", template, timeout_ms=0.0,
+                        max_entries=share + (i < extra))))
+                for shard, mark, (ok, chunk) in zip(wave, before,
+                                                     _settle(pending)):
+                    if not ok:
+                        error = error or chunk
                         continue
                     marks[shard] = None if chunk else mark
                     if chunk and not got:

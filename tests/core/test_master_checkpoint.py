@@ -88,6 +88,14 @@ def checkpoints_in(space, app_id="toy-squares"):
     return space.contents(MasterCheckpointEntry(app_id=app_id))
 
 
+def checkpoint(master, tasks, results):
+    """Write the next checkpoint as the run loop does: built, then riding
+    a drain round trip that finds no result."""
+    ckpt = master._build_checkpoint(tasks, results, {}, {})
+    template = ResultEntry(app_id=master.app.app_id, tenant=master.tenant)
+    assert master._drain_results(template, 0.0, ckpt) == []
+
+
 def test_checkpoint_swap_keeps_exactly_the_newest(runtime):
     """Write seq+1 before taking seq: after each cycle exactly the newest
     checkpoint is in the space, and a crash mid-swap leaves at least one."""
@@ -96,9 +104,9 @@ def test_checkpoint_swap_keeps_exactly_the_newest(runtime):
     tasks = master.app.plan()
 
     def scenario():
-        master._write_checkpoint(tasks, {0: 0}, {}, {})
+        checkpoint(master, tasks, {0: 0})
         assert [c.seq for c in checkpoints_in(space)] == [1]
-        master._write_checkpoint(tasks, {0: 0, 1: 1}, {}, {})
+        checkpoint(master, tasks, {0: 0, 1: 1})
         assert [c.seq for c in checkpoints_in(space)] == [2]
         assert master.checkpoints_written == 2
         # Crash-window shape: both seqs present → resume adopts the max.
@@ -197,7 +205,7 @@ def test_checkpoint_lease_ages_out_abandoned_runs(runtime):
     tasks = master.app.plan()
 
     def scenario():
-        master._write_checkpoint(tasks, {0: 0}, {}, {})
+        checkpoint(master, tasks, {0: 0})
         assert checkpoints_in(space)
         runtime.sleep(1_000.0)
         assert checkpoints_in(space) == []

@@ -34,20 +34,18 @@ TASKS = 24
 #: the 1 s checkpoint *period* it was 469: a 4-shard rescan, a
 #: checkpoint batch and a replication round trip every virtual second.
 MAX_MESSAGES = 314
-#: The seeding write_all fans out over the 4 shards; nothing else spawns.
-MAX_SPAWNS = 4
-#: Thread hand-offs of the simulator for that job (measured: 64) and, per
+#: Nothing spawns: the seeding write_all, like every request the router
+#: sends to several shards at once, is sent to all 4 and then collected
+#: on the master's own process (a process per shard cost 4 here).
+MAX_SPAWNS = 0
+#: Thread hand-offs of the simulator for that job (measured: 53) and, per
 #: task, for the same job on the paper-faithful path — prefetch 1, one
 #: task per RPC, 8 messages per task (measured: 68 = 2.83 per task).  A
-#: server parked in a process per connection cost one more per message.
-#: (64, not the period rule's 57, though the master wakes 30 times
-#: instead of 88: waking the thread that already holds the baton was
-#: free, and on this timeline the seeding race spreads the last round
-#: evenly — 9/7/9/7 worker wake-ups in the final 5 ms instead of
-#: 9/5/3/9 — so all four write-back cycles interleave: 34 hand-offs
-#: there, was 29.  None is a checkpoint's: all 3 ride a drain that a
-#: result event woke, and no wait is clipped.)
-MAX_SWITCHES = 67
+#: server parked in a process per connection cost one more per message,
+#: and the seeding write_all's process per shard cost 11 (64 with them).
+#: None is a checkpoint's: all 3 ride a drain that a result event woke,
+#: and no wait is clipped.
+MAX_SWITCHES = 56
 MAX_SWITCHES_PER_TASK = 3.0
 
 _COMMON = dict(monitoring=False, compute_real=True, transactional_takes=True,

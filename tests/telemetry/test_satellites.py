@@ -9,10 +9,18 @@ import logging
 import pytest
 
 from repro.cli import main
+from repro.core.framework import AdaptiveClusterFramework, FrameworkConfig
 from repro.core.metrics import Metrics
-from repro.telemetry import Tracer, cluster_table
+from repro.experiments.harness import run_simulation
+from repro.node.cluster import testbed_small
+from repro.sim.rng import RandomStreams
+from repro.telemetry import Tracer, cluster_snapshot, cluster_table
+from repro.tuplespace import Entry, TransactionManager
 from repro.util.log import configure, get_logger
+from tests.conftest import run_in_sim
+from tests.core.toyapp import SumOfSquares
 from tests.telemetry.test_trace import run_traced
+from tests.tuplespace.entries import TaskEntry
 
 
 # -- cluster console -----------------------------------------------------------
@@ -48,11 +56,7 @@ def test_cluster_table_without_report():
 
 
 def test_cluster_table_shows_tenancy_lines():
-    from repro.core.framework import AdaptiveClusterFramework, FrameworkConfig
     from repro.experiments.chaos import TenantSquares
-    from repro.experiments.harness import run_simulation
-    from repro.node.cluster import testbed_small
-    from repro.sim.rng import RandomStreams
 
     def body(runtime):
         cluster = testbed_small(runtime, workers=2, streams=RandomStreams(1))
@@ -80,6 +84,67 @@ def test_cluster_table_silent_without_tenancy():
     table = cluster_table(framework)
     assert "admission:" not in table
     assert "preemption:" not in table
+
+
+def _space_line(table):
+    return next(line for line in table.splitlines()
+                if line.startswith("space: "))
+
+
+def test_console_queue_is_the_visible_backlog_after_an_aborted_take(rt):
+    # A take counts in ``stats["takes"]`` when it claims, and stays
+    # counted when its transaction aborts and the entry comes back.
+    framework = AdaptiveClusterFramework(
+        rt, testbed_small(rt, workers=1, streams=RandomStreams(5)),
+        SumOfSquares(n=4), FrameworkConfig(monitoring=False))
+    space = framework.space
+
+    def body():
+        space.write(TaskEntry("app", 1))
+        txn = TransactionManager(rt).create()
+        assert space.take(TaskEntry(), txn=txn, timeout_ms=0.0) is not None
+        txn.abort()
+
+    run_in_sim(rt, body)
+    assert space.queue_depth() == space.count(Entry()) == 1
+    assert cluster_snapshot(framework)["space"]["queue"] == 1
+    assert " queue≈1 " in _space_line(cluster_table(framework))
+
+
+def test_console_reads_the_promoted_replica_after_a_failover():
+    def body(runtime):
+        cluster = testbed_small(runtime, workers=4,
+                                streams=RandomStreams(11))
+        framework = AdaptiveClusterFramework(
+            runtime, cluster,
+            SumOfSquares(n=24, task_cost=400.0, planning_cost=20.0,
+                         aggregation_cost=30.0),
+            FrameworkConfig(monitoring=False, compute_real=True,
+                            transactional_takes=True,
+                            task_txn_lease_ms=10_000.0,
+                            rpc_timeout_ms=1_000.0, hot_standby=True))
+        framework.start()
+        framework.start_all_workers()
+        runtime.call_later(2_000.0, framework.kill_primary_space)
+        report = framework.run_with_recovery()
+        assert report.complete
+        [supervisor] = framework.supervisors
+        assert supervisor.failed_over
+        [serving] = framework.current_spaces()
+        assert serving is not framework.space
+        snapshot = cluster_snapshot(framework)
+        table = cluster_table(framework)
+        framework.shutdown()
+        return serving, snapshot, table
+
+    serving, snapshot, table = run_simulation(body)
+    space = snapshot["space"]
+    assert space["queue"] == serving.queue_depth() == 0
+    assert space["takes"] == serving.stats["takes"]
+    assert space["writes"] == serving.stats["writes"]
+    line = _space_line(table)
+    assert f" takes={serving.stats['takes']} " in line
+    assert " queue≈0 " in line
 
 
 def test_top_command(capsys):

@@ -12,8 +12,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SpaceError
+from repro.core.entries import TaskEntry as Task
+from repro.errors import AdmissionError, NetworkError, SpaceError
 from repro.net import Address, LatencyModel, Network
+from repro.telemetry import Tracer
 from repro.tuplespace import (
     HashRing,
     JavaSpace,
@@ -22,6 +24,7 @@ from repro.tuplespace import (
     SpaceServer,
     stable_hash,
 )
+from repro.tuplespace.proxy import AdmissionConfig
 from tests.tuplespace.entries import ResultEntry, TaskEntry
 
 keys = st.one_of(st.integers(-10_000, 10_000),
@@ -205,6 +208,66 @@ def test_parallel_write_all_reports_total(rt, env):
     total, present = run(rt, proc)
     assert total == 16
     assert present == 16
+
+
+def test_scatter_write_all_judges_every_shard_in_order(rt, env, monkeypatch):
+    """A write_all over several shards sends every group before it reads
+    a reply, on the caller's own process, then judges the outcomes in
+    shard order: the sum when all land; else a failure that is not a clean
+    admission rejection, whatever was rejected before it in shard order;
+    else the first rejection, naming the entries that landed.  A failed
+    send stops no other shard's send.  Each request is an
+    ``rpc.write_all`` span under the caller's span."""
+    net, spaces, servers = env
+    tracer = Tracer(rt, enabled=True)
+    spawned = []
+
+    def tasks(start):
+        return [Task("app", i, tenant="t") for i in range(start, start + 16)]
+
+    def proc():
+        spawn = rt.kernel.spawn
+        monkeypatch.setattr(rt.kernel, "spawn", lambda fn, name="proc": (
+            spawned.append(name) or spawn(fn, name=name)))
+        router = ShardRouter(net, "master", ADDRESSES, tracer=tracer)
+        entries = tasks(0)
+        assert {router._entry_shard(e) for e in entries} == set(range(4))
+        planning = tracer.start("planning", trace_id="job/app", proc="master")
+        with tracer.activate(planning):
+            total = router.write_all(entries)
+        planning.end()
+        seeding = [s for s in tracer.spans if s.name == "rpc.write_all"]
+
+        servers[1].enable_admission(AdmissionConfig(max_in_flight=0))
+        servers[2].enable_admission(AdmissionConfig(queue_hard_watermark=0))
+        entries = tasks(16)
+        with pytest.raises(AdmissionError) as rejected:
+            router.write_all(entries)
+        landed = [e for shard in (0, 3) for e in entries
+                  if router._entry_shard(e) == shard]
+        router.close()
+
+        servers[0].crash()
+        router = ShardRouter(net, "master", ADDRESSES)
+        entries = tasks(32)
+        with pytest.raises(NetworkError):
+            router.write_all(entries)
+        on_3 = [e.task_id for e in entries if router._entry_shard(e) == 3]
+        router.close()
+        return total, planning, seeding, rejected.value, landed, on_3
+
+    total, planning, seeding, rejected, landed, on_3 = run(rt, proc)
+    assert total == 16
+    assert spawned == []
+    assert len(seeding) == N_SHARDS
+    assert all(s.parent_id == planning.span_id and s.trace_id == "job/app"
+               and s.end_ms is not None for s in seeding)
+    # Shard 1's rejection, not shard 2's, naming shards 0 and 3's groups.
+    assert rejected.reason == "in-flight"
+    assert rejected.admitted_entries == tuple(landed)
+    # Shard 0 refused the connection; shard 3 still got its group.
+    assert sorted(e.task_id for e in spaces[3].contents(Task())
+                  if e.task_id >= 32) == sorted(on_3)
 
 
 def test_blocked_wildcard_take_wakes_on_any_shard(rt, env):
