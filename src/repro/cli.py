@@ -432,7 +432,7 @@ def _chaos(args) -> int:
     try:
         result = getattr(chaos, experiment)(trace=args.trace, **kwargs)
     except SimulationError as exc:
-        # --prefetch 0 / --shards 0: the worker's / the framework's own
+        # --prefetch 0 / --shards 0: the framework's own
         # complaint, not a traceback (and not a silently different run).
         if not isinstance(exc.__cause__, (ValueError, ConfigurationError)):
             raise

@@ -223,6 +223,16 @@ class AdaptiveClusterFramework:
         if self.config.shards < 1:
             raise ConfigurationError(
                 f"shards must be >= 1: {self.config.shards}")
+        # The pipeline knobs fail here, before start() serves anything,
+        # in the words the master and the worker would use.
+        batches = (self.config.master_seed_batch,
+                   self.config.master_drain_batch)
+        if min(batches) < 1:
+            raise ConfigurationError(
+                "seed_batch/drain_batch must be >= 1: %d/%d" % batches)
+        if self.config.worker_prefetch < 1:
+            raise ConfigurationError(
+                f"prefetch must be >= 1: {self.config.worker_prefetch}")
         if self.config.shard_placement not in ("master", "spread", "dedicated"):
             raise ConfigurationError(
                 f"shard_placement must be 'master', 'spread' or "

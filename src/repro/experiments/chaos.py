@@ -234,7 +234,7 @@ def _config(give_up_after_ms: float, prefetch: int, trace: bool,
             shards: int, **extra: Any) -> FrameworkConfig:
     """The deployment every campaign runs on, plus what only one adds.
     ``prefetch`` and ``shards`` pass through unclamped: 0 is the
-    worker's / the framework's error to raise, not a different campaign."""
+    framework's error to raise, not a different campaign."""
     return FrameworkConfig(
         monitoring=False,           # faults drive the run, not load
         compute_real=True,

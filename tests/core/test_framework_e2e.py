@@ -212,3 +212,18 @@ def test_admission_settings_without_admission_are_rejected(rt, field, value):
                                  FrameworkConfig(**{field: value}))
     AdaptiveClusterFramework(rt, cluster, SumOfSquares(n=2),
                              FrameworkConfig(admission=True, **{field: value}))
+
+
+@pytest.mark.parametrize("field, complaint", [
+    ("worker_prefetch", "prefetch must be >= 1: 0"),
+    ("master_seed_batch", "seed_batch/drain_batch must be >= 1: 0/1"),
+    ("master_drain_batch", "seed_batch/drain_batch must be >= 1: 1/0"),
+])
+def test_pipeline_knobs_below_one_fail_before_anything_serves(rt, field,
+                                                               complaint):
+    """A zero depth is refused at construction, as a ConfigurationError,
+    not half-way through start() with the servers already up."""
+    cluster = testbed_small(rt, workers=1)
+    with pytest.raises(ConfigurationError, match=complaint):
+        AdaptiveClusterFramework(rt, cluster, SumOfSquares(n=2),
+                                 FrameworkConfig(**{field: 0}))
