@@ -266,8 +266,15 @@ class Master:
 
         return self._guard(op)
 
-    def _take(self, template, timeout_ms):
-        return self._guard(lambda: self.space.take(template, timeout_ms=timeout_ms))
+    def _seed(self, entries: list[TaskEntry]) -> None:
+        """Write seeded task entries.  The wire form follows the knob,
+        not the chunk: one ``write_all`` at ``seed_batch`` > 1 (a chunk
+        of one included), one ``write`` per entry at 1."""
+        if self.seed_batch > 1:
+            self._write_all(entries)
+        else:
+            for entry in entries:
+                self._write(entry)
 
     def _take_if_exists(self, template):
         return self._guard(lambda: self.space.take_if_exists(template))
@@ -336,10 +343,10 @@ class Master:
                       if self.checkpoint_ms is not None else None)
         if checkpoint is not None:
             self._resume_from(checkpoint, tasks, results, dead, by_worker)
-        elif self.seed_batch > 1:
-            # Chunked seeding: one planning CPU charge and one write_all
-            # round trip per chunk (summed charges end at the same virtual
-            # time as per-task ones, minus the per-task kernel handoffs).
+        else:
+            # One planning CPU charge and one seeding round trip per chunk
+            # of ``seed_batch`` tasks (summed charges end at the same
+            # virtual time as per-task ones, minus the kernel handoffs).
             for start in range(0, len(tasks), self.seed_batch):
                 group = tasks[start:start + self.seed_batch]
                 t0 = self.runtime.now()
@@ -348,21 +355,11 @@ class Master:
                     self.node.cpu.execute(cost)
                 for t in group:
                     self._open_task_span(t.task_id)
-                self._write_all([self._task_entry(t.task_id, t.payload)
-                                 for t in group])
+                self._seed([self._task_entry(t.task_id, t.payload)
+                            for t in group])
                 seeded_at = self.runtime.now()
                 for t in group:
                     self._task_seeded[t.task_id] = seeded_at
-                max_overhead = max(max_overhead, self.runtime.now() - t0)
-        else:
-            for task in tasks:
-                t0 = self.runtime.now()
-                cost = app.planning_cost_ms(task)
-                if self.model_time and cost > 0:
-                    self.node.cpu.execute(cost)
-                self._open_task_span(task.task_id)
-                self._write(self._task_entry(task.task_id, task.payload))
-                self._task_seeded[task.task_id] = self.runtime.now()
                 max_overhead = max(max_overhead, self.runtime.now() - t0)
         planning_ms = self.runtime.now() - started
         self.metrics.scalar(f"master/{app.app_id}/planning_ms", planning_ms)
@@ -593,15 +590,13 @@ class Master:
                 continue
             reseed.append(self._task_entry(tid, task.payload))
             reseeded += 1
-            if self.seed_batch > 1 and len(reseed) >= self.seed_batch:
-                self._write_all(reseed)
+            # Full chunks go out between probes; at seed_batch 1 every
+            # probe runs first and the writes follow.
+            if self.seed_batch > 1 and len(reseed) == self.seed_batch:
+                self._seed(reseed)
                 reseed = []
         if reseed:
-            if self.seed_batch > 1:
-                self._write_all(reseed)
-            else:
-                for entry in reseed:
-                    self._write(entry)
+            self._seed(reseed)
         self.metrics.event(
             "master-resumed", app=self.app.app_id, seq=checkpoint.seq,
             results=len(results), dead=len(dead), reseeded=reseeded,

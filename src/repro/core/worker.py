@@ -10,6 +10,16 @@ on a cluster node.  It contains:
 * the worker run-loop spawned on Start: take task → compute → write
   result, honoring signals only between tasks so no task is ever lost.
 
+The loop runs one task cycle (:meth:`WorkerHost._cycle`) whose depth is
+``prefetch``.  At depth 1 each step is one RPC — ``txn_create``,
+``take``, ``write``, ``txn_commit`` per task, the paper's loop.  At
+depth > 1 a cycle takes up to ``prefetch`` tasks with one
+``[txn_create, take_multiple]`` batch, charges their CPU in one block,
+and retires them with one ``[write_all, txn_commit, txn_create,
+take_multiple]`` batch whose take is the next cycle's carry.  The
+preemption governor reads ``_active_batch`` (the batch being computed)
+and ``_pending`` (the carry); both stay ``None`` at depth 1.
+
 Lifecycle (Fig. 5): Start spawns a fresh runtime process which first
 performs remote class loading (CPU spike) and then computes; Stop kills
 the process after the current task and drops the classes; Pause blocks
@@ -102,10 +112,8 @@ class WorkerHost:
         # Finite task-transaction lease: a worker that stalls mid-task has
         # its take rolled back server-side after this long (None = forever).
         self.task_txn_lease_ms = task_txn_lease_ms
-        # Pipeline depth: take up to this many tasks per cycle (one
-        # take_multiple under one transaction), compute them all, and
-        # write the results back with a single batched write_all+commit.
-        # 1 = the classic one-task-per-cycle loop.
+        # Pipeline depth: tasks taken, computed and written back per
+        # cycle (see _cycle).  1 = the paper's one-task loop.
         if prefetch < 1:
             raise ValueError(f"prefetch must be >= 1: {prefetch}")
         self.prefetch = prefetch
@@ -136,6 +144,10 @@ class WorkerHost:
         self._loop_active = False
         self._exit_cond = runtime.condition()
         self._trap_emitter = None
+        # The newest signal's (signal, received_at), and the last Stop's
+        # arrival: "honoured" latencies are measured from these.
+        self._pending_receipt: Optional[tuple[Signal, float]] = None
+        self._stop_received_at: Optional[float] = None
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -288,7 +300,7 @@ class WorkerHost:
 
     def _honored(self, signal: Signal, received_at: Optional[float] = None) -> None:
         now = self.runtime.now()
-        receipt = getattr(self, "_pending_receipt", None)
+        receipt = self._pending_receipt
         if received_at is None:
             if receipt is not None and receipt[0] == signal:
                 received_at = receipt[1]
@@ -349,10 +361,7 @@ class WorkerHost:
                 if not self.engine.wait_for_clearance(self._honored):
                     break
                 try:
-                    if self.prefetch > 1:
-                        self._task_batch(proxy, template)
-                    else:
-                        self._one_task(proxy, template)
+                    self._cycle(proxy, template)
                 except TransactionError:
                     # The task txn's lease expired server-side (a compute
                     # longer than the lease, or a failover pause): the take
@@ -424,108 +433,49 @@ class WorkerHost:
                 if not self.running:
                     pass  # framework teardown, not a rule-base Stop
                 else:
-                    self._honored(
-                        Signal.STOP, getattr(self, "_stop_received_at", None)
-                    )
+                    self._honored(Signal.STOP, self._stop_received_at)
 
-    def _one_task(self, proxy: SpaceProxy, template: TaskEntry) -> None:
-        """Take one task, compute, write the result.
+    def _cycle(self, proxy: SpaceProxy, template: TaskEntry) -> None:
+        """One turn of the worker loop: take, compute, write back.
 
-        With ``transactional`` takes, the whole cycle runs under a space
+        ``prefetch`` is the pipeline depth; every depth runs these three
+        steps, only the RPCs that carry them differ:
+
+        * take — depth 1: ``txn_create`` then a lone ``take``.  Deeper:
+          the carry, or one ``[txn_create, take_multiple]`` batch (the
+          txn rides the take via an intra-batch reference);
+        * compute — one CPU charge for the whole batch, then each task
+          is executed; a failing task's replacement (requeue or dead
+          letter) is written back in its result's place, so the swap
+          commits atomically and never poisons its batchmates;
+        * write back — depth 1: ``write`` then ``txn_commit``.  Deeper:
+          one ``[write_all, txn_commit, txn_create, take_multiple]``
+          batch that retires this batch and prefetches the next (the
+          carry, released before a Pause/Stop is honoured).
+
+        With ``transactional`` takes the whole cycle runs under a space
         transaction: if this node dies before committing, the server
-        aborts and the task entry reappears for other workers.  The
-        ``finally`` guarantees the transaction never outlives the cycle —
-        an application exception must not strand a FOREVER-leased txn
-        holding the taken task hostage.
+        aborts and the tasks reappear for other workers.  The ``finally``
+        guarantees the transaction never outlives the cycle — an
+        application exception must not strand a FOREVER-leased txn
+        holding the taken tasks hostage.  Signals are honoured only
+        between cycles, so a taken batch is always drained.
         """
-        txn = None
-        if self.transactional:
-            lease = (self.task_txn_lease_ms
-                     if self.task_txn_lease_ms is not None else FOREVER)
-            txn = proxy.transaction(timeout_ms=lease)
-        try:
-            task = proxy.take(template, txn=txn, timeout_ms=self.worker_poll_ms)
-            if task is None:
-                return
-            if self.first_take_ms is None:
-                self.first_take_ms = self.runtime.now()
-            compute_started = self.runtime.now()
-            tracer = self.tracer
-            span = None
-            if tracer is not None and tracer.enabled and task.trace:
-                span = tracer.start("compute", trace_id=task.trace,
-                                    parent_id=task.trace,
-                                    proc=self.node.hostname,
-                                    task_id=task.task_id)
-            # Activation makes the compute span the ambient parent, so
-            # RPCs issued during compute *and* the result write-back join
-            # the task's trace as children of the compute span.
-            activation = (tracer.activate(span) if span is not None
-                          else nullcontext())
-            with activation:
-                try:
-                    payload = self._compute(task.payload, task.task_id)
-                except Exception as exc:  # noqa: BLE001 - poison quarantine
-                    if span is not None:
-                        span.end(status="error", error=repr(exc))
-                    self._quarantine(proxy, txn, task, exc)
-                    return
-                compute_ms = self.runtime.now() - compute_started
-                if span is not None:
-                    span.end(compute_ms=compute_ms)
-                proxy.write(
-                    ResultEntry(
-                        app_id=self.app.app_id,
-                        task_id=task.task_id,
-                        payload=payload,
-                        worker=self.node.hostname,
-                        compute_ms=compute_ms,
-                        trace=task.trace,
-                        tenant=task.tenant,
-                        priority=task.priority,
-                    ),
-                    txn=txn,
-                    requeue=True,
-                )
-                if txn is not None:
-                    txn.commit()
-            self.last_result_ms = self.runtime.now()
-            self.tasks_done += 1
-        finally:
-            if txn is not None and not txn.completed:
-                self._abort_quietly(txn)
-
-    def _task_batch(self, proxy: SpaceProxy, template: TaskEntry) -> None:
-        """Pipelined cycle: take up to ``prefetch`` tasks under one
-        transaction, compute them all, write everything back in one
-        batched RPC (write_all + commit ride one network message).
-        The txn_create rides the take_multiple's batch via an intra-batch
-        reference, so a full cycle is two round trips, not four per task.
-
-        The whole local batch is always drained — a Pause/Stop signal
-        received mid-batch waits until these tasks are written back, the
-        same "honored between tasks, never lose a task" rule as the
-        single-task loop, applied at batch granularity.  A failing task
-        does not poison its batchmates: its replacement (requeue or dead
-        letter) joins the same write_all, so the swap of every entry in
-        the batch commits atomically.
-
-        In steady state the write-back batch also carries the *next*
-        cycle's txn_create + take_multiple, so one round trip both
-        retires a batch and prefetches the next (the carry is released —
-        txn aborted, tasks reverted — before a Pause/Stop is honored).
-        """
+        piped = self.prefetch > 1
         lease = (self.task_txn_lease_ms
                  if self.task_txn_lease_ms is not None else FOREVER)
-        txn = None
-        tasks = None
-        nxt = None
+        txn = tasks = nxt = None
         if self._pending is not None:
-            txn, tasks = self._pending
-            self._pending = None
+            (txn, tasks), self._pending = self._pending, None
         try:
             if tasks is None:
-                if self.transactional:
+                if not piped:
+                    if self.transactional:
+                        txn = proxy.transaction(timeout_ms=lease)
+                    task = proxy.take(template, txn=txn,
+                                      timeout_ms=self.worker_poll_ms)
+                    tasks = [task] if task is not None else []
+                elif self.transactional:
                     opener = proxy.batch()
                     txn = opener.txn_create(timeout_ms=lease)
                     opener.take_multiple(template, self.prefetch, txn=txn,
@@ -534,77 +484,91 @@ class WorkerHost:
                 else:
                     tasks = proxy.take_multiple(
                         template, self.prefetch,
-                        timeout_ms=self.worker_poll_ms,
-                    )
+                        timeout_ms=self.worker_poll_ms)
             if not tasks:
                 return
-            self._active_batch = tasks
+            if piped:
+                # What the preemption governor reads: a depth-1 worker
+                # holds no carry worth preempting.
+                self._active_batch = tasks
             if self.first_take_ms is None:
                 self.first_take_ms = self.runtime.now()
-            out: list[Any] = []
-            results = 0
-            batch_started = self.runtime.now()
-            shares = self._charge_batch(tasks)
+            started = self.runtime.now()
             tracer = self.tracer
             tracing = tracer is not None and tracer.enabled
-            span_cursor = batch_started
-            for task, compute_ms in zip(tasks, shares):
-                try:
-                    payload = (self.app.execute(task.payload)
-                               if self.compute_real else None)
-                except Exception as exc:  # noqa: BLE001 - poison-task quarantine
-                    if tracing and task.trace:
+            span = None
+            if tracing and not piped and tasks[0].trace:
+                span = tracer.start("compute", trace_id=tasks[0].trace,
+                                    parent_id=tasks[0].trace,
+                                    proc=self.node.hostname,
+                                    task_id=tasks[0].task_id)
+            out: list[Any] = []
+            results = 0
+            # Depth 1 keeps its compute span live and active, so RPCs
+            # issued during compute *and* the write-back join the task's
+            # trace as its children.
+            with tracer.activate(span) if span is not None else nullcontext():
+                shares = self._charge_batch(tasks)
+                cursor = started
+                for task, share in zip(tasks, shares):
+                    failure = None
+                    try:
+                        payload = (self.app.execute(task.payload)
+                                   if self.compute_real else None)
+                    except Exception as exc:  # noqa: BLE001 - poison-task quarantine
+                        failure = exc
+                    # Depth 1 reads the clock (real time on the threaded
+                    # runtime); a batch apportions its one CPU charge.
+                    compute_ms = share if piped else self.runtime.now() - started
+                    attrs: dict[str, Any] = (
+                        {"compute_ms": compute_ms} if failure is None
+                        else {"status": "error", "error": repr(failure)})
+                    if span is not None:
+                        span.end(**attrs)
+                    elif tracing and task.trace:
+                        # The batch's single CPU charge already elapsed;
+                        # tile the per-task shares across it so each
+                        # trace still shows its own compute interval.
                         tracer.record("compute", trace_id=task.trace,
-                                      parent_id=task.trace,
-                                      start_ms=span_cursor,
-                                      end_ms=span_cursor + compute_ms,
+                                      parent_id=task.trace, start_ms=cursor,
+                                      end_ms=cursor + compute_ms,
                                       proc=self.node.hostname, batched=True,
-                                      status="error", error=repr(exc))
-                        span_cursor += compute_ms
-                    out.append(self._replacement_for(task, exc))
-                    continue
-                if tracing and task.trace:
-                    # The batch's single CPU charge already elapsed; tile
-                    # the apportioned per-task shares across it so each
-                    # trace still shows its own compute interval.
-                    tracer.record("compute", trace_id=task.trace,
-                                  parent_id=task.trace, start_ms=span_cursor,
-                                  end_ms=span_cursor + compute_ms,
-                                  proc=self.node.hostname, batched=True,
-                                  compute_ms=compute_ms)
-                    span_cursor += compute_ms
-                out.append(
-                    ResultEntry(
-                        app_id=self.app.app_id,
-                        task_id=task.task_id,
-                        payload=payload,
-                        worker=self.node.hostname,
-                        compute_ms=compute_ms,
-                        trace=task.trace,
-                        tenant=task.tenant,
-                        priority=task.priority,
-                    )
-                )
-                results += 1
-            batch = proxy.batch()
-            batch.write_all(out, txn=txn, requeue=True)
-            if txn is not None:
-                batch.commit(txn)
-            if self.transactional:
-                nxt = batch.txn_create(timeout_ms=lease)
-            batch.take_multiple(template, self.prefetch, txn=nxt,
-                                timeout_ms=self.worker_poll_ms)
-            values = batch.flush()
-            self._pending = (nxt, values[-1])
+                                      **attrs)
+                        cursor += compute_ms
+                    if failure is not None:
+                        out.append(self._replacement_for(task, failure))
+                        continue
+                    out.append(ResultEntry(
+                        app_id=self.app.app_id, task_id=task.task_id,
+                        payload=payload, worker=self.node.hostname,
+                        compute_ms=compute_ms, trace=task.trace,
+                        tenant=task.tenant, priority=task.priority,
+                    ))
+                    results += 1
+                if not piped:
+                    proxy.write(out[0], txn=txn, requeue=True)
+                    if txn is not None:
+                        txn.commit()
+                else:
+                    batch = proxy.batch()
+                    batch.write_all(out, txn=txn, requeue=True)
+                    if txn is not None:
+                        batch.commit(txn)
+                    if self.transactional:
+                        nxt = batch.txn_create(timeout_ms=lease)
+                    batch.take_multiple(template, self.prefetch, txn=nxt,
+                                        timeout_ms=self.worker_poll_ms)
+                    self._pending = (nxt, batch.flush()[-1])
             if results:
                 self.last_result_ms = self.runtime.now()
                 self.tasks_done += results
         finally:
             self._active_batch = None
-            # A still-unresolved batch_ref id means the txn never came
-            # into being server-side — nothing to abort.
+            # A batch's txn whose id is still a dict (an unflushed
+            # batch_ref, an unbound shard handle) never came into being
+            # server-side — nothing to abort.
             if (txn is not None and not txn.completed
-                    and not isinstance(txn.txn_id, dict)):
+                    and not (piped and isinstance(txn.txn_id, dict))):
                 self._abort_quietly(txn)
             # A prefetch txn that survived a failed flush is also released.
             if (self._pending is None and nxt is not None
@@ -636,19 +600,6 @@ class WorkerHost:
             trace=task.trace, tenant=task.tenant, priority=task.priority,
         )
 
-    def _quarantine(self, proxy: SpaceProxy, txn: Optional[RemoteTransaction],
-                    task: TaskEntry, exc: Exception) -> None:
-        """Application code failed on ``task``: requeue it with a bumped
-        attempt count, or dead-letter it once the budget is exhausted.
-
-        Committing the same transaction that took the task makes the swap
-        atomic: the original entry disappears exactly when its replacement
-        (or dead letter) becomes visible."""
-        replacement = self._replacement_for(task, exc)
-        proxy.write(replacement, txn=txn, requeue=True)
-        if txn is not None:
-            txn.commit()
-
     def _abort_quietly(self, txn: RemoteTransaction) -> None:
         """Abort a leftover transaction; the connection may already be
         gone, in which case the server aborted it when the link dropped."""
@@ -679,17 +630,6 @@ class WorkerHost:
                     SpaceError):
                 pass  # space gone; nothing more this worker can do
 
-    def _compute(self, payload: Any, task_id: int) -> Any:
-        """Charge the modelled CPU cost, then run the real computation."""
-        from repro.core.application import Task
-
-        cost = self.app.task_cost_ms(Task(task_id=task_id, payload=payload))
-        if self.model_time and cost > 0:
-            self.node.cpu.execute(cost)
-        if self.compute_real:
-            return self.app.execute(payload)
-        return None
-
     def _charge_batch(self, tasks: list[TaskEntry]) -> list[float]:
         """Charge a whole batch's modelled CPU in one blocking call.
 
@@ -698,7 +638,8 @@ class WorkerHost:
         as per-task charges — but costs one kernel handoff instead of one
         per task.  The elapsed time is apportioned back to the tasks by
         their share of the modelled work, so per-task ``compute_ms``
-        matches what the single-task path would have recorded.
+        matches what one charge per task would have recorded (all zero
+        when ``model_time`` is off).
         """
         from repro.core.application import Task
 

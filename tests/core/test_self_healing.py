@@ -158,7 +158,7 @@ def test_unexpected_worker_error_is_recorded_not_silent(rt, monkeypatch):
         framework.start()
         broken = framework.worker_hosts[0]
         monkeypatch.setattr(
-            broken, "_one_task",
+            broken, "_cycle",
             lambda proxy, template: (_ for _ in ()).throw(
                 RuntimeError("corrupt reply")),
         )
