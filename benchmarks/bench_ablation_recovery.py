@@ -28,8 +28,8 @@ def run_recovery(mechanism: str):
         cluster = testbed_small(runtime, workers=3, streams=RandomStreams(0))
         config = FrameworkConfig(
             transactional_takes=(mechanism == "transactions"),
-            eager_scheduling=(mechanism == "eager"),
-            straggler_timeout_ms=STRAGGLER_TIMEOUT_MS,
+            straggler_timeout_ms=(STRAGGLER_TIMEOUT_MS if mechanism == "eager"
+                                  else None),
         )
         framework = AdaptiveClusterFramework(
             runtime, cluster, SumOfSquares(n=30, task_cost=400.0), config

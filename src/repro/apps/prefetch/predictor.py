@@ -45,15 +45,10 @@ class PageRankPrefetcher:
         """
         self.requests += 1
         hit = self.cache.get(url) is not None
-        page = self.cluster.by_url(url)
-        if page is None:
+        if self.cluster.by_url(url) is None:
             return hit  # outside the cluster: nothing to prefetch
         self.cache.put(url)
-        candidates = sorted(
-            page.links, key=lambda pid: self.ranks[pid], reverse=True
-        )[: self.top_k]
-        for page_id in candidates:
-            target = self.cluster.page(page_id).url
+        for target in self.predicted_next(url):
             if target not in self.cache:
                 self.cache.put(target)
                 self.prefetches += 1

@@ -49,15 +49,6 @@ class WebPageCluster:
     def successors(self, page_id: int) -> list[int]:
         return list(self.pages[page_id].links)
 
-    def adjacency(self) -> np.ndarray:
-        """Dense 0/1 link matrix A[i, j] = 1 iff page j links to page i."""
-        n = len(self.pages)
-        a = np.zeros((n, n))
-        for page in self.pages:
-            for target in page.links:
-                a[target, page.page_id] = 1.0
-        return a
-
 
 def generate_cluster(
     n_pages: int = 500,

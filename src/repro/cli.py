@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ascii", action="store_true",
                        help="render the CPU-usage history as ASCII")
     sub.add_parser("table2", help="measured application classification")
-    p = sub.add_parser("exp3", help="dynamic worker behaviour (0/25/50 % loaded)")
+    p = sub.add_parser("exp3", help="dynamic worker behaviour (0/25/50 %% loaded)")
     p.add_argument("--app", choices=sorted(APP_FACTORIES), default="ray-tracing")
     p.add_argument("--workers", type=int, default=None)
     sub.add_parser("all", help="regenerate the full evaluation")

@@ -14,8 +14,6 @@ Two responsibilities on the worker side:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.application import ClassLoadProfile
 from repro.core.codeserver import download_bundle
 from repro.core.signals import Signal
@@ -40,7 +38,6 @@ class RemoteNodeConfigurationEngine:
         self.loads = 0                     # how many times classes were (re)loaded
         self.model_time = True             # charge the class-load CPU spike?
         self._cond = runtime.condition()
-        self._pending: Optional[tuple[Signal, float]] = None  # (signal, received_at)
         self.paused = False
         self.stop_requested = False
 
@@ -68,7 +65,6 @@ class RemoteNodeConfigurationEngine:
     def deliver(self, signal: Signal) -> None:
         """Called by the SNMP client when a signal arrives from the server."""
         with self._cond:
-            self._pending = (signal, self.runtime.now())
             if signal == Signal.PAUSE:
                 self.paused = True
             elif signal == Signal.RESUME:
@@ -77,13 +73,6 @@ class RemoteNodeConfigurationEngine:
                 self.stop_requested = True
                 self.paused = False  # a paused worker must wake to die
             self._cond.notify_all()
-
-    def take_pending(self) -> Optional[tuple[Signal, float]]:
-        """Pop the queued signal, if any (worker calls this between tasks)."""
-        with self._cond:
-            pending = self._pending
-            self._pending = None
-            return pending
 
     def wait_for_clearance(self, honored) -> bool:
         """Block while paused; return False when the worker must stop.
@@ -106,5 +95,3 @@ class RemoteNodeConfigurationEngine:
     def reset_for_start(self) -> None:
         self.stop_requested = False
         self.paused = False
-        with self._cond:
-            self._pending = None

@@ -33,8 +33,7 @@ from repro.errors import (
     OutOfMemoryError,
 )
 from repro.telemetry import FlightRecorder, SloWatchdog, Telemetry
-from repro.jini.discovery import DiscoveryClient
-from repro.jini.join import JoinManager, LookupClient
+from repro.jini.join import JoinManager
 from repro.jini.lookup import LookupService, ServiceItem
 from repro.net.address import Address
 from repro.node.cluster import Cluster
@@ -95,12 +94,11 @@ class FrameworkConfig:
     monitoring_mode: str = "poll"           # "poll" (paper) or "trap" (extension)
     port_offset: int = 0                    # shift all service ports so several
                                             # deployments can share one cluster
-    eager_scheduling: bool = False          # replicate straggling tasks
-    straggler_timeout_ms: float = 5_000.0   # quiet period before replication
+    #: Eager scheduling: replicate straggling tasks after this quiet
+    #: period (``None`` = no replication).
+    straggler_timeout_ms: Optional[float] = None
 
     # -- robustness / self-healing (see DESIGN.md "Fault model & recovery") --
-    reconnect_base_ms: float = 50.0         # backoff: base of the exponential
-    reconnect_max_ms: float = 2_000.0       # backoff cap
     rpc_timeout_ms: Optional[float] = 10_000.0  # space RPC reply deadline
     max_task_attempts: int = 3              # app failures before dead-letter
     dead_letter_poll_ms: float = 1_000.0    # master's quarantine-drain period
@@ -173,9 +171,8 @@ class FrameworkConfig:
     admission_rates: Optional[dict[str, float]] = None
     #: Priority preemption: a governor that Pauses workers hoarding
     #: prefetched low-priority carries while urgent backlog waits (see
-    #: :mod:`repro.core.tenancy`).
-    preemption: bool = False
-    preemption_poll_ms: float = 500.0
+    #: :mod:`repro.core.tenancy`), polling at this period (``None`` = off).
+    preemption_poll_ms: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -292,7 +289,7 @@ class AdaptiveClusterFramework:
         #: Extra tenants sharing this deployment (see
         #: :meth:`attach_tenant_master`).
         self.tenant_masters: list[Master] = []
-        #: Priority-preemption governor (``config.preemption``).
+        #: Priority-preemption governor (``config.preemption_poll_ms``).
         self.governor: Optional[Any] = None
         #: Shared operation history for the consistency checker.
         self.history: Optional[Any] = None
@@ -428,7 +425,6 @@ class AdaptiveClusterFramework:
             retry_ms = AdmissionConfig.retry_after_ms
         return Master(
             self.runtime, self.cluster.master, space, app, self.metrics,
-            eager_scheduling=config.eager_scheduling,
             straggler_timeout_ms=config.straggler_timeout_ms,
             model_time=self._model_time,
             dead_letter_poll_ms=config.dead_letter_poll_ms,
@@ -582,7 +578,7 @@ class AdaptiveClusterFramework:
                 "tenant.grants",
                 lambda t=tenant: self.tenant_grants().get(t, 0),
                 tenant=tenant)
-        if config.preemption:
+        if config.preemption_poll_ms is not None:
             self.governor = PreemptionGovernor(
                 self.runtime, self, self.metrics,
                 poll_ms=config.preemption_poll_ms,
@@ -719,11 +715,7 @@ class AdaptiveClusterFramework:
     def _start_workers(self) -> None:
         """Worker hosts on every worker node."""
         config = self.config
-        recovery = RecoveryPolicy(
-            base_backoff_ms=config.reconnect_base_ms,
-            max_backoff_ms=config.reconnect_max_ms,
-            call_timeout_ms=config.rpc_timeout_ms,
-        )
+        recovery = RecoveryPolicy(call_timeout_ms=config.rpc_timeout_ms)
         for node in self.cluster.workers:
             node.snmp_community = config.community
             # Jitter from a per-worker named stream: deterministic under a
@@ -756,22 +748,6 @@ class AdaptiveClusterFramework:
             )
             host.start()
             self.worker_hosts.append(host)
-
-    def resolve_space_via_jini(self, from_host: str) -> Address:
-        """Exercise discovery + lookup to find the space service."""
-        registrars = DiscoveryClient(self.runtime, self.cluster.network, from_host).discover(
-            timeout_ms=50.0, expected=1
-        )
-        if not registrars:
-            raise ConfigurationError("no lookup service discovered")
-        client = LookupClient(self.cluster.network, from_host, registrars[0])
-        try:
-            items = client.lookup({"type": "JavaSpaces", "app": self.app.app_id})
-            if not items:
-                raise ConfigurationError("JavaSpaces service not registered")
-            return items[0].service
-        finally:
-            client.close()
 
     def start_all_workers(self) -> None:
         """Manually Start every worker (used when monitoring is off)."""

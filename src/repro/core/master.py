@@ -73,11 +73,12 @@ class MasterReport:
 class Master:
     """Plans tasks into the space and aggregates results out of it.
 
-    With ``eager_scheduling`` (Charlotte's idea, Table 1), the master
-    re-writes a straggling task entry when every entry has been taken but
-    results stopped arriving — a replica races the straggler, and the
-    first result wins (duplicates are consumed and ignored; tasks must be
-    idempotent, which bag-of-tasks work is by construction).
+    With a ``straggler_timeout_ms`` (eager scheduling, Charlotte's idea,
+    Table 1), the master re-writes a straggling task entry when every
+    entry has been taken but results stopped arriving — a replica races
+    the straggler, and the first result wins (duplicates are consumed and
+    ignored; tasks must be idempotent, which bag-of-tasks work is by
+    construction).
     """
 
     def __init__(
@@ -87,8 +88,7 @@ class Master:
         space: JavaSpace,
         app: Application,
         metrics: Metrics,
-        eager_scheduling: bool = False,
-        straggler_timeout_ms: float = 5_000.0,
+        straggler_timeout_ms: Optional[float] = None,
         max_replicas: int = 2,
         model_time: bool = True,
         dead_letter_poll_ms: float = 1_000.0,
@@ -121,7 +121,6 @@ class Master:
         #: the drain loop when the framework wires one in.
         self.latency_hist = latency_hist
         self._task_seeded: dict[int, float] = {}
-        self.eager_scheduling = eager_scheduling
         self.straggler_timeout_ms = straggler_timeout_ms
         self.max_replicas = max_replicas
         self.model_time = model_time  # charge planning/agg CPU (simulation only)
@@ -388,8 +387,9 @@ class Master:
             if self._cancelled:
                 break
             self._check_crashed()
-            wait_ms = (self.straggler_timeout_ms if self.eager_scheduling
-                       else self.dead_letter_poll_ms)
+            wait_ms = self.straggler_timeout_ms
+            if wait_ms is None:
+                wait_ms = self.dead_letter_poll_ms
             # A checkpoint coming due shortens the drain wait below (to the
             # instant it is due, not a full period from this drain's start);
             # it must not also turn that wake-up into a dead-letter scan
@@ -423,7 +423,7 @@ class Master:
                         last_progress = self.runtime.now()
                         continue
                 now = self.runtime.now()
-                if self.eager_scheduling and \
+                if self.straggler_timeout_ms is not None and \
                         now - last_progress >= self.straggler_timeout_ms:
                     self._replicate_stragglers(task_by_id, results, replicas, dead)
                 if self.give_up_after_ms is not None and \
@@ -490,7 +490,7 @@ class Master:
                 max_overhead = max(max_overhead,
                                    share + self.runtime.now() - t0)
         self._drain_dead_letters(dead, results)
-        if self.eager_scheduling:
+        if self.straggler_timeout_ms is not None:
             self._drain_leftovers(template, task_by_id)
         if self.checkpoint_ms is not None and not self._cancelled:
             self._clear_checkpoints()

@@ -4,17 +4,11 @@ A single collector shared across modules records time series, events and
 scalars keyed by name — the quantities every figure in the paper plots
 (worker times, planning/aggregation times, CPU usage histories, signal
 reaction times).
-
-Long campaigns can cap memory with ``max_points``: each series (and the
-event log) becomes a ring buffer keeping only the newest ``max_points``
-entries.  The default (``None``) preserves the historical grow-forever
-lists.  :meth:`summary` condenses a series into count/mean/percentiles.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Any, Optional
 
 from repro.runtime.base import Runtime
@@ -25,19 +19,10 @@ __all__ = ["Metrics"]
 class Metrics:
     """Timestamped series / events / scalar store."""
 
-    def __init__(self, runtime: Runtime,
-                 max_points: Optional[int] = None) -> None:
-        if max_points is not None and max_points < 1:
-            raise ValueError(f"max_points must be >= 1: {max_points}")
+    def __init__(self, runtime: Runtime) -> None:
         self._runtime = runtime
-        self.max_points = max_points
-        if max_points is None:
-            self.series: dict[str, Any] = defaultdict(list)
-            self.events: Any = []
-        else:
-            self.series = defaultdict(
-                lambda: deque(maxlen=max_points))
-            self.events = deque(maxlen=max_points)
+        self.series: dict[str, list[tuple[float, float]]] = defaultdict(list)
+        self.events: list[tuple[float, str, dict[str, Any]]] = []
         self.scalars: dict[str, float] = {}
         #: Optional observer ``fn(now, name, payload)`` called after each
         #: event is appended (flight recorder / alert triggers).  Pure
@@ -69,27 +54,3 @@ class Metrics:
 
     def events_named(self, name: str) -> list[tuple[float, dict[str, Any]]]:
         return [(t, payload) for t, n, payload in self.events if n == name]
-
-    def summary(self, name: str) -> Optional[dict[str, float]]:
-        """Count/mean/p50/p95/max over the (retained) points of a series.
-
-        Percentiles use the nearest-rank rule on the retained window, so
-        under a ``max_points`` cap they describe the newest points only.
-        Returns ``None`` for an unknown or empty series.
-        """
-        points = self.series.get(name)
-        if not points:
-            return None
-        values = sorted(v for _, v in points)
-        n = len(values)
-
-        def rank(q: float) -> float:
-            return values[max(0, math.ceil(q * n) - 1)]
-
-        return {
-            "count": float(n),
-            "mean": sum(values) / n,
-            "p50": rank(0.50),
-            "p95": rank(0.95),
-            "max": values[-1],
-        }

@@ -99,7 +99,7 @@ class PreemptionGovernor:
         Pause is honoured *after* the active batch completes; what the
         worker then releases is its next prefetch, surrendering the
         pipeline's claim on the queue without killing any compute."""
-        tasks: list[Any] = list(getattr(host, "_active_batch", None) or ())
+        tasks: list[Any] = list(host._active_batch or ())
         pending = host._pending
         if pending is not None:
             tasks.extend(pending[1])

@@ -320,8 +320,7 @@ def chaos_experiment(
     return _campaign(
         seed, workers, app,
         _config(give_up_after_ms, prefetch, trace, shards,
-                eager_scheduling=True,      # replicate around dead workers
-                straggler_timeout_ms=2_000.0,
+                straggler_timeout_ms=2_000.0,   # replicate around dead workers
                 max_task_attempts=2),
         plan=campaign,
         run=lambda runtime, framework: framework.master.run(),
@@ -480,7 +479,6 @@ def coordination_chaos_experiment(
         seed, workers, app,
         _config(give_up_after_ms, prefetch, trace, shards,
                 task_txn_lease_ms=10_000.0,
-                eager_scheduling=True,
                 straggler_timeout_ms=2_000.0,
                 max_task_attempts=2,
                 hot_standby=True,
@@ -695,7 +693,6 @@ def contention_chaos_experiment(
         admission_soft_watermark=victim_tasks // max(1, shards) + 8,
         admission_quotas={AGGRESSOR: aggressor_quota},
         admission_rates={AGGRESSOR: aggressor_rate_per_s},
-        preemption=True,
         preemption_poll_ms=preemption_poll_ms,
     )
 

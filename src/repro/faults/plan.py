@@ -108,11 +108,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    def describe(self) -> str:
-        if not self.events:
-            return "(empty fault plan)"
-        return "\n".join(e.describe() for e in self.events)
-
     def to_dict(self) -> dict:
         """JSON-ready form — stored in postmortem bundles so a dump
         names the exact campaign that was running when it fired."""

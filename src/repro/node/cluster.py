@@ -68,12 +68,6 @@ class Cluster:
     def add_space_hosts(self, count: int, spec: MachineSpec) -> list[Node]:
         return [self.add_space_host(spec) for _ in range(count)]
 
-    def worker(self, hostname: str) -> Node:
-        for node in self.workers:
-            if node.hostname == hostname:
-                return node
-        raise KeyError(hostname)
-
     @property
     def nodes(self) -> list[Node]:
         return [self.master, *self.workers]

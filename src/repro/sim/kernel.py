@@ -153,7 +153,16 @@ class _Home(threading.Event):
     but is level-triggered, so a park cut short by ``KeyboardInterrupt``
     can be repeated: the baton is home again before the interrupt
     propagates, and nobody tears down around a still-running process.
+
+    The park wakes every ``PARK_S`` seconds.  Python runs a signal's
+    handler in the main thread between bytecodes, and a blocked lock
+    wait only returns early if the signal interrupts that very wait: a
+    Ctrl-C delivered to a carrier thread, or to the main thread just
+    before it blocks, would otherwise wait for the baton, which a
+    simulation that never ends never sends home.
     """
+
+    PARK_S = 0.1
 
     def __init__(self, kernel: "SimKernel") -> None:
         super().__init__()
@@ -163,7 +172,8 @@ class _Home(threading.Event):
 
     def acquire(self) -> None:
         try:
-            self.wait()
+            while not self.wait(self.PARK_S):
+                pass
         except BaseException:
             self.kernel._shutdown = True    # carriers stop at their next block
             self.wait()

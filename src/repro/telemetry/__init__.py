@@ -2,7 +2,7 @@
 
 One :class:`Telemetry` object per framework bundles the two halves —
 a :class:`~repro.telemetry.trace.Tracer` (per-task span trees) and a
-:class:`~repro.telemetry.registry.Registry` (typed instruments over the
+:class:`~repro.telemetry.registry.Registry` (one namespace over the
 per-component stats) — plus the optional periodic snapshotter that
 mirrors registry values into the legacy ``Metrics`` series.
 """
@@ -14,22 +14,14 @@ from typing import Any, Optional
 from repro.telemetry.blackbox import FlightRecorder, PostmortemBundle
 from repro.telemetry.console import cluster_snapshot, cluster_table
 from repro.telemetry.doctor import DoctorReport, analyze_job
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsSnapshotter,
-    Registry,
-)
+from repro.telemetry.registry import Histogram, MetricsSnapshotter, Registry
 from repro.telemetry.slo import DEFAULT_RULES, SloAlert, SloRule, SloWatchdog
 from repro.telemetry.trace import NULL_SPAN, Span, Tracer
 
 __all__ = [
-    "Counter",
     "DEFAULT_RULES",
     "DoctorReport",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "MetricsSnapshotter",
     "NULL_SPAN",

@@ -74,15 +74,6 @@ class PostmortemBundle:
             fh.write("\n")
         return path
 
-    def has_alert(self, name: str) -> bool:
-        """Did an event/alert with this name make it into the bundle?"""
-        if self.trigger is not None and self.trigger.get("name") == name:
-            return True
-        if any(evt_name == name for _, evt_name, _ in self.events):
-            return True
-        return any(a.get("rule") == name for a in self.alerts
-                   if isinstance(a, dict))
-
 
 class FlightRecorder:
     """Bounded ring buffers of recent spans/events, dumpable on demand."""

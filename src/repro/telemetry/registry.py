@@ -1,20 +1,17 @@
-"""Unified metrics registry: typed instruments behind one namespace.
+"""Unified metrics registry: one namespace over every component's counters.
 
 The per-component ``stats`` dicts (space, WAL, proxy, netmgmt, network)
 grew organically and are disjoint; the :class:`Registry` absorbs them
-behind labeled, typed instruments with a single naming scheme
+behind labeled names with a single naming scheme
 (``<component>.<counter>``, e.g. ``space.writes``, ``wal.syncs``,
 ``netmgmt.polls``).  Components keep their cheap plain-attribute
 counters on the hot path — the registry reads them lazily through
-*collectors* at exposition time, so registration costs nothing per op.
-
-Instruments:
-
-- :class:`Counter` — monotone total (``inc``).
-- :class:`Gauge` — last-value sample (``set``).
-- :class:`Histogram` — HDR-style log-bucketed distribution with
-  deterministic (RNG-free) quantile estimation: 8 sub-buckets per
-  octave bound the relative quantile error by ``2**(1/8)`` (≈ 9%).
+*collectors* (:meth:`Registry.expose`, :meth:`Registry.expose_dict`) at
+exposition time, so registration costs nothing per op.  The one typed
+instrument is the :class:`Histogram` — HDR-style log-bucketed
+distribution with deterministic (RNG-free) quantile estimation: 8
+sub-buckets per octave bound the relative quantile error by
+``2**(1/8)`` (≈ 9%).
 
 Exposition: :meth:`Registry.prometheus_text` renders the Prometheus
 text format; :class:`MetricsSnapshotter` periodically snapshots every
@@ -28,39 +25,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterable, Mapping, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "Registry", "MetricsSnapshotter"]
-
-
-class Counter:
-    """Monotonically increasing total."""
-
-    __slots__ = ("value",)
-    kind = "counter"
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-class Gauge:
-    """Point-in-time sample; keeps only the last value set."""
-
-    __slots__ = ("value",)
-    kind = "gauge"
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+__all__ = ["Histogram", "Registry", "MetricsSnapshotter"]
 
 
 class Histogram:
@@ -75,7 +40,6 @@ class Histogram:
     """
 
     __slots__ = ("count", "sum", "min", "max", "_zero", "_buckets")
-    kind = "histogram"
     SUB_BUCKETS = 8
 
     def __init__(self) -> None:
@@ -154,38 +118,18 @@ def _fmt(value: float) -> str:
 
 
 class Registry:
-    """Get-or-create home for every instrument, plus lazy collectors."""
+    """Get-or-create home for every histogram, plus lazy collectors."""
 
     def __init__(self) -> None:
-        self._instruments: dict[tuple[str, tuple], Any] = {}
-        self._kinds: dict[str, str] = {}
+        self._instruments: dict[tuple[str, tuple], Histogram] = {}
         self._collectors: list[Callable[[], Iterable[tuple[str, dict, float]]]] = []
 
-    # -- instrument factories ------------------------------------------------
-
-    def _get(self, name: str, factory: type, labels: Mapping[str, str]):
-        kind = factory.kind
-        known = self._kinds.get(name)
-        if known is None:
-            self._kinds[name] = kind
-        elif known != kind:
-            raise ValueError(
-                f"instrument {name!r} already registered as {known}, "
-                f"not {kind}")
+    def histogram(self, name: str, **labels: str) -> Histogram:
         key = (name, _label_key(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
-            instrument = self._instruments[key] = factory()
+            instrument = self._instruments[key] = Histogram()
         return instrument
-
-    def counter(self, name: str, **labels: str) -> Counter:
-        return self._get(name, Counter, labels)
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._get(name, Gauge, labels)
-
-    def histogram(self, name: str, **labels: str) -> Histogram:
-        return self._get(name, Histogram, labels)
 
     # -- lazy collectors -----------------------------------------------------
 
@@ -209,25 +153,22 @@ class Registry:
     # -- iteration / exposition ----------------------------------------------
 
     def samples(self) -> list[tuple[str, dict, str, Any]]:
-        """Flat ``(name, labels, kind, instrument_or_value)`` list: typed
-        instruments first (in registration order), then collector reads."""
+        """Flat ``(name, labels, kind, instrument_or_value)`` list:
+        histograms first (in registration order), then collector reads."""
         out = []
         for (name, label_key), instrument in self._instruments.items():
-            out.append((name, dict(label_key), instrument.kind, instrument))
+            out.append((name, dict(label_key), "histogram", instrument))
         for collect in self._collectors:
             for name, labels, value in collect():
                 out.append((name, labels, "gauge", value))
         return out
 
     def value(self, name: str, **labels: str) -> Optional[float]:
-        """Current scalar value of a counter/gauge (or collector sample)."""
-        key = (name, _label_key(labels))
-        instrument = self._instruments.get(key)
-        if instrument is not None:
-            return getattr(instrument, "value", None)
+        """Current value of a collector sample (``None`` if there is none)."""
+        key = _label_key(labels)
         for collect in self._collectors:
             for sample_name, sample_labels, value in collect():
-                if sample_name == name and _label_key(sample_labels) == key[1]:
+                if sample_name == name and _label_key(sample_labels) == key:
                     return value
         return None
 
@@ -263,9 +204,7 @@ class Registry:
                     lines.append(f"{mangled}_count{label_str} "
                                  f"{instrument.count}")
                 else:
-                    value = (instrument.value if kind != "histogram"
-                             and hasattr(instrument, "value") else instrument)
-                    lines.append(f"{mangled}{label_str} {_fmt(value)}")
+                    lines.append(f"{mangled}{label_str} {_fmt(instrument)}")
         return "\n".join(lines) + "\n"
 
     # -- Metrics-series snapshots --------------------------------------------
@@ -283,10 +222,8 @@ class Registry:
                 metrics.record(series + ".count", instrument.count)
                 metrics.record(series + ".p50", instrument.quantile(0.50))
                 metrics.record(series + ".p95", instrument.quantile(0.95))
-            elif hasattr(instrument, "value"):
-                metrics.record(series, instrument.value)
             else:
-                metrics.record(series, float(instrument))
+                metrics.record(series, instrument)
 
 
 class MetricsSnapshotter:
@@ -332,12 +269,6 @@ class MetricsSnapshotter:
         self._kernel = kernel
         self._hook = hook
         return True
-
-    def detach(self) -> None:
-        if self._kernel is not None and self._kernel.on_advance is self._hook:
-            self._kernel.on_advance = None
-        self._kernel = None
-        self._hook = None
 
     def tick(self, now_ms: float) -> None:
         if self._last_ms is not None and \

@@ -228,9 +228,6 @@ class SloWatchdog:
 
 
 def _scalar(instrument: Any) -> float:
-    value = getattr(instrument, "value", None)
-    if value is not None:
-        return float(value)
     if hasattr(instrument, "quantile"):   # histogram without .pNN mode
         return float(instrument.count)
     return float(instrument)

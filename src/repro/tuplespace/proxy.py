@@ -1458,10 +1458,6 @@ class SpaceProxy:
         return self._await_reply(self._send_request(op, args), op,
                                  [(op, args)])
 
-    def _call(self, op: str, args: dict[str, Any]) -> Any:
-        """One request, as-is, under the recovery loop."""
-        return self._guarded(op, self._call_once, (op, args), _idempotent(op))
-
     def _invoke(self, call: Call) -> Any:
         """One operation: its row's request, then its reply decoded."""
         row = OPS[call.op]

@@ -1,6 +1,5 @@
-"""Small shared utilities: id generation, serialization checks, time helpers."""
+"""Small shared utilities: serialization checks, codecs, logging."""
 
-from repro.util.ids import IdGenerator, uuid_hex
-from repro.util.serialization import serialized_size, check_serializable
+from repro.util.serialization import serialized_size
 
-__all__ = ["IdGenerator", "uuid_hex", "serialized_size", "check_serializable"]
+__all__ = ["serialized_size"]

@@ -1,22 +1,15 @@
 """Logging: thin wrapper over stdlib ``logging`` with a repro namespace.
 
-Components log under ``repro.<component>``; :func:`configure` installs a
-handler with virtual-time-friendly formatting for CLI runs.  Library code
-never configures logging on import (standard library etiquette).
-
-Passing ``clock`` (usually ``runtime.now``) prefixes every record with
-the runtime clock — ``[t=12.345]`` — via a logging filter, and passing
-``tracer`` adds the active span's ``%(trace_id)s`` so log lines correlate
-with the telemetry trace.  Both default off, keeping the plain format.
+Components log under ``repro.<component>``.  Library code never
+configures logging (standard library etiquette): a caller that wants the
+records attaches its own handler to the ``repro`` logger.
 """
 
 from __future__ import annotations
 
 import logging
-import sys
-from typing import Any, Callable, Optional
 
-__all__ = ["get_logger", "configure"]
+__all__ = ["get_logger"]
 
 _ROOT = "repro"
 
@@ -24,54 +17,3 @@ _ROOT = "repro"
 def get_logger(component: str) -> logging.Logger:
     """Logger for a framework component (e.g. ``netmgmt``, ``worker``)."""
     return logging.getLogger(f"{_ROOT}.{component}")
-
-
-class _RuntimeContextFilter(logging.Filter):
-    """Stamp records with the runtime clock and the active trace.
-
-    A filter rather than a Formatter subclass so the fields are plain
-    ``%()``-style attributes any downstream formatter can use.
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 tracer: Any = None) -> None:
-        super().__init__()
-        self._clock = clock
-        self._tracer = tracer
-
-    def filter(self, record: logging.LogRecord) -> bool:
-        record.vt = self._clock() if self._clock is not None else 0.0
-        span = self._tracer.current if self._tracer is not None else None
-        trace_id = getattr(span, "trace_id", None) if span is not None else None
-        record.trace_id = trace_id if trace_id is not None else "-"
-        return True
-
-
-def configure(level: int = logging.INFO, stream=None, force: bool = False,
-              clock: Optional[Callable[[], float]] = None,
-              tracer: Any = None) -> None:
-    """Attach a stream handler to the repro root logger (idempotent).
-
-    ``clock``: zero-arg callable returning the current runtime time in
-    ms; adds a ``[t=12.345]`` prefix.  ``tracer``: a telemetry tracer;
-    adds the active span's trace ID as ``[<trace_id>]`` (``[-]`` when no
-    span is active).
-    """
-    root = logging.getLogger(_ROOT)
-    if root.handlers and not force:
-        return
-    if force:
-        root.handlers.clear()
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
-    parts = []
-    if clock is not None:
-        parts.append("[t=%(vt).3f]")
-    parts.append("%(name)s %(levelname)s")
-    if tracer is not None:
-        parts.append("[%(trace_id)s]")
-    parts.append("%(message)s")
-    handler.setFormatter(logging.Formatter(" ".join(parts)))
-    if clock is not None or tracer is not None:
-        handler.addFilter(_RuntimeContextFilter(clock, tracer))
-    root.addHandler(handler)
-    root.setLevel(level)

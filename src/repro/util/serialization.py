@@ -2,8 +2,8 @@
 
 JavaSpaces requires entries to be ``Serializable``; the space proxy
 serializes entry fields before transmitting them.  We emulate this with
-pickle: :func:`check_serializable` enforces the constraint at write time
-and :func:`serialized_size` provides the byte size used by network and
+pickle: :func:`serialize` enforces the constraint (raising
+:class:`~repro.errors.EntryError`) and :func:`serialized_size` provides the byte size used by network and
 planning cost models.
 """
 
@@ -36,8 +36,3 @@ def deserialize(data: bytes) -> Any:
 def serialized_size(obj: Any) -> int:
     """Byte size of ``obj`` once serialized (used by cost models)."""
     return len(serialize(obj))
-
-
-def check_serializable(obj: Any) -> None:
-    """Raise :class:`EntryError` unless ``obj`` survives a pickle round trip."""
-    serialize(obj)

@@ -128,21 +128,6 @@ def test_stop_wakes_paused_worker(rt, env):
     assert honored == ["pause"]          # paused was honored; no resume
 
 
-def test_take_pending_pops_once(rt, env):
-    net, server, node = env
-    engine = RemoteNodeConfigurationEngine(rt, net, node, server.address)
-
-    def proc():
-        engine.deliver(Signal.PAUSE)
-        first = engine.take_pending()
-        second = engine.take_pending()
-        return first[0], second
-
-    signal, empty = run_in_sim(rt, proc)
-    assert signal == Signal.PAUSE
-    assert empty is None
-
-
 def test_reset_for_start_clears_state(rt, env):
     net, server, node = env
     engine = RemoteNodeConfigurationEngine(rt, net, node, server.address)
@@ -150,6 +135,6 @@ def test_reset_for_start_clears_state(rt, env):
     def proc():
         engine.deliver(Signal.STOP)
         engine.reset_for_start()
-        return engine.stop_requested, engine.paused, engine.take_pending()
+        return engine.stop_requested, engine.paused
 
-    assert run_in_sim(rt, proc) == (False, False, None)
+    assert run_in_sim(rt, proc) == (False, False)

@@ -2,9 +2,10 @@
 
 ROADMAP aim 2: "Every knob … must justify itself with a test or
 experiment that flips it; otherwise it goes."  This is that sentence as
-a gate: an ``ast`` scan of ``src/``, ``tests/``, ``benchmarks/`` and
-``examples/`` for the places a config is built, asserting that each
-field is given something other than its default at one of them at least.
+a gate: an ``ast`` scan of ``src/`` and ``benchmarks/`` for the places a
+config is built, asserting that each field is given something other than
+its default at one of them at least.  Tests and examples do not count: a
+value only they set is a constant the product never varies.
 A field nobody flips is a constant wearing a knob's clothes — delete it,
 or add it to :data:`NEVER_FLIPPED` with the reason it has to stay.
 """
@@ -18,13 +19,17 @@ from pathlib import Path
 from repro.core.framework import FrameworkConfig
 
 ROOT = Path(__file__).resolve().parents[2]
-SCANNED = ("src", "tests", "benchmarks", "examples")
+SCANNED = ("src", "benchmarks")
 
 #: Fields allowed to go unflipped, each with the reason it is still a
 #: field and not a constant.
 NEVER_FLIPPED = {
     "community": "a credential: deployment settings stay configurable "
                  "even while every test cluster uses 'public'",
+    "port_offset": "a deployment setting: only test_concurrent_apps shares "
+                   "one network between two deployments",
+    "staleness_ms": "None is the paper's behaviour; the load nemesis on "
+                    "the roadmap is its planned experiment",
 }
 
 

@@ -25,7 +25,7 @@ def test_straggler_rescued_by_replica(rt):
     app = SumOfSquares(n=30, task_cost=400.0)
     framework = AdaptiveClusterFramework(
         rt, cluster, app,
-        FrameworkConfig(eager_scheduling=True, straggler_timeout_ms=2_000.0,
+        FrameworkConfig(straggler_timeout_ms=2_000.0,
                         transactional_takes=False),
     )
 
@@ -49,7 +49,7 @@ def test_no_replication_on_healthy_run(rt):
     cluster = testbed_small(rt, workers=3)
     framework = AdaptiveClusterFramework(
         rt, cluster, SumOfSquares(n=12, task_cost=100.0),
-        FrameworkConfig(eager_scheduling=True, straggler_timeout_ms=5_000.0),
+        FrameworkConfig(straggler_timeout_ms=5_000.0),
     )
 
     def experiment():
@@ -71,7 +71,7 @@ def test_duplicate_results_ignored_and_drained(rt):
     app = SumOfSquares(n=8, task_cost=400.0)
     framework = AdaptiveClusterFramework(
         rt, cluster, app,
-        FrameworkConfig(eager_scheduling=True, straggler_timeout_ms=1_500.0,
+        FrameworkConfig(straggler_timeout_ms=1_500.0,
                         poll_interval_ms=400.0),
     )
     slow_node = cluster.workers[0]
@@ -114,7 +114,7 @@ def test_replication_capped(rt):
     space = JavaSpace(rt)
     app = SumOfSquares(n=2, task_cost=0.0)
     master = Master(rt, node, space, app, Metrics(rt),
-                    eager_scheduling=True, straggler_timeout_ms=200.0,
+                    straggler_timeout_ms=200.0,
                     max_replicas=2)
 
     def black_hole_worker():

@@ -11,6 +11,8 @@ from repro.core import (
     WorkerState,
 )
 from repro.errors import ConfigurationError
+from repro.jini.discovery import DiscoveryClient
+from repro.jini.join import LookupClient
 from repro.node import LoadSimulator2, testbed_small
 from tests.core.toyapp import SumOfSquares
 
@@ -137,9 +139,21 @@ def test_jini_lookup_resolves_space(rt):
     cluster = testbed_small(rt, workers=1)
     framework = AdaptiveClusterFramework(rt, cluster, SumOfSquares(n=2))
 
+    def resolve(from_host):
+        """Discovery, then lookup: how a worker finds the space."""
+        registrars = DiscoveryClient(rt, cluster.network, from_host).discover(
+            timeout_ms=50.0, expected=1)
+        client = LookupClient(cluster.network, from_host, registrars[0])
+        try:
+            items = client.lookup({"type": "JavaSpaces",
+                                   "app": framework.app.app_id})
+        finally:
+            client.close()
+        return items[0].service
+
     def experiment():
         framework.start()
-        address = framework.resolve_space_via_jini("worker1")
+        address = resolve("worker1")
         report = framework.run()
         framework.shutdown()
         return address, report

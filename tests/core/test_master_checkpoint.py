@@ -419,7 +419,7 @@ def killed_hardened_job(kill_at_ms, cluster_seed):
             FrameworkConfig(
                 monitoring=False, compute_real=True,
                 transactional_takes=True, task_txn_lease_ms=10_000.0,
-                eager_scheduling=True, straggler_timeout_ms=2_000.0,
+                straggler_timeout_ms=2_000.0,
                 rpc_timeout_ms=1_000.0, dead_letter_poll_ms=500.0,
                 worker_prefetch=6, master_seed_batch=HARDENED_TASKS,
                 master_drain_batch=HARDENED_TASKS, shards=4,

@@ -33,7 +33,7 @@ def run_race(delays: list[float]) -> tuple:
         space = JavaSpace(runtime)
         master = Master(
             runtime, cluster.master, space, app, Metrics(runtime),
-            eager_scheduling=True, straggler_timeout_ms=STRAGGLER_MS,
+            straggler_timeout_ms=STRAGGLER_MS,
             model_time=False,
         )
         writes = [0]

@@ -48,8 +48,6 @@ def robust_config(**overrides: Any) -> FrameworkConfig:
         monitoring=False,
         transactional_takes=True,
         rpc_timeout_ms=400.0,
-        reconnect_base_ms=25.0,
-        reconnect_max_ms=400.0,
         dead_letter_poll_ms=500.0,
     )
     defaults.update(overrides)

@@ -44,7 +44,7 @@ def test_plan_add_keeps_events_sorted():
                                  duration_ms=100.0)])
     plan.add(FaultEvent(100.0, FaultKind.WORKER_CRASH, target="w1"))
     assert [e.at_ms for e in plan] == [100.0, 500.0]
-    assert "worker-crash" in plan.describe().splitlines()[0]
+    assert "worker-crash" in plan.events[0].describe()
 
 
 class _CrashableHost:

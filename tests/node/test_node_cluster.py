@@ -156,9 +156,7 @@ def test_cluster_hostnames_unique_and_lookup(rt):
     cluster = testbed_small(rt, workers=4)
     names = [w.hostname for w in cluster.workers]
     assert len(set(names)) == 4
-    assert cluster.worker(names[2]) is cluster.workers[2]
-    with pytest.raises(KeyError):
-        cluster.worker("nope")
+    assert [node.hostname for node in cluster.nodes[-4:]] == names
 
 
 def test_cluster_nodes_share_network(rt):

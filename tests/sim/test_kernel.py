@@ -495,6 +495,29 @@ def test_interrupted_run_brings_the_baton_home_before_raising():
     assert proc.finished and not any(t.is_alive() for t in carriers)
 
 
+@pytest.mark.skipif(not hasattr(signal, "raise_signal"), reason="POSIX only")
+def test_a_ctrl_c_a_carrier_catches_still_interrupts_run():
+    """A terminal's Ctrl-C goes to whichever thread the OS picks.  Caught
+    by a carrier, it wakes no lock wait of the main thread; the park must
+    notice it anyway, not wait for a baton that a simulation which never
+    ends never sends home."""
+    kernel = SimKernel()
+    deadline = time.monotonic() + 5.0
+
+    def ticker():
+        kernel.sleep(1.0)
+        signal.raise_signal(signal.SIGINT)      # to this carrier thread
+        while time.monotonic() < deadline:
+            kernel.sleep(1.0)
+
+    proc = kernel.spawn(ticker, name="ticker")
+    with pytest.raises(KeyboardInterrupt):
+        kernel.run()
+    assert not proc.finished, "the interrupt waited for the run to end"
+    kernel.shutdown()
+    assert proc.finished
+
+
 def test_finished_process_drops_its_closure():
     class Payload:
         pass

@@ -55,8 +55,7 @@ def test_promotion_event_auto_dumps_a_bundle():
     bundle = flight.bundles[0]
     assert bundle.reason == "standby-promoted"
     assert bundle.trigger["epoch"] == 2
-    assert bundle.has_alert("standby-promoted")
-    assert not bundle.has_alert("never-happened")
+    assert bundle.trigger["name"] == "standby-promoted"
 
 
 def test_kill_primary_campaign_produces_promotion_postmortem(tmp_path):
@@ -68,7 +67,7 @@ def test_kill_primary_campaign_produces_promotion_postmortem(tmp_path):
     promo = [b for b in bundles if b.reason == "standby-promoted"]
     assert promo, [b.reason for b in bundles]
     bundle = promo[0]
-    assert bundle.has_alert("standby-promoted")
+    assert bundle.trigger["name"] == "standby-promoted"
     assert bundle.fault_plan, "bundle should carry the fault plan"
     assert bundle.spans or bundle.events, "bundle should carry recent history"
     # The bundle round-trips through JSON (the CI artifact format).

@@ -6,41 +6,28 @@ from __future__ import annotations
 import pytest
 
 from repro.core.metrics import Metrics
-from repro.telemetry import Counter, Gauge, Histogram, MetricsSnapshotter, Registry
+from repro.telemetry import Histogram, MetricsSnapshotter, Registry
 from repro.tuplespace import JavaSpace
 from tests.conftest import run_in_sim
 from tests.tuplespace.entries import TaskEntry
 
 
-def test_counter_and_gauge_basics():
+def test_expose_reads_through_at_call_time():
     registry = Registry()
-    c = registry.counter("jobs.done")
-    c.inc()
-    c.inc(2)
-    assert registry.value("jobs.done") == 3
-    # Get-or-create returns the same instrument.
-    assert registry.counter("jobs.done") is c
-
-    g = registry.gauge("queue.depth")
-    g.set(5)
-    g.dec()
+    depth = [5]
+    registry.expose("queue.depth", lambda: depth[0])
+    assert registry.value("queue.depth") == 5
+    depth[0] = 4
     assert registry.value("queue.depth") == 4
 
 
 def test_labels_partition_instruments():
     registry = Registry()
-    registry.counter("rpc.calls", op="take").inc(3)
-    registry.counter("rpc.calls", op="write").inc(1)
+    registry.expose("rpc.calls", lambda: 3, op="take")
+    registry.expose("rpc.calls", lambda: 1, op="write")
     assert registry.value("rpc.calls", op="take") == 3
     assert registry.value("rpc.calls", op="write") == 1
     assert registry.value("rpc.calls", op="read") is None
-
-
-def test_kind_conflict_rejected():
-    registry = Registry()
-    registry.counter("x")
-    with pytest.raises(ValueError):
-        registry.gauge("x")
 
 
 def test_histogram_stats_and_quantiles():
@@ -69,8 +56,8 @@ def test_histogram_zero_and_negative_observations():
 
 def test_prometheus_text_golden():
     registry = Registry()
-    registry.counter("space.writes").inc(7)
-    registry.gauge("queue.depth", space="primary").set(2)
+    registry.expose("space.writes", lambda: 7)
+    registry.expose("queue.depth", lambda: 2, space="primary")
     h = registry.histogram("rpc.latency-ms")
     h.observe(1.0)
     h.observe(3.0)
@@ -85,7 +72,7 @@ def test_prometheus_text_golden():
         'rpc_latency_ms_bucket{le="+Inf"} 2\n'
         "rpc_latency_ms_sum 4\n"
         "rpc_latency_ms_count 2\n"
-        "# TYPE space_writes counter\n"
+        "# TYPE space_writes gauge\n"
         "space_writes 7\n"
         "# TYPE wal_commits gauge\n"
         "wal_commits 42\n"
@@ -123,7 +110,7 @@ def test_space_stats_unified_naming(rt):
 
 def test_snapshot_into_metrics(rt):
     registry = Registry()
-    registry.counter("a.total").inc(5)
+    registry.expose("a.total", lambda: 5)
     h = registry.histogram("b.lat", op="x")
     h.observe(2.0)
     metrics = Metrics(rt)
@@ -135,21 +122,21 @@ def test_snapshot_into_metrics(rt):
 
 def test_snapshotter_rides_kernel_advance(rt):
     registry = Registry()
-    counter = registry.counter("ticks.total")
+    ticks = [0]
+    registry.expose("ticks.total", lambda: ticks[0])
     metrics = Metrics(rt)
     snapshotter = MetricsSnapshotter(registry, metrics, interval_ms=100.0)
     assert snapshotter.attach(rt)
 
     def body():
         for _ in range(5):
-            counter.inc()
+            ticks[0] += 1
             rt.sleep(100.0)
 
     run_in_sim(rt, body)
-    snapshotter.detach()
     points = metrics.series["telemetry/ticks.total"]
     assert len(points) >= 4
-    # Values are monotone (it's a counter) and timestamped on the virtual clock.
+    # Values are monotone (a running total) and timestamped on the virtual clock.
     values = [v for _, v in points]
     assert values == sorted(values)
     assert points[-1][0] >= 400.0
@@ -162,4 +149,3 @@ def test_snapshotter_chains_existing_hook(rt):
     snapshotter.attach(rt)
     run_in_sim(rt, lambda: rt.sleep(50.0))
     assert seen, "previous on_advance hook was dropped"
-    snapshotter.detach()

@@ -1,12 +1,7 @@
-"""Satellite surfaces: the cluster console, runtime-clock log stamps,
-Metrics ring-buffer/summary, and the trace/top CLI commands."""
+"""Satellite surfaces: the cluster console, Metrics retention, and the
+trace/top CLI commands."""
 
 from __future__ import annotations
-
-import io
-import logging
-
-import pytest
 
 from repro.cli import main
 from repro.core.framework import AdaptiveClusterFramework, FrameworkConfig
@@ -14,9 +9,8 @@ from repro.core.metrics import Metrics
 from repro.experiments.harness import run_simulation
 from repro.node.cluster import testbed_small
 from repro.sim.rng import RandomStreams
-from repro.telemetry import Tracer, cluster_snapshot, cluster_table
+from repro.telemetry import cluster_snapshot, cluster_table
 from repro.tuplespace import Entry, TransactionManager
-from repro.util.log import configure, get_logger
 from tests.conftest import run_in_sim
 from tests.core.toyapp import SumOfSquares
 from tests.telemetry.test_trace import run_traced
@@ -65,7 +59,7 @@ def test_cluster_table_shows_tenancy_lines():
             FrameworkConfig(monitoring=False, compute_real=True,
                             tenant="victim", priority=2,
                             tenant_shares={"victim": 2.0},
-                            admission=True, preemption=True))
+                            admission=True, preemption_poll_ms=500.0))
         framework.start()
         framework.start_all_workers()
         framework.master.run()
@@ -166,44 +160,7 @@ def test_trace_command(tmp_path, capsys):
     assert "space_writes" in prom_file.read_text()
 
 
-# -- log satellites ------------------------------------------------------------
-
-
-def test_log_clock_prefix_and_trace_id(rt):
-    tracer = Tracer(rt, enabled=True)
-    stream = io.StringIO()
-    root = logging.getLogger("repro")
-    before = list(root.handlers)
-    try:
-        configure(level=logging.INFO, stream=stream, force=True,
-                  clock=rt.now, tracer=tracer)
-        log = get_logger("worker")
-        log.info("outside any span")
-        span = tracer.start("compute", "app/3")
-        with tracer.activate(span):
-            log.info("inside the span")
-        span.end()
-    finally:
-        root.handlers = before
-    lines = stream.getvalue().splitlines()
-    assert lines[0].startswith("[t=0.000]")
-    assert "[-]" in lines[0]
-    assert "[app/3]" in lines[1]
-
-
-def test_log_default_format_unchanged():
-    stream = io.StringIO()
-    root = logging.getLogger("repro")
-    before = list(root.handlers)
-    try:
-        configure(level=logging.INFO, stream=stream, force=True)
-        get_logger("worker").info("plain")
-    finally:
-        root.handlers = before
-    assert stream.getvalue() == "repro.worker INFO plain\n"
-
-
-# -- Metrics ring buffer and summary -------------------------------------------
+# -- Metrics retention ---------------------------------------------------------
 
 
 def test_metrics_default_behaviour_unchanged(rt):
@@ -214,35 +171,3 @@ def test_metrics_default_behaviour_unchanged(rt):
     assert isinstance(metrics.series["x"], list)
     assert isinstance(metrics.events, list)
     assert len(metrics.series["x"]) == 10 and len(metrics.events) == 10
-
-
-def test_metrics_ring_buffer_caps_retention(rt):
-    metrics = Metrics(rt, max_points=3)
-    for i in range(10):
-        metrics.record("x", i)
-        metrics.event("e", i=i)
-    assert [v for _, v in metrics.series["x"]] == [7.0, 8.0, 9.0]
-    assert len(metrics.events) == 3
-    assert metrics.last("x") == 9.0
-
-
-def test_metrics_max_points_validation(rt):
-    with pytest.raises(ValueError):
-        Metrics(rt, max_points=0)
-
-
-def test_metrics_summary(rt):
-    metrics = Metrics(rt)
-    for v in [5.0, 1.0, 3.0, 2.0, 4.0]:
-        metrics.record("lat", v)
-    summary = metrics.summary("lat")
-    assert summary == {"count": 5.0, "mean": 3.0, "p50": 3.0,
-                       "p95": 5.0, "max": 5.0}
-    assert metrics.summary("missing") is None
-
-
-def test_metrics_summary_respects_ring_window(rt):
-    metrics = Metrics(rt, max_points=2)
-    for v in [100.0, 1.0, 2.0]:
-        metrics.record("lat", v)
-    assert metrics.summary("lat")["max"] == 2.0

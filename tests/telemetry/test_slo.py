@@ -49,18 +49,24 @@ def make_watchdog(rules):
     return registry, watchdog
 
 
+def expose(registry, name, value, **labels):
+    """A read-through sample whose value the test sets: ``box[0]``."""
+    box = [value]
+    registry.expose(name, lambda: box[0], **labels)
+    return box
+
+
 def test_gauge_rule_fires_and_resolves():
     registry, watchdog = make_watchdog(["depth: q.depth > 10"])
-    gauge = registry.gauge("q.depth")
-    gauge.set(5)
+    gauge = expose(registry, "q.depth", 5)
     watchdog.evaluate(1000.0)
     assert watchdog.alerts == []
-    gauge.set(50)
+    gauge[0] = 50
     watchdog.evaluate(2000.0)
     assert len(watchdog.alerts) == 1
     alert = watchdog.alerts[0]
     assert alert.active and alert.fired_ms == 2000.0 and alert.value == 50
-    gauge.set(3)
+    gauge[0] = 3
     watchdog.evaluate(3000.0)
     assert not alert.active and alert.resolved_ms == 3000.0
     assert watchdog.active == []
@@ -68,17 +74,16 @@ def test_gauge_rule_fires_and_resolves():
 
 def test_sustain_requires_the_breach_to_hold():
     registry, watchdog = make_watchdog(["depth: q.depth > 10 for 2s"])
-    gauge = registry.gauge("q.depth")
-    gauge.set(99)
+    gauge = expose(registry, "q.depth", 99)
     watchdog.evaluate(1000.0)       # breach starts
     watchdog.evaluate(2000.0)       # held 1s — not yet
     assert watchdog.alerts == []
     watchdog.evaluate(3000.0)       # held 2s — fires
     assert len(watchdog.alerts) == 1
     # A dip resets the clock: no refire until sustained again.
-    gauge.set(0)
+    gauge[0] = 0
     watchdog.evaluate(3500.0)
-    gauge.set(99)
+    gauge[0] = 99
     watchdog.evaluate(4000.0)
     watchdog.evaluate(5000.0)
     assert len(watchdog.alerts) == 1
@@ -88,19 +93,18 @@ def test_sustain_requires_the_breach_to_hold():
 
 def test_gauge_reads_take_worst_across_label_sets():
     registry, watchdog = make_watchdog(["depth: q.depth > 10"])
-    registry.gauge("q.depth", shard="0").set(1)
-    registry.gauge("q.depth", shard="1").set(11)
+    expose(registry, "q.depth", 1, shard="0")
+    expose(registry, "q.depth", 11, shard="1")
     watchdog.evaluate(1000.0)
     assert len(watchdog.alerts) == 1 and watchdog.alerts[0].value == 11
 
 
 def test_rate_rule_deltas_counter_totals_between_frames():
     registry, watchdog = make_watchdog(["sheds: shed.rate > 10"])
-    counter = registry.counter("shed")
-    counter.inc(5)
+    total = expose(registry, "shed", 5)
     watchdog.evaluate(1000.0)       # first frame primes the baseline
     assert watchdog.alerts == []
-    counter.inc(100)                # 100 in 1s = 100/s > 10
+    total[0] += 100                 # 100 in 1s = 100/s > 10
     watchdog.evaluate(2000.0)
     assert len(watchdog.alerts) == 1
     assert watchdog.alerts[0].value == pytest.approx(100.0)
@@ -138,10 +142,9 @@ def test_events_and_to_dict_reporting():
     events = Events()
     watchdog = SloWatchdog(registry, rules=["depth: q.depth > 10"],
                            metrics=events)
-    gauge = registry.gauge("q.depth")
-    gauge.set(42)
+    gauge = expose(registry, "q.depth", 42)
     watchdog.evaluate(1000.0)
-    gauge.set(0)
+    gauge[0] = 0
     watchdog.evaluate(2000.0)
     names = [name for name, _ in events.seen]
     assert names == ["slo-alert", "slo-resolved"]

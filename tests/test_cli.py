@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -13,6 +15,18 @@ def test_parser_knows_all_commands():
                     "table2", "exp3", "all"):
         args = parser.parse_args([command] if command not in ("exp3",) else [command])
         assert args.command == command
+
+
+def test_every_help_text_formats():
+    """argparse %-formats help strings: a bare ``%`` in one crashes
+    ``repro --help`` even though each subcommand's own help works."""
+    parser = build_parser()
+    assert "exp3" in parser.format_help()
+    subparsers = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert subparsers
+    for name, sub in subparsers[0].choices.items():
+        assert sub.format_help(), name
 
 
 def test_missing_command_errors():

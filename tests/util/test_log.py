@@ -5,9 +5,7 @@ from __future__ import annotations
 import io
 import logging
 
-import pytest
-
-from repro.util.log import configure, get_logger
+from repro.util.log import get_logger
 
 
 def test_loggers_namespaced_under_repro():
@@ -15,29 +13,20 @@ def test_loggers_namespaced_under_repro():
     assert get_logger("netmgmt").name == "repro.netmgmt"
 
 
-def test_configure_is_idempotent():
-    root = logging.getLogger("repro")
-    before = list(root.handlers)
-    try:
-        configure(force=True)
-        once = len(root.handlers)
-        configure()
-        assert len(root.handlers) == once
-    finally:
-        root.handlers = before
-
-
 def test_configured_stream_receives_component_logs():
     stream = io.StringIO()
+    handler = logging.StreamHandler(stream)
+    handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
     root = logging.getLogger("repro")
-    before = list(root.handlers)
+    level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.INFO)
     try:
-        configure(level=logging.INFO, stream=stream, force=True)
         get_logger("worker").info("hello from %s", "w1")
-        assert "repro.worker" in stream.getvalue()
-        assert "hello from w1" in stream.getvalue()
     finally:
-        root.handlers = before
+        root.removeHandler(handler)
+        root.setLevel(level)
+    assert stream.getvalue() == "repro.worker INFO hello from w1\n"
 
 
 def test_framework_signals_logged(rt, caplog):

@@ -1,4 +1,4 @@
-"""Utility module tests: ids, serialization."""
+"""Utility module tests: serialization."""
 
 from __future__ import annotations
 
@@ -8,36 +8,8 @@ import numpy as np
 import pytest
 
 from repro.errors import EntryError
-from repro.util import IdGenerator, check_serializable, serialized_size, uuid_hex
+from repro.util import serialized_size
 from repro.util.serialization import deserialize, serialize
-
-
-def test_id_generator_monotonic_and_prefixed():
-    gen = IdGenerator("task")
-    assert gen.next() == "task-1"
-    assert gen.next() == "task-2"
-    assert gen.next_int() == 3
-
-
-def test_id_generator_thread_safe():
-    gen = IdGenerator()
-    seen: list[str] = []
-
-    def grab():
-        for _ in range(200):
-            seen.append(gen.next())
-
-    threads = [threading.Thread(target=grab) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(seen) == len(set(seen)) == 800
-
-
-def test_uuid_hex_unique():
-    assert uuid_hex() != uuid_hex()
-    assert len(uuid_hex()) == 32
 
 
 def test_serialize_round_trip():
@@ -55,7 +27,7 @@ def test_serialized_size_grows_with_content():
 
 def test_unserializable_raises_entry_error():
     with pytest.raises(EntryError, match="not serializable"):
-        check_serializable(lambda: None)
+        serialize(lambda: None)
     with pytest.raises(EntryError):
         serialize(threading.Lock())
 

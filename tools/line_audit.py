@@ -12,10 +12,23 @@ Usage (from the repository root)::
 
     python tools/line_audit.py run AUDIT_DIR -- python -m pytest -x -q
     python tools/line_audit.py report AUDIT_DIR [--json FILE]
+    python tools/line_audit.py report AUDIT_DIR --minus OTHER_DIR
 
 ``run`` adds ``src`` to ``PYTHONPATH`` and may be repeated over several
 commands into one ``AUDIT_DIR``; ``report`` unions every process's hits.
 Expect the traced run to be several times slower than a plain one.
+
+``--minus`` prints, one ``file::qualname`` per line and sorted, every
+function called in ``AUDIT_DIR`` and never in ``OTHER_DIR`` (the totals
+go to stderr).  Over tier-1 minus the product runs of
+``tools/audit_product.sh`` that is the code only tests reach;
+``tools/test_only.txt`` is that list with a keep class per line, and CI
+fails when the two differ.
+
+Because ``run`` puts ``src`` on ``PYTHONPATH``, a test that hides the
+program from a child process cannot pass under it:
+``benchmarks/suite/test_suite.py::test_fails_without_the_program``
+fails there by construction.
 """
 
 from __future__ import annotations
@@ -105,6 +118,13 @@ def _lines(code: types.CodeType) -> set[int]:
     return {line for _, _, line in code.co_lines() if line}
 
 
+def _is_function(code: types.CodeType) -> bool:
+    """Functions only: a class body or module runs at import, and
+    lambdas and comprehensions belong to the function around them."""
+    return (bool(code.co_flags & inspect.CO_OPTIMIZED)
+            and not code.co_name.startswith("<"))
+
+
 def executable(path: Path) -> list[tuple[types.CodeType, set[int]]]:
     """Every code object compiled from ``path`` with its own lines."""
     module = compile(path.read_text(), str(path), "exec")
@@ -135,11 +155,7 @@ def report(out_dir: Path, root: Path) -> dict:
         rel = str(path.relative_to(root.parent))
         files[rel] = {"executable": len(lines), "run": len(lines & seen)}
         for code, code_lines in codes:
-            # Functions only: a class body or module runs at import, and
-            # lambdas and comprehensions belong to the function around them.
-            if (not code.co_flags & inspect.CO_OPTIMIZED
-                    or code.co_name.startswith("<")
-                    or code.co_firstlineno in called):
+            if not _is_function(code) or code.co_firstlineno in called:
                 continue
             never_run.append({"file": rel, "line": code.co_firstlineno,
                               "function": code.co_qualname,
@@ -148,6 +164,26 @@ def report(out_dir: Path, root: Path) -> dict:
     run = sum(f["run"] for f in files.values())
     return {"executable": total, "run": run, "files": files,
             "never_run": never_run}
+
+
+def called_only_in(out_dir: Path, other_dir: Path, root: Path) -> list[dict]:
+    """Every function called in ``out_dir``'s runs and never in
+    ``other_dir``'s, keyed ``file::qualname``, sorted by key."""
+    called = load_hits(out_dir)["calls"]
+    elsewhere = load_hits(other_dir)["calls"]
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        real = os.path.realpath(path)
+        only = called.get(real, set()) - elsewhere.get(real, set())
+        if not only:
+            continue
+        rel = str(path.relative_to(root.parent))
+        for code, code_lines in executable(path):
+            if code.co_firstlineno in only and _is_function(code):
+                found.append({"key": f"{rel}::{code.co_qualname}",
+                              "line": code.co_firstlineno,
+                              "lines": len(code_lines - {code.co_firstlineno})})
+    return sorted(found, key=lambda f: f["key"])
 
 
 def _print(result: dict) -> None:
@@ -171,11 +207,23 @@ def main(argv: list[str] | None = None) -> int:
     rep_p.add_argument("out_dir", type=Path)
     rep_p.add_argument("--root", type=Path, default=REPO / "src" / "repro")
     rep_p.add_argument("--json", type=Path, help="also write the report here")
+    rep_p.add_argument("--minus", type=Path, metavar="OTHER_DIR",
+                       help="list the functions called here and never there")
     args = parser.parse_args(argv)
 
     if args.cmd == "report":
-        result = report(args.out_dir, args.root.resolve())
-        _print(result)
+        if args.minus is not None:
+            result = called_only_in(args.out_dir, args.minus,
+                                    args.root.resolve())
+            for f in result:
+                print(f["key"])
+            print(f"{len(result)} functions "
+                  f"({sum(f['lines'] for f in result)} lines) called in "
+                  f"{args.out_dir} and never in {args.minus}",
+                  file=sys.stderr)
+        else:
+            result = report(args.out_dir, args.root.resolve())
+            _print(result)
         if args.json is not None:
             args.json.write_text(json.dumps(result, indent=1) + "\n")
         return 0
