@@ -16,7 +16,7 @@ from functools import partial
 from typing import Any, Optional
 
 from repro.errors import SimulationError
-from repro.sim.kernel import SimKernel, SimProcess
+from repro.sim.kernel import SimKernel
 
 __all__ = ["SimLock", "SimCondition"]
 
@@ -74,14 +74,13 @@ class SimLock:
 
 
 class _Waiter:
-    """One blocked process; woken at most once (by notify or timeout)."""
+    """One blocked process; woken at most once (by notify or timeout).
+
+    No ``__init__``: ``wait`` fills the slots itself, a frame cheaper on
+    every wait (each modelled CPU charge and blocking RPC makes one).
+    """
 
     __slots__ = ("proc", "notified", "woken")
-
-    def __init__(self, proc: SimProcess) -> None:
-        self.proc = proc
-        self.notified = False
-        self.woken = False
 
 
 class SimCondition:
@@ -116,12 +115,14 @@ class SimCondition:
         proc = kernel._current
         if proc is None:
             raise SimulationError("not inside a simulated process")
-        waiter = _Waiter(proc)
+        waiter = _Waiter()
+        waiter.proc = proc
+        waiter.notified = waiter.woken = False
         self._waiters.append(waiter)
 
         handle = None
         if timeout is not None:
-            handle = kernel.call_later(max(0.0, timeout),
+            handle = kernel.call_later(timeout if timeout > 0.0 else 0.0,
                                        partial(self._expire, waiter))
 
         # Monitor semantics: release while blocked, reacquire on wake.  The
@@ -144,7 +145,7 @@ class SimCondition:
                 lock.acquire()          # raises if another took it meanwhile
                 lock._depth = depth
         if handle is not None:
-            handle.cancel()
+            handle.cancelled = True     # EventHandle.cancel, minus a frame
         return waiter.notified
 
     def _expire(self, waiter: _Waiter) -> None:
