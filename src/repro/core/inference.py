@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.signals import Signal, ThresholdPolicy
-from repro.core.states import WorkerState
+from repro.core.states import WorkerState, WorkerStateMachine
 
 __all__ = ["InferenceEngine", "WorkerRecord"]
 
@@ -126,8 +126,8 @@ class InferenceEngine:
     def observe(self, worker_id: int, load_percent: float, now_ms: float) -> Optional[Signal]:
         """Record a load sample for a worker and decide its signal.
 
-        Updates the assumed state when a signal is issued (the worker
-        only ever transitions on our signals, so the model stays exact).
+        Updates the assumed state when a signal is issued; transitions
+        the worker makes without our order reach :meth:`adopt`.
         """
         record = self._workers[worker_id]
         record.last_load = load_percent
@@ -169,8 +169,18 @@ class InferenceEngine:
         record.assumed_state = self._transition(record.assumed_state, Signal.STOP)
         return Signal.STOP
 
+    def adopt(self, worker_id: int, signal: Signal) -> None:
+        """Follow a transition the worker made without our order (the
+        preemption governor's Pause/Resume, its own Stop).  One that is
+        illegal from the assumed state crossed an order of ours in flight,
+        which the worker applies or refuses in turn; it is ignored."""
+        record = self._workers.get(worker_id)
+        if record is None:
+            return
+        machine = WorkerStateMachine(initial=record.assumed_state)
+        if machine.can_apply(signal):
+            record.assumed_state = machine.apply(signal)
+
     @staticmethod
     def _transition(state: WorkerState, signal: Signal) -> WorkerState:
-        from repro.core.states import WorkerStateMachine
-
         return WorkerStateMachine(initial=state).apply(signal)

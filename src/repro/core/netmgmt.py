@@ -10,6 +10,10 @@ Server half of the rule-base protocol:
    engine, and sends whatever signal it decides back over the socket;
 8. the client forwards the signal to the worker application; go to 5.
 
+A transition the rule-base did not order (the preemption governor's
+Pause/Resume, the worker's own Stop) comes back on the same socket and
+the inference engine adopts it.
+
 Nothing here is a process: connections are accepted and registrations
 read by callback, and each monitor is one timer chain — a poll's answer
 schedules the next poll ``poll_interval_ms`` later.
@@ -148,9 +152,10 @@ class NetworkManagementModule:
             return
 
     def _on_client(self, client: _Client) -> None:
-        """Registration (steps 2–3), then: poll mode starts the monitor
-        and never reads the socket again; trap mode watches it for the
-        client going away."""
+        """Registration (steps 2–3), then the socket is read for the
+        transitions the worker reports.  In poll mode the monitor starts
+        and owns the client's end; in trap mode the client going away
+        ends it."""
         conn = client.conn
         try:
             if client.record is None:
@@ -167,13 +172,17 @@ class NetworkManagementModule:
                     # other's replies.
                     client.session = self.snmp.session()
                     self._poll(client)
-                    return
             while self.running:
-                if conn.poll() is None:
+                message = conn.poll()
+                if message is None:
                     return
+                if message.get("type") == "transition":
+                    self.inference.adopt(client.record.worker_id,
+                                         Signal(message["signal"]))
         except ConnectionClosedError:
             pass
-        self._end(client)
+        if self.mode == "trap":
+            self._end(client)
 
     def _register(self, client: _Client, hostname: str) -> None:
         record = client.record = self.inference.register(hostname)

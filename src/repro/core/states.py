@@ -17,7 +17,6 @@ engine only ever produces legal signals.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
 
 from repro.errors import IllegalTransitionError
 from repro.core.signals import Signal
@@ -46,16 +45,10 @@ _TRANSITIONS: dict[tuple[WorkerState, Signal], WorkerState] = {
 
 
 class WorkerStateMachine:
-    """Tracks one worker's state; optionally records transition history."""
+    """Tracks one worker's state."""
 
-    def __init__(
-        self,
-        initial: WorkerState = WorkerState.STOPPED,
-        on_transition: Optional[Callable[[WorkerState, Signal, WorkerState], None]] = None,
-    ) -> None:
+    def __init__(self, initial: WorkerState = WorkerState.STOPPED) -> None:
         self.state = initial
-        self.history: list[tuple[WorkerState, Signal, WorkerState]] = []
-        self._on_transition = on_transition
 
     def can_apply(self, signal: Signal) -> bool:
         return (self.state, signal) in _TRANSITIONS
@@ -67,13 +60,5 @@ class WorkerStateMachine:
             raise IllegalTransitionError(
                 f"signal {signal} illegal in state {self.state}"
             )
-        previous = self.state
         self.state = _TRANSITIONS[key]
-        self.history.append((previous, signal, self.state))
-        if self._on_transition is not None:
-            self._on_transition(previous, signal, self.state)
         return self.state
-
-    @staticmethod
-    def legal_transitions() -> dict[tuple[WorkerState, Signal], WorkerState]:
-        return dict(_TRANSITIONS)

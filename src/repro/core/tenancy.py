@@ -24,7 +24,8 @@ queue while urgent work exists.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from functools import partial
+from typing import Any
 
 from repro.core.entries import TaskEntry
 from repro.core.metrics import Metrics
@@ -61,7 +62,6 @@ class PreemptionGovernor:
         self.poll_ms = poll_ms
         self.priority_cutoff = priority_cutoff
         self.running = False
-        self.preemptions = 0
         #: Read-through stats for the telemetry registry.
         self.stats: dict[str, int] = {"polls": 0, "preemptions": 0,
                                       "tasks_released": 0}
@@ -72,12 +72,15 @@ class PreemptionGovernor:
         if self.running:
             return
         self.running = True
-        self.runtime.spawn(self._loop, name="preemption-governor")
+        # Armed one zero-delay event later, where a spawned loop's first
+        # sleep would begin: each poll keeps its place in its instant's
+        # event order, which replay determinism depends on.
+        self.runtime.call_later(0.0, self._schedule_poll)
 
     def stop(self) -> None:
         self.running = False
 
-    # -- the governing loop ----------------------------------------------------
+    # -- the governing chain ---------------------------------------------------
 
     def _urgent_backlog(self) -> int:
         """Queued (visible, un-taken) tasks at or above the cutoff."""
@@ -91,60 +94,56 @@ class PreemptionGovernor:
     def _preemptible_carry(self, host: Any) -> int:
         """How many sub-cutoff tasks ``host``'s pipeline is sitting on.
 
-        Two places to look: the batch the worker is computing right now
-        (``_active_batch`` — the whole batch's CPU is charged as one
-        block, so this is where a poll actually lands) and the carry a
-        flush prefetched for the next cycle (``_pending`` — non-``None``
-        only for the zero-time gap between flush and loop top).  The
-        Pause is honoured *after* the active batch completes; what the
-        worker then releases is its next prefetch, surrendering the
-        pipeline's claim on the queue without killing any compute."""
-        tasks: list[Any] = list(host._active_batch or ())
-        pending = host._pending
-        if pending is not None:
-            tasks.extend(pending[1])
-        return sum(1 for task in tasks
+        A poll lands on the batch being computed (its CPU is charged as
+        one block) far more often than on the prefetched carry, which
+        spans zero simulated time.  The Pause is honoured *after* the
+        active batch completes; what the worker then releases is its next
+        prefetch, surrendering the pipeline's claim on the queue without
+        killing any compute."""
+        return sum(1 for task in host.carry()
                    if (task.priority or 0) < self.priority_cutoff)
 
-    def _loop(self) -> None:
-        from repro.core.states import WorkerState
+    def _schedule_poll(self) -> None:
+        self.runtime.call_later(self.poll_ms, self._poll)
 
-        while self.running:
-            self.runtime.sleep(self.poll_ms)
-            if not self.running:
-                return
-            self.stats["polls"] += 1
-            if self._urgent_backlog() == 0:
+    def _poll(self) -> None:
+        if not self.running:
+            return
+        self.stats["polls"] += 1
+        if self._urgent_backlog() == 0:
+            self._schedule_poll()
+            return
+        # Urgent work is queued: preempt every worker hoarding a
+        # low-priority carry.  Pause now; the worker honours it at its
+        # next between-tasks check and releases the carry.
+        paused: list[Any] = []
+        for host in self.framework.worker_hosts:
+            if host.crashed or not host.engine.machine.can_apply(Signal.PAUSE):
                 continue
-            # Urgent work is queued: preempt every worker hoarding a
-            # low-priority carry.  Pause now; the worker honours it at
-            # its next between-tasks check and releases the carry.
-            paused: list[Any] = []
-            for host in self.framework.worker_hosts:
-                if host.crashed or host.state is not WorkerState.RUNNING:
-                    continue
-                carry = self._preemptible_carry(host)
-                if carry == 0:
-                    continue
-                if not host.machine.can_apply(Signal.PAUSE):
-                    continue
-                host.handle_signal(Signal.PAUSE)
-                paused.append(host)
-                self.preemptions += 1
-                self.stats["preemptions"] += 1
-                self.stats["tasks_released"] += carry
-                self.metrics.event(
-                    "tenant-preempted", worker=host.node.hostname,
-                    released=carry, cutoff=self.priority_cutoff,
-                )
-                _log.info("t=%.0fms preempted %s (released %d tasks)",
-                          self.runtime.now(), host.node.hostname, carry)
-            if not paused:
+            carry = self._preemptible_carry(host)
+            if carry == 0:
                 continue
-            # One worker poll is enough for the between-tasks check to
-            # land; then hand the CPU back — the released tasks are in
-            # the space and the DRR dispatcher re-orders the takes.
-            self.runtime.sleep(self.framework.config.worker_poll_ms)
-            for host in paused:
-                if host.machine.can_apply(Signal.RESUME):
-                    host.handle_signal(Signal.RESUME)
+            host.handle_signal(Signal.PAUSE)
+            paused.append(host)
+            self.stats["preemptions"] += 1
+            self.stats["tasks_released"] += carry
+            self.metrics.event(
+                "tenant-preempted", worker=host.node.hostname,
+                released=carry, cutoff=self.priority_cutoff,
+            )
+            _log.info("t=%.0fms preempted %s (released %d tasks)",
+                      self.runtime.now(), host.node.hostname, carry)
+        if not paused:
+            self._schedule_poll()
+            return
+        # One worker poll is enough for the between-tasks check to land;
+        # then hand the CPU back — the released tasks are in the space and
+        # the DRR dispatcher re-orders the takes.
+        self.runtime.call_later(self.framework.config.worker_poll_ms,
+                                partial(self._resume, paused))
+
+    def _resume(self, paused: list[Any]) -> None:
+        for host in paused:
+            if host.engine.machine.can_apply(Signal.RESUME):
+                host.handle_signal(Signal.RESUME)
+        self._schedule_poll()

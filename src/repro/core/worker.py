@@ -6,9 +6,10 @@ on a cluster node.  It contains:
 * the node's SNMP agent (so the network management module can monitor it),
 * the SNMP/rule-base *client*: registers with the network management
   module, receives Start/Stop/Pause/Resume signals (Fig. 4 steps 1–3, 8),
-* the remote node configuration engine (class loading + signal mailbox),
-* the worker run-loop spawned on Start: take task → compute → write
-  result, honoring signals only between tasks so no task is ever lost.
+* the remote node configuration engine (class loading + the worker's
+  lifecycle),
+* the worker run loop: take task → compute → write result, honoring
+  signals only between tasks so no task is ever lost.
 
 The loop runs one task cycle (:meth:`WorkerHost._cycle`) whose depth is
 ``prefetch``.  At depth 1 each step is one RPC — ``txn_create``,
@@ -17,14 +18,16 @@ depth > 1 a cycle takes up to ``prefetch`` tasks with one
 ``[txn_create, take_multiple]`` batch, charges their CPU in one block,
 and retires them with one ``[write_all, txn_commit, txn_create,
 take_multiple]`` batch whose take is the next cycle's carry.  The
-preemption governor reads ``_active_batch`` (the batch being computed)
-and ``_pending`` (the carry); both stay ``None`` at depth 1.
+preemption governor reads both through :meth:`WorkerHost.carry`; a
+depth-1 worker holds none.
 
-Lifecycle (Fig. 5): Start spawns a fresh runtime process which first
-performs remote class loading (CPU spike) and then computes; Stop kills
-the process after the current task and drops the classes; Pause blocks
-the process but keeps classes in memory, so Resume skips the reload —
-"hence bypassing the overhead associated with remote node configuration".
+Lifecycle (Fig. 5), held by the configuration engine: the first Start
+spawns the host's one run process.  Each Start it serves performs remote
+class loading (CPU spike) and then computes; Stop ends the loop after the
+current task and drops the classes, and the process waits on the engine
+for the next Start; Pause parks the loop but keeps classes in memory, so
+Resume skips the reload — "hence bypassing the overhead associated with
+remote node configuration".
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from repro.core.config_engine import RemoteNodeConfigurationEngine
 from repro.core.entries import DeadLetterEntry, ResultEntry, TaskEntry
 from repro.core.metrics import Metrics
 from repro.core.signals import Signal
-from repro.core.states import WorkerState, WorkerStateMachine
+from repro.core.states import WorkerState
 from repro.net.address import Address
 from repro.net.network import Network, StreamSocket
 from repro.node.machine import Node
@@ -131,7 +134,6 @@ class WorkerHost:
             runtime, self.network, node, code_server
         )
         self.engine.model_time = model_time
-        self.machine = WorkerStateMachine(on_transition=self._log_transition)
         self.worker_id: Optional[int] = None
         self.running = False                     # host lifetime, not worker state
         self.tasks_done = 0
@@ -140,14 +142,9 @@ class WorkerHost:
         self._proxy: Optional[Any] = None  # SpaceProxy or ShardRouter
         self._control: Optional[StreamSocket] = None
         self._registered = False
-        self._loop_generation = 0
-        self._loop_active = False
-        self._exit_cond = runtime.condition()
         self._trap_emitter = None
-        # The newest signal's (signal, received_at), and the last Stop's
-        # arrival: "honoured" latencies are measured from these.
-        self._pending_receipt: Optional[tuple[Signal, float]] = None
-        self._stop_received_at: Optional[float] = None
+        # When each signal last arrived: "honoured" latencies run from it.
+        self._received_at: dict[Signal, float] = {}
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -163,9 +160,7 @@ class WorkerHost:
 
     def stop(self) -> None:
         self.running = False
-        self.engine.stop_requested = True
-        with self.engine._cond:
-            self.engine._cond.notify_all()
+        self.engine.halt()
         if self._control is not None:
             self._control.close()
         if self._trap_emitter is not None:
@@ -189,13 +184,19 @@ class WorkerHost:
         if self._trap_emitter is not None:
             self._trap_emitter.stop()
         self.node.stop_agent()
-        with self.engine._cond:
-            self.engine.stop_requested = True
-            self.engine._cond.notify_all()
+        self.engine.halt()
 
     @property
     def state(self) -> WorkerState:
-        return self.machine.state
+        return self.engine.machine.state
+
+    def carry(self) -> list[TaskEntry]:
+        """The tasks this host's pipeline holds: the batch being computed
+        and the carry a flush prefetched for the next cycle."""
+        tasks = list(self._active_batch or ())
+        if self._pending is not None:
+            tasks.extend(self._pending[1])
+        return tasks
 
     def _start_trap_emitter(self, reply: dict) -> None:
         """Trap-mode monitoring: push load-band changes instead of being
@@ -213,14 +214,6 @@ class WorkerHost:
             community=self.node.snmp_community,
         )
         self._trap_emitter.start()
-
-    def _log_transition(self, old: WorkerState, signal: Signal, new: WorkerState) -> None:
-        self.metrics.event(
-            "worker-transition", worker=self.node.hostname,
-            old=str(old), signal=str(signal), new=str(new),
-        )
-        _log.info("t=%.0fms %s: %s --%s--> %s", self.runtime.now(),
-                  self.node.hostname, old, signal, new)
 
     def worker_time_ms(self) -> Optional[float]:
         """Paper's worker computation time: first take → last result."""
@@ -275,68 +268,53 @@ class WorkerHost:
     # -- signal handling ------------------------------------------------------------------
 
     def handle_signal(self, signal: Signal, received_at: Optional[float] = None) -> None:
-        """Apply a rule-base signal to the worker (testable without a network)."""
-        if received_at is None:
-            received_at = self.runtime.now()
+        """Apply a signal to the worker (testable without a network).
+
+        ``received_at`` is when a rule-base signal arrived on the control
+        channel.  A signal without one was not the rule-base's (the
+        preemption governor's, the worker's own Stop): its transition is
+        reported on the control channel so the rule-base adopts it.
+        """
         try:
-            self.machine.apply(signal)
+            old, new, generation = self.engine.deliver(signal)
         except IllegalTransitionError:
             self.metrics.event(
                 "illegal-signal", worker=self.node.hostname,
                 signal=str(signal), state=str(self.state),
             )
             return
-        self._pending_receipt = (signal, received_at)
-        if signal == Signal.STOP:
-            self._stop_received_at = received_at
-        if signal == Signal.START:
-            generation = self._loop_generation = self._loop_generation + 1
-            self.runtime.spawn(
-                lambda: self._worker_process(generation, received_at),
-                name=f"worker-run:{self.node.hostname}",
-            )
-        else:
-            self.engine.deliver(signal)
-
-    def _honored(self, signal: Signal, received_at: Optional[float] = None) -> None:
-        now = self.runtime.now()
-        receipt = self._pending_receipt
-        if received_at is None:
-            if receipt is not None and receipt[0] == signal:
-                received_at = receipt[1]
-            else:
-                received_at = now
         self.metrics.event(
-            "signal-honored",
-            worker=self.node.hostname,
-            signal=str(signal),
-            latency_ms=now - received_at,
+            "worker-transition", worker=self.node.hostname,
+            old=str(old), signal=str(signal), new=str(new),
         )
+        _log.info("t=%.0fms %s: %s --%s--> %s", self.runtime.now(),
+                  self.node.hostname, old, signal, new)
+        self._received_at[signal] = (self.runtime.now() if received_at is None
+                                     else received_at)
+        if received_at is None and self._registered and not self._control.closed:
+            self._control.send({"type": "transition", "signal": signal.value})
+        if signal is Signal.START and generation == 1:
+            self.runtime.spawn(self._run,
+                               name=f"worker-run:{self.node.hostname}")
+
+    def _honored(self, signal: Signal) -> None:
+        now = self.runtime.now()
+        self.metrics.event(
+            "signal-honored", worker=self.node.hostname, signal=str(signal),
+            latency_ms=now - self._received_at.get(signal, now))
 
     # -- the worker run loop -----------------------------------------------------------------
 
-    def _worker_process(self, generation: int, start_received_at: float) -> None:
-        """The fresh runtime process spawned on Start."""
-        # A Stop lets the previous runtime process finish its current task
-        # before control returns to the parent — wait for it to fully exit
-        # so two processes never compute on one CPU.
-        with self._exit_cond:
-            while self._loop_active:
-                self._exit_cond.wait()
-            if generation != self._loop_generation:
-                return  # superseded while waiting
-            self._loop_active = True
-        try:
-            # Reset only once the previous process has fully exited — it
-            # still needed its stop_requested flag to unwind.
-            self.engine.reset_for_start()
-            self._worker_loop(generation, start_received_at)
-        finally:
-            with self._exit_cond:
-                self._loop_active = False
-                self._exit_cond.notify_all()
+    def _run(self) -> None:
+        """The host's one run process, spawned by the first Start: serves
+        each Start in turn and waits on the engine while Stopped, until
+        the host stops or crashes."""
+        generation = self.engine.await_start(0)
+        while generation is not None:
+            self._worker_loop(generation)
+            generation = self.engine.await_start(generation)
 
-    def _worker_loop(self, generation: int, start_received_at: float) -> None:
+    def _worker_loop(self, generation: int) -> None:
         tracer = self.tracer
         if not self.engine.classes_loaded:
             load_span = None
@@ -348,18 +326,14 @@ class WorkerHost:
             if load_span is not None:
                 load_span.end()
             self.metrics.event("class-load", worker=self.node.hostname)
-        self._honored(Signal.START, start_received_at)
+        self._honored(Signal.START)
         proxy = self._proxy = self.space_factory()
         template = TaskEntry(app_id=self.app.app_id)
         disconnects = 0                       # consecutive failed cycles
         disconnected_at: Optional[float] = None
         try:
-            while self.running and generation == self._loop_generation:
-                if self._pending is not None and (
-                        self.engine.paused or self.engine.stop_requested):
-                    self._release_pending()
-                if not self.engine.wait_for_clearance(self._honored):
-                    break
+            while self.engine.wait_for_clearance(generation, self._honored,
+                                                 self._release_pending):
                 try:
                     self._cycle(proxy, template)
                 except TransactionError:
@@ -389,8 +363,8 @@ class WorkerHost:
                             "worker-gave-up", worker=self.node.hostname,
                             attempts=disconnects - 1,
                         )
-                        if self.machine.can_apply(Signal.STOP):
-                            self.machine.apply(Signal.STOP)
+                        if self.engine.machine.can_apply(Signal.STOP):
+                            self.handle_signal(Signal.STOP)
                         break
                     self.metrics.event(
                         "worker-reconnect", worker=self.node.hostname,
@@ -419,21 +393,19 @@ class WorkerHost:
             )
             _log.warning("t=%.0fms %s: worker loop error: %r",
                          self.runtime.now(), self.node.hostname, exc)
-            if self.machine.can_apply(Signal.STOP):
-                self.machine.apply(Signal.STOP)
+            if self.engine.machine.can_apply(Signal.STOP):
+                self.handle_signal(Signal.STOP)
         finally:
             if not self.crashed:
                 self._release_pending()
                 proxy.close()
             else:
                 self._pending = None
-            if self.engine.stop_requested:
-                # Shutdown/cleanup: classes dropped, control returns to parent.
+            if self.engine.ended(generation):
+                # A Stop, or the host's shutdown or crash: classes dropped.
                 self.engine.unload_classes()
-                if not self.running:
-                    pass  # framework teardown, not a rule-base Stop
-                else:
-                    self._honored(Signal.STOP, self._stop_received_at)
+                if self.running:             # not the framework's teardown
+                    self._honored(Signal.STOP)
 
     def _cycle(self, proxy: SpaceProxy, template: TaskEntry) -> None:
         """One turn of the worker loop: take, compute, write back.

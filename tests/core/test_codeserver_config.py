@@ -8,7 +8,8 @@ from repro.core.application import ClassLoadProfile
 from repro.core.codeserver import CodeServer, download_bundle
 from repro.core.config_engine import RemoteNodeConfigurationEngine
 from repro.core.signals import Signal
-from repro.errors import FrameworkError
+from repro.core.states import WorkerState
+from repro.errors import FrameworkError, IllegalTransitionError
 from repro.net import Address, LatencyModel, Network
 from repro.node.machine import FAST_PC, Node
 from tests.conftest import run_in_sim
@@ -94,28 +95,40 @@ def test_engine_unload_and_reload_counts(rt, env):
 
 
 def test_signal_mailbox_pause_resume_stop_flags(rt, env):
+    """Each signal moves the holder's Fig. 5 state; deliver returns the
+    (old, new) pair and the Start count, and refuses a pair Fig. 5
+    lacks."""
     net, server, node = env
     engine = RemoteNodeConfigurationEngine(rt, net, node, server.address)
 
     def proc():
-        engine.deliver(Signal.PAUSE)
-        paused = engine.paused
-        engine.deliver(Signal.RESUME)
-        resumed = not engine.paused
-        engine.deliver(Signal.STOP)
-        return paused, resumed, engine.stop_requested
+        with pytest.raises(IllegalTransitionError):
+            engine.deliver(Signal.PAUSE)            # not from Stopped
+        steps = [engine.deliver(signal) for signal in
+                 (Signal.START, Signal.PAUSE, Signal.RESUME, Signal.STOP,
+                  Signal.START)]
+        return steps, engine.machine.state
 
-    assert run_in_sim(rt, proc) == (True, True, True)
+    steps, state = run_in_sim(rt, proc)
+    assert steps == [(WorkerState.STOPPED, WorkerState.RUNNING, 1),
+                     (WorkerState.RUNNING, WorkerState.PAUSED, 1),
+                     (WorkerState.PAUSED, WorkerState.RUNNING, 1),
+                     (WorkerState.RUNNING, WorkerState.STOPPED, 1),
+                     (WorkerState.STOPPED, WorkerState.RUNNING, 2)]
+    assert state is WorkerState.RUNNING
 
 
 def test_stop_wakes_paused_worker(rt, env):
     net, server, node = env
     engine = RemoteNodeConfigurationEngine(rt, net, node, server.address)
-    honored = []
+    honored, given_back = [], []
 
     def worker():
+        engine.deliver(Signal.START)
         engine.deliver(Signal.PAUSE)
-        return engine.wait_for_clearance(lambda s: honored.append(str(s)))
+        return engine.wait_for_clearance(
+            engine.generation, lambda s: honored.append(str(s)),
+            lambda: given_back.append(rt.now()))
 
     def stopper():
         rt.sleep(100.0)
@@ -126,15 +139,22 @@ def test_stop_wakes_paused_worker(rt, env):
     rt.kernel.run_until_idle()
     assert proc.result is False          # clearance denied: stop
     assert honored == ["pause"]          # paused was honored; no resume
+    assert given_back == [0.0]           # the carry went back before parking
 
 
-def test_reset_for_start_clears_state(rt, env):
+def test_start_after_stop_ends_the_old_loop_only(rt, env):
+    """A Start after a Stop serves a new generation: the loop of the old
+    one is over even though the state reads Running again."""
     net, server, node = env
     engine = RemoteNodeConfigurationEngine(rt, net, node, server.address)
 
     def proc():
+        engine.deliver(Signal.START)
+        first = engine.generation
+        engine.deliver(Signal.PAUSE)
         engine.deliver(Signal.STOP)
-        engine.reset_for_start()
-        return engine.stop_requested, engine.paused
+        engine.deliver(Signal.START)
+        return (engine.ended(first), engine.ended(engine.generation),
+                engine.machine.state)
 
-    assert run_in_sim(rt, proc) == (False, False)
+    assert run_in_sim(rt, proc) == (True, False, WorkerState.RUNNING)

@@ -94,12 +94,15 @@ def test_fast_pc_master_fits_service_stack(rt):
 
 
 def test_worker_memory_tracks_class_loading(rt):
-    from repro.core import AdaptiveClusterFramework, Signal
+    from repro.core import AdaptiveClusterFramework, FrameworkConfig, Signal
     from repro.node.cluster import testbed_small
     from tests.core.toyapp import SumOfSquares
 
     cluster = testbed_small(rt, workers=1)
-    framework = AdaptiveClusterFramework(rt, cluster, SumOfSquares(n=4))
+    # Unmonitored: a rule-base would adopt the Stop below and Start the
+    # idle worker again, reloading the classes this test sees dropped.
+    framework = AdaptiveClusterFramework(rt, cluster, SumOfSquares(n=4),
+                                         FrameworkConfig(monitoring=False))
     node = cluster.workers[0]
 
     def experiment():

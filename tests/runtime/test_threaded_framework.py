@@ -12,7 +12,12 @@ import time
 
 import pytest
 
-from repro.core import AdaptiveClusterFramework, FrameworkConfig, WorkerState
+from repro.core import (
+    AdaptiveClusterFramework,
+    FrameworkConfig,
+    Signal,
+    WorkerState,
+)
 from repro.core.application import Application, ClassLoadProfile, Task
 from repro.node.cluster import Cluster
 from repro.node.machine import FAST_PC
@@ -127,3 +132,57 @@ def test_transactional_crash_recovery_on_real_threads(rtt):
     report = framework.run()
     framework.shutdown()
     assert report.solution == sum(i * 2 for i in range(40))
+
+
+class SlowSum(TricklingSum):
+    """Tasks long enough to land signals mid-task on real threads."""
+
+    app_id = "threaded-slow-sum"
+
+    def execute(self, payload):
+        time.sleep(0.1)
+        return payload * 2
+
+
+def test_signals_during_a_stops_unwind_on_real_threads(rtt):
+    """Stop, Start and Pause 10 ms apart while a task computes: the one
+    run process finishes the task, serves the Start, and parks on the
+    Pause instead of computing on; Resume then completes the job."""
+    cluster = Cluster(rtt)
+    cluster.add_workers(1, FAST_PC)
+    framework = AdaptiveClusterFramework(
+        rtt, cluster, SlowSum(n=20),
+        FrameworkConfig(monitoring=False, worker_poll_ms=30.0))
+    spawned = []
+    spawn = rtt.spawn
+
+    def recording_spawn(fn, name="proc"):
+        spawned.append(name)
+        return spawn(fn, name)
+
+    rtt.spawn = recording_spawn
+    framework.start()
+    runner = spawn(framework.run, name="master-run")
+    host = framework.worker_hosts[0]
+    deadline = time.monotonic() + 5.0
+    while host.tasks_done < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.05)                     # mid-task
+    for signal in (Signal.STOP, Signal.START, Signal.PAUSE):
+        host.handle_signal(signal)
+        time.sleep(0.01)
+    time.sleep(0.5)                      # the unwind and the reload settle
+    parked = host.tasks_done
+    time.sleep(0.5)
+    assert host.state == WorkerState.PAUSED
+    assert host.tasks_done == parked     # no computing while Paused
+    host.handle_signal(Signal.RESUME)
+    runner.join(timeout_ms=20_000.0)
+    deadline = time.monotonic() + 2.0
+    while host.tasks_done < 20 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    framework.shutdown()
+    assert host.tasks_done == 20
+    assert host.engine.loads == 2
+    assert [n for n in spawned if n.startswith("worker-run")] == [
+        "worker-run:worker1"]
