@@ -21,10 +21,11 @@ from typing import Any, Optional
 
 from repro.core.application import Application
 from repro.core.codeserver import CODE_SERVER_PORT, CodeServer
+from repro.core.inference import InferenceEngine
 from repro.core.master import Master, MasterReport
 from repro.core.metrics import Metrics
 from repro.core.netmgmt import RULEBASE_PORT, NetworkManagementModule
-from repro.core.signals import Signal, ThresholdPolicy
+from repro.core.signals import ThresholdPolicy
 from repro.core.tenancy import PreemptionGovernor
 from repro.core.worker import WorkerHost
 from repro.errors import (
@@ -169,9 +170,11 @@ class FrameworkConfig:
     admission_soft_watermark: Optional[int] = None  # shed low priority above
     admission_quotas: Optional[dict[str, int]] = None   # per-tenant overrides
     admission_rates: Optional[dict[str, float]] = None
-    #: Priority preemption: a governor that Pauses workers hoarding
-    #: prefetched low-priority carries while urgent backlog waits (see
-    #: :mod:`repro.core.tenancy`), polling at this period (``None`` = off).
+    #: Priority preemption: a governor that tells the rule-base, at this
+    #: period, which workers' prefetched low-priority carries hold urgent
+    #: backlog up; the rule-base Pauses those workers and Resumes them one
+    #: worker poll later where the load allows (see
+    #: :mod:`repro.core.tenancy`; ``None`` = no governor).
     preemption_poll_ms: Optional[float] = None
 
 
@@ -280,6 +283,11 @@ class AdaptiveClusterFramework:
         self.space_servers: list[SpaceServer] = []
         self.code_server: Optional[CodeServer] = None
         self.lookup: Optional[LookupService] = None
+        #: The rule-base (paper §4.4), the one decider of every worker
+        #: signal: the monitor (when on), the preemption governor and the
+        #: recruit feed it facts, and it orders over each worker's link.
+        self.inference = InferenceEngine(
+            self.config.thresholds, staleness_ms=self.config.staleness_ms)
         self.netmgmt: Optional[NetworkManagementModule] = None
         self.standbys: list[HotStandby] = []
         self.supervisors: list[SpaceSupervisor] = []
@@ -580,9 +588,7 @@ class AdaptiveClusterFramework:
                 tenant=tenant)
         if config.preemption_poll_ms is not None:
             self.governor = PreemptionGovernor(
-                self.runtime, self, self.metrics,
-                poll_ms=config.preemption_poll_ms,
-            )
+                self, poll_ms=config.preemption_poll_ms)
             self.governor.start()
             self.registry.expose_dict("preemption", self.governor.stats)
 
@@ -675,13 +681,12 @@ class AdaptiveClusterFramework:
         self.netmgmt = NetworkManagementModule(
             self.runtime, self.cluster.network, self.cluster.master.hostname,
             self.metrics,
-            policy=config.thresholds,
+            self.inference,
             poll_interval_ms=config.poll_interval_ms,
             community=config.community,
             mode=config.monitoring_mode,
             port=RULEBASE_PORT + offset,
             trap_port=None if offset == 0 else 162 + offset,
-            staleness_ms=config.staleness_ms,
             registry=self.registry,
         )
         self.netmgmt.start()
@@ -747,16 +752,19 @@ class AdaptiveClusterFramework:
                 recovery_rng=recovery_rng,
             )
             host.start()
+            if self.netmgmt is None:
+                host.link_rulebase(self.inference)
             self.worker_hosts.append(host)
 
     def start_all_workers(self) -> None:
-        """Manually Start every worker (used when monitoring is off)."""
-        for host in self.worker_hosts:
-            host.handle_signal(Signal.START)
+        """The recruit: with no monitor to sample the nodes (monitoring
+        off), every registered worker counts as available, and the
+        rule-base Starts the Stopped ones."""
+        self.inference.recruit()
 
     def _ensure_running(self) -> None:
-        """Started, and — with no monitoring loop to recruit them — every
-        worker told to Start."""
+        """Started, and — with no monitoring loop to sample them — every
+        worker recruited."""
         if not self._started:
             self.start()
         if self.netmgmt is None:

@@ -2,73 +2,83 @@
 
 "Based on this return value and programmed threshold ranges, the
 inference engine makes a decision on the worker's current availability
-status and passes an appropriate signal back to the worker."  The
-decision is a pure function of (assumed worker state, load band) — a
+status and passes an appropriate signal back to the worker."  It is the
+one decider of every worker signal: each fact source — an SNMP sample
+or trap, a failed poll, the preemption governor, the framework's recruit
+— updates the worker's :class:`Facts`, :meth:`InferenceEngine.decide`
+reads them in one table, and :meth:`InferenceEngine.order` applies the
+decision to the worker's record and sends it over the worker's link.
+The decision is a pure function of (assumed worker state, facts) — a
 property the tests pin down exhaustively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.signals import Signal, ThresholdPolicy
 from repro.core.states import WorkerState, WorkerStateMachine
 
-__all__ = ["InferenceEngine", "WorkerRecord"]
+__all__ = ["Facts", "InferenceEngine", "WorkerRecord"]
+
+
+@dataclass
+class Facts:
+    """What the rule-base knows about one worker's node."""
+
+    band: Optional[str] = None   # load band of the last good sample
+    stale: bool = False          # its samples went stale (agent unreachable)
+    held: bool = False           # urgent backlog waits behind its carry
+    recruited: bool = False      # the framework recruited it (no monitor)
 
 
 @dataclass
 class WorkerRecord:
-    """One registered worker as tracked by the network management module."""
+    """One registered worker: its facts, the state the rule-base assumes
+    it is in, and its link — how an order reaches it (the control socket
+    when monitored, the in-process ``handle_signal`` otherwise; ``None``
+    records decisions only)."""
 
     worker_id: int
     hostname: str
+    link: Optional[Callable[[Signal], None]] = None
     assumed_state: WorkerState = WorkerState.STOPPED
+    facts: Facts = field(default_factory=Facts)
     last_load: Optional[float] = None
     last_sample_ms: Optional[float] = None
     load_history: list[tuple[float, float]] = field(default_factory=list)
 
 
 class InferenceEngine:
-    """Threshold rules mapping (state, load) to a signal (or none).
-
-    ``hysteresis_samples`` > 1 debounces decisions: a load sample must sit
-    in the *same* band for that many consecutive observations before the
-    corresponding signal fires.  This suppresses signal flapping when the
-    load oscillates around a threshold (an extension; the paper's engine
-    reacts to every sample).
-    """
+    """The rule-base: threshold rules over each worker's facts."""
 
     def __init__(
         self,
         policy: Optional[ThresholdPolicy] = None,
-        hysteresis_samples: int = 1,
         staleness_ms: Optional[float] = None,
     ) -> None:
-        if hysteresis_samples < 1:
-            raise ValueError("hysteresis_samples must be >= 1")
         self.policy = policy if policy is not None else ThresholdPolicy()
-        self.hysteresis_samples = hysteresis_samples
         #: Stale-data guard: when the newest good sample for a worker is
         #: older than this (agent unreachable), stop trusting it — a
         #: worker we believe is computing gets a Stop rather than running
         #: unmonitored.  ``None`` keeps the paper's behaviour (failed
         #: polls are silently skipped).
         self.staleness_ms = staleness_ms
-        self._streaks: dict[int, tuple[str, int]] = {}  # worker → (band, count)
         self._workers: dict[int, WorkerRecord] = {}
         self._next_id = 1
-        #: Decision counters, surfaced by the telemetry registry as
-        #: ``inference.decisions`` / ``inference.signals``.  Observational
-        #: only — the rule base itself stays a pure function of its inputs.
+        #: Per load sample: decisions made and signals decided, surfaced
+        #: by the telemetry registry as ``inference.decisions`` /
+        #: ``inference.signals``.  Observational only.
         self.stats = {"decisions": 0, "signals": 0}
 
     # -- registry ---------------------------------------------------------------
 
-    def register(self, hostname: str) -> WorkerRecord:
+    def register(self, hostname: str,
+                 link: Optional[Callable[[Signal], None]] = None
+                 ) -> WorkerRecord:
         """Assign a unique ID to a new worker and add it to the list."""
-        record = WorkerRecord(self._next_id, hostname)
+        record = WorkerRecord(self._next_id, hostname, link)
         self._workers[record.worker_id] = record
         self._next_id += 1
         return record
@@ -84,65 +94,59 @@ class InferenceEngine:
 
     # -- the rule base -------------------------------------------------------------
 
-    def decide(self, state: WorkerState, load_percent: float) -> Optional[Signal]:
-        """Pure threshold rules (paper §4.4).
+    def decide(self, state: WorkerState, facts: Facts) -> Optional[Signal]:
+        """The rule-base (paper §4.4) as one table; the first row whose
+        facts hold decides.
 
-        ======== ========= =========
-        band     state     signal
-        ======== ========= =========
-        idle     stopped   Start
-        idle     paused    Resume
-        idle     running   —
-        busy     running   Pause
-        busy     paused    —
-        busy     stopped   —  (not idle enough to recruit)
-        loaded   running   Stop
-        loaded   paused    Stop
-        loaded   stopped   —
-        ======== ========= =========
+        ============================== ======= ======= ======
+        facts                          stopped running paused
+        ============================== ======= ======= ======
+        stale, or band loaded          —       Stop    Stop
+        band busy, or carry held       —       Pause   —
+        band idle, or recruited and    Start   —       Resume
+        never sampled
+        never sampled, not recruited   —       —       —
+        ============================== ======= ======= ======
         """
-        signal = self._decide(state, load_percent)
-        self.stats["decisions"] += 1
+        if facts.stale or facts.band == "loaded":
+            return None if state is WorkerState.STOPPED else Signal.STOP
+        if facts.band == "busy" or facts.held:
+            return Signal.PAUSE if state is WorkerState.RUNNING else None
+        if facts.band is None and not facts.recruited:
+            return None
+        if state is WorkerState.STOPPED:
+            return Signal.START
+        return Signal.RESUME if state is WorkerState.PAUSED else None
+
+    def order(self, record: WorkerRecord, signal: Signal) -> None:
+        """Apply a decision to the worker's record and send it over the
+        worker's link."""
+        record.assumed_state = WorkerStateMachine(
+            initial=record.assumed_state).apply(signal)
+        if record.link is not None:
+            record.link(signal)
+
+    def _apply(self, record: WorkerRecord) -> Optional[Signal]:
+        signal = self.decide(record.assumed_state, record.facts)
         if signal is not None:
-            self.stats["signals"] += 1
+            self.order(record, signal)
         return signal
 
-    def _decide(self, state: WorkerState,
-                load_percent: float) -> Optional[Signal]:
-        band = self.policy.band(load_percent)
-        if band == "idle":
-            if state == WorkerState.STOPPED:
-                return Signal.START
-            if state == WorkerState.PAUSED:
-                return Signal.RESUME
-            return None
-        if band == "busy":
-            return Signal.PAUSE if state == WorkerState.RUNNING else None
-        # loaded
-        if state in (WorkerState.RUNNING, WorkerState.PAUSED):
-            return Signal.STOP
-        return None
+    # -- the fact sources ------------------------------------------------------------
 
     def observe(self, worker_id: int, load_percent: float, now_ms: float) -> Optional[Signal]:
-        """Record a load sample for a worker and decide its signal.
-
-        Updates the assumed state when a signal is issued; transitions
-        the worker makes without our order reach :meth:`adopt`.
-        """
+        """A load sample (SNMP poll or trap): the worker's load band, and
+        fresh again.  Returns the signal ordered, if any."""
         record = self._workers[worker_id]
         record.last_load = load_percent
         record.last_sample_ms = now_ms
         record.load_history.append((now_ms, load_percent))
-        if self.hysteresis_samples > 1:
-            band = self.policy.band(load_percent)
-            prev_band, count = self._streaks.get(worker_id, (None, 0))
-            count = count + 1 if band == prev_band else 1
-            self._streaks[worker_id] = (band, count)
-            if count < self.hysteresis_samples:
-                return None
-        signal = self.decide(record.assumed_state, load_percent)
+        record.facts.band = self.policy.band(load_percent)
+        record.facts.stale = False
+        signal = self._apply(record)
+        self.stats["decisions"] += 1
         if signal is not None:
-            record.assumed_state = self._transition(record.assumed_state, signal)
+            self.stats["signals"] += 1
         return signal
 
     def observe_failure(self, worker_id: int, now_ms: float) -> Optional[Signal]:
@@ -163,24 +167,30 @@ class InferenceEngine:
         last = record.last_sample_ms
         if last is not None and now_ms - last < self.staleness_ms:
             return None
-        if record.assumed_state not in (WorkerState.RUNNING, WorkerState.PAUSED):
-            return None
-        self._streaks.pop(worker_id, None)  # debounce restarts on recovery
-        record.assumed_state = self._transition(record.assumed_state, Signal.STOP)
-        return Signal.STOP
+        record.facts.stale = True
+        return self._apply(record)
 
-    def adopt(self, worker_id: int, signal: Signal) -> None:
-        """Follow a transition the worker made without our order (the
-        preemption governor's Pause/Resume, its own Stop).  One that is
-        illegal from the assumed state crossed an order of ours in flight,
-        which the worker applies or refuses in turn; it is ignored."""
+    def observe_carry(self, worker_id: int, held: bool) -> Optional[Signal]:
+        """The preemption governor: urgent backlog waits behind this
+        worker's preemptible carry (``held``), or no longer does."""
         record = self._workers.get(worker_id)
         if record is None:
-            return
-        machine = WorkerStateMachine(initial=record.assumed_state)
-        if machine.can_apply(signal):
-            record.assumed_state = machine.apply(signal)
+            return None
+        record.facts.held = held
+        return self._apply(record)
 
-    @staticmethod
-    def _transition(state: WorkerState, signal: Signal) -> WorkerState:
-        return WorkerStateMachine(initial=state).apply(signal)
+    def recruit(self) -> None:
+        """The framework's recruit: with no monitor to sample the nodes,
+        every registered worker counts as available."""
+        for record in self.workers():
+            record.facts.recruited = True
+            self._apply(record)
+
+    def observe_stop(self, worker_id: int) -> None:
+        """The worker's own Stop (it gave up, or its loop failed): the one
+        transition the rule-base does not order.  Its recruit lapses; a
+        monitored worker is Started again by the next idle sample."""
+        record = self._workers.get(worker_id)
+        if record is not None:
+            record.assumed_state = WorkerState.STOPPED
+            record.facts.recruited = False

@@ -6,13 +6,14 @@ Server half of the rule-base protocol:
 2. a worker's SNMP client connects and sends its address;
 3. the server assigns it a client ID (via the inference engine registry);
 4.–7. a per-worker monitor polls the worker's SNMP agent for CPU load
-   through its own SNMP session, feeds the sample to the inference
-   engine, and sends whatever signal it decides back over the socket;
+   through its own SNMP session and feeds the sample to the inference
+   engine, whose orders go back over the socket — the worker's link;
 8. the client forwards the signal to the worker application; go to 5.
 
-A transition the rule-base did not order (the preemption governor's
-Pause/Resume, the worker's own Stop) comes back on the same socket and
-the inference engine adopts it.
+The module is a fact source and a link: the inference engine is the
+framework's, and its orders from every other fact source (the
+preemption governor) take the same socket.  The worker's own Stop comes
+back on it as a fact.
 
 Nothing here is a process: connections are accepted and registrations
 read by callback, and each monitor is one timer chain — a poll's answer
@@ -32,7 +33,7 @@ from typing import Any, Optional
 from repro.errors import ConnectionClosedError, SnmpError, TimeoutError_
 from repro.core.inference import InferenceEngine, WorkerRecord
 from repro.core.metrics import Metrics
-from repro.core.signals import Signal, ThresholdPolicy
+from repro.core.signals import Signal
 from repro.net.address import Address
 from repro.net.network import Listener, Network, StreamSocket
 from repro.runtime.base import Runtime
@@ -67,14 +68,13 @@ class NetworkManagementModule:
         network: Network,
         host: str,
         metrics: Metrics,
-        policy: Optional[ThresholdPolicy] = None,
+        inference: InferenceEngine,
         poll_interval_ms: float = 1000.0,
         community: str = "public",
         load_metric: str = "external",
         port: int = RULEBASE_PORT,
         mode: str = "poll",
         trap_port: Optional[int] = None,
-        staleness_ms: Optional[float] = None,
         registry: Any = None,
     ) -> None:
         if load_metric not in ("external", "total"):
@@ -85,7 +85,7 @@ class NetworkManagementModule:
         self.network = network
         self.address = Address(host, port)
         self.metrics = metrics
-        self.inference = InferenceEngine(policy, staleness_ms=staleness_ms)
+        self.inference = inference
         self.poll_interval_ms = poll_interval_ms
         self.load_oid = (
             HOST_RESOURCES.EXTERNAL_LOAD
@@ -97,7 +97,6 @@ class NetworkManagementModule:
         self.snmp = SnmpManager(runtime, network, host, community=community)
         self._listener = None
         self._trap_receiver = None
-        self._conns: dict[str, StreamSocket] = {}
         self.running = False
         self.stats = {"polls": 0, "poll_failures": 0, "signals_sent": 0,
                       "traps_received": 0, "stale_stops": 0}
@@ -153,9 +152,8 @@ class NetworkManagementModule:
 
     def _on_client(self, client: _Client) -> None:
         """Registration (steps 2–3), then the socket is read for the
-        transitions the worker reports.  In poll mode the monitor starts
-        and owns the client's end; in trap mode the client going away
-        ends it."""
+        worker's own Stop.  In poll mode the monitor starts and owns the
+        client's end; in trap mode the client going away ends it."""
         conn = client.conn
         try:
             if client.record is None:
@@ -176,16 +174,16 @@ class NetworkManagementModule:
                 message = conn.poll()
                 if message is None:
                     return
-                if message.get("type") == "transition":
-                    self.inference.adopt(client.record.worker_id,
-                                         Signal(message["signal"]))
+                if message.get("type") == "stopped":
+                    self.inference.observe_stop(client.record.worker_id)
         except ConnectionClosedError:
             pass
         if self.mode == "trap":
             self._end(client)
 
     def _register(self, client: _Client, hostname: str) -> None:
-        record = client.record = self.inference.register(hostname)
+        record = client.record = self.inference.register(
+            hostname, partial(self._send_signal, client.conn))
         reply = {"type": "registered", "worker_id": record.worker_id,
                  "mode": self.mode}
         if self.mode == "trap":
@@ -197,19 +195,21 @@ class NetworkManagementModule:
         client.conn.send(reply)
         self.metrics.event("worker-registered", worker=record.hostname,
                            worker_id=record.worker_id)
-        self._conns[record.hostname] = client.conn
+
+    def _send_signal(self, conn: StreamSocket, signal: Signal) -> None:
+        """The monitored worker's link: an order goes down its socket."""
+        conn.send({"type": "signal", "signal": signal.value,
+                   "sent_at": self.runtime.now()})
 
     def _end(self, client: _Client) -> None:
         if client.session is not None:
             client.session.close()
         if client.record is not None:
-            self._conns.pop(client.record.hostname, None)
+            self.inference.unregister(client.record.worker_id)
         client.conn.close()
 
     def _handle_trap(self, trap, sender) -> None:
         """Trap-mode inference: one decision per load-band transition."""
-        from repro.snmp.mib import HOST_RESOURCES
-
         varbinds = dict(trap.varbinds)
         hostname = varbinds.get(HOST_RESOURCES.SYS_NAME)
         load = varbinds.get(HOST_RESOURCES.EXTERNAL_LOAD)
@@ -221,16 +221,7 @@ class NetworkManagementModule:
         if record is None:
             return
         self.stats["traps_received"] += 1
-        self.metrics.record(f"load/{hostname}", float(load))
-        signal = self.inference.observe(record.worker_id, float(load),
-                                        self.runtime.now())
-        conn = self._conns.get(hostname)
-        if signal is not None and conn is not None and not conn.closed:
-            self.stats["signals_sent"] += 1
-            self.metrics.event("signal-sent", worker=hostname,
-                               signal=str(signal), load=float(load))
-            conn.send({"type": "signal", "signal": signal.value,
-                       "sent_at": self.runtime.now()})
+        self._feed(record, float(load))
 
     # -- the monitor: steps 4–7 as one timer chain --------------------------------
 
@@ -247,15 +238,12 @@ class NetworkManagementModule:
         if error is not None and not isinstance(error, (TimeoutError_, SnmpError)):
             self._end(client)   # the session closed under the poll
             return
-        signal = self._decide(client.record,
-                              None if error is not None else float(load))
-        if signal is not None:
-            try:
-                client.conn.send({"type": "signal", "signal": signal.value,
-                                  "sent_at": self.runtime.now()})
-            except ConnectionClosedError:
-                self._end(client)
-                return
+        try:
+            self._feed(client.record,
+                       None if error is not None else float(load))
+        except ConnectionClosedError:
+            self._end(client)
+            return
         self.runtime.call_later(self.poll_interval_ms,
                                 partial(self._poll, client))
 
@@ -265,13 +253,14 @@ class NetworkManagementModule:
         try:
             load = float(self.snmp.get_one(record.hostname, self.load_oid))
         except (TimeoutError_, SnmpError):
-            return self._decide(record, None)
-        return self._decide(record, load)
+            return self._feed(record, None)
+        return self._feed(record, load)
 
-    def _decide(self, record: WorkerRecord,
-                load: Optional[float]) -> Optional[Signal]:
+    def _feed(self, record: WorkerRecord,
+              load: Optional[float]) -> Optional[Signal]:
         """Feed one sample (``None``: the poll failed) to the inference
-        engine; returns the signal it decides, if any."""
+        engine, which orders what it decides over the worker's link;
+        returns that signal, if any."""
         if load is None:
             self.stats["poll_failures"] += 1
             # Stale-data guard: an unreachable agent means every further

@@ -47,6 +47,7 @@ from repro.errors import (
 from repro.core.application import Application
 from repro.core.config_engine import RemoteNodeConfigurationEngine
 from repro.core.entries import DeadLetterEntry, ResultEntry, TaskEntry
+from repro.core.inference import InferenceEngine
 from repro.core.metrics import Metrics
 from repro.core.signals import Signal
 from repro.core.states import WorkerState
@@ -142,6 +143,10 @@ class WorkerHost:
         self._proxy: Optional[Any] = None  # SpaceProxy or ShardRouter
         self._control: Optional[StreamSocket] = None
         self._registered = False
+        # How the worker's own Stop reaches its rule-base record: a
+        # ``{"type": "stopped"}`` message on the control socket once
+        # registered, or the in-process link's ``observe_stop``.
+        self._report_stop: Optional[Callable[[], None]] = None
         self._trap_emitter = None
         # When each signal last arrived: "honoured" latencies run from it.
         self._received_at: dict[Signal, float] = {}
@@ -223,6 +228,14 @@ class WorkerHost:
 
     # -- rule-base client (Fig. 4 steps 1–3, 8) -----------------------------------------
 
+    def link_rulebase(self, inference: InferenceEngine) -> None:
+        """The in-process link, for a worker no monitor registers: the
+        rule-base's orders call :meth:`handle_signal` the instant they
+        are decided, and the worker's own Stop reaches its record."""
+        record = inference.register(self.node.hostname, self.handle_signal)
+        self.worker_id = record.worker_id
+        self._report_stop = partial(inference.observe_stop, record.worker_id)
+
     def _dial_rulebase(self) -> None:
         try:
             control = self.network.connect(self.node.hostname,
@@ -249,6 +262,8 @@ class WorkerHost:
                         return
                     self._registered = True
                     self.worker_id = message["worker_id"]
+                    self._report_stop = partial(control.send,
+                                                {"type": "stopped"})
                     if message.get("mode") == "trap":
                         self._start_trap_emitter(message)
                 elif message.get("type") == "signal":
@@ -268,12 +283,12 @@ class WorkerHost:
     # -- signal handling ------------------------------------------------------------------
 
     def handle_signal(self, signal: Signal, received_at: Optional[float] = None) -> None:
-        """Apply a signal to the worker (testable without a network).
+        """Apply a signal to the worker: the rule-base's orders (off the
+        control socket, or over its in-process link when no monitor links
+        this worker) and the worker's own Stop.
 
-        ``received_at`` is when a rule-base signal arrived on the control
-        channel.  A signal without one was not the rule-base's (the
-        preemption governor's, the worker's own Stop): its transition is
-        reported on the control channel so the rule-base adopts it.
+        ``received_at`` is when an order arrived on the control channel;
+        "honoured" latencies run from it (from now without one).
         """
         try:
             old, new, generation = self.engine.deliver(signal)
@@ -291,11 +306,22 @@ class WorkerHost:
                   self.node.hostname, old, signal, new)
         self._received_at[signal] = (self.runtime.now() if received_at is None
                                      else received_at)
-        if received_at is None and self._registered and not self._control.closed:
-            self._control.send({"type": "transition", "signal": signal.value})
         if signal is Signal.START and generation == 1:
             self.runtime.spawn(self._run,
                                name=f"worker-run:{self.node.hostname}")
+
+    def _stop_self(self) -> None:
+        """The worker's own Stop (it gave up, or its loop failed): the one
+        transition the rule-base does not order.  It reaches the worker's
+        rule-base record as a fact."""
+        if not self.engine.machine.can_apply(Signal.STOP):
+            return
+        self.handle_signal(Signal.STOP)
+        if self._report_stop is not None:
+            try:
+                self._report_stop()
+            except ConnectionClosedError:
+                pass   # the rule-base is gone: nobody is left to tell
 
     def _honored(self, signal: Signal) -> None:
         now = self.runtime.now()
@@ -363,8 +389,7 @@ class WorkerHost:
                             "worker-gave-up", worker=self.node.hostname,
                             attempts=disconnects - 1,
                         )
-                        if self.engine.machine.can_apply(Signal.STOP):
-                            self.handle_signal(Signal.STOP)
+                        self._stop_self()
                         break
                     self.metrics.event(
                         "worker-reconnect", worker=self.node.hostname,
@@ -393,8 +418,7 @@ class WorkerHost:
             )
             _log.warning("t=%.0fms %s: worker loop error: %r",
                          self.runtime.now(), self.node.hostname, exc)
-            if self.engine.machine.can_apply(Signal.STOP):
-                self.handle_signal(Signal.STOP)
+            self._stop_self()
         finally:
             if not self.crashed:
                 self._release_pending()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.inference import InferenceEngine
 from repro.core.metrics import Metrics
 from repro.core.netmgmt import NetworkManagementModule
 from repro.core.signals import Signal
@@ -19,7 +20,7 @@ def env(rt):
     node = Node(rt, net, "w1", FAST_PC)
     node.start_agent()
     module = NetworkManagementModule(rt, net, "master", Metrics(rt),
-                                     poll_interval_ms=500.0)
+                                     InferenceEngine(), poll_interval_ms=500.0)
     record = module.inference.register("w1")
     return net, node, module, record
 
@@ -102,8 +103,8 @@ def test_total_load_metric_would_evict_computing_worker(rt, env):
     polls the external-load OID by default."""
     net, node, module, record = env
     total_module = NetworkManagementModule(
-        rt, net, "master2", Metrics(rt), load_metric="total"
-    )
+        rt, net, "master2", Metrics(rt), InferenceEngine(),
+        load_metric="total")
     total_record = total_module.inference.register("w1")
     total_record.assumed_state = WorkerState.RUNNING
 
@@ -118,7 +119,8 @@ def test_total_load_metric_would_evict_computing_worker(rt, env):
 def test_invalid_load_metric_rejected(rt, env):
     net, *_ = env
     with pytest.raises(ValueError):
-        NetworkManagementModule(rt, net, "m", Metrics(rt), load_metric="bogus")
+        NetworkManagementModule(rt, net, "m", Metrics(rt), InferenceEngine(),
+                                load_metric="bogus")
 
 
 def test_load_history_recorded_per_worker(rt, env):

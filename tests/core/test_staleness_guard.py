@@ -60,20 +60,6 @@ def test_never_sampled_stopped_worker_fires_nothing():
     assert record.assumed_state == WorkerState.STOPPED
 
 
-def test_guard_resets_the_hysteresis_streak():
-    """After a stale Stop, recovery decisions restart their debounce."""
-    engine = InferenceEngine(hysteresis_samples=2, staleness_ms=1_000.0)
-    record = engine.register("w1")
-    engine.observe(record.worker_id, 5.0, now_ms=0.0)
-    engine.observe(record.worker_id, 5.0, now_ms=100.0)    # streak fires Start
-    assert record.assumed_state == WorkerState.RUNNING
-    assert engine.observe_failure(record.worker_id, 2_000.0) == Signal.STOP
-    # One fresh idle sample is not enough to restart the worker…
-    assert engine.observe(record.worker_id, 5.0, now_ms=2_100.0) is None
-    # …two in the same band are.
-    assert engine.observe(record.worker_id, 5.0, now_ms=2_200.0) == Signal.START
-
-
 # -- the module --------------------------------------------------------------
 
 
@@ -82,9 +68,9 @@ def env(rt):
     net = Network(rt)
     node = Node(rt, net, "w1", FAST_PC)
     node.start_agent()
-    module = NetworkManagementModule(rt, net, "master", Metrics(rt),
-                                     poll_interval_ms=500.0,
-                                     staleness_ms=STALENESS_MS)
+    module = NetworkManagementModule(
+        rt, net, "master", Metrics(rt),
+        InferenceEngine(staleness_ms=STALENESS_MS), poll_interval_ms=500.0)
     record = module.inference.register("w1")
     return net, node, module, record
 

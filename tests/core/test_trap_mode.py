@@ -113,9 +113,11 @@ def test_trap_mode_faster_and_cheaper_than_slow_polls(rt):
 
 
 def test_invalid_monitoring_mode_rejected(rt):
+    from repro.core.inference import InferenceEngine
     from repro.core.metrics import Metrics
     from repro.core.netmgmt import NetworkManagementModule
     from repro.net import Network
 
     with pytest.raises(ValueError):
-        NetworkManagementModule(rt, Network(rt), "m", Metrics(rt), mode="push")
+        NetworkManagementModule(rt, Network(rt), "m", Metrics(rt),
+                                InferenceEngine(), mode="push")

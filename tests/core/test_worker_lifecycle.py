@@ -5,7 +5,8 @@ generation and the halted flag; the worker's one run process serves
 each Start in turn and reads the holder only between tasks.  These tests
 pin the races a split lifecycle lost signals in (a Start arriving while
 a Stop unwinds), the process census (one run process per host), and the
-rule-base following transitions it did not order.
+one decider: the preemption governor is a fact source of the rule-base,
+and the worker's own Stop reaches the rule-base's record as a fact.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.core.metrics import Metrics
 from repro.core.signals import Signal
 from repro.core.states import WorkerState, WorkerStateMachine
 from repro.core.worker import WorkerHost
+from repro.errors import ConnectionClosedError
+from repro.experiments.chaos import TENANT_STRIDE, TenantSquares
 from repro.net import Address, Network
 from repro.node.cluster import testbed_small
 from repro.node.machine import FAST_PC, Node
@@ -212,39 +215,103 @@ def test_random_signals_keep_the_lifecycle_whole(steps, prefetch,
         rt.shutdown()
 
 
-def test_rule_base_adopts_transitions_it_did_not_order(rt):
-    """A governor-style Pause and Resume under a load in the Pause band:
-    the rule-base follows both, so it Pauses the resumed worker itself
-    rather than logging an illegal Pause and then falling silent."""
+def test_governor_never_resumes_a_worker_into_the_pause_band(rt):
+    """The preemption governor is a fact source, not a second sender.
+
+    A monitored worker at prefetch 4 runs under a 40 % background load
+    (the Pause band) from t0, and an urgent tenant queues work from
+    t0 + 500 ms.  The governor's poll gets the worker Paused before the
+    rule-base first samples the Pause band; when the governor lets go of
+    the carry, the rule-base keeps it Paused.  Two senders used to
+    resume it there and let it compute for ~506 ms more."""
     cluster = testbed_small(rt, workers=1)
     framework = AdaptiveClusterFramework(
-        rt, cluster, SumOfSquares(n=200, task_cost=200.0),
-        FrameworkConfig(compute_real=False))
+        rt, cluster, TenantSquares(base=0, n=200, task_cost=200.0),
+        FrameworkConfig(compute_real=False, worker_prefetch=4,
+                        preemption_poll_ms=500.0))
     node = cluster.workers[0]
+    t0, end = 3000.0, 9000.0
+
+    def quietly(run):
+        try:
+            run()
+        except ConnectionClosedError:
+            pass                            # the masters outlive the test
 
     def body():
         framework.start()
-        rt.spawn(framework.run, name="job")
-        rt.sleep(3000.0)                    # the idle worker was Started
-        host = framework.worker_hosts[0]
-        record = framework.netmgmt.inference.workers()[0]
-        started = host.state
-        host.handle_signal(Signal.PAUSE)    # as the preemption governor does
+        rt.spawn(lambda: quietly(framework.run), name="job")
+        rt.sleep(t0)                        # the idle worker was Started
         node.cpu.set_background("user", 40.0)
-        rt.sleep(3000.0)
-        paused = host.state, record.assumed_state
-        host.handle_signal(Signal.RESUME)
-        rt.sleep(4000.0)
+        rt.sleep(500.0)
+        urgent = framework.attach_tenant_master(
+            TenantSquares(base=TENANT_STRIDE, n=8, task_cost=200.0),
+            "urgent", priority=1)
+        rt.spawn(lambda: quietly(urgent.run), name="urgent")
+        rt.sleep(1500.0)
+        host = framework.worker_hosts[0]
         done = host.tasks_done
-        rt.sleep(6000.0)
-        observed = (started, paused, host.state, record.assumed_state,
-                    host.tasks_done - done)
+        rt.sleep(end - rt.now())
+        record = framework.netmgmt.inference.workers()[0]
+        observed = (host.state, record.assumed_state, host.tasks_done - done,
+                    list(record.load_history))
         framework.shutdown()
         return observed
 
-    started, paused, state, assumed, progress = drive(rt, body)
-    assert started is WorkerState.RUNNING
-    assert paused == (WorkerState.PAUSED, WorkerState.PAUSED)
+    state, assumed, progress, samples = drive(rt, body)
+    policy = framework.netmgmt.inference.policy
+    first_busy = next(t for t, load in samples
+                      if t >= t0 and policy.band(load) == "busy")
+    running, since = 0.0, None      # Running ms within [first_busy, end]
+    for t, payload in framework.metrics.events_named("worker-transition") + [
+            (end, {"new": "end"})]:
+        if since is not None:
+            running += max(0.0, min(t, end) - max(since, first_busy))
+        since = t if payload["new"] == "running" else None
+    assert framework.governor.stats["preemptions"] >= 1
+    assert running == 0.0        # not one ms Running in the Pause band
     assert framework.metrics.events_named("illegal-signal") == []
     assert (state, assumed) == (WorkerState.PAUSED, WorkerState.PAUSED)
     assert progress == 0                    # no computing in the Pause band
+
+
+@pytest.mark.parametrize("monitoring", [False, True])
+def test_own_stop_reaches_the_record_on_both_links(rt, monitoring):
+    """The worker's own Stop (here: its loop fails) is the one transition
+    the rule-base does not order.  It reaches the record as a fact on the
+    in-process link and on the control socket alike; the recruit lapses
+    with it, while a monitored worker is Started by the next idle sample."""
+    cluster = testbed_small(rt, workers=1)
+    framework = AdaptiveClusterFramework(
+        rt, cluster, SumOfSquares(n=400, task_cost=200.0),
+        FrameworkConfig(compute_real=False, monitoring=monitoring))
+
+    def body():
+        framework.start()
+        host = framework.worker_hosts[0]
+        rt.spawn(framework.run, name="job")
+        rt.sleep(2500.0)                    # recruited or sampled: Running
+        record = framework.inference.workers()[0]
+        started = host.state, record.assumed_state
+        cycle = host._cycle
+
+        def failing_once(proxy, template):
+            host._cycle = cycle
+            raise RuntimeError("a reply the worker cannot read")
+
+        host._cycle = failing_once
+        rt.sleep(300.0)
+        stopped = host.state, record.assumed_state
+        rt.sleep(1000.0)                    # one more monitor poll
+        later = host.state, record.assumed_state
+        framework.master.cancel()
+        framework.shutdown()
+        return started, stopped, later
+
+    started, stopped, later = drive(rt, body)
+    assert started == (WorkerState.RUNNING, WorkerState.RUNNING)
+    assert framework.metrics.events_named("worker-error") != []
+    assert stopped == (WorkerState.STOPPED, WorkerState.STOPPED)
+    after = WorkerState.RUNNING if monitoring else WorkerState.STOPPED
+    assert later == (after, after)
+    assert framework.metrics.events_named("illegal-signal") == []

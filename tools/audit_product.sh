@@ -57,6 +57,7 @@ done <<EOF
 --seed 7 --tenants 128 --isolation --verify-determinism
 --seed 23 --tenants 8 --shards 4 --verify-determinism
 --seed 23 --tenants 128 --shards 4 --verify-determinism
+--seed 7 --tenants 8 --shards 4 --prefetch 4 --verify-determinism
 --seed 42 --verify-determinism --trace --trace-out $scratch/chaos_trace.json --metrics-out $scratch/chaos_metrics.prom
 EOF
 
