@@ -407,12 +407,32 @@ _CAMPAIGNS = {
 }
 
 
+def _chaos_refusal(args) -> Optional[str]:
+    """Why the flags name no campaign, if they do not: no worker, no
+    task, or a fault aimed at a shard the deployment does not have."""
+    for flag, value in (("--workers", args.workers), ("--tasks", args.tasks)):
+        if value < 1:
+            return f"{flag} must be >= 1: {value}"
+    for fault in args.faults or ():
+        shard = (fault.removeprefix("kill-shard:")
+                 if fault.startswith("kill-shard:")
+                 else fault.partition(":shard:")[2])
+        if shard and int(shard) >= args.shards:
+            return (f"--fault {fault} names shard {shard}, but --shards "
+                    f"is {args.shards}")
+    return None
+
+
 def _chaos(args) -> int:
     """Pick the campaign the flags ask for; one tail runs it, prints,
     writes artifacts, gates and (``--verify-determinism``) replays it."""
     from repro.errors import ConfigurationError, SimulationError
     from repro.experiments import chaos
 
+    refusal = _chaos_refusal(args)
+    if refusal is not None:
+        print(f"FAIL: {refusal}")
+        return 2
     kwargs = dict(seed=args.seed, workers=args.workers,
                   prefetch=args.prefetch, shards=args.shards)
     if args.tenants is not None:

@@ -140,7 +140,7 @@ class WorkerHost:
         self.tasks_done = 0
         self.first_take_ms: Optional[float] = None
         self.last_result_ms: Optional[float] = None
-        self._proxy: Optional[Any] = None  # SpaceProxy or ShardRouter
+        self.client: Optional[Any] = None  # this Start's space client
         self._control: Optional[StreamSocket] = None
         self._registered = False
         # How the worker's own Stop reaches its rule-base record: a
@@ -182,8 +182,8 @@ class WorkerHost:
         """
         self.crashed = True
         self.running = False
-        if self._proxy is not None:
-            self._proxy.fail()
+        if self.client is not None:
+            self.client.fail()
         if self._control is not None:
             self._control.close()
         if self._trap_emitter is not None:
@@ -353,7 +353,7 @@ class WorkerHost:
                 load_span.end()
             self.metrics.event("class-load", worker=self.node.hostname)
         self._honored(Signal.START)
-        proxy = self._proxy = self.space_factory()
+        proxy = self.client = self.space_factory()
         template = TaskEntry(app_id=self.app.app_id)
         disconnects = 0                       # consecutive failed cycles
         disconnected_at: Optional[float] = None
@@ -617,11 +617,11 @@ class WorkerHost:
         if txn is not None:
             if not txn.completed and not isinstance(txn.txn_id, dict):
                 self._abort_quietly(txn)
-        elif tasks and self._proxy is not None:
+        elif tasks and self.client is not None:
             try:
                 # requeue=True: these tasks were already admitted once;
                 # shedding the give-back would lose them (exactly-once).
-                self._proxy.write_all(tasks, requeue=True)
+                self.client.write_all(tasks, requeue=True)
             except (ConnectionClosedError, ConnectionRefusedError_,
                     SpaceError):
                 pass  # space gone; nothing more this worker can do

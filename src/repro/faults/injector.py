@@ -106,7 +106,8 @@ class FaultInjector:
         """Map a symbolic fault target to a hostname.
 
         ``space`` → the (first) space host; ``shard:<i>`` → shard *i*'s
-        host; anything else is taken as a literal hostname.
+        host (a shard the deployment does not have raises ValueError);
+        anything else is taken as a literal hostname.
         """
         if target is None:
             return None
@@ -116,7 +117,10 @@ class FaultInjector:
             index = int(target.split(":", 1)[1])
             if not self.space_hosts:
                 return None
-            return self.space_hosts[index % len(self.space_hosts)]
+            if index >= len(self.space_hosts):
+                raise ValueError(f"{target} is out of range: the deployment "
+                                 f"has {len(self.space_hosts)} shard(s)")
+            return self.space_hosts[index]
         return target
 
     # -- internals ------------------------------------------------------------------

@@ -65,7 +65,7 @@ class SimulatedRuntime(Runtime):
         """The current simulated process (the kernel inside timer actions):
         OS threads are shared — a parked process's thread runs timer
         actions, a carrier thread runs one process after another."""
-        return self.kernel._current or self.kernel
+        return self.kernel.current or self.kernel
 
     def lock(self) -> Lock:
         return SimLock(self.kernel)

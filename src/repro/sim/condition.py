@@ -21,7 +21,7 @@ from repro.sim.kernel import SimKernel
 __all__ = ["SimLock", "SimCondition"]
 
 #: Owner sentinel for code running outside any process (timer callbacks,
-#: which the dispatch loop runs with ``kernel._current = None``).  Such
+#: which the dispatch loop runs with ``kernel.current = None``).  Such
 #: code is atomic with respect to all processes, so holding a lock there
 #: is always safe.
 _KERNEL_THREAD = object()
@@ -36,13 +36,13 @@ class SimLock:
         self._depth = 0
 
     def _caller(self) -> object:
-        proc = self._kernel._current
+        proc = self._kernel.current
         return proc if proc is not None else _KERNEL_THREAD
 
     def acquire(self) -> bool:
         # Space operations enter/leave a lock per call, so this is hot:
         # _caller() is inlined and the error path kept out of line.
-        proc = self._kernel._current
+        proc = self._kernel.current
         if proc is None:
             proc = _KERNEL_THREAD
         owner = self._owner
@@ -112,7 +112,7 @@ class SimCondition:
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block the calling process until notified or ``timeout`` ms pass."""
         kernel = self._kernel
-        proc = kernel._current
+        proc = kernel.current
         if proc is None:
             raise SimulationError("not inside a simulated process")
         waiter = _Waiter()

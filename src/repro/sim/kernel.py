@@ -6,7 +6,7 @@ Each simulated process runs on a real OS thread, but exactly one thread
 holds the *baton* (the right to run) at a time.  A process runs until it
 blocks (``sleep`` / condition ``wait``) or finishes; **that same thread**
 then drains the event queue itself: it pops events in ``(time, FIFO)``
-order, runs plain timer actions inline (with ``_current = None``, so they
+order, runs plain timer actions inline (with ``current = None``, so they
 look exactly like the old kernel-thread callbacks), and on a wake event
 either simply returns (the woken process is itself: no OS switch) or
 releases the successor's baton lock and parks on its own (one OS switch).
@@ -190,7 +190,9 @@ class SimKernel:
         self._buckets: dict[float, deque[EventHandle]] = {}
         self._bucket: Optional[deque[EventHandle]] = None   # being drained
         self._now = 0.0
-        self._current: Optional[SimProcess] = None
+        #: The running process (``None`` inside a timer action); only the
+        #: dispatch loop sets it.
+        self.current: Optional[SimProcess] = None
         self._next: Optional[SimProcess] = None     # set by _wake
         #: Live (unfinished) processes, in spawn order.
         self.processes: dict[SimProcess, None] = {}
@@ -271,7 +273,7 @@ class SimKernel:
 
     def sleep(self, delay_ms: float) -> None:
         """Block the current process for ``delay_ms`` of virtual time."""
-        proc = self._current
+        proc = self.current
         if proc is None:
             raise SimulationError("not inside a simulated process")
         # Inline call_later with the process's reusable wake handle: a
@@ -352,7 +354,7 @@ class SimKernel:
         the baton.  Drains the queue right here, then passes the baton to
         the woken process — or home, on every loop exit — and parks.
         """
-        self._current = proc = None
+        self.current = proc = None
         try:
             proc = self._drain()
         except BaseException as exc:  # noqa: BLE001 - re-raised by run*()
@@ -361,7 +363,7 @@ class SimKernel:
             self._bucket = None     # a later run*() re-announces the time
             target = self._home
         else:
-            self._current = proc
+            self.current = proc
             target = proc._baton
         if target is not baton:
             self.switches += 1
@@ -427,7 +429,7 @@ class SimKernel:
         self._shutdown = True
         for proc in list(self.processes):
             proc.killed = True
-            self._current = proc
+            self.current = proc
             self._home.clear()
             proc._baton.release()   # unwinds, retires, hands the baton home
             self._home.acquire()

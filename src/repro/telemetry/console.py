@@ -182,7 +182,7 @@ def cluster_snapshot(framework: Any, report: Any = None) -> dict:
     for host in framework.worker_hosts:
         hostname = host.node.hostname
         busy_ms = host.worker_time_ms()
-        proxy = host._proxy
+        proxy = host.client
         latencies = sorted(_signal_latencies(metrics, hostname))
         workers.append({
             "host": hostname,

@@ -3,8 +3,8 @@
 JavaSpaces requires entries to be ``Serializable``; the space proxy
 serializes entry fields before transmitting them.  We emulate this with
 pickle: :func:`serialize` enforces the constraint (raising
-:class:`~repro.errors.EntryError`) and :func:`serialized_size` provides the byte size used by network and
-planning cost models.
+:class:`~repro.errors.EntryError`) and gives the bytes the network sends;
+:func:`serialized_size` gives the byte size the planning cost models use.
 """
 
 from __future__ import annotations

@@ -146,7 +146,7 @@ def _deploy(shape: Shape, runtime: SimulatedRuntime) -> dict:
         text=framework.telemetry.prometheus_text(),
         master=_client_stack(framework.master.space),
         tenant_master=_client_stack(tenant_master.space),
-        workers=[_client_stack(host._proxy)
+        workers=[_client_stack(host.client)
                  for host in framework.worker_hosts],
     )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.metrics import Metrics
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
@@ -165,6 +166,9 @@ def test_resolve_target_symbolic_names(rt):
     assert injector.resolve_target("shard:2") == "h2"
     assert injector.resolve_target("worker7") == "worker7"
     assert injector.resolve_target(None) is None
+    for missing in ("shard:3", "shard:7"):  # no wrap onto another shard
+        with pytest.raises(ValueError, match="out of range"):
+            injector.resolve_target(missing)
 
 
 def test_disarm_heals_outstanding_directed_partitions(rt):

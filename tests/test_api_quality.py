@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import ast
-import dataclasses
 import importlib
 import inspect
 import pkgutil
-from pathlib import Path
 
 import pytest
 
@@ -78,28 +75,3 @@ def test_subpackage_layout_matches_design():
         if importlib.import_module(name).__file__.endswith("__init__.py")
     }
     assert expected <= packages
-
-
-def test_every_framework_config_knob_is_set_somewhere():
-    """A knob nothing ever sets is a constant wearing a knob's clothes.
-
-    Every ``FrameworkConfig`` field must appear as a keyword argument in
-    some call under ``src/`` (outside ``framework.py``, which only
-    *reads* them), ``tests/``, ``benchmarks/`` or ``examples/``.  To fix
-    a failure, flip the knob in a test or experiment — or delete it and
-    let the subsystem's own default stand.
-    """
-    from repro.core.framework import FrameworkConfig
-
-    root = Path(__file__).resolve().parents[1]
-    keywords: set[str] = set()
-    for top in ("src", "tests", "benchmarks", "examples"):
-        for path in (root / top).rglob("*.py"):
-            if path.name == "framework.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    keywords.update(k.arg for k in node.keywords if k.arg)
-    never_set = [f.name for f in dataclasses.fields(FrameworkConfig)
-                 if f.name not in keywords]
-    assert not never_set, f"FrameworkConfig knobs nothing sets: {never_set}"

@@ -106,13 +106,28 @@ def test_chaos_tenants_and_faults_are_exclusive(capsys):
     assert "separate campaigns" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag, complaint", [
-    ("--prefetch", "seed_batch/drain_batch must be >= 1: 0/0"),
-    ("--shards", "shards must be >= 1: 0"),
-])
-def test_chaos_zero_is_an_error_not_a_different_campaign(flag, complaint,
+_NAMES_NOTHING = [
+    ("--prefetch 0", "seed_batch/drain_batch must be >= 1: 0/0"),
+    ("--shards 0", "shards must be >= 1: 0"),
+    ("--workers 0", "--workers must be >= 1: 0"),
+    ("--tasks 0", "--tasks must be >= 1: 0"),
+    ("--shards 4 --fault kill-shard:9",
+     "--fault kill-shard:9 names shard 9, but --shards is 4"),
+    ("--shards 4 --fault partition:shard:7",
+     "--fault partition:shard:7 names shard 7, but --shards is 4"),
+    ("--fault pause:shard:1", "--fault pause:shard:1 names shard 1, but "
+                              "--shards is 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, complaint", _NAMES_NOTHING,
+    ids=[f"{flags.removesuffix(' 0')}-{complaint}"
+         for flags, complaint in _NAMES_NOTHING])
+def test_chaos_zero_is_an_error_not_a_different_campaign(flags, complaint,
                                                          capsys):
-    assert main(["chaos", flag, "0"]) == 2
+    """Flags that name no campaign are refused before anything runs."""
+    assert main(["chaos", *flags.split()]) == 2
     assert f"FAIL: {complaint}" in capsys.readouterr().out
 
 
