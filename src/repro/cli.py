@@ -206,15 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "baseline and require the victim to keep >= 0.8x "
                         "of its isolated throughput")
     p.add_argument("--verify-determinism", action="store_true",
-                   help="run twice and require identical recovery traces")
+                   help="replay the campaign once and require the "
+                        "identical recovery trace")
     p.add_argument("--prefetch", type=int, default=1,
                    help="worker pipeline depth (also batches master "
                         "seed/drain); faults then land mid-batch")
-    p.add_argument("--trace", action="store_true",
+    p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="record telemetry spans during the campaign "
-                        "(does not perturb the recovery trace)")
-    p.add_argument("--trace-out", default="chaos_trace.json",
-                   help="Chrome trace_event output path (with --trace)")
+                        "(does not perturb the recovery trace) and write "
+                        "them here as Chrome trace_event JSON")
     p.add_argument("--metrics-out", default=None,
                    help="write the final Prometheus metrics dump here")
     p.add_argument("--postmortem-dir", default="postmortems",
@@ -361,9 +361,8 @@ def _price(args) -> None:
 
 
 def _write_telemetry(result, trace_out, metrics_out) -> None:
-    """Export the chaos run's telemetry artifacts, if any were recorded."""
-    if trace_out is not None and result.tracer is not None \
-            and result.tracer.enabled:
+    """Export the chaos run's telemetry artifacts, if any were asked for."""
+    if trace_out is not None:
         result.tracer.write_chrome(trace_out)
         print(f"trace: {len(result.tracer.spans)} spans → {trace_out}")
     if metrics_out is not None:
@@ -393,8 +392,9 @@ def _write_postmortems(result, directory: str, label: str) -> None:
         print(f"postmortem: {bundle.reason} → {path}")
 
 
-#: campaign → (experiment, its determinism replay, the result property
-#: that must hold, what to print when it does not) in ``experiments.chaos``.
+#: campaign → (experiment, its determinism check against one replay, the
+#: result property that must hold, what to print when it does not) in
+#: ``experiments.chaos``.
 _CAMPAIGNS = {
     "chaos": ("chaos_experiment", "verify_chaos_determinism", "correct",
               "solution does not match the expected partial sum"),
@@ -409,7 +409,8 @@ _CAMPAIGNS = {
 
 def _chaos_refusal(args) -> Optional[str]:
     """Why the flags name no campaign, if they do not: no worker, no
-    task, or a fault aimed at a shard the deployment does not have."""
+    task, a fault aimed at a shard the deployment does not have, or a
+    flag the chosen campaign would ignore."""
     for flag, value in (("--workers", args.workers), ("--tasks", args.tasks)):
         if value < 1:
             return f"{flag} must be >= 1: {value}"
@@ -420,6 +421,13 @@ def _chaos_refusal(args) -> Optional[str]:
         if shard and int(shard) >= args.shards:
             return (f"--fault {fault} names shard {shard}, but --shards "
                     f"is {args.shards}")
+    if args.tenants is not None and args.faults:
+        return "--tenants and --fault are separate campaigns; pick one"
+    if args.isolation and args.tenants is None:
+        return "--isolation needs --tenants (it measures the victim tenant)"
+    if args.random_plan and (args.faults or args.tenants is not None):
+        return ("--random-plan draws the worker campaign's faults; "
+                "--fault and --tenants campaigns do not use it")
     return None
 
 
@@ -434,12 +442,9 @@ def _chaos(args) -> int:
         print(f"FAIL: {refusal}")
         return 2
     kwargs = dict(seed=args.seed, workers=args.workers,
-                  prefetch=args.prefetch, shards=args.shards)
+                  prefetch=args.prefetch, shards=args.shards,
+                  trace=args.trace_out is not None)
     if args.tenants is not None:
-        if args.faults:
-            print("FAIL: --tenants and --fault are separate campaigns; "
-                  "pick one")
-            return 2
         label = "contention"
         kwargs.update(tenants=args.tenants)
     elif args.faults:
@@ -450,7 +455,7 @@ def _chaos(args) -> int:
         kwargs.update(tasks=args.tasks, random_plan=args.random_plan)
     experiment, verify, gate, failure = _CAMPAIGNS[label]
     try:
-        result = getattr(chaos, experiment)(trace=args.trace, **kwargs)
+        result = getattr(chaos, experiment)(**kwargs)
     except SimulationError as exc:
         # --prefetch 0 / --shards 0: the framework's own
         # complaint, not a traceback (and not a silently different run).
@@ -459,8 +464,7 @@ def _chaos(args) -> int:
         print(f"FAIL: {exc.__cause__}")
         return 2
     print(result.format_summary())
-    _write_telemetry(result, args.trace_out if args.trace else None,
-                     args.metrics_out)
+    _write_telemetry(result, args.trace_out, args.metrics_out)
     _write_postmortems(result, args.postmortem_dir, label)
     if not getattr(result, gate):
         print(f"FAIL: {failure}")
@@ -468,11 +472,10 @@ def _chaos(args) -> int:
     if not result.consistent:
         print("FAIL: consistency checker found history violations")
         return 1
-    if label == "contention" and args.isolation \
-            and not _isolation(chaos, kwargs):
+    if args.isolation and not _isolation(chaos, result, kwargs):
         return 1
     if args.verify_determinism:
-        ok = getattr(chaos, verify)(trace=args.trace, **kwargs)
+        ok = getattr(chaos, verify)(first=result, **kwargs)
         print(f"determinism: {'identical traces' if ok else 'TRACES DIVERGED'}")
         if not ok:
             result.flight.dump("determinism-diverged")
@@ -481,10 +484,11 @@ def _chaos(args) -> int:
     return 0
 
 
-def _isolation(chaos, kwargs: dict) -> bool:
+def _isolation(chaos, contended, kwargs: dict) -> bool:
     """``--isolation``: the aggressor-free baseline against the contended
     run; the victim must keep 0.8x of its isolated throughput."""
-    baseline, contended, ratio = chaos.contention_isolation(**kwargs)
+    baseline, contended, ratio = chaos.contention_isolation(
+        contended=contended, **kwargs)
     print(f"isolation: victim {contended.victim_throughput_per_s:.2f}/s "
           f"contended vs {baseline.victim_throughput_per_s:.2f}/s alone "
           f"(ratio {ratio:.3f})")

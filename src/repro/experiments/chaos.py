@@ -153,6 +153,10 @@ class ChaosResult(_CampaignResult):
     def correct(self) -> bool:
         return self.report.solution == self.expected_solution
 
+    def fingerprint(self) -> tuple:
+        """What a replay from the same seed must reproduce."""
+        return self.trace, self.report.solution
+
     def format_summary(self) -> str:
         r = self.report
         lines = [
@@ -252,12 +256,13 @@ def _config(give_up_after_ms: float, prefetch: int, trace: bool,
     )
 
 
-def _verify(experiment: Callable, fingerprint: Callable, seed: int,
-            kwargs: dict) -> bool:
-    """Run ``experiment`` twice; True iff the fingerprints are identical."""
-    first = experiment(seed=seed, **kwargs)
-    second = experiment(seed=seed, **kwargs)
-    return fingerprint(first) == fingerprint(second)
+def _verify(experiment: Callable, seed: int, kwargs: dict,
+            first: Any) -> bool:
+    """Replay ``experiment`` once; True iff the replay's fingerprint equals
+    ``first``'s, the run already made (a fresh run when None)."""
+    if first is None:
+        first = experiment(seed=seed, **kwargs)
+    return first.fingerprint() == experiment(seed=seed, **kwargs).fingerprint()
 
 
 def _require_compact(codec: str) -> None:
@@ -330,10 +335,12 @@ def chaos_experiment(
     )
 
 
-def verify_chaos_determinism(seed: int = 42, **kwargs: Any) -> bool:
-    """Run the campaign twice; True iff the recovery traces are identical."""
-    return _verify(chaos_experiment,
-                   lambda r: (r.trace, r.report.solution), seed, kwargs)
+def verify_chaos_determinism(seed: int = 42, *,
+                             first: Optional[ChaosResult] = None,
+                             **kwargs: Any) -> bool:
+    """Replay the campaign; True iff the recovery trace and solution equal
+    ``first``'s (the run already made; by default a fresh one)."""
+    return _verify(chaos_experiment, seed, kwargs, first)
 
 
 # -- coordinator chaos: survive the space primary and the master itself -------
@@ -375,6 +382,10 @@ class CoordinationChaosResult(_CampaignResult):
         """Complete, correct, and no task folded twice into the solution."""
         return self.correct and \
             all(n == 1 for n in self.final_aggregations().values())
+
+    def fingerprint(self) -> tuple:
+        """What a replay from the same seed must reproduce."""
+        return self.trace, self.report.solution, self.aggregations
 
     def format_summary(self) -> str:
         r = self.report
@@ -501,11 +512,12 @@ def coordination_chaos_experiment(
     )
 
 
-def verify_coordination_determinism(seed: int = 42, **kwargs: Any) -> bool:
-    """Run the coordinator campaign twice; True iff byte-identical traces."""
-    return _verify(coordination_chaos_experiment,
-                   lambda r: (r.trace, r.report.solution, r.aggregations),
-                   seed, kwargs)
+def verify_coordination_determinism(
+        seed: int = 42, *, first: Optional[CoordinationChaosResult] = None,
+        **kwargs: Any) -> bool:
+    """Replay the coordinator campaign; True iff its trace, solution and
+    aggregations equal ``first``'s (by default a fresh run's)."""
+    return _verify(coordination_chaos_experiment, seed, kwargs, first)
 
 
 # -- multi-tenant contention: admission, fair share, preemption ----------------
@@ -607,6 +619,12 @@ class ContentionResult(_CampaignResult):
                     or report.solution != want:
                 return False
         return True
+
+    def fingerprint(self) -> tuple:
+        """What a replay from the same seed must reproduce."""
+        return (self.trace, self.grants,
+                {name: report.solution
+                 for name, report in self.reports.items()})
 
     def _grants_summary(self) -> str:
         """Per-tenant grants, folding a large bystander fleet into one
@@ -771,27 +789,30 @@ def contention_chaos_experiment(
 
 
 def contention_isolation(
-    seed: int = 42, **kwargs: Any,
+    seed: int = 42, *, contended: Optional[ContentionResult] = None,
+    **kwargs: Any,
 ) -> tuple[ContentionResult, ContentionResult, float]:
     """The headline robustness number: victim throughput with the
     aggressor flooding vs. the identical campaign without it.
 
-    Returns ``(baseline, contended, ratio)``; the acceptance bar is
-    ``ratio >= 0.8`` — admission control, weighted fair share and
-    preemption together must hide the aggressor from the victim."""
+    ``contended`` is the flooded run if one was already made (the CLI's
+    printed run); otherwise it is run here.  Returns ``(baseline,
+    contended, ratio)``; the acceptance bar is ``ratio >= 0.8`` —
+    admission control, weighted fair share and preemption together must
+    hide the aggressor from the victim."""
     baseline = contention_chaos_experiment(seed=seed, aggressor=False,
                                            **kwargs)
-    contended = contention_chaos_experiment(seed=seed, aggressor=True,
-                                            **kwargs)
+    if contended is None:
+        contended = contention_chaos_experiment(seed=seed, aggressor=True,
+                                                **kwargs)
     base = baseline.victim_throughput_per_s
     ratio = (contended.victim_throughput_per_s / base) if base > 0 else 0.0
     return baseline, contended, ratio
 
 
-def verify_contention_determinism(seed: int = 42, **kwargs: Any) -> bool:
-    """Run the contention campaign twice; True iff byte-identical."""
-    return _verify(
-        contention_chaos_experiment,
-        lambda r: (r.trace, r.grants,
-                   {n: rep.solution for n, rep in r.reports.items()}),
-        seed, kwargs)
+def verify_contention_determinism(
+        seed: int = 42, *, first: Optional[ContentionResult] = None,
+        **kwargs: Any) -> bool:
+    """Replay the contention campaign; True iff its trace, grants and
+    solutions equal ``first``'s (by default a fresh run's)."""
+    return _verify(contention_chaos_experiment, seed, kwargs, first)

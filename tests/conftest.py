@@ -2,9 +2,24 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.runtime import SimulatedRuntime
+
+
+@pytest.fixture(scope="session")
+def golden():
+    """``tools/golden.py``, the reader and checker of the golden table
+    ``tests/golden.txt`` (loaded from its path: it is a script)."""
+    spec = importlib.util.spec_from_file_location(
+        "golden", Path(__file__).resolve().parent.parent / "tools"
+        / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture()

@@ -117,6 +117,11 @@ _NAMES_NOTHING = [
      "--fault partition:shard:7 names shard 7, but --shards is 4"),
     ("--fault pause:shard:1", "--fault pause:shard:1 names shard 1, but "
                               "--shards is 1"),
+    ("--isolation", "--isolation needs --tenants"),
+    ("--random-plan --fault kill-master",
+     "--random-plan draws the worker campaign's faults"),
+    ("--random-plan --tenants 8",
+     "--random-plan draws the worker campaign's faults"),
 ]
 
 
