@@ -12,7 +12,7 @@ from functools import partial
 from repro.errors import ConnectionClosedError, FrameworkError
 from repro.core.application import ClassLoadProfile
 from repro.net.address import Address
-from repro.net.network import Listener, Network, Serialized, StreamSocket
+from repro.net.network import Network, Serialized, StreamSocket
 from repro.runtime.base import Runtime
 
 __all__ = ["CodeServer", "CODE_SERVER_PORT"]
@@ -51,27 +51,13 @@ class CodeServer:
         if self._running:
             return
         self._running = True
-        self._listener = listener = self.network.listen(self.address)
-        on_accept = partial(self._on_accept, listener)
-        listener.serve(on_accept)
-        self.runtime.call_later(0.0, on_accept)
+        self._listener = self.network.serve_connections(
+            self.address, lambda conn: partial(self._on_request, conn))
 
     def stop(self) -> None:
         self._running = False
         if self._listener is not None:
             self._listener.close()
-
-    def _on_accept(self, listener: Listener) -> None:
-        try:
-            while self._running:
-                conn = listener.poll()
-                if conn is None:
-                    return
-                serve = partial(self._on_request, conn)
-                conn.serve(serve)
-                self.runtime.call_later(0.0, serve)
-        except ConnectionClosedError:
-            return
 
     def _on_request(self, conn: StreamSocket) -> None:
         """Answer the connection's one request, then hang up."""

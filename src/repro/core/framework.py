@@ -100,7 +100,9 @@ class FrameworkConfig:
     straggler_timeout_ms: Optional[float] = None
 
     # -- robustness / self-healing (see DESIGN.md "Fault model & recovery") --
-    rpc_timeout_ms: Optional[float] = 10_000.0  # space RPC reply deadline
+    #: Reply deadline of the workers' space RPCs and the Jini locators'
+    #: lookups (the master's client has no recovery policy: no deadline).
+    rpc_timeout_ms: Optional[float] = 10_000.0
     max_task_attempts: int = 3              # app failures before dead-letter
     dead_letter_poll_ms: float = 1_000.0    # master's quarantine-drain period
     give_up_after_ms: Optional[float] = None  # master's partial-result deadline

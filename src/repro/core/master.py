@@ -212,10 +212,10 @@ class Master:
                 self.runtime.sleep(self.space_retry_ms)
             except AdmissionError as exc:
                 # Over-quota or shed: the op had no side effects, so
-                # re-issuing it verbatim is safe.  The proxy already
-                # backed off through its own retry budget; this outer
-                # loop is the master's last-resort patience, honouring
-                # the server's retry-after hint.
+                # re-issuing it verbatim is safe.  The master's space
+                # client has no recovery policy (it neither retries nor
+                # backs off), so this loop is the master's only
+                # patience, honouring the server's retry-after hint.
                 if self.space_retry_ms is None:
                     raise
                 attempt += 1

@@ -35,7 +35,7 @@ from repro.core.inference import InferenceEngine, WorkerRecord
 from repro.core.metrics import Metrics
 from repro.core.signals import Signal
 from repro.net.address import Address
-from repro.net.network import Listener, Network, StreamSocket
+from repro.net.network import Network, StreamSocket
 from repro.runtime.base import Runtime
 from repro.snmp.manager import SnmpManager
 from repro.snmp.mib import HOST_RESOURCES
@@ -113,10 +113,8 @@ class NetworkManagementModule:
         if self.running:
             return
         self.running = True
-        self._listener = listener = self.network.listen(self.address)
-        on_accept = partial(self._on_accept, listener)
-        listener.serve(on_accept)
-        self.runtime.call_later(0.0, on_accept)
+        self._listener = self.network.serve_connections(
+            self.address, lambda conn: partial(self._on_client, _Client(conn)))
         if self.mode == "trap":
             from repro.snmp.trap import TRAP_PORT, TrapReceiver
 
@@ -137,18 +135,6 @@ class NetworkManagementModule:
         self.snmp.close()
 
     # -- rule-base server ---------------------------------------------------------------
-
-    def _on_accept(self, listener: Listener) -> None:
-        try:
-            while self.running:
-                conn = listener.poll()
-                if conn is None:
-                    return
-                client = partial(self._on_client, _Client(conn))
-                conn.serve(client)
-                self.runtime.call_later(0.0, client)
-        except ConnectionClosedError:
-            return
 
     def _on_client(self, client: _Client) -> None:
         """Registration (steps 2–3), then the socket is read for the

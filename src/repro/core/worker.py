@@ -560,15 +560,15 @@ class WorkerHost:
                 self.tasks_done += results
         finally:
             self._active_batch = None
-            # A batch's txn whose id is still a dict (an unflushed
-            # batch_ref, an unbound shard handle) never came into being
+            # A batch's txn that was never opened (an unflushed
+            # txn_create, an unbound shard handle) never came into being
             # server-side — nothing to abort.
             if (txn is not None and not txn.completed
-                    and not (piped and isinstance(txn.txn_id, dict))):
+                    and (txn.opened or not piped)):
                 self._abort_quietly(txn)
             # A prefetch txn that survived a failed flush is also released.
             if (self._pending is None and nxt is not None
-                    and not nxt.completed and not isinstance(nxt.txn_id, dict)):
+                    and not nxt.completed and nxt.opened):
                 self._abort_quietly(nxt)
 
     def _replacement_for(self, task: TaskEntry, exc: Exception) -> Any:
@@ -615,7 +615,7 @@ class WorkerHost:
             return
         txn, tasks = pending
         if txn is not None:
-            if not txn.completed and not isinstance(txn.txn_id, dict):
+            if not txn.completed and txn.opened:
                 self._abort_quietly(txn)
         elif tasks and self.client is not None:
             try:

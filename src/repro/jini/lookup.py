@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 from repro.errors import ConnectionClosedError, LookupError_
 from repro.net.address import Address
-from repro.net.network import DatagramSocket, Listener, Network, StreamSocket
+from repro.net.network import DatagramSocket, Network, StreamSocket
 from repro.runtime.base import Runtime
 from repro.tuplespace.lease import FOREVER, Lease
 from repro.jini.discovery import DISCOVERY_GROUP
@@ -63,7 +63,8 @@ class LookupService:
         if self._running:
             return
         self._running = True
-        self._listener = listener = self.network.listen(self.address)
+        self._listener = self.network.serve_connections(
+            self.address, lambda conn: partial(self._on_request, conn))
         # Join the discovery multicast group so presence announcements
         # from clients reach us.  Bound to an ephemeral port so several
         # registrars can coexist on one host; group membership, not the
@@ -72,12 +73,9 @@ class LookupService:
             self.network.ephemeral(self.address.host)
         )
         self.network.join_multicast(DISCOVERY_GROUP, discovery)
-        on_accept = partial(self._on_accept, listener)
-        listener.serve(on_accept)
         on_discovery = partial(self._on_discovery, discovery)
         discovery.serve(on_discovery)
-        # Serving starts in the events serving processes used to start in.
-        self.runtime.call_later(0.0, on_accept)
+        # Serving starts in the event a serving process used to start in.
         self.runtime.call_later(0.0, on_discovery)
 
     def stop(self) -> None:
@@ -141,18 +139,6 @@ class LookupService:
                         reply_to,
                         {"type": "discovery-response", "registrar": self.address},
                     )
-        except ConnectionClosedError:
-            return
-
-    def _on_accept(self, listener: Listener) -> None:
-        try:
-            while self._running:
-                conn = listener.poll()
-                if conn is None:
-                    return
-                serve = partial(self._on_request, conn)
-                conn.serve(serve)
-                self.runtime.call_later(0.0, serve)
         except ConnectionClosedError:
             return
 

@@ -278,6 +278,10 @@ class Listener:
         #: Accept by callback instead of a process parked in :meth:`accept`.
         self.serve, self.poll = pending.serve, pending.poll
 
+    @property
+    def closed(self) -> bool:
+        return self._pending.closed
+
     def accept(self, timeout_ms: Optional[float] = None) -> Optional[StreamSocket]:
         return self._pending.get(timeout_ms)
 
@@ -545,6 +549,31 @@ class Network:
         listener = Listener(self, address)
         self._listeners[address] = listener
         return listener
+
+    def serve_connections(self, address: Address,
+                          on_connection: Callable[..., Any]) -> Listener:
+        """Accept on ``address`` by callback until the listener closes;
+        ``on_connection(conn)`` returns the callback that reads ``conn``.
+        Accepting, and each connection's first read, start in the
+        zero-delay events that used to start their processes."""
+        listener = self.listen(address)
+        accept = partial(self._accept, listener, on_connection)
+        listener.serve(accept)
+        self.runtime.call_later(0.0, accept)
+        return listener
+
+    def _accept(self, listener: Listener,
+                on_connection: Callable[..., Any]) -> None:
+        try:
+            while not listener.closed:
+                conn = listener.poll()
+                if conn is None:
+                    return
+                read = on_connection(conn)
+                conn.serve(read)
+                self.runtime.call_later(0.0, read)
+        except ConnectionClosedError:
+            return
 
     def _unbind_listener(self, address: Address) -> None:
         self._listeners.pop(address, None)

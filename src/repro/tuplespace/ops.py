@@ -35,10 +35,11 @@ class Call(NamedTuple):
     tuple, which builds faster than a frozen dataclass; copy one with
     ``_replace``).
 
-    ``subject`` is the entry (``write``), the entries (``write_all``) or
-    the template.  ``txn`` is the transaction the operation runs under;
-    for ``txn_create`` it is the handle the call opens, for
-    ``txn_commit``/``txn_abort`` the one it completes.
+    ``subject`` is the entry (``write``), the entries (``write_all``),
+    the sub-requests (``batch``) or the template.  ``txn`` is the
+    transaction the operation runs under; for ``txn_create`` it is the
+    handle the call opens, for ``txn_commit``/``txn_abort`` the one it
+    completes.
     """
 
     op: str
@@ -62,7 +63,7 @@ class Op:
     route: str
     #: :class:`Call` → request args.  The keys and their order are part of
     #: the wire bytes.  ``None``: built by hand (``notify``) or sent only
-    #: by the server's peers (``fence``, ``replicate``, ``batch``).
+    #: by the server's peers (``fence``, ``replicate``).
     args: Optional[Callable[[Call], dict[str, Any]]] = None
     #: What the reply value carries: one entry frame or none
     #: (``"first"``), a ``"bool"``, a ``"list"`` of frames,
@@ -182,7 +183,7 @@ OPS: dict[str, Op] = {op.name: op for op in (
     Op("ping", "local", lambda c: {}, idempotent=True, fence_exempt=True),
     Op("fence", "local", fence_exempt=True),
     Op("replicate", "local", fence_exempt=True, batchable=False),
-    Op("batch", "local", batchable=False),
+    Op("batch", "local", lambda c: {"ops": c.subject}, batchable=False),
 )}
 
 
@@ -209,11 +210,14 @@ def apply(target: Any, call: Call) -> Any:
 
 class TransactionHandle:
     """What every client's transaction handle shares: ``txn_id``,
-    ``completed``, ``commit()``/``abort()``, and a context manager that
-    commits on a clean exit and aborts on an exception — unless the body
-    already completed it."""
+    ``completed``, ``opened``, ``commit()``/``abort()``, and a context
+    manager that commits on a clean exit and aborts on an exception —
+    unless the body already completed it."""
 
     completed: bool
+    #: Whether the server-side transaction exists yet (not while its
+    #: batch is unflushed or its shard unbound: nothing to abort).
+    opened: bool
 
     def __enter__(self) -> Any:
         return self

@@ -361,9 +361,14 @@ _SHAPES: dict[str, Callable[[list], Any]] = {
     "bool": bool, "list": list}
 
 
-def _idempotent(op: str) -> bool:
-    row = OPS.get(op)
-    return row is not None and row.idempotent
+def _runs(op: str, args: Any) -> Any:
+    """``(row, args)`` of each op a request runs: the op itself, or a
+    batch's sub-ops in order.  The request's reply deadline and its
+    blind-retry rule are read from these."""
+    if op == "batch":
+        return [(OPS.get(sub.get("op")), sub.get("args", {}))
+                for sub in args["ops"]]
+    return ((OPS.get(op), args),)
 
 
 def _decode(reply: Optional[str], value: Any) -> Any:
@@ -373,12 +378,6 @@ def _decode(reply: Optional[str], value: Any) -> Any:
     if reply == "list":
         return [decode_any(frame) for frame in value]
     return value
-
-
-def _result(row: Any, value: Any) -> Any:
-    """A lone call's return value (a batch keeps write_all's wire form)."""
-    return value["count"] if row.reply == "count" else _decode(row.reply,
-                                                                 value)
 
 
 @dataclass(slots=True, eq=False)
@@ -557,14 +556,10 @@ class SpaceServer:
             self.restarts += 1
         if self.lease_ms is not None:
             self._lease_expires = self.runtime.now() + self.lease_ms
-        self._listener = listener = self.network.listen(self.address)
+        self._listener = self.network.serve_connections(self.address,
+                                                        self._session)
         self._running = True
         self._endpoint.servers[self.address.port] = self
-        on_accept = partial(self._on_accept, listener)
-        listener.serve(on_accept)
-        # Accepting starts in the event the accept process used to start
-        # in: connections dialled meanwhile wait in the listener.
-        self.runtime.call_later(0.0, on_accept)
 
     def _halt(self) -> None:
         self._running = False
@@ -618,20 +613,11 @@ class SpaceServer:
     # request that must wait — for a match, for a replication ack — parks
     # its continuation on the session; nothing else ever blocks here.
 
-    def _on_accept(self, listener: Any) -> None:
+    def _session(self, conn: StreamSocket) -> Callable[[], None]:
+        """A new connection's session; what reads its requests."""
         with self._lock:
-            try:
-                while self._running:
-                    conn = listener.poll()
-                    if conn is None:
-                        return
-                    session = self._connections[conn] = _Session(self, conn)
-                    conn.serve(session.on_message)
-                    # Its first read happens in the event that used to
-                    # start the connection's process.
-                    self.runtime.call_later(0.0, session.on_message)
-            except ConnectionClosedError:
-                return
+            session = self._connections[conn] = _Session(self, conn)
+        return session.on_message
 
     def _on_message(self, session: _Session,
                     resumed: Optional[_Blocked] = None) -> None:
@@ -845,13 +831,20 @@ class SpaceServer:
             raise SpaceError(f"unknown operation: {op!r}")
         if row.admitted and self.admission is not None:
             self.admission.check(op, args)
+        return self._run(row, args, session)
+
+    def _run(self, row: Any, args: dict[str, Any],
+             session: Optional[_Session]) -> Any:
+        """Run one op, lone or a batch's sub-op, under the connection's
+        transaction it names; a wait comes back as a :class:`_Blocked`."""
         txn = None
         txn_id = args.get("txn_id") if row.txn_aware else None
         if txn_id is not None:
-            txn = session.transactions.get(txn_id)
+            if isinstance(txn_id, int):  # not a batch's placeholder
+                txn = session.transactions.get(txn_id)
             if txn is None:
                 raise TransactionError(f"unknown transaction id {txn_id}")
-        value = _HANDLERS[op](self, args, txn, session)
+        value = _HANDLERS[row.name](self, args, txn, session)
         if value.__class__ is Waiter:
             return _Blocked(value, _SHAPES[row.reply])
         return value
@@ -1044,7 +1037,6 @@ class SpaceServer:
         """Run the sub-ops that have no reply yet.  One that parks
         returns its :class:`_Blocked`, tagged with the batch to come
         back to (:meth:`_unblock`)."""
-        transactions = session.transactions
         for sub in ops[len(replies):]:
             op = sub.get("op")
             row = OPS.get(op)
@@ -1053,7 +1045,6 @@ class SpaceServer:
                                 "error": f"not batchable: {op!r}"})
                 break
             sub_args = sub.get("args", {})
-            sub_txn = None
             # "txn_id" names the transaction of space ops; "id" names the
             # one txn_commit/txn_abort act on — either may be a placeholder.
             key = ("txn_id" if row.txn_aware
@@ -1067,23 +1058,16 @@ class SpaceServer:
                                     "error": f"bad batch_ref {ref!r}"})
                     break
                 sub_args = {**sub_args, key: replies[ref]["value"]}
-            txn_id = sub_args.get("txn_id") if row.txn_aware else None
-            if txn_id is not None:
-                sub_txn = transactions.get(txn_id)
-                if sub_txn is None:
-                    replies.append({"ok": False, "type": "TransactionError",
-                                    "error": f"unknown transaction id {txn_id}"})
-                    break
             try:
-                value = _HANDLERS[op](self, sub_args, sub_txn, session)
+                value = self._run(row, sub_args, session)
             except ConnectionClosedError:
                 raise
             except Exception as exc:
                 replies.append(_error_reply(exc))
                 break
-            if value.__class__ is Waiter:
-                return _Blocked(value, _SHAPES[row.reply],
-                                batch=(ops, replies))
+            if value.__class__ is _Blocked:
+                value.batch = (ops, replies)
+                return value
             replies.append({"ok": True, "value": value})
         return {"replies": replies}
 
@@ -1195,9 +1179,10 @@ class SpaceServer:
 def _completed(args: dict[str, Any], session: _Session) -> Transaction:
     """The connection's transaction a commit or abort names — no longer
     the connection's, whatever the completion does."""
-    txn = session.transactions.pop(args["id"], None)
-    if txn is None:
-        raise TransactionError(f"unknown transaction id {args['id']}")
+    txn_id = args["id"]
+    txn = isinstance(txn_id, int) and session.transactions.pop(txn_id, None)
+    if not txn:
+        raise TransactionError(f"unknown transaction id {txn_id}")
     return txn
 
 
@@ -1213,6 +1198,11 @@ class RemoteTransaction(TransactionHandle):
         self._proxy = proxy
         self.txn_id = txn_id
         self.completed = False
+
+    @property
+    def opened(self) -> bool:
+        # Until its batch flushes, the id is the batch's placeholder.
+        return isinstance(self.txn_id, int)
 
     def commit(self) -> None:
         self._proxy._invoke(Call("txn_commit", txn=self))
@@ -1244,14 +1234,15 @@ class ProxyBatch:
 
     def __init__(self, proxy: "SpaceProxy") -> None:
         self._proxy = proxy
-        #: Each call with its request args, built as it is recorded.
+        #: Each call with its sub-request, built as it is recorded.
         self._calls: list[tuple[Call, dict[str, Any]]] = []
 
     def __len__(self) -> int:
         return len(self._calls)
 
     def _record(self, call: Call) -> int:
-        self._calls.append((call, OPS[call.op].args(call)))
+        self._calls.append(
+            (call, {"op": call.op, "args": OPS[call.op].args(call)}))
         return len(self._calls) - 1
 
     def _transaction(self, timeout_ms: float) -> RemoteTransaction:
@@ -1265,8 +1256,8 @@ class ProxyBatch:
         if not self._calls:
             return []
         calls, self._calls = self._calls, []
-        replies = self._proxy._call_batch(
-            [(call.op, args) for call, args in calls])
+        replies = self._proxy._invoke(
+            Call("batch", [request for _, request in calls]))["replies"]
         results: list[Any] = []
         # The server stops at the first failure, so every reply before it
         # is a success whose side effects run before the failure raises.
@@ -1428,18 +1419,15 @@ class SpaceProxy:
         return conn
 
     def _await_reply(self, conn: StreamSocket, op: str,
-                     waits: list[tuple[str, dict[str, Any]]]) -> Any:
-        """The reply to the request sent on ``conn``.  ``waits`` are the
-        (op, args) pairs the server executes for it — the op itself, or a
-        batch's sub-ops in order."""
+                     args: dict[str, Any]) -> Any:
+        """The reply to the request ``op`` sent on ``conn``."""
         timeout_ms = self.recovery.call_timeout_ms if self.recovery else None
         if timeout_ms is not None:
             # The RPC budget covers transport + dispatch; an op's own wait
             # budget is spent server-side on purpose (sequentially, for a
             # batch's sub-ops) and must be added, not mistaken for a dead
             # connection.
-            for sub_op, sub_args in waits:
-                row = OPS.get(sub_op)
+            for row, sub_args in _runs(op, args):
                 if row is not None and row.blocking:
                     wait = sub_args.get("timeout_ms")
                     if wait is None:
@@ -1454,25 +1442,17 @@ class SpaceProxy:
             return reply.get("value")
         _raise_remote(reply, op)
 
-    def _call_once(self, op: str, args: dict[str, Any]) -> Any:
-        return self._await_reply(self._send_request(op, args), op,
-                                 [(op, args)])
+    def _attempt(self, op: str, args: dict[str, Any]) -> Any:
+        """A recovered call's next attempt: the request again, its reply."""
+        return self._await_reply(self._send_request(op, args), op, args)
+
+    # Every call is one send step and one collect step: ``_invoke`` runs
+    # both, ``_begin`` returns the second.  Untraced, neither allocates a
+    # closure or enters a context manager.
 
     def _invoke(self, call: Call) -> Any:
-        """One operation: its row's request, then its reply decoded."""
-        row = OPS[call.op]
-        op, args = row.name, row.args(call)
-        if self._tracer is not None and self._tracer.enabled:
-            value = self._guarded(op, self._call_once, (op, args),
-                                  row.idempotent)
-        else:
-            try:
-                value = self._await_reply(self._send_request(op, args), op,
-                                          ((op, args),))
-            except _RECOVERABLE as exc:
-                value = self._recover(op, self._call_once, (op, args),
-                                      row.idempotent, exc)
-        return _result(row, value)
+        """One operation: its request, then its reply decoded."""
+        return self._collect(*self._send(call))
 
     def _begin(self, call: Call) -> Callable[[], Any]:
         """Split-phase :meth:`_invoke`: the request goes out now; the
@@ -1481,45 +1461,44 @@ class SpaceProxy:
         A router begins a call on each shard's proxy before collecting
         any, so N round trips overlap on one process.  Collect before the
         next call on this proxy (one request per connection at a time).
-        A failed attempt is recovered at collection, by the loop and the
-        retry rule of a lone call; a send that failed otherwise raises
-        there too, so it skips no other proxy's send.  Traced, the call
-        is one ``rpc.<op>`` span from send to collection.
         """
+        return partial(self._collect, *self._send(call))
+
+    def _send(self, call: Call) -> tuple:
+        """The send step: the call's row and request args, the connection
+        it went out on (or the send's exception, raised when collected so
+        it skips no other proxy's send) and, traced, its span."""
         row = OPS[call.op]
         op, args = row.name, row.args(call)
         tracer = self._tracer
-        span = (self._rpc_span(f"rpc.{op}", tracer)
-                if tracer is not None and tracer.enabled else nullcontext())
+        span = None
+        if tracer is not None and tracer.enabled:
+            span = self._rpc_span(f"rpc.{op}", tracer)
+            if op == "batch":
+                span.annotate(ops=[sub["op"] for sub in args["ops"]])
         try:
             sent: Any = self._send_request(op, args)
         except Exception as exc:  # raised when collected
             sent = exc
+        return row, args, sent, span
 
-        def collect() -> Any:
+    def _collect(self, row: Any, args: dict[str, Any], sent: Any,
+                 span: Any = None) -> Any:
+        """The collect step: the reply within its deadline, decoded, or
+        the failed attempt recovered; traced, the span ends here."""
+        if span is not None:
             with span:
-                try:
-                    if isinstance(sent, Exception):
-                        raise sent
-                    value = self._await_reply(sent, op, ((op, args),))
-                except _RECOVERABLE as exc:
-                    value = self._recover(op, self._call_once, (op, args),
-                                          row.idempotent, exc)
-            return _result(row, value)
-
-        return collect
-
-    def _guarded(self, label: str, attempt: Callable[..., Any], args: tuple,
-                 idempotent: bool, **notes: Any) -> Any:
-        """Run ``attempt(*args)`` under the recovery loop, as an
-        ``rpc.<label>`` span (annotated with ``notes``) when tracing."""
-        tracer = self._tracer
-        if tracer is None or not tracer.enabled:
-            return self._recover(label, attempt, args, idempotent)
-        span = self._rpc_span(f"rpc.{label}", tracer)
-        span.annotate(**notes)
-        with span:
-            return self._recover(label, attempt, args, idempotent)
+                return self._collect(row, args, sent)
+        op = row.name
+        try:
+            if isinstance(sent, Exception):
+                raise sent
+            value = self._await_reply(sent, op, args)
+        except _RECOVERABLE as exc:
+            value = self._recover(op, args, exc)
+        # A batch's sub-ops keep write_all's wire form; a lone one unwraps.
+        return (value["count"] if row.reply == "count"
+                else _decode(row.reply, value))
 
     def _rpc_span(self, name: str, tracer: Any):
         """Open an RPC span under the caller's ambient span (if any)."""
@@ -1530,11 +1509,13 @@ class SpaceProxy:
         return tracer.start(name, trace_id=f"rpc/{self.host}",
                             proc=self.host)
 
-    def _recover(self, label: str, attempt: Callable[..., Any], args: tuple,
-                 idempotent: bool, failure: Optional[Exception] = None) -> Any:
-        """``attempt(*args)`` until it succeeds, backing off after each
+    def _recover(self, op: str, args: Any,
+                 failure: Optional[Exception] = None,
+                 attempt: Optional[Callable[[], Any]] = None) -> Any:
+        """Attempt ``op`` until it succeeds, backing off after each
         failure the policy survives and re-raising the first it does not;
-        ``failure`` is the first attempt's, when the caller made it."""
+        ``failure`` is the first attempt's, when the caller made it.  An
+        attempt is :meth:`_attempt` unless the caller supplies its own."""
         recovery, tries = self.recovery, 0
         while True:
             if failure is not None:
@@ -1548,8 +1529,11 @@ class SpaceProxy:
                     self._drop_connection()
                 if (self._failed or recovery is None
                         or tries >= recovery.max_retries
-                        or not (idempotent or admission
-                                or isinstance(failure, FencedError))):
+                        or not (admission or isinstance(failure, FencedError)
+                                # A batch only if *every* sub-op may be
+                                # re-sent, exactly as for a lone call.
+                                or all(row is not None and row.idempotent
+                                       for row, _ in _runs(op, args)))):
                     raise failure
                 tries += 1
                 if admission:
@@ -1563,14 +1547,15 @@ class SpaceProxy:
                     self.retries += 1
                     event, notes = "proxy-retry", {}
                 if self._metrics is not None:
-                    self._metrics.event(event, host=self.host, op=label,
+                    self._metrics.event(event, host=self.host, op=op,
                                         attempt=tries, **notes)
                 # Capped-exp backoff; an admission retry-after hint floors it.
                 delay = recovery.backoff_ms(tries, self._rng)
                 self.network.runtime.sleep(
                     max(failure.retry_after_ms, delay) if admission else delay)
             try:
-                return attempt(*args)
+                return (attempt() if attempt is not None
+                        else self._attempt(op, args))
             except _RECOVERABLE as exc:
                 failure = exc
 
@@ -1579,20 +1564,6 @@ class SpaceProxy:
     def batch(self) -> "ProxyBatch":
         """Start collecting operations for one pipelined ``batch`` RPC."""
         return ProxyBatch(self)
-
-    def _batch_once(self, ops: list[tuple[str, dict[str, Any]]]) -> list[dict]:
-        wire = {"ops": [{"op": o, "args": a} for o, a in ops]}
-        return self._await_reply(self._send_request("batch", wire), "batch",
-                                 ops)["replies"]
-
-    def _call_batch(self, ops: list[tuple[str, dict[str, Any]]]) -> list[dict]:
-        # A batch is transparently retriable only if *every* sub-op is —
-        # one non-idempotent passenger (write/take/commit) makes a blind
-        # re-issue unsafe, exactly as for a lone call.
-        names = [op for op, _ in ops]
-        return self._guarded(
-            "batch", self._batch_once, (ops,), all(map(_idempotent, names)),
-            ops=names)
 
     def close(self) -> None:
         self._drop_connection()
@@ -1643,13 +1614,16 @@ class SpaceProxy:
                 on_dial = partial(self._on_event_dial, self._event_listener)
                 self._event_listener.serve(on_dial)
                 runtime.call_later(0.0, on_dial)
-            return self._call_once(
+            return self._attempt(
                 "notify",
                 {"template": template, "lease_ms": lease_ms,
                  "host": self.host, "event_port": self._event_port})
 
-        reg_id = self._guarded("notify", attempt, (),
-                               OPS["notify"].idempotent)
+        # A reconnect drops the event side, so a retry re-runs all of it.
+        tracer = self._tracer
+        with (self._rpc_span("rpc.notify", tracer)
+              if tracer is not None and tracer.enabled else nullcontext()):
+            reg_id = self._recover("notify", None, attempt=attempt)
         self._event_handlers[reg_id] = listener
         return reg_id
 

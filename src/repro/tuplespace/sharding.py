@@ -123,13 +123,6 @@ class HashRing:
         return self._owners[index]
 
 
-#: ``txn_id`` of a transaction that has no server-side counterpart yet.
-#: A dict on purpose: callers that guard "never created server-side" with
-#: ``isinstance(txn.txn_id, dict)`` (the worker's batch carry does) treat
-#: an unbound sharded transaction exactly like an unflushed batch_ref.
-_UNBOUND = {"unbound": True}
-
-
 class ShardedTransaction(TransactionHandle):
     """A lazily bound, shard-pinned transaction handle: worker and master
     code cannot tell it from a
@@ -144,7 +137,13 @@ class ShardedTransaction(TransactionHandle):
 
     @property
     def txn_id(self) -> Any:
-        return self._remote.txn_id if self._remote is not None else dict(_UNBOUND)
+        if self._remote is None:   # only a bound handle reaches a shard
+            raise SpaceError("sharded transaction not bound to a shard yet")
+        return self._remote.txn_id
+
+    @property
+    def opened(self) -> bool:
+        return self._remote is not None and self._remote.opened
 
     def _bind(self, shard: int) -> RemoteTransaction:
         """Pin to ``shard`` (creating the server transaction on demand)."""

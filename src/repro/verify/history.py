@@ -168,6 +168,10 @@ class RecordingTransaction(TransactionHandle):
         return self._inner.txn_id
 
     @property
+    def opened(self) -> bool:
+        return self._inner.opened
+
+    @property
     def completed(self) -> bool:
         return self._inner.completed
 

@@ -96,6 +96,12 @@ def _attributes(*names: str, under: str = "", store: bool = False
             and (not store or isinstance(site.node.ctx, ast.Store))}
 
 
+def _loads(name: str) -> set[Site]:
+    """Sites that read the name ``name`` (its definition aside)."""
+    return {(site.module, site.qualname) for site in _of(ast.Name)
+            if site.node.id == name and isinstance(site.node.ctx, ast.Load)}
+
+
 def _defs(name: str) -> set[Site]:
     return {(site.module, f"{site.qualname}.{name}".lstrip("."))
             for site in _of(ast.FunctionDef, ast.AsyncFunctionDef)
@@ -397,11 +403,21 @@ RULES = [
         (_PROXY, "SpaceProxy._begin"):
             "send now, collect later: the router's one overlap path",
     }),
+    # -- one request path per side --
     Rule("requests_sent", lambda: _calls("_send_request"), {
-        (_PROXY, "SpaceProxy._call_once"): "a lone call's retry attempt",
-        (_PROXY, "SpaceProxy._invoke"): "a lone call's first attempt",
-        (_PROXY, "SpaceProxy._begin"): "the split-phase call",
-        (_PROXY, "SpaceProxy._batch_once"): "a pipelined batch",
+        (_PROXY, "SpaceProxy._send"):
+            "every call's first attempt: lone, split-phase or batch",
+        (_PROXY, "SpaceProxy._attempt"): "a recovered call's next attempt",
+    }),
+    Rule("handlers_indexed", lambda: _loads("_HANDLERS"), {
+        (_PROXY, "SpaceServer._run"):
+            "one step runs a lone request and each batch sub-op",
+    }),
+    Rule("listeners_opened", lambda: _calls("listen"), {
+        ("net/network.py", "Network.serve_connections"):
+            "the one accept loop of every stream server",
+        (_PROXY, "SpaceProxy.notify.attempt"):
+            "the notify dial-back, whose first event is read at once",
     }),
     Rule("router_socket_calls",
          lambda: _calls("send", "receive", "connect", under=_SHARDING), {}),

@@ -89,15 +89,15 @@ def test_server_refuses_encoded_writes_that_are_not_entry_frames(rt, env):
 
     def body():
         proxy = SpaceProxy(net, "client", SERVER)
-        proxy._call_once("write", write_args(entry_data=good))
+        proxy._attempt("write", write_args(entry_data=good))
         before = _state(space)
         for what, frame in refused.items():
             with pytest.raises(SpaceError):
-                proxy._call_once("write", write_args(entry_data=frame))
+                proxy._attempt("write", write_args(entry_data=frame))
             assert _state(space) == before, what
             with pytest.raises(SpaceError):     # all of a batch or nothing
-                proxy._call_once("write_all",
-                            write_args(entries_data=[good, frame]))
+                proxy._attempt("write_all",
+                               write_args(entries_data=[good, frame]))
             assert _state(space) == before, what
         # A memoryview cannot cross the wire; the in-process door holds.
         with pytest.raises(EntryError):

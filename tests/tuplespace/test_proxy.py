@@ -177,7 +177,7 @@ def test_remote_error_is_marshalled(rt, env):
     def proc():
         proxy = SpaceProxy(net, "worker", SERVER)
         try:
-            proxy._call_once("bogus_op", {})
+            proxy._attempt("bogus_op", {})
         except SpaceError as exc:
             proxy.close()
             return str(exc)

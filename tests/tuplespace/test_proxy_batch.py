@@ -7,6 +7,7 @@ import pytest
 from repro.errors import SpaceError, TransactionError
 from repro.net import Address, LatencyModel, Network
 from repro.tuplespace import JavaSpace, SpaceProxy, SpaceServer
+from repro.tuplespace.ops import Call
 from repro.util.codec import encode_entry
 from tests.tuplespace.entries import TaskEntry
 
@@ -31,15 +32,16 @@ def run(rt, fn):
 
 
 def counted(proxy):
-    """Wrap the proxy's batch transport with an RPC counter."""
+    """Count the proxy's batch RPCs, by their sub-ops."""
     calls = []
-    original = proxy._batch_once
+    original = proxy._send_request
 
-    def spy(ops):
-        calls.append(len(ops))
-        return original(ops)
+    def spy(op, args):
+        if op == "batch":
+            calls.append(len(args["ops"]))
+        return original(op, args)
 
-    proxy._batch_once = spy
+    proxy._send_request = spy
     return calls
 
 
@@ -156,19 +158,39 @@ class RemoteStub:
 def test_bad_batch_ref_is_rejected(rt, env):
     net, space = env
 
-    def body():
-        proxy = SpaceProxy(net, "client", SERVER)
-        ops = [("write", {"entry_data": encode_entry(TaskEntry("a", 1, None)),
-                          "lease_ms": float("inf"),
-                          "txn_id": {"batch_ref": 5}})]
-        replies = proxy._call_batch(ops)
-        proxy.close()
-        return replies
+    def in_a_batch(proxy):
+        ops = [{"op": "write", "args": {
+            "entry_data": encode_entry(TaskEntry("a", 1, None)),
+            "lease_ms": float("inf"), "txn_id": {"batch_ref": 5}}}]
+        return proxy._invoke(Call("batch", ops))["replies"]
 
-    replies = run(rt, body)
-    assert len(replies) == 1
-    assert not replies[0]["ok"]
-    assert replies[0]["type"] == "TransactionError"
+    def lone(proxy):
+        # A lone request naming the placeholder of a batch that has not
+        # flushed: no transaction of the connection.
+        txn = proxy.batch().txn_create()
+        with pytest.raises(TransactionError) as caught:
+            proxy.write(TaskEntry("a", 1, None), txn=txn)
+        return [{"ok": False, "type": type(caught.value).__name__}]
+
+    def lone_commit(proxy):
+        proxy.transaction()     # the connection holds a real one too
+        txn = proxy.batch().txn_create()
+        with pytest.raises(TransactionError) as caught:
+            txn.commit()
+        return [{"ok": False, "type": type(caught.value).__name__}]
+
+    for form in (in_a_batch, lone, lone_commit):
+        def body():
+            proxy = SpaceProxy(net, "client", SERVER)
+            replies = form(proxy)
+            proxy.close()
+            return replies
+
+        replies = run(rt, body)
+        assert len(replies) == 1, form.__name__
+        assert not replies[0]["ok"]
+        assert replies[0]["type"] == "TransactionError"
+        assert space.count(TaskEntry()) == 0
 
 
 def test_nested_batch_is_not_batchable(rt, env):
@@ -176,7 +198,8 @@ def test_nested_batch_is_not_batchable(rt, env):
 
     def body():
         proxy = SpaceProxy(net, "client", SERVER)
-        replies = proxy._call_batch([("batch", {"ops": []})])
+        replies = proxy._invoke(Call(
+            "batch", [{"op": "batch", "args": {"ops": []}}]))["replies"]
         proxy.close()
         return replies
 
