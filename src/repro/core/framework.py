@@ -44,7 +44,6 @@ from repro.tuplespace.durable import DurableSpace, HotStandby
 from repro.tuplespace.entry import Entry
 from repro.tuplespace.failover import (
     HEARTBEAT_MS,
-    MAX_MISSES,
     JiniSpaceLocator,
     SpaceSupervisor,
 )
@@ -70,11 +69,6 @@ LOOKUP_PORT = 4162
 #: module … runs on an 800 MHz … PC with 256 MB RAM."
 JINI_FOOTPRINT_MB = 48
 SPACE_FOOTPRINT_MB = 64
-
-#: A master that reaches the space over RPC retries once per supervisor
-#: heartbeat; this many attempts outlast a failover (promotion takes
-#: ``MAX_MISSES`` heartbeats plus the lease wait).
-_MASTER_SPACE_RETRIES = 8 * MAX_MISSES
 
 #: Pause before a killed master is restarted (:meth:`run_with_recovery`).
 _MASTER_RESTART_DELAY_MS = 500.0
@@ -432,7 +426,7 @@ class AdaptiveClusterFramework:
             # AdmissionError is a pre-dispatch rejection, so the master's
             # guard may re-issue the op verbatim after the server's
             # retry-after hint; this floor keeps the guard's loop alive.
-            retry_ms = AdmissionConfig.retry_after_ms
+            retry_ms = AdmissionConfig.RETRY_AFTER_MS
         return Master(
             self.runtime, self.cluster.master, space, app, self.metrics,
             straggler_timeout_ms=config.straggler_timeout_ms,
@@ -442,7 +436,6 @@ class AdaptiveClusterFramework:
             checkpoint_ms=(config.master_checkpoint_ms if checkpointing
                            else None),
             space_retry_ms=retry_ms,
-            space_max_retries=_MASTER_SPACE_RETRIES,
             seed_batch=config.master_seed_batch,
             drain_batch=config.master_drain_batch,
             tracer=self.tracer,
@@ -546,11 +539,7 @@ class AdaptiveClusterFramework:
                 # can promote a rival: enable the fence check and grant the
                 # primary lease the supervisor's probes will keep renewing.
                 server.fencing = True
-                server.grant_lease(HEARTBEAT_MS * MAX_MISSES)
-                # With a standby that may be promoted, an ack the standby
-                # never saw is a future lost write — gate on its
-                # confirmation (drop the client unanswered on timeout).
-                server.sync_replication = True
+                server.grant_lease(SpaceSupervisor.lease_ms)
             server.start()
             self.space_servers.append(server)
         self.space_server = self.space_servers[0]
@@ -637,7 +626,6 @@ class AdaptiveClusterFramework:
                 address=shard.standby_address,
                 name=f"space-standby:{self.app.app_id}{shard.suffix}",
                 metrics=self.metrics,
-                sync_replication=True,
             )
             standby.start()
             self.standbys.append(standby)

@@ -36,6 +36,7 @@ from repro.errors import (
 )
 from repro.node.machine import Node
 from repro.runtime.base import Runtime
+from repro.tuplespace.failover import MAX_MISSES
 from repro.tuplespace.lease import FOREVER
 from repro.tuplespace.space import JavaSpace
 
@@ -81,6 +82,16 @@ class Master:
     construction).
     """
 
+    #: Replicas eager scheduling writes of one straggling task, at most.
+    MAX_REPLICAS = 2
+    #: Lease of the checkpoint entry; the master renews it at half-life.
+    CHECKPOINT_LEASE_MS = 60_000.0
+    #: Retries of one space operation, one per ``space_retry_ms``: a
+    #: master that reaches the space over RPC retries once per supervisor
+    #: heartbeat, and this many attempts outlast a failover (promotion
+    #: takes ``MAX_MISSES`` heartbeats plus the lease wait).
+    SPACE_MAX_RETRIES = 8 * MAX_MISSES
+
     def __init__(
         self,
         runtime: Runtime,
@@ -89,14 +100,11 @@ class Master:
         app: Application,
         metrics: Metrics,
         straggler_timeout_ms: Optional[float] = None,
-        max_replicas: int = 2,
         model_time: bool = True,
         dead_letter_poll_ms: float = 1_000.0,
         give_up_after_ms: Optional[float] = None,
         checkpoint_ms: Optional[float] = None,
-        checkpoint_lease_ms: float = 60_000.0,
         space_retry_ms: Optional[float] = None,
-        space_max_retries: int = 20,
         seed_batch: int = 1,
         drain_batch: int = 1,
         tracer: Any = None,
@@ -122,7 +130,6 @@ class Master:
         self.latency_hist = latency_hist
         self._task_seeded: dict[int, float] = {}
         self.straggler_timeout_ms = straggler_timeout_ms
-        self.max_replicas = max_replicas
         self.model_time = model_time  # charge planning/agg CPU (simulation only)
         #: How often the aggregation loop wakes to drain dead letters when
         #: no result arrives (virtual-time polls are one heap event each).
@@ -132,17 +139,15 @@ class Master:
         #: ``None`` (default) keeps the wait-for-last-task semantics.
         self.give_up_after_ms = give_up_after_ms
         #: Checkpoint/resume: a :class:`MasterCheckpointEntry` in the space
-        #: (lease ``checkpoint_lease_ms``) trails the master's progress by at
+        #: (lease ``CHECKPOINT_LEASE_MS``) trails the master's progress by at
         #: most ``checkpoint_ms``; a restarted master adopts it and completes
         #: the job exactly-once.  ``None`` disables checkpointing.
         self.checkpoint_ms = checkpoint_ms
-        self.checkpoint_lease_ms = checkpoint_lease_ms
         #: Failover tolerance: retry space operations that hit a dropped
         #: connection (the proxy only auto-retries idempotent ops).  A lost
         #: take may drop one in-flight result — eager scheduling recomputes
         #: it and the results-dict dedup keeps aggregation exactly-once.
         self.space_retry_ms = space_retry_ms
-        self.space_max_retries = space_max_retries
         #: Pipelining: seed tasks in chunks of ``seed_batch`` via one
         #: write_all per chunk, and drain up to ``drain_batch`` results
         #: per round trip via take_multiple.  1/1 = the classic
@@ -205,7 +210,7 @@ class Master:
                 if self.space_retry_ms is None:
                     raise
                 attempt += 1
-                if attempt > self.space_max_retries:
+                if attempt > self.SPACE_MAX_RETRIES:
                     raise
                 self.metrics.event("master-space-retry", app=self.app.app_id,
                                    attempt=attempt)
@@ -219,7 +224,7 @@ class Master:
                 if self.space_retry_ms is None:
                     raise
                 attempt += 1
-                if attempt > self.space_max_retries:
+                if attempt > self.SPACE_MAX_RETRIES:
                     raise
                 self.metrics.event("master-admission-retry",
                                    app=self.app.app_id, attempt=attempt,
@@ -619,7 +624,7 @@ class Master:
         """
         state = (len(results), len(dead), self.duplicate_results,
                  self.replicated_tasks)
-        renew_at = self._ckpt_at + self.checkpoint_lease_ms / 2
+        renew_at = self._ckpt_at + self.CHECKPOINT_LEASE_MS / 2
         if state == self._ckpt_state:
             return renew_at, "lease", state
         return (min(self._ckpt_at + self.checkpoint_ms, renew_at),
@@ -678,7 +683,7 @@ class Master:
                        if ckpt is not None or self.drain_batch > 1 else None)
             space = self.space if batcher is None else batcher()
             if ckpt is not None:
-                space.write(ckpt, lease_ms=self.checkpoint_lease_ms)
+                space.write(ckpt, lease_ms=self.CHECKPOINT_LEASE_MS)
                 if old is not None:
                     space.take(old, timeout_ms=0.0)
             if self.drain_batch > 1:
@@ -742,13 +747,13 @@ class Master:
 
         Only tasks with no visible entry left in the space (i.e. taken by
         some worker that has gone quiet) are replicated, at most
-        ``max_replicas`` times each.  Dead-lettered tasks are not raced:
+        ``MAX_REPLICAS`` times each.  Dead-lettered tasks are not raced:
         they failed deterministically, another attempt would too.
         """
         for task_id, task in task_by_id.items():
             if task_id in results or task_id in dead:
                 continue
-            if replicas.get(task_id, 0) >= self.max_replicas:
+            if replicas.get(task_id, 0) >= self.MAX_REPLICAS:
                 continue
             probe = TaskEntry(app_id=self.app.app_id, task_id=task_id)
             if self._read_if_exists(probe) is not None:

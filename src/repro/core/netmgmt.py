@@ -19,9 +19,8 @@ Nothing here is a process: connections are accepted and registrations
 read by callback, and each monitor is one timer chain — a poll's answer
 schedules the next poll ``poll_interval_ms`` later.
 
-The monitored OID is the *external* load by default (load excluding the
-framework's own worker process — see DESIGN.md §5 for why), switchable to
-total load for ablations.
+The monitored OID is the *external* load (load excluding the framework's
+own worker process — see DESIGN.md §5 for why).
 """
 
 from __future__ import annotations
@@ -71,14 +70,11 @@ class NetworkManagementModule:
         inference: InferenceEngine,
         poll_interval_ms: float = 1000.0,
         community: str = "public",
-        load_metric: str = "external",
         port: int = RULEBASE_PORT,
         mode: str = "poll",
         trap_port: Optional[int] = None,
         registry: Any = None,
     ) -> None:
-        if load_metric not in ("external", "total"):
-            raise ValueError(f"load_metric must be 'external' or 'total': {load_metric}")
         if mode not in ("poll", "trap"):
             raise ValueError(f"mode must be 'poll' or 'trap': {mode}")
         self.runtime = runtime
@@ -87,11 +83,6 @@ class NetworkManagementModule:
         self.metrics = metrics
         self.inference = inference
         self.poll_interval_ms = poll_interval_ms
-        self.load_oid = (
-            HOST_RESOURCES.EXTERNAL_LOAD
-            if load_metric == "external"
-            else HOST_RESOURCES.HR_PROCESSOR_LOAD
-        )
         self.mode = mode
         self._trap_port = trap_port
         self.snmp = SnmpManager(runtime, network, host, community=community)
@@ -216,7 +207,8 @@ class NetworkManagementModule:
             self._end(client)
             return
         self.stats["polls"] += 1
-        client.session.fetch(client.record.hostname, self.load_oid,
+        client.session.fetch(client.record.hostname,
+                             HOST_RESOURCES.EXTERNAL_LOAD,
                              partial(self._on_sample, client))
 
     def _on_sample(self, client: _Client, load: Any,
@@ -237,7 +229,8 @@ class NetworkManagementModule:
         """One blocking SNMP poll + inference decision for a worker."""
         self.stats["polls"] += 1
         try:
-            load = float(self.snmp.get_one(record.hostname, self.load_oid))
+            load = float(self.snmp.get_one(record.hostname,
+                                           HOST_RESOURCES.EXTERNAL_LOAD))
         except (TimeoutError_, SnmpError):
             return self._feed(record, None)
         return self._feed(record, load)

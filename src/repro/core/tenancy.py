@@ -8,17 +8,17 @@ from typing import Any
 
 from repro.core.entries import TaskEntry
 from repro.core.signals import Signal
+from repro.tuplespace.proxy import URGENT_PRIORITY
 
 __all__ = ["PreemptionGovernor"]
 
 
 class PreemptionGovernor:
-    """Tasks at ``priority >= priority_cutoff`` (``None`` reads 0) are urgent."""
+    """Tasks at ``priority >= URGENT_PRIORITY`` (``None`` reads 0) are urgent."""
 
-    def __init__(self, framework: Any, poll_ms: float = 500.0,
-                 priority_cutoff: int = 1) -> None:
+    def __init__(self, framework: Any, poll_ms: float = 500.0) -> None:
         self.framework, self.runtime = framework, framework.runtime
-        self.poll_ms, self.priority_cutoff, self.running = poll_ms, priority_cutoff, False
+        self.poll_ms, self.running = poll_ms, False
         self.stats = {"polls": 0, "preemptions": 0, "tasks_released": 0}
 
     def start(self) -> None:
@@ -32,7 +32,7 @@ class PreemptionGovernor:
         if not self.running:
             return
         self.stats["polls"] += 1
-        framework, cutoff, held, paused = self.framework, self.priority_cutoff, [], 0
+        framework, cutoff, held, paused = self.framework, URGENT_PRIORITY, [], 0
         urgent = any((task.priority or 0) >= cutoff for task in [
             task for space in framework.current_spaces()   # read every space:
             for task in space.contents(TaskEntry())])      # contents reaps

@@ -384,7 +384,7 @@ class WorkerHost:
                     disconnects += 1
                     if disconnected_at is None:
                         disconnected_at = self.runtime.now()
-                    if disconnects > self.recovery.max_retries:
+                    if disconnects > self.recovery.MAX_RETRIES:
                         self.metrics.event(
                             "worker-gave-up", worker=self.node.hostname,
                             attempts=disconnects - 1,

@@ -1,8 +1,8 @@
-"""Network latency / loss model.
+"""Network latency model.
 
 A simple affine model suited to the paper's 100 Mb/s LAN setting:
-``delay = base + jitter·U(0,1) + per_kb · size/1024``.  Loss applies to
-datagrams only (streams are reliable, as TCP is).
+``delay = base + jitter·U(0,1) + per_kb · size/1024``.  Loss is a fault,
+injected by a :class:`~repro.net.network.ChaosProfile`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ class LatencyModel:
     base_ms: float = 0.3
     jitter_ms: float = 0.1
     per_kb_ms: float = 0.08
-    loss_probability: float = 0.0
     #: When set, each host's egress is a serial link of this capacity:
     #: concurrent sends from one host queue behind each other.  ``None``
     #: keeps the simple affine model (no contention).
@@ -36,11 +35,6 @@ class LatencyModel:
             jitter = self.jitter_ms * float(rng.random())
         return self.base_ms + jitter + self.per_kb_ms * (size_bytes / 1024.0)
 
-    def drops(self, rng: Optional[np.random.Generator] = None) -> bool:
-        if self.loss_probability <= 0.0 or rng is None:
-            return False
-        return bool(rng.random() < self.loss_probability)
 
-
-#: Zero-latency, lossless model for unit tests.
-IDEAL = LatencyModel(base_ms=0.0, jitter_ms=0.0, per_kb_ms=0.0, loss_probability=0.0)
+#: Zero-latency model for unit tests.
+IDEAL = LatencyModel(base_ms=0.0, jitter_ms=0.0, per_kb_ms=0.0)

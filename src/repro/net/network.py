@@ -286,7 +286,14 @@ class Listener:
         return self._pending.get(timeout_ms)
 
     def close(self) -> None:
-        self._pending.close()
+        """Stop accepting, and hang up on each connection dialled but not
+        yet accepted: its client hears EOF one link latency later instead
+        of waiting for a reply nobody will send."""
+        pending = self._pending
+        if not pending.closed:
+            while (conn := pending.poll()) is not None:
+                conn.close()
+        pending.close()
         self._network._unbind_listener(self.address)
 
 
@@ -501,17 +508,12 @@ class Network:
                 if self._partitioned(source.host, member.address.host):
                     self.stats["dropped"] += 1
                     self.stats["partition_dropped"] += 1
-                elif self.latency.drops(self._rng):     # as a unicast copy
-                    self.stats["dropped"] += 1
                 else:
                     self._schedule_datagram(data, source, member)
             return
         if self._partitioned(source.host, destination.host):
             self.stats["dropped"] += 1
             self.stats["partition_dropped"] += 1
-            return
-        if self.latency.drops(self._rng):
-            self.stats["dropped"] += 1
             return
         target = self._datagram.get(destination)
         if target is None:

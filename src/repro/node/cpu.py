@@ -46,9 +46,11 @@ _time = itemgetter(0)
 class UtilizationRecorder:
     """Step-function record of (total, external) CPU utilization."""
 
-    def __init__(self, runtime: Runtime, keep_ms: float = 600_000.0) -> None:
+    #: History kept for averages, in ms: ten minutes.
+    KEEP_MS = 600_000.0
+
+    def __init__(self, runtime: Runtime) -> None:
         self._runtime = runtime
-        self._keep_ms = keep_ms
         self._steps: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)]
 
     def record(self, total: float, external: float) -> None:
@@ -65,7 +67,7 @@ class UtilizationRecorder:
         if last[1] != total or last[2] != external:
             steps.append((now, total, external))
         # Keep one sample at/before the cutoff so integration stays exact.
-        cutoff = now - self._keep_ms
+        cutoff = now - self.KEEP_MS
         if len(steps) > 2 and steps[1][0] <= cutoff:
             keep_from = bisect_right(steps, cutoff, lo=1, key=_time) - 1
             del steps[:min(keep_from, len(steps) - 2)]
@@ -111,19 +113,13 @@ class CpuModel:
         self,
         runtime: Runtime,
         speed_mhz: float,
-        ref_mhz: float = REFERENCE_MHZ,
-        min_share_percent: float = 0.0,
     ) -> None:
-        """``min_share_percent`` > 0 models OS time-slicing fairness: a
-        foreign task always gets at least that CPU share even under a
-        saturating background load (ablation knob; 0 = pure processor
-        sharing, where 100 % background fully starves the task)."""
+        """Pure processor sharing: a 100 % background load starves a
+        foreign task until it eases."""
         if speed_mhz <= 0:
             raise SimulationError(f"speed must be positive: {speed_mhz}")
         self.runtime = runtime
         self.speed_mhz = speed_mhz
-        self.ref_mhz = ref_mhz
-        self.min_share_percent = min_share_percent
         self.recorder = UtilizationRecorder(runtime)
         self._now = runtime.now
         self._background: dict[str, float] = {}
@@ -168,7 +164,7 @@ class CpuModel:
         running = len(tasks)
         if not running:
             foreign = 0
-        elif running == 1 and self.min_share_percent <= 0.0:
+        elif running == 1:
             self._per_task = share = 100.0 - background
             demand = tasks[0]
             foreign = demand if demand <= share else share  # min(), inline
@@ -186,10 +182,7 @@ class CpuModel:
 
     def _share(self, demand: float) -> float:
         """Fair processor-sharing slice for one running foreign task."""
-        share = min(demand, self._per_task)
-        if self.min_share_percent > 0.0:
-            share = max(share, min(self.min_share_percent, demand))
-        return share
+        return min(demand, self._per_task)
 
     def foreign_percent(self) -> float:
         """Instantaneous share consumed by all foreign tasks together."""
@@ -242,8 +235,8 @@ class CpuModel:
 
         A charge is starved — parked until the load eases — only while
         the CPU would give it less than ``STARVED_PERCENT`` whatever it
-        asked for: its fair slice and ``min_share_percent`` are both
-        below it.  A small demand of its own never starves it.
+        asked for: its fair slice is below it.  A small demand of its own
+        never starves it.
 
         Returns ``(elapsed_local_ms, completed)``.
         """
@@ -251,9 +244,8 @@ class CpuModel:
             raise SimulationError(f"negative work: {work_ref_ms}")
         if demand_percent <= 0 and work_ref_ms > 0:
             raise SimulationError(f"no CPU demand for work: {demand_percent}")
-        remaining = work_ref_ms * (self.ref_mhz / self.speed_mhz)
+        remaining = work_ref_ms * (REFERENCE_MHZ / self.speed_mhz)
         demand = max(0.0, min(100.0, demand_percent))
-        floor = self.min_share_percent
         tasks = self._tasks
         change = self._change
         with self._lock:
@@ -271,14 +263,12 @@ class CpuModel:
                         break
                     # One slice: the share and rate it runs at, one timer.
                     per_task = self._per_task
-                    if per_task < STARVED_PERCENT and floor < STARVED_PERCENT:
+                    if per_task < STARVED_PERCENT:
                         # Starved: wait for load/competitors to ease off.
                         rate = timeout = None
                     else:
                         # _share(demand), inline: a call less per slice.
                         share = demand if demand <= per_task else per_task
-                        if floor > 0.0:
-                            share = max(share, min(floor, demand))
                         rate = share / 100.0
                         timeout = remaining / rate
                     self._parked += 1

@@ -54,30 +54,28 @@ class LoadSimulator1(_LoadSimulator):
     """Bursty 30–50 % traffic load (RTP/HTTP/multimedia mix)."""
 
     source_name = "loadsim1"
+    #: Each burst's level (%) and length (ms) are drawn uniformly from
+    #: these ranges.
+    LEVEL = (30.0, 50.0)
+    BURST_MS = (150.0, 450.0)
 
     def __init__(
         self,
         runtime: Runtime,
         node: Node,
         rng: Optional[np.random.Generator] = None,
-        low: float = 30.0,
-        high: float = 50.0,
-        burst_ms: tuple[float, float] = (150.0, 450.0),
     ) -> None:
         super().__init__(runtime, node)
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.low = low
-        self.high = high
-        self.burst_ms = burst_ms
 
     def _apply(self) -> None:
         self.runtime.spawn(self._burst_loop, name=f"loadsim1:{self.node.hostname}")
 
     def _burst_loop(self) -> None:
         while self.running:
-            level = float(self.rng.uniform(self.low, self.high))
+            level = float(self.rng.uniform(*self.LEVEL))
             self.node.cpu.set_background(self.source_name, level)
-            self.runtime.sleep(float(self.rng.uniform(*self.burst_ms)))
+            self.runtime.sleep(float(self.rng.uniform(*self.BURST_MS)))
         self.node.cpu.clear_background(self.source_name)
 
 

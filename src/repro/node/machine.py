@@ -39,6 +39,9 @@ SLOW_PC = MachineSpec(cpu_mhz=300.0, ram_mb=64)    # 300 MHz, 64 MB
 class Node:
     """One cluster member: machine + CPU + (optional) SNMP agent."""
 
+    #: The window the MIB's load gauges average over.
+    LOAD_WINDOW_MS = 1000.0
+
     def __init__(
         self,
         runtime: Runtime,
@@ -46,7 +49,6 @@ class Node:
         hostname: str,
         spec: MachineSpec,
         snmp_community: str = "public",
-        load_window_ms: float = 1000.0,
     ) -> None:
         self.runtime = runtime
         self.network = network
@@ -54,7 +56,6 @@ class Node:
         self.spec = spec
         self.cpu = CpuModel(runtime, spec.cpu_mhz)
         self.memory = MemoryModel(spec.ram_mb)
-        self.load_window_ms = load_window_ms
         self.snmp_community = snmp_community
         self._agent: Optional[SnmpAgent] = None
 
@@ -70,11 +71,11 @@ class Node:
         mib.register(HOST_RESOURCES.HR_STORAGE_USED_KB, self.memory.used_kb)
         mib.register(
             HOST_RESOURCES.HR_PROCESSOR_LOAD,
-            lambda: round(self.cpu.average_total(self.load_window_ms)),
+            lambda: round(self.cpu.average_total(self.LOAD_WINDOW_MS)),
         )
         mib.register(
             HOST_RESOURCES.EXTERNAL_LOAD,
-            lambda: round(self.cpu.average_external(self.load_window_ms)),
+            lambda: round(self.cpu.average_external(self.LOAD_WINDOW_MS)),
         )
         mib.register(
             HOST_RESOURCES.TOTAL_LOAD,

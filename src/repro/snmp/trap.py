@@ -92,6 +92,10 @@ class LoadBandTrapEmitter:
     transitions plus an initial announcement.
     """
 
+    #: How often the load is checked, and the window it averages over.
+    CHECK_INTERVAL_MS = 200.0
+    WINDOW_MS = 500.0
+
     def __init__(
         self,
         runtime: Runtime,
@@ -99,16 +103,12 @@ class LoadBandTrapEmitter:
         destination: Address,
         band_of: Callable[[float], str],
         community: str = "public",
-        check_interval_ms: float = 200.0,
-        window_ms: float = 500.0,
     ) -> None:
         self.runtime = runtime
         self.node = node
         self.destination = destination
         self.band_of = band_of
         self.community = community
-        self.check_interval_ms = check_interval_ms
-        self.window_ms = window_ms
         self.running = False
         self._ids = itertools.count(1)
         self._socket = None
@@ -130,7 +130,7 @@ class LoadBandTrapEmitter:
             self._socket.close()
 
     def _current_load(self) -> float:
-        return self.node.cpu.average_external(self.window_ms)
+        return self.node.cpu.average_external(self.WINDOW_MS)
 
     def _emit(self, load: float) -> None:
         trap = TrapV2(
@@ -151,7 +151,7 @@ class LoadBandTrapEmitter:
         load = self._current_load()
         self._band = self.band_of(load)
         self._emit(load)  # initial announcement recruits idle nodes
-        self.runtime.call_later(self.check_interval_ms, self._check)
+        self.runtime.call_later(self.CHECK_INTERVAL_MS, self._check)
 
     def _check(self) -> None:
         if not self.running:
@@ -161,4 +161,4 @@ class LoadBandTrapEmitter:
         if band != self._band:
             self._band = band
             self._emit(load)
-        self.runtime.call_later(self.check_interval_ms, self._check)
+        self.runtime.call_later(self.CHECK_INTERVAL_MS, self._check)

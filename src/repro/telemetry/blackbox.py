@@ -78,18 +78,19 @@ class PostmortemBundle:
 class FlightRecorder:
     """Bounded ring buffers of recent spans/events, dumpable on demand."""
 
-    def __init__(self, runtime: Any, span_capacity: int = 256,
-                 event_capacity: int = 512,
-                 history_tail: int = 64) -> None:
+    #: Spans kept per process, events kept in all, and history operations
+    #: a bundle carries (the newest of each).
+    SPAN_CAPACITY = 256
+    EVENT_CAPACITY = 512
+    HISTORY_TAIL = 64
+
+    def __init__(self, runtime: Any) -> None:
         self.runtime = runtime
-        self.span_capacity = int(span_capacity)
-        self.event_capacity = int(event_capacity)
-        self.history_tail = int(history_tail)
         self.bundles: list[PostmortemBundle] = []
         self.fault_plan: Optional[dict] = None
         self.watchdog: Any = None
         self._spans: dict[str, deque] = {}
-        self._events: deque = deque(maxlen=self.event_capacity)
+        self._events: deque = deque(maxlen=self.EVENT_CAPACITY)
         self._metrics: Any = None
         self._tracer: Any = None
         self._registry: Any = None
@@ -116,7 +117,7 @@ class FlightRecorder:
         proc = span.proc if span.proc is not None else "-"
         ring = self._spans.get(proc)
         if ring is None:
-            ring = self._spans[proc] = deque(maxlen=self.span_capacity)
+            ring = self._spans[proc] = deque(maxlen=self.SPAN_CAPACITY)
         ring.append(span)
 
     def _on_event(self, now: float, name: str, payload: dict) -> None:
@@ -141,7 +142,7 @@ class FlightRecorder:
         history = None
         if self._history is not None:
             ops = getattr(self._history, "ops", [])
-            tail = ops[-self.history_tail:]
+            tail = ops[-self.HISTORY_TAIL:]
             history = {
                 "total_ops": len(ops),
                 "tail": [

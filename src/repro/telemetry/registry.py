@@ -236,12 +236,10 @@ class MetricsSnapshotter:
     """
 
     def __init__(self, registry: Registry, metrics: Any,
-                 interval_ms: float = 1_000.0,
-                 prefix: str = "telemetry/") -> None:
+                 interval_ms: float = 1_000.0) -> None:
         self.registry = registry
         self.metrics = metrics
         self.interval_ms = float(interval_ms)
-        self.prefix = prefix
         #: Extra per-frame observers ``fn(now_ms)`` run after each
         #: snapshot (the SLO watchdog evaluates its rules here).  They
         #: ride the same on_advance hook, so they schedule nothing and
@@ -275,6 +273,6 @@ class MetricsSnapshotter:
                 now_ms - self._last_ms < self.interval_ms:
             return
         self._last_ms = now_ms
-        self.registry.snapshot_into(self.metrics, self.prefix)
+        self.registry.snapshot_into(self.metrics)
         for observer in self.on_frame:
             observer(now_ms)

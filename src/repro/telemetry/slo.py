@@ -131,17 +131,16 @@ class _RuleState:
 
 
 class SloWatchdog:
-    """Evaluate SLO rules against a registry, once per snapshot frame."""
+    """Evaluate :data:`DEFAULT_RULES` against a registry, once per
+    snapshot frame."""
 
-    def __init__(self, registry: Any, rules=DEFAULT_RULES,
-                 metrics: Any = None, tracer: Any = None) -> None:
+    def __init__(self, registry: Any, metrics: Any = None,
+                 tracer: Any = None) -> None:
         self.registry = registry
-        self.rules = tuple(SloRule.parse(r) if isinstance(r, str) else r
-                           for r in rules)
         self.metrics = metrics
         self.tracer = tracer
         self.alerts: list[SloAlert] = []
-        self._states = {rule.name: _RuleState() for rule in self.rules}
+        self._states = {rule.name: _RuleState() for rule in DEFAULT_RULES}
 
     # -- wiring --------------------------------------------------------------
 
@@ -156,7 +155,7 @@ class SloWatchdog:
         return [a for a in self.alerts if a.active]
 
     def to_dict(self) -> dict:
-        return {"rules": [r.describe() for r in self.rules],
+        return {"rules": [r.describe() for r in DEFAULT_RULES],
                 "alerts": [a.to_dict() for a in self.alerts]}
 
     # -- evaluation ----------------------------------------------------------
@@ -190,7 +189,7 @@ class SloWatchdog:
         samples: dict[str, list] = {}
         for name, labels, kind, instrument in self.registry.samples():
             samples.setdefault(name, []).append((labels, instrument))
-        for rule in self.rules:
+        for rule in DEFAULT_RULES:
             state = self._states[rule.name]
             value = self._read(rule, samples, now_ms, state)
             breached = value is not None and rule.breached(value)

@@ -88,7 +88,6 @@ class DurableSpace(JavaSpace):
         wal: Optional[WriteAheadLog] = None,
         snapshot_every: Optional[int] = 64,
         fsync_policy: str = "always",
-        group_size: int = 64,
         group_commit_ms: Optional[float] = None,
         codec: str = "compact",
     ) -> None:
@@ -97,7 +96,7 @@ class DurableSpace(JavaSpace):
         super().__init__(runtime, name)
         if wal is None:
             wal = WriteAheadLog(
-                WalStore(fsync_policy=fsync_policy, group_size=group_size),
+                WalStore(fsync_policy=fsync_policy),
                 group_ms=group_commit_ms,
             )
         self.wal = wal
@@ -217,12 +216,17 @@ class DurableSpace(JavaSpace):
 class HotStandby:
     """Tails a primary space's commit stream into a local durable replica.
 
-    The tail loop reconnects (bounded by ``max_retries`` consecutive
-    failures) so a primary *restart* resumes replication; a primary
-    *death* leaves the loop backing off until a supervisor calls
-    :meth:`promote`, which stops the tail and serves the caught-up
-    replica on ``address``.
+    The tail loop reconnects every ``RETRY_MS`` (bounded by
+    ``MAX_RETRIES`` consecutive failures) so a primary *restart* resumes
+    replication; a primary *death* leaves the loop backing off until a
+    supervisor calls :meth:`promote`, which stops the tail and serves the
+    caught-up replica on ``address``.  The promoted server gates its
+    replies on its own standby's acks once one attaches (see
+    ``SpaceServer._hold_reply``).
     """
+
+    RETRY_MS = 200.0
+    MAX_RETRIES = 50
 
     def __init__(
         self,
@@ -233,10 +237,7 @@ class HotStandby:
         address: Address,
         name: str = "JavaSpaces-standby",
         snapshot_every: Optional[int] = 64,
-        retry_ms: float = 200.0,
-        max_retries: int = 50,
         metrics: Any = None,
-        sync_replication: bool = False,
         repl_ack_timeout_ms: float = 500.0,
     ) -> None:
         self.runtime = runtime
@@ -246,12 +247,8 @@ class HotStandby:
         self.address = address
         self.space = DurableSpace(runtime, name=name,
                                   snapshot_every=snapshot_every)
-        self.retry_ms = retry_ms
-        self.max_retries = max_retries
         self.metrics = metrics
-        #: Carried onto the server this standby becomes when promoted, so
-        #: commit-gating survives a failover chain.
-        self.sync_replication = sync_replication
+        #: Carried onto the server this standby becomes when promoted.
         self.repl_ack_timeout_ms = repl_ack_timeout_ms
         self.caught_up = False
         self.promoted = False
@@ -299,7 +296,6 @@ class HotStandby:
             txn_manager=txn_manager,
         )
         self.server.fencing = True
-        self.server.sync_replication = self.sync_replication
         self.server.repl_ack_timeout_ms = self.repl_ack_timeout_ms
         self.server.start()
         if self.metrics is not None:
@@ -318,11 +314,11 @@ class HotStandby:
         feed is served by :meth:`_on_feed` and the process ends."""
         while self._running and not self.promoted:
             if failures:
-                if failures > self.max_retries:
+                if failures > self.MAX_RETRIES:
                     if self.metrics is not None:
                         self.metrics.event("standby-gave-up", host=self.host)
                     return
-                self.runtime.sleep(self.retry_ms)
+                self.runtime.sleep(self.RETRY_MS)
                 if not self._running or self.promoted:
                     break
             try:
@@ -341,7 +337,7 @@ class HotStandby:
                 # primary on the feed connection, the direction an egress
                 # partition of the primary leaves open, which is what lets
                 # a cut-off primary *notice* replication has stalled and
-                # stop acknowledging clients (see SpaceServer.sync_replication).
+                # stop acknowledging clients (see SpaceServer._hold_reply).
                 conn.send({"repl_ack": self.space.wal.last_lsn})
             except self._FEED_LOST:
                 if not self._running or self.promoted:

@@ -8,7 +8,7 @@ hammering a dead address.
 :class:`SpaceSupervisor` is the control half — it heartbeats the primary
 :class:`~repro.tuplespace.proxy.SpaceServer` (one probe per heartbeat and
 *host pair*, shared by every supervisor watching a primary on that host:
-:class:`_HostProbe`) and, after ``max_misses`` consecutive missed probes,
+:class:`_HostProbe`) and, after ``MAX_MISSES`` consecutive missed probes,
 promotes the :class:`~repro.tuplespace.durable.HotStandby`,
 cancels the primary's lookup registration and registers the standby's
 address under the same service attributes.  From that point every
@@ -39,9 +39,10 @@ from repro.tuplespace.transaction import TransactionManager
 
 __all__ = ["JiniSpaceLocator", "SpaceSupervisor", "HEARTBEAT_MS", "MAX_MISSES"]
 
-#: Supervisor probe period, and the consecutive missed probes that
-#: trigger promotion.  The deployment sizes the primary's first lease and
-#: paces its masters' space retries by the same two figures.
+#: Supervisor probe period (and each probe's reply deadline), and the
+#: consecutive missed probes that trigger promotion.  The deployment
+#: sizes the primary's first lease and paces its masters' space retries
+#: by the same two figures.
 HEARTBEAT_MS = 250.0
 MAX_MISSES = 3
 
@@ -94,7 +95,7 @@ class JiniSpaceLocator:
 class _HostProbe:
     """The heartbeat of every supervisor on one host towards the
     primaries of one host: one event-driven probe round per
-    ``heartbeat_ms`` — no sleeping process, and not one ping per shard.
+    ``HEARTBEAT_MS`` — no sleeping process, and not one ping per shard.
 
     A round is one ``ping`` on a standing connection to the first watched
     primary that accepts a dial; the other primaries' lease bounds ride
@@ -104,7 +105,7 @@ class _HostProbe:
     and recorded by its supervisor the moment the message is on the wire.
     With one primary per host the round *is* the old per-supervisor ping:
     same message, same instants.  The next round is scheduled
-    ``heartbeat_ms`` after this one resolved.
+    ``HEARTBEAT_MS`` after this one resolved.
     """
 
     def __init__(self, supervisor: "SpaceSupervisor") -> None:
@@ -112,8 +113,6 @@ class _HostProbe:
         self.network = supervisor.network
         self.host = supervisor.host
         self.primary_host = supervisor.primary_address.host
-        self.heartbeat_ms = supervisor.heartbeat_ms
-        self.timeout_ms = supervisor.probe_timeout_ms
         #: Watching supervisors, in joining order (the dial order).
         self.members: list["SpaceSupervisor"] = []
         self._conn: Optional[StreamSocket] = None
@@ -148,7 +147,7 @@ class _HostProbe:
                 self._drop()
 
     def _schedule(self) -> None:
-        self._next = self.runtime.call_later(self.heartbeat_ms, self._round)
+        self._next = self.runtime.call_later(HEARTBEAT_MS, self._round)
 
     def _drop(self) -> None:
         if self._timer is not None:
@@ -212,7 +211,7 @@ class _HostProbe:
             member._sent_bound(now + member.lease_ms)
         self._early = statuses
         self._timer = self.runtime.call_later(
-            self.timeout_ms, partial(self._on_reply, True))
+            HEARTBEAT_MS, partial(self._on_reply, True))
         self._on_reply()    # arms the socket: nothing can be queued yet
 
     def _on_reply(self, timed_out: bool = False) -> None:
@@ -265,8 +264,8 @@ class _HostProbe:
 class SpaceSupervisor:
     """Promote the hot standby when the primary stops answering pings.
 
-    Detection is deliberately dumb — ``max_misses`` consecutive failed
-    probes at ``heartbeat_ms`` intervals — which makes the failover time
+    Detection is deliberately dumb — ``MAX_MISSES`` consecutive failed
+    probes at ``HEARTBEAT_MS`` intervals — which makes the failover time
     a deterministic function of the fault time under simulation.  The
     probes themselves are shared per host pair (:class:`_HostProbe`);
     the miss count, the lease bound, promotion and fencing are this
@@ -282,9 +281,6 @@ class SpaceSupervisor:
         primary_address: Address,
         registrar: Address,
         service_item: ServiceItem,
-        heartbeat_ms: float = HEARTBEAT_MS,
-        probe_timeout_ms: Optional[float] = None,
-        max_misses: int = MAX_MISSES,
         old_registration_id: Optional[int] = None,
         metrics: Any = None,
     ) -> None:
@@ -295,11 +291,6 @@ class SpaceSupervisor:
         self.primary_address = primary_address
         self.registrar = registrar
         self.service_item = service_item
-        self.heartbeat_ms = heartbeat_ms
-        self.probe_timeout_ms = (
-            probe_timeout_ms if probe_timeout_ms is not None else heartbeat_ms
-        )
-        self.max_misses = max_misses
         self.old_registration_id = old_registration_id
         self.metrics = metrics
         self.failed_over = False
@@ -322,17 +313,13 @@ class SpaceSupervisor:
         self._all_dead = True   # every miss so far was a hard refusal
         self._probe: Optional[_HostProbe] = None
 
-    @property
-    def lease_ms(self) -> float:
-        """Primary lease granted to whichever server we supervise.
-
-        Sized so the lease expires no later than a promotion can happen:
-        renewals ride every successful probe (one per ``heartbeat_ms``),
-        and promotion needs ``max_misses`` failed probes at the same
-        cadence — so a primary that stops hearing from us self-fences
-        before its replacement starts acknowledging writes.
-        """
-        return self.heartbeat_ms * self.max_misses
+    #: Primary lease granted to whichever server we supervise.  Sized so
+    #: the lease expires no later than a promotion can happen: renewals
+    #: ride every successful probe (one per ``HEARTBEAT_MS``), and
+    #: promotion needs ``MAX_MISSES`` failed probes at the same cadence —
+    #: so a primary that stops hearing from us self-fences before its
+    #: replacement starts acknowledging writes.
+    lease_ms = HEARTBEAT_MS * MAX_MISSES
 
     @property
     def epoch(self) -> int:
@@ -363,8 +350,7 @@ class SpaceSupervisor:
         self._misses = 0
         self._all_dead = True
         agents = self.network.node_agents
-        key = (self.host, ("probe", self.primary_address.host,
-                           self.heartbeat_ms, self.probe_timeout_ms))
+        key = (self.host, ("probe", self.primary_address.host))
         self._probe = agents.get(key)
         if self._probe is None:
             self._probe = agents[key] = _HostProbe(self)
@@ -421,7 +407,7 @@ class SpaceSupervisor:
         if self.metrics is not None:
             self.metrics.event("primary-heartbeat-miss", misses=self._misses,
                                status=status)
-        if self._misses >= self.max_misses:
+        if self._misses >= MAX_MISSES:
             # A run of pure connection-refusals proves nothing
             # listens there — no one holds a lease, promote at once.
             # Any "lost" probe (timeout, drop) leaves open that the
@@ -518,7 +504,7 @@ class SpaceSupervisor:
             status = self._send_fence(old_primary, epoch)
             if status in ("acked", "dead"):
                 break
-            self.runtime.sleep(self.heartbeat_ms)
+            self.runtime.sleep(HEARTBEAT_MS)
         if not self._running:
             return
         if self.metrics is not None:
@@ -531,7 +517,6 @@ class SpaceSupervisor:
             name=self.standby.space.name,
             snapshot_every=self.standby.space.snapshot_every,
             metrics=self.metrics,
-            sync_replication=self.standby.sync_replication,
             repl_ack_timeout_ms=self.standby.repl_ack_timeout_ms,
         )
         rejoined.start()
@@ -574,7 +559,7 @@ class SpaceSupervisor:
             return "retry"
         try:
             conn.send({"op": "fence", "args": {"epoch": epoch}})
-            reply = conn.receive(timeout_ms=self.probe_timeout_ms)
+            reply = conn.receive(timeout_ms=HEARTBEAT_MS)
             if (bool(reply) and bool(reply.get("ok"))
                     and bool(reply["value"].get("superseded"))):
                 return "acked"

@@ -44,7 +44,8 @@ from repro.tuplespace.transaction import Transaction, TransactionManager
 from repro.util.codec import decode_any, peek_class, read_fields
 
 __all__ = ["SpaceServer", "SpaceProxy", "ProxyBatch", "RemoteTransaction",
-           "RecoveryPolicy", "AdmissionConfig", "AdmissionController"]
+           "RecoveryPolicy", "AdmissionConfig", "AdmissionController",
+           "URGENT_PRIORITY"]
 
 
 @dataclass(frozen=True)
@@ -58,54 +59,56 @@ class RecoveryPolicy:
     without it a request lost to a partition would block forever.
     """
 
-    max_retries: int = 8
-    base_backoff_ms: float = 50.0
-    max_backoff_ms: float = 2_000.0
-    jitter: float = 0.5
+    #: Reconnects one call may make, and the backoff before each: doubling
+    #: from the base, capped, stretched by up to ``JITTER`` of itself.
+    MAX_RETRIES = 8
+    BASE_BACKOFF_MS = 50.0
+    MAX_BACKOFF_MS = 2_000.0
+    JITTER = 0.5
+
     call_timeout_ms: Optional[float] = 10_000.0
 
     def backoff_ms(self, attempt: int, rng: Any = None) -> float:
-        delay = min(self.max_backoff_ms,
-                    self.base_backoff_ms * (2.0 ** max(0, attempt - 1)))
-        if rng is not None and self.jitter > 0.0:
-            delay *= 1.0 + self.jitter * float(rng.random())
+        delay = min(self.MAX_BACKOFF_MS,
+                    self.BASE_BACKOFF_MS * (2.0 ** max(0, attempt - 1)))
+        if rng is not None:
+            delay *= 1.0 + self.JITTER * float(rng.random())
         return delay
+
+
+#: Tasks at this priority or above are urgent (an entry without a
+#: priority reads 0): admission never sheds them at the soft watermark,
+#: and the preemption governor frees workers for them.
+URGENT_PRIORITY = 1
 
 
 @dataclass(frozen=True)
 class AdmissionConfig:
     """Per-tenant admission policy enforced by a :class:`SpaceServer`.
 
-    All limits apply to *tenant-tagged* task writes only (an entry whose
-    class is in ``class_names`` and whose ``tenant`` field is set), so
-    single-tenant deployments — and every other entry class: results,
-    checkpoints, dead letters — are never throttled.  Rates are metered
-    on the simulation clock, so admission decisions replay exactly.
+    All limits apply to *tenant-tagged* task writes only (a
+    ``TaskEntry`` whose ``tenant`` field is set), so single-tenant
+    deployments — and every other entry class: results, checkpoints,
+    dead letters — are never throttled.  Rates are metered on the
+    simulation clock, so admission decisions replay exactly.
     """
 
-    #: Per-tenant cap on queued (unclaimed) tasks in the space.
-    max_in_flight: Optional[int] = None
-    #: Per-tenant token-bucket refill rate, task writes per second.
-    write_rate_per_s: Optional[float] = None
+    #: Entry classes under admission control.
+    CLASS_NAMES = ("TaskEntry",)
     #: Token-bucket capacity (burst size), in task writes.
-    write_burst: float = 16.0
-    #: Total task backlog at which the server starts shedding: writes
-    #: with ``priority < shed_below_priority`` are rejected.
-    queue_soft_watermark: Optional[int] = None
-    #: Total task backlog at which *every* tenant-tagged task write is
-    #: rejected regardless of priority.
-    queue_hard_watermark: Optional[int] = None
-    #: Priority cutoff for soft-watermark shedding (entries without a
-    #: priority count as 0 — the lowest, shed first).
-    shed_below_priority: int = 1
+    WRITE_BURST = 16.0
     #: Retry-after hint for quota/watermark rejections (token-bucket
     #: rejections compute the exact refill time instead).
-    retry_after_ms: float = 100.0
-    #: Per-tenant overrides of ``max_in_flight`` / ``write_rate_per_s``.
+    RETRY_AFTER_MS = 100.0
+
+    #: Total task backlog at which the server starts shedding: writes
+    #: below ``URGENT_PRIORITY`` are rejected.
+    queue_soft_watermark: Optional[int] = None
+    #: Per-tenant caps on queued (unclaimed) tasks, and per-tenant
+    #: token-bucket refill rates in task writes per second; a tenant
+    #: neither names is unlimited.
     quotas: Optional[dict[str, int]] = None
     rates: Optional[dict[str, float]] = None
-    #: Entry classes under admission control.
-    class_names: tuple[str, ...] = ("TaskEntry",)
 
 
 class AdmissionController:
@@ -152,18 +155,6 @@ class AdmissionController:
                 "admitted": 0, "rejected": 0, "shed": 0}
         return counts
 
-    def _quota_for(self, tenant: str) -> Optional[int]:
-        quotas = self.config.quotas
-        if quotas is not None and tenant in quotas:
-            return quotas[tenant]
-        return self.config.max_in_flight
-
-    def _rate_for(self, tenant: str) -> Optional[float]:
-        rates = self.config.rates
-        if rates is not None and tenant in rates:
-            return rates[tenant]
-        return self.config.write_rate_per_s
-
     # -- the admission decision -------------------------------------------------
 
     def check(self, op: str, args: dict[str, Any]) -> None:
@@ -192,7 +183,7 @@ class AdmissionController:
             # tenant/priority are field-slice reads: admission judges an
             # entry without decoding it.
             cls = peek_class(frame)
-            if cls.__name__ not in config.class_names:
+            if cls.__name__ not in config.CLASS_NAMES:
                 continue
             tenant, priority = read_fields(frame, ("tenant", "priority"))
             if tenant is None:
@@ -229,41 +220,30 @@ class AdmissionController:
     def _check_watermarks(
             self, controlled: dict[str, list[tuple[type, Optional[int]]]]
     ) -> None:
-        config = self.config
-        if config.queue_soft_watermark is None and \
-                config.queue_hard_watermark is None:
+        soft = self.config.queue_soft_watermark
+        if soft is None:
             return
         backlog = sum(
             self.space.count(self._class_template(cls))
             for cls in {cls for batch in controlled.values()
                         for cls, _ in batch}
         )
-        hard = config.queue_hard_watermark
-        if hard is not None and backlog >= hard:
-            tenant = sorted(controlled)[0] if len(controlled) == 1 else None
-            self._reject(
-                tenant, "shed",
-                f"queue depth {backlog} >= hard watermark {hard}; "
-                f"shedding all task admissions",
-                config.retry_after_ms)
-        soft = config.queue_soft_watermark
-        if soft is None or backlog < soft:
+        if backlog < soft:
             return
-        cutoff = config.shed_below_priority
         for tenant, batch in sorted(controlled.items()):
             for _, priority in batch:
                 priority = priority or 0
-                if priority < cutoff:
+                if priority < URGENT_PRIORITY:
                     self._reject(
                         tenant, "shed",
                         f"queue depth {backlog} >= soft watermark {soft}; "
-                        f"shedding priority {priority} < {cutoff} "
+                        f"shedding priority {priority} < {URGENT_PRIORITY} "
                         f"for tenant {tenant!r}",
-                        config.retry_after_ms)
+                        self.config.RETRY_AFTER_MS)
 
     def _check_quota(self, tenant: str,
                      batch: list[tuple[type, Optional[int]]]) -> None:
-        quota = self._quota_for(tenant)
+        quota = (self.config.quotas or {}).get(tenant)
         if quota is None:
             return
         in_flight = sum(
@@ -275,15 +255,15 @@ class AdmissionController:
                 tenant, "in-flight",
                 f"tenant {tenant!r} has {in_flight} tasks in flight; "
                 f"+{len(batch)} would exceed quota {quota}",
-                self.config.retry_after_ms)
+                self.config.RETRY_AFTER_MS)
 
     def _check_rate(self, tenant: str,
                     batch: list[tuple[type, Optional[int]]],
                     now: float) -> None:
-        rate = self._rate_for(tenant)
+        rate = (self.config.rates or {}).get(tenant)
         if rate is None:
             return
-        burst = max(self.config.write_burst, 1.0)
+        burst = self.config.WRITE_BURST
         tokens, last = self._buckets.get(tenant, (burst, now))
         tokens = min(burst, tokens + rate * (now - last) / 1000.0)
         cost = float(len(batch))
@@ -506,15 +486,13 @@ class SpaceServer:
         #: failover otherwise leaves open.
         self.lease_ms: Optional[float] = None
         self._lease_expires: Optional[float] = None
-        #: Synchronous replication: when on and a standby feed is attached,
-        #: a mutation is acknowledged only after the standby has confirmed
+        #: Synchronous replication: while a standby feed is attached, a
+        #: mutation is acknowledged only after the standby has confirmed
         #: the WAL record.  This closes the *lost-ack* half of split brain:
         #: without it an egress-partitioned primary keeps acking loopback
         #: clients while nothing reaches the standby that is about to be
-        #: promoted.  Enabled together with fencing by failover-managed
-        #: deployments; standalone servers keep the async fast path.
-        self.sync_replication = False
-        #: How long a mutation may wait for the standby's ack before the
+        #: promoted.  A server with no feed answers at once.  This is
+        #: how long a mutation may wait for the standby's ack before the
         #: server gives up and *drops the client connection unanswered*
         #: (the client sees a connection error: correctly indeterminate).
         self.repl_ack_timeout_ms = 500.0
@@ -643,10 +621,8 @@ class SpaceServer:
                             # instead of serving on in blissful ignorance.
                             self._note_repl_ack(conn, int(request["repl_ack"]))
                             continue
-                        if self.sync_replication:   # see _hold_reply
-                            wal = getattr(self.space, "wal", None)
-                            session.before_lsn = (wal.last_lsn if wal is not None
-                                                  else 0)
+                        if self._feed_acks:     # see _hold_reply
+                            session.before_lsn = self.space.wal.last_lsn
                         step, arg = self._dispatch, request
                     try:
                         value = step(arg, session)
@@ -658,7 +634,7 @@ class SpaceServer:
                                     remaining,
                                     partial(self._resume, session, value))
                         elif value is not _STREAMING and not (
-                                self.sync_replication
+                                self._feed_acks
                                 and self._hold_reply(session, value)):
                             conn.send({"ok": True, "value": value})
                     except ConnectionClosedError:
@@ -748,21 +724,21 @@ class SpaceServer:
         return bool(acks) and min(acks.values()) >= lsn
 
     def _hold_reply(self, session: _Session, value: Any) -> bool:
-        """Under synchronous replication, hold the answer to the request
+        """With a standby feed attached, hold the answer to the request
         in progress until every attached feed has confirmed what it
         journalled; ``False``: nothing to confirm, answer now.
 
-        No feed attached at all means no gate (with no standby to
-        promote there is nothing a lost ack could diverge from, and
+        The caller asks only while a feed is attached: with no standby
+        to promote there is nothing a lost ack could diverge from, and
         gating would deadlock a freshly promoted primary whose deposed
-        predecessor has not rejoined yet).  A feed that hangs up *during*
+        predecessor has not rejoined yet.  A feed that hangs up *during*
         the wait is not consent: the standby is re-bootstrapping (its
         next feed will confirm) or being promoted (nobody will, and the
         replica that now serves does not hold this record).
         """
-        wal = getattr(self.space, "wal", None)
-        if (wal is None or wal.last_lsn <= session.before_lsn
-                or not self._feed_acks or self._confirmed(wal.last_lsn)):
+        wal = self.space.wal
+        if (wal.last_lsn <= session.before_lsn
+                or self._confirmed(wal.last_lsn)):
             return False
         session.parked = gate = _Gate(
             value, wal.last_lsn, self.runtime.now() + self.repl_ack_timeout_ms)
@@ -1447,14 +1423,14 @@ class SpaceProxy:
         return self._await_reply(self._send_request(op, args), op, args)
 
     # Every call is one send step and one collect step: ``_invoke`` runs
-    # both, ``_begin`` returns the second.  Untraced, neither allocates a
+    # both, ``begin`` returns the second.  Untraced, neither allocates a
     # closure or enters a context manager.
 
     def _invoke(self, call: Call) -> Any:
         """One operation: its request, then its reply decoded."""
         return self._collect(*self._send(call))
 
-    def _begin(self, call: Call) -> Callable[[], Any]:
+    def begin(self, call: Call) -> Callable[[], Any]:
         """Split-phase :meth:`_invoke`: the request goes out now; the
         returned function waits for the reply and decodes it.
 
@@ -1528,7 +1504,7 @@ class SpaceProxy:
                 if not admission:
                     self._drop_connection()
                 if (self._failed or recovery is None
-                        or tries >= recovery.max_retries
+                        or tries >= recovery.MAX_RETRIES
                         or not (admission or isinstance(failure, FencedError)
                                 # A batch only if *every* sub-op may be
                                 # re-sent, exactly as for a lone call.

@@ -15,7 +15,7 @@ link.  This module splits the space into N independent shards and puts a
   ``take_multiple`` splits its cap over the shards; ``contents``/
   ``count`` ask every shard and merge/sum in shard-index order; an
   untransacted ``write_all`` sends each shard its group.  Those
-  requests overlap split-phase (:meth:`SpaceProxy._begin`): all sent,
+  requests overlap split-phase (:meth:`SpaceProxy.begin`): all sent,
   then all collected in shard order, so N replies leave N hosts in
   parallel and the router starts no process.  Every order is a pure
   function of the template, the cursor and the events seen, so runs
@@ -95,23 +95,22 @@ def stable_hash(key: Any) -> int:
 class HashRing:
     """Consistent-hash ring over ``shards`` with virtual nodes.
 
-    Each shard owns ``vnodes`` points on a 64-bit ring; a key belongs to
+    Each shard owns ``VNODES`` points on a 64-bit ring; a key belongs to
     the first point clockwise of its hash.  Adding shard ``N`` only adds
     points, so keys either stay put or move *to the new shard* — the
     remapped fraction concentrates near ``1/(N+1)``.
     """
 
-    def __init__(self, shards: int, vnodes: int = 64) -> None:
+    VNODES = 64
+
+    def __init__(self, shards: int) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1: {shards}")
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1: {vnodes}")
         self.shards = shards
-        self.vnodes = vnodes
         points = sorted(
             (stable_hash(f"shard:{s}:vnode:{v}"), s)
             for s in range(shards)
-            for v in range(vnodes)
+            for v in range(self.VNODES)
         )
         self._hashes = [h for h, _ in points]
         self._owners = [s for _, s in points]
@@ -320,7 +319,7 @@ def _listed(entry: Optional[Entry]) -> list[Entry]:
 
 
 def _settle(pending: list[Callable[[], Any]]) -> list[tuple[bool, Any]]:
-    """Collect every begun call (:meth:`SpaceProxy._begin`) in order, as
+    """Collect every begun call (:meth:`SpaceProxy.begin`) in order, as
     ``(True, value)`` or ``(False, error)``: one shard's failure must not
     leave a later shard's reply unread on its connection."""
     outcomes = []
@@ -526,7 +525,7 @@ class ShardRouter:
             groups.setdefault(self._entry_shard(entry), []).append(entry)
         shards = sorted(groups)
         outcomes = _settle([
-            self._proxies[shard]._begin(call._replace(subject=groups[shard]))
+            self._proxies[shard].begin(call._replace(subject=groups[shard]))
             for shard in shards])
         failures = [value for ok, value in outcomes if not ok]
         if not failures:
@@ -593,7 +592,7 @@ class ShardRouter:
         nothing yet, so every shard answers without it."""
         bare = call._replace(txn=None)
         values = []
-        for ok, value in _settle([proxy._begin(bare)
+        for ok, value in _settle([proxy.begin(bare)
                                   for proxy in self._proxies]):
             if not ok:
                 raise value
@@ -743,7 +742,7 @@ class ShardRouter:
                 before, pending = [], []
                 for i, shard in enumerate(wave):
                     before.append(watch.events[shard])  # read, then send
-                    pending.append(self._proxies[shard]._begin(Call(
+                    pending.append(self._proxies[shard].begin(Call(
                         "take_multiple", template, timeout_ms=0.0,
                         max_entries=share + (i < extra))))
                 for shard, mark, (ok, chunk) in zip(wave, before,

@@ -737,18 +737,17 @@ class WriteAheadLog:
     lines up with the stream it tailed.  Subscribers (replication
     channels) are invoked synchronously in commit order.
 
-    With a ``runtime`` and ``group_ms``, a *time watermark* backs the
+    With ``group_ms`` and a runtime bound, a *time watermark* backs the
     store's size watermark under ``fsync_policy="group"``: the first
     record to buffer arms a one-shot flush ``group_ms`` later, so a lull
     in traffic can delay durability by at most that long.
     """
 
     def __init__(self, store: Optional[WalStore] = None,
-                 runtime: Any = None,
                  group_ms: Optional[float] = None) -> None:
         self.store = store if store is not None else WalStore()
         self.group_ms = group_ms
-        self._runtime = runtime
+        self._runtime: Any = None
         self._flush_armed = False
         self._subscribers: list[Callable[[CommitRecord], None]] = []
         #: Optional telemetry tracer; when enabled, each commit/sync drops
@@ -757,7 +756,8 @@ class WriteAheadLog:
         self.tracer: Any = None
 
     def bind(self, runtime: Any) -> None:
-        """Late-bind the runtime that drives the time watermark."""
+        """Bind the runtime that drives the time watermark (the first
+        one sticks)."""
         if self._runtime is None:
             self._runtime = runtime
 

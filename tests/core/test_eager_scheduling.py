@@ -101,7 +101,7 @@ def test_duplicate_results_ignored_and_drained(rt):
 
 
 def test_replication_capped(rt):
-    """A task is replicated at most max_replicas times."""
+    """A task is replicated at most ``Master.MAX_REPLICAS`` times."""
     from repro.core.entries import ResultEntry, TaskEntry
     from repro.core.master import Master
     from repro.core.metrics import Metrics
@@ -114,8 +114,7 @@ def test_replication_capped(rt):
     space = JavaSpace(rt)
     app = SumOfSquares(n=2, task_cost=0.0)
     master = Master(rt, node, space, app, Metrics(rt),
-                    straggler_timeout_ms=200.0,
-                    max_replicas=2)
+                    straggler_timeout_ms=200.0)
 
     def black_hole_worker():
         # Takes every task and never returns results.

@@ -200,14 +200,13 @@ def test_checkpoint_lease_ages_out_abandoned_runs(runtime):
     """An abandoned run's checkpoint must not outlive its lease — a later
     unrelated run starts clean instead of adopting stale progress."""
     space = JavaSpace(runtime)
-    master = make_master(runtime, space, Metrics(runtime),
-                         checkpoint_lease_ms=500.0)
+    master = make_master(runtime, space, Metrics(runtime))
     tasks = master.app.plan()
 
     def scenario():
         checkpoint(master, tasks, {0: 0})
         assert checkpoints_in(space)
-        runtime.sleep(1_000.0)
+        runtime.sleep(Master.CHECKPOINT_LEASE_MS + 500.0)
         assert checkpoints_in(space) == []
         assert master._adopt_checkpoint() is None
 

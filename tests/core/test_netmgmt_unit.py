@@ -97,32 +97,6 @@ def test_external_metric_ignores_worker_own_compute(rt, env):
     assert run_in_sim(rt, proc) is None  # external load still 0
 
 
-def test_total_load_metric_would_evict_computing_worker(rt, env):
-    """Ablation wiring: monitoring hrProcessorLoad (total) misreads the
-    worker's own compute as user load — the reason the inference engine
-    polls the external-load OID by default."""
-    net, node, module, record = env
-    total_module = NetworkManagementModule(
-        rt, net, "master2", Metrics(rt), InferenceEngine(),
-        load_metric="total")
-    total_record = total_module.inference.register("w1")
-    total_record.assumed_state = WorkerState.RUNNING
-
-    def proc():
-        rt.spawn(lambda: node.cpu.execute(2000.0), name="compute")
-        rt.sleep(1100.0)
-        return total_module.poll_once(total_record)
-
-    assert run_in_sim(rt, proc) == Signal.STOP
-
-
-def test_invalid_load_metric_rejected(rt, env):
-    net, *_ = env
-    with pytest.raises(ValueError):
-        NetworkManagementModule(rt, net, "m", Metrics(rt), InferenceEngine(),
-                                load_metric="bogus")
-
-
 def test_load_history_recorded_per_worker(rt, env):
     net, node, module, record = env
 

@@ -10,7 +10,7 @@ from repro.errors import (
     ConnectionRefusedError_,
     EntryError,
 )
-from repro.net import Address, LatencyModel, Network
+from repro.net import Address, ChaosProfile, LatencyModel, Network
 from repro.net.latency import IDEAL
 from repro.sim import RandomStreams
 from repro.runtime import SimulatedRuntime
@@ -95,11 +95,9 @@ def test_unserializable_payload_rejected(rt, net):
 
 
 def test_datagram_loss(rt):
-    lossy = Network(
-        rt,
-        latency=LatencyModel(base_ms=0.1, jitter_ms=0.0, loss_probability=1.0),
-        rng=RandomStreams(0).stream("net"),
-    )
+    lossy = Network(rt, latency=LatencyModel(base_ms=0.1, jitter_ms=0.0))
+    lossy.set_chaos(ChaosProfile(datagram_drop=1.0),
+                    RandomStreams(0).stream("net"))
     a = lossy.bind_datagram(Address("a", 1))
     b = lossy.bind_datagram(Address("b", 1))
 
@@ -154,10 +152,11 @@ def test_multicast_copies_are_lost_like_unicast_datagrams(rt):
     in join order, from the same stream."""
     def deliveries(loss):
         runtime = SimulatedRuntime()
-        net = Network(runtime, rng=RandomStreams(7).stream("net"),
-                      latency=LatencyModel(base_ms=1.0, jitter_ms=0.0,
-                                           per_kb_ms=0.0,
-                                           loss_probability=loss))
+        net = Network(runtime, latency=LatencyModel(base_ms=1.0,
+                                                    jitter_ms=0.0,
+                                                    per_kb_ms=0.0))
+        net.set_chaos(ChaosProfile(datagram_drop=loss),
+                      RandomStreams(7).stream("net"))
         group = Address("224.0.0.1", 4160)
         members = [net.bind_datagram(Address(f"m{i}", 4160))
                    for i in range(8)]

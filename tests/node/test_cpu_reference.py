@@ -5,7 +5,7 @@ call per change, notifies only when a charge is parked, and re-plans in
 a loop that reads the clock once per slice.  None of that may move a
 single float or event: the old model is copied here as the reference
 (its recorder too, whose trim ran on every record), and on any mix of
-speeds, demands, share floors, concurrent charges, mid-charge load
+speeds, demands, concurrent charges, mid-charge load
 changes and aborts both must agree ``==`` on every charge's elapsed time
 and completion, ``busy_ms``, the utilization history and the kernel's
 event count — before and after shutdown kills the charges still parked.
@@ -163,13 +163,13 @@ changes = st.tuples(delays, st.sampled_from(["a", "b"]),
                     st.one_of(st.none(), levels))
 
 
-def _run(model, speed, floor, processes, loads):
+def _run(model, speed, processes, loads):
     """Run the scenario on a fresh kernel: what each charge returned, and
     the model's observable state while the kernel idles and after it
     shuts down."""
     runtime = SimulatedRuntime()
     kernel = runtime.kernel
-    cpu = model(runtime, speed, min_share_percent=floor)
+    cpu = model(runtime, speed)
     results = []
 
     def charger(index, plan):
@@ -207,10 +207,9 @@ def _run(model, speed, floor, processes, loads):
 @settings(max_examples=300, deadline=None)
 @given(speed=st.one_of(st.sampled_from([300.0, 800.0, 1600.0]),
                        st.floats(50.0, 3_000.0)),
-       floor=st.sampled_from([0.0, 0.0, 0.3, 5.0, 40.0]),
        processes=st.lists(st.lists(charges, min_size=1, max_size=3),
                           min_size=1, max_size=3),
        loads=st.lists(changes, max_size=6))
-def test_charges_equal_the_old_model(speed, floor, processes, loads):
-    assert (_run(CpuModel, speed, floor, processes, loads)
-            == _run(_RefCpuModel, speed, floor, processes, loads))
+def test_charges_equal_the_old_model(speed, processes, loads):
+    assert (_run(CpuModel, speed, processes, loads)
+            == _run(_RefCpuModel, speed, processes, loads))

@@ -55,12 +55,17 @@ class _LinearRecorder:
         return area / (now - start)
 
 
+KEEP_MS = UtilizationRecorder.KEEP_MS
 loads = st.sampled_from([0.0, 12.5, 33.3, 40.0, 60.0, 87.5, 100.0])
 events = st.lists(
     st.tuples(
-        st.one_of(st.just(0.0), st.floats(0.01, 400.0)),   # time step
+        # time step: short ones, and ones a sizeable part of the kept
+        # history, so the history is trimmed
+        st.one_of(st.just(0.0), st.floats(0.01, 400.0),
+                  st.floats(KEEP_MS / 8, KEEP_MS * 1.2)),
         loads, loads,                                      # total, external
-        st.floats(0.0, 3_000.0),                           # query window
+        st.one_of(st.floats(0.0, 3_000.0),                 # query window
+                  st.floats(0.0, KEEP_MS * 1.2)),
         st.booleans(),                                     # external?
     ),
     max_size=80,
@@ -68,11 +73,11 @@ events = st.lists(
 
 
 @settings(max_examples=300)
-@given(events=events, keep_ms=st.sampled_from([250.0, 1_000.0, 600_000.0]))
-def test_bisected_average_and_trim_equal_the_linear_walk(events, keep_ms):
+@given(events=events)
+def test_bisected_average_and_trim_equal_the_linear_walk(events):
     clock = _Clock()
-    fast = UtilizationRecorder(clock, keep_ms=keep_ms)
-    slow = _LinearRecorder(clock, keep_ms)
+    fast = UtilizationRecorder(clock)
+    slow = _LinearRecorder(clock, KEEP_MS)
     for dt, total, ext, window, external in events:
         clock.t += dt
         fast.record(total, ext)

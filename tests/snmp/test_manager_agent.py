@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConnectionClosedError, NoSuchOidError, TimeoutError_
-from repro.net import Address, LatencyModel, Network
+from repro.net import Address, ChaosProfile, LatencyModel, Network
 from repro.sim import RandomStreams
 from repro.snmp import HOST_RESOURCES, Mib, Oid, SnmpAgent, SnmpManager
 
@@ -121,11 +121,9 @@ def test_no_agent_times_out_after_retries(rt, env):
 
 
 def test_manager_survives_lossy_network(rt):
-    lossy = Network(
-        rt,
-        latency=LatencyModel(base_ms=0.5, jitter_ms=0.0, loss_probability=0.45),
-        rng=RandomStreams(11).stream("net"),
-    )
+    lossy = Network(rt, latency=LatencyModel(base_ms=0.5, jitter_ms=0.0))
+    lossy.set_chaos(ChaosProfile(datagram_drop=0.45),
+                    RandomStreams(11).stream("net"))
     mib = Mib()
     mib.register(HOST_RESOURCES.HR_PROCESSOR_LOAD, 55)
     SnmpAgent(rt, lossy, "w", mib).start()

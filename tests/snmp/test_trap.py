@@ -89,19 +89,18 @@ def test_emitter_announces_then_traps_on_band_change(rt, env):
     )
     policy = ThresholdPolicy()
     emitter = LoadBandTrapEmitter(rt, node, Address("manager", TRAP_PORT),
-                                  policy.band, check_interval_ms=100.0,
-                                  window_ms=200.0)
+                                  policy.band)
 
     def proc():
         emitter.start()
-        rt.sleep(500.0)                 # idle: only the announcement
+        rt.sleep(1000.0)                # idle: only the announcement
         announced = len(bands)
         node.cpu.set_background("user", 40.0)   # idle → busy
-        rt.sleep(500.0)
+        rt.sleep(1000.0)
         node.cpu.set_background("user", 90.0)   # busy → loaded
-        rt.sleep(500.0)
+        rt.sleep(1000.0)
         node.cpu.clear_background("user")       # loaded → idle
-        rt.sleep(500.0)
+        rt.sleep(1000.0)
         emitter.stop()
         receiver.stop()
         return announced
@@ -121,16 +120,15 @@ def test_emitter_silent_within_band(rt, env):
     net, node, receiver = env
     policy = ThresholdPolicy()
     emitter = LoadBandTrapEmitter(rt, node, Address("manager", TRAP_PORT),
-                                  policy.band, check_interval_ms=100.0,
-                                  window_ms=200.0)
+                                  policy.band)
 
     def proc():
         emitter.start()
-        rt.sleep(300.0)
+        rt.sleep(600.0)
         node.cpu.set_background("user", 30.0)
-        rt.sleep(400.0)
+        rt.sleep(1000.0)
         node.cpu.set_background("user", 45.0)  # still the busy band
-        rt.sleep(400.0)
+        rt.sleep(1000.0)
         emitter.stop()
         receiver.stop()
         return emitter.traps_sent

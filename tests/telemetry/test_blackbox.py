@@ -23,27 +23,30 @@ class FakeSpan:
 
 def test_span_ring_is_bounded_per_process():
     runtime = SimulatedRuntime()
-    flight = FlightRecorder(runtime, span_capacity=4)
-    for i in range(100):
+    flight = FlightRecorder(runtime)
+    emitted = 2 * FlightRecorder.SPAN_CAPACITY
+    for i in range(emitted):
         flight._on_span(FakeSpan("task", "worker-0", float(i), float(i) + 1))
         flight._on_span(FakeSpan("task", "worker-1", float(i), float(i) + 1))
     bundle = flight.dump("manual")
     assert set(bundle.spans) == {"worker-0", "worker-1"}
     for spans in bundle.spans.values():
-        assert len(spans) == 4                      # capacity, not 100
-        assert spans[-1]["start_ms"] == 99.0        # newest survive
+        assert len(spans) == FlightRecorder.SPAN_CAPACITY   # not emitted
+        assert spans[-1]["start_ms"] == emitted - 1         # newest survive
 
 
 def test_event_ring_is_bounded_and_dump_does_not_drain_it():
     runtime = SimulatedRuntime()
-    flight = FlightRecorder(runtime, event_capacity=8)
-    for i in range(50):
+    flight = FlightRecorder(runtime)
+    emitted = 2 * FlightRecorder.EVENT_CAPACITY
+    for i in range(emitted):
         flight._on_event(float(i), "space-take", {"seq": i})
     first = flight.dump("manual")
     second = flight.dump("manual")
-    assert len(first.events) == 8
+    assert len(first.events) == FlightRecorder.EVENT_CAPACITY
     assert first.events == second.events            # snapshot, not drain
-    assert first.events[-1] == (49.0, "space-take", {"seq": 49})
+    last = emitted - 1
+    assert first.events[-1] == (float(last), "space-take", {"seq": last})
 
 
 def test_promotion_event_auto_dumps_a_bundle():

@@ -42,11 +42,16 @@ def test_describe_round_trips_through_parse():
 
 
 # -- evaluation ---------------------------------------------------------------
+#
+# The watchdog evaluates DEFAULT_RULES: each mode has one there.
+#   queue-depth, replication-lag   gauges, sustained 2 s and 1 s
+#   admission-shed                 a counter's rate, sustained 1 s
+#   task-latency-p99               a histogram's p99, at once
 
-def make_watchdog(rules):
+
+def make_watchdog():
     registry = Registry()
-    watchdog = SloWatchdog(registry, rules=rules)
-    return registry, watchdog
+    return registry, SloWatchdog(registry)
 
 
 def expose(registry, name, value, **labels):
@@ -57,24 +62,26 @@ def expose(registry, name, value, **labels):
 
 
 def test_gauge_rule_fires_and_resolves():
-    registry, watchdog = make_watchdog(["depth: q.depth > 10"])
-    gauge = expose(registry, "q.depth", 5)
+    registry, watchdog = make_watchdog()
+    gauge = expose(registry, "space.replication_lag", 5)
     watchdog.evaluate(1000.0)
     assert watchdog.alerts == []
-    gauge[0] = 50
-    watchdog.evaluate(2000.0)
+    gauge[0] = 500
+    watchdog.evaluate(2000.0)       # breach starts
+    assert watchdog.alerts == []
+    watchdog.evaluate(3000.0)       # held 1s — fires
     assert len(watchdog.alerts) == 1
     alert = watchdog.alerts[0]
-    assert alert.active and alert.fired_ms == 2000.0 and alert.value == 50
+    assert alert.active and alert.fired_ms == 3000.0 and alert.value == 500
     gauge[0] = 3
-    watchdog.evaluate(3000.0)
-    assert not alert.active and alert.resolved_ms == 3000.0
+    watchdog.evaluate(4000.0)
+    assert not alert.active and alert.resolved_ms == 4000.0
     assert watchdog.active == []
 
 
 def test_sustain_requires_the_breach_to_hold():
-    registry, watchdog = make_watchdog(["depth: q.depth > 10 for 2s"])
-    gauge = expose(registry, "q.depth", 99)
+    registry, watchdog = make_watchdog()
+    gauge = expose(registry, "space.queue_depth", 9999)
     watchdog.evaluate(1000.0)       # breach starts
     watchdog.evaluate(2000.0)       # held 1s — not yet
     assert watchdog.alerts == []
@@ -83,7 +90,7 @@ def test_sustain_requires_the_breach_to_hold():
     # A dip resets the clock: no refire until sustained again.
     gauge[0] = 0
     watchdog.evaluate(3500.0)
-    gauge[0] = 99
+    gauge[0] = 9999
     watchdog.evaluate(4000.0)
     watchdog.evaluate(5000.0)
     assert len(watchdog.alerts) == 1
@@ -92,39 +99,41 @@ def test_sustain_requires_the_breach_to_hold():
 
 
 def test_gauge_reads_take_worst_across_label_sets():
-    registry, watchdog = make_watchdog(["depth: q.depth > 10"])
-    expose(registry, "q.depth", 1, shard="0")
-    expose(registry, "q.depth", 11, shard="1")
+    registry, watchdog = make_watchdog()
+    expose(registry, "space.replication_lag", 1, shard="0")
+    expose(registry, "space.replication_lag", 300, shard="1")
     watchdog.evaluate(1000.0)
-    assert len(watchdog.alerts) == 1 and watchdog.alerts[0].value == 11
+    watchdog.evaluate(2000.0)
+    assert len(watchdog.alerts) == 1 and watchdog.alerts[0].value == 300
 
 
 def test_rate_rule_deltas_counter_totals_between_frames():
-    registry, watchdog = make_watchdog(["sheds: shed.rate > 10"])
-    total = expose(registry, "shed", 5)
+    registry, watchdog = make_watchdog()
+    total = expose(registry, "admission.shed", 5)
     watchdog.evaluate(1000.0)       # first frame primes the baseline
-    assert watchdog.alerts == []
-    total[0] += 100                 # 100 in 1s = 100/s > 10
-    watchdog.evaluate(2000.0)
+    total[0] += 1000                # 1000 in 1s = 1000/s > 100
+    watchdog.evaluate(2000.0)       # breach starts
+    total[0] += 1000
+    watchdog.evaluate(3000.0)       # held 1s — fires
     assert len(watchdog.alerts) == 1
-    assert watchdog.alerts[0].value == pytest.approx(100.0)
+    assert watchdog.alerts[0].value == pytest.approx(1000.0)
 
 
 def test_quantile_rule_reads_histogram_p99():
-    registry, watchdog = make_watchdog(["tail: lat.p99 > 500"])
-    hist = registry.histogram("lat")
+    registry, watchdog = make_watchdog()
+    hist = registry.histogram("task.latency_ms")
     for _ in range(100):
         hist.observe(1.0)
     watchdog.evaluate(1000.0)
     assert watchdog.alerts == []
     for _ in range(100):
-        hist.observe(10_000.0)
+        hist.observe(100_000.0)
     watchdog.evaluate(2000.0)
     assert len(watchdog.alerts) == 1
 
 
 def test_missing_metric_never_breaches():
-    _, watchdog = make_watchdog(["ghost: does.not.exist > 0"])
+    _, watchdog = make_watchdog()
     watchdog.evaluate(1000.0)
     watchdog.evaluate(2000.0)
     assert watchdog.alerts == []
@@ -140,15 +149,15 @@ def test_events_and_to_dict_reporting():
 
     registry = Registry()
     events = Events()
-    watchdog = SloWatchdog(registry, rules=["depth: q.depth > 10"],
-                           metrics=events)
-    gauge = expose(registry, "q.depth", 42)
+    watchdog = SloWatchdog(registry, metrics=events)
+    gauge = expose(registry, "space.replication_lag", 420)
     watchdog.evaluate(1000.0)
-    gauge[0] = 0
     watchdog.evaluate(2000.0)
+    gauge[0] = 0
+    watchdog.evaluate(3000.0)
     names = [name for name, _ in events.seen]
     assert names == ["slo-alert", "slo-resolved"]
     doc = watchdog.to_dict()
-    assert doc["rules"] == ["depth: q.depth > 10"]
-    assert doc["alerts"][0]["rule"] == "depth"
-    assert doc["alerts"][0]["resolved_ms"] == 2000.0
+    assert doc["rules"] == [rule.describe() for rule in DEFAULT_RULES]
+    assert doc["alerts"][0]["rule"] == "replication-lag"
+    assert doc["alerts"][0]["resolved_ms"] == 3000.0

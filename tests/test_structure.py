@@ -15,20 +15,19 @@ shrinks.  A failing row names the sites to add and the sites to remove.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import functools
+from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import pytest
 
-from repro.core.framework import FrameworkConfig
 from repro.tuplespace.ops import OPS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 
-Site = tuple  # (module, qualname) or (module, qualname, name)
+Site = tuple  # (module, qualname[, name[, count]])
 
 
 class Node(NamedTuple):
@@ -94,6 +93,16 @@ def _attributes(*names: str, under: str = "", store: bool = False
             for site in _of(ast.Attribute)
             if site.module.startswith(under) and site.node.attr in names
             and (not store or isinstance(site.node.ctx, ast.Store))}
+
+
+def _references(name: str, under: str) -> set[Site]:
+    """Sites that name ``.<name>``, each with how many times: a second
+    reference inside one function changes its site."""
+    counts = Counter((site.module, site.qualname, site.node.attr)
+                     for site in _of(ast.Attribute)
+                     if site.module.startswith(under)
+                     and site.node.attr == name)
+    return {(*site, count) for site, count in counts.items()}
 
 
 def _loads(name: str) -> set[Site]:
@@ -219,28 +228,85 @@ def _unresolved_boundaries() -> set[Site]:
             if adapter.resolve(boundary.target) is None}
 
 
-# -- knobs --------------------------------------------------------------------
+# -- options ------------------------------------------------------------------
 #
 # ROADMAP aim 2: "Every knob … must justify itself with a test or
-# experiment that flips it; otherwise it goes."  The scan reads the places
-# a config is built in ``src/`` and ``benchmarks/``: each field must be
-# given something other than its default at one of them at least.  Tests
-# and examples do not count: a value only they set is a constant the
-# product never varies.  A field nobody flips is a constant wearing a
-# knob's clothes — delete it, or add it to NEVER_FLIPPED with the reason
-# it has to stay.
+# experiment that flips it; otherwise it goes."  An option is an
+# ``__init__`` parameter with a default, on any class of ``src/repro``, or
+# a field of a config or policy dataclass (POLICIES).  The scan reads the
+# calls in ``src/`` and ``benchmarks/`` that build each class: every
+# option must be given something other than its default at one of them
+# at least.  Tests and examples do not count: a value only they set is a
+# constant the product never varies.  An option nobody flips is a
+# constant wearing a knob's clothes — make it one, or add it to
+# NEVER_FLIPPED with the reason it has to stay.  Result and state records
+# are dataclasses outside POLICIES, so the row does not read them.
 
 SCANNED = ("src", "benchmarks")
 
-#: Fields allowed to go unflipped, each with the reason it is still a
-#: field and not a constant.
-NEVER_FLIPPED = {
-    "community": "a credential: deployment settings stay configurable "
-                 "even while every test cluster uses 'public'",
-    "port_offset": "a deployment setting: only test_concurrent_apps shares "
-                   "one network between two deployments",
-    "staleness_ms": "None is the paper's behaviour; the load nemesis on "
-                    "the roadmap is its planned experiment",
+#: The dataclasses whose fields are options; each is built by a caller
+#: to configure a deployment, a server, a client or a network.
+POLICIES = ("FrameworkConfig", "ThresholdPolicy", "RecoveryPolicy",
+            "AdmissionConfig", "LatencyModel", "ChaosProfile")
+
+_APP = "application input: each job states its own size and costs"
+_DEPLOY = "a deployment setting: addresses and credentials stay " \
+          "configurable"
+_INJECT = "a test injection point: a test substitutes a fake here"
+_SUITE = "named by the frozen benchmark suite (ROADMAP item 1(d))"
+
+
+def _options_of(module: str, owner: str, reason: str, *names: str
+                ) -> dict[Site, str]:
+    return {(module, owner, name): reason for name in names}
+
+
+#: Options allowed to go unflipped, each with the reason it is still an
+#: option and not a constant.
+NEVER_FLIPPED: dict[Site, str] = {
+    ("core/framework.py", "FrameworkConfig", "community"):
+        "a credential: deployment settings stay configurable even while "
+        "every test cluster uses 'public'",
+    ("core/framework.py", "FrameworkConfig", "port_offset"):
+        "a deployment setting: only test_concurrent_apps shares one "
+        "network between two deployments",
+    ("core/framework.py", "FrameworkConfig", "staleness_ms"):
+        "None is the paper's behaviour; the load nemesis on the roadmap "
+        "is its planned experiment",
+    **_options_of("apps/options/app.py", "OptionPricingApplication", _APP,
+                  "aggregation_cost", "branches", "n_blocks",
+                  "planning_cost", "seed", "task_cost"),
+    **_options_of("apps/prefetch/app.py", "PrefetchApplication", _APP,
+                  "aggregation_cost", "cluster", "damping", "n_pages",
+                  "planning_cost", "seed", "task_cost", "x0"),
+    **_options_of("apps/prefetch/distributed.py", "DistributedPageRank",
+                  _APP, "config", "max_rounds", "tol"),
+    **_options_of("apps/prefetch/server.py", "WebServerModel", _APP,
+                  "cache_capacity", "ranks", "timings", "top_k"),
+    **_options_of("apps/raytrace/app.py", "RayTracingApplication", _APP,
+                  "aggregation_cost", "camera", "max_depth",
+                  "planning_cost", "task_cost"),
+    **_options_of("experiments/chaos.py", "TenantSquares", _APP, "poison"),
+    **_options_of("experiments/scalability.py", "EgressBoundStrips", _APP,
+                  "task_cost"),
+    ("snmp/agent.py", "SnmpAgent", "port"): _DEPLOY,
+    ("node/machine.py", "Node", "snmp_community"): _DEPLOY,
+    ("node/cluster.py", "Cluster", "master_spec"):
+        "a deployment setting: the master's machine, which the framework "
+        "checks can host the Jini and JavaSpaces services",
+    ("tuplespace/durable.py", "DurableSpace", "group_commit_ms"):
+        "the group-commit time watermark, a flush that bounds how long a "
+        "lull delays durability: safety code stays though nothing sets it",
+    **_options_of("core/framework.py", "AdaptiveClusterFramework", _INJECT,
+                  "metrics", "telemetry"),
+    ("runtime/simulated.py", "SimulatedRuntime", "kernel"): _INJECT,
+    **_options_of("faults/injector.py", "FaultInjector", _INJECT,
+                  "master_killer", "primary_killer", "rng", "shard_killer",
+                  "space_hosts", "space_server", "worker_hosts"),
+    **_options_of("jini/sdm.py", "ServiceDiscoveryManager", _SUITE,
+                  "discovery_timeout_ms", "refresh_interval_ms"),
+    ("tuplespace/wal.py", "FileWalStore", "codec"): _SUITE,
+    ("tuplespace/durable.py", "DurableSpace", "codec"): _SUITE,
 }
 
 
@@ -248,11 +314,45 @@ def _splats(call: ast.Call) -> bool:
     return any(keyword.arg is None for keyword in call.keywords)
 
 
-def _config_builders(trees: list[ast.AST]) -> set[str]:
-    """``FrameworkConfig``, ``dataclasses.replace``, and every function
-    that forwards its ``**kwargs`` into one of those (``make_config``,
-    ``build_farm``, test-local helpers), found to a fixed point."""
-    builders = {"FrameworkConfig", "replace"}
+@functools.cache
+def _options() -> dict[Site, tuple[ast.expr, Optional[int]]]:
+    """Every option of ``src/repro`` → (its default, its position in a
+    call, or ``None`` if it is passed by keyword only)."""
+    found = {}
+    for site in _of(ast.ClassDef):
+        owner = site.node
+        for item in owner.body:
+            if (isinstance(item, ast.FunctionDef)
+                    and item.name == "__init__"):
+                args = item.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for index, (arg, default) in enumerate(
+                        zip(positional[first:], args.defaults), first):
+                    found[(site.module, owner.name, arg.arg)] = (
+                        default, index - 1)     # ``self`` is not passed
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found[(site.module, owner.name, arg.arg)] = (
+                            default, None)
+            elif (owner.name in POLICIES
+                  and isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)
+                  and item.value is not None):
+                value = item.value
+                if isinstance(value, ast.Call) and _callee(value) == "field":
+                    value = next((k.value for k in value.keywords
+                                  if k.arg == "default"), value)
+                found[(site.module, owner.name, item.target.id)] = (
+                    value, None)
+    return found
+
+
+def _builders(trees: list[ast.AST], owner: str) -> set[str]:
+    """``owner`` (and ``dataclasses.replace`` of a policy), and every
+    function that forwards its ``**kwargs`` into one of those
+    (``make_config``, ``build_farm``, …), found to a fixed point."""
+    builders = {owner} | ({"replace"} if owner in POLICIES else set())
     functions = [node for tree in trees for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef)
                  and node.args.kwarg is not None]
@@ -269,54 +369,82 @@ def _config_builders(trees: list[ast.AST]) -> set[str]:
     return builders
 
 
-def _flipped_fields() -> set[str]:
-    """Fields given a non-default value (any non-constant expression
-    counts) as a keyword of a config-building call — or of a ``dict(...)``
-    in a file that splats dicts into one."""
-    defaults = {}
-    for field in dataclasses.fields(FrameworkConfig):
-        defaults[field.name] = (
-            field.default if field.default is not dataclasses.MISSING
-            else field.default_factory())
-    trees = [_tree(path)
-             for directory in SCANNED
-             for path in sorted((ROOT / directory).rglob("*.py"))]
-    builders = _config_builders(trees)
-    flipped: set[str] = set()
-    for tree in trees:
-        calls = [node for node in ast.walk(tree)
-                 if isinstance(node, ast.Call)]
-        building = [call for call in calls if _callee(call) in builders]
-        counted = list(building)
-        if any(_splats(call) for call in building):
-            counted += [call for call in calls if _callee(call) == "dict"]
-        for call in counted:
-            for keyword in call.keywords:
-                if keyword.arg not in defaults:
-                    continue
-                value = keyword.value
-                if not (isinstance(value, ast.Constant)
-                        and value.value == defaults[keyword.arg]
-                        and type(value.value)
-                        is type(defaults[keyword.arg])):
-                    flipped.add(keyword.arg)
-    return flipped
+def _is_default(value: ast.expr, default: ast.expr) -> bool:
+    if isinstance(default, ast.Constant):
+        return (isinstance(value, ast.Constant)
+                and value.value == default.value
+                and type(value.value) is type(default.value))
+    return ast.dump(value) == ast.dump(default)
 
 
-def _knob(field: str) -> Site:
-    return ("core/framework.py", "FrameworkConfig", field)
+def _built(tree: ast.AST) -> list[tuple[str, ast.Call]]:
+    """Each call of ``tree`` with the name of what it builds: its callee,
+    or for ``super().__init__(…)`` its class's first base."""
+    bases = {}
+    for owner in ast.walk(tree):
+        if isinstance(owner, ast.ClassDef) and owner.bases:
+            base = owner.bases[0]
+            for node in ast.walk(owner):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "__init__"
+                        and isinstance(node.func.value, ast.Call)
+                        and _callee(node.func.value) == "super"):
+                    bases[id(node)] = getattr(base, "id", "")
+    return [(bases.get(id(node), _callee(node)), node)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
 
-def _unflipped_knobs() -> set[Site]:
-    flipped = _flipped_fields()
-    return {_knob(field.name) for field in dataclasses.fields(FrameworkConfig)
-            if field.name not in flipped}
+def _flipped_options() -> set[Site]:
+    """Options a call in ``src/`` or ``benchmarks/`` gives something
+    other than their default (any non-constant expression counts): as a
+    keyword or by position of a call building the class (a subclass's
+    ``super().__init__`` included), or as a keyword of a ``dict(...)`` in
+    a file that splats into one."""
+    trees = [_tree(path) for top in SCANNED
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    owners: dict[str, dict[str, tuple[Site, ast.expr, Optional[int]]]] = {}
+    for (module, owner, name), (default, index) in _options().items():
+        owners.setdefault(owner, {})[name] = (
+            (module, owner, name), default, index)
+    found: set[Site] = set()
+    calls = [_built(tree) for tree in trees]
+    for owner, by_name in owners.items():
+        builders = _builders(trees, owner)
+        positions = {index: name for name, (_, _, index) in by_name.items()
+                     if index is not None}
+        for file_calls in calls:
+            building = [(built, call) for built, call in file_calls
+                        if built in builders]
+            counted = list(building)
+            if any(_splats(call) for _, call in building):
+                counted += [(built, call) for built, call in file_calls
+                            if built == "dict"]
+            for built, call in counted:
+                passed = [(keyword.arg, keyword.value)
+                          for keyword in call.keywords if keyword.arg]
+                if built == owner:
+                    for index, value in enumerate(call.args):
+                        if isinstance(value, ast.Starred):
+                            break
+                        if index in positions:
+                            passed.append((positions[index], value))
+                for name, value in passed:
+                    if name in by_name:
+                        site, default, _ = by_name[name]
+                        if not _is_default(value, default):
+                            found.add(site)
+    return found
 
 
-def _never_set_knobs() -> set[Site]:
-    """NEVER_FLIPPED fields no call sets as a keyword anywhere — in
+def _unflipped_options() -> set[Site]:
+    return _options().keys() - _flipped_options()
+
+
+def _never_set_options() -> set[Site]:
+    """NEVER_FLIPPED config fields no call sets as a keyword anywhere — in
     ``src/`` (outside ``framework.py``, which only reads them), the tests,
-    the benchmarks or the examples."""
+    the benchmarks or the examples: kept for nobody."""
     keywords = {keyword.arg
                 for top in ("src", "tests", "benchmarks", "examples")
                 for path in (ROOT / top).rglob("*.py")
@@ -324,7 +452,8 @@ def _never_set_knobs() -> set[Site]:
                 for node in ast.walk(_tree(path))
                 if isinstance(node, ast.Call)
                 for keyword in node.keywords}
-    return {_knob(field) for field in NEVER_FLIPPED if field not in keywords}
+    return {site for site in NEVER_FLIPPED
+            if site[1] == "FrameworkConfig" and site[2] not in keywords}
 
 
 # -- the table ----------------------------------------------------------------
@@ -399,8 +528,8 @@ RULES = [
     }),
     # -- one split-phase call: the router overlaps requests through its
     #    proxies and starts no process (see spawn_sites) --
-    Rule("split_phase_defined", lambda: _defs("_begin"), {
-        (_PROXY, "SpaceProxy._begin"):
+    Rule("split_phase_defined", lambda: _defs("begin"), {
+        (_PROXY, "SpaceProxy.begin"):
             "send now, collect later: the router's one overlap path",
     }),
     # -- one request path per side --
@@ -463,9 +592,10 @@ RULES = [
                  "the one take/compute/write-back cycle",
          }),
     Rule("planning_cost_sites",
-         lambda: _attributes("planning_cost_ms", under="core/master.py"), {
-             ("core/master.py", "Master.run", "planning_cost_ms"):
-                 "the one seeding loop charges each chunk's planning",
+         lambda: _references("planning_cost_ms", under="core/master.py"), {
+             ("core/master.py", "Master.run", "planning_cost_ms", 1):
+                 "the one seeding loop charges each chunk's planning, "
+                 "once",
          }),
     Rule("worker_host_methods", lambda: _methods(_WORKER, "WorkerHost"),
          _members(
@@ -574,10 +704,9 @@ RULES = [
     Rule("governor_reads", _governor_reads, {}),
     # -- the benchmark suite's view of the program --
     Rule("suite_boundaries", _unresolved_boundaries, {}),
-    # -- knobs --
-    Rule("knobs_flipped", _unflipped_knobs,
-         {_knob(field): reason for field, reason in NEVER_FLIPPED.items()}),
-    Rule("never_flipped_knobs_set", _never_set_knobs, {}),
+    # -- options --
+    Rule("knobs_flipped", _unflipped_options, NEVER_FLIPPED),
+    Rule("never_flipped_knobs_set", _never_set_options, {}),
     # -- module privacy: a private name crosses a module boundary only
     #    between friends of one package --
     Rule("private_names_across_modules",
@@ -591,12 +720,6 @@ RULES = [
              ("tuplespace/durable.py", "DurableSpace.recover",
               "_apply_committed"):
                  "recovery replays into the space it builds",
-             ("tuplespace/sharding.py", "ShardRouter._everywhere", "_begin"):
-                 "the router's split-phase call",
-             ("tuplespace/sharding.py", "ShardRouter._overlapped.scan",
-              "_begin"): "the router's split-phase call",
-             ("tuplespace/sharding.py", "ShardRouter._scatter_write_all",
-              "_begin"): "the router's split-phase call",
              ("tuplespace/space.py", "JavaSpace._attempt", "_enlist"):
                  "a space joins the transaction it works under",
              ("tuplespace/space.py", "JavaSpace._claim", "_enlist"):

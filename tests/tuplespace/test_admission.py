@@ -28,7 +28,7 @@ def decodes(monkeypatch):
 
 def test_result_write_back_costs_no_admission_decode(rt, decodes):
     controller = AdmissionController(rt, JavaSpace(rt),
-                                     AdmissionConfig(max_in_flight=0))
+                                     AdmissionConfig(quotas={"t": 0}))
     results = [encode_entry(ResultEntry("app", i, payload=[i], tenant="t"))
                for i in range(4)]
     tasks = [encode_entry(TaskEntry("app", i, tenant="t")) for i in range(4)]
@@ -43,7 +43,7 @@ def test_result_write_back_costs_no_admission_decode(rt, decodes):
 
 def test_tenant_tagged_task_frame_is_still_judged(rt, decodes):
     controller = AdmissionController(rt, JavaSpace(rt),
-                                     AdmissionConfig(max_in_flight=0))
+                                     AdmissionConfig(quotas={"t": 0}))
     tagged = encode_entry(TaskEntry("app", 1, tenant="t"))
     untagged = encode_entry(TaskEntry("app", 2))
 
@@ -58,36 +58,3 @@ def test_tenant_tagged_task_frame_is_still_judged(rt, decodes):
     # Judged on field slices of the frame: admission decodes no entry.
     assert decodes == []
     assert controller.stats["rejected"] == 1
-
-
-class UrgentTask(TaskEntry):
-    """A task class an application brings: defining it registers it."""
-
-    def __init__(self, app_id=None, task_id=None, tenant=None,
-                 priority=None, deadline_ms=None):
-        self.app_id = app_id
-        self.task_id = task_id
-        self.tenant = tenant
-        self.priority = priority
-        self.deadline_ms = deadline_ms
-
-
-def test_application_defined_task_class_is_judged_without_a_decode(
-        rt, decodes):
-    """A class the core never heard of is as first-class as ``TaskEntry``:
-    controlled by name, judged on header + field slices, 0 decodes."""
-    controller = AdmissionController(
-        rt, JavaSpace(rt),
-        AdmissionConfig(max_in_flight=0, class_names=("UrgentTask",)))
-    frame = encode_entry(UrgentTask("app", 3, tenant="t", deadline_ms=9.5))
-    plain = encode_entry(TaskEntry("app", 3, tenant="t"))
-
-    def body():
-        controller.check("write", {"entry_data": plain})   # not controlled
-        with pytest.raises(AdmissionError) as rejected:
-            controller.check("write", {"entry_data": frame})
-        return rejected.value
-
-    error = run_in_sim(rt, body)
-    assert (error.tenant, error.reason) == ("t", "in-flight")
-    assert decodes == []

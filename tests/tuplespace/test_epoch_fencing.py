@@ -253,7 +253,7 @@ def test_supervised_promotion_waits_out_the_inflight_lease(runtime):
         supervisor = SpaceSupervisor(
             runtime, network, "master", standby,
             primary_address=REMOTE_PRIMARY, registrar=REGISTRAR,
-            service_item=item, heartbeat_ms=100.0, max_misses=3,
+            service_item=item,
             old_registration_id=join.registration_id, metrics=metrics,
         )
         server.grant_lease(supervisor.lease_ms)
@@ -317,7 +317,6 @@ def test_sync_replication_gates_commits_on_standby_ack(runtime):
     network = Network(runtime)
     space = DurableSpace(runtime, name="primary")
     server = SpaceServer(runtime, space, network, REMOTE_PRIMARY)
-    server.sync_replication = True
     server.repl_ack_timeout_ms = 500.0
     server.start()
     standby = HotStandby(runtime, network, "master",
@@ -366,7 +365,6 @@ def test_feed_hanging_up_mid_wait_is_not_an_ack(runtime):
     network = Network(runtime)
     space = DurableSpace(runtime, name="primary")
     server = SpaceServer(runtime, space, network, REMOTE_PRIMARY)
-    server.sync_replication = True
     server.repl_ack_timeout_ms = 500.0
     server.start()
     standby = HotStandby(runtime, network, "master",

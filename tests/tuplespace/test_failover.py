@@ -13,7 +13,11 @@ from repro.net.network import Network
 from repro.runtime import SimulatedRuntime
 from repro.tuplespace.durable import DurableSpace, HotStandby
 from repro.tuplespace.entry import Entry
-from repro.tuplespace.failover import JiniSpaceLocator, SpaceSupervisor
+from repro.tuplespace.failover import (
+    HEARTBEAT_MS,
+    JiniSpaceLocator,
+    SpaceSupervisor,
+)
 from repro.tuplespace.proxy import SpaceProxy, SpaceServer
 
 PRIMARY = Address("master", 9100)
@@ -139,7 +143,6 @@ def test_supervisor_promotes_and_reregisters_after_misses(runtime):
         supervisor = SpaceSupervisor(
             runtime, network, "master", standby,
             primary_address=PRIMARY, registrar=REGISTRAR, service_item=item,
-            heartbeat_ms=100.0, max_misses=3,
             old_registration_id=join.registration_id, metrics=metrics,
         )
         supervisor.start()
@@ -197,7 +200,7 @@ def test_server_stop_drain_deadline_closes_lingering_connections(runtime):
 # -- one probe per host pair -------------------------------------------------
 
 SHARDS = 4
-HEARTBEAT = 100.0
+HEARTBEAT = HEARTBEAT_MS
 
 
 class Cohosted:
@@ -238,7 +241,7 @@ class Cohosted:
             supervisor = SpaceSupervisor(
                 self.runtime, self.network, "master", self.standbys[i],
                 primary_address=primary, registrar=REGISTRAR,
-                service_item=item, heartbeat_ms=HEARTBEAT, max_misses=3,
+                service_item=item,
                 old_registration_id=join.registration_id,
                 metrics=self.metrics)
             self.servers[i].grant_lease(supervisor.lease_ms)

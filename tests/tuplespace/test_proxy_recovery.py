@@ -47,14 +47,15 @@ def make_server(rt, net):
 
 
 def test_backoff_is_capped_exponential_with_seeded_jitter():
-    policy = RecoveryPolicy(max_retries=8, base_backoff_ms=50.0,
-                            max_backoff_ms=400.0, jitter=0.5)
-    bare = [policy.backoff_ms(i) for i in range(1, 6)]
-    assert bare == [50.0, 100.0, 200.0, 400.0, 400.0]  # doubles, then caps
+    policy = RecoveryPolicy()
+    attempts = range(1, policy.MAX_RETRIES + 1)
+    bare = [policy.backoff_ms(i) for i in attempts]
+    # doubles, then caps
+    assert bare == [50.0, 100.0, 200.0, 400.0, 800.0, 1600.0, 2000.0, 2000.0]
     jittered = [policy.backoff_ms(i, np.random.default_rng(5))
-                for i in range(1, 6)]
+                for i in attempts]
     again = [policy.backoff_ms(i, np.random.default_rng(5))
-             for i in range(1, 6)]
+             for i in attempts]
     assert jittered == again                           # same seed, same plan
     for base, j in zip(bare, jittered):
         assert base <= j <= base * 1.5
@@ -63,9 +64,7 @@ def test_backoff_is_capped_exponential_with_seeded_jitter():
 def test_idempotent_read_survives_a_server_restart(rt, net):
     space, server = make_server(rt, net)
     proxy = SpaceProxy(net, "worker1", SERVER,
-                       recovery=RecoveryPolicy(base_backoff_ms=10.0,
-                                               max_backoff_ms=40.0,
-                                               jitter=0.0))
+                       recovery=RecoveryPolicy())
 
     def proc():
         proxy.write(Point(1, 2))
@@ -90,8 +89,7 @@ def test_take_surfaces_the_disconnect_instead_of_retrying(rt, net):
     the failure and restart its cycle."""
     space, server = make_server(rt, net)
     proxy = SpaceProxy(net, "worker1", SERVER,
-                       recovery=RecoveryPolicy(base_backoff_ms=10.0,
-                                               jitter=0.0))
+                       recovery=RecoveryPolicy())
 
     def proc():
         proxy.write(Point(3, 4))
@@ -129,8 +127,7 @@ def test_transactions_do_not_survive_a_reconnect(rt, net):
     the old id must not silently attach to the new connection."""
     space, server = make_server(rt, net)
     proxy = SpaceProxy(net, "worker1", SERVER,
-                       recovery=RecoveryPolicy(base_backoff_ms=10.0,
-                                               jitter=0.0))
+                       recovery=RecoveryPolicy())
 
     def proc():
         txn = proxy.transaction()
@@ -152,9 +149,7 @@ def test_transactions_do_not_survive_a_reconnect(rt, net):
 def test_gives_up_after_max_retries_when_server_stays_down(rt, net):
     space, server = make_server(rt, net)
     proxy = SpaceProxy(net, "worker1", SERVER,
-                       recovery=RecoveryPolicy(max_retries=3,
-                                               base_backoff_ms=5.0,
-                                               jitter=0.0))
+                       recovery=RecoveryPolicy())
 
     def proc():
         proxy.ping()
@@ -163,4 +158,24 @@ def test_gives_up_after_max_retries_when_server_stays_down(rt, net):
             proxy.ping()
         return proxy.retries
 
-    assert run(rt, proc) == 3
+    assert run(rt, proc) == RecoveryPolicy.MAX_RETRIES
+
+
+def test_a_crash_hangs_up_on_a_connection_not_yet_accepted(rt, net):
+    """A client that dials in the instant the server crashes, before the
+    accept event runs, hears the hang-up one link latency later.  With no
+    recovery policy (the master's client: no reply deadline) it used to
+    wait forever."""
+    space, server = make_server(rt, net)
+    proxy = SpaceProxy(net, "master", SERVER)
+
+    def proc():
+        rt.sleep(5.0)                # the accept loop is serving
+        proxy._connection()          # dialled: queued, not yet accepted
+        server.crash()
+        started = rt.now()
+        with pytest.raises(ConnectionClosedError):
+            proxy.ping()
+        return rt.now() - started
+
+    assert run(rt, proc) == pytest.approx(1.0)     # the link's base_ms

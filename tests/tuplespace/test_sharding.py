@@ -238,8 +238,8 @@ def test_scatter_write_all_judges_every_shard_in_order(rt, env, monkeypatch):
         planning.end()
         seeding = [s for s in tracer.spans if s.name == "rpc.write_all"]
 
-        servers[1].enable_admission(AdmissionConfig(max_in_flight=0))
-        servers[2].enable_admission(AdmissionConfig(queue_hard_watermark=0))
+        servers[1].enable_admission(AdmissionConfig(quotas={"t": 0}))
+        servers[2].enable_admission(AdmissionConfig(queue_soft_watermark=0))
         entries = tasks(16)
         with pytest.raises(AdmissionError) as rejected:
             router.write_all(entries)

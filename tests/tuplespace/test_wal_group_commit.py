@@ -60,7 +60,8 @@ def test_os_policy_loses_everything_unsynced_on_power_loss():
 
 def test_time_watermark_flushes_a_traffic_lull(rt):
     store = WalStore(fsync_policy="group", group_size=100)
-    wal = WriteAheadLog(store, runtime=rt, group_ms=50.0)
+    wal = WriteAheadLog(store, group_ms=50.0)
+    wal.bind(rt)
 
     def body():
         _append(wal, 2)
