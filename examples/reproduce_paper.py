@@ -4,8 +4,7 @@
 Prints Figures 6–11 (as tables/series), Experiment 3 and Table 2 — the
 same artifacts the benchmarks assert on, gathered in one report.
 
-Run:  python examples/reproduce_paper.py            # everything (~10 s)
-      python examples/reproduce_paper.py --quick    # skip the big sweeps
+Run:  python examples/reproduce_paper.py            # ~10 s
 """
 
 from __future__ import annotations
@@ -17,11 +16,8 @@ from repro.experiments.report import run_full_evaluation
 
 
 def main() -> None:
-    quick = "--quick" in sys.argv
     started = time.time()
     report = run_full_evaluation(
-        scalability=not quick,
-        dynamics=not quick,
         progress=lambda msg: print(f"  … {msg}", file=sys.stderr),
     )
     print(report.render())

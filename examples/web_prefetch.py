@@ -47,12 +47,15 @@ def distributed_pagerank(app: PrefetchApplication) -> tuple[np.ndarray, float, i
 def browsing_session(cluster, ranks, prefetch: bool) -> float:
     """Simulate a user following mostly-important links; return hit rate."""
     cache = PrefetchCache(capacity=48)
-    prefetcher = PageRankPrefetcher(cluster, ranks, cache=cache,
-                                    top_k=3 if prefetch else 0)
+    prefetcher = PageRankPrefetcher(cluster, ranks, cache=cache)
     rng = np.random.default_rng(7)
     url = cluster.page(0).url
     for _ in range(200):
-        prefetcher.handle_request(url)
+        if prefetch:
+            prefetcher.handle_request(url)
+        else:       # a plain cache: only what was requested is kept
+            cache.get(url)
+            cache.put(url)
         page = cluster.by_url(url)
         ranked = sorted(page.links, key=lambda p: ranks[p], reverse=True)
         next_id = ranked[0] if rng.random() < 0.7 else int(rng.choice(page.links))

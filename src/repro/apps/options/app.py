@@ -31,17 +31,21 @@ class OptionPricingApplication(Application):
 
     app_id = "option-pricing"
 
+    #: Branches per node of each Broadie–Glasserman tree.
+    BRANCHES = 5
+    #: Root of every task's RNG seed.
+    SEED = 2001
+    #: Calibrated cost model (reference ms, see DESIGN.md §5): a task of
+    #: 100 tree simulations, planning one task, aggregating one result.
+    TASK_COST = 400.0
+    PLANNING_COST = 260.0
+    AGGREGATION_COST = 15.0
+
     def __init__(
         self,
         contract: OptionContract = PAPER_CONTRACT,
         n_simulations: int = 10_000,
         n_blocks: int = 50,
-        branches: int = 5,
-        seed: int = 2001,
-        # calibrated cost model (reference ms, see DESIGN.md §5)
-        task_cost: float = 400.0,
-        planning_cost: float = 260.0,
-        aggregation_cost: float = 15.0,
     ) -> None:
         if n_simulations % (2 * n_blocks) != 0:
             raise ValueError("n_simulations must divide evenly into 2·n_blocks subtasks")
@@ -50,11 +54,6 @@ class OptionPricingApplication(Application):
         self.n_blocks = n_blocks
         # 10 000 simulations = 50 blocks × {high, low} × 100 tree sims each.
         self.sims_per_block = n_simulations // (2 * n_blocks)
-        self.branches = branches
-        self.seed = seed
-        self._task_cost = task_cost
-        self._planning_cost = planning_cost
-        self._aggregation_cost = aggregation_cost
 
     # -- functional behaviour ------------------------------------------------------
 
@@ -69,7 +68,7 @@ class OptionPricingApplication(Application):
                         payload={
                             "estimator": estimator,
                             "n_sims": self.sims_per_block,
-                            "seed": self.seed * 1_000_003 + block * 2
+                            "seed": self.SEED * 1_000_003 + block * 2
                             + (estimator == "low"),
                         },
                     )
@@ -82,7 +81,7 @@ class OptionPricingApplication(Application):
             self.contract,
             estimator=payload["estimator"],
             n_sims=payload["n_sims"],
-            branches=self.branches,
+            branches=self.BRANCHES,
             seed=payload["seed"],
         )
 
@@ -112,13 +111,13 @@ class OptionPricingApplication(Application):
     # -- cost model --------------------------------------------------------------------
 
     def task_cost_ms(self, task: Task) -> float:
-        return self._task_cost * (task.payload["n_sims"] / 100.0)
+        return self.TASK_COST * (task.payload["n_sims"] / 100.0)
 
     def planning_cost_ms(self, task: Task) -> float:
-        return self._planning_cost
+        return self.PLANNING_COST
 
     def aggregation_cost_ms(self, task_id: int, result: Any) -> float:
-        return self._aggregation_cost
+        return self.AGGREGATION_COST
 
     def classload_profile(self) -> ClassLoadProfile:
         # Fig. 9(a): the startup spike reaches ~80 % CPU.

@@ -125,7 +125,6 @@ def bg_tree_estimate(
     estimator: str,
     n_sims: int,
     branches: int = 5,
-    rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
 ) -> BGEstimate:
     """Run ``n_sims`` independent tree simulations of one estimator.
@@ -138,8 +137,7 @@ def bg_tree_estimate(
         raise ValueError(f"estimator must be 'high' or 'low': {estimator}")
     if branches < 2:
         raise ValueError("need at least 2 branches for the low estimator")
-    if rng is None:
-        rng = np.random.default_rng(seed if seed is not None else 0)
+    rng = np.random.default_rng(seed if seed is not None else 0)
     levels = _simulate_tree(contract, n_sims, branches, rng)
     if estimator == "high":
         roots = _high_backward(contract, levels, branches)
@@ -153,15 +151,18 @@ def bg_tree_estimate(
     )
 
 
-def bg_price_interval(
-    high: BGEstimate, low: BGEstimate, z: float = 1.96
-) -> tuple[float, float, float]:
-    """Point estimate and a conservative confidence interval.
+#: The normal quantile of a two-sided 95 % confidence interval.
+Z_95 = 1.96
+
+
+def bg_price_interval(high: BGEstimate, low: BGEstimate
+                      ) -> tuple[float, float, float]:
+    """Point estimate and a conservative 95 % confidence interval.
 
     Following Broadie–Glasserman: the interval ``[low.mean − z·se_low,
     high.mean + z·se_high]`` covers the true price; the midpoint is the
     point estimate.
     """
-    lo = low.mean - z * low.stderr
-    hi = high.mean + z * high.stderr
+    lo = low.mean - Z_95 * low.stderr
+    hi = high.mean + Z_95 * high.stderr
     return (low.mean + high.mean) / 2.0, lo, hi

@@ -56,18 +56,19 @@ class PrefetchApplication(Application):
 
     app_id = "web-prefetch"
 
+    #: Calibrated cost model (reference ms, see DESIGN.md §5): a 20-row
+    #: strip task, planning one task, aggregating one 20-row result.
+    TASK_COST = 1100.0
+    PLANNING_COST = 8.0
+    AGGREGATION_COST = 280.0
+
     def __init__(
         self,
         cluster: Optional[WebPageCluster] = None,
         n_pages: int = 500,
         strip_size: int = 20,
         damping: float = 0.85,
-        x0: Optional[np.ndarray] = None,
         seed: int = 0,
-        # calibrated cost model (reference ms, see DESIGN.md §5)
-        task_cost: float = 1100.0,
-        planning_cost: float = 8.0,
-        aggregation_cost: float = 280.0,
     ) -> None:
         # Validate before the cache lookup, so a bad key never enters it.
         if cluster is None and n_pages < 2:
@@ -83,10 +84,7 @@ class PrefetchApplication(Application):
             self.cluster, self.matrix = cluster, _read_only_matrix(cluster)
         self.strip_size = strip_size
         self.damping = damping
-        self.x = np.full(n, 1.0 / n) if x0 is None else np.asarray(x0, dtype=float)
-        self._task_cost = task_cost
-        self._planning_cost = planning_cost
-        self._aggregation_cost = aggregation_cost
+        self.x = np.full(n, 1.0 / n)
 
     @property
     def n_strips(self) -> int:
@@ -138,18 +136,18 @@ class PrefetchApplication(Application):
     def task_cost_ms(self, task: Task) -> float:
         # Work is proportional to strip rows (matvec flops); the default
         # 20-row strip costs the calibrated base.
-        return self._task_cost * (self.strip_size / 20.0)
+        return self.TASK_COST * (self.strip_size / 20.0)
 
     def planning_cost_ms(self, task: Task) -> float:
         # "This application has a low task planning overhead … primarily
         # due to the small amount of data … communicated".
-        return self._planning_cost
+        return self.PLANNING_COST
 
     def aggregation_cost_ms(self, task_id: int, result: Any) -> float:
         # Fixed per-result bookkeeping plus size-proportional assimilation
         # ("assimilating the results … and creating the resultant matrix").
         fixed = 15.0
-        proportional = (self._aggregation_cost - fixed) * (self.strip_size / 20.0)
+        proportional = (self.AGGREGATION_COST - fixed) * (self.strip_size / 20.0)
         return fixed + proportional
 
     def classload_profile(self) -> ClassLoadProfile:

@@ -20,15 +20,14 @@ class PrefetchCache:
         self.misses = 0
         self.evictions = 0
 
-    def put(self, url: str, content: Any = True) -> None:
+    def put(self, url: str) -> None:
         if url in self._entries:
             self._entries.move_to_end(url)
-            self._entries[url] = content
             return
         if len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
-        self._entries[url] = content
+        self._entries[url] = True
 
     def get(self, url: str) -> Optional[Any]:
         """Look up a page; records hit/miss statistics."""

@@ -9,7 +9,6 @@ until the rank vector converges or a round budget runs out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -38,16 +37,13 @@ class DistributedPageRank:
         runtime: Runtime,
         cluster: Cluster,
         app: PrefetchApplication,
-        config: Optional[FrameworkConfig] = None,
         tol: float = 1e-8,
         max_rounds: int = 60,
     ) -> None:
         self.runtime = runtime
         self.cluster = cluster
         self.app = app
-        self.config = config if config is not None else FrameworkConfig(
-            poll_interval_ms=500.0
-        )
+        self.config = FrameworkConfig(poll_interval_ms=500.0)
         self.tol = tol
         self.max_rounds = max_rounds
 

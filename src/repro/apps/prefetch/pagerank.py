@@ -11,8 +11,6 @@ computes a horizontal strip of ``y = d·M·x + (1−d)/n``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.apps.prefetch.webgraph import WebPageCluster
@@ -39,58 +37,36 @@ def stochastic_matrix(cluster: WebPageCluster) -> np.ndarray:
     return matrix
 
 
-def matvec_strip(
-    strip: np.ndarray,
-    x: np.ndarray,
-    damping: float,
-    n: int,
-    teleport: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One task's work: rows ``strip`` of ``d·M·x + (1−d)·v``.
+#: The damping factor ``d``: a random surfer follows a link with
+#: probability 0.85 and jumps to a uniformly random page otherwise.
+DAMPING = 0.85
 
-    ``teleport`` is the personalization vector ``v`` (rows matching the
-    strip); ``None`` means the uniform ``1/n`` of classic PageRank.
-    """
-    if teleport is None:
-        return damping * (strip @ x) + (1.0 - damping) / n
-    return damping * (strip @ x) + (1.0 - damping) * teleport
+#: Power-iteration steps before ``pagerank_power`` stops unconverged.
+MAX_ITER = 200
+
+
+def matvec_strip(strip: np.ndarray, x: np.ndarray, damping: float,
+                 n: int) -> np.ndarray:
+    """One task's work: rows ``strip`` of ``d·M·x + (1−d)/n``."""
+    return damping * (strip @ x) + (1.0 - damping) / n
 
 
 def power_iteration_step(matrix: np.ndarray, x: np.ndarray,
-                         damping: float = 0.85,
-                         teleport: Optional[np.ndarray] = None) -> np.ndarray:
+                         damping: float = DAMPING) -> np.ndarray:
     """One full (sequential) power-iteration step — the reference the
     strip-parallel version must match exactly."""
+    return matvec_strip(matrix, x, damping, matrix.shape[0])
+
+
+def pagerank_power(matrix: np.ndarray, tol: float = 1e-10
+                   ) -> tuple[np.ndarray, int]:
+    """Power iteration from the uniform vector to convergence; returns
+    ``(ranks, iterations)``."""
     n = matrix.shape[0]
-    return matvec_strip(matrix, x, damping, n, teleport)
-
-
-def pagerank_power(
-    matrix: np.ndarray,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    x0: Optional[np.ndarray] = None,
-    teleport: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, int]:
-    """Power iteration to convergence; returns ``(ranks, iterations)``.
-
-    A ``teleport`` distribution yields *personalized* PageRank: random
-    restarts land on the given pages (e.g. a user's bookmarks), biasing
-    importance toward their neighbourhood — useful for per-user
-    pre-fetching policies.
-    """
-    n = matrix.shape[0]
-    if teleport is not None:
-        teleport = np.asarray(teleport, dtype=float)
-        if teleport.shape != (n,):
-            raise ValueError("teleport vector must have one entry per page")
-        if teleport.min() < 0 or not np.isclose(teleport.sum(), 1.0):
-            raise ValueError("teleport vector must be a probability distribution")
-    x = np.full(n, 1.0 / n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    for iteration in range(1, max_iter + 1):
-        x_next = power_iteration_step(matrix, x, damping, teleport)
+    x = np.full(n, 1.0 / n)
+    for iteration in range(1, MAX_ITER + 1):
+        x_next = power_iteration_step(matrix, x)
         if np.abs(x_next - x).sum() < tol:
             return x_next, iteration
         x = x_next
-    return x, max_iter
+    return x, MAX_ITER

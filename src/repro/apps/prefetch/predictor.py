@@ -22,19 +22,20 @@ __all__ = ["PageRankPrefetcher"]
 class PageRankPrefetcher:
     """Prefetches the highest-ranked pages linked from each request."""
 
+    #: Links pre-fetched after each request, best-ranked first.
+    TOP_K = 3
+
     def __init__(
         self,
         cluster: WebPageCluster,
         ranks: np.ndarray,
         cache: Optional[PrefetchCache] = None,
-        top_k: int = 3,
     ) -> None:
         if len(ranks) != len(cluster):
             raise ValueError("rank vector size must match the cluster")
         self.cluster = cluster
         self.ranks = np.asarray(ranks, dtype=float)
         self.cache = cache if cache is not None else PrefetchCache()
-        self.top_k = top_k
         self.requests = 0
         self.prefetches = 0
 
@@ -60,4 +61,4 @@ class PageRankPrefetcher:
         if page is None:
             return []
         ranked = sorted(page.links, key=lambda pid: self.ranks[pid], reverse=True)
-        return [self.cluster.page(pid).url for pid in ranked[: self.top_k]]
+        return [self.cluster.page(pid).url for pid in ranked[: self.TOP_K]]

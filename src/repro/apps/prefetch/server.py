@@ -48,25 +48,25 @@ class AccessStats:
 class WebServerModel:
     """Serves requests through (optionally) a rank-driven pre-fetch cache."""
 
+    #: Pages the cache holds, pre-fetched or requested.
+    CACHE_CAPACITY = 48
+
     def __init__(
         self,
         cluster: WebPageCluster,
         ranks: Optional[np.ndarray] = None,
         timings: ServerTimings = ServerTimings(),
-        cache_capacity: int = 48,
-        top_k: int = 3,
     ) -> None:
         self.cluster = cluster
         self.timings = timings
         self.stats = AccessStats()
         if ranks is not None:
             self.prefetcher: Optional[PageRankPrefetcher] = PageRankPrefetcher(
-                cluster, ranks, cache=PrefetchCache(capacity=cache_capacity),
-                top_k=top_k,
-            )
+                cluster, ranks,
+                cache=PrefetchCache(capacity=self.CACHE_CAPACITY))
         else:
             self.prefetcher = None
-            self._plain_cache = PrefetchCache(capacity=cache_capacity)
+            self._plain_cache = PrefetchCache(capacity=self.CACHE_CAPACITY)
 
     def serve(self, url: str) -> float:
         """Serve one request; returns the user-visible access time (ms)."""
@@ -83,12 +83,15 @@ class WebServerModel:
         return latency
 
 
+#: Requests per browsing session; the next starts on a random page.
+NEW_SESSION_EVERY = 25
+
+
 def simulate_browsing_session(
     server: WebServerModel,
     ranks: np.ndarray,
     n_requests: int = 300,
     follow_rank_probability: float = 0.7,
-    new_session_every: int = 25,
     seed: int = 7,
 ) -> AccessStats:
     """A user mostly clicking important links, occasionally starting over.
@@ -102,7 +105,7 @@ def simulate_browsing_session(
     url = cluster.page(0).url
     for i in range(n_requests):
         server.serve(url)
-        if (i + 1) % new_session_every == 0:
+        if (i + 1) % NEW_SESSION_EVERY == 0:
             url = cluster.page(int(rng.integers(len(cluster)))).url
             continue
         page = cluster.by_url(url)

@@ -46,14 +46,16 @@ class WebPageCluster:
         """URL-scan step of the algorithm: does it belong to this cluster?"""
         return url in self._by_url
 
-    def successors(self, page_id: int) -> list[int]:
-        return list(self.pages[page_id].links)
+
+#: The generated site's host name.
+DOMAIN = "www.example.com"
+
+#: Mean out-links per generated page (Poisson, at least one).
+MEAN_LINKS = 8.0
 
 
 def generate_cluster(
     n_pages: int = 500,
-    domain: str = "www.example.com",
-    mean_links: float = 8.0,
     seed: int = 0,
 ) -> WebPageCluster:
     """Generate a synthetic cluster with preferential attachment.
@@ -66,7 +68,7 @@ def generate_cluster(
         raise ValueError(f"n_pages must be at least 2, got {n_pages}")
     rng = np.random.default_rng(seed)
     pages = [
-        WebPage(page_id=i, url=f"http://{domain}/page{i}.html")
+        WebPage(page_id=i, url=f"http://{DOMAIN}/page{i}.html")
         for i in range(n_pages)
     ]
     # Hierarchy bias: real sites link back to the home page and section
@@ -75,7 +77,7 @@ def generate_cluster(
     hierarchy = 1.0 / (1.0 + np.arange(n_pages))
     popularity = np.ones(n_pages)
     for page in pages:
-        k = max(1, int(rng.poisson(mean_links)))
+        k = max(1, int(rng.poisson(MEAN_LINKS)))
         k = min(k, n_pages - 1)
         weights = hierarchy * popularity
         weights[page.page_id] = 0.0  # no self links
@@ -83,4 +85,4 @@ def generate_cluster(
         targets = rng.choice(n_pages, size=k, replace=False, p=weights)
         page.links = sorted(int(t) for t in targets)
         popularity[targets] += 1.0
-    return WebPageCluster(domain, pages)
+    return WebPageCluster(DOMAIN, pages)

@@ -30,30 +30,28 @@ class RayTracingApplication(Application):
 
     app_id = "ray-tracing"
 
+    #: Calibrated cost model (reference ms, see DESIGN.md §5): a 25-row
+    #: strip task, planning one task, aggregating one strip.
+    TASK_COST = 2500.0
+    PLANNING_COST = 20.0
+    AGGREGATION_COST = 30.0
+
     def __init__(
         self,
         scene: Optional[Scene] = None,
-        camera: Optional[Camera] = None,
         width: int = 600,
         height: int = 600,
         strip_rows: int = 25,
         max_depth: int = 3,
-        # calibrated cost model (reference ms, see DESIGN.md §5)
-        task_cost: float = 2500.0,
-        planning_cost: float = 20.0,
-        aggregation_cost: float = 30.0,
     ) -> None:
         if height % strip_rows != 0:
             raise ValueError("strip_rows must divide height evenly")
         self.scene = scene if scene is not None else default_scene()
-        self.camera = camera if camera is not None else Camera()
+        self.camera = Camera()
         self.width = width
         self.height = height
         self.strip_rows = strip_rows
         self.max_depth = max_depth
-        self._task_cost = task_cost
-        self._planning_cost = planning_cost
-        self._aggregation_cost = aggregation_cost
 
     @property
     def n_strips(self) -> int:
@@ -87,14 +85,14 @@ class RayTracingApplication(Application):
     # -- cost model ----------------------------------------------------------------------
 
     def task_cost_ms(self, task: Task) -> float:
-        return self._task_cost
+        return self.TASK_COST
 
     def planning_cost_ms(self, task: Task) -> float:
         # 24 tasks × ~20 ms ≈ the constant 500 ms planning line of Fig. 7.
-        return self._planning_cost
+        return self.PLANNING_COST
 
     def aggregation_cost_ms(self, task_id: int, result: Any) -> float:
-        return self._aggregation_cost
+        return self.AGGREGATION_COST
 
     def classload_profile(self) -> ClassLoadProfile:
         # Fig. 10(a): the startup spike reaches ~42 % CPU.

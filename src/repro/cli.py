@@ -23,6 +23,7 @@ from repro.experiments import (
     dynamics_experiment,
     scalability_experiment,
 )
+from repro.experiments.adaptation import END_MS
 from repro.experiments.classify import classify_applications, format_table
 
 _FIGURE_APPS = {
@@ -35,11 +36,16 @@ _FIGURE_APPS = {
 }
 
 
-def _ascii_history(history, width: int = 56, t_max: float = 44_000.0) -> str:
+#: Columns of the ASCII CPU plot's bar at 100 %.
+_PLOT_WIDTH = 56
+
+
+def _ascii_history(history) -> str:
+    width = _PLOT_WIDTH
     lines = [f"{'t (s)':>6} {'CPU %':>6}  0%{' ' * (width - 6)}100%"]
-    step = t_max / 44.0
+    step = END_MS / 44.0
     t, index = 0.0, 0
-    while t <= t_max:
+    while t <= END_MS:
         while index + 1 < len(history) and history[index + 1][0] <= t:
             index += 1
         level = history[index][1]

@@ -81,7 +81,6 @@ class FrameworkConfig:
     poll_interval_ms: float = 1000.0        # SNMP monitoring period
     worker_poll_ms: float = 250.0           # worker take() poll / signal check
     thresholds: ThresholdPolicy = field(default_factory=ThresholdPolicy)
-    community: str = "public"               # SNMP community string
     monitoring: bool = True                 # network management module on/off
     use_jini: bool = True                   # discover the space via lookup
     compute_real: bool = True               # actually run app.execute on workers
@@ -196,16 +195,13 @@ class AdaptiveClusterFramework:
         cluster: Cluster,
         app: Application,
         config: Optional[FrameworkConfig] = None,
-        metrics: Optional[Metrics] = None,
-        telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.runtime = runtime
         self.cluster = cluster
         self.app = app
         self.config = config if config is not None else FrameworkConfig()
-        self.metrics = metrics if metrics is not None else Metrics(runtime)
-        self.telemetry = (telemetry if telemetry is not None
-                          else Telemetry(runtime, trace=self.config.trace))
+        self.metrics = Metrics(runtime)
+        self.telemetry = Telemetry(runtime, trace=self.config.trace)
         self.tracer = self.telemetry.tracer
         self.registry = self.telemetry.registry
         # Cost models charge virtual CPU only under simulation; on the
@@ -673,7 +669,6 @@ class AdaptiveClusterFramework:
             self.metrics,
             self.inference,
             poll_interval_ms=config.poll_interval_ms,
-            community=config.community,
             mode=config.monitoring_mode,
             port=RULEBASE_PORT + offset,
             trap_port=None if offset == 0 else 162 + offset,
@@ -712,7 +707,6 @@ class AdaptiveClusterFramework:
         config = self.config
         recovery = RecoveryPolicy(call_timeout_ms=config.rpc_timeout_ms)
         for node in self.cluster.workers:
-            node.snmp_community = config.community
             # Jitter from a per-worker named stream: deterministic under a
             # fixed seed, independent across workers.  The factory
             # captures the same stream so a rebuilt worker client keeps

@@ -37,7 +37,6 @@ from repro.errors import (
 from repro.node.machine import Node
 from repro.runtime.base import Runtime
 from repro.tuplespace.failover import MAX_MISSES
-from repro.tuplespace.lease import FOREVER
 from repro.tuplespace.space import JavaSpace
 
 __all__ = ["Master", "MasterReport"]
@@ -246,8 +245,8 @@ class Master:
                 else:
                     self.runtime.sleep(pause_ms)
 
-    def _write(self, entry, lease_ms: float = FOREVER):
-        return self._guard(lambda: self.space.write(entry, lease_ms=lease_ms))
+    def _write(self, entry):
+        return self._guard(lambda: self.space.write(entry))
 
     def _write_all(self, entries):
         # Bulk seeds retry per-remainder: a sharded scatter's partial

@@ -69,7 +69,6 @@ class NetworkManagementModule:
         metrics: Metrics,
         inference: InferenceEngine,
         poll_interval_ms: float = 1000.0,
-        community: str = "public",
         port: int = RULEBASE_PORT,
         mode: str = "poll",
         trap_port: Optional[int] = None,
@@ -85,7 +84,7 @@ class NetworkManagementModule:
         self.poll_interval_ms = poll_interval_ms
         self.mode = mode
         self._trap_port = trap_port
-        self.snmp = SnmpManager(runtime, network, host, community=community)
+        self.snmp = SnmpManager(runtime, network, host)
         self._listener = None
         self._trap_receiver = None
         self.running = False

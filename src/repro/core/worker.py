@@ -216,7 +216,7 @@ class WorkerHost:
         )
         self._trap_emitter = LoadBandTrapEmitter(
             self.runtime, self.node, reply["trap_address"], policy.band,
-            community=self.node.snmp_community,
+            community=self.node.SNMP_COMMUNITY,
         )
         self._trap_emitter.start()
 

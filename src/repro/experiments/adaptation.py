@@ -18,7 +18,7 @@ Outputs, per figure panel:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.core.application import Application
 from repro.core.framework import AdaptiveClusterFramework, FrameworkConfig
@@ -29,7 +29,7 @@ from repro.runtime import SimulatedRuntime
 from repro.sim.rng import RandomStreams
 
 __all__ = ["SignalReaction", "AdaptationResult", "adaptation_experiment",
-           "PAPER_TIMELINE"]
+           "PAPER_TIMELINE", "END_MS"]
 
 
 #: (time_ms, action) template for the paper's load sequence; actions are
@@ -40,6 +40,9 @@ PAPER_TIMELINE = [
     (26_000.0, "loadsim1-start"),   # → Pause
     (34_000.0, "loadsim1-stop"),    # → Resume
 ]
+
+#: Virtual ms the experiment observes: the timeline plus the Resume's tail.
+END_MS = 44_000.0
 
 
 @dataclass(frozen=True)
@@ -93,16 +96,12 @@ class AdaptationResult:
 def adaptation_experiment(
     app_factory: Callable[[], Application],
     cluster_factory: Callable[..., Cluster],
-    timeline: Optional[list[tuple[float, str]]] = None,
-    end_ms: float = 44_000.0,
     poll_interval_ms: float = 1000.0,
     seed: int = 0,
-    compute_real: bool = False,
     policy=None,
 ) -> AdaptationResult:
-    """Run the scripted load sequence against a one-worker deployment."""
-    if timeline is None:
-        timeline = PAPER_TIMELINE
+    """Run the paper's scripted load sequence against a one-worker
+    deployment that models its tasks' compute (no real payloads)."""
     app_id = app_factory().app_id
 
     def body(runtime: SimulatedRuntime) -> AdaptationResult:
@@ -114,7 +113,7 @@ def adaptation_experiment(
         framework = AdaptiveClusterFramework(
             runtime, cluster, app,
             FrameworkConfig(poll_interval_ms=poll_interval_ms,
-                            compute_real=compute_real,
+                            compute_real=False,
                             thresholds=policy if policy is not None
                             else ThresholdPolicy()),
         )
@@ -128,12 +127,13 @@ def adaptation_experiment(
             "loadsim2-start": sim2.start,
             "loadsim2-stop": sim2.stop,
         }
-        LoadScript(runtime, [(t, actions[name]) for t, name in timeline]).start()
+        LoadScript(runtime, [(t, actions[name])
+                             for t, name in PAPER_TIMELINE]).start()
 
         # The master keeps feeding tasks in the background; the experiment
         # observes the worker, not application completion.
         runtime.spawn(framework.master.run, name="master-run")
-        runtime.sleep(end_ms)
+        runtime.sleep(END_MS)
 
         host = framework.worker_hosts[0]
         metrics = framework.metrics

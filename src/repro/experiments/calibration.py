@@ -5,15 +5,13 @@ The paper's testbeds (§5): ray tracing and pre-fetching run on five
 master is always an 800 MHz/256 MB machine ("due to the high memory
 requirements of the Jini infrastructure").
 
-Calibrated cost-model constants live in the application constructors
+Calibrated cost-model constants live on the application classes
 (:class:`~repro.apps.options.OptionPricingApplication` et al.); this
 module only decides *which* application/cluster pairs each experiment
 uses, so every bench pulls identical wiring.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.apps.options import OptionPricingApplication
 from repro.apps.prefetch import PrefetchApplication
@@ -53,20 +51,20 @@ def make_prefetch_app() -> PrefetchApplication:
     return PrefetchApplication()
 
 
-def options_cluster(runtime: Runtime, workers: int = 13,
-                    streams: Optional[RandomStreams] = None) -> Cluster:
+def options_cluster(runtime: Runtime, workers: int,
+                    streams: RandomStreams) -> Cluster:
     """The option-pricing testbed: thirteen 300 MHz PCs (§5)."""
     return testbed_large(runtime, workers=workers, streams=streams)
 
 
-def raytrace_cluster(runtime: Runtime, workers: int = 5,
-                     streams: Optional[RandomStreams] = None) -> Cluster:
+def raytrace_cluster(runtime: Runtime, workers: int,
+                     streams: RandomStreams) -> Cluster:
     """The ray-tracing testbed: five 800 MHz PCs (§5)."""
     return testbed_small(runtime, workers=workers, streams=streams)
 
 
-def prefetch_cluster(runtime: Runtime, workers: int = 5,
-                     streams: Optional[RandomStreams] = None) -> Cluster:
+def prefetch_cluster(runtime: Runtime, workers: int,
+                     streams: RandomStreams) -> Cluster:
     """The pre-fetching testbed: five 800 MHz PCs (§5)."""
     return testbed_small(runtime, workers=workers, streams=streams)
 

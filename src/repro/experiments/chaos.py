@@ -288,10 +288,7 @@ def chaos_experiment(
     seed: int = 42,
     workers: int = 4,
     tasks: int = 24,
-    poison: Sequence[int] = (7,),
-    plan: Optional[FaultPlan] = None,
     random_plan: bool = False,
-    give_up_after_ms: float = 30_000.0,
     prefetch: int = 1,
     trace: bool = False,
     shards: int = 1,
@@ -313,18 +310,16 @@ def chaos_experiment(
     the replayable recovery trace — is identical with it on or off.
     """
     _require_compact(codec)
-    app = PoisonedSquares(n=tasks, poison=poison)
+    app = PoisonedSquares(n=tasks)
 
     def campaign(streams: RandomStreams, hostnames: list[str]) -> FaultPlan:
-        if plan is not None:
-            return plan
         if random_plan:
             return FaultPlan.generate(streams.stream("fault-plan"), hostnames)
         return default_chaos_plan(hostnames)
 
     return _campaign(
         seed, workers, app,
-        _config(give_up_after_ms, prefetch, trace, shards,
+        _config(30_000.0, prefetch, trace, shards,
                 straggler_timeout_ms=2_000.0,   # replicate around dead workers
                 max_task_attempts=2),
         plan=campaign,
@@ -427,10 +422,14 @@ NEMESIS_FAULTS = {
 }
 
 
-def coordination_chaos_plan(faults: Sequence[str],
-                            first_at_ms: float = 3_000.0,
-                            spacing_ms: float = 1_500.0,
-                            slow_factor: float = 8.0) -> FaultPlan:
+#: When a coordination campaign's first fault lands, the spacing of the
+#: next ones (each lands mid-run), and a gray slow's latency factor.
+FIRST_FAULT_AT_MS = 3_000.0
+FAULT_SPACING_MS = 1_500.0
+SLOW_FACTOR = 8.0
+
+
+def coordination_chaos_plan(faults: Sequence[str]) -> FaultPlan:
     """One coordinator fault per entry, spaced so each lands mid-run.
 
     Entries are ``"kill-primary-space"``, ``"kill-master"``,
@@ -445,13 +444,13 @@ def coordination_chaos_plan(faults: Sequence[str],
     kinds = {"kill-primary-space": FaultKind.KILL_PRIMARY_SPACE,
              "kill-master": FaultKind.KILL_MASTER}
     for index, fault in enumerate(faults):
-        at_ms = first_at_ms + index * spacing_ms
+        at_ms = FIRST_FAULT_AT_MS + index * FAULT_SPACING_MS
         name, _, suffix = fault.partition(":")
         if name in NEMESIS_FAULTS:
             kind, duration_ms = NEMESIS_FAULTS[name]
             plan.add(FaultEvent(at_ms, kind, target=suffix or "space",
                                 duration_ms=duration_ms,
-                                factor=slow_factor))
+                                factor=SLOW_FACTOR))
         elif name == "kill-shard":
             plan.add(FaultEvent(at_ms, FaultKind.KILL_SHARD,
                                 target=str(int(suffix))))
@@ -465,7 +464,6 @@ def coordination_chaos_experiment(
     workers: int = 4,
     tasks: int = 24,
     faults: Sequence[str] = ("kill-primary-space",),
-    give_up_after_ms: float = 60_000.0,
     prefetch: int = 1,
     trace: bool = False,
     shards: int = 1,
@@ -488,7 +486,7 @@ def coordination_chaos_experiment(
 
     return _campaign(
         seed, workers, app,
-        _config(give_up_after_ms, prefetch, trace, shards,
+        _config(60_000.0, prefetch, trace, shards,
                 task_txn_lease_ms=10_000.0,
                 straggler_timeout_ms=2_000.0,
                 max_task_attempts=2,
@@ -533,6 +531,14 @@ TENANT_STRIDE = 1_000_000
 VICTIM = "victim"
 AGGRESSOR = "aggressor"
 
+#: The aggressor's in-flight quota (it floods ten times that many tasks)
+#: and its token-bucket write rate.
+AGGRESSOR_QUOTA = 4
+AGGRESSOR_RATE_PER_S = 10.0
+#: Each bystander tenant's tasks and their cost (the aggressor's too).
+BYSTANDER_TASKS = 2
+BYSTANDER_TASK_COST = 100.0
+
 
 class TenantSquares(PoisonedSquares):
     """One tenant's slice of the shared sum-of-squares job family.
@@ -541,9 +547,8 @@ class TenantSquares(PoisonedSquares):
     class set), disjoint task-id range (``base`` must be a multiple of
     :data:`TENANT_STRIDE`)."""
 
-    def __init__(self, base: int, n: int, task_cost: float = 400.0,
-                 poison: Sequence[int] = ()) -> None:
-        super().__init__(n=n, poison=poison, task_cost=task_cost)
+    def __init__(self, base: int, n: int, task_cost: float = 400.0) -> None:
+        super().__init__(n=n, poison=(), task_cost=task_cost)
         self.base = base
 
     def plan(self) -> list[Task]:
@@ -660,26 +665,19 @@ def contention_chaos_experiment(
     workers: int = 4,
     tenants: int = 8,
     victim_tasks: int = 24,
-    victim_task_cost: float = 400.0,
-    bystander_tasks: int = 2,
-    bystander_task_cost: float = 100.0,
     aggressor: bool = True,
-    aggressor_quota: int = 4,
-    aggressor_rate_per_s: float = 10.0,
-    give_up_after_ms: float = 60_000.0,
     prefetch: int = 2,
     trace: bool = False,
     shards: int = 1,
-    preemption_poll_ms: float = 500.0,
     fault_plan: Optional[FaultPlan] = None,
 ) -> ContentionResult:
     """``tenants`` masters share one deployment; one floods 10x its quota.
 
     The tenant roster: one high-priority *victim* (the deployment's own
     master, ``victim_tasks`` real tasks), one low-priority *aggressor*
-    flooding ``10 * aggressor_quota`` tasks against a quota of
-    ``aggressor_quota`` in flight plus a token-bucket rate limit, and
-    ``tenants - 2`` bystanders with ``bystander_tasks`` each.  Admission
+    flooding ``10 * AGGRESSOR_QUOTA`` tasks against a quota of
+    ``AGGRESSOR_QUOTA`` in flight plus a token-bucket rate limit, and
+    ``tenants - 2`` bystanders with ``BYSTANDER_TASKS`` each.  Admission
     control (quota + rate + watermark shed), weighted fair-share
     dispatch (the victim's share outweighs the rest combined) and
     priority preemption together must keep every non-aggressor tenant
@@ -694,10 +692,9 @@ def contention_chaos_experiment(
         raise ValueError(f"tenants must be >= 2 (victim + aggressor slot), "
                          f"got {tenants}")
 
-    victim_app = TenantSquares(base=0, n=victim_tasks,
-                               task_cost=victim_task_cost)
+    victim_app = TenantSquares(base=0, n=victim_tasks)
     config = _config(
-        give_up_after_ms, prefetch, trace, shards,
+        60_000.0, prefetch, trace, shards,
         # -- the multi-tenant job service under test ----------------------
         tenant=VICTIM,
         priority=2,
@@ -709,9 +706,9 @@ def contention_chaos_experiment(
         # it — the aggressor (priority 0 < the governor's cutoff 1) gets
         # watermark-shed as well as quota-rejected.
         admission_soft_watermark=victim_tasks // max(1, shards) + 8,
-        admission_quotas={AGGRESSOR: aggressor_quota},
-        admission_rates={AGGRESSOR: aggressor_rate_per_s},
-        preemption_poll_ms=preemption_poll_ms,
+        admission_quotas={AGGRESSOR: AGGRESSOR_QUOTA},
+        admission_rates={AGGRESSOR: AGGRESSOR_RATE_PER_S},
+        preemption_poll_ms=500.0,
     )
 
     def run(runtime: SimulatedRuntime, framework: AdaptiveClusterFramework):
@@ -719,15 +716,15 @@ def contention_chaos_experiment(
         expected = {VICTIM: victim_app.expected_solution()}
         for i in range(2, tenants):
             name = f"b{i:03d}"
-            app = TenantSquares(base=i * TENANT_STRIDE, n=bystander_tasks,
-                                task_cost=bystander_task_cost)
+            app = TenantSquares(base=i * TENANT_STRIDE, n=BYSTANDER_TASKS,
+                                task_cost=BYSTANDER_TASK_COST)
             masters[name] = framework.attach_tenant_master(
                 app, name, priority=1)
             expected[name] = app.expected_solution()
         if aggressor:
             flood = TenantSquares(base=TENANT_STRIDE,
-                                  n=10 * aggressor_quota,
-                                  task_cost=bystander_task_cost)
+                                  n=10 * AGGRESSOR_QUOTA,
+                                  task_cost=BYSTANDER_TASK_COST)
             masters[AGGRESSOR] = framework.attach_tenant_master(
                 flood, AGGRESSOR, priority=0)
             expected[AGGRESSOR] = flood.expected_solution()

@@ -88,22 +88,18 @@ def _check_sweep(app_id: str, sweep: ScalabilityResult) -> None:
 
 def classify_one(
     app_id: str,
-    worker_counts: Optional[list[int]] = None,
     sweep: Optional[ScalabilityResult] = None,
 ) -> AppClassification:
     """Measure one application's Table 2 row.
 
     ``sweep`` is an already-run scalability sweep of ``app_id`` (1 to
     ``MAX_WORKERS`` workers) to grade from; without one, a sweep over
-    ``worker_counts`` (default ``[1, max]``) is run here.
+    1 and ``MAX_WORKERS`` workers is run here.
     """
     if sweep is None:
-        if worker_counts is None:
-            worker_counts = [1, MAX_WORKERS[app_id]]
         sweep = scalability_experiment(
-            APP_FACTORIES[app_id], CLUSTER_FACTORIES[app_id], worker_counts)
-    elif worker_counts is not None:
-        raise ValueError("pass worker_counts or sweep, not both")
+            APP_FACTORIES[app_id], CLUSTER_FACTORIES[app_id],
+            [1, MAX_WORKERS[app_id]])
     else:
         _check_sweep(app_id, sweep)
     _, speedup = sweep.speedups()[-1]

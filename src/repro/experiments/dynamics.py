@@ -24,7 +24,8 @@ from repro.node.loadgen import LoadSimulator2
 from repro.runtime import SimulatedRuntime
 from repro.sim.rng import RandomStreams
 
-__all__ = ["DynamicsRow", "DynamicsResult", "dynamics_experiment"]
+__all__ = ["DynamicsRow", "DynamicsResult", "dynamics_experiment",
+           "LOADED_FRACTIONS"]
 
 
 @dataclass(frozen=True)
@@ -63,28 +64,31 @@ class DynamicsResult:
         return "\n".join(lines)
 
 
+#: "the load simulator used to simulate high CPU loads [is] run on 25%
+#: and 50% of available workers", beside the unloaded run.
+LOADED_FRACTIONS = (0.0, 0.25, 0.5)
+
+
 def dynamics_experiment(
     app_factory: Callable[[], Application],
     cluster_factory: Callable[..., Cluster],
     workers: int = 4,
-    loaded_fractions: tuple[float, ...] = (0.0, 0.25, 0.5),
-    poll_interval_ms: float = 500.0,
-    seed: int = 0,
 ) -> DynamicsResult:
-    """Run the application with a fraction of the workers kept busy."""
+    """Run the application with each of :data:`LOADED_FRACTIONS` of the
+    workers kept busy."""
     app_id = app_factory().app_id
     result = DynamicsResult(app_id=app_id, workers=workers)
 
-    for fraction in loaded_fractions:
+    for fraction in LOADED_FRACTIONS:
         n_loaded = math.floor(workers * fraction + 1e-9)
 
         def body(runtime: SimulatedRuntime, n_loaded=n_loaded, fraction=fraction):
             cluster = cluster_factory(
-                runtime, workers=workers, streams=RandomStreams(seed)
+                runtime, workers=workers, streams=RandomStreams(0)
             )
             framework = AdaptiveClusterFramework(
                 runtime, cluster, app_factory(),
-                FrameworkConfig(poll_interval_ms=poll_interval_ms,
+                FrameworkConfig(poll_interval_ms=500.0,
                                 compute_real=False),
             )
             # "the load simulator used to simulate high CPU loads [is] run

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.runtime import SimulatedRuntime
 
 __all__ = ["run_simulation"]
 
 
-def run_simulation(
-    body: Callable[[SimulatedRuntime], Any],
-    until: Optional[float] = None,
-) -> Any:
+def run_simulation(body: Callable[[SimulatedRuntime], Any]) -> Any:
     """Run ``body`` as the root process of a fresh simulated runtime.
 
     The kernel is always shut down afterwards (no leaked threads across
@@ -21,8 +18,6 @@ def run_simulation(
     runtime = SimulatedRuntime()
     try:
         proc = runtime.kernel.spawn(lambda: body(runtime), name="experiment")
-        if until is not None:
-            runtime.kernel.run(until=until)
         runtime.kernel.run_until_idle()
         if proc.error is not None:  # pragma: no cover - kernel re-raises first
             raise proc.error

@@ -55,24 +55,25 @@ def stolen_cpu_ms(
     return stolen
 
 
+#: The user's activity window and the run's end, virtual ms.
+USER_WINDOW = (10_000.0, 30_000.0)
+END_MS = 36_000.0
+
+
 def intrusiveness_experiment(
     app_factory: Callable[[], Application],
     cluster_factory: Callable[..., Cluster],
     monitoring: bool,
-    user_window: tuple[float, float] = (10_000.0, 30_000.0),
-    end_ms: float = 36_000.0,
-    poll_interval_ms: float = 500.0,
-    seed: int = 0,
 ) -> IntrusivenessResult:
     """One run: a single worker, a user-activity window, monitoring on/off."""
 
     def body(runtime: SimulatedRuntime) -> IntrusivenessResult:
-        cluster = cluster_factory(runtime, workers=1, streams=RandomStreams(seed))
+        cluster = cluster_factory(runtime, workers=1, streams=RandomStreams(0))
         node = cluster.workers[0]
         framework = AdaptiveClusterFramework(
             runtime, cluster, app_factory(),
             FrameworkConfig(monitoring=monitoring,
-                            poll_interval_ms=poll_interval_ms,
+                            poll_interval_ms=500.0,
                             compute_real=False),
         )
         framework.start()
@@ -81,12 +82,12 @@ def intrusiveness_experiment(
         runtime.spawn(framework.master.run, name="master-run")
 
         user = LoadSimulator1(runtime, node, rng=cluster.rng("user"))
-        t0, t1 = user_window
+        t0, t1 = USER_WINDOW
         runtime.sleep(t0)
         user.start()
         runtime.sleep(t1 - t0)
         user.stop()
-        runtime.sleep(end_ms - t1)
+        runtime.sleep(END_MS - t1)
 
         history = node.cpu.recorder.history()
         result = IntrusivenessResult(

@@ -52,13 +52,7 @@ class EvaluationReport:
         return "\n\n".join(sections)
 
 
-def run_full_evaluation(
-    scalability: bool = True,
-    adaptation: bool = True,
-    dynamics: bool = True,
-    classification: bool = True,
-    progress=None,
-) -> EvaluationReport:
+def run_full_evaluation(progress=None) -> EvaluationReport:
     """Regenerate every experiment; ``progress(msg)`` reports stages."""
     def note(message: str) -> None:
         if progress is not None:
@@ -68,25 +62,21 @@ def run_full_evaluation(
     for app_id in APP_FACTORIES:
         app_factory = APP_FACTORIES[app_id]
         cluster_factory = CLUSTER_FACTORIES[app_id]
-        if scalability:
-            note(f"scalability sweep — {app_id}")
-            report.scalability[app_id] = scalability_experiment(
-                app_factory, cluster_factory,
-                list(range(1, MAX_WORKERS[app_id] + 1)),
-            )
-        if adaptation:
-            note(f"adaptation protocol — {app_id}")
-            report.adaptation[app_id] = adaptation_experiment(
-                app_factory, cluster_factory
-            )
-        if dynamics:
-            note(f"dynamic behaviour — {app_id}")
-            report.dynamics[app_id] = dynamics_experiment(
-                app_factory, cluster_factory,
-                workers=4 if app_id != "option-pricing" else 8,
-            )
-    if classification:
-        note("Table 2 classification")
-        # Graded from the Fig 6-8 sweeps when they ran, not re-simulated.
-        report.classification = classify_applications(report.scalability)
+        note(f"scalability sweep — {app_id}")
+        report.scalability[app_id] = scalability_experiment(
+            app_factory, cluster_factory,
+            list(range(1, MAX_WORKERS[app_id] + 1)),
+        )
+        note(f"adaptation protocol — {app_id}")
+        report.adaptation[app_id] = adaptation_experiment(
+            app_factory, cluster_factory
+        )
+        note(f"dynamic behaviour — {app_id}")
+        report.dynamics[app_id] = dynamics_experiment(
+            app_factory, cluster_factory,
+            workers=4 if app_id != "option-pricing" else 8,
+        )
+    note("Table 2 classification")
+    # Graded from the Fig 6-8 sweeps, not re-simulated.
+    report.classification = classify_applications(report.scalability)
     return report

@@ -13,7 +13,6 @@ fresh simulated cluster and measure the paper's four quantities:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -51,10 +50,6 @@ class ScalabilityRow:
 class ScalabilityResult:
     app_id: str
     rows: list[ScalabilityRow] = field(default_factory=list)
-    #: Telemetry from the *last* sweep point when run with ``trace=True``
-    #: (the largest cluster — the point whose span tree is interesting).
-    tracer: Any = None
-    prometheus: str = ""
 
     def speedups(self) -> list[tuple[int, float]]:
         base = self.rows[0].parallel_ms
@@ -100,55 +95,32 @@ def scalability_experiment(
     app_factory: Callable[[], Application],
     cluster_factory: Callable[..., Cluster],
     worker_counts: list[int],
-    config: Optional[FrameworkConfig] = None,
-    seed: int = 0,
-    trace: bool = False,
 ) -> ScalabilityResult:
-    """Sweep the worker count; one isolated simulation per point.
-
-    ``trace`` records telemetry spans at the final (largest) sweep point
-    and attaches the tracer + Prometheus dump to the result.  Timing is
-    unaffected — trace IDs ride in the entries whether or not spans are
-    recorded.
-    """
+    """Sweep the worker count; one isolated simulation per point."""
     app_id = app_factory().app_id
     result = ScalabilityResult(app_id=app_id)
-    if config is None:
-        # Real results are identical at every sweep point (same app), so
-        # skip re-computing them: the sweep measures time, not values.
-        config = FrameworkConfig(compute_real=False)
+    # Real results are identical at every sweep point (same app), so skip
+    # re-computing them: the sweep measures time, not values.
+    config = FrameworkConfig(compute_real=False)
 
-    for index, workers in enumerate(worker_counts):
-        traced = trace and index == len(worker_counts) - 1
-        point_config = (dataclasses.replace(config, trace=True)
-                        if traced else config)
+    for workers in worker_counts:
 
-        def body(runtime: SimulatedRuntime, workers=workers,
-                 point_config=point_config, traced=traced):
+        def body(runtime: SimulatedRuntime, workers=workers):
             cluster = cluster_factory(
-                runtime, workers=workers, streams=RandomStreams(seed)
+                runtime, workers=workers, streams=RandomStreams(0)
             )
             report, framework = run_framework_once(
-                runtime, cluster, app_factory(), point_config
+                runtime, cluster, app_factory(), config
             )
-            row = ScalabilityRow(
+            return ScalabilityRow(
                 workers=workers,
                 max_worker_ms=framework.max_worker_time_ms(),
                 parallel_ms=report.parallel_ms,
                 planning_ms=report.planning_ms,
                 aggregation_ms=report.aggregation_ms,
             )
-            if traced:
-                return (row, framework.tracer,
-                        framework.telemetry.prometheus_text())
-            return row
 
-        outcome = run_simulation(body)
-        if traced:
-            row, result.tracer, result.prometheus = outcome
-        else:
-            row = outcome
-        result.rows.append(row)
+        result.rows.append(run_simulation(body))
     return result
 
 
@@ -168,11 +140,9 @@ class EgressBoundStrips(Application):
 
     app_id = "egress-strips"
 
-    def __init__(self, n: int = 64, result_kb: int = 48,
-                 task_cost: float = 2.0) -> None:
+    def __init__(self, n: int = 64, result_kb: int = 48) -> None:
         self.n = n
         self.result_kb = result_kb
-        self._task_cost = task_cost
 
     def plan(self) -> list[Task]:
         return [Task(task_id=i, payload=i) for i in range(self.n)]
@@ -186,7 +156,7 @@ class EgressBoundStrips(Application):
         return sum(len(v) for v in results.values())
 
     def task_cost_ms(self, task: Task) -> float:
-        return self._task_cost
+        return 2.0
 
     def planning_cost_ms(self, task: Task) -> float:
         return 0.05
@@ -213,7 +183,6 @@ _SHARD_BENCH_LATENCY = dict(base_ms=0.3, jitter_ms=0.0, per_kb_ms=0.02,
 
 def sharded_throughput_experiment(
     shards: int,
-    seed: int = 0,
     workers: int = 16,
     strips: int = 256,
     result_kb: int = 64,
@@ -232,7 +201,7 @@ def sharded_throughput_experiment(
     def body(runtime: SimulatedRuntime) -> ShardThroughputRow:
         cluster = Cluster(runtime, master_spec=FAST_PC,
                           latency=LatencyModel(**_SHARD_BENCH_LATENCY),
-                          streams=RandomStreams(seed))
+                          streams=RandomStreams(0))
         cluster.add_workers(workers, FAST_PC)
         # One server machine per shard, off the compute nodes (the paper
         # ran its JavaSpaces server the same way) — shard egress must not
@@ -259,21 +228,10 @@ def sharded_throughput_experiment(
     return run_simulation(body)
 
 
-def shard_scaling_experiment(
-    shard_counts: list[int],
-    seed: int = 0,
-    workers: int = 16,
-    strips: int = 256,
-    result_kb: int = 64,
-    prefetch: int = 8,
-) -> list[ShardThroughputRow]:
+def shard_scaling_experiment(shard_counts: list[int]
+                             ) -> list[ShardThroughputRow]:
     """Sweep the shard count (one isolated simulation per point)."""
-    return [
-        sharded_throughput_experiment(
-            shards, seed=seed, workers=workers, strips=strips,
-            result_kb=result_kb, prefetch=prefetch)
-        for shards in shard_counts
-    ]
+    return [sharded_throughput_experiment(shards) for shards in shard_counts]
 
 
 def format_shard_table(rows: list[ShardThroughputRow]) -> str:

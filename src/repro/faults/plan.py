@@ -113,90 +113,35 @@ class FaultPlan:
         names the exact campaign that was running when it fired."""
         return {"events": [e.to_dict() for e in self.events]}
 
-    @classmethod
-    def generate(
-        cls,
-        rng,
-        hosts: Sequence[str],
-        horizon_ms: float = 30_000.0,
-        crashes: int = 1,
-        flaps: int = 1,
-        server_restarts: int = 1,
-        flap_ms: tuple[float, float] = (500.0, 3_000.0),
-        restart_ms: tuple[float, float] = (300.0, 1_500.0),
-        chaos_windows: int = 0,
-        chaos_profile: Optional[ChaosProfile] = None,
-        chaos_ms: tuple[float, float] = (1_000.0, 5_000.0),
-        partitions: int = 0,
-        pauses: int = 0,
-        gray_slows: int = 0,
-        partition_ms: tuple[float, float] = (1_000.0, 3_000.0),
-        pause_ms: tuple[float, float] = (500.0, 1_500.0),
-        slow_ms: tuple[float, float] = (1_000.0, 4_000.0),
-        slow_factor: float = 10.0,
-        nemesis_targets: Optional[Sequence[str]] = None,
-    ) -> "FaultPlan":
-        """Draw a random schedule from ``rng`` (a seeded numpy Generator).
+    #: A generated campaign's span, and the ranges its link flaps and
+    #: server restarts last, virtual ms.
+    HORIZON_MS = 30_000.0
+    FLAP_MS = (500.0, 3_000.0)
+    RESTART_MS = (300.0, 1_500.0)
 
-        Fault times are uniform over ``[0.1, 0.9] * horizon_ms`` so the
+    @classmethod
+    def generate(cls, rng, hosts: Sequence[str]) -> "FaultPlan":
+        """Draw a random schedule from ``rng`` (a seeded numpy Generator):
+        one worker crash, one link flap and one space-server restart.
+
+        Fault times are uniform over ``[0.1, 0.9] * HORIZON_MS`` so the
         run has quiet lead-in and drain phases; targets are drawn
         uniformly from ``hosts``.  Same rng state → same plan, always.
         """
         hosts = list(hosts)
-        events: list[FaultEvent] = []
 
         def when() -> float:
-            return float(rng.uniform(0.1 * horizon_ms, 0.9 * horizon_ms))
+            return float(rng.uniform(0.1 * cls.HORIZON_MS,
+                                     0.9 * cls.HORIZON_MS))
 
         def pick_host() -> Optional[str]:
             if not hosts:
                 return None
             return hosts[int(rng.integers(0, len(hosts)))]
 
-        for _ in range(crashes):
-            events.append(FaultEvent(when(), FaultKind.WORKER_CRASH,
-                                     target=pick_host()))
-        for _ in range(flaps):
-            events.append(FaultEvent(
-                when(), FaultKind.LINK_FLAP, target=pick_host(),
-                duration_ms=float(rng.uniform(*flap_ms)),
-            ))
-        for _ in range(server_restarts):
-            events.append(FaultEvent(
-                when(), FaultKind.SERVER_RESTART,
-                duration_ms=float(rng.uniform(*restart_ms)),
-            ))
-        profile = chaos_profile if chaos_profile is not None else ChaosProfile(
-            datagram_drop=0.05, stream_drop=0.02, extra_delay_ms=5.0,
-            delay_probability=0.2,
-        )
-        for _ in range(chaos_windows):
-            events.append(FaultEvent(
-                when(), FaultKind.CHAOS_WINDOW,
-                duration_ms=float(rng.uniform(*chaos_ms)), profile=profile,
-            ))
-        # Nemesis faults (partition/pause/gray-slow) default to hitting
-        # the space itself — that is where split-brain lives — unless the
-        # caller names other targets.
-        targets = list(nemesis_targets) if nemesis_targets else ["space"]
-
-        def pick_target() -> str:
-            return targets[int(rng.integers(0, len(targets)))]
-
-        for _ in range(partitions):
-            events.append(FaultEvent(
-                when(), FaultKind.PARTITION, target=pick_target(),
-                duration_ms=float(rng.uniform(*partition_ms)),
-            ))
-        for _ in range(pauses):
-            events.append(FaultEvent(
-                when(), FaultKind.PAUSE, target=pick_target(),
-                duration_ms=float(rng.uniform(*pause_ms)),
-            ))
-        for _ in range(gray_slows):
-            events.append(FaultEvent(
-                when(), FaultKind.GRAY_SLOW, target=pick_target(),
-                duration_ms=float(rng.uniform(*slow_ms)),
-                factor=slow_factor,
-            ))
-        return cls(events)
+        crash = FaultEvent(when(), FaultKind.WORKER_CRASH, target=pick_host())
+        flap = FaultEvent(when(), FaultKind.LINK_FLAP, target=pick_host(),
+                          duration_ms=float(rng.uniform(*cls.FLAP_MS)))
+        restart = FaultEvent(when(), FaultKind.SERVER_RESTART,
+                             duration_ms=float(rng.uniform(*cls.RESTART_MS)))
+        return cls([crash, flap, restart])

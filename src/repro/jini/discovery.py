@@ -36,7 +36,7 @@ class LookupLocator:
         self.host = host
         self.registrar = registrar
 
-    def probe(self, timeout_ms: float = 100.0) -> bool:
+    def probe(self) -> bool:
         """True iff a lookup service answers at the address."""
         from repro.errors import ConnectionClosedError, NetworkError
         from repro.jini.join import LookupClient
@@ -50,8 +50,8 @@ class LookupLocator:
         finally:
             client.close()
 
-    def get_registrar(self, timeout_ms: float = 100.0) -> Optional[Address]:
-        return self.registrar if self.probe(timeout_ms) else None
+    def get_registrar(self) -> Optional[Address]:
+        return self.registrar if self.probe() else None
 
 
 class DiscoveryClient:
@@ -62,13 +62,10 @@ class DiscoveryClient:
         self.network = network
         self.host = host
 
-    def discover(
-        self, timeout_ms: float = 50.0, expected: Optional[int] = None
-    ) -> list[Address]:
+    def discover(self, timeout_ms: float = 50.0) -> list[Address]:
         """Broadcast an announcement; collect registrar addresses.
 
-        Listens for responses until ``timeout_ms`` elapses, or returns early
-        once ``expected`` registrars answered.
+        Listens for responses until ``timeout_ms`` elapses.
         """
         reply_address = self.network.ephemeral(self.host)
         socket = self.network.bind_datagram(reply_address)
@@ -98,8 +95,6 @@ class DiscoveryClient:
                     registrar = message["registrar"]
                     if registrar not in registrars:
                         registrars.append(registrar)
-                    if expected is not None and len(registrars) >= expected:
-                        break
             return registrars
         finally:
             socket.close()

@@ -103,9 +103,9 @@ class JoinManager:
             except ConnectionClosedError:
                 continue  # transient partition/outage: retry next half-lease
 
-    def stop(self, cancel: bool = True) -> None:
+    def stop(self) -> None:
         self._running = False
-        if cancel and self.registration_id is not None:
+        if self.registration_id is not None:
             try:
                 self.client.cancel(self.registration_id)
             except (LookupError_, ConnectionClosedError):

@@ -27,6 +27,9 @@ __all__ = ["ServiceDiscoveryManager"]
 class ServiceDiscoveryManager:
     """Maintains a live cache of services matching an attribute query."""
 
+    #: How long each refresh listens for registrar announcements.
+    DISCOVERY_TIMEOUT_MS = 50.0
+
     def __init__(
         self,
         runtime: Runtime,
@@ -34,14 +37,12 @@ class ServiceDiscoveryManager:
         host: str,
         query: dict[str, Any],
         refresh_interval_ms: float = 2_000.0,
-        discovery_timeout_ms: float = 50.0,
     ) -> None:
         self.runtime = runtime
         self.network = network
         self.host = host
         self.query = dict(query)
         self.refresh_interval_ms = refresh_interval_ms
-        self.discovery_timeout_ms = discovery_timeout_ms
         self.running = False
         self._cache: dict[str, ServiceItem] = {}
         self._clients: dict[Address, LookupClient] = {}
@@ -77,15 +78,9 @@ class ServiceDiscoveryManager:
         """Current cache contents (cheap local call)."""
         return list(self._cache.values())
 
-    def lookup_one(self, wait_ms: float = 0.0) -> Optional[ServiceItem]:
-        """A cached match, optionally waiting for one to appear."""
-        deadline = self.runtime.now() + wait_ms
-        while True:
-            if self._cache:
-                return next(iter(self._cache.values()))
-            if self.runtime.now() >= deadline:
-                return None
-            self.runtime.sleep(min(50.0, self.refresh_interval_ms))
+    def lookup_one(self) -> Optional[ServiceItem]:
+        """A cached match, if the last refresh found one."""
+        return next(iter(self._cache.values()), None)
 
     # -- internals -----------------------------------------------------------------------
 
@@ -93,7 +88,7 @@ class ServiceDiscoveryManager:
         """One discovery + lookup round; fires add/remove callbacks."""
         self.stats["refreshes"] += 1
         registrars = DiscoveryClient(self.runtime, self.network, self.host).discover(
-            timeout_ms=self.discovery_timeout_ms
+            timeout_ms=self.DISCOVERY_TIMEOUT_MS
         )
         self.stats["discoveries"] += len(registrars)
         found: dict[str, ServiceItem] = {}

@@ -282,8 +282,10 @@ class Listener:
     def closed(self) -> bool:
         return self._pending.closed
 
-    def accept(self, timeout_ms: Optional[float] = None) -> Optional[StreamSocket]:
-        return self._pending.get(timeout_ms)
+    def accept(self) -> StreamSocket:
+        """The next dialled connection; blocks until one arrives (raises
+        :class:`ConnectionClosedError` once the listener is closed)."""
+        return self._pending.get()
 
     def close(self) -> None:
         """Stop accepting, and hang up on each connection dialled but not

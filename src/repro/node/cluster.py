@@ -45,8 +45,8 @@ class Cluster:
         self.workers: list[Node] = []
         self.space_hosts: list[Node] = []
 
-    def add_worker(self, spec: MachineSpec, hostname: Optional[str] = None) -> Node:
-        name = hostname if hostname is not None else f"worker{len(self.workers) + 1}"
+    def add_worker(self, spec: MachineSpec) -> Node:
+        name = f"worker{len(self.workers) + 1}"
         node = Node(self.runtime, self.network, name, spec)
         self.workers.append(node)
         return node
@@ -54,13 +54,11 @@ class Cluster:
     def add_workers(self, count: int, spec: MachineSpec) -> list[Node]:
         return [self.add_worker(spec) for _ in range(count)]
 
-    def add_space_host(self, spec: MachineSpec,
-                       hostname: Optional[str] = None) -> Node:
+    def add_space_host(self, spec: MachineSpec) -> Node:
         """A node that serves tuple-space shards but runs no worker — the
         paper's deployment shape (the JavaSpaces server got its own
         machine, off the compute nodes)."""
-        name = (hostname if hostname is not None
-                else f"space{len(self.space_hosts) + 1}")
+        name = f"space{len(self.space_hosts) + 1}"
         node = Node(self.runtime, self.network, name, spec)
         self.space_hosts.append(node)
         return node

@@ -41,6 +41,8 @@ class Node:
 
     #: The window the MIB's load gauges average over.
     LOAD_WINDOW_MS = 1000.0
+    #: The SNMP community the node's agent and its load traps carry.
+    SNMP_COMMUNITY = "public"
 
     def __init__(
         self,
@@ -48,7 +50,6 @@ class Node:
         network: Network,
         hostname: str,
         spec: MachineSpec,
-        snmp_community: str = "public",
     ) -> None:
         self.runtime = runtime
         self.network = network
@@ -56,7 +57,6 @@ class Node:
         self.spec = spec
         self.cpu = CpuModel(runtime, spec.cpu_mhz)
         self.memory = MemoryModel(spec.ram_mb)
-        self.snmp_community = snmp_community
         self._agent: Optional[SnmpAgent] = None
 
     # -- SNMP -------------------------------------------------------------------
@@ -88,7 +88,7 @@ class Node:
         if self._agent is None:
             self._agent = SnmpAgent(
                 self.runtime, self.network, self.hostname,
-                self.build_mib(), community=self.snmp_community,
+                self.build_mib(), community=self.SNMP_COMMUNITY,
             )
             self._agent.start()
         return self._agent

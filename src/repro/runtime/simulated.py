@@ -40,8 +40,8 @@ CancelHandle.register(EventHandle)
 class SimulatedRuntime(Runtime):
     """Deterministic virtual-time runtime used by all experiments."""
 
-    def __init__(self, kernel: Optional[SimKernel] = None) -> None:
-        self.kernel = kernel if kernel is not None else SimKernel()
+    def __init__(self) -> None:
+        self.kernel = SimKernel()
         # Bind the clock and the scheduler directly (they run on every space
         # op, message and wake): the attributes skip the methods' frame.
         self.now = self.kernel.now  # type: ignore[method-assign]

@@ -44,11 +44,10 @@ class SnmpAgent:
         host: str,
         mib: Optional[Mib] = None,
         community: str = "public",
-        port: int = SNMP_PORT,
     ) -> None:
         self.runtime = runtime
         self.network = network
-        self.address = Address(host, port)
+        self.address = Address(host, SNMP_PORT)
         self.mib = mib if mib is not None else Mib()
         self.community = community
         self._socket = None

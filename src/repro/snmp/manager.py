@@ -42,6 +42,9 @@ from repro.snmp.pdu import (
 
 __all__ = ["SnmpManager"]
 
+#: OIDs a :meth:`SnmpManager.walk_bulk` round trip asks for.
+BULK_REPETITIONS = 16
+
 
 class _Transaction:
     """One request in flight: its bytes, its attempts (made and allowed)
@@ -104,21 +107,20 @@ class SnmpManager:
 
     # -- public operations ------------------------------------------------------
 
-    def get(self, agent_host: str, oids: list[Oid], port: int = SNMP_PORT) -> dict[Oid, Any]:
+    def get(self, agent_host: str, oids: list[Oid]) -> dict[Oid, Any]:
         """GET one or more OIDs from an agent; returns ``{oid: value}``."""
         request = GetRequest(
             request_id=next(self._request_ids),
             varbinds=[(Oid(o), None) for o in oids],
             community=self.community,
         )
-        return _values(self._transact(Address(agent_host, port), request))
+        return _values(self._transact(Address(agent_host, SNMP_PORT), request))
 
-    def get_one(self, agent_host: str, oid: Oid, port: int = SNMP_PORT) -> Any:
-        return self.get(agent_host, [oid], port)[Oid(oid)]
+    def get_one(self, agent_host: str, oid: Oid) -> Any:
+        return self.get(agent_host, [oid])[Oid(oid)]
 
     def fetch(self, agent_host: str, oid: Oid,
-              on_done: Callable[[Any, Optional[Exception]], None],
-              port: int = SNMP_PORT) -> None:
+              on_done: Callable[[Any, Optional[Exception]], None]) -> None:
         """:meth:`get_one` by callback: ``on_done(value, None)`` once the
         agent answers, ``on_done(None, error)`` on an error status, on
         :class:`TimeoutError_` after the last attempt, or on
@@ -141,17 +143,15 @@ class SnmpManager:
                 return
             on_done(value, None)
 
-        self._request(Address(agent_host, port), request, done)
+        self._request(Address(agent_host, SNMP_PORT), request, done)
 
-    def get_next(
-        self, agent_host: str, oid: Oid, port: int = SNMP_PORT
-    ) -> tuple[Oid, Any]:
+    def get_next(self, agent_host: str, oid: Oid) -> tuple[Oid, Any]:
         request = GetNextRequest(
             request_id=next(self._request_ids),
             varbinds=[(Oid(oid), None)],
             community=self.community,
         )
-        response = self._transact(Address(agent_host, port), request)
+        response = self._transact(Address(agent_host, SNMP_PORT), request)
         if response.error_status == ERROR_NO_SUCH_NAME:
             raise NoSuchOidError(f"end of MIB after {oid}")
         if response.error_status != 0:
@@ -162,11 +162,12 @@ class SnmpManager:
         self,
         agent_host: str,
         oids: list[Oid],
-        non_repeaters: int = 0,
-        max_repetitions: int = 10,
-        port: int = SNMP_PORT,
+        non_repeaters: int,
+        max_repetitions: int,
     ) -> list[tuple[Oid, Any]]:
-        """SNMPv2 GetBulk: batched GETNEXT sweeps in one round trip."""
+        """SNMPv2 GetBulk: batched GETNEXT sweeps in one round trip (one
+        GETNEXT for each of the first ``non_repeaters`` OIDs, up to
+        ``max_repetitions`` for each of the rest)."""
         request = GetBulkRequest(
             request_id=next(self._request_ids),
             varbinds=[(Oid(o), None) for o in oids],
@@ -174,21 +175,20 @@ class SnmpManager:
             error_index=max_repetitions,
             community=self.community,
         )
-        response = self._transact(Address(agent_host, port), request)
+        response = self._transact(Address(agent_host, SNMP_PORT), request)
         if response.error_status != 0:
             raise SnmpError(f"agent error status {response.error_status}")
         return list(response.varbinds)
 
-    def walk_bulk(self, agent_host: str, subtree: Oid, port: int = SNMP_PORT,
-                  max_repetitions: int = 16) -> list[tuple[Oid, Any]]:
-        """Like :meth:`walk` but fetching ``max_repetitions`` per round
-        trip — the v2 way to dump a table cheaply."""
+    def walk_bulk(self, agent_host: str, subtree: Oid
+                  ) -> list[tuple[Oid, Any]]:
+        """Like :meth:`walk` but fetching :data:`BULK_REPETITIONS` per
+        round trip — the v2 way to dump a table cheaply."""
         subtree = Oid(subtree)
         results: list[tuple[Oid, Any]] = []
         cursor = subtree
         while True:
-            batch = self.get_bulk(agent_host, [cursor], port=port,
-                                  max_repetitions=max_repetitions)
+            batch = self.get_bulk(agent_host, [cursor], 0, BULK_REPETITIONS)
             progressed = False
             for oid, value in batch:
                 if not oid.starts_with(subtree):
@@ -196,17 +196,17 @@ class SnmpManager:
                 results.append((oid, value))
                 cursor = oid
                 progressed = True
-            if not progressed or len(batch) < max_repetitions:
+            if not progressed or len(batch) < BULK_REPETITIONS:
                 return results
 
-    def walk(self, agent_host: str, subtree: Oid, port: int = SNMP_PORT) -> list[tuple[Oid, Any]]:
+    def walk(self, agent_host: str, subtree: Oid) -> list[tuple[Oid, Any]]:
         """GETNEXT sweep of every OID under ``subtree``."""
         subtree = Oid(subtree)
         results: list[tuple[Oid, Any]] = []
         cursor = subtree
         while True:
             try:
-                oid, value = self.get_next(agent_host, cursor, port)
+                oid, value = self.get_next(agent_host, cursor)
             except NoSuchOidError:
                 break
             if not oid.starts_with(subtree):
@@ -215,13 +215,13 @@ class SnmpManager:
             cursor = oid
         return results
 
-    def set(self, agent_host: str, oid: Oid, value: Any, port: int = SNMP_PORT) -> None:
+    def set(self, agent_host: str, oid: Oid, value: Any) -> None:
         request = SetRequest(
             request_id=next(self._request_ids),
             varbinds=[(Oid(oid), value)],
             community=self.community,
         )
-        response = self._transact(Address(agent_host, port), request)
+        response = self._transact(Address(agent_host, SNMP_PORT), request)
         if response.error_status != 0:
             raise SnmpError(f"set failed with status {response.error_status}")
 

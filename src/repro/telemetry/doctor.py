@@ -267,16 +267,13 @@ class DoctorReport:
         return "\n".join(lines)
 
 
-def _pick_job_span(spans: Sequence[Any], app: Optional[str]) -> Any:
-    """The *last* matching ``job`` span — a warm benchmark runs the same
-    job twice on one tracer, and the warm run is the one under study."""
+def _pick_job_span(spans: Sequence[Any]) -> Any:
+    """The *last* ``job`` span — a warm benchmark runs the same job twice
+    on one tracer, and the warm run is the one under study."""
     chosen = None
     for span in spans:
-        if span.name != "job":
-            continue
-        if app is not None and span.attrs.get("app") != app:
-            continue
-        chosen = span
+        if span.name == "job":
+            chosen = span
     if chosen is None:
         raise ValueError(
             "no 'job' span recorded — was the run traced? "
@@ -284,16 +281,21 @@ def _pick_job_span(spans: Sequence[Any], app: Optional[str]) -> Any:
     return chosen
 
 
-def analyze_job(tracer_or_spans: Any, app: Optional[str] = None,
-                top_tasks: int = 5, lane_width: int = 40) -> DoctorReport:
+#: The slowest tasks a report names, and the buckets of each worker's
+#: utilization lane.
+TOP_TASKS = 5
+LANE_WIDTH = 40
+
+
+def analyze_job(tracer_or_spans: Any) -> DoctorReport:
     """Attribute one job's wall time to phases (see module docstring).
 
     ``tracer_or_spans`` is a :class:`~repro.telemetry.trace.Tracer` or a
-    plain span list; ``app`` pins a specific job when several apps share
-    the tracer.  Deterministic: identical spans → identical report.
+    plain span list; the last job it recorded is the one analysed.
+    Deterministic: identical spans → identical report.
     """
     spans = getattr(tracer_or_spans, "spans", tracer_or_spans)
-    job = _pick_job_span(spans, app)
+    job = _pick_job_span(spans)
     lo = job.start_ms
     hi = job.end_ms if job.end_ms is not None else job.start_ms
     if hi <= lo:
@@ -391,15 +393,15 @@ def analyze_job(tracer_or_spans: Any, app: Optional[str] = None,
 
     # -- per-worker utilization lanes ----------------------------------------
     lanes = []
-    bucket = wall / lane_width
+    bucket = wall / LANE_WIDTH
     scale = (len(_RAMP) - 1) / bucket
-    top_bucket = lane_width - 1
+    top_bucket = LANE_WIDTH - 1
     for proc in sorted(by_proc):
         intervals = _union(by_proc[proc])
         busy = _total(intervals)
         # Distribute each (sorted, disjoint) interval into its buckets
         # arithmetically — O(intervals + buckets), no per-cell scan.
-        cov = [0.0] * lane_width
+        cov = [0.0] * LANE_WIDTH
         for s, e in intervals:
             bs = min(int((s - lo) / bucket), top_bucket)
             be = min(int((e - lo) / bucket), top_bucket)
@@ -417,7 +419,7 @@ def analyze_job(tracer_or_spans: Any, app: Optional[str] = None,
 
     # -- per-task cost split -------------------------------------------------
     # Rank by clipped duration first, then run the interval algebra only
-    # for the ``top_tasks`` actually reported — the split is the priciest
+    # for the ``TOP_TASKS`` actually reported — the split is the priciest
     # per-task work and the report never shows more than the top N.
     ranked = []
     for span in task_spans:
@@ -426,7 +428,7 @@ def analyze_job(tracer_or_spans: Any, app: Optional[str] = None,
             ranked.append((interval, span))
     ranked.sort(key=lambda r: (r[0][0] - r[0][1], r[1].trace_id))
     costs = []
-    for interval, span in ranked[:top_tasks]:
+    for interval, span in ranked[:TOP_TASKS]:
         total = interval[1] - interval[0]
         window = [interval]
         compute = _total(_intersect(
@@ -462,24 +464,21 @@ def analyze_job(tracer_or_spans: Any, app: Optional[str] = None,
 
 
 def explain_phase_regression(committed: Mapping[str, float],
-                             current: Mapping[str, float],
-                             prefix: str = "doctor_",
-                             suffix: str = "_ms",
-                             min_growth_ms: float = 1.0) -> list[str]:
+                             current: Mapping[str, float]) -> list[str]:
     """Which phase grew?  Human-readable lines for a throughput failure.
 
     ``committed``/``current`` are benchmark cell dicts holding
-    ``<prefix><phase><suffix>`` entries (deterministic virtual-time
+    ``doctor_<phase>_ms`` entries (deterministic virtual-time
     milliseconds).  Returns lines sorted by absolute growth, largest
-    first; empty when no phase grew by at least ``min_growth_ms``.
+    first; empty when no phase grew by at least 1 ms.
     """
     deltas = []
     for name in PHASE_ORDER:
-        key = f"{prefix}{name}{suffix}"
+        key = f"doctor_{name}_ms"
         if key not in committed or key not in current:
             continue
         before, after = float(committed[key]), float(current[key])
-        if after - before >= min_growth_ms:
+        if after - before >= 1.0:
             deltas.append((after - before, name, before, after))
     deltas.sort(key=lambda d: (-d[0], d[1]))
     lines = []

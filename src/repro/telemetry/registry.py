@@ -209,15 +209,16 @@ class Registry:
 
     # -- Metrics-series snapshots --------------------------------------------
 
-    def snapshot_into(self, metrics: Any, prefix: str = "telemetry/") -> None:
+    def snapshot_into(self, metrics: Any) -> None:
         """Record every instrument's current value into a ``Metrics``
-        series (histograms record count / p50 / p95)."""
+        series named ``telemetry/<name>`` (histograms record count / p50 /
+        p95)."""
         for name, labels, kind, instrument in self.samples():
             suffix = ""
             if labels:
                 suffix = "{" + ",".join(f"{k}={v}" for k, v
                                         in sorted(labels.items())) + "}"
-            series = f"{prefix}{name}{suffix}"
+            series = f"telemetry/{name}{suffix}"
             if kind == "histogram":
                 metrics.record(series + ".count", instrument.count)
                 metrics.record(series + ".p50", instrument.quantile(0.50))

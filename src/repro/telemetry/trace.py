@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import weakref
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 __all__ = ["Span", "Tracer", "NULL_SPAN"]
 
@@ -219,29 +219,26 @@ class Tracer:
         return span
 
     def record(self, name: str, trace_id: str, start_ms: float, end_ms: float,
-               parent_id: Optional[str] = None, span_id: Optional[str] = None,
+               parent_id: Optional[str] = None,
                proc: Optional[str] = None, **attrs: Any) -> Optional[Span]:
         """Record a span with explicit timestamps (used when work is batched
         and per-item shares are only known after the fact)."""
         if not self.enabled:
             return None
-        if span_id is None:
-            self._next_id += 1
-            span_id = f"s{self._next_id}"
-        span = Span(self._now, name, trace_id, span_id, parent_id, proc,
-                    start_ms, attrs)
+        self._next_id += 1
+        span = Span(self._now, name, trace_id, f"s{self._next_id}", parent_id,
+                    proc, start_ms, attrs)
         span.end_ms = end_ms
         self.spans.append(span)
         if self.sink is not None:
             self.sink(span)
         return span
 
-    def instant(self, name: str, trace_id: str, parent_id: Optional[str] = None,
-                proc: Optional[str] = None, **attrs: Any) -> Optional[Span]:
+    def instant(self, name: str, trace_id: str, proc: Optional[str] = None,
+                **attrs: Any) -> Optional[Span]:
         """Record a zero-duration marker (rendered as an instant event)."""
         now = self._now()
-        return self.record(name, trace_id, now, now, parent_id=parent_id,
-                           proc=proc, **attrs)
+        return self.record(name, trace_id, now, now, proc=proc, **attrs)
 
     # -- queries -------------------------------------------------------------
 
@@ -254,18 +251,13 @@ class Tracer:
     def by_trace(self, trace_id: str) -> list[Span]:
         return [s for s in self.spans if s.trace_id == trace_id]
 
-    def coverage(self, start_ms: float, end_ms: float,
-                 names: Optional[Iterable[str]] = None) -> float:
-        """Fraction of ``[start_ms, end_ms]`` covered by the union of spans
-        (optionally restricted to ``names``).  1.0 means the whole window
-        is accounted for by at least one span."""
+    def coverage(self, start_ms: float, end_ms: float) -> float:
+        """Fraction of ``[start_ms, end_ms]`` covered by the union of spans.
+        1.0 means the whole window is accounted for by at least one span."""
         if end_ms <= start_ms:
             return 1.0
-        wanted = set(names) if names is not None else None
         intervals = []
         for span in self.spans:
-            if wanted is not None and span.name not in wanted:
-                continue
             lo = max(span.start_ms, start_ms)
             hi = min(span.end_ms if span.end_ms is not None else span.start_ms,
                      end_ms)

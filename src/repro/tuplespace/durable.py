@@ -110,7 +110,6 @@ class DurableSpace(JavaSpace):
         cls,
         runtime: Runtime,
         store: WalStore,
-        name: str = "JavaSpaces",
         snapshot_every: Optional[int] = 64,
         group_commit_ms: Optional[float] = None,
         codec: str = "compact",
@@ -122,7 +121,7 @@ class DurableSpace(JavaSpace):
         not damage: it is dropped)."""
         # ``codec`` keyword kept for benchmarks/suite/adapter.py; the
         # constructor rejects anything but "compact".
-        space = cls(runtime, name,
+        space = cls(runtime,
                     wal=WriteAheadLog(store, group_ms=group_commit_ms),
                     snapshot_every=snapshot_every, codec=codec)
         # The rebuild allocates a few acyclic objects per entry and frees
@@ -238,7 +237,6 @@ class HotStandby:
         name: str = "JavaSpaces-standby",
         snapshot_every: Optional[int] = 64,
         metrics: Any = None,
-        repl_ack_timeout_ms: float = 500.0,
     ) -> None:
         self.runtime = runtime
         self.network = network
@@ -248,8 +246,6 @@ class HotStandby:
         self.space = DurableSpace(runtime, name=name,
                                   snapshot_every=snapshot_every)
         self.metrics = metrics
-        #: Carried onto the server this standby becomes when promoted.
-        self.repl_ack_timeout_ms = repl_ack_timeout_ms
         self.caught_up = False
         self.promoted = False
         self.server: Optional[SpaceServer] = None
@@ -296,7 +292,6 @@ class HotStandby:
             txn_manager=txn_manager,
         )
         self.server.fencing = True
-        self.server.repl_ack_timeout_ms = self.repl_ack_timeout_ms
         self.server.start()
         if self.metrics is not None:
             self.metrics.event("standby-promoted", host=self.host,

@@ -517,7 +517,6 @@ class SpaceSupervisor:
             name=self.standby.space.name,
             snapshot_every=self.standby.space.snapshot_every,
             metrics=self.metrics,
-            repl_ack_timeout_ms=self.standby.repl_ack_timeout_ms,
         )
         rejoined.start()
         self._spawned_standbys.append(rejoined)

@@ -256,13 +256,11 @@ class _Client:
         return self._invoke(Call("take", template, txn,
                                  timeout_ms=timeout_ms))
 
-    def read_if_exists(self, template: Entry,
-                       txn: Any = None) -> Optional[Entry]:
-        return self.read(template, txn, timeout_ms=0.0)
+    def read_if_exists(self, template: Entry) -> Optional[Entry]:
+        return self.read(template, timeout_ms=0.0)
 
-    def take_if_exists(self, template: Entry,
-                       txn: Any = None) -> Optional[Entry]:
-        return self.take(template, txn, timeout_ms=0.0)
+    def take_if_exists(self, template: Entry) -> Optional[Entry]:
+        return self.take(template, timeout_ms=0.0)
 
     def take_multiple(self, template: Entry, max_entries: int,
                       txn: Any = None,

@@ -39,7 +39,7 @@ from repro.tuplespace.ops import (
     batch_recorder,
     space_client,
 )
-from repro.tuplespace.space import JavaSpace, Waiter
+from repro.tuplespace.space import TASK_CLASS_NAMES, JavaSpace, Waiter
 from repro.tuplespace.transaction import Transaction, TransactionManager
 from repro.util.codec import decode_any, peek_class, read_fields
 
@@ -86,15 +86,13 @@ URGENT_PRIORITY = 1
 class AdmissionConfig:
     """Per-tenant admission policy enforced by a :class:`SpaceServer`.
 
-    All limits apply to *tenant-tagged* task writes only (a
-    ``TaskEntry`` whose ``tenant`` field is set), so single-tenant
-    deployments — and every other entry class: results, checkpoints,
-    dead letters — are never throttled.  Rates are metered on the
-    simulation clock, so admission decisions replay exactly.
+    All limits apply to *tenant-tagged* task writes only (an entry of
+    ``space.TASK_CLASS_NAMES`` whose ``tenant`` field is set), so
+    single-tenant deployments — and every other entry class: results,
+    checkpoints, dead letters — are never throttled.  Rates are metered
+    on the simulation clock, so admission decisions replay exactly.
     """
 
-    #: Entry classes under admission control.
-    CLASS_NAMES = ("TaskEntry",)
     #: Token-bucket capacity (burst size), in task writes.
     WRITE_BURST = 16.0
     #: Retry-after hint for quota/watermark rejections (token-bucket
@@ -183,7 +181,7 @@ class AdmissionController:
             # tenant/priority are field-slice reads: admission judges an
             # entry without decoding it.
             cls = peek_class(frame)
-            if cls.__name__ not in config.CLASS_NAMES:
+            if cls.__name__ not in TASK_CLASS_NAMES:
                 continue
             tenant, priority = read_fields(frame, ("tenant", "priority"))
             if tenant is None:
@@ -440,6 +438,12 @@ def lease_status(pong: dict[str, Any]) -> str:
 class SpaceServer:
     """Exports a :class:`JavaSpace` on a network address."""
 
+    #: How long a mutation may wait for the standby's replication ack
+    #: before the server gives up and *drops the client connection
+    #: unanswered* (the client sees a connection error: correctly
+    #: indeterminate).
+    REPL_ACK_TIMEOUT_MS = 500.0
+
     def __init__(
         self,
         runtime: Runtime,
@@ -486,16 +490,13 @@ class SpaceServer:
         #: failover otherwise leaves open.
         self.lease_ms: Optional[float] = None
         self._lease_expires: Optional[float] = None
-        #: Synchronous replication: while a standby feed is attached, a
-        #: mutation is acknowledged only after the standby has confirmed
-        #: the WAL record.  This closes the *lost-ack* half of split brain:
-        #: without it an egress-partitioned primary keeps acking loopback
-        #: clients while nothing reaches the standby that is about to be
-        #: promoted.  A server with no feed answers at once.  This is
-        #: how long a mutation may wait for the standby's ack before the
-        #: server gives up and *drops the client connection unanswered*
-        #: (the client sees a connection error: correctly indeterminate).
-        self.repl_ack_timeout_ms = 500.0
+        # Synchronous replication: while a standby feed is attached, a
+        # mutation is acknowledged only after the standby has confirmed
+        # the WAL record (for at most :attr:`REPL_ACK_TIMEOUT_MS`).  This
+        # closes the *lost-ack* half of split brain: without it an
+        # egress-partitioned primary keeps acking loopback clients while
+        # nothing reaches the standby that is about to be promoted.  A
+        # server with no feed answers at once.
         #: Replication LSN each attached feed has confirmed, keyed by the
         #: feed's connection; mutations gate on the minimum.
         self._feed_acks: dict[Any, int] = {}
@@ -741,7 +742,7 @@ class SpaceServer:
                 or self._confirmed(wal.last_lsn)):
             return False
         session.parked = gate = _Gate(
-            value, wal.last_lsn, self.runtime.now() + self.repl_ack_timeout_ms)
+            value, wal.last_lsn, self.runtime.now() + self.REPL_ACK_TIMEOUT_MS)
         self._hold(session, gate)
         return True
 
@@ -1459,12 +1460,12 @@ class SpaceProxy:
         return row, args, sent, span
 
     def _collect(self, row: Any, args: dict[str, Any], sent: Any,
-                 span: Any = None) -> Any:
+                 span: Any) -> Any:
         """The collect step: the reply within its deadline, decoded, or
         the failed attempt recovered; traced, the span ends here."""
         if span is not None:
             with span:
-                return self._collect(row, args, sent)
+                return self._collect(row, args, sent, None)
         op = row.name
         try:
             if isinstance(sent, Exception):

@@ -61,7 +61,12 @@ from repro.util.codec import (
     read_fields,
 )
 
-__all__ = ["JavaSpace", "Waiter"]
+__all__ = ["JavaSpace", "Waiter", "TASK_CLASS_NAMES"]
+
+#: The entry classes that carry a tenant's tasks: fair-share ``take``
+#: dispatch (here) and admission control (``proxy.AdmissionController``)
+#: apply to these only.
+TASK_CLASS_NAMES = frozenset({"TaskEntry"})
 
 
 #: Stat keys, in exposition order.  Each maps to a plain ``_stat_<key>``
@@ -250,6 +255,9 @@ class JavaSpace:
     #: base space never pays for the hook.
     journaling = False
 
+    #: Fair-share weight of a tenant the configured shares do not name.
+    DEFAULT_SHARE = 1.0
+
     def __init__(self, runtime: Runtime, name: str = "JavaSpaces") -> None:
         self.runtime = runtime
         self.name = name
@@ -299,8 +307,6 @@ class JavaSpace:
         # ``None`` keeps the single-tenant fast path: no take ever reads
         # a tenant field.
         self._fair_shares: Optional[dict[str, float]] = None
-        self._fair_default_share = 1.0
-        self._fair_class_names: frozenset[str] = frozenset()
         self._drr_deficit: dict[str, float] = {}
         #: Observational counters (``grants:<tenant>`` per DRR selection);
         #: not part of STAT_KEYS so existing telemetry goldens hold.
@@ -447,17 +453,17 @@ class JavaSpace:
         got = self._acquire_batch(template, txn, timeout_ms, take=True, max_entries=1)
         return got[0] if got else None
 
-    def read_if_exists(self, template: Entry, txn: Optional[Transaction] = None) -> Optional[Entry]:
-        return self.read(template, txn, timeout_ms=0.0)
+    def read_if_exists(self, template: Entry) -> Optional[Entry]:
+        return self.read(template, timeout_ms=0.0)
 
-    def exists(self, template: Entry, txn: Optional[Transaction] = None,
+    def exists(self, template: Entry,
                timeout_ms: Optional[float] = None) -> bool:
         """Non-consuming presence check: a ``read`` that reports only
         whether a match was seen."""
-        return self.read(template, txn, timeout_ms=timeout_ms) is not None
+        return self.read(template, timeout_ms=timeout_ms) is not None
 
-    def take_if_exists(self, template: Entry, txn: Optional[Transaction] = None) -> Optional[Entry]:
-        return self.take(template, txn, timeout_ms=0.0)
+    def take_if_exists(self, template: Entry) -> Optional[Entry]:
+        return self.take(template, timeout_ms=0.0)
 
     # -- encoded (zero-copy) variants: results are the stored frames ----------
 
@@ -1066,37 +1072,29 @@ class JavaSpace:
 
     # ----------------------------------------------------- fair-share dispatch --
 
-    def configure_fair_share(
-        self,
-        shares: dict[str, float],
-        default_share: float = 1.0,
-        class_names: tuple[str, ...] = ("TaskEntry",),
-    ) -> None:
+    def configure_fair_share(self, shares: dict[str, float]) -> None:
         """Enable weighted fair-share ``take`` dispatch across tenants.
 
-        Competing takes whose template is one of ``class_names`` and does
-        not pin a ``tenant`` are served by deficit round-robin: each
-        selection visits the tenants that currently have a matching entry
-        in sorted-name order, replenishing each visited tenant's deficit
-        by ``share`` normalized to the largest present share, and serves
-        the first tenant whose deficit covers one task.  Long-run grants
+        Competing takes whose template is one of :data:`TASK_CLASS_NAMES`
+        and does not pin a ``tenant`` are served by deficit round-robin:
+        each selection visits the tenants that currently have a matching
+        entry in sorted-name order, replenishing each visited tenant's
+        deficit by ``share`` normalized to the largest present share, and
+        serves the first tenant whose deficit covers one task.  Long-run grants
         converge to the configured weights; FIFO order is preserved
-        within a tenant.  Entries without a tenant participate as the
-        pseudo-tenant ``""`` at ``default_share``.
+        within a tenant.  A tenant ``shares`` does not name (and entries
+        without a tenant, as the pseudo-tenant ``""``) weighs
+        :attr:`DEFAULT_SHARE`.
         """
         for tenant, share in shares.items():
             if share <= 0:
                 raise SpaceError(f"tenant share must be > 0: {tenant}={share}")
-        if default_share <= 0:
-            raise SpaceError(f"default_share must be > 0: {default_share}")
         with self._lock:
             self._fair_shares = dict(shares)
-            self._fair_default_share = float(default_share)
-            self._fair_class_names = frozenset(class_names)
 
     def _share_of(self, tenant: str) -> float:
         shares = self._fair_shares or {}
-        return shares.get(tenant, self._fair_default_share)
+        return shares.get(tenant, self.DEFAULT_SHARE)
 
     def _find_fair(
         self,
@@ -1169,7 +1167,7 @@ class JavaSpace:
         self, template_cls: type, items: list[tuple[str, Any]], take: bool
     ) -> bool:
         return (take and self._fair_shares is not None
-                and template_cls.__name__ in self._fair_class_names
+                and template_cls.__name__ in TASK_CLASS_NAMES
                 and not any(name == "tenant" for name, _ in items))
 
     def _matching(

@@ -53,10 +53,10 @@ from repro.verify.history import (
 
 __all__ = ["HistoryReport", "check_history"]
 
-#: Entry classes subject to the lost-write check by default.  Other
-#: classes (checkpoints, heartbeats, ...) are written with finite leases
-#: and may expire legitimately.
-DEFAULT_TRACKED = ("TaskEntry", "ResultEntry")
+#: Entry classes subject to the lost-write check.  Other classes
+#: (checkpoints, heartbeats, ...) are written with finite leases and may
+#: expire legitimately.
+TRACKED_CLASSES = frozenset({"TaskEntry", "ResultEntry"})
 
 _MAX_REPORTED = 20
 
@@ -104,7 +104,6 @@ class HistoryReport:
 def check_history(
     history: HistoryRecorder,
     final_entries: Optional[Iterable[Any]] = None,
-    tracked_classes: Iterable[str] = DEFAULT_TRACKED,
 ) -> HistoryReport:
     """Check a run's operation history for consistency violations.
 
@@ -185,7 +184,6 @@ def check_history(
 
     # -- check 3: no lost committed writes -----------------------------------
     if final_entries is not None:
-        tracked = set(tracked_classes)
         remaining: dict[tuple[str, Any], int] = {}
         for entry in final_entries:
             key = entry_key(entry)
@@ -193,7 +191,7 @@ def check_history(
                 remaining[key] = remaining.get(key, 0) + 1
         missing_by_class: dict[str, list[tuple[Any, int]]] = {}
         for key, tally in tallies.items():
-            if key[0] not in tracked:
+            if key[0] not in TRACKED_CLASSES:
                 continue
             unaccounted = (tally.writes_committed - tally.takes_committed
                            - tally.takes_indeterminate

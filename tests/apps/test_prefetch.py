@@ -155,7 +155,7 @@ def test_cache_rejects_zero_capacity():
 def test_prefetcher_fetches_highest_ranked_links():
     cluster = tiny_cluster()
     ranks = np.array([0.5, 0.1, 0.3, 0.1])
-    prefetcher = PageRankPrefetcher(cluster, ranks, top_k=2)
+    prefetcher = PageRankPrefetcher(cluster, ranks)
     predicted = prefetcher.predicted_next("http://x.com/b")  # links to 0, 1
     assert predicted == ["http://x.com/home", "http://x.com/a"]
 
@@ -163,7 +163,7 @@ def test_prefetcher_fetches_highest_ranked_links():
 def test_prefetching_turns_next_request_into_hit():
     cluster = tiny_cluster()
     ranks, _ = pagerank_power(stochastic_matrix(cluster))
-    prefetcher = PageRankPrefetcher(cluster, ranks, top_k=3)
+    prefetcher = PageRankPrefetcher(cluster, ranks)
     assert prefetcher.handle_request("http://x.com/a") is False  # cold
     # /a links to /home which is now prefetched.
     assert prefetcher.handle_request("http://x.com/home") is True
@@ -187,7 +187,7 @@ def test_prefetching_improves_hit_rate_on_rank_driven_walk():
     cluster = generate_cluster(n_pages=100, seed=11)
     ranks, _ = pagerank_power(stochastic_matrix(cluster))
     prefetcher = PageRankPrefetcher(cluster, ranks,
-                                    cache=PrefetchCache(capacity=64), top_k=3)
+                                    cache=PrefetchCache(capacity=64))
     rng = np.random.default_rng(1)
     url = cluster.page(0).url
     for _ in range(60):

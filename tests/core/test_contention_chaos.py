@@ -61,11 +61,10 @@ def test_contention_campaign_is_deterministic():
 
 
 def test_preemption_fires_and_preserves_accounting():
-    # Fast governor poll + slow aggressor tasks: the low-priority
+    # Four shards deep in a four-task pipeline: the low-priority
     # pipeline is caught holding a batch while urgent backlog queues.
-    r = contention_chaos_experiment(seed=3, tenants=6,
-                                    preemption_poll_ms=100.0,
-                                    bystander_task_cost=400.0)
+    r = contention_chaos_experiment(seed=3, tenants=6, shards=4,
+                                    prefetch=4)
     assert r.preemptions > 0
     assert r.tasks_released > 0
     assert any(name == "tenant-preempted" for _, name, _ in r.trace)
@@ -74,8 +73,7 @@ def test_preemption_fires_and_preserves_accounting():
 
 
 def test_aggressor_failure_is_recorded_not_raised():
-    r = contention_chaos_experiment(seed=42, tenants=8,
-                                    give_up_after_ms=4_000.0)
+    r = contention_chaos_experiment(seed=42, tenants=8)
     # Whatever happened to the aggressor, the victims' run must not
     # have been unwound by it.
     assert r.correct
@@ -99,7 +97,8 @@ _fault_plans = st.sampled_from(["crash", "pause"])
 )
 def test_preemption_exactly_once_under_nemesis_faults(seed, kind, worker,
                                                       at_ms):
-    """Preemption (fast poll) composed with a worker crash or pause must
+    """Preemption (four shards, pipeline depth four) composed with a
+    worker crash or pause must
     never lose or double-count a task: every non-aggressor tenant's
     solution stays exact and the op history checks out."""
     plan = FaultPlan()
@@ -111,8 +110,7 @@ def test_preemption_exactly_once_under_nemesis_faults(seed, kind, worker,
                             target=f"worker{worker}",
                             duration_ms=1_200.0))
     r = contention_chaos_experiment(
-        seed=seed, tenants=5, preemption_poll_ms=100.0,
-        bystander_task_cost=400.0, fault_plan=plan,
+        seed=seed, tenants=5, shards=4, prefetch=4, fault_plan=plan,
     )
     assert r.faults_injected == 1
     assert r.correct, f"tenant lost work under {kind}@{at_ms} (seed {seed})"

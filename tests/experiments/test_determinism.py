@@ -31,10 +31,8 @@ def test_adaptation_fully_deterministic():
 
 
 def test_dynamics_deterministic():
-    a = dynamics_experiment(make_raytrace_app, raytrace_cluster, workers=3,
-                            loaded_fractions=(0.0, 0.5))
-    b = dynamics_experiment(make_raytrace_app, raytrace_cluster, workers=3,
-                            loaded_fractions=(0.0, 0.5))
+    a = dynamics_experiment(make_raytrace_app, raytrace_cluster, workers=3)
+    b = dynamics_experiment(make_raytrace_app, raytrace_cluster, workers=3)
     assert a.rows == b.rows
 
 

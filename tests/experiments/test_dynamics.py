@@ -38,8 +38,7 @@ def test_loaded_runs_match_smaller_unloaded_clusters(raytrace_dynamics):
     """Losing k of 4 workers ≈ computing with 4−k workers."""
     loaded_half = raytrace_dynamics.rows[2]          # 2 of 4 loaded
     two_workers = dynamics_experiment(
-        make_raytrace_app, raytrace_cluster, workers=2, loaded_fractions=(0.0,)
-    ).rows[0]
+        make_raytrace_app, raytrace_cluster, workers=2).rows[0]
     assert loaded_half.max_worker_ms == pytest.approx(
         two_workers.max_worker_ms, rel=0.15
     )
@@ -47,9 +46,8 @@ def test_loaded_runs_match_smaller_unloaded_clusters(raytrace_dynamics):
 
 def test_prefetch_less_sensitive_to_lost_workers():
     """Aggregation-bound app: losing workers hurts less than compute-bound."""
-    result = dynamics_experiment(make_prefetch_app, prefetch_cluster, workers=4,
-                                 loaded_fractions=(0.0, 0.5))
-    slowdown = result.rows[1].total_parallel_ms / result.rows[0].total_parallel_ms
+    result = dynamics_experiment(make_prefetch_app, prefetch_cluster, workers=4)
+    slowdown = result.rows[2].total_parallel_ms / result.rows[0].total_parallel_ms
     assert slowdown < 2.2
 
 

@@ -12,31 +12,45 @@ from repro.experiments.report import EvaluationReport, run_full_evaluation
 
 
 @pytest.fixture(scope="module")
-def quick_report():
+def evaluation():
+    """One full evaluation: the report, its progress notes, and how many
+    simulations it ran and sites it generated."""
+    calls = {"run_simulation": 0, "generate_cluster": 0}
     progress: list[str] = []
-    report = run_full_evaluation(
-        scalability=False, dynamics=False, progress=progress.append
-    )
-    return report, progress
+    with pytest.MonkeyPatch.context() as monkeypatch:
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (scalability, adaptation, dynamics):
+            counting(module, "run_simulation")
+        counting(prefetch_app, "generate_cluster")
+        prefetch_app._generated_inputs.cache_clear()
+        report = run_full_evaluation(progress=progress.append)
+    return report, progress, calls
 
 
-def test_quick_report_has_adaptation_and_table2(quick_report):
-    report, _ = quick_report
-    assert set(report.adaptation) == {"option-pricing", "ray-tracing",
-                                      "web-prefetch"}
+def test_report_has_every_section(evaluation):
+    report, _, _ = evaluation
+    apps = {"option-pricing", "ray-tracing", "web-prefetch"}
+    assert set(report.scalability) == set(report.adaptation) == apps
+    assert set(report.dynamics) == apps
     assert len(report.classification) == 3
-    assert report.scalability == {}
-    assert report.dynamics == {}
 
 
-def test_progress_callback_narrates_stages(quick_report):
-    _, progress = quick_report
+def test_progress_callback_narrates_stages(evaluation):
+    _, progress, _ = evaluation
     assert any("adaptation" in msg for msg in progress)
     assert any("Table 2" in msg for msg in progress)
 
 
-def test_render_mentions_each_figure(quick_report):
-    report, _ = quick_report
+def test_render_mentions_each_figure(evaluation):
+    report, _, _ = evaluation
     text = report.render()
     for fragment in ("Figure 9(b)", "Figure 10(b)", "Figure 11(b)",
                      "Table 2", "signal cycle"):
@@ -54,23 +68,8 @@ def test_empty_report_renders_empty():
 VIRTUAL_MS_REPR = "899203.1715181521"
 
 
-def test_full_evaluation_report_is_pinned(monkeypatch, golden):
-    calls = {"run_simulation": 0, "generate_cluster": 0}
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    for module in (scalability, adaptation, dynamics):
-        counting(module, "run_simulation")
-    counting(prefetch_app, "generate_cluster")
-    prefetch_app._generated_inputs.cache_clear()
-
-    report = run_full_evaluation()
+def test_full_evaluation_report_is_pinned(evaluation, golden):
+    report, _, calls = evaluation
     # The sha256 of the full evaluation's rendered report (Figs 6-11,
     # Exp 3, Table 2) is the golden table's `repro all` row, which
     # prints the report and a newline.  Every modelled result feeds it,

@@ -15,29 +15,24 @@ def test_generated_plans_are_seed_deterministic():
     hosts = ["w1", "w2", "w3"]
 
     def gen(seed):
-        return FaultPlan.generate(np.random.default_rng(seed), hosts,
-                                  crashes=2, flaps=2, server_restarts=1,
-                                  chaos_windows=1)
+        return FaultPlan.generate(np.random.default_rng(seed), hosts)
 
     assert gen(42).events == gen(42).events
     assert gen(42).events != gen(43).events
 
 
 def test_generated_plan_shape_and_ordering():
-    plan = FaultPlan.generate(np.random.default_rng(0), ["w1", "w2"],
-                              horizon_ms=10_000.0, crashes=1, flaps=2,
-                              server_restarts=1, chaos_windows=1)
-    assert len(plan) == 5
+    plan = FaultPlan.generate(np.random.default_rng(0), ["w1", "w2"])
+    assert len(plan) == 3
     times = [e.at_ms for e in plan]
     assert times == sorted(times)
-    assert all(1_000.0 <= t <= 9_000.0 for t in times)  # lead-in / drain
-    kinds = [e.kind for e in plan]
-    assert kinds.count(FaultKind.LINK_FLAP) == 2
+    assert all(3_000.0 <= t <= 27_000.0 for t in times)  # lead-in / drain
+    assert sorted(e.kind for e in plan) == sorted(
+        [FaultKind.WORKER_CRASH, FaultKind.LINK_FLAP,
+         FaultKind.SERVER_RESTART])
     for event in plan:
         if event.kind in (FaultKind.WORKER_CRASH, FaultKind.LINK_FLAP):
             assert event.target in ("w1", "w2")
-        if event.kind == FaultKind.CHAOS_WINDOW:
-            assert event.profile is not None
 
 
 def test_plan_add_keeps_events_sorted():

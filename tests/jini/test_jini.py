@@ -32,7 +32,7 @@ def test_discovery_finds_registrar(rt, env):
 
     def proc():
         client = DiscoveryClient(rt, net, "workerhost")
-        return client.discover(timeout_ms=50.0, expected=1)
+        return client.discover(timeout_ms=50.0)
 
     assert run(rt, proc) == [REGISTRAR]
 
@@ -190,7 +190,7 @@ def test_full_stack_discover_then_lookup_then_connect(rt, env):
             lease_ms=FOREVER,
         ).start()
         # Worker discovers and uses it.
-        registrars = DiscoveryClient(rt, net, "worker").discover(expected=1)
+        registrars = DiscoveryClient(rt, net, "worker").discover()
         client = LookupClient(net, "worker", registrars[0])
         item = client.lookup({"type": "JavaSpaces"})[0]
         client.close()

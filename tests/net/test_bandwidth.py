@@ -86,7 +86,7 @@ def test_streams_share_the_host_egress(rt):
 
     def proc():
         conn = net.connect("master", Address("s", 1))
-        server = listener.accept(timeout_ms=100.0)
+        server = listener.accept()
         conn.send(b"x" * 10240)
         conn.send(b"x" * 10240)
         server.receive(timeout_ms=1000.0)

@@ -64,7 +64,7 @@ def test_stream_drop_resets_the_connection(rt, net):
 
     def proc():
         client = net.connect("client", Address("server", 9))
-        server_side = listener.accept(timeout_ms=100.0)
+        server_side = listener.accept()
         net.clear_chaos()
         net.set_chaos(ChaosProfile(stream_drop=1.0),
                       rng=np.random.default_rng(2))

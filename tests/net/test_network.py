@@ -203,7 +203,7 @@ def test_stream_connect_and_exchange(rt, net):
 
     def proc():
         client = net.connect("client", Address("server", 5000))
-        server = listener.accept(timeout_ms=100.0)
+        server = listener.accept()
         client.send({"register": "client-1"})
         request = server.receive(timeout_ms=100.0)
         server.send({"assigned_id": 7})
@@ -234,7 +234,7 @@ def test_stream_messages_arrive_in_order_despite_jitter(rt):
 
     def proc():
         client = jittery.connect("c", Address("s", 1))
-        server = listener.accept(timeout_ms=100.0)
+        server = listener.accept()
         for i in range(20):
             client.send(i)
         return [server.receive(timeout_ms=1000.0) for _ in range(20)]
@@ -247,7 +247,7 @@ def test_stream_close_propagates_eof(rt, net):
 
     def proc():
         client = net.connect("c", Address("s", 1))
-        server = listener.accept(timeout_ms=100.0)
+        server = listener.accept()
         client.send("last")
         client.close()
         first = server.receive(timeout_ms=100.0)
@@ -263,7 +263,7 @@ def test_send_on_closed_socket_raises(rt, net):
 
     def proc():
         client = net.connect("c", Address("s", 1))
-        listener.accept(timeout_ms=100.0)
+        listener.accept()
         client.close()
         with pytest.raises(ConnectionClosedError):
             client.send("x")
@@ -272,15 +272,20 @@ def test_send_on_closed_socket_raises(rt, net):
     assert run(rt, proc)
 
 
-def test_listener_accept_timeout(rt, net):
+def test_listener_accept_waits_for_a_dial(rt, net):
     listener = net.listen(Address("s", 1))
 
-    def proc():
-        return listener.accept(timeout_ms=25.0), rt.now()
+    def dial():
+        rt.sleep(25.0)
+        net.connect("c", Address("s", 1))
 
-    result, t = run(rt, proc)
-    assert result is None
-    assert t == pytest.approx(25.0)
+    def proc():
+        rt.spawn(dial, name="dialer")
+        return listener.accept() is not None, rt.now()
+
+    accepted, t = run(rt, proc)
+    assert accepted
+    assert t >= 25.0
 
 
 def test_duplicate_listener_rejected(rt, net):
@@ -336,7 +341,7 @@ def test_serialized_payload_goes_out_as_the_same_bytes(rt, net):
         for payload in (reply, frozen, frozen):
             before = net.stats["message_bytes"]
             client = net.connect("client", Address("server", 80))
-            listener.accept(timeout_ms=10.0).send(payload)
+            listener.accept().send(payload)
             sizes.append(net.stats["message_bytes"] - before)
             received.append(client.receive(timeout_ms=10.0))
         return received, sizes

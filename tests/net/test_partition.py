@@ -62,7 +62,7 @@ def test_established_stream_goes_silent_then_recovers(rt, net):
 
     def proc():
         client = net.connect("c", Address("s", 1))
-        server = listener.accept(timeout_ms=50.0)
+        server = listener.accept()
         client.send("before")
         assert server.receive(timeout_ms=50.0) == "before"
         net.isolate("c")
@@ -183,7 +183,7 @@ def test_partitioned_stream_send_counts_partition_drop(rt, net):
 
     def proc():
         conn = net.connect("client", Address("server", 1))
-        server = listener.accept(timeout_ms=50.0)
+        server = listener.accept()
         net.partition("client", "server")
         conn.send("lost")
         lost = server.receive(timeout_ms=20.0)

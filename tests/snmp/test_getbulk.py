@@ -34,7 +34,8 @@ def test_getbulk_repeats_getnext(rt, env):
     _, manager = env
 
     def proc():
-        return manager.get_bulk("w", [Oid("1.3.6.1.9.1")], max_repetitions=5)
+        return manager.get_bulk("w", [Oid("1.3.6.1.9.1")], non_repeaters=0,
+                                max_repetitions=5)
 
     batch = run_in_sim(rt, proc)
     assert [(str(o), v) for o, v in batch] == [
@@ -62,7 +63,7 @@ def test_getbulk_truncates_at_end_of_mib(rt, env):
 
     def proc():
         return manager.get_bulk("w", [Oid("1.3.6.1.9.1.28")],
-                                max_repetitions=10)
+                                non_repeaters=0, max_repetitions=10)
 
     batch = run_in_sim(rt, proc)
     assert [str(o) for o, _ in batch] == ["1.3.6.1.9.1.29", "1.3.6.1.9.1.30"]
@@ -73,7 +74,7 @@ def test_walk_bulk_matches_plain_walk(rt, env):
 
     def proc():
         plain = manager.walk("w", Oid("1.3.6.1.9"))
-        bulk = manager.walk_bulk("w", Oid("1.3.6.1.9"), max_repetitions=7)
+        bulk = manager.walk_bulk("w", Oid("1.3.6.1.9"))
         return plain, bulk
 
     plain, bulk = run_in_sim(rt, proc)
@@ -87,7 +88,7 @@ def test_walk_bulk_uses_fewer_round_trips(rt, env):
     def proc():
         manager.walk("w", Oid("1.3.6.1.9"))
         plain_requests = manager.stats["requests"]
-        manager.walk_bulk("w", Oid("1.3.6.1.9"), max_repetitions=16)
+        manager.walk_bulk("w", Oid("1.3.6.1.9"))
         bulk_requests = manager.stats["requests"] - plain_requests
         return plain_requests, bulk_requests
 

@@ -16,8 +16,8 @@ from repro.experiments.chaos import (
 
 
 def test_chaos_trace_on_off_identical():
-    off = chaos_experiment(seed=11, tasks=12, give_up_after_ms=60_000.0)
-    on = chaos_experiment(seed=11, tasks=12, give_up_after_ms=60_000.0,
+    off = chaos_experiment(seed=11, tasks=12)
+    on = chaos_experiment(seed=11, tasks=12,
                           trace=True)
     assert on.trace == off.trace
     assert on.report.solution == off.report.solution
@@ -27,11 +27,11 @@ def test_chaos_trace_on_off_identical():
 
 def test_verify_determinism_passes_with_tracing():
     assert verify_chaos_determinism(seed=11, tasks=12,
-                                    give_up_after_ms=60_000.0, trace=True)
+                                    trace=True)
 
 
 def test_traced_chaos_produces_artifacts():
-    result = chaos_experiment(seed=11, tasks=12, give_up_after_ms=60_000.0,
+    result = chaos_experiment(seed=11, tasks=12,
                               trace=True)
     tracer = result.tracer
     assert tracer is not None and tracer.enabled
@@ -44,7 +44,7 @@ def test_traced_chaos_produces_artifacts():
     assert errored
     assert "space_writes" in result.prometheus
 
-    untraced = chaos_experiment(seed=11, tasks=12, give_up_after_ms=60_000.0)
+    untraced = chaos_experiment(seed=11, tasks=12)
     assert untraced.tracer is not None and not untraced.tracer.enabled
     assert untraced.tracer.spans == []
 

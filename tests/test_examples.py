@@ -60,7 +60,7 @@ def test_adaptive_cluster_demo_prints_cycle(capsys):
 
 
 def test_reproduce_paper_quick(capsys):
-    out = run_example("reproduce_paper.py", ["--quick"], capsys)
+    out = run_example("reproduce_paper.py", [], capsys)
     assert "Figure 9(b)" in out
     assert "Table 2" in out
 

@@ -73,10 +73,13 @@ def _of(*kinds: type) -> Iterator[Node]:
         yield from _source()[kind]
 
 
-def _callee(call: ast.Call) -> str:
-    func = call.func
+def _name(func: ast.expr) -> str:
     return func.attr if isinstance(func, ast.Attribute) else getattr(
         func, "id", "")
+
+
+def _callee(call: ast.Call) -> str:
+    return _name(call.func)
 
 
 def _calls(*names: str, under: str = "") -> set[Site]:
@@ -231,14 +234,18 @@ def _unresolved_boundaries() -> set[Site]:
 # -- options ------------------------------------------------------------------
 #
 # ROADMAP aim 2: "Every knob … must justify itself with a test or
-# experiment that flips it; otherwise it goes."  An option is an
-# ``__init__`` parameter with a default, on any class of ``src/repro``, or
-# a field of a config or policy dataclass (POLICIES).  The scan reads the
-# calls in ``src/`` and ``benchmarks/`` that build each class: every
-# option must be given something other than its default at one of them
-# at least.  Tests and examples do not count: a value only they set is a
-# constant the product never varies.  An option nobody flips is a
-# constant wearing a knob's clothes — make it one, or add it to
+# experiment that flips it; otherwise it goes."  An option is a defaulted
+# parameter, positional or keyword-only, of any module function, method,
+# classmethod, staticmethod or constructor of ``src/repro`` (a closure
+# inside a function is not an option), or a field of a config or policy
+# dataclass (POLICIES).  The scan reads every call in ``src/`` and
+# ``benchmarks/``: by keyword, by position (``self``/``cls`` aside), through
+# ``functools.partial``, a ``**kwargs`` forwarder or ``cli.py``'s campaign
+# table, every option must be given something other than its default at
+# one of them at least.  Calls match by name, so a call of any method of
+# that name counts.  Tests and examples do not count: a value only they
+# set is a constant the product never varies.  An option nobody flips is
+# a constant wearing a knob's clothes — make it one, or add it to
 # NEVER_FLIPPED with the reason it has to stay.  Result and state records
 # are dataclasses outside POLICIES, so the row does not read them.
 
@@ -249,11 +256,18 @@ SCANNED = ("src", "benchmarks")
 POLICIES = ("FrameworkConfig", "ThresholdPolicy", "RecoveryPolicy",
             "AdmissionConfig", "LatencyModel", "ChaosProfile")
 
-_APP = "application input: each job states its own size and costs"
+_APP = "application input: each job or run states its own size, seed " \
+       "and costs"
 _DEPLOY = "a deployment setting: addresses and credentials stay " \
           "configurable"
 _INJECT = "a test injection point: a test substitutes a fake here"
-_SUITE = "named by the frozen benchmark suite (ROADMAP item 1(d))"
+_SUITE = "passed by the frozen benchmark suite (ROADMAP item 1(d))"
+_REFERENCE = "a reference implementation that tests compare against"
+_SPACE = "the paper's JavaSpaces client surface: an op takes a " \
+         "transaction, a lease and a timeout"
+_GROUP_COMMIT = "safety code: the group-commit time watermark, a flush " \
+                "that bounds how long a lull delays durability (ROADMAP " \
+                "item 4(c) decides it)"
 
 
 def _options_of(module: str, owner: str, reason: str, *names: str
@@ -264,9 +278,6 @@ def _options_of(module: str, owner: str, reason: str, *names: str
 #: Options allowed to go unflipped, each with the reason it is still an
 #: option and not a constant.
 NEVER_FLIPPED: dict[Site, str] = {
-    ("core/framework.py", "FrameworkConfig", "community"):
-        "a credential: deployment settings stay configurable even while "
-        "every test cluster uses 'public'",
     ("core/framework.py", "FrameworkConfig", "port_offset"):
         "a deployment setting: only test_concurrent_apps shares one "
         "network between two deployments",
@@ -274,39 +285,69 @@ NEVER_FLIPPED: dict[Site, str] = {
         "None is the paper's behaviour; the load nemesis on the roadmap "
         "is its planned experiment",
     **_options_of("apps/options/app.py", "OptionPricingApplication", _APP,
-                  "aggregation_cost", "branches", "n_blocks",
-                  "planning_cost", "seed", "task_cost"),
+                  "n_blocks"),
+    **_options_of("apps/options/mc.py", "european_mc_price", _REFERENCE,
+                  "antithetic", "rng"),
+    **_options_of("apps/options/mc.py", "european_mc_greeks", _REFERENCE,
+                  "rng"),
     **_options_of("apps/prefetch/app.py", "PrefetchApplication", _APP,
-                  "aggregation_cost", "cluster", "damping", "n_pages",
-                  "planning_cost", "seed", "task_cost", "x0"),
+                  "cluster", "damping", "n_pages", "seed"),
     **_options_of("apps/prefetch/distributed.py", "DistributedPageRank",
-                  _APP, "config", "max_rounds", "tol"),
+                  _APP, "max_rounds", "tol"),
+    ("apps/prefetch/pagerank.py", "pagerank_power", "tol"): _REFERENCE,
+    ("apps/prefetch/pagerank.py", "power_iteration_step", "damping"):
+        _REFERENCE,
     **_options_of("apps/prefetch/server.py", "WebServerModel", _APP,
-                  "cache_capacity", "ranks", "timings", "top_k"),
-    **_options_of("apps/raytrace/app.py", "RayTracingApplication", _APP,
-                  "aggregation_cost", "camera", "max_depth",
-                  "planning_cost", "task_cost"),
-    **_options_of("experiments/chaos.py", "TenantSquares", _APP, "poison"),
-    **_options_of("experiments/scalability.py", "EgressBoundStrips", _APP,
-                  "task_cost"),
-    ("snmp/agent.py", "SnmpAgent", "port"): _DEPLOY,
-    ("node/machine.py", "Node", "snmp_community"): _DEPLOY,
+                  "ranks", "timings"),
+    **_options_of("apps/prefetch/server.py", "simulate_browsing_session",
+                  _APP, "follow_rank_probability", "n_requests", "seed"),
+    ("apps/raytrace/app.py", "RayTracingApplication", "max_depth"): _APP,
+    **_options_of("apps/raytrace/render.py", "render_image", _APP,
+                  "max_depth", "samples_per_axis"),
+    ("experiments/adaptation.py", "adaptation_experiment", "seed"): _APP,
+    ("snmp/mib.py", "Mib.register", "writable"):
+        "application input: whoever registers an OID declares its access "
+        "with its value",
     ("node/cluster.py", "Cluster", "master_spec"):
         "a deployment setting: the master's machine, which the framework "
         "checks can host the Jini and JavaSpaces services",
+    ("cli.py", "main", "argv"): _INJECT,
+    ("experiments/chaos.py", "contention_chaos_experiment", "fault_plan"):
+        "a test injection point: a test composes its own fault plan with "
+        "the contention campaign",
+    **_options_of("net/network.py", "ChaosProfile",
+                  "a test injection point: tests inject drops and delays "
+                  "through Network.set_chaos",
+                  "datagram_drop", "delay_probability", "extra_delay_ms",
+                  "stream_drop"),
+    ("sim/kernel.py", "SimKernel.run_until_idle", "max_events"):
+        "safety code: the guard that ends a runaway simulation",
     ("tuplespace/durable.py", "DurableSpace", "group_commit_ms"):
-        "the group-commit time watermark, a flush that bounds how long a "
-        "lull delays durability: safety code stays though nothing sets it",
-    **_options_of("core/framework.py", "AdaptiveClusterFramework", _INJECT,
-                  "metrics", "telemetry"),
-    ("runtime/simulated.py", "SimulatedRuntime", "kernel"): _INJECT,
-    **_options_of("faults/injector.py", "FaultInjector", _INJECT,
-                  "master_killer", "primary_killer", "rng", "shard_killer",
-                  "space_hosts", "space_server", "worker_hosts"),
-    **_options_of("jini/sdm.py", "ServiceDiscoveryManager", _SUITE,
-                  "discovery_timeout_ms", "refresh_interval_ms"),
+        _GROUP_COMMIT,
+    ("tuplespace/durable.py", "DurableSpace.recover", "group_commit_ms"):
+        _GROUP_COMMIT,
+    ("jini/sdm.py", "ServiceDiscoveryManager", "refresh_interval_ms"):
+        "its module lives for the frozen suite's BOUNDARIES (ROADMAP item "
+        "1(d)); tests shorten the refresh",
+    **_options_of("experiments/chaos.py", "chaos_experiment", _SUITE,
+                  "codec"),
+    **_options_of("experiments/chaos.py", "coordination_chaos_experiment",
+                  _SUITE, "codec"),
+    **_options_of("tuplespace/durable.py", "DurableSpace.recover", _SUITE,
+                  "codec", "snapshot_every"),
     ("tuplespace/wal.py", "FileWalStore", "codec"): _SUITE,
-    ("tuplespace/durable.py", "DurableSpace", "codec"): _SUITE,
+    ("tuplespace/space.py", "JavaSpace.exists", "timeout_ms"): _SPACE,
+    ("tuplespace/space.py", "JavaSpace.read", "txn"): _SPACE,
+    ("tuplespace/ops.py", "_Client.read", "txn"): _SPACE,
+    ("tuplespace/ops.py", "_Recorder.read", "txn"): _SPACE,
+    **_options_of("tuplespace/space.py", "JavaSpace.write_all", _SPACE,
+                  "lease_ms"),
+    **_options_of("tuplespace/proxy.py", "SpaceProxy.exists", _SPACE,
+                  "timeout_ms"),
+    **_options_of("tuplespace/ops.py", "_Client.write_all", _SPACE,
+                  "lease_ms"),
+    **_options_of("tuplespace/ops.py", "_Recorder.write_all", _SPACE,
+                  "lease_ms"),
 }
 
 
@@ -314,59 +355,62 @@ def _splats(call: ast.Call) -> bool:
     return any(keyword.arg is None for keyword in call.keywords)
 
 
+class Option(NamedTuple):
+    callee: str                 # the name a call uses: the class for a
+                                # constructor or a field, else the def's
+    default: ast.expr
+    index: Optional[int]        # position in a call; None: keyword only
+
+
+def _parameters(function: ast.FunctionDef, skip: int
+                ) -> Iterator[tuple[str, ast.expr, Optional[int]]]:
+    """Each defaulted parameter: name, default, position in a call (the
+    first ``skip`` parameters, ``self`` or ``cls``, are not passed)."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, (arg, default) in enumerate(
+            zip(positional[first:], args.defaults), first):
+        yield arg.arg, default, index - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, default, None
+
+
 @functools.cache
-def _options() -> dict[Site, tuple[ast.expr, Optional[int]]]:
-    """Every option of ``src/repro`` → (its default, its position in a
-    call, or ``None`` if it is passed by keyword only)."""
+def _options() -> dict[Site, Option]:
+    """Every option of ``src/repro``: a defaulted parameter of a module
+    function, a method or a constructor (keyed by its class), and a
+    field of a policy dataclass."""
     found = {}
+    for site in _of(ast.FunctionDef, ast.AsyncFunctionDef):
+        function, owner = site.node, site.qualname
+        if site.local:
+            continue
+        decorators = {getattr(node, "id", "") for node in
+                      function.decorator_list}
+        skip = int(bool(owner) and "staticmethod" not in decorators)
+        if function.name == "__init__":
+            key, callee = owner, owner.rpartition(".")[2]
+        else:
+            key = f"{owner}.{function.name}".lstrip(".")
+            callee = function.name
+        for name, default, index in _parameters(function, skip):
+            found[(site.module, key, name)] = Option(callee, default, index)
     for site in _of(ast.ClassDef):
-        owner = site.node
-        for item in owner.body:
-            if (isinstance(item, ast.FunctionDef)
-                    and item.name == "__init__"):
-                args = item.args
-                positional = args.posonlyargs + args.args
-                first = len(positional) - len(args.defaults)
-                for index, (arg, default) in enumerate(
-                        zip(positional[first:], args.defaults), first):
-                    found[(site.module, owner.name, arg.arg)] = (
-                        default, index - 1)     # ``self`` is not passed
-                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        found[(site.module, owner.name, arg.arg)] = (
-                            default, None)
-            elif (owner.name in POLICIES
-                  and isinstance(item, ast.AnnAssign)
-                  and isinstance(item.target, ast.Name)
-                  and item.value is not None):
+        if site.node.name not in POLICIES:
+            continue
+        for item in site.node.body:
+            if (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and item.value is not None):
                 value = item.value
                 if isinstance(value, ast.Call) and _callee(value) == "field":
                     value = next((k.value for k in value.keywords
                                   if k.arg == "default"), value)
-                found[(site.module, owner.name, item.target.id)] = (
-                    value, None)
+                found[(site.module, site.node.name, item.target.id)] = (
+                    Option(site.node.name, value, None))
     return found
-
-
-def _builders(trees: list[ast.AST], owner: str) -> set[str]:
-    """``owner`` (and ``dataclasses.replace`` of a policy), and every
-    function that forwards its ``**kwargs`` into one of those
-    (``make_config``, ``build_farm``, …), found to a fixed point."""
-    builders = {owner} | ({"replace"} if owner in POLICIES else set())
-    functions = [node for tree in trees for node in ast.walk(tree)
-                 if isinstance(node, ast.FunctionDef)
-                 and node.args.kwarg is not None]
-    grew = True
-    while grew:
-        grew = False
-        for function in functions:
-            if function.name not in builders and any(
-                    isinstance(node, ast.Call) and _splats(node)
-                    and _callee(node) in builders
-                    for node in ast.walk(function)):
-                builders.add(function.name)
-                grew = True
-    return builders
 
 
 def _is_default(value: ast.expr, default: ast.expr) -> bool:
@@ -377,83 +421,158 @@ def _is_default(value: ast.expr, default: ast.expr) -> bool:
     return ast.dump(value) == ast.dump(default)
 
 
-def _built(tree: ast.AST) -> list[tuple[str, ast.Call]]:
-    """Each call of ``tree`` with the name of what it builds: its callee,
-    or for ``super().__init__(…)`` its class's first base."""
-    bases = {}
-    for owner in ast.walk(tree):
-        if isinstance(owner, ast.ClassDef) and owner.bases:
-            base = owner.bases[0]
-            for node in ast.walk(owner):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "__init__"
-                        and isinstance(node.func.value, ast.Call)
-                        and _callee(node.func.value) == "super"):
-                    bases[id(node)] = getattr(base, "id", "")
-    return [(bases.get(id(node), _callee(node)), node)
-            for node in ast.walk(tree) if isinstance(node, ast.Call)]
+#: Nodes that hold no call: the call scan does not descend into them.
+_LEAVES = (ast.Name, ast.Constant, ast.expr_context, ast.operator,
+           ast.unaryop, ast.cmpop, ast.boolop, ast.alias, ast.arg)
 
 
-def _flipped_options() -> set[Site]:
-    """Options a call in ``src/`` or ``benchmarks/`` gives something
-    other than their default (any non-constant expression counts): as a
-    keyword or by position of a call building the class (a subclass's
-    ``super().__init__`` included), or as a keyword of a ``dict(...)`` in
-    a file that splats into one."""
-    trees = [_tree(path) for top in SCANNED
+class Built(NamedTuple):
+    name: str                   # what the call builds or calls
+    args: list[ast.expr]        # its positional arguments
+    call: ast.Call
+
+
+def _table_names(row: ast.expr, index: Optional[int]) -> set[str]:
+    if index is not None and isinstance(row, ast.Tuple):
+        row = row.elts[index]
+    return {row.value} if isinstance(row, ast.Constant) else set()
+
+
+@functools.cache
+def _scan(path: Path) -> tuple[list[Built], dict[str, set[str]]]:
+    """One walk of a file: each call with the name of what it calls, and
+    each function that forwards its ``**kwargs`` into a call (callee →
+    forwarders).  A call names its callee; ``super().__init__(…)`` its
+    class's first base; ``partial(f, …)`` ``f``; and ``getattr(module,
+    name)(…)`` each function a module-level table gives ``name``
+    (``cli.py``'s campaigns); ``cls(…)`` its class."""
+    tree = _tree(path)
+    tables = {node.targets[0].id: node.value.values for node in tree.body
+              if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)
+              and isinstance(node.value, ast.Dict)}
+    bound: dict[str, set[str]] = {}     # a name unpacked from a table
+    dispatches, found = [], []
+    forwarders: dict[str, set[str]] = {}
+    stack: list[tuple[ast.AST, str, str, Optional[str]]] = [
+        (tree, "", "", None)]
+    while stack:
+        node, owner, base, forwarder = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+            base = getattr(node.bases[0], "id", "") if node.bases else ""
+        elif isinstance(node, ast.FunctionDef) and node.args.kwarg:
+            forwarder = node.name
+        elif (isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Subscript)
+              and getattr(node.value.value, "id", None) in tables):
+            rows = tables[node.value.value.id]
+            for target in node.targets:
+                names = (list(enumerate(target.elts))
+                         if isinstance(target, ast.Tuple)
+                         else [(None, target)])
+                for index, name in names:
+                    bound[getattr(name, "id", "")] = set().union(
+                        *(_table_names(row, index) for row in rows))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if forwarder and _splats(node):
+                forwarders.setdefault(_callee(node), set()).add(forwarder)
+            if (isinstance(func, ast.Attribute) and func.attr == "__init__"
+                    and isinstance(func.value, ast.Call)
+                    and _callee(func.value) == "super"):
+                found.append(Built(base, node.args, node))
+            elif (isinstance(func, ast.Call) and _callee(func) == "getattr"
+                  and len(func.args) == 2
+                  and isinstance(func.args[1], ast.Name)):
+                dispatches.append((func.args[1].id, node))
+            elif _callee(node) == "partial" and node.args:
+                found.append(Built(_name(node.args[0]), node.args[1:], node))
+            else:
+                callee = _callee(node)
+                found.append(Built(owner if callee == "cls" else callee,
+                                   node.args, node))
+        stack.extend((child, owner, base, forwarder)
+                     for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, _LEAVES))
+    found += [Built(name, node.args, node) for table_name, node in dispatches
+              for name in bound.get(table_name, ())]
+    return found, forwarders
+
+
+def _builders(forwarders: dict[str, set[str]], callee: str) -> set[str]:
+    """``callee`` (and ``dataclasses.replace`` of a policy), and every
+    function that forwards its ``**kwargs`` into one of those, found to a
+    fixed point."""
+    builders = {callee} | ({"replace"} if callee in POLICIES else set())
+    todo = list(builders)
+    while todo:
+        for forwarder in forwarders.get(todo.pop(), ()):
+            if forwarder not in builders:
+                builders.add(forwarder)
+                todo.append(forwarder)
+    return builders
+
+
+def _passed(tops: tuple[str, ...], flipped: bool) -> set[Site]:
+    """Options a call in ``tops`` passes (with ``flipped``, only something
+    other than their default; any non-constant expression counts): by
+    keyword or by position of a call of their function, class or
+    ``partial``, as a keyword of a ``**kwargs`` forwarder, or as a
+    keyword of a ``dict(…)`` or ``.update(…)`` in a file that splats
+    into one."""
+    scans = [_scan(path) for top in tops
              for path in sorted((ROOT / top).rglob("*.py"))]
-    owners: dict[str, dict[str, tuple[Site, ast.expr, Optional[int]]]] = {}
-    for (module, owner, name), (default, index) in _options().items():
-        owners.setdefault(owner, {})[name] = (
-            (module, owner, name), default, index)
+    files = [built for built, _ in scans]
+    forwarders: dict[str, set[str]] = {}
+    for _, forwarded in scans:
+        for name, functions in forwarded.items():
+            forwarders.setdefault(name, set()).update(functions)
+    calls: dict[str, list[tuple[int, Built]]] = {}
+    for number, built in enumerate(files):
+        for call in built:
+            calls.setdefault(call.name, []).append((number, call))
+    callees: dict[str, dict[str, list[tuple[Site, Option]]]] = {}
+    for site, option in _options().items():
+        callees.setdefault(option.callee, {}).setdefault(
+            site[2], []).append((site, option))
     found: set[Site] = set()
-    calls = [_built(tree) for tree in trees]
-    for owner, by_name in owners.items():
-        builders = _builders(trees, owner)
-        positions = {index: name for name, (_, _, index) in by_name.items()
-                     if index is not None}
-        for file_calls in calls:
-            building = [(built, call) for built, call in file_calls
-                        if built in builders]
-            counted = list(building)
-            if any(_splats(call) for _, call in building):
-                counted += [(built, call) for built, call in file_calls
-                            if built == "dict"]
-            for built, call in counted:
-                passed = [(keyword.arg, keyword.value)
-                          for keyword in call.keywords if keyword.arg]
-                if built == owner:
-                    for index, value in enumerate(call.args):
-                        if isinstance(value, ast.Starred):
-                            break
-                        if index in positions:
-                            passed.append((positions[index], value))
-                for name, value in passed:
-                    if name in by_name:
-                        site, default, _ = by_name[name]
-                        if not _is_default(value, default):
-                            found.add(site)
+    for callee, by_name in callees.items():
+        building = [(number, call)
+                    for name in _builders(forwarders, callee)
+                    for number, call in calls.get(name, ())]
+        splatting = {number for number, call in building
+                     if _splats(call.call)}
+        counted = building + [(number, call) for number in splatting
+                              for call in files[number]
+                              if call.name in ("dict", "update")]
+        for _, call in counted:
+            passed = [(keyword.arg, keyword.value)
+                      for keyword in call.call.keywords if keyword.arg]
+            if call.name == callee:
+                for index, value in enumerate(call.args):
+                    if isinstance(value, ast.Starred):
+                        break
+                    passed += [(site[2], value)
+                               for options in by_name.values()
+                               for site, option in options
+                               if option.index == index]
+            for name, value in passed:
+                found |= {site for site, option in by_name.get(name, ())
+                          if not flipped
+                          or not _is_default(value, option.default)}
     return found
 
 
 def _unflipped_options() -> set[Site]:
-    return _options().keys() - _flipped_options()
+    return _options().keys() - _passed(SCANNED, flipped=True)
 
 
 def _never_set_options() -> set[Site]:
-    """NEVER_FLIPPED config fields no call sets as a keyword anywhere — in
-    ``src/`` (outside ``framework.py``, which only reads them), the tests,
-    the benchmarks or the examples: kept for nobody."""
-    keywords = {keyword.arg
-                for top in ("src", "tests", "benchmarks", "examples")
-                for path in (ROOT / top).rglob("*.py")
-                if path.name != "framework.py"
-                for node in ast.walk(_tree(path))
-                if isinstance(node, ast.Call)
-                for keyword in node.keywords}
-    return {site for site in NEVER_FLIPPED
-            if site[1] == "FrameworkConfig" and site[2] not in keywords}
+    """NEVER_FLIPPED options no call passes anywhere — in ``src/``, the
+    tests, the benchmarks or the examples: kept for nobody."""
+    return NEVER_FLIPPED.keys() - _passed(
+        ("src", "tests", "benchmarks", "examples"), flipped=False)
 
 
 # -- the table ----------------------------------------------------------------
@@ -706,7 +825,12 @@ RULES = [
     Rule("suite_boundaries", _unresolved_boundaries, {}),
     # -- options --
     Rule("knobs_flipped", _unflipped_options, NEVER_FLIPPED),
-    Rule("never_flipped_knobs_set", _never_set_options, {}),
+    Rule("never_flipped_knobs_set", _never_set_options, {
+        ("tuplespace/durable.py", "DurableSpace", "group_commit_ms"):
+            _GROUP_COMMIT,
+        ("tuplespace/durable.py", "DurableSpace.recover", "group_commit_ms"):
+            _GROUP_COMMIT,
+    }),
     # -- module privacy: a private name crosses a module boundary only
     #    between friends of one package --
     Rule("private_names_across_modules",

@@ -94,8 +94,7 @@ def test_recovered_space_keeps_its_fencing_epoch(runtime, tmp_path):
         space.wal.bump_epoch()
         space.write(Point(1, 1))
         # Crash: discard the process, keep the disk.
-        recovered = DurableSpace.recover(runtime, FileWalStore(path),
-                                         name="d")
+        recovered = DurableSpace.recover(runtime, FileWalStore(path))
         assert recovered.wal.epoch == 2
         assert recovered.take(Point(1, 1), timeout_ms=0.0) is not None
 
@@ -317,7 +316,6 @@ def test_sync_replication_gates_commits_on_standby_ack(runtime):
     network = Network(runtime)
     space = DurableSpace(runtime, name="primary")
     server = SpaceServer(runtime, space, network, REMOTE_PRIMARY)
-    server.repl_ack_timeout_ms = 500.0
     server.start()
     standby = HotStandby(runtime, network, "master",
                          primary_address=REMOTE_PRIMARY, address=STANDBY)
@@ -365,7 +363,6 @@ def test_feed_hanging_up_mid_wait_is_not_an_ack(runtime):
     network = Network(runtime)
     space = DurableSpace(runtime, name="primary")
     server = SpaceServer(runtime, space, network, REMOTE_PRIMARY)
-    server.repl_ack_timeout_ms = 500.0
     server.start()
     standby = HotStandby(runtime, network, "master",
                          primary_address=REMOTE_PRIMARY, address=STANDBY)

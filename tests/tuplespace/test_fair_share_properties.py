@@ -99,7 +99,7 @@ def test_drr_unknown_tenant_gets_default_share():
     shares = {"alice": 4.0}
 
     def body(rt, space):
-        space.configure_fair_share(shares, default_share=1.0)
+        space.configure_fair_share(shares)
         _seed_backlog(space, {"alice": 4.0, "mallory": 1.0}, per_tenant=50)
         for _ in range(50):
             space.take(TaskEntry(), timeout_ms=0)
@@ -114,8 +114,6 @@ def test_fair_share_rejects_non_positive_weights():
     def body(rt, space):
         with pytest.raises(SpaceError):
             space.configure_fair_share({"alice": 0.0})
-        with pytest.raises(SpaceError):
-            space.configure_fair_share({"alice": 1.0}, default_share=-1.0)
         return True
 
     assert _with_space(body)

@@ -371,7 +371,6 @@ class FakeFeed:
 
 def sync_server(rt):
     network, space, server = serve(rt, DurableSpace(rt, name="primary"))
-    server.repl_ack_timeout_ms = 500.0
     return network, space, server
 
 

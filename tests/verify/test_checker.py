@@ -158,7 +158,7 @@ def test_aborted_and_rejected_ops_do_not_count():
 def test_untracked_classes_skip_the_lost_write_check():
     report = check_history(_history(
         _op("write", 1, COMMITTED, cls="Heartbeat"),
-    ), final_entries=[], tracked_classes=("TaskEntry",))
+    ), final_entries=[])
     assert report.ok
 
 

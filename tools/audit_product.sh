@@ -59,7 +59,7 @@ audit python examples/sharded_raytrace.py "$scratch/sharded.ppm"
 audit python examples/web_prefetch.py
 audit python examples/adaptive_cluster_demo.py web-prefetch
 audit python examples/fault_tolerance.py
-audit python examples/reproduce_paper.py --quick
+audit python examples/reproduce_paper.py
 
 # test_fails_without_the_program hides src from a child process to show
 # the suite fails without the program; `line_audit.py run` puts src back
