@@ -26,7 +26,6 @@ from repro.tuplespace.space import JavaSpace
 from repro.tuplespace.proxy import RecoveryPolicy, SpaceProxy, SpaceServer
 from repro.tuplespace.wal import CommitRecord, FileWalStore, WalStore, WriteAheadLog
 from repro.tuplespace.durable import DurableSpace, HotStandby
-from repro.tuplespace.failover import JiniSpaceLocator, SpaceSupervisor
 from repro.tuplespace.sharding import (
     HashRing,
     ShardRouter,
@@ -55,8 +54,6 @@ __all__ = [
     "WriteAheadLog",
     "DurableSpace",
     "HotStandby",
-    "JiniSpaceLocator",
-    "SpaceSupervisor",
     "HashRing",
     "ShardRouter",
     "ShardedBatch",

@@ -128,11 +128,10 @@ def check_history(
         status = INDETERMINATE if op.status == PENDING else op.status
         if op.key is None:
             if op.op == "take" and status == INDETERMINATE:
-                if op.count is None:
-                    slack[op.entry_class] = None
-                elif slack.get(op.entry_class, 0) is not None:
+                known = slack.setdefault(op.entry_class, 0)
+                if known is not None:
                     slack[op.entry_class] = (
-                        slack.get(op.entry_class, 0) + op.count)
+                        None if op.count is None else known + op.count)
             continue
         tally = tallies.setdefault(op.key, _KeyTally())
         if op.op == "write":
@@ -157,9 +156,10 @@ def check_history(
 
     report.keys = len(tallies)
     violations: list[str] = []
+    ordered = sorted(tallies.items(), key=lambda kv: repr(kv[0]))
 
     # -- check 1: no phantom takes -------------------------------------------
-    for key, tally in sorted(tallies.items(), key=lambda kv: repr(kv[0])):
+    for key, tally in ordered:
         allowance = tally.writes_committed + tally.writes_indeterminate
         if tally.takes_committed > allowance:
             violations.append(
@@ -170,10 +170,10 @@ def check_history(
                 f"already taken")
 
     # -- check 2: causality ---------------------------------------------------
-    for key, tally in sorted(tallies.items(), key=lambda kv: repr(kv[0])):
-        if (tally.takes_committed > 0
-                and tally.writes_committed > 0
-                and tally.writes_indeterminate == 0
+    # (Only a committed take sets ``first_take_responded``, and only a
+    # committed write ``first_write_invoked``.)
+    for key, tally in ordered:
+        if (tally.writes_indeterminate == 0
                 and tally.first_take_responded is not None
                 and tally.first_write_invoked is not None
                 and tally.first_take_responded < tally.first_write_invoked):
@@ -215,7 +215,7 @@ def check_history(
         # so the entry must not be in the space.  Surplus final entries on
         # a key with rejected writes mean a "rejected" write landed — and
         # the client's safe-because-no-side-effects retry duplicated it.
-        for key, tally in sorted(tallies.items(), key=lambda kv: repr(kv[0])):
+        for key, tally in ordered:
             if tally.writes_rejected == 0:
                 continue
             explained = (tally.writes_committed + tally.writes_indeterminate

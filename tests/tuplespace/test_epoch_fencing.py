@@ -228,6 +228,35 @@ def test_double_promotion_race_fences_the_old_primary(runtime):
     run(runtime, scenario)
 
 
+def test_a_superseded_server_fences_unstamped_requests(runtime):
+    """Once a newer epoch has reached the server, it refuses every later
+    request, even one whose client stamps no epoch and while its own
+    lease still runs."""
+    network = Network(runtime)
+    space = DurableSpace(runtime, name="primary")
+    server = SpaceServer(runtime, space, network, PRIMARY)
+    server.fencing = True
+    server.start()
+
+    def scenario():
+        server.grant_lease(10_000.0)
+        ahead = SpaceProxy(network, "client2", PRIMARY)
+        ahead.epoch = 1             # it has talked to a newer primary
+        with pytest.raises(FencedError):
+            ahead.write(Point(1, 0))
+        ahead.close()
+        assert server.superseded
+        proxy = SpaceProxy(network, "client", PRIMARY)
+        with pytest.raises(FencedError):
+            proxy.write(Point(2, 0))
+        assert space.wal.last_lsn == 0
+        assert server.fenced_rpcs == 2
+        proxy.close()
+        server.stop(drain_ms=0.0)
+
+    run(runtime, scenario)
+
+
 def test_supervised_promotion_waits_out_the_inflight_lease(runtime):
     """Under a pause the supervisor cannot know whether its renewals got
     through, so promotion must wait out the last bound put on the wire."""

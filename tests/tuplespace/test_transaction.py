@@ -128,11 +128,17 @@ def test_commit_is_idempotent_abort_after_commit_fails(rt, space, txns):
 
 def test_operations_after_abort_rejected(rt, space, txns):
     def proc():
+        space.write(TaskEntry("a", 1, None))
         txn = txns.create()
         txn.abort()
         with pytest.raises(TransactionAbortedError):
             space.write(TaskEntry("a", 1, None), txn=txn)
-        return True
+        # Refused up front, matching entry or not.
+        for op in (space.read, space.take):
+            for template in (TaskEntry(), TaskEntry("none")):
+                with pytest.raises(TransactionAbortedError):
+                    op(template, txn=txn, timeout_ms=0.0)
+        return space.count(TaskEntry()) == 1
 
     assert run_in_sim(rt, proc)
 

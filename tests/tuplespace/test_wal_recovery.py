@@ -336,3 +336,25 @@ def test_traced_boundaries_keep_their_names_and_positional_signatures():
     standby = durable.HotStandby
     assert positional(standby.start) == positional(standby.stop) == ["self"]
     assert positional(standby.promote)[0] == "self"
+
+
+def test_a_standby_adopting_a_newer_checkpoint_drops_what_it_replaces(runtime):
+    """A standby that reconnects behind a checkpoint takes the
+    checkpoint's contents whole: an entry taken since its last record
+    must not survive on it."""
+    primary = DurableSpace(runtime, snapshot_every=None)
+    standby = DurableSpace(runtime)
+
+    def scenario():
+        for x in (1, 2, 3):
+            primary.write(Point(x, 0))
+        standby.bootstrap(None, primary.wal.store.records_since(0))
+        primary.take(Point(1, 0), timeout_ms=0.0)
+        primary.checkpoint()
+        store = primary.wal.store
+        standby.bootstrap(store.snapshot, store.records_since(store.snapshot_lsn))
+        return (standby.count(Point()), standby.count(Point(1)),
+                sorted(p.x for p in standby.take_multiple(Point(), 10,
+                                                          timeout_ms=0.0)))
+
+    assert run(runtime, scenario) == (2, 0, [2, 3])

@@ -164,9 +164,10 @@ def test_untracked_classes_skip_the_lost_write_check():
 
 def test_reads_never_participate():
     report = check_history(_history(
-        _op("read", 1, COMMITTED),
-    ), final_entries=[])
-    assert report.ok
+        _op("write", 1, COMMITTED),
+        _op("read", 2, COMMITTED),
+    ), final_entries=[TaskEntry(1)])
+    assert report.ok and report.keys == 1
 
 
 def test_violation_reporting_is_capped():
@@ -176,3 +177,85 @@ def test_violation_reporting_is_capped():
     assert len(report.violations) == 20
     assert report.suppressed == 20
     assert "and 20 more" in report.summary()
+
+
+LOST_1 = ("('TaskEntry', 1): 1 committed write(s) neither taken nor "
+          "present in the final contents -- a committed write was lost")
+
+
+def test_one_indeterminate_write_excuses_one_take_only():
+    report = check_history(_history(
+        _op("write", 1, INDETERMINATE),
+        _op("take", 1, COMMITTED),
+        _op("take", 1, COMMITTED),
+    ), final_entries=[])
+    assert report.violations[0].startswith(
+        "('TaskEntry', 1): 2 committed takes but only 0 committed "
+        "(+1 indeterminate) writes")
+
+
+def test_violations_are_reported_in_key_order():
+    report = check_history(_history(
+        _op("write", 1, COMMITTED),
+        _op("take", 1, COMMITTED),
+        _op("take", 1, COMMITTED),
+        _op("take", 2, COMMITTED),
+    ), final_entries=[])
+    assert [v.split(":")[0] for v in report.violations] == [
+        "('TaskEntry', 1)", "('TaskEntry', 2)"]
+
+
+def test_causality_compares_the_earliest_response_and_invocation():
+    # Histories list ops by invocation; a later take may respond first.
+    report = check_history(_history(
+        _op("write", 1, COMMITTED, invoked=9.0, responded=10.0),
+        _op("write", 1, COMMITTED, invoked=5.0, responded=6.0),
+        _op("take", 1, COMMITTED, invoked=6.0, responded=8.0),
+        _op("take", 1, COMMITTED, invoked=1.0, responded=3.0),
+    ), final_entries=[])
+    assert report.violations == [
+        "('TaskEntry', 1): a take responded at t=3.0ms, before any write "
+        "was invoked (earliest t=5.0ms)"]
+
+
+def test_each_final_entry_accounts_for_one_write():
+    report = check_history(_history(
+        _op("write", 1, COMMITTED),
+        _op("write", 1, COMMITTED),
+        _op("write", 2, COMMITTED),
+    ), final_entries=[TaskEntry(1), TaskEntry(2)])
+    assert report.violations == [LOST_1]
+
+
+def test_one_keyed_indeterminate_take_excuses_one_write_only():
+    report = check_history(_history(
+        _op("write", 1, COMMITTED),
+        _op("write", 1, COMMITTED),
+        _op("take", 1, INDETERMINATE),
+    ), final_entries=[])
+    assert report.violations == [LOST_1]
+
+
+def test_rejected_write_that_landed_is_a_violation():
+    # A rejection promises no side effects: a final entry beyond what
+    # the accepted writes explain means the "rejected" write landed.
+    # Key 2 has the same surplus but no rejected write: not this check.
+    report = check_history(_history(
+        _op("write", 1, COMMITTED),
+        _op("write", 1, REJECTED),
+        _op("write", 2, COMMITTED),
+    ), final_entries=[TaskEntry(1), TaskEntry(1), TaskEntry(2),
+                      TaskEntry(2)])
+    assert report.violations == [
+        "('TaskEntry', 1): 1 final entry beyond what 1 committed "
+        "(+0 indeterminate) writes explain, with 1 rejected write(s) on "
+        "the key -- a rejected operation had side effects"]
+    landed = check_history(_history(_op("write", 1, REJECTED)),
+                           final_entries=[TaskEntry(1)])
+    assert len(landed.violations) == 1
+    # A phantom take leaves nothing to explain a rejected write by.
+    phantom = check_history(_history(
+        _op("take", 1, COMMITTED),
+        _op("write", 1, REJECTED),
+    ), final_entries=[])
+    assert len(phantom.violations) == 1

@@ -18,6 +18,13 @@ Usage (from the repository root)::
 commands into one ``AUDIT_DIR``; ``report`` unions every process's hits.
 Expect the traced run to be several times slower than a plain one.
 
+Each process also files its lines under the pytest node id that ran
+them (``PYTEST_CURRENT_TEST``, read on call events only; ``""`` outside
+a test) and names the command it ran under, so ``tools/mutate.py`` can
+tell which tests and which golden rows execute a line.  A process
+started by a test inherits the variable and records the test it is a
+child of: its lines ran out of that test's process.
+
 ``--minus`` prints, one ``file::qualname`` per line and sorted, every
 function called in ``AUDIT_DIR`` and never in ``OTHER_DIR`` (the totals
 go to stderr).  Over tier-1 minus the product runs of
@@ -38,6 +45,7 @@ import atexit
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -47,13 +55,23 @@ from pathlib import Path
 
 ROOT_ENV = "LINE_AUDIT_ROOT"
 OUT_ENV = "LINE_AUDIT_OUT"
+COMMAND_ENV = "LINE_AUDIT_COMMAND"
+TEST_ENV = "PYTEST_CURRENT_TEST"
 REPO = Path(__file__).resolve().parent.parent
 
-# One recorder per process, as the trace hooks are per process.
-_hits: set[tuple[str, int]] = set()
+# One recorder per process, as the trace hooks are per process.  Lines
+# go to the set of the test running when the current frame was entered.
+_by_test: dict[str, set[tuple[str, int]]] = {"": set()}
+_test = ""
+_hits = _by_test[""]
 _calls: set[tuple[str, int]] = set()
 _wanted: dict[str, bool] = {}
 _root = ""
+
+
+def node_id(current: str | None) -> str:
+    """``tests/a.py::test_b[x] (call)`` -> ``tests/a.py::test_b[x]``."""
+    return current.rsplit(" (", 1)[0] if current else ""
 
 
 def _local(frame, event, arg):
@@ -64,6 +82,11 @@ def _local(frame, event, arg):
 
 def _global(frame, event, arg):
     """Called on every function entry: trace lines only in audited files."""
+    global _test, _hits
+    test = os.environ.get(TEST_ENV, "")
+    if test != _test:
+        _test = test
+        _hits = _by_test.setdefault(node_id(test), set())
     filename = frame.f_code.co_filename
     wanted = _wanted.get(filename)
     if wanted is None:
@@ -79,13 +102,20 @@ def _global(frame, event, arg):
     return _local
 
 
-def _dump(out_dir: str) -> None:
+def _by_file(pairs) -> dict[str, list[int]]:
+    files: dict[str, list[int]] = {}
+    for filename, lineno in list(pairs):
+        files.setdefault(os.path.realpath(filename), []).append(lineno)
+    return files
+
+
+def _dump(out_dir: str, child_of: str) -> None:
     sys.settrace(None)
     threading.settrace(None)
-    dump: dict[str, dict[str, list[int]]] = {"lines": {}, "calls": {}}
-    for kind, pairs in (("lines", _hits), ("calls", _calls)):
-        for filename, lineno in list(pairs):
-            dump[kind].setdefault(os.path.realpath(filename), []).append(lineno)
+    tests = {test: _by_file(pairs) for test, pairs in list(_by_test.items())}
+    dump = {"lines": _by_file(set().union(*_by_test.values())),
+            "calls": _by_file(_calls), "tests": tests,
+            "command": os.environ.get(COMMAND_ENV, ""), "child_of": child_of}
     fd, _ = tempfile.mkstemp(prefix=f"lines-{os.getpid()}-",
                              suffix=".json", dir=out_dir)
     with os.fdopen(fd, "w") as fh:
@@ -99,7 +129,7 @@ def install() -> None:
     if not root or not out_dir:
         return
     _root = os.path.realpath(root)
-    atexit.register(_dump, out_dir)
+    atexit.register(_dump, out_dir, node_id(os.environ.get(TEST_ENV)))
     threading.settrace(_global)
     sys.settrace(_global)
 
@@ -136,8 +166,9 @@ def load_hits(out_dir: Path) -> dict[str, dict[str, set[int]]]:
     over every process's dump."""
     hits: dict[str, dict[str, set[int]]] = {"lines": {}, "calls": {}}
     for path in out_dir.glob("lines-*.json"):
-        for kind, files in json.loads(path.read_text()).items():
-            for name, nums in files.items():
+        dump = json.loads(path.read_text())
+        for kind in hits:
+            for name, nums in dump[kind].items():
                 hits[kind].setdefault(name, set()).update(nums)
     return hits
 
@@ -241,6 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
         env[ROOT_ENV] = str(REPO / "src" / "repro")
         env[OUT_ENV] = str(args.out_dir.resolve())
+        env[COMMAND_ENV] = shlex.join(command)
         return subprocess.call(command, env=env)
 
 
