@@ -1,11 +1,13 @@
-"""``tools/mutate.py`` on a toy module: each operator's mutant, and the
-three outcomes a census reports (killed, survived, timed out)."""
+"""``tools/mutate.py`` on a toy module: each operator's mutant, the
+three outcomes a census reports (killed, survived, timed out), and the
+second run a check or mutant gets before it is lost or timed out."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -77,3 +79,34 @@ def test_killed_survived_and_timed_out(mutate, by_key):
         ("killed", "clamps"), ("survived", ""), ("timed out", "")]
     # The parent's functions are untouched: only the children mutate.
     assert toy.clamp(1, 2, 5) == 2 and toy.unchecked([]) == 1
+
+
+def test_a_check_that_fails_alone_once_runs_again(mutate, tmp_path):
+    marker = tmp_path / "ran"
+
+    def flaky() -> bool:   # fails the first time only, as under load
+        if marker.exists():
+            return True
+        marker.touch()
+        return False
+    passing, failing = mutate.baseline(
+        [mutate.Check("flaky", flaky), mutate.Check("broken", lambda: False)],
+        parallel=2)
+    assert ([c.name for c in passing], [c.name for c in failing]) == (
+        ["flaky"], ["broken"])
+
+
+def test_a_mutant_slow_once_runs_again_before_it_times_out(mutate, by_key,
+                                                           tmp_path):
+    marker = tmp_path / "ran"
+
+    def slow_once() -> bool:   # the first child stalls, as under load
+        if not marker.exists():
+            marker.touch()
+            time.sleep(60)
+        return toy.clamp(1, 2, 5) == 2
+    live = mutate.LiveFunctions([str(TOY)])
+    [outcome] = mutate.census(
+        [(by_key[5, "negate"], [mutate.Check("clamps", slow_once, 0.01)])],
+        live)
+    assert (outcome.status, outcome.killer) == ("killed", "clamps")

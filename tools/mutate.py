@@ -20,7 +20,9 @@ at the first failure.  A mutant every test misses then runs at most
 lines: a row kills it when its command fails or its digest moves.  (A
 line hit by hundreds of tests would otherwise cost a survivor the whole
 suite; the caps count checks, not seconds, so one commit always runs
-the same ones.)  Which tests run a line comes from the test files a
+the same ones.  A heavy test ranked past the cap on a hot line never
+meets that line's mutants, so killing none of them clears it of
+nothing.)  Which tests run a line comes from the test files a
 per-test audit (``line_audit.py run`` files each hit under the pytest
 node id that ran it) names, each test traced alone in the baseline.
 
@@ -28,9 +30,11 @@ One pytest session collects the tests once.  Each mutant runs in a child
 forked from it that swaps the mutated functions' ``__code__`` in place,
 so ``from m import f`` aliases, bound methods and partials see the
 mutant too.  The parent kills a child that runs past 3x the unmutated
-time of its selected checks (plus a second for the fork): the mutant
-*timed out*.  The unmutated times come from a baseline pass in which
-each check runs alone in a child; a check that fails there is no killer.
+time of its selected checks (plus a second for the fork) and runs it
+once more, alone: the mutant *timed out* if that child runs past it
+too.  The unmutated times come from a baseline pass in which each check
+runs alone in a child; a check that fails there runs once more, alone,
+and if it fails again the run fails (its kills would be missing).
 The children run under a Hypothesis profile with ``derandomize=True``,
 no example database and no deadline, and with ``CHAOS_SEED=1``, so one
 commit gives one kill set.
@@ -45,13 +49,13 @@ Usage (from the repository root)::
     python tools/mutate.py list --product AUDIT/product MODULE...
 
 A MODULE is a path under ``src/repro`` (``core/states.py``).  ``run``
-prints each module's mutants, killed, survived and timed out, then every
-survivor and timeout as ``file:line operator``.  With ``--census`` it
-exits non-zero if one of them is not listed in that file (see
-``tools/census.txt``).  ``--without`` drops the tests whose node ids
-match an ``fnmatch`` pattern from the killers, to see whether the kill
-set holds without them.  ``list`` prints the mutants without running
-them.
+prints each module's mutants, killed, survived, timed out and skipped
+(cannot be swapped in place), then every mutant not killed as
+``file:line operator``.  With ``--census`` it exits non-zero if one of
+them is not listed in that file (see ``tools/census.txt``).
+``--without`` drops the tests whose node ids match an ``fnmatch``
+pattern from the killers, to see whether the kill set holds without
+them.  ``list`` prints the mutants without running them.
 """
 
 from __future__ import annotations
@@ -254,8 +258,12 @@ def _codes(code: types.CodeType):
             yield from _codes(const)
 
 
+def _key(code: types.CodeType) -> tuple[str, int]:
+    return code.co_name, code.co_firstlineno
+
+
 def _code_table(module_code: types.CodeType) -> dict:
-    return {(c.co_qualname, c.co_firstlineno): c for c in _codes(module_code)}
+    return {_key(c): c for c in _codes(module_code)}
 
 
 class LiveFunctions:
@@ -284,7 +292,7 @@ class LiveFunctions:
         changed = {key for key, code in new.items() if old.get(key) != code}
         swapped = 0
         for fn in self.functions[mutant.path]:
-            key = (fn.__code__.co_qualname, fn.__code__.co_firstlineno)
+            key = _key(fn.__code__)
             if key in changed:
                 try:
                     fn.__code__ = new[key]
@@ -423,18 +431,32 @@ def run_children(jobs: list[tuple[Optional[Mutant], list[Check], float]],
     return results
 
 
+def _again(jobs: list, results: list, failed: Callable[[Optional[list]], bool],
+           live: Optional[LiveFunctions],
+           trace: Optional[dict[str, str]] = None) -> list:
+    """Run once more, one at a time, each job whose records ``failed``:
+    a child that only a loaded machine slowed gets its second chance
+    without its siblings beside it."""
+    again = [i for i, (records, _) in enumerate(results) if failed(records)]
+    for i, result in zip(again, run_children([jobs[i] for i in again], live,
+                                             trace=trace)):
+        results[i] = result
+    return results
+
+
 def census(plan: list[tuple[Mutant, list[Check]]],
            live: LiveFunctions, parallel: int = 1,
            progress: Callable[[int], None] = lambda done: None,
            ) -> list[Outcome]:
     """Run every mutant against its checks, in order, up to the first
-    that fails, and past 3x their unmutated time (plus ``SLACK_S``)
-    report it timed out."""
+    that fails.  One that runs past 3x their unmutated time (plus
+    ``SLACK_S``) twice is reported timed out."""
     jobs = [(mutant, checks, 3 * sum(c.seconds for c in checks) + SLACK_S)
             for mutant, checks in plan]
+    results = _again(jobs, run_children(jobs, live, parallel, progress),
+                     lambda records: records is None, live)
     outcomes = []
-    for (mutant, _), (records, took) in zip(
-            plan, run_children(jobs, live, parallel, progress)):
+    for (mutant, _), (records, took) in zip(plan, results):
         if records is None:
             outcomes.append(Outcome(mutant, "timed out", seconds=took))
         elif records and records[0].get("skipped"):
@@ -448,19 +470,25 @@ def census(plan: list[tuple[Mutant, list[Check]]],
 
 
 def baseline(checks: list[Check], parallel: int = 1,
-             trace: Optional[dict[str, str]] = None) -> list[Check]:
-    """Run each check alone, unmutated, in a child: return those that
-    pass, each with its time and (with ``trace``) the lines it ran."""
+             trace: Optional[dict[str, str]] = None,
+             ) -> tuple[list[Check], list[Check]]:
+    """Run each check alone, unmutated, in a child, and once more each
+    that fails: return those that pass, each with its time and (with
+    ``trace``) the lines it ran, and those that failed twice."""
     jobs = [(None, [c], 600.0) for c in checks]
-    passing = []
-    for check, (records, _) in zip(
-            checks, run_children(jobs, None, parallel, trace=trace)):
+    results = _again(jobs, run_children(jobs, None, parallel, trace=trace),
+                     lambda records: not (records and records[0]["ok"]),
+                     None, trace)
+    passing, failing = [], []
+    for check, (records, _) in zip(checks, results):
         if records and records[0]["ok"]:
             check.seconds = records[0]["seconds"]
             check.hits = {path: set(lines) for path, lines
                           in records[0].get("hits", {}).items()}
             passing.append(check)
-    return passing
+        else:
+            failing.append(check)
+    return passing, failing
 
 
 def _killers(checks: list[Check], mutant: Mutant,
@@ -591,7 +619,7 @@ class _Session:
         self.args, self.found, self.rows = args, found, rows
         self.outcomes: list[Outcome] = []
         self.checks: list[Check] = []
-        self.notes: list[str] = []
+        self.failing: list[str] = []   # checks the baseline lost
         # pytest captures fd 2 for the session; keep the real one.
         self.stderr = os.fdopen(os.dup(2), "w", buffering=1)
 
@@ -610,20 +638,18 @@ class _Session:
                  if not any(fnmatch.fnmatchcase(item.nodeid, p)
                             for p in self.args.without)]
         start = time.perf_counter()
-        checks = baseline([_item_check(i) for i in items], self.args.jobs,
-                          trace)
+        checks, failing = baseline([_item_check(i) for i in items],
+                                   self.args.jobs, trace)
         self.checks = [c for c in checks if c.hits]
         self._say(f"baseline: {len(checks)} of {len(items)} tests pass alone, "
                   f"{len(self.checks)} run a mutated module "
                   f"({time.perf_counter() - start:.0f}s)")
-        passing = {c.name for c in checks}
-        self.notes.extend(f"fails alone: {i.nodeid}" for i in items
-                          if i.nodeid not in passing)
+        self.failing.extend(f"fails alone, twice: {c.name}" for c in failing)
         plan = [(m, _killers(self.checks, m, MAX_TESTS)) for m in self.found]
         self.outcomes = census(plan, live, self.args.jobs,
                                self._progress(len(plan), "tests"))
         missed = [o for o in self.outcomes if o.status == "survived"]
-        if missed and not self.args.no_rows:
+        if missed:
             self._rows(missed, live)
         return True
 
@@ -634,12 +660,11 @@ class _Session:
                         if row in pinned and any(
                             _killers([Check(row, None, hits=hits)], o.mutant)
                             for o in missed))
-        checks = baseline([_row_check(golden, row, pinned[row],
-                                      self.rows[row]) for row in wanted],
-                          self.args.jobs)
-        passing = {c.name for c in checks}
-        self.notes.extend(f"fails in process: {row}" for row in wanted
-                          if row not in passing)
+        checks, failing = baseline([_row_check(golden, row, pinned[row],
+                                               self.rows[row])
+                                    for row in wanted], self.args.jobs)
+        self.failing.extend(f"fails in process, twice: {c.name}"
+                            for c in failing)
         self._say(f"baseline: {len(checks)} of {len(wanted)} golden rows "
                   f"hold in process")
         plan = [(o.mutant, _killers(checks, o.mutant, MAX_ROWS))
@@ -680,7 +705,7 @@ def _report(outcomes: list[Outcome], modules: list[str]) -> list[str]:
         counts = [sum(o.status == s for o in mine) for s in STATUSES]
         print(f"{_relative(module):<28} {len(mine):>7} {counts[0]:>7} "
               f"{counts[1]:>8} {counts[2]:>9} {counts[3]:>7}")
-    open_ = [o for o in outcomes if o.status in ("survived", "timed out")]
+    open_ = [o for o in outcomes if o.status != "killed"]
     for outcome in open_:
         print(f"{outcome.status:<10} {outcome.mutant.name}")
     return [o.mutant.name for o in open_]
@@ -700,11 +725,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("--json", type=Path, help="write every outcome here")
     run_p.add_argument("--census", type=Path,
-                       help="fail on a survivor or timeout not listed here")
+                       help="fail on a mutant not killed and not listed here")
     run_p.add_argument("--without", action="append", default=[],
                        metavar="PATTERN", help="drop matching tests")
-    run_p.add_argument("--no-rows", action="store_true",
-                       help="do not run golden rows")
     args = parser.parse_args(argv)
 
     modules = [_module_path(m) for m in args.modules]
@@ -735,7 +758,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     took = time.perf_counter() - start
     open_ = _report(session.outcomes, modules)
     print(f"{len(session.outcomes)} mutants in {took:.0f}s")
-    for note in session.notes:
+    for note in session.failing:
         print(note)
     if args.json is not None:
         args.json.write_text(json.dumps({
@@ -746,12 +769,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             "tests": {c.name: {"seconds": round(c.seconds, 3),
                                "lines": sum(map(len, c.hits.values()))}
                       for c in session.checks}}, indent=1) + "\n")
+    unlisted = []
     if args.census is not None:
         unlisted = sorted(set(open_) - _census_file(args.census))
         for name in unlisted:
             print(f"not in {args.census}: {name}")
-        return 1 if unlisted else 0
-    return 0
+    return 1 if unlisted or session.failing else 0
 
 
 if __name__ == "__main__":
