@@ -31,10 +31,10 @@ forked from it that swaps the mutated functions' ``__code__`` in place,
 so ``from m import f`` aliases, bound methods and partials see the
 mutant too.  The parent kills a child that runs past 3x the unmutated
 time of its selected checks (plus a second for the fork) and runs it
-once more, alone: the mutant *timed out* if that child runs past it
-too.  The unmutated times come from a baseline pass in which each check
-runs alone in a child; a check that fails there runs once more, alone,
-and if it fails again the run fails (its kills would be missing).
+once more: the mutant *timed out* if that child runs past it too.  The
+unmutated times come from a baseline pass in which each check runs
+alone in a child; a check that fails there runs once more, and if it
+fails again the run fails (its kills would be missing).
 The children run under a Hypothesis profile with ``derandomize=True``,
 no example database and no deadline, and with ``CHAOS_SEED=1``, so one
 commit gives one kill set.
@@ -432,14 +432,13 @@ def run_children(jobs: list[tuple[Optional[Mutant], list[Check], float]],
 
 
 def _again(jobs: list, results: list, failed: Callable[[Optional[list]], bool],
-           live: Optional[LiveFunctions],
+           live: Optional[LiveFunctions], parallel: int,
            trace: Optional[dict[str, str]] = None) -> list:
-    """Run once more, one at a time, each job whose records ``failed``:
-    a child that only a loaded machine slowed gets its second chance
-    without its siblings beside it."""
+    """Run once more each job whose records ``failed``: a child that a
+    loaded machine slowed or upset once gets a second chance."""
     again = [i for i, (records, _) in enumerate(results) if failed(records)]
     for i, result in zip(again, run_children([jobs[i] for i in again], live,
-                                             trace=trace)):
+                                             parallel, trace=trace)):
         results[i] = result
     return results
 
@@ -454,7 +453,7 @@ def census(plan: list[tuple[Mutant, list[Check]]],
     jobs = [(mutant, checks, 3 * sum(c.seconds for c in checks) + SLACK_S)
             for mutant, checks in plan]
     results = _again(jobs, run_children(jobs, live, parallel, progress),
-                     lambda records: records is None, live)
+                     lambda records: records is None, live, parallel)
     outcomes = []
     for (mutant, _), (records, took) in zip(plan, results):
         if records is None:
@@ -478,7 +477,7 @@ def baseline(checks: list[Check], parallel: int = 1,
     jobs = [(None, [c], 600.0) for c in checks]
     results = _again(jobs, run_children(jobs, None, parallel, trace=trace),
                      lambda records: not (records and records[0]["ok"]),
-                     None, trace)
+                     None, parallel, trace)
     passing, failing = [], []
     for check, (records, _) in zip(checks, results):
         if records and records[0]["ok"]:
