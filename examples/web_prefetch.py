@@ -6,9 +6,9 @@
    iteration round is distributed as 25 strip tasks (500×500 matrix,
    strips of 20), with the inter-iteration dependency resolved at the
    master between rounds.
-3. Uses the ranks to drive the pre-fetch cache during a simulated
-   browsing session and reports the cache hit rate with and without
-   pre-fetching.
+3. Serves a simulated browsing session through the web-server model,
+   with and without rank-based pre-fetching, and reports the cache hit
+   rate and the mean access time of each.
 
 Run:  python examples/web_prefetch.py
 """
@@ -19,11 +19,11 @@ import numpy as np
 
 from repro.apps.prefetch import (
     DistributedPageRank,
-    PageRankPrefetcher,
     PrefetchApplication,
-    PrefetchCache,
+    WebServerModel,
     generate_cluster,
     pagerank_power,
+    simulate_browsing_session,
 )
 from repro.experiments.harness import run_simulation
 from repro.node.cluster import testbed_small
@@ -44,25 +44,6 @@ def distributed_pagerank(app: PrefetchApplication) -> tuple[np.ndarray, float, i
     return run_simulation(body)
 
 
-def browsing_session(cluster, ranks, prefetch: bool) -> float:
-    """Simulate a user following mostly-important links; return hit rate."""
-    cache = PrefetchCache(capacity=48)
-    prefetcher = PageRankPrefetcher(cluster, ranks, cache=cache)
-    rng = np.random.default_rng(7)
-    url = cluster.page(0).url
-    for _ in range(200):
-        if prefetch:
-            prefetcher.handle_request(url)
-        else:       # a plain cache: only what was requested is kept
-            cache.get(url)
-            cache.put(url)
-        page = cluster.by_url(url)
-        ranked = sorted(page.links, key=lambda p: ranks[p], reverse=True)
-        next_id = ranked[0] if rng.random() < 0.7 else int(rng.choice(page.links))
-        url = cluster.page(next_id).url
-    return cache.hit_rate
-
-
 def main() -> None:
     web = generate_cluster(n_pages=500, seed=0)
     app = PrefetchApplication(cluster=web)
@@ -81,11 +62,12 @@ def main() -> None:
     print("top-ranked pages:",
           [web.page(int(p)).url.rsplit('/', 1)[-1] for p in top])
 
-    hit_plain = browsing_session(web, ranks, prefetch=False)
-    hit_prefetch = browsing_session(web, ranks, prefetch=True)
-    print(f"browsing-session cache hit rate: "
-          f"{hit_plain:.0%} without pre-fetching → "
-          f"{hit_prefetch:.0%} with rank-based pre-fetching")
+    plain = simulate_browsing_session(WebServerModel(web), ranks)
+    prefetched = simulate_browsing_session(WebServerModel(web, ranks), ranks)
+    print(f"browsing session ({plain.requests} requests): "
+          f"{plain.hit_rate:.0%} cache hits, {plain.mean_ms:.1f} ms mean "
+          f"access without pre-fetching → {prefetched.hit_rate:.0%}, "
+          f"{prefetched.mean_ms:.1f} ms with rank-based pre-fetching")
 
 
 if __name__ == "__main__":

@@ -47,7 +47,6 @@ from repro.tuplespace.failover import (
     JiniSpaceLocator,
     SpaceSupervisor,
 )
-from repro.tuplespace.lease import FOREVER
 from repro.tuplespace.proxy import (
     AdmissionConfig,
     RecoveryPolicy,
@@ -601,10 +600,9 @@ class AdaptiveClusterFramework:
                 # registration post-failover.
                 attributes["epoch"] = space.wal.epoch
             join = JoinManager(
-                runtime, network, shard.host, self._registrar,
+                network, shard.host, self._registrar,
                 ServiceItem(f"javaspaces:{self.app.app_id}{shard.suffix}",
                             shard.address, attributes),
-                lease_ms=FOREVER,
             )
             join.start()
             self._joins.append(join)

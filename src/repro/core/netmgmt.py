@@ -224,21 +224,9 @@ class NetworkManagementModule:
         self.runtime.call_later(self.poll_interval_ms,
                                 partial(self._poll, client))
 
-    def poll_once(self, record: WorkerRecord) -> Optional[Signal]:
-        """One blocking SNMP poll + inference decision for a worker."""
-        self.stats["polls"] += 1
-        try:
-            load = float(self.snmp.get_one(record.hostname,
-                                           HOST_RESOURCES.EXTERNAL_LOAD))
-        except (TimeoutError_, SnmpError):
-            return self._feed(record, None)
-        return self._feed(record, load)
-
-    def _feed(self, record: WorkerRecord,
-              load: Optional[float]) -> Optional[Signal]:
+    def _feed(self, record: WorkerRecord, load: Optional[float]) -> None:
         """Feed one sample (``None``: the poll failed) to the inference
-        engine, which orders what it decides over the worker's link;
-        returns that signal, if any."""
+        engine, which orders what it decides over the worker's link."""
         if load is None:
             self.stats["poll_failures"] += 1
             # Stale-data guard: an unreachable agent means every further
@@ -256,7 +244,7 @@ class NetworkManagementModule:
                 )
                 _log.info("t=%.0fms worker=%s samples stale -> %s",
                           self.runtime.now(), record.hostname, signal)
-            return signal
+            return
         self.metrics.record(f"load/{record.hostname}", load)
         signal = self.inference.observe(record.worker_id, load, self.runtime.now())
         if signal is not None:
@@ -265,4 +253,3 @@ class NetworkManagementModule:
                                signal=str(signal), load=load)
             _log.info("t=%.0fms worker=%s load=%.0f%% -> %s",
                       self.runtime.now(), record.hostname, load, signal)
-        return signal

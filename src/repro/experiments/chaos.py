@@ -197,8 +197,7 @@ def _campaign(seed: int, workers: int, app: Application,
         injector = None
         if campaign is not None:
             framework.flight.fault_plan = campaign.to_dict()
-            injector = FaultInjector.for_framework(
-                framework, campaign, rng=streams.stream("chaos-net"))
+            injector = FaultInjector.for_framework(framework, campaign)
             injector.arm()
         outcome = run(runtime, framework)
         if injector is not None:

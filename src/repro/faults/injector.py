@@ -3,7 +3,7 @@
 One runtime process per scheduled event sleeps in virtual time until the
 event fires, applies the fault, and — for faults with a duration — sleeps
 again and heals it.  Everything runs on the simulation clock, so a chaos
-campaign is as deterministic as the plan and the RNG streams feeding it.
+campaign is as deterministic as its plan.
 
 Every injection and heal is recorded as a metrics event
 (``fault-injected`` / ``fault-healed``) so recovery latencies can be read
@@ -37,7 +37,6 @@ class FaultInjector:
         metrics: Metrics,
         worker_hosts: Optional[dict[str, object]] = None,
         space_server: Optional[object] = None,
-        rng=None,
         primary_killer=None,
         master_killer=None,
         shard_killer=None,
@@ -60,20 +59,19 @@ class FaultInjector:
         #: to resolve the symbolic ``space`` / ``shard:<i>`` targets of
         #: partition/pause/gray-slow events.
         self.space_hosts = list(space_hosts) if space_hosts else []
-        self._rng = rng          # drives ChaosProfile drop/delay draws
         self.injected = 0
         self.healed = 0
         self._armed = False
         self._disarmed = False
 
     @classmethod
-    def for_framework(cls, framework, plan: FaultPlan, rng=None) -> "FaultInjector":
+    def for_framework(cls, framework, plan: FaultPlan) -> "FaultInjector":
         """Wire an injector to a started AdaptiveClusterFramework."""
         hosts = {h.node.hostname: h for h in framework.worker_hosts}
         return cls(
             framework.runtime, framework.cluster.network, plan,
             framework.metrics, worker_hosts=hosts,
-            space_server=framework.space_server, rng=rng,
+            space_server=framework.space_server,
             primary_killer=framework.kill_primary_space,
             master_killer=framework.kill_master,
             shard_killer=framework.kill_shard,
@@ -100,7 +98,6 @@ class FaultInjector:
         self.network.resume_all()
         self.network.heal_all_partitions()
         self.network.heal_all_slow()
-        self.network.clear_chaos()
 
     def resolve_target(self, target: Optional[str]) -> Optional[str]:
         """Map a symbolic fault target to a hostname.
@@ -160,8 +157,6 @@ class FaultInjector:
             if self.space_server is None:
                 return
             self.space_server.crash()
-        elif kind == FaultKind.CHAOS_WINDOW:
-            self.network.set_chaos(event.profile, rng=self._rng)
         elif kind == FaultKind.KILL_PRIMARY_SPACE:
             if self.primary_killer is None:
                 return
@@ -205,8 +200,6 @@ class FaultInjector:
             self.network.heal(event.target)
         elif kind == FaultKind.SERVER_RESTART:
             self.space_server.start()
-        elif kind == FaultKind.CHAOS_WINDOW:
-            self.network.clear_chaos()
         elif kind == FaultKind.PARTITION:
             host = self.resolve_target(event.target)
             if host is not None:

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.net.network import ChaosProfile
-
 __all__ = ["FaultKind", "FaultEvent", "FaultPlan"]
 
 
@@ -30,17 +28,12 @@ class FaultKind:
     WORKER_CRASH = "worker-crash"      # abrupt node death, no recovery
     LINK_FLAP = "link-flap"            # partition target host, heal later
     SERVER_RESTART = "server-restart"  # space server down, up after duration
-    CHAOS_WINDOW = "chaos-window"      # probabilistic drop/delay period
     KILL_PRIMARY_SPACE = "kill-primary-space"  # permanent; standby promotes
     KILL_MASTER = "kill-master"        # master process dies; resume from ckpt
     KILL_SHARD = "kill-shard"          # one shard's primary dies (target=index)
     PARTITION = "partition"            # asymmetric cut: target's egress dies
     PAUSE = "pause"                    # process stall: traffic held, not lost
     GRAY_SLOW = "gray-slow"            # gray failure: target N-times slower
-
-    ALL = (WORKER_CRASH, LINK_FLAP, SERVER_RESTART, CHAOS_WINDOW,
-           KILL_PRIMARY_SPACE, KILL_MASTER, KILL_SHARD,
-           PARTITION, PAUSE, GRAY_SLOW)
 
 
 @dataclass(frozen=True)
@@ -53,8 +46,7 @@ class FaultEvent:
     (the primary space host) or ``"shard:<i>"`` (shard *i*'s host) — the
     injector resolves those against the deployment.  ``duration_ms`` is
     how long the fault persists before the injector heals it (``None`` =
-    permanent, only meaningful for crashes).  ``profile`` configures a
-    :data:`~FaultKind.CHAOS_WINDOW`; ``factor`` is the
+    permanent, only meaningful for crashes).  ``factor`` is the
     :data:`~FaultKind.GRAY_SLOW` latency multiplier.
     """
 
@@ -62,7 +54,6 @@ class FaultEvent:
     kind: str
     target: Optional[str] = None
     duration_ms: Optional[float] = None
-    profile: Optional[ChaosProfile] = None
     factor: float = 10.0
 
     def describe(self) -> str:
@@ -83,8 +74,6 @@ class FaultEvent:
             out["duration_ms"] = self.duration_ms
         if self.kind == FaultKind.GRAY_SLOW:
             out["factor"] = self.factor
-        if self.profile is not None:
-            out["profile"] = repr(self.profile)
         return out
 
 

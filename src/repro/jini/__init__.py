@@ -5,7 +5,7 @@ Implements the three protocols the paper describes in Section 3:
 * **discovery** — a client multicasts a presence announcement on a
   well-known group/port; lookup services respond with their address;
 * **join** — a service provider registers itself (with attributes) at the
-  lookup service under a lease, renewing periodically;
+  lookup service for as long as it runs;
 * **lookup** — a client sends a desired attribute set; the lookup service
   performs an associative match and returns matching services.
 
@@ -17,7 +17,6 @@ configuration.
 from repro.jini.lookup import LookupService, ServiceItem, ServiceRegistration
 from repro.jini.discovery import DiscoveryClient, DISCOVERY_GROUP, DISCOVERY_PORT
 from repro.jini.join import JoinManager
-from repro.jini.sdm import ServiceDiscoveryManager
 
 __all__ = [
     "LookupService",
@@ -25,7 +24,6 @@ __all__ = [
     "ServiceRegistration",
     "DiscoveryClient",
     "JoinManager",
-    "ServiceDiscoveryManager",
     "DISCOVERY_GROUP",
     "DISCOVERY_PORT",
 ]

@@ -1,4 +1,4 @@
-"""The Jini join protocol: register a service and keep its lease alive."""
+"""The Jini join protocol: register a service for as long as it runs."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.errors import ConnectionClosedError, LookupError_
 from repro.net.address import Address
 from repro.net.network import Network, StreamSocket
 from repro.jini.lookup import ServiceItem
-from repro.runtime.base import Runtime
 from repro.tuplespace.lease import FOREVER
 
 __all__ = ["JoinManager", "LookupClient"]
@@ -48,9 +47,6 @@ class LookupClient:
     def register(self, item: ServiceItem, lease_ms: float = FOREVER) -> dict[str, Any]:
         return self._call("register", {"item": item, "lease_ms": lease_ms})
 
-    def renew(self, registration_id: int, lease_ms: float) -> None:
-        self._call("renew", {"registration_id": registration_id, "lease_ms": lease_ms})
-
     def cancel(self, registration_id: int) -> None:
         self._call("cancel", {"registration_id": registration_id})
 
@@ -64,47 +60,21 @@ class LookupClient:
 
 
 class JoinManager:
-    """Registers a service and renews its lease at half the lease period."""
+    """Registers a service under a lease that never expires; :meth:`stop`
+    cancels the registration."""
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        network: Network,
-        host: str,
-        registrar: Address,
-        item: ServiceItem,
-        lease_ms: float = 30_000.0,
-    ) -> None:
-        self.runtime = runtime
+    def __init__(self, network: Network, host: str, registrar: Address,
+                 item: ServiceItem) -> None:
         self.client = LookupClient(network, host, registrar)
         self.item = item
-        self.lease_ms = lease_ms
         self.registration_id: Optional[int] = None
-        self._running = False
 
     def start(self) -> None:
-        if self._running:
-            return
-        reply = self.client.register(self.item, self.lease_ms)
-        self.registration_id = reply["registration_id"]
-        self._running = True
-        if self.lease_ms != FOREVER:
-            self.runtime.spawn(self._renewal_loop, name=f"join-renew:{self.item.service_id}")
-
-    def _renewal_loop(self) -> None:
-        while self._running:
-            self.runtime.sleep(self.lease_ms / 2.0)
-            if not self._running:
-                return
-            try:
-                self.client.renew(self.registration_id, self.lease_ms)
-            except LookupError_:
-                return  # registration expired or was cancelled
-            except ConnectionClosedError:
-                continue  # transient partition/outage: retry next half-lease
+        if self.registration_id is None:
+            self.registration_id = self.client.register(
+                self.item)["registration_id"]
 
     def stop(self) -> None:
-        self._running = False
         if self.registration_id is not None:
             try:
                 self.client.cancel(self.registration_id)

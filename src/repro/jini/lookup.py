@@ -45,7 +45,7 @@ class ServiceRegistration:
 
 
 class LookupService:
-    """In-network registrar with register/renew/cancel/lookup RPC."""
+    """In-network registrar with register/cancel/lookup RPC."""
 
     def __init__(self, runtime: Runtime, network: Network, address: Address) -> None:
         self.runtime = runtime
@@ -96,12 +96,6 @@ class LookupService:
         )
         self._registrations[registration.registration_id] = registration
         return registration
-
-    def renew(self, registration_id: int, lease_ms: float) -> None:
-        registration = self._registrations.get(registration_id)
-        if registration is None or registration.lease.is_expired():
-            raise LookupError_(f"registration {registration_id} not active")
-        registration.lease.renew(lease_ms)
 
     def cancel(self, registration_id: int) -> None:
         registration = self._registrations.pop(registration_id, None)
@@ -164,9 +158,6 @@ class LookupService:
                 "registration_id": registration.registration_id,
                 "remaining_ms": registration.lease.remaining_ms(),
             }
-        if op == "renew":
-            self.renew(args["registration_id"], args["lease_ms"])
-            return None
         if op == "cancel":
             self.cancel(args["registration_id"])
             return None

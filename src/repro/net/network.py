@@ -333,7 +333,7 @@ class Network:
     # -- fault injection ----------------------------------------------------------
 
     def set_chaos(self, profile: ChaosProfile,
-                  rng: Optional[np.random.Generator] = None) -> None:
+                  rng: np.random.Generator) -> None:
         """Enable probabilistic drop/delay injection.
 
         ``rng`` should be a dedicated seeded stream (e.g.
@@ -341,20 +341,19 @@ class Network:
         the draws of the baseline latency model.
         """
         self._chaos = profile
-        if rng is not None:
-            self._chaos_rng = rng
+        self._chaos_rng = rng
 
     def clear_chaos(self) -> None:
         self._chaos = None
 
     def _chaos_drops(self, probability: float) -> bool:
-        if self._chaos is None or probability <= 0.0 or self._chaos_rng is None:
+        if self._chaos is None or probability <= 0.0:
             return False
         return bool(self._chaos_rng.random() < probability)
 
     def _chaos_delay_ms(self) -> float:
         chaos = self._chaos
-        if chaos is None or chaos.extra_delay_ms <= 0.0 or self._chaos_rng is None:
+        if chaos is None or chaos.extra_delay_ms <= 0.0:
             return 0.0
         if chaos.delay_probability < 1.0 and \
                 self._chaos_rng.random() >= chaos.delay_probability:

@@ -35,7 +35,3 @@ class RandomStreams:
             gen = np.random.default_rng(np.random.SeedSequence([self.seed, child_seed]))
             self._cache[name] = gen
         return gen
-
-    def fork(self, subseed: int) -> "RandomStreams":
-        """Derive an independent stream family (e.g. per experiment run)."""
-        return RandomStreams(self.seed * 1_000_003 + subseed)

@@ -20,7 +20,6 @@ from repro.snmp.pdu import (
     ERROR_BAD_VALUE,
     ERROR_GEN_ERR,
     ERROR_NO_SUCH_NAME,
-    GetBulkRequest,
     GetNextRequest,
     GetRequest,
     GetResponse,
@@ -97,9 +96,6 @@ class SnmpAgent:
         response = GetResponse(
             request_id=request.request_id, community=self.community
         )
-        if isinstance(request, GetBulkRequest):
-            response.varbinds = self._bulk(request)
-            return encode_message(response)
         varbinds = []
         for index, (oid, value) in enumerate(request.varbinds, start=1):
             try:
@@ -126,25 +122,3 @@ class SnmpAgent:
                 varbinds.append((oid, None))
         response.varbinds = varbinds
         return encode_message(response)
-
-    def _bulk(self, request: GetBulkRequest) -> list:
-        """RFC 1905 GetBulk: GETNEXT sweeps per varbind.
-
-        The first ``non_repeaters`` varbinds get a single GETNEXT; the
-        rest get up to ``max_repetitions`` successive GETNEXTs.  Runs off
-        the end of the MIB are simply truncated (no endOfMibView marker in
-        this subset).
-        """
-        out = []
-        for index, (oid, _value) in enumerate(request.varbinds):
-            repetitions = 1 if index < request.non_repeaters else max(
-                1, request.max_repetitions
-            )
-            cursor = oid
-            for _ in range(repetitions):
-                try:
-                    cursor, value = self.mib.get_next(cursor)
-                except NoSuchOidError:
-                    break
-                out.append((cursor, value))
-        return out

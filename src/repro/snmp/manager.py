@@ -7,9 +7,8 @@ workers.
 Every request is a transaction in a table keyed by request id, with its
 own retry/timeout timer; replies are read by a callback in the event
 their delivery wakes and matched to their transaction by id, so callers
-sharing one manager never see each other's replies.  :meth:`fetch`
-answers by callback; the blocking operations wait on the same
-transaction.
+sharing one manager never see each other's replies.  :meth:`fetch`, the
+monitor's GET, answers by callback.
 """
 
 from __future__ import annotations
@@ -32,18 +31,12 @@ from repro.snmp.agent import SNMP_PORT
 from repro.snmp.oid import Oid
 from repro.snmp.pdu import (
     ERROR_NO_SUCH_NAME,
-    GetBulkRequest,
-    GetNextRequest,
     GetRequest,
-    SetRequest,
     decode_message,
     encode_message,
 )
 
 __all__ = ["SnmpManager"]
-
-#: OIDs a :meth:`SnmpManager.walk_bulk` round trip asks for.
-BULK_REPETITIONS = 16
 
 
 class _Transaction:
@@ -67,7 +60,7 @@ class _Transaction:
 
 
 class SnmpManager:
-    """Issues GET/GETNEXT/SET requests to agents and matches responses."""
+    """Sends request PDUs to agents and matches their responses."""
 
     def __init__(
         self,
@@ -107,21 +100,9 @@ class SnmpManager:
 
     # -- public operations ------------------------------------------------------
 
-    def get(self, agent_host: str, oids: list[Oid]) -> dict[Oid, Any]:
-        """GET one or more OIDs from an agent; returns ``{oid: value}``."""
-        request = GetRequest(
-            request_id=next(self._request_ids),
-            varbinds=[(Oid(o), None) for o in oids],
-            community=self.community,
-        )
-        return _values(self._transact(Address(agent_host, SNMP_PORT), request))
-
-    def get_one(self, agent_host: str, oid: Oid) -> Any:
-        return self.get(agent_host, [oid])[Oid(oid)]
-
     def fetch(self, agent_host: str, oid: Oid,
               on_done: Callable[[Any, Optional[Exception]], None]) -> None:
-        """:meth:`get_one` by callback: ``on_done(value, None)`` once the
+        """GET one OID by callback: ``on_done(value, None)`` once the
         agent answers, ``on_done(None, error)`` on an error status, on
         :class:`TimeoutError_` after the last attempt, or on
         :class:`ConnectionClosedError` if the manager is closed first."""
@@ -144,86 +125,6 @@ class SnmpManager:
             on_done(value, None)
 
         self._request(Address(agent_host, SNMP_PORT), request, done)
-
-    def get_next(self, agent_host: str, oid: Oid) -> tuple[Oid, Any]:
-        request = GetNextRequest(
-            request_id=next(self._request_ids),
-            varbinds=[(Oid(oid), None)],
-            community=self.community,
-        )
-        response = self._transact(Address(agent_host, SNMP_PORT), request)
-        if response.error_status == ERROR_NO_SUCH_NAME:
-            raise NoSuchOidError(f"end of MIB after {oid}")
-        if response.error_status != 0:
-            raise SnmpError(f"agent error status {response.error_status}")
-        return response.varbinds[0]
-
-    def get_bulk(
-        self,
-        agent_host: str,
-        oids: list[Oid],
-        non_repeaters: int,
-        max_repetitions: int,
-    ) -> list[tuple[Oid, Any]]:
-        """SNMPv2 GetBulk: batched GETNEXT sweeps in one round trip (one
-        GETNEXT for each of the first ``non_repeaters`` OIDs, up to
-        ``max_repetitions`` for each of the rest)."""
-        request = GetBulkRequest(
-            request_id=next(self._request_ids),
-            varbinds=[(Oid(o), None) for o in oids],
-            error_status=non_repeaters,
-            error_index=max_repetitions,
-            community=self.community,
-        )
-        response = self._transact(Address(agent_host, SNMP_PORT), request)
-        if response.error_status != 0:
-            raise SnmpError(f"agent error status {response.error_status}")
-        return list(response.varbinds)
-
-    def walk_bulk(self, agent_host: str, subtree: Oid
-                  ) -> list[tuple[Oid, Any]]:
-        """Like :meth:`walk` but fetching :data:`BULK_REPETITIONS` per
-        round trip — the v2 way to dump a table cheaply."""
-        subtree = Oid(subtree)
-        results: list[tuple[Oid, Any]] = []
-        cursor = subtree
-        while True:
-            batch = self.get_bulk(agent_host, [cursor], 0, BULK_REPETITIONS)
-            progressed = False
-            for oid, value in batch:
-                if not oid.starts_with(subtree):
-                    return results
-                results.append((oid, value))
-                cursor = oid
-                progressed = True
-            if not progressed or len(batch) < BULK_REPETITIONS:
-                return results
-
-    def walk(self, agent_host: str, subtree: Oid) -> list[tuple[Oid, Any]]:
-        """GETNEXT sweep of every OID under ``subtree``."""
-        subtree = Oid(subtree)
-        results: list[tuple[Oid, Any]] = []
-        cursor = subtree
-        while True:
-            try:
-                oid, value = self.get_next(agent_host, cursor)
-            except NoSuchOidError:
-                break
-            if not oid.starts_with(subtree):
-                break
-            results.append((oid, value))
-            cursor = oid
-        return results
-
-    def set(self, agent_host: str, oid: Oid, value: Any) -> None:
-        request = SetRequest(
-            request_id=next(self._request_ids),
-            varbinds=[(Oid(oid), value)],
-            community=self.community,
-        )
-        response = self._transact(Address(agent_host, SNMP_PORT), request)
-        if response.error_status != 0:
-            raise SnmpError(f"set failed with status {response.error_status}")
 
     # -- plumbing -----------------------------------------------------------------
     #
@@ -296,24 +197,6 @@ class SnmpManager:
         for txn in failed:
             txn.timer.cancel()
             txn.on_done(None, ConnectionClosedError("SNMP manager closed"))
-
-    def _transact(self, agent: Address, request: Any) -> Any:
-        """Blocking form: wait on the transaction's outcome."""
-        outcome: list[tuple[Any, Optional[Exception]]] = []
-        cond = self.runtime.condition()
-
-        def done(response: Any, error: Optional[Exception]) -> None:
-            with cond:
-                outcome.append((response, error))
-                cond.notify_all()
-
-        self._request(agent, request, done)
-        with cond:
-            self.runtime.wait_for(cond, lambda: bool(outcome))
-        response, error = outcome[0]
-        if error is not None:
-            raise error
-        return response
 
 
 def _values(response: Any) -> dict[Oid, Any]:

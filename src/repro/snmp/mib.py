@@ -52,13 +52,6 @@ class Mib:
         if writable:
             self._writable.add(oid)
 
-    def unregister(self, oid: Oid) -> None:
-        oid = Oid(oid)
-        if oid in self._providers:
-            del self._providers[oid]
-            self._sorted.remove(oid)
-            self._writable.discard(oid)
-
     def get(self, oid: Oid) -> Any:
         provider = self._providers.get(Oid(oid))
         if provider is None:
@@ -80,12 +73,3 @@ class Mib:
         if oid not in self._writable:
             raise NoSuchOidError(f"{oid} is read-only")
         self._providers[oid] = value
-
-    def oids(self) -> list[Oid]:
-        return list(self._sorted)
-
-    def __contains__(self, oid: Oid) -> bool:
-        return Oid(oid) in self._providers
-
-    def __len__(self) -> int:
-        return len(self._sorted)

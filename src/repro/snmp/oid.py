@@ -57,6 +57,3 @@ class Oid:
 
     def __add__(self, suffix: Iterable[int]) -> "Oid":
         return Oid(self.parts + tuple(suffix))
-
-    def starts_with(self, prefix: "Oid") -> bool:
-        return self.parts[: len(prefix.parts)] == prefix.parts

@@ -46,7 +46,6 @@ TAG_GET_REQUEST = 0xA0
 TAG_GET_NEXT_REQUEST = 0xA1
 TAG_GET_RESPONSE = 0xA2
 TAG_SET_REQUEST = 0xA3
-TAG_GET_BULK_REQUEST = 0xA5  # SNMPv2 GetBulk (error fields reinterpreted)
 TAG_TRAP_V2 = 0xA7  # SNMPv2-Trap-PDU structure (same body as requests)
 
 ERROR_NONE = 0
@@ -99,28 +98,11 @@ class TrapV2(_Pdu):
     TAG = TAG_TRAP_V2
 
 
-class GetBulkRequest(_Pdu):
-    """SNMPv2 GetBulk: ``error_status`` carries non-repeaters and
-    ``error_index`` max-repetitions (exactly RFC 1905's reuse of the
-    fields).  Convenience properties expose the real names."""
-
-    TAG = TAG_GET_BULK_REQUEST
-
-    @property
-    def non_repeaters(self) -> int:
-        return self.error_status
-
-    @property
-    def max_repetitions(self) -> int:
-        return self.error_index
-
-
 _PDU_BY_TAG = {
     TAG_GET_REQUEST: GetRequest,
     TAG_GET_NEXT_REQUEST: GetNextRequest,
     TAG_GET_RESPONSE: GetResponse,
     TAG_SET_REQUEST: SetRequest,
-    TAG_GET_BULK_REQUEST: GetBulkRequest,
     TAG_TRAP_V2: TrapV2,
 }
 

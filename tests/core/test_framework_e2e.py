@@ -141,8 +141,7 @@ def test_jini_lookup_resolves_space(rt):
 
     def resolve(from_host):
         """Discovery, then lookup: how a worker finds the space."""
-        registrars = DiscoveryClient(rt, cluster.network, from_host).discover(
-            timeout_ms=50.0)
+        registrars = DiscoveryClient(rt, cluster.network, from_host).discover()
         client = LookupClient(cluster.network, from_host, registrars[0])
         try:
             items = client.lookup({"type": "JavaSpaces",

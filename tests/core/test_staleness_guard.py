@@ -17,7 +17,7 @@ from repro.core.signals import Signal
 from repro.core.states import WorkerState
 from repro.net import Network
 from repro.node.machine import FAST_PC, Node
-from tests.conftest import run_in_sim
+from tests.core.test_netmgmt_unit import monitor
 
 STALENESS_MS = 2_000.0
 
@@ -60,7 +60,11 @@ def test_never_sampled_stopped_worker_fires_nothing():
     assert record.assumed_state == WorkerState.STOPPED
 
 
-# -- the module --------------------------------------------------------------
+# -- the module ---------------------------------------------------------------
+#
+# The monitor's event path: the module polls a registered worker's agent
+# every 500 ms (``monitor`` registers the worker over the rule-base
+# socket and collects the signals sent down it).
 
 
 @pytest.fixture()
@@ -71,43 +75,37 @@ def env(rt):
     module = NetworkManagementModule(
         rt, net, "master", Metrics(rt),
         InferenceEngine(staleness_ms=STALENESS_MS), poll_interval_ms=500.0)
-    record = module.inference.register("w1")
-    return net, node, module, record
+    return net, node, module
 
 
 def test_dead_agent_eventually_stops_the_worker(rt, env):
-    net, node, module, record = env
+    net, node, module = env
 
-    def proc():
-        assert module.poll_once(record) == Signal.START    # healthy + idle
+    def scenario():
+        rt.sleep(1.0)                       # healthy + idle: Start
         node.stop_agent()
-        first = module.poll_once(record)                   # still fresh
-        rt.sleep(STALENESS_MS + 500.0)
-        second = module.poll_once(record)                  # now stale
-        return first, second
+        rt.sleep(STALENESS_MS + 1_000.0)    # failing polls, then stale
 
-    first, second = run_in_sim(rt, proc)
-    assert first is None
-    assert second == Signal.STOP
+    signals, record = monitor(rt, net, module, scenario)
+    assert signals == [Signal.START, Signal.STOP]
     assert record.assumed_state == WorkerState.STOPPED
     assert module.stats["stale_stops"] == 1
-    assert module.stats["poll_failures"] == 2
+    assert module.stats["poll_failures"] == 3    # fresh, fresh, stale
     events = module.metrics.events_named("stale-sample")
     assert len(events) == 1
     assert events[0][1]["worker"] == "w1"
 
 
 def test_recovered_agent_restarts_the_worker(rt, env):
-    net, node, module, record = env
+    net, node, module = env
 
-    def proc():
-        assert module.poll_once(record) == Signal.START
+    def scenario():
+        rt.sleep(1.0)
         node.stop_agent()
-        rt.sleep(STALENESS_MS + 500.0)
-        assert module.poll_once(record) == Signal.STOP
+        rt.sleep(STALENESS_MS + 1_000.0)    # stale: Stop
         node.start_agent()
-        rt.sleep(500.0)
-        return module.poll_once(record)                    # fresh idle sample
+        rt.sleep(1_500.0)                   # a fresh idle sample: Start
 
-    assert run_in_sim(rt, proc) == Signal.START
+    signals, record = monitor(rt, net, module, scenario)
+    assert signals == [Signal.START, Signal.STOP, Signal.START]
     assert record.assumed_state == WorkerState.RUNNING

@@ -8,7 +8,6 @@ import pytest
 from repro.core.metrics import Metrics
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.net import LatencyModel, Network
-from repro.net.network import ChaosProfile
 
 
 def test_generated_plans_are_seed_deterministic():
@@ -60,36 +59,30 @@ def test_injector_applies_and_heals_on_schedule(rt):
         FaultEvent(100.0, FaultKind.WORKER_CRASH, target="w1"),
         FaultEvent(200.0, FaultKind.LINK_FLAP, target="w2",
                    duration_ms=300.0),
-        FaultEvent(250.0, FaultKind.CHAOS_WINDOW, duration_ms=100.0,
-                   profile=ChaosProfile(datagram_drop=1.0)),
     ])
     injector = FaultInjector(rt, net, plan, metrics,
-                             worker_hosts={"w1": host},
-                             rng=np.random.default_rng(0))
+                             worker_hosts={"w1": host})
     observed = []
 
     def observer():
         rt.sleep(150.0)
         observed.append(("crashed", host.crashed))
-        rt.sleep(150.0)  # t=300: flap + chaos window active
+        rt.sleep(150.0)  # t=300: flap active
         observed.append(("isolated", net.is_isolated("w2")))
-        observed.append(("chaos", net._chaos is not None))
-        rt.sleep(300.0)  # t=600: both healed
+        rt.sleep(300.0)  # t=600: healed
         observed.append(("healed", not net.is_isolated("w2")))
-        observed.append(("chaos-off", net._chaos is None))
 
     injector.arm()
     rt.kernel.spawn(observer, name="observer")
     rt.kernel.run_until_idle()
 
     assert dict(observed) == {"crashed": True, "isolated": True,
-                              "chaos": True, "healed": True,
-                              "chaos-off": True}
-    assert injector.injected == 3
-    assert injector.healed == 2
+                              "healed": True}
+    assert injector.injected == 2
+    assert injector.healed == 1
     names = [n for _, n, _ in metrics.events]
-    assert names.count("fault-injected") == 3
-    assert names.count("fault-healed") == 2
+    assert names.count("fault-injected") == 2
+    assert names.count("fault-healed") == 1
 
 
 def test_disarm_suppresses_unfired_events(rt):

@@ -32,7 +32,7 @@ def test_discovery_finds_registrar(rt, env):
 
     def proc():
         client = DiscoveryClient(rt, net, "workerhost")
-        return client.discover(timeout_ms=50.0)
+        return client.discover()
 
     assert run(rt, proc) == [REGISTRAR]
 
@@ -44,7 +44,7 @@ def test_discovery_finds_multiple_registrars(rt, env):
 
     def proc():
         client = DiscoveryClient(rt, net, "workerhost")
-        return sorted(client.discover(timeout_ms=50.0), key=str)
+        return sorted(client.discover(), key=str)
 
     found = run(rt, proc)
     assert len(found) == 2
@@ -55,7 +55,7 @@ def test_discovery_times_out_quietly_with_no_registrar(rt):
 
     def proc():
         client = DiscoveryClient(rt, net, "h")
-        return client.discover(timeout_ms=20.0)
+        return client.discover()
 
     assert run(rt, proc) == []
 
@@ -134,16 +134,17 @@ def test_cancel_removes_registration(rt, env):
 
 
 def test_join_manager_keeps_registration_alive(rt, env):
+    """The registration stays, under a lease that never expires, until
+    stop cancels it."""
     net, _ = env
 
     def proc():
         manager = JoinManager(
-            rt, net, "master", REGISTRAR,
+            net, "master", REGISTRAR,
             ServiceItem("space", None, {"type": "JavaSpaces"}),
-            lease_ms=100.0,
         )
         manager.start()
-        rt.sleep(450.0)  # several lease periods
+        rt.sleep(450.0)
         client = LookupClient(net, "probe", REGISTRAR)
         alive = len(client.lookup({"type": "JavaSpaces"}))
         manager.stop()
@@ -153,20 +154,6 @@ def test_join_manager_keeps_registration_alive(rt, env):
         return alive, gone
 
     assert run(rt, proc) == (1, 0)
-
-
-def test_renew_unknown_registration_fails(rt, env):
-    net, _ = env
-
-    def proc():
-        client = LookupClient(net, "m", REGISTRAR)
-        from repro.errors import LookupError_
-        with pytest.raises(LookupError_):
-            client.renew(999, 100.0)
-        client.close()
-        return True
-
-    assert run(rt, proc)
 
 
 def test_full_stack_discover_then_lookup_then_connect(rt, env):
@@ -180,14 +167,10 @@ def test_full_stack_discover_then_lookup_then_connect(rt, env):
     SpaceServer(rt, space, net, space_address).start()
 
     def proc():
-        from repro.tuplespace.lease import FOREVER
-
-        # Master joins the federation (permanent lease: no renewal loop,
-        # so the simulation drains naturally).
+        # Master joins the federation.
         JoinManager(
-            rt, net, "master", REGISTRAR,
+            net, "master", REGISTRAR,
             ServiceItem("space", space_address, {"type": "JavaSpaces"}),
-            lease_ms=FOREVER,
         ).start()
         # Worker discovers and uses it.
         registrars = DiscoveryClient(rt, net, "worker").discover()

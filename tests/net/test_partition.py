@@ -82,17 +82,21 @@ def test_snmp_monitoring_sees_partition_as_timeouts(rt, net):
     mib.register(HOST_RESOURCES.HR_PROCESSOR_LOAD, 10)
     SnmpAgent(rt, net, "w", mib).start()
     manager = SnmpManager(rt, net, "mgr", timeout_ms=30.0, retries=1)
+    outcomes = []
 
-    def proc():
-        before = manager.get_one("w", HOST_RESOURCES.HR_PROCESSOR_LOAD)
-        net.isolate("w")
-        with pytest.raises(TimeoutError_):
-            manager.get_one("w", HOST_RESOURCES.HR_PROCESSOR_LOAD)
-        net.heal("w")
-        after = manager.get_one("w", HOST_RESOURCES.HR_PROCESSOR_LOAD)
-        return before, after
+    def poll():
+        manager.fetch("w", HOST_RESOURCES.HR_PROCESSOR_LOAD,
+                      lambda value, error: outcomes.append((value, error)))
+        rt.kernel.run_until_idle()
+        return outcomes.pop()
 
-    assert run_in_sim(rt, proc) == (10, 10)
+    before = poll()
+    net.isolate("w")
+    _, lost = poll()
+    net.heal("w")
+    after = poll()
+    assert (before, after) == ((10, None), (10, None))
+    assert isinstance(lost, TimeoutError_)
 
 
 def test_multicast_respects_partitions(rt, net):

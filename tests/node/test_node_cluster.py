@@ -51,12 +51,16 @@ def test_snmp_agent_end_to_end_on_node(rt, node):
     node.start_agent()
     manager = SnmpManager(rt, node.network, "mgr")
 
+    outcomes = []
+
     def proc():
         node.cpu.set_background("user", 45.0)
         rt.sleep(1000.0)
-        return manager.get_one("w1", HOST_RESOURCES.EXTERNAL_LOAD)
+        manager.fetch("w1", HOST_RESOURCES.EXTERNAL_LOAD,
+                      lambda value, error: outcomes.append((value, error)))
 
-    assert run_in_sim(rt, proc) == 45
+    run_in_sim(rt, proc)
+    assert outcomes == [(45, None)]
 
 
 def test_load_simulator2_saturates(rt, node):

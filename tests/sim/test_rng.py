@@ -39,11 +39,3 @@ def test_different_seeds_differ():
     a = RandomStreams(seed=1).stream("n").random(8)
     b = RandomStreams(seed=2).stream("n").random(8)
     assert not np.array_equal(a, b)
-
-
-def test_fork_independent_of_parent():
-    parent = RandomStreams(seed=5)
-    child = parent.fork(1)
-    a = parent.stream("n").random(8)
-    b = child.stream("n").random(8)
-    assert not np.array_equal(a, b)

@@ -39,8 +39,7 @@ def test_oid_concat_and_prefix():
     base = Oid("1.3.6.1")
     leaf = base + (2, 1)
     assert leaf == Oid("1.3.6.1.2.1")
-    assert leaf.starts_with(base)
-    assert not base.starts_with(leaf)
+    assert base < leaf
 
 
 def test_mib_get_static_and_callable():
@@ -78,14 +77,6 @@ def test_mib_set_requires_writable():
     assert mib.get(Oid("1.3.6.1")) == 42
     with pytest.raises(NoSuchOidError):
         mib.set(Oid("1.3.6.2"), 42)
-
-
-def test_mib_unregister():
-    mib = Mib()
-    mib.register(Oid("1.3.6.1"), 1)
-    mib.unregister(Oid("1.3.6.1"))
-    assert Oid("1.3.6.1") not in mib
-    assert len(mib) == 0
 
 
 def test_host_resources_oids_are_distinct():

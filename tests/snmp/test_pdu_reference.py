@@ -24,7 +24,6 @@ from repro.snmp.pdu import (
     TAG_OCTET_STRING,
     TAG_OID,
     TAG_SEQUENCE,
-    GetBulkRequest,
     GetNextRequest,
     GetRequest,
     GetResponse,
@@ -239,8 +238,7 @@ def reference_decode(data: bytes) -> _Pdu:
 
 # -- strategies ---------------------------------------------------------------------
 
-PDU_CLASSES = (GetRequest, GetNextRequest, GetResponse, SetRequest,
-               GetBulkRequest, TrapV2)
+PDU_CLASSES = (GetRequest, GetNextRequest, GetResponse, SetRequest, TrapV2)
 
 oids = st.builds(
     lambda first, second, rest: Oid([first, second] + rest),

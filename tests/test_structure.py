@@ -231,6 +231,11 @@ def _unresolved_boundaries() -> set[Site]:
             if adapter.resolve(boundary.target) is None}
 
 
+#: Why a BOUNDARIES target may not resolve: the code it named is gone.
+_UNTRACED = "deleted: no product run, so no suite workload, calls it; item " \
+            "1's re-recorded suite drops the row"
+
+
 # -- options ------------------------------------------------------------------
 #
 # ROADMAP aim 2: "Every knob … must justify itself with a test or
@@ -326,9 +331,6 @@ NEVER_FLIPPED: dict[Site, str] = {
         _GROUP_COMMIT,
     ("tuplespace/durable.py", "DurableSpace.recover", "group_commit_ms"):
         _GROUP_COMMIT,
-    ("jini/sdm.py", "ServiceDiscoveryManager", "refresh_interval_ms"):
-        "its module lives for the frozen suite's BOUNDARIES (ROADMAP item "
-        "1(d)); tests shorten the refresh",
     **_options_of("experiments/chaos.py", "chaos_experiment", _SUITE,
                   "codec"),
     **_options_of("experiments/chaos.py", "coordination_chaos_experiment",
@@ -686,10 +688,6 @@ RULES = [
          "intrusiveness_experiment.body", "spawn"): "the experiment's driver",
         ("faults/injector.py", "FaultInjector.arm", "spawn"):
             "one process per planned fault",
-        ("jini/join.py", "JoinManager.start", "spawn"):
-            "the lease renewal loop",
-        ("jini/sdm.py", "ServiceDiscoveryManager.start", "spawn"):
-            "the lookup refresh loop",
         ("node/loadgen.py", "LoadSimulator1._apply", "spawn"):
             "a background load burst",
         ("node/loadgen.py", "LoadScript.start", "spawn"): "the load script",
@@ -822,7 +820,25 @@ RULES = [
          }),
     Rule("governor_reads", _governor_reads, {}),
     # -- the benchmark suite's view of the program --
-    Rule("suite_boundaries", _unresolved_boundaries, {}),
+    Rule("suite_boundaries", _unresolved_boundaries, {
+        ("benchmarks/suite/tracing.py", "BOUNDARIES", target): _UNTRACED
+        for target in (
+            "repro.core.netmgmt:NetworkManagementModule.poll_once",
+            "repro.jini.discovery:LookupLocator.get_registrar",
+            "repro.jini.discovery:LookupLocator.probe",
+            "repro.jini.join:LookupClient.renew",
+            "repro.jini.lookup:LookupService.renew",
+            "repro.jini.sdm:ServiceDiscoveryManager.lookup_one",
+            "repro.jini.sdm:ServiceDiscoveryManager.refresh_once",
+            "repro.jini.sdm:ServiceDiscoveryManager.start",
+            "repro.jini.sdm:ServiceDiscoveryManager.stop",
+            "repro.snmp.manager:SnmpManager.get",
+            "repro.snmp.manager:SnmpManager.get_bulk",
+            "repro.snmp.manager:SnmpManager.get_next",
+            "repro.snmp.manager:SnmpManager.set",
+            "repro.snmp.manager:SnmpManager.walk",
+            "repro.snmp.manager:SnmpManager.walk_bulk",
+        )}),
     # -- options --
     Rule("knobs_flipped", _unflipped_options, NEVER_FLIPPED),
     Rule("never_flipped_knobs_set", _never_set_options, {

@@ -1,6 +1,7 @@
 """``tools/mutate.py`` on a toy module: each operator's mutant, the
-three outcomes a census reports (killed, survived, timed out), and the
-second run a check or mutant gets before it is lost or timed out."""
+three outcomes a census reports (killed, survived, timed out), the
+second run a check or mutant gets before it is lost or timed out, and
+the killer ranked past the cap that still meets a survivor."""
 
 from __future__ import annotations
 
@@ -110,3 +111,23 @@ def test_a_mutant_slow_once_runs_again_before_it_times_out(mutate, by_key,
         [(by_key[5, "negate"], [mutate.Check("clamps", slow_once, 0.01)])],
         live)
     assert (outcome.status, outcome.killer) == ("killed", "clamps")
+
+
+def test_a_killer_ranked_past_the_cap_meets_the_survivors(mutate, by_key,
+                                                          monkeypatch):
+    """With a cap of one test per mutant, ``light`` (one line) is clamp's
+    negate's only test and misses it; ``heavy`` (four lines) ranks past
+    the cap there, but it first-kills unchecked's drop, so it gets to try
+    the survivor too, and kills it."""
+    monkeypatch.setattr(mutate, "MAX_TESTS", 1)
+    live = mutate.LiveFunctions([str(TOY)])
+    path = by_key[5, "negate"].path
+    light = mutate.Check("light", lambda: toy.clamp(2, 2, 5) == 2, 0.01,
+                         {path: {5}})
+    heavy = mutate.Check(
+        "heavy", lambda: toy.clamp(1, 2, 5) == 2 and toy.unchecked([]) == 1,
+        0.01, {path: {5, 6, 7, 21}})
+    outcomes = mutate.run_tests([by_key[5, "negate"], by_key[21, "drop"]],
+                                [light, heavy], live, parallel=2)
+    assert [(o.status, o.killer) for o in outcomes] == [
+        ("killed", "heavy"), ("killed", "heavy")]

@@ -273,8 +273,7 @@ def test_supervised_promotion_waits_out_the_inflight_lease(runtime):
     lookup = LookupService(runtime, network, REGISTRAR)
     lookup.start()
     item = ServiceItem("space:test", REMOTE_PRIMARY, {"type": "JavaSpaces"})
-    join = JoinManager(runtime, network, "master", REGISTRAR, item,
-                       lease_ms=float("inf"))
+    join = JoinManager(network, "master", REGISTRAR, item)
 
     def scenario():
         join.start()

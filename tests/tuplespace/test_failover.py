@@ -134,8 +134,7 @@ def test_supervisor_promotes_and_reregisters_after_misses(runtime):
     lookup = LookupService(runtime, network, REGISTRAR)
     lookup.start()
     item = ServiceItem("space:test", PRIMARY, {"type": "JavaSpaces"})
-    join = JoinManager(runtime, network, "master", REGISTRAR, item,
-                       lease_ms=float("inf"))
+    join = JoinManager(network, "master", REGISTRAR, item)
 
     def scenario():
         join.start()
@@ -235,8 +234,7 @@ class Cohosted:
         for i, primary in enumerate(self.primaries):
             item = ServiceItem(f"space:{i}", primary,
                                {"type": "JavaSpaces", "shard": str(i)})
-            join = JoinManager(self.runtime, self.network, "master", REGISTRAR,
-                               item, lease_ms=float("inf"))
+            join = JoinManager(self.network, "master", REGISTRAR, item)
             join.start()
             supervisor = SpaceSupervisor(
                 self.runtime, self.network, "master", self.standbys[i],

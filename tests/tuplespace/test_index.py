@@ -66,6 +66,18 @@ def test_array_payload_still_matches_hashable_template_value(rt, space):
     assert list(entry.payload) == [1, 2]
 
 
+def test_unhashable_template_value_is_confirmed_not_looked_up(rt, space):
+    """Every stored payload is hashable, so the payload index builds; the
+    template's array value cannot be a dict key and must go to the
+    confirm, where it equals the stored tuple under values_equal."""
+    def proc():
+        space.write(TaskEntry("a", 1, (1, 2)))
+        return space.take(TaskEntry(payload=np.array([1, 2])), timeout_ms=0.0)
+
+    entry = run_in_sim(rt, proc)
+    assert entry is not None and entry.task_id == 1
+
+
 def test_conjunction_of_indexed_fields(rt, space):
     def proc():
         for app in ("x", "y"):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SpaceError
+from repro.errors import SpaceError, TransactionAbortedError
 from repro.tuplespace import JavaSpace, FOREVER
+from repro.tuplespace.space import Waiter
+from repro.tuplespace.transaction import TransactionManager
 from tests.conftest import run_in_sim
 from tests.tuplespace.entries import PriorityTask, ResultEntry, TaskEntry
 
@@ -78,6 +80,26 @@ def test_take_blocks_until_write(rt, space):
     proc = rt.kernel.spawn(taker, name="taker")
     rt.kernel.run()
     assert proc.result == (7, 50.0)
+
+
+def test_retry_of_a_parked_take_raises_once_its_transaction_ended(rt, space):
+    """A take parked with ``wake`` under a transaction is woken when the
+    transaction aborts.  Retried only after its deadline, it still raises
+    what a blocked caller would, not the empty answer of a timeout."""
+    txn = TransactionManager(rt).create()
+    woken = []
+
+    def proc():
+        waiter = space.take_encoded(TaskEntry("job"), txn, timeout_ms=10.0,
+                                    wake=lambda: woken.append(True))
+        assert waiter.__class__ is Waiter
+        txn.abort()
+        assert woken == [True]
+        rt.sleep(20.0)
+        with pytest.raises(TransactionAbortedError):
+            space.retry(waiter)
+
+    run_in_sim(rt, proc)
 
 
 def test_take_timeout_returns_none(rt, space):

@@ -225,6 +225,27 @@ def test_automatic_snapshot_bounds_the_log(runtime):
     assert committed_points(recovered) == [(i, 0) for i in range(23)]
 
 
+def test_installing_a_checkpoint_starts_indexes_and_leases_over(runtime):
+    """A standby adopting a checkpoint replaces its whole store: counts
+    read through an index, a field marked unindexable and the lease queue
+    all start over from the checkpoint's entries, none from the old."""
+    source = DurableSpace(runtime, name="primary")
+    source.write(Point(1, 5))
+    last_id, ops = source._committed_state()
+    space = DurableSpace(runtime, name="standby")
+    space.write(Point(1, 7))
+    lease = space.write(Point(1, [8]), lease_ms=10_000.0)
+    assert space.count(Point(x=1)) == 2         # builds the x index
+    assert space.count(Point(y=5)) == 0         # [8] marks y unindexable
+    lease.renew(20_000.0)                       # queued for the reaper
+    space._install_checkpoint(encode_checkpoint(1, last_id, ops))
+    assert space._lease_heap == [] and space._lease_changed == []
+    assert space.count(Point(x=1)) == 1
+    builds = space.match_stats["index_builds"]
+    assert space.count(Point(y=5)) == 1
+    assert space.match_stats["index_builds"] == builds + 1   # y indexes again
+
+
 def test_file_backed_recovery_end_to_end(runtime, tmp_path):
     path = tmp_path / "space"
     space = DurableSpace(runtime, wal=WriteAheadLog(FileWalStore(path)),

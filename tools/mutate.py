@@ -15,16 +15,19 @@ mutant per operator that applies:
 A mutant runs against its possible killers only: the tier-1 tests that
 execute its lines in their own process, those touching the fewest lines
 of the census's modules first, at most ``MAX_TESTS`` of them, and stops
-at the first failure.  A mutant every test misses then runs at most
-``MAX_ROWS`` of the golden rows (``tests/golden.txt``) that execute its
-lines: a row kills it when its command fails or its digest moves.  (A
-line hit by hundreds of tests would otherwise cost a survivor the whole
-suite; the caps count checks, not seconds, so one commit always runs
-the same ones.  A heavy test ranked past the cap on a hot line never
-meets that line's mutants, so killing none of them clears it of
-nothing.)  Which tests run a line comes from the test files a
-per-test audit (``line_audit.py run`` files each hit under the pytest
-node id that ran it) names, each test traced alone in the baseline.
+at the first failure.  A mutant they all miss then runs the tests ranked
+past the cap on its lines that killed some other mutant first (a heavy
+test that kills elsewhere is worth trying), and a mutant every test
+misses runs at most ``MAX_ROWS`` of the golden rows (``tests/golden.txt``)
+that execute its lines: a row kills it when its command fails or its
+digest moves.  (A line hit by hundreds of tests would otherwise cost a
+survivor the whole suite; the caps count checks, not seconds, so one
+commit always runs the same ones.  A heavy test ranked past the cap on
+a hot line that kills no mutant first never meets that line's mutants,
+so killing none of them clears it of nothing.)  Which tests run a line
+comes from the test files a per-test audit (``line_audit.py run`` files
+each hit under the pytest node id that ran it) names, each test traced
+alone in the baseline.
 
 One pytest session collects the tests once.  Each mutant runs in a child
 forked from it that swaps the mutated functions' ``__code__`` in place,
@@ -468,6 +471,35 @@ def census(plan: list[tuple[Mutant, list[Check]]],
     return outcomes
 
 
+def _settle(outcomes: list[Outcome], plan: list[tuple[Mutant, list[Check]]],
+            live: LiveFunctions, parallel: int = 1,
+            progress: Callable[[int], None] = lambda done: None) -> None:
+    """Run survivors against further checks (``plan``) and record in
+    ``outcomes`` each one that is now killed or timed out."""
+    by_mutant = {o.mutant: o for o in outcomes}
+    for outcome in census(plan, live, parallel, progress):
+        if outcome.status != "survived":
+            mine = by_mutant[outcome.mutant]
+            mine.status, mine.killer = outcome.status, outcome.killer
+
+
+def run_tests(found: list[Mutant], checks: list[Check],
+              live: LiveFunctions, parallel: int = 1,
+              progress: Callable[[int], None] = lambda done: None,
+              ) -> list[Outcome]:
+    """Every mutant against its ``MAX_TESTS`` cheapest killers, then each
+    survivor against the tests ranked past that cap on its lines that
+    killed another mutant first."""
+    outcomes = census([(m, _killers(checks, m, MAX_TESTS)) for m in found],
+                      live, parallel, progress)
+    killers = {o.killer for o in outcomes if o.status == "killed"}
+    plan = [(o.mutant, [c for c in _killers(checks, o.mutant)[MAX_TESTS:]
+                        if c.name in killers])
+            for o in outcomes if o.status == "survived"]
+    _settle(outcomes, [(m, c) for m, c in plan if c], live, parallel)
+    return outcomes
+
+
 def baseline(checks: list[Check], parallel: int = 1,
              trace: Optional[dict[str, str]] = None,
              ) -> tuple[list[Check], list[Check]]:
@@ -644,9 +676,9 @@ class _Session:
                   f"{len(self.checks)} run a mutated module "
                   f"({time.perf_counter() - start:.0f}s)")
         self.failing.extend(f"fails alone, twice: {c.name}" for c in failing)
-        plan = [(m, _killers(self.checks, m, MAX_TESTS)) for m in self.found]
-        self.outcomes = census(plan, live, self.args.jobs,
-                               self._progress(len(plan), "tests"))
+        self.outcomes = run_tests(self.found, self.checks, live,
+                                  self.args.jobs,
+                                  self._progress(len(self.found), "tests"))
         missed = [o for o in self.outcomes if o.status == "survived"]
         if missed:
             self._rows(missed, live)
@@ -669,12 +701,8 @@ class _Session:
         plan = [(o.mutant, _killers(checks, o.mutant, MAX_ROWS))
                 for o in missed]
         plan = [(m, c) for m, c in plan if c]
-        by_mutant = {o.mutant: o for o in missed}
-        for outcome in census(plan, live, self.args.jobs,
-                              self._progress(len(plan), "golden rows")):
-            if outcome.status != "survived":
-                mine = by_mutant[outcome.mutant]
-                mine.status, mine.killer = outcome.status, outcome.killer
+        _settle(missed, plan, live, self.args.jobs,
+                self._progress(len(plan), "golden rows"))
 
     def _progress(self, total: int, what: str):
         start = time.perf_counter()
