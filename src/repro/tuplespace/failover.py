@@ -34,7 +34,7 @@ from repro.net.network import Network, StreamSocket
 from repro.runtime.base import Runtime
 from repro.tuplespace.durable import HotStandby
 from repro.tuplespace.lease import FOREVER
-from repro.tuplespace.proxy import SpaceServer, lease_status
+from repro.tuplespace.proxy import SpaceServer
 from repro.tuplespace.transaction import TransactionManager
 
 __all__ = ["JiniSpaceLocator", "SpaceSupervisor", "HEARTBEAT_MS", "MAX_MISSES"]
@@ -118,7 +118,7 @@ class _HostProbe:
         self._conn: Optional[StreamSocket] = None
         self._contact: Optional[Address] = None     # whom _conn reaches
         self._asked: list["SpaceSupervisor"] = []   # awaiting this round
-        self._early: dict["SpaceSupervisor", str] = {}  # settled by the dial
+        self._early: dict[int, str] = {}    # settled by the dial, by port
         self._reused = False        # the round went out on an old connection
         self._timer: Any = None     # set while a round is on the wire
         self._next: Any = None      # set while the next round is due
@@ -172,8 +172,15 @@ class _HostProbe:
     def _send(self) -> None:
         """Put the round on the wire, dialling a contact first if the
         standing connection is gone (a crash closes it): in this tick, so
-        a dead primary is still a refused connect."""
-        statuses: dict["SpaceSupervisor", str] = {}
+        a dead primary is still a refused connect.
+
+        Each bound is recorded by its supervisor the moment the renewal
+        carrying it is on the wire, whether or not an answer ever comes:
+        under an asymmetric partition the renewal may arrive and extend
+        the lease although the reply never comes back, and promotion
+        must wait that bound out (:meth:`SpaceSupervisor._failover`).
+        """
+        early: dict[int, str] = {}      # settled by the dial, by port
         if not self._reused:
             self._drop()
             for member in self._asked:
@@ -181,49 +188,67 @@ class _HostProbe:
                     self._conn = self.network.connect(self.host,
                                                       member.primary_address)
                 except ConnectionRefusedError_:
-                    statuses[member] = "lost" if self.network.is_partitioned(
-                        self.primary_host, self.host) else "dead"
+                    early[member.primary_address.port] = (
+                        "lost" if self.network.is_partitioned(
+                            self.primary_host, self.host) else "dead")
                 except NetworkError:
-                    statuses[member] = "lost"
+                    early[member.primary_address.port] = "lost"
                 else:
                     self._contact = member.primary_address
                     self._conn.serve(self._on_reply)
                     break
-        if self._conn is None:
-            self._resolve(statuses)
+        conn = self._conn
+        if conn is None:
+            self._resolve(early)
             return
         now = self.runtime.now()
-        on_wire = [m for m in self._asked if m not in statuses]
+        contact = self._contact.port
         # Same host as the contact, so a port names a peer.
-        bounds = {m.primary_address.port: now + m.lease_ms for m in on_wire}
-        args: dict[str, Any] = {
-            "renew_lease": True,
-            "valid_until": bounds.pop(self._contact.port, None)}
-        if bounds:
-            args["peers"] = bounds
+        valid_until = None
+        peers: dict[int, float] = {}
+        for member in self._asked:
+            port = member.primary_address.port
+            if port == contact:
+                valid_until = now + member.lease_ms
+            elif port not in early:
+                peers[port] = now + member.lease_ms
+        args: dict[str, Any] = {"renew_lease": True,
+                                "valid_until": valid_until}
+        if peers:
+            args["peers"] = peers
         try:
-            self._conn.send({"op": "ping", "args": args})
+            conn.send({"op": "ping", "args": args})
         except (ConnectionClosedError, NetworkError):
-            self._resolve(statuses)
+            self._resolve(early)
             return
-        for member in on_wire:
-            member.probes += 1
-            member._sent_bound(now + member.lease_ms)
-        self._early = statuses
+        for member in self._asked:
+            if member.primary_address.port not in early:
+                member.probes += 1
+                bound = now + member.lease_ms
+                if bound > member._lease_valid_until:
+                    member._lease_valid_until = bound
+        self._early = early
         self._timer = self.runtime.call_later(
             HEARTBEAT_MS, partial(self._on_reply, True))
-        self._on_reply()    # arms the socket: nothing can be queued yet
+        conn.poll()     # arms the socket: nothing can be queued yet
 
     def _on_reply(self, timed_out: bool = False) -> None:
         with self._lock:
             if self._timer is None:
                 return      # a late event of a round already resolved
-            reply = None
+            answers: dict[int, str] = {}
             try:
                 if not timed_out:
                     reply = self._conn.poll()
                     if reply is None:
                         return
+                    if reply["ok"]:
+                        pong = reply["value"]
+                        if "peers" in pong:
+                            answers.update(pong["peers"])
+                        answers[self._contact.port] = (
+                            "fenced" if pong["superseded"]
+                            or pong["lease_expired"] else "ok")
             except ConnectionClosedError:
                 if self._reused:
                     # Hung up under this very probe (its EOF was still in
@@ -233,30 +258,27 @@ class _HostProbe:
                     return
             self._timer.cancel()
             self._timer = None
-            statuses = self._early
-            if reply and reply.get("ok"):
-                pong = reply["value"]
-                answers = dict(pong.get("peers") or ())
-                answers[self._contact.port] = lease_status(pong)
-                for member in self._asked:
-                    answer = answers.get(member.primary_address.port)
-                    if answer is not None and member not in statuses:
-                        statuses[member] = (
-                            answer if answer in ("ok", "dead") else "fenced")
-            self._resolve(statuses)
+            answers.update(self._early)     # a dial's verdict stands
+            self._resolve(answers)
 
-    def _resolve(self, statuses: dict["SpaceSupervisor", str]) -> None:
-        """Hand every asked supervisor its status (``lost`` when the round
-        brought none) and schedule the next round."""
+    def _resolve(self, answers: dict[int, str]) -> None:
+        """Hand every asked supervisor its primary's answer (``lost``
+        when the round brought none) and schedule the next round."""
         asked, self._asked = self._asked, []
-        if not any(member.primary_address == self._contact
-                   and statuses.get(member) in ("ok", "fenced")
-                   for member in asked):
+        contact = self._contact
+        if contact is None or answers.get(contact.port, "lost") in (
+                "dead", "lost"):
             # Never reuse a connection a probe failed on: a late reply
             # would be read as the next probe's answer.
             self._drop()
         for member in asked:
-            member._probed(statuses.get(member, "lost"))
+            answer = answers.get(member.primary_address.port, "lost")
+            if answer == "ok":
+                member._misses = 0
+                member._all_dead = True
+            else:
+                member._missed(answer if answer in ("dead", "lost")
+                               else "fenced")
         if self.members:
             self._schedule()
 
@@ -361,36 +383,16 @@ class SpaceSupervisor:
             self._probe.leave(self)
             self._probe = None
 
-    def _sent_bound(self, valid_until: float) -> None:
-        """A renewal carrying ``valid_until`` is on the wire.
+    def _missed(self, status: str) -> None:
+        """A probe round's verdict on our primary other than ``"ok"``
+        (alive and serving: the round resets the miss count itself).
 
-        The probe doubles as a *lease renewal*: a primary that can still
-        hear us keeps acknowledging writes, one that cannot self-fences
-        after :attr:`lease_ms` — strictly before we would promote.  The
-        renewal carries its own expiry bound (stamped from *our* clock
-        before the send), and we remember that bound the moment the
-        request is on the wire: under an asymmetric partition the request
-        may arrive and renew the lease even though the reply never comes
-        back, and promotion must assume exactly that.
+        ``"fenced"`` — alive but refusing ops (expired lease or
+        superseded: promote, it cannot recover by itself); ``"dead"`` —
+        connection refused with no partition in the way, or its node
+        says nothing serves there; ``"lost"`` — sent but no answer, or
+        unreachable behind a partition: the primary's state is unknown.
         """
-        if (self._lease_valid_until is None
-                or valid_until > self._lease_valid_until):
-            self._lease_valid_until = valid_until
-
-    def _probed(self, status: str) -> None:
-        """One probe round's verdict on our primary.
-
-        ``"ok"`` — alive and serving; ``"fenced"`` — alive but refusing
-        ops (expired lease or superseded: promote, it cannot recover by
-        itself); ``"dead"`` — connection refused with no partition in
-        the way, or its node says nothing serves there; ``"lost"`` —
-        sent but no answer, or unreachable behind a partition: the
-        primary's state is unknown.
-        """
-        if status == "ok":
-            self._misses = 0
-            self._all_dead = True
-            return
         self.probe_misses += 1
         if status == "fenced":
             # The primary answered but is self-fenced: its lease

@@ -391,13 +391,14 @@ class _Session:
     """
 
     __slots__ = ("conn", "transactions", "before_lsn", "parked",
-                 "on_message", "wake")
+                 "hung_up", "on_message", "wake")
 
     def __init__(self, server: "SpaceServer", conn: StreamSocket) -> None:
         self.conn = conn
         self.transactions: dict[int, Transaction] = {}
         self.before_lsn = 0
         self.parked: Any = None
+        self.hung_up = False
         self.on_message = partial(server._on_message, self)
         # A space waiter's wake: resume in the zero-delay event that
         # would have woken a process blocked in the space.
@@ -419,20 +420,13 @@ class LeaseEndpoint:
     def probe(self, bounds: dict[int, float]) -> dict[int, str]:
         """``{port: valid_until}`` → ``{port: "ok" | "lease_expired" |
         "superseded" | "dead"}`` (``dead``: nothing serves there)."""
+        servers = self.servers
         statuses = {}
         for port, valid_until in bounds.items():
-            server = self.servers.get(port)
-            statuses[port] = "dead" if server is None else lease_status(
-                server._dispatch({"op": "ping", "args": {
-                    "renew_lease": True, "valid_until": valid_until}}, None))
+            server = servers.get(port)
+            statuses[port] = ("dead" if server is None
+                              else server.renew_lease(valid_until))
         return statuses
-
-
-def lease_status(pong: dict[str, Any]) -> str:
-    """What a ping reply says about the server's lease."""
-    if pong.get("superseded"):
-        return "superseded"
-    return "lease_expired" if pong.get("lease_expired") else "ok"
 
 
 class SpaceServer:
@@ -527,6 +521,40 @@ class SpaceServer:
         self.lease_ms = lease_ms
         self._lease_expires = self.runtime.now() + lease_ms
 
+    def renew_lease(self, valid_until: Optional[float]) -> str:
+        """One supervisor renewal, then the lease's state: ``"ok"``,
+        ``"lease_expired"`` or ``"superseded"``.  The probe's target
+        hears it as a ``ping``, a peer on the same node through the
+        node's :class:`LeaseEndpoint`; either way this is the one rule.
+
+        Renewal is refused once the server is superseded, and —
+        crucially — once the lease has *already expired*: a stale ping
+        released by a healing pause must not resurrect a self-fenced
+        primary whose standby may have been promoted in the meantime.
+        Only an explicit :meth:`grant_lease` (the supervisor re-arming
+        its watch) un-fences.  The renewal extends the lease only to the
+        *supervisor's* bound (probe-send time + lease_ms), not to arrival
+        time + lease_ms: a renewal that crawled through a slow or
+        one-way-partitioned link must not grant more lease than the
+        supervisor will wait out before promoting, or the two primaries
+        overlap.  A renewal that carries no bound therefore extends
+        nothing.
+        """
+        self._endpoint.renewals += 1
+        now = self.runtime.now()
+        expires = self._lease_expires
+        if (self.lease_ms is not None and not self.superseded
+                and valid_until is not None
+                and (expires is None or now <= expires)):
+            granted = float(valid_until)
+            if expires is None or granted > expires:
+                self._lease_expires = expires = granted
+        if self.superseded:
+            return "superseded"
+        if expires is not None and now > expires:
+            return "lease_expired"
+        return "ok"
+
     def start(self) -> None:
         """Start (or, after :meth:`stop`/:meth:`crash`, restart) serving."""
         if self._running:
@@ -605,6 +633,8 @@ class SpaceServer:
         parks; abort its transactions when it drops."""
         conn = session.conn
         with self._lock:
+            if session.hung_up:
+                return
             try:
                 while session.parked is None:
                     if resumed is not None:
@@ -694,6 +724,10 @@ class SpaceServer:
         if conn in self._feed_acks:
             del self._feed_acks[conn]
             self._wake_gates()
+        # Never read again: the close below may still run the armed
+        # serving callback, and a closed queue hands out what it holds —
+        # requests queued behind a reply dropped unanswered must not run.
+        session.hung_up = True
         parked, session.parked = session.parked, None
         if parked is not None:
             if parked.timer is not None:
@@ -919,31 +953,9 @@ class SpaceServer:
     def _op_ping(self, args, txn, session) -> Any:
         # Supervisor probes double as lease renewals; an ordinary client
         # ping never does, so a mere worker cannot keep a deposed primary
-        # alive.  Renewal is refused once the server is superseded, and —
-        # crucially — once the lease has *already expired*: a stale ping
-        # released by a healing pause must not resurrect a self-fenced
-        # primary whose standby may have been promoted in the meantime.
-        # Only an explicit ``grant_lease`` (the supervisor re-arming its
-        # watch) un-fences.
+        # alive.
         if args.get("renew_lease"):
-            self._endpoint.renewals += 1
-        if args.get("renew_lease") and self.lease_ms is not None:
-            now = self.runtime.now()
-            if not self.superseded and (self._lease_expires is None
-                                        or now <= self._lease_expires):
-                # The renewal extends the lease only to the *supervisor's*
-                # bound (probe-send time + lease_ms), not to arrival time
-                # + lease_ms: a renewal that crawled through a slow or
-                # one-way-partitioned link must not grant more lease than
-                # the supervisor will wait out before promoting, or the
-                # two primaries overlap.  A renewal that carries no bound
-                # therefore extends nothing.
-                bound = args.get("valid_until")
-                if bound is not None:
-                    granted = float(bound)
-                    if (self._lease_expires is None
-                            or granted > self._lease_expires):
-                        self._lease_expires = granted
+            self.renew_lease(args.get("valid_until"))
         # The reply reports the fence state: a probe that finds the lease
         # expired tells the supervisor this primary is self-fenced and will
         # stay so (renewal was just refused above) — reachable-but-fenced

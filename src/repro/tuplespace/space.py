@@ -625,17 +625,10 @@ class JavaSpace:
         txn, take = waiter.txn, waiter.take
         if self._lease_changed or self._lease_heap:
             self._reap_expired()
-        found: list[_Stored] = []
         if self._fair_shares is not None and self._fair_applies(
                 template_cls, items, take):
-            # DRR selection depends on what each claim consumes,
-            # so the fair path claims as it goes.
-            while len(found) < waiter.max_entries:
-                stored = self._find_fair(template_cls, items, txn)
-                if stored is None:
-                    break
-                self._claim(stored, txn, take)
-                found.append(stored)
+            found = self._take_fair(template_cls, items, txn,
+                                    waiter.max_entries)
         else:
             # One walk for the whole batch.  Claiming after it is
             # equivalent: a claim never changes another collected
@@ -1096,41 +1089,96 @@ class JavaSpace:
         shares = self._fair_shares or {}
         return shares.get(tenant, self.DEFAULT_SHARE)
 
-    def _find_fair(
+    def _take_fair(
         self,
         template_cls: type,
         items: list[tuple[str, Any]],
         txn: Optional[Transaction],
-    ) -> Optional[_Stored]:
-        """First matching entry per DRR tenant selection (take path only).
+        max_entries: int,
+    ) -> list[_Stored]:
+        """Claim up to ``max_entries`` matches, one DRR tenant selection
+        per claim (take path only).
 
-        One pass collects the FIFO-first candidate of every tenant with a
-        visible match; the deficit counters then pick the tenant.  The
-        pass looks up every candidate's tenant, which is why fair share
-        is opt-in per space.
+        Each claim serves the FIFO-first visible match of the tenant the
+        deficit counters pick among the tenants that still have one.  A
+        claim hides only the entry it claims, so each tenant's first
+        ``max_entries`` matches, found once, are every candidate the
+        claims of this call can reach: the ``n``-th claim from a tenant
+        serves its ``n``-th match, and a tenant whose list runs dry has
+        either no match left or already filled the call.
         """
-        candidates: dict[str, _Stored] = {}
+        queues = self._fair_queues(template_cls, items, txn, max_entries)
+        found: list[_Stored] = []
+        while queues and len(found) < max_entries:
+            if len(queues) == 1:
+                tenant, = queues
+                self._drr_deficit.pop(tenant, None)  # classic DRR: reset solo queue
+                key = f"grants:{tenant or '-'}"
+                self.fair_stats[key] = self.fair_stats.get(key, 0) + 1
+            else:
+                tenant = self._drr_select(sorted(queues))
+            queue = queues[tenant]
+            stored = queue.pop()
+            if not queue:
+                del queues[tenant]
+            self._claim(stored, txn, True)
+            found.append(stored)
+        return found
+
+    def _fair_queues(
+        self,
+        template_cls: type,
+        items: list[tuple[str, Any]],
+        txn: Optional[Transaction],
+        limit: int,
+    ) -> dict[Any, list[_Stored]]:
+        """``{tenant: its first visible matches, FIFO-first last}``, at
+        most ``limit`` each, for every tenant with one.
+
+        Each tenant's list is one walk of its ``tenant`` value bucket
+        (the template plus ``tenant=<key>``), so a selection costs
+        O(tenants), not O(queue).  That needs every matching class's
+        ``tenant`` index active and complete: the first fair take (or a
+        poisoned index, or an entry without a tenant — the pseudo-tenant
+        ``""``, which no bucket lists) walks every match instead and
+        reads each one's tenant, which is also what activates the index.
+        """
+        keys: dict[Any, None] = {}
+        for cls, bucket in self._buckets.items():
+            if not bucket or not issubclass(cls, template_cls):
+                continue
+            by_value = self._indexes.get(cls, {}).get("tenant")
+            if by_value is None or len(self._scan_lists[cls]) != sum(
+                    [len(sl) for sl in by_value.values()]):
+                return self._fair_walk(template_cls, items, txn)
+            keys.update(dict.fromkeys(by_value))
+        queues: dict[Any, list[_Stored]] = {}
+        for key in keys:
+            found = self._matching(template_cls, [*items, ("tenant", key)],
+                                   txn, True, limit)
+            if found:
+                found.reverse()
+                queues[key] = found
+        return queues
+
+    def _fair_walk(
+        self,
+        template_cls: type,
+        items: list[tuple[str, Any]],
+        txn: Optional[Transaction],
+    ) -> dict[Any, list[_Stored]]:
+        """:meth:`_fair_queues` by one walk over every visible match."""
+        queues: dict[Any, list[_Stored]] = {}
         for stored in self._matching(template_cls, items, txn, take=True):
-            tenant = self._tenant_of(stored)
-            if tenant not in candidates:
-                candidates[tenant] = stored
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            (tenant, stored), = candidates.items()
-            self._drr_deficit.pop(tenant, None)  # classic DRR: reset solo queue
-            key = f"grants:{tenant or '-'}"
-            self.fair_stats[key] = self.fair_stats.get(key, 0) + 1
-            return stored
-        chosen = self._drr_select(sorted(candidates))
-        return candidates[chosen]
+            queues.setdefault(self._tenant_of(stored), []).append(stored)
+        for queue in queues.values():
+            queue.reverse()
+        return queues
 
     def _tenant_of(self, stored: _Stored) -> str:
         """The entry's tenant (``""`` for none), off the key of the
-        bucket it is filed in: the DRR pass activates the ``tenant``
-        index, and from then on costs a dict probe per candidate, not a
-        frame read.  (A poisoned index — an unhashable tenant — leaves
-        the read.)"""
+        bucket it is filed in: the walk activates the ``tenant`` index.
+        (A poisoned index — an unhashable tenant — leaves a frame read.)"""
         cls = stored.cls
         by_value = self._indexes.get(cls, {}).get("tenant")
         if by_value is None and "tenant" not in self._unindexable.get(cls, ()):

@@ -433,3 +433,27 @@ def test_detached_feed_is_not_consent_and_timeout_drops_unanswered(rt):
         proxy2.close()
 
     run_in_sim(rt, body)
+
+
+def test_requests_queued_behind_a_dropped_reply_never_run(rt):
+    """A client the server hangs up on (its held reply timed out) is
+    never read again: the writes it queued behind the dropped one must
+    not reach the space, though the connection still holds them."""
+    network, space, server = sync_server(rt)
+
+    def body():
+        feed = FakeFeed(network)        # attached, never confirms LSN 1
+        conn = network.connect("c", ADDRESS)
+        for task_id in (1, 2):
+            conn.send({"op": "write", "args": {
+                "entry_data": encode_entry(TaskEntry("job", task_id, None)),
+                "lease_ms": 60_000.0}})
+        rt.sleep(SpaceServer.REPL_ACK_TIMEOUT_MS + 100.0)
+        with pytest.raises(ConnectionClosedError):
+            conn.receive(timeout_ms=0.0)
+        assert server.repl_stalls == 1
+        assert space.wal.last_lsn == 1
+        assert [t.task_id for t in space.contents(TaskEntry())] == [1]
+        feed.conn.close()
+
+    run_in_sim(rt, body)
