@@ -110,6 +110,37 @@ def test_drr_unknown_tenant_gets_default_share():
     assert stats["grants:alice"] > 3 * stats["grants:mallory"]
 
 
+def test_drr_grant_order_by_hand():
+    """The exact grant sequence, worked by hand: a tenant holding a
+    deficit of exactly 1.0 is served, and one whose queue drains loses
+    the deficit it had left (classic DRR)."""
+    def body(rt, space):
+        # Quantum 1 / max share = 1: a round adds 0.75 to a, 1 to b, c.
+        space.configure_fair_share({"a": 0.75, "b": 1.0, "c": 1.0})
+        serial = iter(range(100))
+
+        def write(tenant, count):
+            for _ in range(count):
+                space.write(TaskEntry("fair", next(serial), tenant=tenant))
+
+        def takes(count):
+            return [space.take(TaskEntry(), timeout_ms=0).tenant
+                    for _ in range(count)]
+
+        write("a", 1)
+        write("b", 4)
+        write("c", 4)
+        # (.75, 1, 1) -> b; c; (1.5, 1, 1) -> a at .5, drained; b.
+        first = takes(4)
+        write("a", 3)
+        # a's .5 is gone: c; (.75, 1, 1) -> b; c; (1.5, 1, 1) -> a;
+        # b; c; (1.25, 1, 1) -> a; a alone.
+        return first, takes(8)
+
+    assert _with_space(body) == (["b", "c", "a", "b"],
+                                 ["c", "b", "c", "a", "b", "c", "a", "a"])
+
+
 def test_fair_share_rejects_non_positive_weights():
     def body(rt, space):
         with pytest.raises(SpaceError):
