@@ -559,7 +559,7 @@ def _trace_cmd(args) -> int:
         print(f"spans: → {args.jsonl}")
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(framework.telemetry.prometheus_text())
+            fh.write(framework.registry.prometheus_text())
         print(f"metrics: → {args.metrics_out}")
     return 0
 

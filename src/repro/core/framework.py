@@ -33,7 +33,7 @@ from repro.errors import (
     MasterCrashedError,
     OutOfMemoryError,
 )
-from repro.telemetry import FlightRecorder, SloWatchdog, Telemetry
+from repro.telemetry import FlightRecorder, Registry, SloWatchdog, Tracer
 from repro.jini.join import JoinManager
 from repro.jini.lookup import LookupService, ServiceItem
 from repro.net.address import Address
@@ -132,10 +132,9 @@ class FrameworkConfig:
     #: enabling it only turns on span recording, so traced and untraced
     #: runs share one virtual timeline (``--verify-determinism`` holds).
     trace: bool = False
-    #: Period for mirroring registry instruments into the ``Metrics``
-    #: series via the kernel's ``on_advance`` hook (``None`` = off).
-    #: Setting it also arms the SLO watchdog's default rule pack, which
-    #: rides the snapshot frames.
+    #: Period of the SLO watchdog's frames: its default rule pack is
+    #: evaluated over the registry every this many virtual ms, via the
+    #: kernel's ``on_advance`` hook (``None`` = no watchdog).
     metrics_snapshot_ms: Optional[float] = None
 
     # -- consistency checking (see DESIGN.md §11) ----------------------------
@@ -200,9 +199,8 @@ class AdaptiveClusterFramework:
         self.app = app
         self.config = config if config is not None else FrameworkConfig()
         self.metrics = Metrics(runtime)
-        self.telemetry = Telemetry(runtime, trace=self.config.trace)
-        self.tracer = self.telemetry.tracer
-        self.registry = self.telemetry.registry
+        self.tracer = Tracer(runtime, enabled=self.config.trace)
+        self.registry = Registry()
         # Cost models charge virtual CPU only under simulation; on the
         # threaded runtime the real computation already takes real time.
         self._model_time = isinstance(runtime, SimulatedRuntime)
@@ -298,7 +296,7 @@ class AdaptiveClusterFramework:
         #: ``task.latency_ms.p99`` feed.  Deterministic log-bucketed
         #: quantiles — no reservoir sampling to perturb.
         self.task_latency = self.registry.histogram("task.latency_ms")
-        #: SLO watchdog (built in :meth:`start` when snapshots are on).
+        #: SLO watchdog (built in :meth:`start` when its frames are on).
         self.watchdog: Optional[Any] = None
         #: Always-on black-box flight recorder: observes metrics events
         #: and (when tracing) spans through passive hooks, dumps
@@ -676,7 +674,7 @@ class AdaptiveClusterFramework:
 
     def _start_telemetry(self) -> None:
         """Remaining component stats join the registry as read-through
-        views; periodic snapshots mirror them into the Metrics series."""
+        views; the SLO watchdog evaluates its rules over them."""
         config = self.config
         self.registry.expose_dict("net", self.cluster.network.stats)
         kernel = getattr(self.runtime, "kernel", None)
@@ -691,13 +689,11 @@ class AdaptiveClusterFramework:
                     f"master.{name}", lambda name=name: getattr(
                         self.master, name), app=self.app.app_id)
         if config.metrics_snapshot_ms is not None:
-            self.telemetry.enable_snapshots(
-                self.metrics, interval_ms=config.metrics_snapshot_ms)
-            # SLO watchdog rides the snapshot frames: same on_advance
-            # hook, zero scheduled events, deterministic firing times.
-            self.watchdog = SloWatchdog(
-                self.registry, metrics=self.metrics, tracer=self.tracer)
-            self.watchdog.attach(self.telemetry.snapshotter)
+            # Frames ride the kernel's on_advance hook: zero scheduled
+            # events, deterministic firing times.
+            self.watchdog = SloWatchdog(self.registry, self.metrics,
+                                        self.tracer)
+            self.watchdog.attach(self.runtime, config.metrics_snapshot_ms)
             self.flight.watchdog = self.watchdog
 
     def _start_workers(self) -> None:

@@ -45,9 +45,7 @@ class WorkerRecord:
     link: Optional[Callable[[Signal], None]] = None
     assumed_state: WorkerState = WorkerState.STOPPED
     facts: Facts = field(default_factory=Facts)
-    last_load: Optional[float] = None
     last_sample_ms: Optional[float] = None
-    load_history: list[tuple[float, float]] = field(default_factory=list)
 
 
 class InferenceEngine:
@@ -138,9 +136,7 @@ class InferenceEngine:
         """A load sample (SNMP poll or trap): the worker's load band, and
         fresh again.  Returns the signal ordered, if any."""
         record = self._workers[worker_id]
-        record.last_load = load_percent
         record.last_sample_ms = now_ms
-        record.load_history.append((now_ms, load_percent))
         record.facts.band = self.policy.band(load_percent)
         record.facts.stale = False
         signal = self._apply(record)

@@ -36,6 +36,7 @@ from repro.errors import (
 )
 from repro.node.machine import Node
 from repro.runtime.base import Runtime
+from repro.telemetry.trace import Tracer
 from repro.tuplespace.failover import MAX_MISSES
 from repro.tuplespace.space import JavaSpace
 
@@ -116,12 +117,12 @@ class Master:
         self.space = space
         self.app = app
         self.metrics = metrics
-        #: Telemetry tracer (may be ``None``/disabled).  The master mints
+        #: Telemetry tracer (disabled when none is given).  The master mints
         #: one trace per task — ``"<app_id>/<task_id>"``, stamped into
         #: every ``TaskEntry`` regardless of enablement so entry bytes
         #: (and modelled transfer times) never depend on tracing — and
         #: owns each task's root ``"task"`` span from seed to settlement.
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer(runtime)
         self._task_spans: dict[int, Any] = {}
         self._job_span: Any = None
         #: End-to-end task latency histogram (seed → aggregated), fed by
@@ -229,7 +230,7 @@ class Master:
                                    app=self.app.app_id, attempt=attempt,
                                    tenant=exc.tenant, reason=exc.reason)
                 pause_ms = max(exc.retry_after_ms, self.space_retry_ms)
-                if self.tracer is not None and self.tracer.enabled:
+                if self.tracer.enabled:
                     # Attribution: the doctor charges this wait to the
                     # "admission" phase.  The sleep itself is identical
                     # traced or not (span recording reads the clock, it
@@ -303,7 +304,7 @@ class Master:
         """Open the task's root span (span_id == trace_id, so workers can
         parent compute spans without any span-ID propagation)."""
         tracer = self.tracer
-        if tracer is None or not tracer.enabled or task_id in self._task_spans:
+        if not tracer.enabled or task_id in self._task_spans:
             return
         tid = self._trace_id(task_id)
         parent = self._job_span.span_id if self._job_span is not None else None
@@ -322,7 +323,7 @@ class Master:
         started = self.runtime.now()
         self._task_seeded = {}
         tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
+        tracing = tracer.enabled
         plan_span = None
         if tracing:
             self._task_spans = {}
@@ -365,7 +366,6 @@ class Master:
                     self._task_seeded[t.task_id] = seeded_at
                 max_overhead = max(max_overhead, self.runtime.now() - t0)
         planning_ms = self.runtime.now() - started
-        self.metrics.scalar(f"master/{app.app_id}/planning_ms", planning_ms)
         self.metrics.event("planning-done", app=app.app_id, tasks=len(tasks))
         if plan_span is not None:
             plan_span.end(tasks=len(tasks))
@@ -514,13 +514,6 @@ class Master:
         aggregation_ms = now - aggregation_started
         parallel_ms = now - started
 
-        if self.replicated_tasks:
-            self.metrics.scalar(f"master/{app.app_id}/replicated_tasks",
-                                self.replicated_tasks)
-        if dead:
-            self.metrics.scalar(f"master/{app.app_id}/dead_letters", len(dead))
-        self.metrics.scalar(f"master/{app.app_id}/aggregation_ms", aggregation_ms)
-        self.metrics.scalar(f"master/{app.app_id}/parallel_ms", parallel_ms)
         if tracing:
             for task_id in list(self._task_spans):
                 self._settle_task_span(task_id, status="unsettled")

@@ -245,7 +245,6 @@ class NetworkManagementModule:
                 _log.info("t=%.0fms worker=%s samples stale -> %s",
                           self.runtime.now(), record.hostname, signal)
             return
-        self.metrics.record(f"load/{record.hostname}", load)
         signal = self.inference.observe(record.worker_id, load, self.runtime.now())
         if signal is not None:
             self.stats["signals_sent"] += 1

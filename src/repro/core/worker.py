@@ -32,7 +32,6 @@ remote node configuration".
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from functools import partial
 from typing import Any, Callable, Optional
 
@@ -55,6 +54,7 @@ from repro.net.address import Address
 from repro.net.network import Network, StreamSocket
 from repro.node.machine import Node
 from repro.runtime.base import Runtime
+from repro.telemetry.trace import Tracer
 from repro.tuplespace.lease import FOREVER
 from repro.tuplespace.proxy import RecoveryPolicy, RemoteTransaction, SpaceProxy
 from repro.util.log import get_logger
@@ -90,9 +90,9 @@ class WorkerHost:
         self.runtime = runtime
         self.node = node
         self.app = app
-        # Telemetry tracer (None/disabled = zero-cost): compute spans hang
-        # off the task's trace carried in the entry's ``trace`` field.
-        self.tracer = tracer
+        # Telemetry tracer (disabled when none is given): compute spans
+        # hang off the task's trace carried in the entry's ``trace`` field.
+        self.tracer = tracer if tracer is not None else Tracer(runtime)
         # Builds this worker's space client, fresh on every Start.  Which
         # kind (proxy, shard router, history-recording wrapper) is the
         # deployment's decision — the loop only calls the SpaceProxy
@@ -344,7 +344,7 @@ class WorkerHost:
         tracer = self.tracer
         if not self.engine.classes_loaded:
             load_span = None
-            if tracer is not None and tracer.enabled:
+            if tracer.enabled:
                 load_span = tracer.start(
                     "class-load", trace_id=f"worker/{self.node.hostname}",
                     proc=self.node.hostname, app=self.app.app_id)
@@ -491,7 +491,7 @@ class WorkerHost:
                 self.first_take_ms = self.runtime.now()
             started = self.runtime.now()
             tracer = self.tracer
-            tracing = tracer is not None and tracer.enabled
+            tracing = tracer.enabled
             span = None
             if tracing and not piped and tasks[0].trace:
                 span = tracer.start("compute", trace_id=tasks[0].trace,
@@ -503,7 +503,7 @@ class WorkerHost:
             # Depth 1 keeps its compute span live and active, so RPCs
             # issued during compute *and* the write-back join the task's
             # trace as its children.
-            with tracer.activate(span) if span is not None else nullcontext():
+            with tracer.activate(span):
                 shares = self._charge_batch(tasks)
                 cursor = started
                 for task, share in zip(tasks, shares):

@@ -221,7 +221,7 @@ def _campaign(seed: int, workers: int, app: Application,
             faults_injected=injector.injected if injector else 0,
             faults_healed=injector.healed if injector else 0,
             tracer=framework.tracer,
-            prometheus=framework.telemetry.prometheus_text(),
+            prometheus=framework.registry.prometheus_text(),
             history_report=history_report,
             fenced_rpcs=framework.total_fenced_rpcs(),
             flight=framework.flight,

@@ -91,25 +91,19 @@ class FlightRecorder:
         self.watchdog: Any = None
         self._spans: dict[str, deque] = {}
         self._events: deque = deque(maxlen=self.EVENT_CAPACITY)
-        self._metrics: Any = None
-        self._tracer: Any = None
         self._registry: Any = None
         self._history: Any = None
 
     # -- wiring --------------------------------------------------------------
 
-    def attach(self, metrics: Any = None, tracer: Any = None,
-               registry: Any = None, history: Any = None) -> None:
-        """Hook the observation points.  Any subset may be None."""
-        if metrics is not None:
-            self._metrics = metrics
-            metrics.on_event = self._on_event
-        if tracer is not None:
-            self._tracer = tracer
-            tracer.sink = self._on_span
+    def attach(self, metrics: Any, tracer: Any, registry: Any,
+               history: Any) -> None:
+        """Hook the observation points (``history`` may be None: the run
+        records none)."""
+        metrics.on_event = self._on_event
+        tracer.sink = self._on_span
         self._registry = registry
-        if history is not None:
-            self._history = history
+        self._history = history
 
     # -- ring writers --------------------------------------------------------
 

@@ -37,7 +37,7 @@ def _wal_totals(spaces: list) -> Optional[dict]:
     if not stores:
         return None
     return {
-        "commits": sum(store.last_lsn() for store in stores),
+        "commits": sum(store.last_lsn for store in stores),
         "syncs": sum(store.syncs for store in stores),
         "checkpoints": sum(store.checkpoints for store in stores),
         "tail_bytes": sum(store.tail_bytes for store in stores),

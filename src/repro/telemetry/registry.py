@@ -13,11 +13,10 @@ distribution with deterministic (RNG-free) quantile estimation: 8
 sub-buckets per octave bound the relative quantile error by
 ``2**(1/8)`` (≈ 9%).
 
-Exposition: :meth:`Registry.prometheus_text` renders the Prometheus
-text format; :class:`MetricsSnapshotter` periodically snapshots every
-instrument into the existing :class:`repro.core.metrics.Metrics` series
-(riding the sim kernel's ``on_advance`` hook, so snapshots consume no
-kernel events and cannot perturb deterministic schedules).
+Readers: :meth:`Registry.prometheus_text` renders the Prometheus text
+format (``repro trace --metrics-out``, postmortem bundles), and the SLO
+watchdog (:mod:`repro.telemetry.slo`) evaluates its rules over
+:meth:`Registry.samples`.  Nothing copies the values anywhere else.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterable, Mapping, Optional
 
-__all__ = ["Histogram", "Registry", "MetricsSnapshotter"]
+__all__ = ["Histogram", "Registry"]
 
 
 class Histogram:
@@ -206,74 +205,3 @@ class Registry:
                 else:
                     lines.append(f"{mangled}{label_str} {_fmt(instrument)}")
         return "\n".join(lines) + "\n"
-
-    # -- Metrics-series snapshots --------------------------------------------
-
-    def snapshot_into(self, metrics: Any) -> None:
-        """Record every instrument's current value into a ``Metrics``
-        series named ``telemetry/<name>`` (histograms record count / p50 /
-        p95)."""
-        for name, labels, kind, instrument in self.samples():
-            suffix = ""
-            if labels:
-                suffix = "{" + ",".join(f"{k}={v}" for k, v
-                                        in sorted(labels.items())) + "}"
-            series = f"telemetry/{name}{suffix}"
-            if kind == "histogram":
-                metrics.record(series + ".count", instrument.count)
-                metrics.record(series + ".p50", instrument.quantile(0.50))
-                metrics.record(series + ".p95", instrument.quantile(0.95))
-            else:
-                metrics.record(series, instrument)
-
-
-class MetricsSnapshotter:
-    """Periodically snapshot a registry into ``Metrics`` series.
-
-    Attaches to the sim kernel's ``on_advance`` hook — called once per
-    distinct virtual time — rather than scheduling events, so enabling
-    snapshots cannot change the event schedule (determinism-safe) and
-    costs one comparison per time bucket when idle.
-    """
-
-    def __init__(self, registry: Registry, metrics: Any,
-                 interval_ms: float = 1_000.0) -> None:
-        self.registry = registry
-        self.metrics = metrics
-        self.interval_ms = float(interval_ms)
-        #: Extra per-frame observers ``fn(now_ms)`` run after each
-        #: snapshot (the SLO watchdog evaluates its rules here).  They
-        #: ride the same on_advance hook, so they schedule nothing and
-        #: cannot perturb deterministic event order.
-        self.on_frame: list = []
-        self._last_ms: Optional[float] = None
-        self._kernel = None
-        self._hook = None
-
-    def attach(self, runtime: Any) -> bool:
-        """Chain onto ``runtime.kernel.on_advance``; returns ``False`` for
-        runtimes without the hook (threaded), where callers should fall
-        back to explicit :meth:`tick` calls."""
-        kernel = getattr(runtime, "kernel", None)
-        if kernel is None or not hasattr(kernel, "on_advance"):
-            return False
-        previous = kernel.on_advance
-
-        def hook(now_ms: float, _prev=previous) -> None:
-            if _prev is not None:
-                _prev(now_ms)
-            self.tick(now_ms)
-
-        kernel.on_advance = hook
-        self._kernel = kernel
-        self._hook = hook
-        return True
-
-    def tick(self, now_ms: float) -> None:
-        if self._last_ms is not None and \
-                now_ms - self._last_ms < self.interval_ms:
-            return
-        self._last_ms = now_ms
-        self.registry.snapshot_into(self.metrics)
-        for observer in self.on_frame:
-            observer(now_ms)

@@ -1,13 +1,12 @@
-"""Declarative SLO watchdogs riding the metrics snapshot frames.
+"""Declarative SLO watchdogs evaluated in frames of virtual time.
 
 An :class:`SloWatchdog` holds a handful of :class:`SloRule` objects —
 written in a one-line grammar, see :meth:`SloRule.parse` — and evaluates
-them once per :class:`~repro.telemetry.registry.MetricsSnapshotter`
-frame (it registers on ``snapshotter.on_frame``).  Because snapshot
-frames ride the kernel's ``on_advance`` hook, rule evaluation schedules
-no events and reads instruments that already exist: enabling watchdogs
-cannot perturb a deterministic run's timeline, and with a fixed seed the
-same alerts fire at the same virtual times every run.
+them against the registry once per frame (see :meth:`SloWatchdog.attach`).
+Because frames ride the kernel's ``on_advance`` hook, rule evaluation
+schedules no events and reads instruments that already exist: enabling
+watchdogs cannot perturb a deterministic run's timeline, and with a
+fixed seed the same alerts fire at the same virtual times every run.
 
 Rule grammar::
 
@@ -131,11 +130,10 @@ class _RuleState:
 
 
 class SloWatchdog:
-    """Evaluate :data:`DEFAULT_RULES` against a registry, once per
-    snapshot frame."""
+    """Evaluate :data:`DEFAULT_RULES` against a registry, once per frame;
+    alerts go to the event log ``metrics`` and, traced, to ``tracer``."""
 
-    def __init__(self, registry: Any, metrics: Any = None,
-                 tracer: Any = None) -> None:
+    def __init__(self, registry: Any, metrics: Any, tracer: Any) -> None:
         self.registry = registry
         self.metrics = metrics
         self.tracer = tracer
@@ -144,9 +142,30 @@ class SloWatchdog:
 
     # -- wiring --------------------------------------------------------------
 
-    def attach(self, snapshotter: Any) -> None:
-        """Ride the snapshotter's frames (determinism-safe)."""
-        snapshotter.on_frame.append(self.evaluate)
+    def attach(self, runtime: Any, interval_ms: float) -> None:
+        """Evaluate at the first virtual instant and then at the first
+        one at least ``interval_ms`` after the last frame.
+
+        Chains onto the sim kernel's ``on_advance`` hook — called once per
+        distinct virtual time — rather than scheduling events, so frames
+        cannot change the event schedule.  A runtime without a kernel
+        (threaded) gets no frames.
+        """
+        kernel = getattr(runtime, "kernel", None)
+        if kernel is None:
+            return
+        previous = kernel.on_advance
+        last_ms: Optional[float] = None
+
+        def frame(now_ms: float) -> None:
+            nonlocal last_ms
+            if previous is not None:
+                previous(now_ms)
+            if last_ms is None or now_ms - last_ms >= interval_ms:
+                last_ms = now_ms
+                self.evaluate(now_ms)
+
+        kernel.on_advance = frame
 
     # -- queries -------------------------------------------------------------
 
@@ -209,11 +228,9 @@ class SloWatchdog:
         alert = SloAlert(rule=rule, fired_ms=now_ms, value=value)
         self.alerts.append(alert)
         state.active = alert
-        if self.metrics is not None:
-            self.metrics.event("slo-alert", rule=rule.name,
-                               metric=rule.metric, value=value,
-                               threshold=rule.threshold)
-        if self.tracer is not None and self.tracer.enabled:
+        self.metrics.event("slo-alert", rule=rule.name, metric=rule.metric,
+                           value=value, threshold=rule.threshold)
+        if self.tracer.enabled:
             self.tracer.instant("slo.alert", trace_id="slo", proc="slo",
                                 rule=rule.name, value=value,
                                 threshold=rule.threshold)
@@ -222,8 +239,7 @@ class SloWatchdog:
                  now_ms: float) -> None:
         state.active.resolved_ms = now_ms
         state.active = None
-        if self.metrics is not None:
-            self.metrics.event("slo-resolved", rule=rule.name)
+        self.metrics.event("slo-resolved", rule=rule.name)
 
 
 def _scalar(instrument: Any) -> float:

@@ -15,8 +15,9 @@ therefore identical with tracing on and off, and since the latency model
 charges per-KB transfer time, virtual timelines (and hence the chaos
 ``--verify-determinism`` traces) cannot diverge between the two modes.
 
-Zero-cost-when-disabled: hot paths guard with
-``if tracer is not None and tracer.enabled`` and the disabled
+Zero-cost-when-disabled: "off" is a disabled tracer, never ``None`` — a
+component built without one makes its own, ``Tracer(runtime)``, once.
+Hot paths guard with ``if tracer.enabled`` and the disabled
 :meth:`Tracer.start` returns the shared :data:`NULL_SPAN`, so unguarded
 callers still work without allocating.
 

@@ -175,7 +175,7 @@ class DurableSpace(JavaSpace):
         state = encode_checkpoint(lsn, last_id, ops)
         wal.install_snapshot(lsn, state)
         tracer = wal.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             tracer.instant("wal.snapshot", trace_id="wal", proc="wal",
                            lsn=lsn, entries=len(ops), bytes=len(state))
 
@@ -245,6 +245,9 @@ class HotStandby:
         self.address = address
         self.space = DurableSpace(runtime, name=name,
                                   snapshot_every=snapshot_every)
+        if metrics is None:
+            from repro.core.metrics import Metrics  # core imports this module
+            metrics = Metrics(runtime)
         self.metrics = metrics
         self.caught_up = False
         self.promoted = False
@@ -293,10 +296,9 @@ class HotStandby:
         )
         self.server.fencing = True
         self.server.start()
-        if self.metrics is not None:
-            self.metrics.event("standby-promoted", host=self.host,
-                               lsn=self.space.wal.last_lsn,
-                               epoch=self.space.wal.epoch)
+        self.metrics.event("standby-promoted", host=self.host,
+                           lsn=self.space.wal.last_lsn,
+                           epoch=self.space.wal.epoch)
         return self.server
 
     # -- the tail ----------------------------------------------------------------
@@ -310,8 +312,7 @@ class HotStandby:
         while self._running and not self.promoted:
             if failures:
                 if failures > self.MAX_RETRIES:
-                    if self.metrics is not None:
-                        self.metrics.event("standby-gave-up", host=self.host)
+                    self.metrics.event("standby-gave-up", host=self.host)
                     return
                 self.runtime.sleep(self.RETRY_MS)
                 if not self._running or self.promoted:
@@ -341,9 +342,8 @@ class HotStandby:
                 continue
             if not self.caught_up:
                 self.caught_up = True
-                if self.metrics is not None:
-                    self.metrics.event("standby-caught-up", host=self.host,
-                                       lsn=self.space.wal.last_lsn)
+                self.metrics.event("standby-caught-up", host=self.host,
+                                   lsn=self.space.wal.last_lsn)
             on_feed = partial(self._on_feed, conn)
             conn.serve(on_feed)
             on_feed()

@@ -314,6 +314,9 @@ class SpaceSupervisor:
         self.registrar = registrar
         self.service_item = service_item
         self.old_registration_id = old_registration_id
+        if metrics is None:
+            from repro.core.metrics import Metrics  # core imports this module
+            metrics = Metrics(runtime)
         self.metrics = metrics
         self.failed_over = False
         self.failovers = 0
@@ -399,16 +402,14 @@ class SpaceSupervisor:
             # expired (a pause/partition outlived lease_ms) and
             # renewal was refused.  It will never serve again on its
             # own — only promotion restores a writable space.
-            if self.metrics is not None:
-                self.metrics.event("primary-self-fenced",
-                                   address=str(self.primary_address))
+            self.metrics.event("primary-self-fenced",
+                               address=str(self.primary_address))
             self._promote(wait_lease=False)
             return
         self._misses += 1
         self._all_dead = self._all_dead and status == "dead"
-        if self.metrics is not None:
-            self.metrics.event("primary-heartbeat-miss", misses=self._misses,
-                               status=status)
+        self.metrics.event("primary-heartbeat-miss", misses=self._misses,
+                           status=status)
         if self._misses >= MAX_MISSES:
             # A run of pure connection-refusals proves nothing
             # listens there — no one holds a lease, promote at once.
@@ -439,9 +440,7 @@ class SpaceSupervisor:
             # serves.)
             remaining = self._lease_valid_until + 1.0 - self.runtime.now()
             if remaining > 0:
-                if self.metrics is not None:
-                    self.metrics.event("failover-lease-wait",
-                                       wait_ms=remaining)
+                self.metrics.event("failover-lease-wait", wait_ms=remaining)
                 self.runtime.sleep(remaining)
             if not self._running:
                 return
@@ -473,13 +472,12 @@ class SpaceSupervisor:
             self.old_registration_id = reply["registration_id"]
         finally:
             client.close()
-        if self.metrics is not None:
-            self.metrics.event(
-                "failover-complete", host=self.host,
-                address=str(self.standby.address),
-                lsn=self.standby.space.wal.last_lsn,
-                epoch=new_epoch,
-            )
+        self.metrics.event(
+            "failover-complete", host=self.host,
+            address=str(self.standby.address),
+            lsn=self.standby.space.wal.last_lsn,
+            epoch=new_epoch,
+        )
         self.runtime.spawn(
             lambda: self._fence_and_rejoin(old_primary, new_epoch),
             name=f"space-fencer:{self.host}",
@@ -509,9 +507,8 @@ class SpaceSupervisor:
             self.runtime.sleep(HEARTBEAT_MS)
         if not self._running:
             return
-        if self.metrics is not None:
-            self.metrics.event("primary-fenced", host=self.host,
-                               address=str(old_primary), epoch=epoch)
+        self.metrics.event("primary-fenced", host=self.host,
+                           address=str(old_primary), epoch=epoch)
         rejoined = HotStandby(
             self.runtime, self.network, old_primary.host,
             primary_address=self.standby.address,
@@ -522,9 +519,8 @@ class SpaceSupervisor:
         )
         rejoined.start()
         self._spawned_standbys.append(rejoined)
-        if self.metrics is not None:
-            self.metrics.event("standby-rejoining", host=self.host,
-                               address=str(old_primary), epoch=epoch)
+        self.metrics.event("standby-rejoining", host=self.host,
+                           address=str(old_primary), epoch=epoch)
         # Re-arm: supervise the promoted primary with the rejoined
         # standby as its successor (a second failover serves at the old
         # primary's address under epoch+1).  ``failed_over`` stays True —

@@ -29,6 +29,7 @@ from repro.errors import (
 from repro.net.address import Address
 from repro.net.network import Network, StreamSocket
 from repro.runtime.base import Runtime
+from repro.telemetry.trace import Tracer
 from repro.tuplespace.entry import Entry
 from repro.tuplespace.events import EventRegistration, RemoteEvent
 from repro.tuplespace.lease import FOREVER
@@ -653,7 +654,7 @@ class SpaceServer:
                             self._note_repl_ack(conn, int(request["repl_ack"]))
                             continue
                         if self._feed_acks:     # see _hold_reply
-                            session.before_lsn = self.space.wal.last_lsn
+                            session.before_lsn = self.space.wal.store.last_lsn
                         step, arg = self._dispatch, request
                     try:
                         value = step(arg, session)
@@ -771,12 +772,11 @@ class SpaceServer:
         next feed will confirm) or being promoted (nobody will, and the
         replica that now serves does not hold this record).
         """
-        wal = self.space.wal
-        if (wal.last_lsn <= session.before_lsn
-                or self._confirmed(wal.last_lsn)):
+        lsn = self.space.wal.store.last_lsn
+        if lsn <= session.before_lsn or self._confirmed(lsn):
             return False
         session.parked = gate = _Gate(
-            value, wal.last_lsn, self.runtime.now() + self.REPL_ACK_TIMEOUT_MS)
+            value, lsn, self.runtime.now() + self.REPL_ACK_TIMEOUT_MS)
         self._hold(session, gate)
         return True
 
@@ -1297,12 +1297,16 @@ class SpaceProxy:
         self.server_address = server_address
         self.recovery = recovery
         self._rng = rng
+        if metrics is None:
+            from repro.core.metrics import Metrics  # core imports this module
+            metrics = Metrics(network.runtime)
         self._metrics = metrics
-        #: Optional telemetry tracer: each RPC (and pipelined batch)
-        #: becomes a span, parented to the caller's ambient span so task
-        #: traces show their space round trips.  ``None``/disabled costs
-        #: one attribute check per call.
-        self._tracer = tracer
+        #: Telemetry tracer: each RPC (and pipelined batch) becomes a
+        #: span, parented to the caller's ambient span so task traces
+        #: show their space round trips.  Disabled (the default) costs one
+        #: attribute check per call.
+        self._tracer = (tracer if tracer is not None
+                        else Tracer(network.runtime))
         #: Optional service locator (e.g. a Jini lookup query) consulted on
         #: every reconnect: after a failover the proxy re-discovers the
         #: promoted standby instead of hammering the dead primary address.
@@ -1325,8 +1329,6 @@ class SpaceProxy:
         self.epoch: Optional[int] = None
         #: Calls rejected with :class:`FencedError` and re-routed.
         self.fenced = 0
-        #: Calls rejected with :class:`AdmissionError` and backed off.
-        self.admission_rejected = 0
 
     # -- plumbing ------------------------------------------------------------------
 
@@ -1355,8 +1357,7 @@ class SpaceProxy:
             self._connects += 1
             if self._connects > 1:
                 self.reconnects += 1
-                if self._metrics is not None:
-                    self._metrics.event("proxy-reconnected", host=self.host)
+                self._metrics.event("proxy-reconnected", host=self.host)
         return self._conn
 
     def _rediscover(self) -> None:
@@ -1373,9 +1374,8 @@ class SpaceProxy:
             return  # lookup substrate errors: keep the cached address
         if fresh is not None and fresh != self.server_address:
             self.server_address = fresh
-            if self._metrics is not None:
-                self._metrics.event("proxy-rediscovered", host=self.host,
-                                    address=str(fresh))
+            self._metrics.event("proxy-rediscovered", host=self.host,
+                                address=str(fresh))
         # Locators that track the primary epoch (JiniSpaceLocator) expose
         # it after each lookup; adopt it monotonically.
         learned = getattr(self._locator, "epoch", None)
@@ -1461,7 +1461,7 @@ class SpaceProxy:
         op, args = row.name, row.args(call)
         tracer = self._tracer
         span = None
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             span = self._rpc_span(f"rpc.{op}", tracer)
             if op == "batch":
                 span.annotate(ops=[sub["op"] for sub in args["ops"]])
@@ -1526,7 +1526,6 @@ class SpaceProxy:
                     raise failure
                 tries += 1
                 if admission:
-                    self.admission_rejected += 1
                     event, notes = "admission-rejected", {
                         "tenant": failure.tenant, "reason": failure.reason}
                 elif isinstance(failure, FencedError):
@@ -1535,9 +1534,8 @@ class SpaceProxy:
                 else:
                     self.retries += 1
                     event, notes = "proxy-retry", {}
-                if self._metrics is not None:
-                    self._metrics.event(event, host=self.host, op=op,
-                                        attempt=tries, **notes)
+                self._metrics.event(event, host=self.host, op=op,
+                                    attempt=tries, **notes)
                 # Capped-exp backoff; an admission retry-after hint floors it.
                 delay = recovery.backoff_ms(tries, self._rng)
                 self.network.runtime.sleep(
@@ -1610,8 +1608,8 @@ class SpaceProxy:
 
         # A reconnect drops the event side, so a retry re-runs all of it.
         tracer = self._tracer
-        with (self._rpc_span("rpc.notify", tracer)
-              if tracer is not None and tracer.enabled else nullcontext()):
+        with (self._rpc_span("rpc.notify", tracer) if tracer.enabled
+              else nullcontext()):
             reg_id = self._recover("notify", None, attempt=attempt)
         self._event_handlers[reg_id] = listener
         return reg_id

@@ -64,6 +64,7 @@ from typing import Any, Callable, Optional
 from repro.errors import AdmissionError, SpaceError
 from repro.net.address import Address
 from repro.net.network import Network
+from repro.telemetry.trace import Tracer
 from repro.tuplespace.entry import Entry, match_items
 from repro.tuplespace.lease import FOREVER
 from repro.tuplespace.ops import (
@@ -389,7 +390,8 @@ class ShardRouter:
         self.runtime = network.runtime
         #: For "scatter" envelope spans around wildcard calls (the doctor
         #: intersects them with rpc.* spans to cost fan-out time).
-        self.tracer = tracer
+        self.tracer = tracer = (tracer if tracer is not None
+                                else Tracer(self.runtime))
         self._proxies = [
             SpaceProxy(network, host, address, recovery=recovery, rng=rng,
                        metrics=metrics,
@@ -769,7 +771,7 @@ class ShardRouter:
         Purely observational: the disabled path yields immediately.
         """
         tracer = self.tracer
-        if tracer is None or not tracer.enabled:
+        if not tracer.enabled:
             yield
             return
         parent = tracer.current

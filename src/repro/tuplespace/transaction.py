@@ -120,16 +120,17 @@ class TransactionManager:
 
     def __init__(self, runtime: Runtime, metrics: Any = None) -> None:
         self._runtime = runtime
+        if metrics is None:
+            from repro.core.metrics import Metrics  # core imports this module
+            metrics = Metrics(runtime)
         self._metrics = metrics
         self._ids = itertools.count(1)
-        self.created = 0
         self.aborted_by_lease = 0
 
     def create(self, timeout_ms: float = FOREVER) -> Transaction:
         """Create a transaction whose lease lasts ``timeout_ms``."""
         lease = Lease(self._runtime, timeout_ms)
         txn = Transaction(self, next(self._ids), lease)
-        self.created += 1
         if timeout_ms != FOREVER:
             def _expire() -> None:
                 if txn.state != _STATE_ACTIVE:
@@ -144,8 +145,7 @@ class TransactionManager:
                     return
                 self.aborted_by_lease += 1
                 txn.abort()
-                if self._metrics is not None:
-                    self._metrics.event("txn-lease-expired", txn_id=txn.txn_id)
+                self._metrics.event("txn-lease-expired", txn_id=txn.txn_id)
 
             self._runtime.call_later(timeout_ms, _expire)
         return txn

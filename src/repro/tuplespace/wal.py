@@ -95,6 +95,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from zlib import crc32
 
 from repro.errors import SpaceError, WalCorruptionError
+from repro.telemetry.trace import Tracer
 
 __all__ = ["CommitRecord", "WalStore", "FileWalStore", "WriteAheadLog",
            "record_frame", "frame_size", "iter_log", "decode_log",
@@ -434,9 +435,10 @@ class WalStore:
         #: (:func:`frame_size`): what the durable space weighs against
         #: ``state_bytes`` to decide a checkpoint.
         self.tail_bytes = 0
-        #: Cached :meth:`last_lsn` — read on every append (LSN
-        #: assignment), so it must not scan.
-        self._last_lsn = 0
+        #: The newest LSN stored (the checkpoint's when the tail is
+        #: empty): a plain attribute, as LSN assignment on every append
+        #: and a replicated server's reply gate on every request read it.
+        self.last_lsn = 0
 
     # -- appending ----------------------------------------------------------
 
@@ -453,8 +455,8 @@ class WalStore:
         if record.epoch > self.epoch:
             self.set_epoch(record.epoch)
         self.records.append(record)
-        if record.lsn > self._last_lsn:
-            self._last_lsn = record.lsn
+        if record.lsn > self.last_lsn:
+            self.last_lsn = record.lsn
         self.tail_bytes += frame_size(record.ops)
         self._unsynced += 1
         if self.fsync_policy == "group":
@@ -503,7 +505,7 @@ class WalStore:
 
     def _recount(self, tail: list[CommitRecord]) -> None:
         """Re-derive the cached tail figures after the tail was cut."""
-        self._last_lsn = tail[-1].lsn if tail else self.snapshot_lsn
+        self.last_lsn = tail[-1].lsn if tail else self.snapshot_lsn
         self.tail_bytes = sum(frame_size(r.ops) for r in tail)
 
     # -- checkpointing --------------------------------------------------------
@@ -516,7 +518,7 @@ class WalStore:
         if checkpoint_head(state)[0] != lsn:
             raise SpaceError(f"checkpoint does not end at lsn {lsn}")
         self.sync()
-        tail = self.records_since(lsn) if lsn < self._last_lsn else []
+        tail = self.records_since(lsn) if lsn < self.last_lsn else []
         self._replace(state, tail)
         self._adopt(state, lsn)
         self.checkpoints += 1
@@ -533,13 +535,10 @@ class WalStore:
 
     # -- reading ---------------------------------------------------------------
 
-    def last_lsn(self) -> int:
-        return self._last_lsn
-
     @property
     def tail_records(self) -> int:
         """Records past the checkpoint (LSNs are dense)."""
-        return self._last_lsn - self.snapshot_lsn
+        return self.last_lsn - self.snapshot_lsn
 
     def records_since(self, lsn: int) -> list[CommitRecord]:
         """Every stored record with an LSN strictly greater than ``lsn``."""
@@ -632,7 +631,7 @@ class FileWalStore(WalStore):
         #: The log as validated here, kept for the first read of the tail
         #: (recovery's replay) so it is not read and checksummed twice.
         self._loaded: Optional[bytes] = raw
-        self._last_lsn = last
+        self.last_lsn = last
         self.tail_bytes = good - covered
         #: Log file size, and how much of it is behind an fsync.
         self._log_size = self._synced_size = good
@@ -750,10 +749,10 @@ class WriteAheadLog:
         self._runtime: Any = None
         self._flush_armed = False
         self._subscribers: list[Callable[[CommitRecord], None]] = []
-        #: Optional telemetry tracer; when enabled, each commit/sync drops
-        #: an instant marker under the ``"wal"`` trace.  Set by the
-        #: framework — the log itself never requires telemetry.
-        self.tracer: Any = None
+        #: Telemetry tracer; when enabled, each commit/sync drops an
+        #: instant marker under the ``"wal"`` trace.  The framework sets
+        #: its own; the log's is disabled and bound to no runtime.
+        self.tracer: Any = Tracer(None)
 
     def bind(self, runtime: Any) -> None:
         """Bind the runtime that drives the time watermark (the first
@@ -765,10 +764,10 @@ class WriteAheadLog:
 
     def append(self, ops: tuple[tuple, ...]) -> CommitRecord:
         store = self.store
-        record = CommitRecord(store._last_lsn + 1, tuple(ops), store.epoch)
+        record = CommitRecord(store.last_lsn + 1, tuple(ops), store.epoch)
         store.append(record)
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             tracer.instant("wal.commit", trace_id="wal", proc="wal",
                            lsn=record.lsn, ops=len(record.ops))
         if self._subscribers:
@@ -779,10 +778,10 @@ class WriteAheadLog:
 
     def import_record(self, record: CommitRecord) -> None:
         """Adopt a replicated record verbatim (standby tail path)."""
-        if record.lsn <= self.store.last_lsn():
+        if record.lsn <= self.store.last_lsn:
             raise SpaceError(
                 f"stale replicated record lsn={record.lsn} "
-                f"(log is at {self.store.last_lsn()})"
+                f"(log is at {self.store.last_lsn})"
             )
         self.store.append(record)
         self._notify(record)
@@ -795,9 +794,9 @@ class WriteAheadLog:
         """Durability barrier: flush any buffered group to the medium."""
         self.store.sync()
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             tracer.instant("wal.sync", trace_id="wal", proc="wal",
-                           lsn=self.store.last_lsn())
+                           lsn=self.store.last_lsn)
 
     def _arm_flush(self) -> None:
         if (self._runtime is None or self.group_ms is None
@@ -811,15 +810,15 @@ class WriteAheadLog:
         if self.store.pending():
             self.store.sync()
             tracer = self.tracer
-            if tracer is not None and tracer.enabled:
+            if tracer.enabled:
                 tracer.instant("wal.sync", trace_id="wal", proc="wal",
-                               lsn=self.store.last_lsn(), group_flush=True)
+                               lsn=self.store.last_lsn, group_flush=True)
 
     # -- reading ------------------------------------------------------------
 
     @property
     def last_lsn(self) -> int:
-        return self.store.last_lsn()
+        return self.store.last_lsn
 
     # -- epoch fencing ------------------------------------------------------
 

@@ -143,7 +143,7 @@ def _deploy(shape: Shape, runtime: SimulatedRuntime) -> dict:
         samples=sorted(
             (name, tuple(sorted(labels.items())))
             for name, labels, _, _ in framework.registry.samples()),
-        text=framework.telemetry.prometheus_text(),
+        text=framework.registry.prometheus_text(),
         master=_client_stack(framework.master.space),
         tenant_master=_client_stack(tenant_master.space),
         workers=[_client_stack(host.client)

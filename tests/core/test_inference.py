@@ -122,7 +122,9 @@ def test_observe_tracks_state_and_history(engine):
     assert record.assumed_state == WorkerState.PAUSED
     assert engine.observe(record.worker_id, 90.0, now_ms=400.0) == Signal.STOP
     assert record.assumed_state == WorkerState.STOPPED
-    assert record.load_history == [(100.0, 5.0), (200.0, 5.0), (300.0, 40.0), (400.0, 90.0)]
+    # Each sample is decided once; the last one set the facts.
+    assert record.facts.band == "loaded" and record.last_sample_ms == 400.0
+    assert engine.stats["decisions"] == 4 and engine.stats["signals"] == 3
 
 
 def test_paper_load_cycle_produces_paper_signal_sequence(engine):

@@ -1,21 +1,9 @@
-"""Metrics collector unit tests."""
+"""Event log unit tests."""
 
 from __future__ import annotations
 
 from repro.core.metrics import Metrics
 from tests.conftest import run_in_sim
-
-
-def test_record_series_with_timestamps(rt):
-    metrics = Metrics(rt)
-
-    def proc():
-        metrics.record("load", 10.0)
-        rt.sleep(100.0)
-        metrics.record("load", 20.0)
-
-    run_in_sim(rt, proc)
-    assert metrics.series["load"] == [(0.0, 10.0), (100.0, 20.0)]
 
 
 def test_event_payloads(rt):
@@ -32,20 +20,3 @@ def test_event_payloads(rt):
     assert len(sent) == 2
     assert sent[0] == (0.0, {"worker": "w1", "signal": "start"})
     assert metrics.events_named("missing") == []
-
-
-def test_scalars_overwrite(rt):
-    metrics = Metrics(rt)
-    metrics.scalar("planning_ms", 100.0)
-    metrics.scalar("planning_ms", 200.0)
-    assert metrics.scalars["planning_ms"] == 200.0
-
-
-def test_last_and_max(rt):
-    metrics = Metrics(rt)
-    for value in (3.0, 9.0, 5.0):
-        metrics.record("x", value)
-    assert metrics.last("x") == 5.0
-    assert metrics.max("x") == 9.0
-    assert metrics.last("missing") is None
-    assert metrics.max("missing") is None

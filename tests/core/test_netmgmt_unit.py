@@ -130,7 +130,13 @@ def test_external_metric_ignores_worker_own_compute(rt, env):
 
 
 def test_load_history_recorded_per_worker(rt, env):
+    """Each of w1's samples is decided on its own record: the first, idle,
+    orders Start and logs it; the second finds it Running."""
     net, node, module = env
     _, record = monitor(rt, net, module, lambda: rt.sleep(POLL_MS + 1.0))
-    assert len(record.load_history) == 2
-    assert "load/w1" in module.metrics.series
+    assert module.stats["polls"] == 2
+    assert module.inference.stats["decisions"] == 2
+    assert record.facts.band == "idle" and record.last_sample_ms > POLL_MS
+    sent = module.metrics.events_named("signal-sent")
+    assert [(p["worker"], p["signal"], p["load"]) for _, p in sent] == [
+        ("w1", "start", 0.0)]

@@ -231,6 +231,7 @@ def test_governor_never_resumes_a_worker_into_the_pause_band(rt):
                         preemption_poll_ms=500.0))
     node = cluster.workers[0]
     t0, end = 3000.0, 9000.0
+    bands = []                              # what each load sample decided
 
     def quietly(run):
         try:
@@ -240,6 +241,15 @@ def test_governor_never_resumes_a_worker_into_the_pause_band(rt):
 
     def body():
         framework.start()
+        inference = framework.netmgmt.inference
+        observe = inference.observe
+
+        def sampled(worker_id, load, now_ms):
+            signal = observe(worker_id, load, now_ms)
+            bands.append((now_ms, inference.worker(worker_id).facts.band))
+            return signal
+
+        inference.observe = sampled
         rt.spawn(lambda: quietly(framework.run), name="job")
         rt.sleep(t0)                        # the idle worker was Started
         node.cpu.set_background("user", 40.0)
@@ -253,15 +263,12 @@ def test_governor_never_resumes_a_worker_into_the_pause_band(rt):
         done = host.tasks_done
         rt.sleep(end - rt.now())
         record = framework.netmgmt.inference.workers()[0]
-        observed = (host.state, record.assumed_state, host.tasks_done - done,
-                    list(record.load_history))
+        observed = (host.state, record.assumed_state, host.tasks_done - done)
         framework.shutdown()
         return observed
 
-    state, assumed, progress, samples = drive(rt, body)
-    policy = framework.netmgmt.inference.policy
-    first_busy = next(t for t, load in samples
-                      if t >= t0 and policy.band(load) == "busy")
+    state, assumed, progress = drive(rt, body)
+    first_busy = next(t for t, band in bands if t >= t0 and band == "busy")
     running, since = 0.0, None      # Running ms within [first_busy, end]
     for t, payload in framework.metrics.events_named("worker-transition") + [
             (end, {"new": "end"})]:

@@ -471,8 +471,19 @@ def test_ten_thousand_short_processes_share_a_few_carriers():
     assert not any(t.is_alive() for t in carriers)
 
 
+@pytest.fixture
+def ctrl_c():
+    """SIGINT raises ``KeyboardInterrupt``, as in a terminal.  A process
+    started in the background by a non-interactive shell (``cmd &``)
+    inherits SIGINT ignored, and then no Ctrl-C reaches the kernel at
+    all: the tests below would wait for a run that never ends."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
+
+
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="POSIX only")
-def test_interrupted_run_brings_the_baton_home_before_raising():
+def test_interrupted_run_brings_the_baton_home_before_raising(ctrl_c):
     """Ctrl-C lands in the caller of ``run()`` while a carrier holds the
     baton; the simulation must be parked again before anyone tears down."""
     kernel = SimKernel()
@@ -496,7 +507,7 @@ def test_interrupted_run_brings_the_baton_home_before_raising():
 
 
 @pytest.mark.skipif(not hasattr(signal, "raise_signal"), reason="POSIX only")
-def test_a_ctrl_c_a_carrier_catches_still_interrupts_run():
+def test_a_ctrl_c_a_carrier_catches_still_interrupts_run(ctrl_c):
     """A terminal's Ctrl-C goes to whichever thread the OS picks.  Caught
     by a carrier, it wakes no lock wait of the main thread; the park must
     notice it anyway, not wait for a baton that a simulation which never

@@ -1,12 +1,11 @@
-"""Registry unit tests: instruments, collectors, Prometheus exposition,
-snapshots, and the unified space-stats naming."""
+"""Registry unit tests: instruments, collectors, Prometheus exposition
+and the unified space-stats naming."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.metrics import Metrics
-from repro.telemetry import Histogram, MetricsSnapshotter, Registry
+from repro.telemetry import Histogram, Registry
 from repro.tuplespace import JavaSpace
 from tests.conftest import run_in_sim
 from tests.tuplespace.entries import TaskEntry
@@ -106,46 +105,3 @@ def test_space_stats_unified_naming(rt):
     assert registry.value("space.writes") == 2
     assert registry.value("space.takes") == 1
     assert "space_writes 2" in registry.prometheus_text()
-
-
-def test_snapshot_into_metrics(rt):
-    registry = Registry()
-    registry.expose("a.total", lambda: 5)
-    h = registry.histogram("b.lat", op="x")
-    h.observe(2.0)
-    metrics = Metrics(rt)
-    registry.snapshot_into(metrics)
-    assert metrics.last("telemetry/a.total") == 5
-    assert metrics.last("telemetry/b.lat{op=x}.count") == 1
-    assert metrics.last("telemetry/b.lat{op=x}.p95") >= 2.0
-
-
-def test_snapshotter_rides_kernel_advance(rt):
-    registry = Registry()
-    ticks = [0]
-    registry.expose("ticks.total", lambda: ticks[0])
-    metrics = Metrics(rt)
-    snapshotter = MetricsSnapshotter(registry, metrics, interval_ms=100.0)
-    assert snapshotter.attach(rt)
-
-    def body():
-        for _ in range(5):
-            ticks[0] += 1
-            rt.sleep(100.0)
-
-    run_in_sim(rt, body)
-    points = metrics.series["telemetry/ticks.total"]
-    assert len(points) >= 4
-    # Values are monotone (a running total) and timestamped on the virtual clock.
-    values = [v for _, v in points]
-    assert values == sorted(values)
-    assert points[-1][0] >= 400.0
-
-
-def test_snapshotter_chains_existing_hook(rt):
-    seen = []
-    rt.kernel.on_advance = seen.append
-    snapshotter = MetricsSnapshotter(Registry(), Metrics(rt))
-    snapshotter.attach(rt)
-    run_in_sim(rt, lambda: rt.sleep(50.0))
-    assert seen, "previous on_advance hook was dropped"

@@ -166,8 +166,6 @@ def test_trace_command(tmp_path, capsys):
 def test_metrics_default_behaviour_unchanged(rt):
     metrics = Metrics(rt)
     for i in range(10):
-        metrics.record("x", i)
         metrics.event("e", i=i)
-    assert isinstance(metrics.series["x"], list)
     assert isinstance(metrics.events, list)
-    assert len(metrics.series["x"]) == 10 and len(metrics.events) == 10
+    assert len(metrics.events) == 10

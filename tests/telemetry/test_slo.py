@@ -1,11 +1,16 @@
-"""SLO watchdog: rule grammar, sustain hysteresis, rate/quantile reads."""
+"""SLO watchdog: rule grammar, sustain hysteresis, rate/quantile reads,
+and its frames on the virtual clock."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.metrics import Metrics
+from repro.runtime.simulated import SimulatedRuntime
 from repro.telemetry.registry import Registry
 from repro.telemetry.slo import DEFAULT_RULES, SloRule, SloWatchdog
+from repro.telemetry.trace import Tracer
+from tests.conftest import run_in_sim
 
 
 # -- grammar ------------------------------------------------------------------
@@ -49,9 +54,19 @@ def test_describe_round_trips_through_parse():
 #   task-latency-p99               a histogram's p99, at once
 
 
-def make_watchdog():
+class Events:
+    """An event log without a clock: what the watchdog reported."""
+
+    def __init__(self):
+        self.seen = []
+
+    def event(self, name, **payload):
+        self.seen.append((name, payload))
+
+
+def make_watchdog(events=None):
     registry = Registry()
-    return registry, SloWatchdog(registry)
+    return registry, SloWatchdog(registry, events or Events(), Tracer(None))
 
 
 def expose(registry, name, value, **labels):
@@ -140,16 +155,8 @@ def test_missing_metric_never_breaches():
 
 
 def test_events_and_to_dict_reporting():
-    class Events:
-        def __init__(self):
-            self.seen = []
-
-        def event(self, name, **payload):
-            self.seen.append((name, payload))
-
-    registry = Registry()
     events = Events()
-    watchdog = SloWatchdog(registry, metrics=events)
+    registry, watchdog = make_watchdog(events)
     gauge = expose(registry, "space.replication_lag", 420)
     watchdog.evaluate(1000.0)
     watchdog.evaluate(2000.0)
@@ -161,3 +168,54 @@ def test_events_and_to_dict_reporting():
     assert doc["rules"] == [rule.describe() for rule in DEFAULT_RULES]
     assert doc["alerts"][0]["rule"] == "replication-lag"
     assert doc["alerts"][0]["resolved_ms"] == 3000.0
+
+
+# -- frames -------------------------------------------------------------------
+
+
+def ticking(rt):
+    """A process that wakes at 0, 100, ..., 500 virtual ms."""
+    def body():
+        for _ in range(5):
+            rt.sleep(100.0)
+    return body
+
+
+def watch(rt, interval_ms):
+    """A watchdog attached at ``interval_ms``; returns the virtual
+    instants at which it evaluates (it reads the registry once a frame)."""
+    registry, frames = Registry(), []
+    registry.expose("space.queue_depth",
+                    lambda: frames.append(rt.now()) or 0)
+    SloWatchdog(registry, Metrics(rt), Tracer(rt)).attach(rt, interval_ms)
+    return frames
+
+
+def test_watchdog_frames_ride_kernel_advance(rt):
+    every_instant, every_250ms = watch(rt, 100.0), watch(rt, 250.0)
+    run_in_sim(rt, ticking(rt))
+    assert every_instant == [0.0, 100.0, 200.0, 300.0, 400.0, 500.0]
+    # The first instant at least 250 ms after the last frame.
+    assert every_250ms == [0.0, 300.0]
+
+
+def test_watchdog_schedules_nothing():
+    events = []
+    for attached in (False, True):
+        runtime = SimulatedRuntime()
+        frames = watch(runtime, 100.0) if attached else []
+        run_in_sim(runtime, ticking(runtime))
+        events.append((runtime.kernel.events, runtime.now()))
+        runtime.shutdown()
+        assert bool(frames) == attached
+    assert events[0] == events[1]
+
+
+def test_watchdog_chains_existing_hook(rt):
+    seen = []
+    rt.kernel.on_advance = seen.append
+    frames = watch(rt, 1000.0)
+    run_in_sim(rt, lambda: rt.sleep(50.0))
+    assert seen == [0.0, 50.0], "previous on_advance hook was dropped"
+    assert frames == [0.0]
+

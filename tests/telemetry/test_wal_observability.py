@@ -43,10 +43,10 @@ def test_checkpoint_gauges_top_line_and_doctor_counts():
     assert float(samples["wal_checkpoints"]) == store.checkpoints
     assert float(samples["wal_tail_bytes"]) == store.tail_bytes
     assert float(samples["wal_state_bytes"]) == len(store.snapshot)
-    assert float(samples["wal_commits"]) == store.last_lsn()
+    assert float(samples["wal_commits"]) == store.last_lsn
 
     wal = cluster_snapshot(framework)["wal"]
-    assert wal == {"commits": store.last_lsn(), "syncs": store.syncs,
+    assert wal == {"commits": store.last_lsn, "syncs": store.syncs,
                    "checkpoints": store.checkpoints,
                    "tail_bytes": store.tail_bytes,
                    "state_bytes": len(store.snapshot)}

@@ -823,6 +823,8 @@ RULES = [
     Rule("suite_boundaries", _unresolved_boundaries, {
         ("benchmarks/suite/tracing.py", "BOUNDARIES", target): _UNTRACED
         for target in (
+            "repro.core.metrics:Metrics.record",
+            "repro.core.metrics:Metrics.scalar",
             "repro.core.netmgmt:NetworkManagementModule.poll_once",
             "repro.jini.discovery:LookupLocator.get_registrar",
             "repro.jini.discovery:LookupLocator.probe",
@@ -838,6 +840,8 @@ RULES = [
             "repro.snmp.manager:SnmpManager.set",
             "repro.snmp.manager:SnmpManager.walk",
             "repro.snmp.manager:SnmpManager.walk_bulk",
+            "repro.telemetry.registry:MetricsSnapshotter.tick",
+            "repro.telemetry.registry:Registry.snapshot_into",
         )}),
     # -- options --
     Rule("knobs_flipped", _unflipped_options, NEVER_FLIPPED),

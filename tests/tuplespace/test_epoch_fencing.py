@@ -72,7 +72,7 @@ def test_record_carried_epoch_adopted_on_replay(tmp_path):
     os.remove(os.fspath(path) + ".epoch")
     again = FileWalStore(path)
     assert again.epoch == 5
-    assert again.last_lsn() == 1
+    assert again.last_lsn == 1
 
 
 def test_wal_append_stamps_the_current_epoch():

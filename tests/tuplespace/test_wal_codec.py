@@ -147,7 +147,7 @@ def test_mixed_frame_log_decodes_as_one_stream(tmp_path):
     assert decode_log(raw) == written
     store = FileWalStore(str(path))
     assert store.records_since(0) == written
-    assert store.last_lsn() == 6
+    assert store.last_lsn == 6
     store.close()
 
 
@@ -299,7 +299,7 @@ def test_damage_in_the_final_frame_is_a_torn_tail(tmp_path, damage):
         assert [r.lsn for r in decode_log(torn)] == [1, 2, 3, 4]
     log.write_bytes(_flip(raw, end - 1))
     store = FileWalStore(str(path))
-    assert store.last_lsn() == 4
+    assert store.last_lsn == 4
     assert os.path.getsize(log) == start       # the tear is cut off
     store.close()
 

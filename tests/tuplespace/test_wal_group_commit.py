@@ -111,7 +111,7 @@ def test_file_compaction_survives_reopen(tmp_path):
     try:
         assert recovered.snapshot == state
         assert [r.lsn for r in recovered.records_since(0)] == [4, 5, 6, 7]
-        assert recovered.last_lsn() == 7
+        assert recovered.last_lsn == 7
     finally:
         recovered.close()
 

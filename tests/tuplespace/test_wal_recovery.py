@@ -108,7 +108,7 @@ def test_file_wal_store_round_trips(tmp_path):
     assert reopened.records_since(0) == records[1:]
     # The tail lives on the disk: nothing is held in memory after a load.
     assert reopened.records == []
-    assert (reopened.tail_records, reopened.last_lsn()) == (2, 3)
+    assert (reopened.tail_records, reopened.last_lsn) == (2, 3)
 
 
 # -- crash recovery ------------------------------------------------------------
