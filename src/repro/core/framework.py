@@ -16,6 +16,7 @@ the systems in its Table 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -258,16 +259,8 @@ class AdaptiveClusterFramework:
             for shard in self.placement
         ]
         self.space: JavaSpace = self.spaces[0]
-        # Registry naming scheme: a space's counters surface as
-        # ``space.<key>`` (read-through — no per-op registry cost).
-        for shard, space in zip(self.placement, self.spaces):
-            self.registry.expose_dict("space", space.stats, **shard.labels)
-            self.registry.expose_dict("space.match", space.match_stats,
-                                      **shard.labels)
-            self.registry.expose("space.queue_depth", space.queue_depth,
-                                 **shard.labels)
-            if isinstance(space, DurableSpace):
-                self._expose_wal(space, **shard.labels)
+        for i in range(len(self.placement)):
+            self._expose_shard(i)
         self.space_server: Optional[SpaceServer] = None
         self.space_servers: list[SpaceServer] = []
         self.code_server: Optional[CodeServer] = None
@@ -298,9 +291,9 @@ class AdaptiveClusterFramework:
         self.task_latency = self.registry.histogram("task.latency_ms")
         #: SLO watchdog (built in :meth:`start` when its frames are on).
         self.watchdog: Optional[Any] = None
-        #: Always-on black-box flight recorder: observes metrics events
-        #: and (when tracing) spans through passive hooks, dumps
-        #: postmortem bundles on standby promotion or checker failure.
+        #: Always-on black-box flight recorder: dumps postmortem bundles
+        #: (the newest events and spans) on standby promotion or checker
+        #: failure.
         self.flight = FlightRecorder(runtime)
         self.flight.attach(metrics=self.metrics, tracer=self.tracer,
                            registry=self.registry, history=self.history)
@@ -334,20 +327,32 @@ class AdaptiveClusterFramework:
                 f":shard{i}", {"shard": str(i)}))
         return placement, HashRing(config.shards)
 
-    def _expose_wal(self, space: DurableSpace, **labels: str) -> None:
-        """Trace ``space``'s log and expose its read-through gauges:
-        commits and barriers, then what the checkpoint trigger weighs
-        (``wal.tail_bytes`` against ``wal.state_bytes``, the size of the
-        last checkpoint) and how often it fired."""
-        wal = space.wal
-        wal.tracer = self.tracer
-        expose = self.registry.expose
-        expose("wal.commits", lambda: wal.last_lsn, **labels)
-        expose("wal.syncs", lambda: wal.store.syncs, **labels)
-        expose("wal.tail_bytes", lambda: wal.store.tail_bytes, **labels)
-        expose("wal.state_bytes", lambda: wal.store.state_bytes, **labels)
-        expose("wal.checkpoints", lambda: wal.store.checkpoints, **labels)
-        expose("space.epoch", lambda: wal.epoch, **labels)
+    def _expose_shard(self, i: int) -> None:
+        """Expose shard ``i``'s counters as read-through registry views
+        (no per-op registry cost): ``space.<key>``, what matching cost,
+        the queue, the fair-share grants, and for a durable space its
+        log (traced) — commits and barriers, then what the checkpoint
+        trigger weighs (``wal.tail_bytes`` against ``wal.state_bytes``,
+        the size of the last checkpoint) and how often it fired.  Each
+        reads the space the shard serves from at the time of reading."""
+        labels = self.placement[i].labels
+        expose = functools.partial(self.registry.expose, **labels)
+        expose_dict = functools.partial(self.registry.expose_dict, **labels)
+        space = functools.partial(self._serving_space, i)
+        expose_dict("space", lambda: space().stats)
+        expose_dict("space.match", lambda: space().match_stats)
+        expose("space.queue_depth", lambda: space().queue_depth())
+        if self.config.tenant_shares is not None:
+            expose_dict("space.fair", lambda: space().fair_stats)
+        if not isinstance(self.spaces[i], DurableSpace):
+            return
+        self.spaces[i].wal.tracer = self.tracer
+        expose("wal.commits", lambda: space().wal.last_lsn)
+        expose("wal.syncs", lambda: space().wal.store.syncs)
+        expose("wal.tail_bytes", lambda: space().wal.store.tail_bytes)
+        expose("wal.state_bytes", lambda: space().wal.store.state_bytes)
+        expose("wal.checkpoints", lambda: space().wal.store.checkpoints)
+        expose("space.epoch", lambda: space().wal.epoch)
 
     def _make_space(self, name: str) -> JavaSpace:
         config = self.config
@@ -545,10 +550,8 @@ class AdaptiveClusterFramework:
         read-through telemetry for tenants the config names."""
         config = self.config
         if config.tenant_shares is not None:
-            for shard, space in zip(self.placement, self.spaces):
+            for space in self.spaces:
                 space.configure_fair_share(config.tenant_shares)
-                self.registry.expose_dict("space.fair", space.fair_stats,
-                                          **shard.labels)
         if config.admission:
             admission_config = AdmissionConfig(
                 queue_soft_watermark=config.admission_soft_watermark,
@@ -619,6 +622,8 @@ class AdaptiveClusterFramework:
                 name=f"space-standby:{self.app.app_id}{shard.suffix}",
                 metrics=self.metrics,
             )
+            # A promoted replica's commits are traced like the primary's.
+            standby.space.wal.tracer = self.tracer
             standby.start()
             self.standbys.append(standby)
             supervisor = SpaceSupervisor(
@@ -632,29 +637,24 @@ class AdaptiveClusterFramework:
             )
             supervisor.start()
             self.supervisors.append(supervisor)
-        # What liveness costs: probes put on the wire per shard (a
-        # round shared by co-hosted shards counts once for each),
-        # those that came back as anything but "ok", and the
-        # renewals the nodes' lease endpoints handled.
-        for shard, supervisor in zip(self.placement, self.supervisors):
-            self.registry.expose(
-                "failover.probes", lambda s=supervisor: s.probes,
-                **shard.labels)
-            self.registry.expose(
-                "failover.probe_misses",
-                lambda s=supervisor: s.probe_misses, **shard.labels)
+        # What liveness costs (probes put on the wire per shard, a round
+        # shared by co-hosted shards counting once for each; those that
+        # came back as anything but "ok"; the renewals the nodes' lease
+        # endpoints handled), the promotions, the replies the serving
+        # server dropped for want of a standby ack, and the standby's lag
+        # in WAL frames (the watchdog's ``space.replication_lag`` feed).
+        for shard, server, s in zip(self.placement, self.space_servers,
+                                    self.supervisors):
+            expose = functools.partial(self.registry.expose, **shard.labels)
+            expose("failover.probes", lambda s=s: s.probes)
+            expose("failover.probe_misses", lambda s=s: s.probe_misses)
+            expose("failover.failovers", lambda s=s: s.failovers)
+            expose("space.repl_stalls",
+                   lambda s=s, p=server: (s.server or p).repl_stalls)
+            expose("space.replication_lag", lambda s=s, p=server: max(
+                0, (s.server or p).space.wal.last_lsn
+                - s.standby.applied_lsn))
         self.registry.expose("failover.lease_renewals", self.lease_renewals)
-        # Standby replication lag in WAL frames (primary LSN minus
-        # the standby's applied LSN) — the watchdog's
-        # ``space.replication_lag`` feed.  Read-through: sampled at
-        # snapshot time, free on the commit path.
-        for shard, space, standby in zip(self.placement, self.spaces,
-                                         self.standbys):
-            self.registry.expose(
-                "space.replication_lag",
-                lambda s=space, r=standby: max(
-                    0, s.wal.last_lsn - r.applied_lsn),
-                **shard.labels)
 
     def _start_monitoring(self) -> None:
         """Network management module on the master host."""
@@ -801,7 +801,7 @@ class AdaptiveClusterFramework:
         """Fair-share take grants per tenant, summed over every shard."""
         grants: dict[str, int] = {}
         for space in self.current_spaces():
-            for key, value in getattr(space, "fair_stats", {}).items():
+            for key, value in space.fair_stats.items():
                 if key.startswith("grants:"):
                     tenant = key[len("grants:"):]
                     grants[tenant] = grants.get(tenant, 0) + value
@@ -818,14 +818,18 @@ class AdaptiveClusterFramework:
         )
         return total
 
+    def _serving_space(self, shard: int) -> JavaSpace:
+        """The authoritative space object of ``shard`` — the original
+        primary, or the promoted standby's replica after a failover."""
+        if shard < len(self.supervisors):
+            promoted = self.supervisors[shard].server
+            if promoted is not None:
+                return promoted.space
+        return self.spaces[shard]
+
     def current_spaces(self) -> list[JavaSpace]:
-        """The authoritative space object per shard — the original primary,
-        or the promoted standby's replica after a failover."""
-        spaces = list(self.spaces)
-        for i, supervisor in enumerate(self.supervisors):
-            if supervisor.failed_over and supervisor.server is not None:
-                spaces[i] = supervisor.server.space
-        return spaces
+        """:meth:`_serving_space` of every shard."""
+        return [self._serving_space(i) for i in range(len(self.spaces))]
 
     def final_contents(self) -> list[Entry]:
         """Every entry still visible in the (post-failover) space, all

@@ -750,8 +750,9 @@ def contention_chaos_experiment(
                **common: Any) -> ContentionResult:
         reports, expected, errors = outcome
         admission_totals: dict[str, int] = {}
-        for server in framework.space_servers:
-            for key, value in server.admission.stats.items():
+        for name, _, _, value in framework.registry.samples():
+            if name.startswith("admission."):
+                key = name[len("admission."):]
                 admission_totals[key] = admission_totals.get(key, 0) + value
         governor = framework.governor
         return ContentionResult(

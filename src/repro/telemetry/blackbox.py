@@ -1,28 +1,27 @@
 """Always-on black-box flight recorder and postmortem bundles.
 
 Aircraft keep a flight recorder running whether or not anyone expects a
-crash; so does this cluster.  The :class:`FlightRecorder` rings the most
-recent spans (per simulated process) and metrics events through bounded
-deques, costing O(1) per record and a fixed memory ceiling — cheap
-enough to leave on for every chaos campaign.  When something goes wrong
-— a supervisor promotes a standby, a checker gate fails, a determinism
-replay diverges — :meth:`dump` freezes the rings plus the surrounding
-context (Prometheus metrics text, checker-history tail, the fault plan
-that was running) into a :class:`PostmortemBundle` that CI uploads as an
-artifact, so the failure is debuggable without re-running the campaign.
+crash; so does this cluster, at no cost per record: the
+:class:`FlightRecorder` keeps no copy, and reads the newest
+``EVENT_CAPACITY`` events of the event log and the newest
+``SPAN_CAPACITY`` spans per simulated process of the tracer at dump
+time.  When something goes wrong — a supervisor promotes a standby, a
+checker gate fails, a determinism replay diverges — :meth:`dump`
+freezes those plus the surrounding context (Prometheus metrics text,
+checker-history tail, the fault plan that was running) into a
+:class:`PostmortemBundle` that CI uploads as an artifact, so the
+failure is debuggable without re-running the campaign.
 
-Determinism: the recorder only *observes* hooks that already fire
-(``Metrics.on_event``, ``Tracer.sink``); it schedules nothing, reads no
-clock of its own, and its rings never feed back into the run.  The
-byte-identical-with-tracing-off invariant is untouched — with tracing
-off the span ring simply stays empty while events still record.
+Determinism: the recorder only *observes* — its one hook,
+``Metrics.on_event``, checks each event for a trigger; it schedules
+nothing and reads no clock of its own.  With tracing off a bundle's
+spans are simply empty while its events still record.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -30,7 +29,7 @@ __all__ = ["FlightRecorder", "PostmortemBundle"]
 
 #: Metrics events that trip an automatic postmortem dump.  Promotion is
 #: the flagship: a standby taking over means the primary died, and the
-#: moments leading up to that death are exactly what the ring holds.
+#: moments leading up to that death are exactly what a bundle holds.
 TRIGGERS = ("standby-promoted",)
 
 
@@ -76,7 +75,7 @@ class PostmortemBundle:
 
 
 class FlightRecorder:
-    """Bounded ring buffers of recent spans/events, dumpable on demand."""
+    """Reads the newest spans and events of the run, dumpable on demand."""
 
     #: Spans kept per process, events kept in all, and history operations
     #: a bundle carries (the newest of each).
@@ -89,8 +88,8 @@ class FlightRecorder:
         self.bundles: list[PostmortemBundle] = []
         self.fault_plan: Optional[dict] = None
         self.watchdog: Any = None
-        self._spans: dict[str, deque] = {}
-        self._events: deque = deque(maxlen=self.EVENT_CAPACITY)
+        self._metrics: Any = None
+        self._tracer: Any = None
         self._registry: Any = None
         self._history: Any = None
 
@@ -98,24 +97,15 @@ class FlightRecorder:
 
     def attach(self, metrics: Any, tracer: Any, registry: Any,
                history: Any) -> None:
-        """Hook the observation points (``history`` may be None: the run
-        records none)."""
+        """Hook the trigger check onto the event log and keep what a
+        bundle reads (``history`` may be None: the run records none)."""
         metrics.on_event = self._on_event
-        tracer.sink = self._on_span
+        self._metrics = metrics
+        self._tracer = tracer
         self._registry = registry
         self._history = history
 
-    # -- ring writers --------------------------------------------------------
-
-    def _on_span(self, span: Any) -> None:
-        proc = span.proc if span.proc is not None else "-"
-        ring = self._spans.get(proc)
-        if ring is None:
-            ring = self._spans[proc] = deque(maxlen=self.SPAN_CAPACITY)
-        ring.append(span)
-
     def _on_event(self, now: float, name: str, payload: dict) -> None:
-        self._events.append((now, name, payload))
         if name in TRIGGERS:
             self.dump(reason=name,
                       trigger={"name": name, "t_ms": now, **payload})
@@ -124,15 +114,16 @@ class FlightRecorder:
 
     def dump(self, reason: str,
              trigger: Optional[dict] = None) -> PostmortemBundle:
-        """Freeze the rings into a bundle (and keep it on ``bundles``)."""
-        spans = {proc: [span.to_dict() for span in ring]
-                 for proc, ring in sorted(self._spans.items())}
-        alerts = []
-        if self.watchdog is not None:
-            alerts = [a.to_dict() for a in self.watchdog.alerts]
-        metrics_text = ""
-        if self._registry is not None:
-            metrics_text = self._registry.prometheus_text()
+        """Freeze the newest spans and events into a kept bundle."""
+        by_proc: dict[str, list] = {}
+        for span in self._tracer.spans:
+            proc = span.proc if span.proc is not None else "-"
+            by_proc.setdefault(proc, []).append(span)
+        spans = {proc: [span.to_dict()
+                        for span in group[-self.SPAN_CAPACITY:]]
+                 for proc, group in sorted(by_proc.items())}
+        alerts = ([a.to_dict() for a in self.watchdog.alerts]
+                  if self.watchdog is not None else [])
         history = None
         if self._history is not None:
             ops = getattr(self._history, "ops", [])
@@ -154,8 +145,8 @@ class FlightRecorder:
             trigger=trigger,
             alerts=alerts,
             spans=spans,
-            events=list(self._events),
-            metrics_text=metrics_text,
+            events=self._metrics.events[-self.EVENT_CAPACITY:],
+            metrics_text=self._registry.prometheus_text(),
             history=history,
             fault_plan=self.fault_plan,
         )

@@ -1,12 +1,17 @@
 """Cluster console: render the framework's live state as a text table.
 
 ``repro top`` drives this — one row per worker (state, tasks completed,
-throughput, RPC health, signal reaction latency) plus space, failover,
-admission and SLO-alert summary lines.  :func:`cluster_snapshot` reads
-the state once, as one plain dict (``repro top --json`` and CI scripts
-print it); :func:`cluster_table` formats that dict.  Reading changes
-nothing, so either can be called from a monitor process mid-run (live
-frames) or once after ``framework.run()`` returns (final snapshot).
+throughput, RPC health, signal reaction latency) plus space, WAL,
+failover, admission, tenant, preemption, master and SLO-alert summary
+lines.  :func:`cluster_snapshot` reads the state once, as one plain dict
+(``repro top --json`` and CI scripts print it); :func:`cluster_table`
+formats that dict.  Every cluster counter comes from the framework's
+metrics registry, the one read path the Prometheus text, the SLO
+watchdog and postmortem bundles share, so the console shows what they
+show; only the worker rows and the alert pane read their sources
+directly.  Reading changes nothing, so either can be called from a
+monitor process mid-run (live frames) or once after ``framework.run()``
+returns (final snapshot).
 """
 
 from __future__ import annotations
@@ -30,28 +35,13 @@ def _signal_latencies(metrics: Any, hostname: str) -> list[float]:
     return out
 
 
-def _wal_totals(spaces: list) -> Optional[dict]:
-    """Log and checkpoint figures summed over the durable spaces (None
-    when no space has a write-ahead log)."""
-    stores = [space.wal.store for space in spaces if hasattr(space, "wal")]
-    if not stores:
-        return None
-    return {
-        "commits": sum(store.last_lsn for store in stores),
-        "syncs": sum(store.syncs for store in stores),
-        "checkpoints": sum(store.checkpoints for store in stores),
-        "tail_bytes": sum(store.tail_bytes for store in stores),
-        "state_bytes": sum(store.state_bytes for store in stores),
-    }
-
-
-def _match_totals(spaces: list) -> dict:
-    """``JavaSpace.match_stats`` summed over the spaces."""
-    totals: dict[str, int] = {}
-    for space in spaces:
-        for key, value in space.match_stats.items():
-            totals[key] = totals.get(key, 0) + value
-    return totals
+#: The registry names a shard row reads, and the row's key for each.
+_SHARD_ROW = {"space.writes": "writes", "space.takes": "takes",
+              "space.reads": "reads", "space.queue_depth": "queue",
+              "space.wakeups": "wakeups",
+              "space.bytes_written": "bytes_written", "space.epoch": "epoch"}
+_SPACE_KEYS = ("writes", "takes", "reads", "queue", "wakeups",
+               "bytes_written")
 
 
 def _space_counts(space: dict) -> str:
@@ -168,9 +158,10 @@ def cluster_table(framework: Any, report: Any = None) -> str:
 def cluster_snapshot(framework: Any, report: Any = None) -> dict:
     """The console's state as one JSON-ready dict (``repro top --json``).
 
-    The space figures are read off the spaces serving now (a promoted
-    standby's replica after a failover); a shard's ``queue`` is its
-    :meth:`~repro.tuplespace.space.JavaSpace.queue_depth`.
+    The cluster figures are the registry's samples, summed per name; a
+    shard row is one ``shard`` label's (the registry reads each shard's
+    serving space, a promoted standby's replica after a failover), and
+    its ``queue`` is ``space.queue_depth``.
     """
     metrics = framework.metrics
     snapshot: dict[str, Any] = {
@@ -199,59 +190,41 @@ def cluster_snapshot(framework: Any, report: Any = None) -> dict:
         })
     snapshot["workers"] = workers
 
-    spaces = framework.current_spaces()
-    shard_stats = []
-    for space in spaces:
-        stats = space.stats
-        shard_stats.append({
-            "writes": stats["writes"], "takes": stats["takes"],
-            "reads": stats["reads"], "queue": space.queue_depth(),
-            "wakeups": stats["wakeups"],
-            "bytes_written": stats["bytes_written"],
-        })
-    snapshot["shards"] = shard_stats
-    snapshot["space"] = {
-        key: sum(shard[key] for shard in shard_stats)
-        for key in ("writes", "takes", "reads", "queue",
-                    "wakeups", "bytes_written")
-    }
-    snapshot["space"]["match"] = _match_totals(spaces)
+    # One pass over the registry: every counter summed per name, and the
+    # shard rows keyed by the ``shard`` label ("" when unsharded).
+    totals: dict[str, Any] = {}
+    shards: dict[str, dict[str, Any]] = {}
+    for name, labels, kind, value in framework.registry.samples():
+        if kind == "histogram":
+            continue
+        totals[name] = totals.get(name, 0) + value
+        key = _SHARD_ROW.get(name)
+        if key is not None:
+            shards.setdefault(labels.get("shard", ""), {})[key] = value
 
-    wal = _wal_totals(spaces)
-    if wal is not None:
-        snapshot["wal"] = wal
+    def family(prefix: str) -> dict[str, Any]:
+        return {name[len(prefix):]: value for name, value in totals.items()
+                if name.startswith(prefix)}
 
-    supervisors = framework.supervisors
-    servers = framework.space_servers
-    if supervisors:
-        snapshot["failover"] = {
-            "epochs": [s.epoch for s in supervisors],
-            "failovers": sum(s.failovers for s in supervisors),
-            "fenced_rpcs": framework.total_fenced_rpcs(),
-            "repl_stalls": sum(server.repl_stalls for server in servers),
-            "probes": sum(s.probes for s in supervisors),
-            "probe_misses": sum(s.probe_misses for s in supervisors),
-            "lease_renewals": framework.lease_renewals(),
-        }
+    snapshot["shards"] = [{key: shard[key] for key in _SPACE_KEYS}
+                          for shard in shards.values()]
+    snapshot["space"] = {key: sum(shard[key] for shard in shards.values())
+                         for key in _SPACE_KEYS}
+    snapshot["space"]["match"] = family("space.match.")
 
-    admissions = [server.admission for server in servers
-                  if server.admission is not None]
-    if admissions:
-        totals: dict[str, int] = {}
-        for admission in admissions:
-            for key, value in admission.stats.items():
-                totals[key] = totals.get(key, 0) + value
-        snapshot["admission"] = totals
-        grants = framework.tenant_grants()
+    sections = {name: family(f"{name}.") for name in (
+        "wal", "failover", "admission", "preemption", "master")}
+    if sections["failover"]:
+        sections["failover"].update(
+            epochs=[shard["epoch"] for shard in shards.values()],
+            fenced_rpcs=totals["space.fenced_rpcs"],
+            repl_stalls=totals["space.repl_stalls"])
+    if sections["admission"]:
+        grants = family("space.fair.grants:")
         if grants:
             snapshot["tenants"] = dict(sorted(grants.items()))
-    if framework.governor is not None:
-        snapshot["preemption"] = dict(framework.governor.stats)
-
-    if framework.master.checkpoint_ms is not None:
-        snapshot["master"] = {
-            name: getattr(framework.master, name)
-            for name in ("checkpoints_written", "checkpoint_age_ms")}
+    snapshot.update((name, section) for name, section in sections.items()
+                    if section)
 
     if framework.watchdog is not None:
         snapshot["alerts"] = [a.to_dict() for a in framework.watchdog.alerts]

@@ -14,9 +14,11 @@ sub-buckets per octave bound the relative quantile error by
 ``2**(1/8)`` (≈ 9%).
 
 Readers: :meth:`Registry.prometheus_text` renders the Prometheus text
-format (``repro trace --metrics-out``, postmortem bundles), and the SLO
-watchdog (:mod:`repro.telemetry.slo`) evaluates its rules over
-:meth:`Registry.samples`.  Nothing copies the values anywhere else.
+format (``repro trace --metrics-out``, postmortem bundles); the SLO
+watchdog (:mod:`repro.telemetry.slo`), the ``repro top`` console and the
+contention campaign's report read :meth:`Registry.samples`.  A shard's
+collectors read the space serving it now (a promoted standby's replica
+after a failover).  Values keep their type; nothing copies them.
 """
 
 from __future__ import annotations
@@ -135,17 +137,18 @@ class Registry:
     def expose(self, name: str, fn: Callable[[], float],
                **labels: str) -> None:
         """Expose a single value read through ``fn`` at dump time."""
-        self._collectors.append(lambda: [(name, dict(labels), float(fn()))])
+        self._collectors.append(lambda: [(name, dict(labels), fn())])
 
-    def expose_dict(self, prefix: str, mapping: Mapping[str, float],
-                    **labels: str) -> None:
-        """Expose every ``key: value`` of a live stats mapping as
-        ``<prefix>.<key>`` — a read-through view, sampled at dump time."""
+    def expose_dict(self, prefix: str, mapping: Any, **labels: str) -> None:
+        """Expose every ``key: value`` of a live stats mapping (or of the
+        one a function returns at each read) as ``<prefix>.<key>`` — a
+        read-through view, sampled at dump time."""
         label_dict = dict(labels)
+        read = mapping if callable(mapping) else lambda: mapping
 
         def collect():
-            return [(f"{prefix}.{key}", label_dict, float(value))
-                    for key, value in mapping.items()]
+            return [(f"{prefix}.{key}", label_dict, value)
+                    for key, value in read().items()]
 
         self._collectors.append(collect)
 

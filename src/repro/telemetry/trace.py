@@ -161,11 +161,9 @@ class Tracer:
     def __init__(self, runtime: Any, enabled: bool = False) -> None:
         self.runtime = runtime
         self.enabled = enabled
+        #: Every span recorded, in start order (the flight recorder
+        #: reads the newest of each process's at dump time).
         self.spans: list[Span] = []
-        #: Optional observer invoked with each span as it is recorded
-        #: (the flight recorder rings recent spans through this).  Only
-        #: fires when tracing is enabled, so it cannot affect timelines.
-        self.sink: Optional[Callable[[Span], None]] = None
         self._next_id = 0
         # Active-span stacks keyed by ``runtime.context()`` — the simulated
         # process, not the OS thread: a parked process's thread also runs
@@ -215,8 +213,6 @@ class Tracer:
         span = Span(self._now, name, trace_id, span_id, parent_id, proc,
                     self._now(), attrs)
         self.spans.append(span)
-        if self.sink is not None:
-            self.sink(span)
         return span
 
     def record(self, name: str, trace_id: str, start_ms: float, end_ms: float,
@@ -231,8 +227,6 @@ class Tracer:
                     proc, start_ms, attrs)
         span.end_ms = end_ms
         self.spans.append(span)
-        if self.sink is not None:
-            self.sink(span)
         return span
 
     def instant(self, name: str, trace_id: str, proc: Optional[str] = None,

@@ -318,7 +318,6 @@ class SpaceSupervisor:
             from repro.core.metrics import Metrics  # core imports this module
             metrics = Metrics(runtime)
         self.metrics = metrics
-        self.failed_over = False
         self.failovers = 0
         self.server: Optional[SpaceServer] = None
         self._running = False
@@ -345,11 +344,6 @@ class SpaceSupervisor:
     #: so a primary that stops hearing from us self-fences before its
     #: replacement starts acknowledging writes.
     lease_ms = HEARTBEAT_MS * MAX_MISSES
-
-    @property
-    def epoch(self) -> int:
-        """Epoch of the primary currently (or last) supervised."""
-        return self.standby.space.wal.epoch
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -444,7 +438,6 @@ class SpaceSupervisor:
                 self.runtime.sleep(remaining)
             if not self._running:
                 return
-        self.failed_over = True
         self.failovers += 1
         old_primary = self.primary_address
         self.server = self.standby.promote(
@@ -517,15 +510,15 @@ class SpaceSupervisor:
             snapshot_every=self.standby.space.snapshot_every,
             metrics=self.metrics,
         )
+        # Traced like the standby it replaces (the framework's tracer).
+        rejoined.space.wal.tracer = self.standby.space.wal.tracer
         rejoined.start()
         self._spawned_standbys.append(rejoined)
         self.metrics.event("standby-rejoining", host=self.host,
                            address=str(old_primary), epoch=epoch)
         # Re-arm: supervise the promoted primary with the rejoined
         # standby as its successor (a second failover serves at the old
-        # primary's address under epoch+1).  ``failed_over`` stays True —
-        # it records that a failover *happened*; the watch loop keys off
-        # the failover generation instead.
+        # primary's address under epoch+1).
         self.primary_address = self.standby.address
         self.standby = rejoined
         if self.server is not None:

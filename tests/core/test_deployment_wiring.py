@@ -40,8 +40,8 @@ SPACE = ["space.bytes_written", "space.events", "space.expired",
          "space.takes", "space.wakeups", "space.writes"]
 WAL = ["space.epoch", "wal.checkpoints", "wal.commits", "wal.state_bytes",
        "wal.syncs", "wal.tail_bytes"]
-FAILOVER = ["failover.probe_misses", "failover.probes",
-            "space.replication_lag"]
+FAILOVER = ["failover.failovers", "failover.probe_misses", "failover.probes",
+            "space.repl_stalls", "space.replication_lag"]
 ADMISSION = ["admission.admitted", "admission.checked",
              "admission.rejected", "admission.shed"]
 ALWAYS = ["net.datagram_bytes", "net.datagrams", "net.dropped",

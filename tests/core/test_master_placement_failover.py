@@ -56,7 +56,7 @@ def _kill_shard_campaign(seed=11):
         now = runtime.now()
         observed = dict(
             report=report,
-            failed_over=[s.failed_over for s in framework.supervisors],
+            failed_over=[s.failovers > 0 for s in framework.supervisors],
             leases_live=[server._lease_expires > now
                          for server in framework.space_servers],
             probe_misses=[s.probe_misses for s in framework.supervisors],

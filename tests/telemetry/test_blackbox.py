@@ -1,64 +1,76 @@
-"""Flight recorder: bounded rings, auto-dump triggers, bundle contents."""
+"""Flight recorder: the newest N of the log and the span list, auto-dump
+triggers, bundle contents."""
 
 from __future__ import annotations
 
 import json
 
+from repro.core.metrics import Metrics
 from repro.experiments.chaos import coordination_chaos_experiment
-from repro.runtime.simulated import SimulatedRuntime
+from repro.telemetry import Registry, Tracer
 from repro.telemetry.blackbox import TRIGGERS, FlightRecorder
 
 
-class FakeSpan:
-    def __init__(self, name, proc, start_ms, end_ms):
-        self.name = name
-        self.proc = proc
-        self.start_ms = start_ms
-        self.end_ms = end_ms
+class Clock:
+    """A settable stand-in for the runtime's clock."""
 
-    def to_dict(self):
-        return {"name": self.name, "proc": self.proc,
-                "start_ms": self.start_ms, "end_ms": self.end_ms}
+    def __init__(self) -> None:
+        self.t = 0.0
+
+    def now(self) -> float:
+        return self.t
 
 
-def test_span_ring_is_bounded_per_process():
-    runtime = SimulatedRuntime()
-    flight = FlightRecorder(runtime)
+def attached():
+    """A recorder hooked onto a real event log and an enabled tracer."""
+    clock = Clock()
+    metrics, tracer = Metrics(clock), Tracer(clock, enabled=True)
+    flight = FlightRecorder(clock)
+    flight.attach(metrics=metrics, tracer=tracer, registry=Registry(),
+                  history=None)
+    return clock, metrics, tracer, flight
+
+
+def test_span_capacity_is_per_process():
+    _, _, tracer, flight = attached()
     emitted = 2 * FlightRecorder.SPAN_CAPACITY
     for i in range(emitted):
-        flight._on_span(FakeSpan("task", "worker-0", float(i), float(i) + 1))
-        flight._on_span(FakeSpan("task", "worker-1", float(i), float(i) + 1))
+        for proc in ("worker-0", "worker-1"):
+            tracer.record("task", "t", float(i), float(i) + 1, proc=proc)
     bundle = flight.dump("manual")
     assert set(bundle.spans) == {"worker-0", "worker-1"}
     for spans in bundle.spans.values():
         assert len(spans) == FlightRecorder.SPAN_CAPACITY   # not emitted
         assert spans[-1]["start_ms"] == emitted - 1         # newest survive
+    assert len(tracer.spans) == 2 * emitted
 
 
-def test_event_ring_is_bounded_and_dump_does_not_drain_it():
-    runtime = SimulatedRuntime()
-    flight = FlightRecorder(runtime)
+def test_event_capacity_holds_and_dump_does_not_drain_the_log():
+    clock, metrics, _, flight = attached()
     emitted = 2 * FlightRecorder.EVENT_CAPACITY
     for i in range(emitted):
-        flight._on_event(float(i), "space-take", {"seq": i})
+        clock.t = float(i)
+        metrics.event("space-take", seq=i)
     first = flight.dump("manual")
     second = flight.dump("manual")
     assert len(first.events) == FlightRecorder.EVENT_CAPACITY
     assert first.events == second.events            # snapshot, not drain
     last = emitted - 1
     assert first.events[-1] == (float(last), "space-take", {"seq": last})
+    assert len(metrics.events) == emitted
 
 
 def test_promotion_event_auto_dumps_a_bundle():
-    runtime = SimulatedRuntime()
-    flight = FlightRecorder(runtime)
+    clock, metrics, _, flight = attached()
     assert "standby-promoted" in TRIGGERS
-    flight._on_event(123.0, "standby-promoted", {"host": "space", "epoch": 2})
+    clock.t = 123.0
+    metrics.event("standby-promoted", host="space", epoch=2)
     assert len(flight.bundles) == 1
     bundle = flight.bundles[0]
     assert bundle.reason == "standby-promoted"
     assert bundle.trigger["epoch"] == 2
     assert bundle.trigger["name"] == "standby-promoted"
+    assert bundle.trigger["t_ms"] == 123.0
 
 
 def test_kill_primary_campaign_produces_promotion_postmortem(tmp_path):

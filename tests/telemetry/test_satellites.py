@@ -3,6 +3,8 @@ trace/top CLI commands."""
 
 from __future__ import annotations
 
+import functools
+
 from repro.cli import main
 from repro.core.framework import AdaptiveClusterFramework, FrameworkConfig
 from repro.core.metrics import Metrics
@@ -105,7 +107,11 @@ def test_console_queue_is_the_visible_backlog_after_an_aborted_take(rt):
     assert " queue≈1 " in _space_line(cluster_table(framework))
 
 
-def test_console_reads_the_promoted_replica_after_a_failover():
+@functools.lru_cache(maxsize=None)
+def _after_a_failover() -> dict:
+    """Hot standby, seed 11, the primary killed at 2 000 ms: what the
+    serving replica, the registry and the console read once the job
+    completes exactly-once on the promoted replica."""
     def body(runtime):
         cluster = testbed_small(runtime, workers=4,
                                 streams=RandomStreams(11))
@@ -123,22 +129,58 @@ def test_console_reads_the_promoted_replica_after_a_failover():
         report = framework.run_with_recovery()
         assert report.complete
         [supervisor] = framework.supervisors
-        assert supervisor.failed_over
+        assert supervisor.failovers
         [serving] = framework.current_spaces()
         assert serving is not framework.space
-        snapshot = cluster_snapshot(framework)
-        table = cluster_table(framework)
+        replica = {f"space.{key}": value
+                   for key, value in serving.stats.items()}
+        replica.update({f"space.match.{key}": value
+                        for key, value in serving.match_stats.items()})
+        replica.update({"space.queue_depth": serving.queue_depth(),
+                        "wal.commits": serving.wal.last_lsn,
+                        "space.epoch": serving.wal.epoch})
+        seen = dict(
+            replica=replica,
+            samples={name: value for name, _, kind, value
+                     in framework.registry.samples() if kind != "histogram"},
+            text=framework.registry.prometheus_text(),
+            snapshot=cluster_snapshot(framework),
+            table=cluster_table(framework))
         framework.shutdown()
-        return serving, snapshot, table
+        return seen
 
-    serving, snapshot, table = run_simulation(body)
-    space = snapshot["space"]
-    assert space["queue"] == serving.queue_depth() == 0
-    assert space["takes"] == serving.stats["takes"]
-    assert space["writes"] == serving.stats["writes"]
-    line = _space_line(table)
-    assert f" takes={serving.stats['takes']} " in line
+    return run_simulation(body)
+
+
+def test_console_reads_the_promoted_replica_after_a_failover():
+    seen = _after_a_failover()
+    replica, space = seen["replica"], seen["snapshot"]["space"]
+    assert space["queue"] == replica["space.queue_depth"] == 0
+    assert space["takes"] == replica["space.takes"]
+    assert space["writes"] == replica["space.writes"]
+    line = _space_line(seen["table"])
+    assert f" takes={replica['space.takes']} " in line
     assert " queue≈0 " in line
+
+
+def test_registry_reads_the_promoted_replica_after_a_failover():
+    """Every reader of the registry — Prometheus text, the SLO watchdog,
+    postmortem bundles, the console — sees the replica, not the dead
+    primary (which took 36 tasks and left 8 queued)."""
+    seen = _after_a_failover()
+    replica, samples = seen["replica"], seen["samples"]
+    assert {name: samples[name] for name in replica} == replica
+    text = "\n" + seen["text"]
+    for name, value in replica.items():
+        assert f"\n{name.replace('.', '_')} {value}\n" in text, name
+    snapshot = seen["snapshot"]
+    for key in ("writes", "takes", "reads", "wakeups", "bytes_written"):
+        assert snapshot["space"][key] == samples[f"space.{key}"]
+    assert snapshot["space"]["queue"] == samples["space.queue_depth"]
+    assert snapshot["wal"]["commits"] == samples["wal.commits"]
+    assert snapshot["failover"]["epochs"] == [samples["space.epoch"]]
+    assert snapshot["failover"]["failovers"] == \
+        samples["failover.failovers"] == 1
 
 
 def test_top_command(capsys):

@@ -7,6 +7,7 @@ largest checkpoint (the one durability stall that grows with the store).
 from __future__ import annotations
 
 from repro.core.framework import AdaptiveClusterFramework, FrameworkConfig
+from repro.experiments.chaos import coordination_chaos_experiment
 from repro.experiments.harness import run_simulation
 from repro.node.cluster import testbed_small
 from repro.sim.rng import RandomStreams
@@ -71,3 +72,19 @@ def test_gauges_carry_shard_labels():
         for gauge in ("wal_tail_bytes", "wal_state_bytes", "wal_checkpoints"):
             assert f'{gauge}{{shard="{shard}"}}' in text
     assert "wal: commits=" in cluster_table(framework)
+
+
+def test_a_promoted_replicas_commits_are_traced():
+    """The standby's log carries the framework's tracer, so the commits
+    the job makes after the promotion show as ``wal.commit`` instants
+    like those before it."""
+    result = coordination_chaos_experiment(
+        seed=42, faults=("kill-primary-space",), trace=True)
+    assert result.exactly_once
+    [promotion] = [bundle for bundle in result.postmortems
+                   if bundle.reason == "standby-promoted"]
+    promoted_ms = promotion.trigger["t_ms"]
+    commits = [span.start_ms for span in result.tracer.spans
+               if span.name == "wal.commit"]
+    assert [t for t in commits if t < promoted_ms]
+    assert [t for t in commits if t > promoted_ms]

@@ -288,13 +288,13 @@ def test_supervised_promotion_waits_out_the_inflight_lease(runtime):
         proxy = SpaceProxy(network, "client", REMOTE_PRIMARY)
         proxy.write(Point(1, 0))
         runtime.sleep(550.0)
-        assert not supervisor.failed_over
+        assert not supervisor.failovers
         # GC-pause the primary's host.  Probes are *held*, not refused —
         # each renewal may still land when the pause lifts, so the
         # supervisor must assume the worst about every one it sent.
         network.pause("phost")
         runtime.sleep(2_000.0)
-        assert supervisor.failed_over
+        assert supervisor.failovers
         waits = metrics.events_named("failover-lease-wait")
         assert waits and waits[0][1]["wait_ms"] > 0
         misses = metrics.events_named("primary-heartbeat-miss")
