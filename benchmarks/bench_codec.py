@@ -7,8 +7,8 @@ reference, as ``serialize`` (pickle) of the same object: the ``pickle``
 rows are that reference, not a path the system takes.  Plus the WAL
 commit-record frame path (``record_frame``) and a field-slice read
 (``read_fields``: what the space pays to route an entry) against the
-full decode it replaced.  Wall-clock only; nothing is written to
-BENCH_micro.json (run_micro carries the gated cells).
+full decode it replaced.  Wall-clock only and ungated: it prints,
+nothing more.
 
 Usage::
 

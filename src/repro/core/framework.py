@@ -346,7 +346,9 @@ class AdaptiveClusterFramework:
             expose_dict("space.fair", lambda: space().fair_stats)
         if not isinstance(self.spaces[i], DurableSpace):
             return
-        self.spaces[i].wal.tracer = self.tracer
+        shard = self.placement[i]
+        self.spaces[i].wal.trace_into(self.tracer, shard.suffix,
+                                      str(shard.address))
         expose("wal.commits", lambda: space().wal.last_lsn)
         expose("wal.syncs", lambda: space().wal.store.syncs)
         expose("wal.tail_bytes", lambda: space().wal.store.tail_bytes)
@@ -623,7 +625,8 @@ class AdaptiveClusterFramework:
                 metrics=self.metrics,
             )
             # A promoted replica's commits are traced like the primary's.
-            standby.space.wal.tracer = self.tracer
+            standby.space.wal.trace_into(self.tracer, shard.suffix,
+                                         str(shard.standby_address))
             standby.start()
             self.standbys.append(standby)
             supervisor = SpaceSupervisor(

@@ -530,6 +530,8 @@ TENANT_STRIDE = 1_000_000
 VICTIM = "victim"
 AGGRESSOR = "aggressor"
 
+#: The victim's tasks.
+VICTIM_TASKS = 24
 #: The aggressor's in-flight quota (it floods ten times that many tasks)
 #: and its token-bucket write rate.
 AGGRESSOR_QUOTA = 4
@@ -581,7 +583,7 @@ class ContentionResult(_CampaignResult):
     preemptions: int = 0
     tasks_released: int = 0
     #: Simulated timestamps of the victim's result aggregations — the
-    #: overload microbench derives stall percentiles from the gaps.
+    #: summary's p99 gap (the victim's longest stalls) derives from them.
     victim_completions_ms: list[float] = field(default_factory=list)
 
     @property
@@ -600,9 +602,10 @@ class ContentionResult(_CampaignResult):
     def victim_p99_gap_ms(self) -> float:
         """p99 of the gaps between consecutive victim completions.
 
-        The stall measure for the overload benchmark: an aggressor that
-        starves the victim shows up as long silent stretches between its
-        results even when the final throughput number survives."""
+        The stall measure the summary prints beside the throughput: an
+        aggressor that starves the victim shows up as long silent
+        stretches between its results even when the final throughput
+        number survives."""
         times = sorted(self.victim_completions_ms)
         if len(times) < 2:
             return 0.0
@@ -646,7 +649,8 @@ class ContentionResult(_CampaignResult):
             f"Contention run — seed {self.seed}, {self.tenants} tenants, "
             f"aggressor {'on' if self.aggressor else 'off'}",
             f"  victims    : {'all correct' if self.correct else 'WRONG'}; "
-            f"victim throughput {self.victim_throughput_per_s:.2f} tasks/s",
+            f"victim throughput {self.victim_throughput_per_s:.2f} tasks/s, "
+            f"p99 gap {self.victim_p99_gap_ms:.1f} ms",
             f"  admission  : {self.admission_totals}",
             f"  aggressor  : {self.aggressor_admission} "
             f"{('-- ' + self.errors[AGGRESSOR]) if AGGRESSOR in self.errors else ''}",
@@ -663,7 +667,6 @@ def contention_chaos_experiment(
     seed: int = 42,
     workers: int = 4,
     tenants: int = 8,
-    victim_tasks: int = 24,
     aggressor: bool = True,
     prefetch: int = 2,
     trace: bool = False,
@@ -673,7 +676,7 @@ def contention_chaos_experiment(
     """``tenants`` masters share one deployment; one floods 10x its quota.
 
     The tenant roster: one high-priority *victim* (the deployment's own
-    master, ``victim_tasks`` real tasks), one low-priority *aggressor*
+    master, ``VICTIM_TASKS`` real tasks), one low-priority *aggressor*
     flooding ``10 * AGGRESSOR_QUOTA`` tasks against a quota of
     ``AGGRESSOR_QUOTA`` in flight plus a token-bucket rate limit, and
     ``tenants - 2`` bystanders with ``BYSTANDER_TASKS`` each.  Admission
@@ -691,7 +694,7 @@ def contention_chaos_experiment(
         raise ValueError(f"tenants must be >= 2 (victim + aggressor slot), "
                          f"got {tenants}")
 
-    victim_app = TenantSquares(base=0, n=victim_tasks)
+    victim_app = TenantSquares(base=0, n=VICTIM_TASKS)
     config = _config(
         60_000.0, prefetch, trace, shards,
         # -- the multi-tenant job service under test ----------------------
@@ -704,7 +707,7 @@ def contention_chaos_experiment(
         # Sized so the opening burst (victim + bystander seeds) crosses
         # it — the aggressor (priority 0 < the governor's cutoff 1) gets
         # watermark-shed as well as quota-rejected.
-        admission_soft_watermark=victim_tasks // max(1, shards) + 8,
+        admission_soft_watermark=VICTIM_TASKS // max(1, shards) + 8,
         admission_quotas={AGGRESSOR: AGGRESSOR_QUOTA},
         admission_rates={AGGRESSOR: AGGRESSOR_RATE_PER_S},
         preemption_poll_ms=500.0,

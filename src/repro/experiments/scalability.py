@@ -130,27 +130,26 @@ def scalability_experiment(
 class EgressBoundStrips(Application):
     """A raytrace-shaped job whose bottleneck is the space host's uplink.
 
-    Tiny tasks, fat results (one rendered strip ≈ ``result_kb`` KiB).
-    With one space, every result-drain reply leaves a single host, and
-    that link's egress serialization bounds the job; sharding spreads the
-    result entries — and therefore the drain traffic — over N hosts.
-    This is the workload class the sharded space is *for*: compute-bound
-    jobs are already embarrassingly parallel without it.
+    ``TASKS`` tiny tasks, fat results (one rendered strip is
+    ``RESULT_KB`` KiB).  With one space, every result-drain reply leaves
+    a single host, and that link's egress serialization bounds the job;
+    sharding spreads the result entries — and therefore the drain
+    traffic — over N hosts.  This is the workload class the sharded
+    space is *for*: compute-bound jobs are already embarrassingly
+    parallel without it.
     """
 
     app_id = "egress-strips"
-
-    def __init__(self, n: int = 64, result_kb: int = 48) -> None:
-        self.n = n
-        self.result_kb = result_kb
+    TASKS = 256
+    RESULT_KB = 64
 
     def plan(self) -> list[Task]:
-        return [Task(task_id=i, payload=i) for i in range(self.n)]
+        return [Task(task_id=i, payload=i) for i in range(self.TASKS)]
 
     def execute(self, payload: Any) -> Any:
         # A deterministic "pixel strip": content varies by strip index so
         # results cannot be accidentally deduplicated anywhere.
-        return bytes([payload % 256]) * (self.result_kb * 1024)
+        return bytes([payload % 256]) * (self.RESULT_KB * 1024)
 
     def aggregate(self, results: dict[int, Any]) -> Any:
         return sum(len(v) for v in results.values())
@@ -179,15 +178,12 @@ class ShardThroughputRow:
 #: The modelled link: ~12.5 KB/ms ≈ 100 Mb/s Ethernet, the paper's LAN.
 _SHARD_BENCH_LATENCY = dict(base_ms=0.3, jitter_ms=0.0, per_kb_ms=0.02,
                             egress_kb_per_ms=12.5)
+#: The sweep's deployment: 16 workers, each prefetching 8 tasks.
+_SHARD_BENCH_WORKERS = 16
+_SHARD_BENCH_PREFETCH = 8
 
 
-def sharded_throughput_experiment(
-    shards: int,
-    workers: int = 16,
-    strips: int = 256,
-    result_kb: int = 64,
-    prefetch: int = 8,
-) -> ShardThroughputRow:
+def sharded_throughput_experiment(shards: int) -> ShardThroughputRow:
     """E2e task throughput of the egress-bound job at one shard count.
 
     Measured in *virtual* time (tasks per simulated second), so the
@@ -202,12 +198,12 @@ def sharded_throughput_experiment(
         cluster = Cluster(runtime, master_spec=FAST_PC,
                           latency=LatencyModel(**_SHARD_BENCH_LATENCY),
                           streams=RandomStreams(0))
-        cluster.add_workers(workers, FAST_PC)
+        cluster.add_workers(_SHARD_BENCH_WORKERS, FAST_PC)
         # One server machine per shard, off the compute nodes (the paper
         # ran its JavaSpaces server the same way) — shard egress must not
         # queue behind a co-located worker's result uploads.
         cluster.add_space_hosts(shards, FAST_PC)
-        app = EgressBoundStrips(n=strips, result_kb=result_kb)
+        prefetch = _SHARD_BENCH_PREFETCH
         config = FrameworkConfig(
             monitoring=False,
             use_jini=False,
@@ -218,11 +214,13 @@ def sharded_throughput_experiment(
             shards=shards,
             shard_placement="dedicated",
         )
-        report, _ = run_framework_once(runtime, cluster, app, config)
+        report, _ = run_framework_once(runtime, cluster,
+                                       EgressBoundStrips(), config)
+        seconds = report.parallel_ms / 1000.0
         return ShardThroughputRow(
             shards=shards,
             parallel_ms=report.parallel_ms,
-            tasks_per_s=strips / (report.parallel_ms / 1000.0),
+            tasks_per_s=EgressBoundStrips.TASKS / seconds,
         )
 
     return run_simulation(body)

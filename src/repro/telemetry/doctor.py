@@ -31,15 +31,15 @@ with a span covering it (see :data:`PHASE_ORDER`).  The ordering encodes
 
 Everything derives from recorded spans — deterministic span IDs and
 virtual timestamps — so the same seed always renders the byte-identical
-report.  The analyzer runs strictly *after* a job (CLI ``repro doctor``,
-``run_micro --check`` explanations); nothing here touches the hot path.
+report.  The analyzer runs strictly *after* a job (CLI ``repro doctor``);
+nothing here touches the hot path.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 __all__ = [
     "PHASE_ORDER",
@@ -48,7 +48,6 @@ __all__ = [
     "TaskCost",
     "WorkerLane",
     "analyze_job",
-    "explain_phase_regression",
 ]
 
 #: Phases in sweep priority order (highest first); ``queue`` is the
@@ -304,11 +303,15 @@ def analyze_job(tracer_or_spans: Any) -> DoctorReport:
     # -- bucket spans by phase, clipped to the window ------------------------
     # One pass over the span list collects everything downstream needs
     # (phase buckets, worker lanes, per-task cost inputs): the analysis
-    # is on the run_micro --check path, so span-count-linear work is
-    # done once, with the clip inlined.
+    # runs after every traced job, so span-count-linear work is done
+    # once, with the clip inlined.
     raw: dict[str, list[tuple]] = {name: [] for name in PHASE_ORDER}
     span_counts: dict[str, int] = {name: 0 for name in PHASE_ORDER}
     wal_commits = wal_syncs = wal_checkpoints = 0
+    # Only a shard's serving log appends (a replica imports what it is
+    # sent), so a barrier or checkpoint is the job's when its log (the
+    # instant's ``space``) made its shard's last append and covers it.
+    last_append: dict[Any, tuple] = {}
     largest_checkpoint: Optional[Any] = None
     task_spans: list[Any] = []
     by_proc: dict[str, list[tuple]] = {}
@@ -318,15 +321,21 @@ def analyze_job(tracer_or_spans: Any) -> DoctorReport:
     worker_by_trace: dict[str, str] = {}
     for span in spans:
         name = span.name
-        if name == "wal.commit":
-            wal_commits += 1
-        elif name == "wal.sync":
-            wal_syncs += 1
-        elif name == "wal.snapshot":
-            wal_checkpoints += 1
-            if (largest_checkpoint is None or span.attrs.get("bytes", 0)
-                    > largest_checkpoint.attrs.get("bytes", 0)):
-                largest_checkpoint = span
+        if name.startswith("wal."):
+            attrs = span.attrs
+            log = (attrs.get("space"), attrs.get("lsn"))
+            if name == "wal.commit":
+                wal_commits += 1
+                last_append[attrs.get("shard")] = log
+            elif last_append.get(attrs.get("shard")) != log:
+                continue
+            elif name == "wal.sync":
+                wal_syncs += 1
+            elif name == "wal.snapshot":
+                wal_checkpoints += 1
+                if (largest_checkpoint is None or attrs.get("bytes", 0)
+                        > largest_checkpoint.attrs.get("bytes", 0)):
+                    largest_checkpoint = span
         start = span.start_ms
         end = span.end_ms if span.end_ms is not None else start
         if name == "task":
@@ -461,30 +470,3 @@ def analyze_job(tracer_or_spans: Any) -> DoctorReport:
         slowest=tuple(costs),
         counts=counts,
     )
-
-
-def explain_phase_regression(committed: Mapping[str, float],
-                             current: Mapping[str, float]) -> list[str]:
-    """Which phase grew?  Human-readable lines for a throughput failure.
-
-    ``committed``/``current`` are benchmark cell dicts holding
-    ``doctor_<phase>_ms`` entries (deterministic virtual-time
-    milliseconds).  Returns lines sorted by absolute growth, largest
-    first; empty when no phase grew by at least 1 ms.
-    """
-    deltas = []
-    for name in PHASE_ORDER:
-        key = f"doctor_{name}_ms"
-        if key not in committed or key not in current:
-            continue
-        before, after = float(committed[key]), float(current[key])
-        if after - before >= 1.0:
-            deltas.append((after - before, name, before, after))
-    deltas.sort(key=lambda d: (-d[0], d[1]))
-    lines = []
-    for growth, name, before, after in deltas:
-        ratio = after / before if before > 0 else float("inf")
-        lines.append(
-            f"doctor: phase '{name}' grew {before:,.1f} → {after:,.1f} "
-            f"virtual ms ({ratio:.2f}x, +{growth:,.1f} ms)")
-    return lines

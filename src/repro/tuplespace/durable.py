@@ -177,7 +177,8 @@ class DurableSpace(JavaSpace):
         tracer = wal.tracer
         if tracer.enabled:
             tracer.instant("wal.snapshot", trace_id="wal", proc="wal",
-                           lsn=lsn, entries=len(ops), bytes=len(state))
+                           shard=wal.shard, space=wal.space, lsn=lsn,
+                           entries=len(ops), bytes=len(state))
 
     # -- replication (standby side) -------------------------------------------
 

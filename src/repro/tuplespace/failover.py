@@ -511,7 +511,9 @@ class SpaceSupervisor:
             metrics=self.metrics,
         )
         # Traced like the standby it replaces (the framework's tracer).
-        rejoined.space.wal.tracer = self.standby.space.wal.tracer
+        replaced = self.standby.space.wal
+        rejoined.space.wal.trace_into(replaced.tracer, replaced.shard,
+                                      str(old_primary))
         rejoined.start()
         self._spawned_standbys.append(rejoined)
         self.metrics.event("standby-rejoining", host=self.host,

@@ -750,9 +750,20 @@ class WriteAheadLog:
         self._flush_armed = False
         self._subscribers: list[Callable[[CommitRecord], None]] = []
         #: Telemetry tracer; when enabled, each commit/sync drops an
-        #: instant marker under the ``"wal"`` trace.  The framework sets
-        #: its own; the log's is disabled and bound to no runtime.
+        #: instant marker under the ``"wal"`` trace, tagged ``shard`` and
+        #: ``space``.  The framework sets all three (:meth:`trace_into`);
+        #: the log's own tracer is disabled and bound to no runtime.
         self.tracer: Any = Tracer(None)
+        self.shard = self.space = ""
+
+    def trace_into(self, tracer: Any, shard: str, space: str) -> None:
+        """Trace this log's commits, barriers and checkpoints into
+        ``tracer``, each instant tagged with its ``shard`` and ``space``
+        (the address its space serves at), so a reader can tell a
+        shard's serving log from its replicas."""
+        self.tracer = tracer
+        self.shard = shard
+        self.space = space
 
     def bind(self, runtime: Any) -> None:
         """Bind the runtime that drives the time watermark (the first
@@ -769,6 +780,7 @@ class WriteAheadLog:
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant("wal.commit", trace_id="wal", proc="wal",
+                           shard=self.shard, space=self.space,
                            lsn=record.lsn, ops=len(record.ops))
         if self._subscribers:
             self._notify(record)
@@ -796,6 +808,7 @@ class WriteAheadLog:
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant("wal.sync", trace_id="wal", proc="wal",
+                           shard=self.shard, space=self.space,
                            lsn=self.store.last_lsn)
 
     def _arm_flush(self) -> None:
@@ -812,6 +825,7 @@ class WriteAheadLog:
             tracer = self.tracer
             if tracer.enabled:
                 tracer.instant("wal.sync", trace_id="wal", proc="wal",
+                               shard=self.shard, space=self.space,
                                lsn=self.store.last_lsn, group_flush=True)
 
     # -- reading ------------------------------------------------------------

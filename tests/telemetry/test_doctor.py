@@ -1,4 +1,4 @@
-"""Doctor acceptance: closed attribution, determinism, regression diffs.
+"""Doctor acceptance: closed attribution and determinism.
 
 The tentpole criterion: on a warm pipelined job the phase attribution
 sums to 100% of the job's wall time (±1%) and the report is
@@ -14,10 +14,7 @@ from repro.experiments.harness import run_simulation
 from repro.node.cluster import testbed_small
 from repro.sim.rng import RandomStreams
 from repro.telemetry import analyze_job
-from repro.telemetry.doctor import (
-    PHASE_ORDER,
-    explain_phase_regression,
-)
+from repro.telemetry.doctor import PHASE_ORDER
 from tests.core.toyapp import SumOfSquares
 
 
@@ -103,18 +100,3 @@ def test_untraced_run_raises_a_clear_error():
     tracer = run_simulation(body)
     with pytest.raises(ValueError, match="job"):
         analyze_job(tracer)
-
-
-def test_explain_phase_regression_names_the_grown_phase():
-    committed = {"doctor_rpc_ms": 100.0, "doctor_compute_ms": 900.0,
-                 "doctor_queue_ms": 5.0}
-    current = {"doctor_rpc_ms": 350.0, "doctor_compute_ms": 900.2,
-               "doctor_queue_ms": 5.0}
-    lines = explain_phase_regression(committed, current)
-    assert len(lines) == 1
-    assert "rpc" in lines[0] and "100" in lines[0] and "350" in lines[0]
-
-
-def test_explain_phase_regression_quiet_when_nothing_grew():
-    cells = {f"doctor_{p}_ms": 10.0 for p in PHASE_ORDER}
-    assert explain_phase_regression(cells, dict(cells)) == []

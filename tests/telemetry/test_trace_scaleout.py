@@ -82,8 +82,7 @@ def test_sharded_span_ids_deterministic_across_runs():
 
 def run_contention_traced(tenants: int = 4):
     return contention_chaos_experiment(
-        seed=11, tenants=tenants, victim_tasks=6, aggressor=False,
-        trace=True)
+        seed=11, tenants=tenants, aggressor=False, trace=True)
 
 
 def test_tenant_task_spans_are_stride_namespaced():

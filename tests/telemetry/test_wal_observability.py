@@ -6,6 +6,8 @@ largest checkpoint (the one durability stall that grows with the store).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.framework import AdaptiveClusterFramework, FrameworkConfig
 from repro.experiments.chaos import coordination_chaos_experiment
 from repro.experiments.harness import run_simulation
@@ -74,13 +76,22 @@ def test_gauges_carry_shard_labels():
     assert "wal: commits=" in cluster_table(framework)
 
 
-def test_a_promoted_replicas_commits_are_traced():
-    """The standby's log carries the framework's tracer, so the commits
-    the job makes after the promotion show as ``wal.commit`` instants
-    like those before it."""
+@pytest.fixture(scope="module")
+def failover():
+    """A traced hot-standby job whose primary space is killed (seed 42):
+    the replica is promoted at ~3 509 ms and the deposed primary rejoins
+    as its standby."""
     result = coordination_chaos_experiment(
         seed=42, faults=("kill-primary-space",), trace=True)
     assert result.exactly_once
+    return result
+
+
+def test_a_promoted_replicas_commits_are_traced(failover):
+    """The standby's log carries the framework's tracer, so the commits
+    the job makes after the promotion show as ``wal.commit`` instants
+    like those before it."""
+    result = failover
     [promotion] = [bundle for bundle in result.postmortems
                    if bundle.reason == "standby-promoted"]
     promoted_ms = promotion.trigger["t_ms"]
@@ -88,3 +99,18 @@ def test_a_promoted_replicas_commits_are_traced():
                if span.name == "wal.commit"]
     assert [t for t in commits if t < promoted_ms]
     assert [t for t in commits if t > promoted_ms]
+
+
+def test_the_doctor_counts_only_the_serving_logs_instants(failover):
+    """The promoted replica and the rejoined standby both checkpoint at
+    lsn 64, and the deposed primary's log is synced at shutdown beside
+    the serving one: one checkpoint and one barrier are the job's."""
+    wal = [span for span in failover.tracer.spans
+           if span.name in ("wal.snapshot", "wal.sync")]
+    assert sorted((span.name, span.attrs["lsn"]) for span in wal) == [
+        ("wal.snapshot", 64), ("wal.snapshot", 64),
+        ("wal.sync", 51), ("wal.sync", 80)]
+    doc = analyze_job(failover.tracer)
+    assert doc.counts["wal_commits"] == 80
+    assert doc.counts["wal_checkpoints"] == 1
+    assert doc.counts["wal_syncs"] == 1

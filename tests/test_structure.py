@@ -337,7 +337,8 @@ NEVER_FLIPPED: dict[Site, str] = {
                   _SUITE, "codec"),
     **_options_of("tuplespace/durable.py", "DurableSpace.recover", _SUITE,
                   "codec", "snapshot_every"),
-    ("tuplespace/wal.py", "FileWalStore", "codec"): _SUITE,
+    **_options_of("tuplespace/wal.py", "FileWalStore", _SUITE,
+                  "codec", "group_size"),
     ("tuplespace/space.py", "JavaSpace.exists", "timeout_ms"): _SPACE,
     ("tuplespace/space.py", "JavaSpace.read", "txn"): _SPACE,
     ("tuplespace/ops.py", "_Client.read", "txn"): _SPACE,

@@ -74,6 +74,22 @@ def test_drr_long_run_grants_converge_to_weights(shares):
         )
 
 
+def test_drr_splits_equal_tenants_exactly():
+    """Eight equal, backlogged tenants and 240 wildcard takes: each gets
+    exactly 30 grants, so Jain's fairness index (Σx)² / (n·Σx²) is 1.0."""
+    shares = {f"t{i:02d}": 1.0 for i in range(8)}
+
+    def body(rt, space):
+        space.configure_fair_share(shares)
+        _seed_backlog(space, shares, per_tenant=60)
+        for _ in range(240):
+            assert space.take(TaskEntry(), timeout_ms=0) is not None
+        return dict(space.fair_stats)
+
+    stats = _with_space(body)
+    assert [stats.get(f"grants:{t}", 0) for t in shares] == [30] * 8
+
+
 @settings(max_examples=15, deadline=None)
 @given(shares=share_maps, takes=st.integers(1, 30))
 def test_drr_preserves_fifo_within_a_tenant(shares, takes):

@@ -4,8 +4,8 @@
 # The product set: the `repro` experiment commands, every row of the
 # golden table tests/golden.txt (each `repro chaos` campaign CI runs,
 # `repro all`, the benchmark suite's six workloads), the example
-# scripts, the benchmark files and the microbenchmark smoke.  Compare it
-# with a tier-1 audit to list what only tests reach:
+# scripts and the benchmark files.  Compare it with a tier-1 audit to
+# list what only tests reach:
 #
 #     python tools/line_audit.py run /tmp/tier1 -- python -m pytest -x -q
 #     sh tools/audit_product.sh /tmp/product
@@ -66,4 +66,3 @@ audit python examples/reproduce_paper.py
 # on PYTHONPATH, so under the audit that test cannot pass.
 audit python -m pytest -q -p no:cacheprovider benchmarks --benchmark-disable \
     --deselect benchmarks/suite/test_suite.py::test_fails_without_the_program
-audit python benchmarks/run_micro.py --smoke
